@@ -1,13 +1,20 @@
 //! Host engine cost: one 100 ms scheduling tick at several population
-//! sizes, and the water-filling fair share in isolation.
+//! sizes, one simulated host period (ten ticks plus the guest workload
+//! models), and the water-filling fair share in isolation.
+//! `tools/bench_gate.sh` holds the `engine_tick/*` and `host_period/*`
+//! rows against `BENCH_controller.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use vfc_cgroupfs::backend::HostBackend;
+use vfc_cgroupfs::model::CpuMax;
 use vfc_cgroupfs::tree::{CgroupTree, ROOT};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::fair::{water_fill, Entity};
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{FastMap, Micros, Tid};
+use vfc_simcore::{FastMap, MHz, Micros, Tid, VcpuId};
+use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
+use vfc_vmm::{SimHost, VmTemplate};
 
 /// Tree of `vms` two-level scopes with `vcpus` single-thread leaves each.
 fn build(vms: u32, vcpus: u32) -> (CgroupTree, FastMap<Tid, Micros>) {
@@ -44,6 +51,31 @@ fn bench_tick(c: &mut Criterion) {
     group.finish();
 }
 
+/// `SimHost::advance_period` on the node the end-to-end `node_sim`
+/// workload runs: 80 VMs × 2 vCPUs on chetemi (40 threads, saturated), a
+/// third each bursty / steady 80 % / saturating, every vCPU under a
+/// `cpu.max` as a controller would leave it.
+fn bench_host_period(c: &mut Criterion) {
+    let mut group = c.benchmark_group("host_period");
+    group.bench_function("160vcpus", |b| {
+        let mut host = SimHost::new(NodeSpec::chetemi(), 42);
+        for i in 0..80u64 {
+            let vm = host.provision(&VmTemplate::new("bench", 2, MHz(600)));
+            match i % 3 {
+                0 => host.attach_workload(vm, Box::new(BurstyWeb::new(i))),
+                1 => host.attach_workload(vm, Box::new(SteadyDemand::new(0.8))),
+                _ => host.attach_workload(vm, Box::new(SteadyDemand::full())),
+            }
+            for j in 0..2 {
+                host.set_vcpu_max(vm, VcpuId::new(j), CpuMax::limited(Micros(30_000)))
+                    .expect("live vCPU");
+            }
+        }
+        b.iter(|| host.advance_period());
+    });
+    group.finish();
+}
+
 fn bench_water_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("water_fill");
     for n in [10usize, 100, 1000] {
@@ -57,5 +89,5 @@ fn bench_water_fill(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick, bench_water_fill);
+criterion_group!(benches, bench_tick, bench_host_period, bench_water_fill);
 criterion_main!(benches);

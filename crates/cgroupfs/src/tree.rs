@@ -20,6 +20,7 @@
 
 use crate::error::{CgroupError, Result};
 use crate::model::{CpuMax, CpuStat, DEFAULT_WEIGHT};
+use std::sync::atomic::{AtomicU64, Ordering};
 use vfc_simcore::Tid;
 
 /// Index of a node in the [`CgroupTree`] arena.
@@ -27,29 +28,48 @@ use vfc_simcore::Tid;
 pub struct NodeIdx(pub usize);
 
 /// One cgroup directory.
+///
+/// The knobs a running host turns (`cpu_max`, `weight`) and the counters
+/// it reads (`cpu_stat`) are plain fields. What makes up the *structure*
+/// of the hierarchy — parent/child links, thread membership, the VM-scope
+/// mark — is private and changes only through [`CgroupTree`] methods, so
+/// that every such change moves [`CgroupTree::structure_epoch`].
 #[derive(Debug, Clone)]
 pub struct CgroupNode {
     /// Directory name (single path component).
     pub name: String,
-    /// Parent group; `None` only for the root.
-    pub parent: Option<NodeIdx>,
-    /// Child indices (may include tombstoned entries; use [`CgroupTree::children`]).
-    pub children: Vec<NodeIdx>,
+    parent: Option<NodeIdx>,
+    /// Live children, in creation order.
+    children: Vec<NodeIdx>,
     /// `cpu.max` limit.
     pub cpu_max: CpuMax,
     /// `cpu.stat` counters.
     pub cpu_stat: CpuStat,
     /// `cpu.weight` (CFS shares).
     pub weight: u32,
-    /// `cgroup.threads` members (leaf groups only in practice).
-    pub threads: Vec<Tid>,
-    /// Marks a VM scope (the `machine-qemu…scope` level) — the grouping
-    /// unit for VM-granular models such as LLC contention.
-    pub vm_scope: bool,
+    threads: Vec<Tid>,
+    vm_scope: bool,
     alive: bool,
 }
 
 impl CgroupNode {
+    /// Parent group; `None` only for the root.
+    pub fn parent(&self) -> Option<NodeIdx> {
+        self.parent
+    }
+
+    /// `cgroup.threads` members (leaf groups only in practice). A thread
+    /// belongs to at most one group of a tree.
+    pub fn threads(&self) -> &[Tid] {
+        &self.threads
+    }
+
+    /// Is this a VM scope (the `machine-qemu…scope` level) — the grouping
+    /// unit for VM-granular models such as LLC contention?
+    pub fn vm_scope(&self) -> bool {
+        self.vm_scope
+    }
+
     fn new(name: String, parent: Option<NodeIdx>) -> Self {
         CgroupNode {
             name,
@@ -66,17 +86,42 @@ impl CgroupNode {
 }
 
 /// An in-memory cgroup-v2 hierarchy rooted at `/`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CgroupTree {
     nodes: Vec<CgroupNode>,
+    /// Live groups, root included.
+    live: usize,
+    /// See [`CgroupTree::structure_epoch`].
+    epoch: u64,
 }
 
 /// Root node index (always present).
 pub const ROOT: NodeIdx = NodeIdx(0);
 
+/// Source of structure epochs. One counter for the whole process, so no
+/// two structures — of one tree over time, or of two trees — ever share
+/// an epoch. Only ever compared for equality.
+fn fresh_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl Default for CgroupTree {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Clone for CgroupTree {
+    /// The clone is a tree of its own: it gets a fresh structure epoch, so
+    /// a plan cached for the original is never mistaken for the clone's
+    /// once the two diverge.
+    fn clone(&self) -> Self {
+        CgroupTree {
+            nodes: self.nodes.clone(),
+            live: self.live,
+            epoch: fresh_epoch(),
+        }
     }
 }
 
@@ -85,7 +130,20 @@ impl CgroupTree {
     pub fn new() -> Self {
         CgroupTree {
             nodes: vec![CgroupNode::new(String::new(), None)],
+            live: 1,
+            epoch: fresh_epoch(),
         }
+    }
+
+    /// Cookie for everything a consumer may cache about the *structure*
+    /// of this tree: which groups exist, their parent/child order, which
+    /// threads sit in which group, which groups are VM scopes. It moves on
+    /// `mkdir`, `rmdir`, thread attach/detach and VM-scope marking, and is
+    /// unique per tree instance (a clone starts on a new one). It does
+    /// **not** move on `cpu.max`, `cpu.weight` or `cpu.stat` writes: those
+    /// are read from the node every time they are needed.
+    pub fn structure_epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Immutable node access.
@@ -104,7 +162,7 @@ impl CgroupTree {
 
     /// Number of live groups, including the root.
     pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
+        self.live
     }
 
     /// Always `false`: the root group cannot be removed.
@@ -128,6 +186,8 @@ impl CgroupTree {
         self.nodes
             .push(CgroupNode::new(name.to_owned(), Some(parent)));
         self.nodes[parent.0].children.push(idx);
+        self.live += 1;
+        self.epoch = fresh_epoch();
         Ok(idx)
     }
 
@@ -153,7 +213,7 @@ impl CgroupTree {
         if !node.alive {
             return Err(CgroupError::NoSuchGroup(format!("#{}", idx.0)));
         }
-        if node.children.iter().any(|c| self.nodes[c.0].alive) {
+        if !node.children.is_empty() {
             return Err(CgroupError::Invalid(format!(
                 "cgroup {} has children",
                 self.path_of(idx)
@@ -168,6 +228,8 @@ impl CgroupTree {
         let parent = node.parent.expect("non-root has a parent");
         self.nodes[idx.0].alive = false;
         self.nodes[parent.0].children.retain(|c| *c != idx);
+        self.live -= 1;
+        self.epoch = fresh_epoch();
         Ok(())
     }
 
@@ -177,7 +239,7 @@ impl CgroupTree {
             .children
             .iter()
             .copied()
-            .find(|c| self.nodes[c.0].alive && self.nodes[c.0].name == name)
+            .find(|c| self.nodes[c.0].name == name)
     }
 
     /// Resolve an absolute path (`/a/b/c`); empty components ignored.
@@ -213,13 +275,10 @@ impl CgroupTree {
         out
     }
 
-    /// Live children of a node.
+    /// Live children of a node, in creation order (`rmdir` unlinks a
+    /// group from its parent, so no tombstone is ever listed).
     pub fn children(&self, idx: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.nodes[idx.0]
-            .children
-            .iter()
-            .copied()
-            .filter(|c| self.nodes[c.0].alive)
+        self.nodes[idx.0].children.iter().copied()
     }
 
     /// Depth-first iteration over all live nodes, root included.
@@ -241,9 +300,7 @@ impl CgroupTree {
     fn dfs_push(&self, idx: NodeIdx, out: &mut Vec<NodeIdx>) {
         out.push(idx);
         for c in &self.nodes[idx.0].children {
-            if self.nodes[c.0].alive {
-                self.dfs_push(*c, out);
-            }
+            self.dfs_push(*c, out);
         }
     }
 
@@ -259,6 +316,26 @@ impl CgroupTree {
         let node = self.node_mut(idx);
         if !node.threads.contains(&tid) {
             node.threads.push(tid);
+            self.epoch = fresh_epoch();
+        }
+    }
+
+    /// Remove every thread from a group (its tasks exited), after which
+    /// the group can be `rmdir`ed.
+    pub fn detach_threads(&mut self, idx: NodeIdx) {
+        let node = self.node_mut(idx);
+        if !node.threads.is_empty() {
+            node.threads.clear();
+            self.epoch = fresh_epoch();
+        }
+    }
+
+    /// Mark a group as a VM scope (see [`CgroupNode::vm_scope`]).
+    pub fn mark_vm_scope(&mut self, idx: NodeIdx) {
+        let node = self.node_mut(idx);
+        if !node.vm_scope {
+            node.vm_scope = true;
+            self.epoch = fresh_epoch();
         }
     }
 
@@ -267,10 +344,8 @@ impl CgroupTree {
     /// and derives parents through this).
     pub fn subtree_usage(&self, idx: NodeIdx) -> vfc_simcore::Micros {
         let mut total = self.node(idx).cpu_stat.usage_usec;
-        for c in self.nodes[idx.0].children.clone() {
-            if self.nodes[c.0].alive {
-                total += self.subtree_usage(c);
-            }
+        for &c in &self.nodes[idx.0].children {
+            total += self.subtree_usage(c);
         }
         total
     }
@@ -320,7 +395,7 @@ pub mod kvm_layout {
             None => tree.mkdir(ROOT, MACHINE_SLICE)?,
         };
         let scope = tree.mkdir(slice, &scope_name(n, name))?;
-        tree.node_mut(scope).vm_scope = true;
+        tree.mark_vm_scope(scope);
         let libvirt = tree.mkdir(scope, "libvirt")?;
         let _emulator = tree.mkdir(libvirt, "emulator")?;
         let mut vcpu_idx = Vec::with_capacity(vcpus as usize);
@@ -334,6 +409,7 @@ pub mod kvm_layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CpuMax;
     use vfc_simcore::Micros;
 
     #[test]
@@ -376,7 +452,7 @@ mod tests {
         assert!(t.rmdir(ROOT).is_err(), "root");
         t.attach_thread(b, Tid::new(1));
         assert!(t.rmdir(b).is_err(), "has threads");
-        t.node_mut(b).threads.clear();
+        t.detach_threads(b);
         t.rmdir(b).unwrap();
         assert!(t.resolve("/a/b").is_err());
         t.rmdir(a).unwrap();
@@ -391,7 +467,61 @@ mod tests {
         let a = t.mkdir(ROOT, "a").unwrap();
         t.attach_thread(a, Tid::new(5));
         t.attach_thread(a, Tid::new(5));
-        assert_eq!(t.node(a).threads, vec![Tid::new(5)]);
+        assert_eq!(t.node(a).threads(), [Tid::new(5)]);
+    }
+
+    #[test]
+    fn structure_epoch_moves_on_structure_changes_only() {
+        let mut t = CgroupTree::new();
+        let mut last = t.structure_epoch();
+        let mut moved = |t: &CgroupTree, what: &str, expect: bool| {
+            let now = t.structure_epoch();
+            assert_eq!(now != last, expect, "{what}");
+            last = now;
+        };
+        let a = t.mkdir(ROOT, "a").unwrap();
+        moved(&t, "mkdir", true);
+        let b = t.mkdir_all("/a/b").unwrap();
+        moved(&t, "mkdir_all", true);
+        t.mkdir_all("/a/b").unwrap();
+        moved(&t, "mkdir_all of an existing path", false);
+        t.attach_thread(b, Tid::new(1));
+        moved(&t, "attach", true);
+        t.attach_thread(b, Tid::new(1));
+        moved(&t, "attach of a member", false);
+        t.mark_vm_scope(a);
+        moved(&t, "mark_vm_scope", true);
+        t.mark_vm_scope(a);
+        moved(&t, "mark_vm_scope of a marked scope", false);
+        assert!(t.node(a).vm_scope());
+
+        // The knobs and counters of a running host are not structure.
+        t.node_mut(b).cpu_max = CpuMax::limited(Micros(10_000));
+        t.node_mut(a).weight = 300;
+        t.node_mut(b).cpu_stat.account_usage(Micros(5));
+        moved(&t, "cpu.max / cpu.weight / cpu.stat", false);
+
+        assert!(t.rmdir(b).is_err());
+        moved(&t, "failed rmdir", false);
+        t.detach_threads(b);
+        moved(&t, "detach", true);
+        t.detach_threads(b);
+        moved(&t, "detach of an empty group", false);
+        t.rmdir(b).unwrap();
+        moved(&t, "rmdir", true);
+    }
+
+    #[test]
+    fn clone_is_a_tree_of_its_own() {
+        let mut t = CgroupTree::new();
+        t.mkdir(ROOT, "a").unwrap();
+        let mut c = t.clone();
+        assert_ne!(c.structure_epoch(), t.structure_epoch());
+        assert_eq!(c.len(), t.len());
+        // Diverging the two can never bring the epochs back together.
+        c.mkdir(ROOT, "b").unwrap();
+        t.mkdir(ROOT, "c").unwrap();
+        assert_ne!(c.structure_epoch(), t.structure_epoch());
     }
 
     #[test]
@@ -497,7 +627,7 @@ mod tests {
                 // agree with child links.
                 for &idx in &dfs {
                     for c in tree.children(idx) {
-                        prop_assert_eq!(tree.node(c).parent, Some(idx));
+                        prop_assert_eq!(tree.node(c).parent(), Some(idx));
                     }
                 }
             }

@@ -85,6 +85,13 @@ impl Governor {
         let clamped = noisy.clamp(self.min.as_f64(), self.max.as_f64() * 1.02);
         MHz(clamped.round() as u32)
     }
+
+    /// The next raw draw of the noise stream — consumes it. Lets the
+    /// reference-oracle tests assert that two engines drew equally often.
+    #[cfg(test)]
+    pub(crate) fn probe_rng(&mut self) -> u64 {
+        self.rng.next_u64()
+    }
 }
 
 #[cfg(test)]

@@ -19,12 +19,22 @@
 //!
 //! The engine deliberately knows nothing about VMs: it sees a cgroup tree
 //! and per-thread demands, exactly like the kernel.
+//!
+//! What those steps need to know about the *shape* of the tree — which
+//! groups exist in which order, which threads sit where — is kept in a
+//! flattened plan that is rebuilt only when
+//! [`CgroupTree::structure_epoch`] moves. The steps run over vectors
+//! indexed by group position and thread slot ([`Engine::tick_slots`]);
+//! [`Engine::tick`] and [`Engine::tick_into`] are the map-keyed front of
+//! the same code. `cpu.max` and `cpu.weight` are read from the tree every
+//! tick.
 
 use crate::dvfs::Governor;
 use crate::fair::{water_fill_into, Entity, FillScratch};
 use crate::place::{PlacementBuf, Placer};
 use crate::power::node_power_w;
 use crate::topology::NodeSpec;
+use vfc_cgroupfs::model::CpuMax;
 use vfc_cgroupfs::tree::{CgroupTree, NodeIdx, ROOT};
 use vfc_simcore::{CpuId, Cycles, FastMap, MHz, Micros, Tid};
 
@@ -39,7 +49,7 @@ pub struct ThreadSlice {
     pub work: Cycles,
 }
 
-/// Aggregate result of one engine tick.
+/// Aggregate result of one engine tick, keyed by thread id.
 #[derive(Debug, Clone, Default)]
 pub struct TickOutcome {
     /// Per-thread outcome of the tick.
@@ -57,12 +67,41 @@ pub struct TickOutcome {
 impl TickOutcome {
     /// Mean frequency across all cores.
     pub fn mean_core_freq(&self) -> MHz {
-        if self.core_freqs.is_empty() {
-            return MHz::ZERO;
-        }
-        let sum: u64 = self.core_freqs.iter().map(|f| f.as_u32() as u64).sum();
-        MHz((sum / self.core_freqs.len() as u64) as u32)
+        mean_freq(&self.core_freqs)
     }
+}
+
+/// Result of one engine tick, indexed by thread slot: a view into the
+/// engine, valid until its next tick. See [`Engine::tick_slots`].
+#[derive(Debug, Clone, Copy)]
+pub struct SlotTick<'a> {
+    /// Thread in each slot ([`Engine::slots`]).
+    pub tids: &'a [Tid],
+    /// Per-thread outcome of the tick, by slot.
+    pub threads: &'a [ThreadSlice],
+    /// Frequency each core reported this tick.
+    pub core_freqs: &'a [MHz],
+    /// Busy time per core.
+    pub core_busy: &'a [Micros],
+    /// Node utilization (busy / capacity) in [0, 1].
+    pub utilization: f64,
+    /// Node power draw, Watts.
+    pub power_w: f64,
+}
+
+impl SlotTick<'_> {
+    /// Mean frequency across all cores.
+    pub fn mean_core_freq(&self) -> MHz {
+        mean_freq(self.core_freqs)
+    }
+}
+
+fn mean_freq(core_freqs: &[MHz]) -> MHz {
+    if core_freqs.is_empty() {
+        return MHz::ZERO;
+    }
+    let sum: u64 = core_freqs.iter().map(|f| f.as_u32() as u64).sum();
+    MHz((sum / core_freqs.len() as u64) as u32)
 }
 
 /// Optional last-level-cache contention model.
@@ -98,30 +137,136 @@ impl CacheModel {
     }
 }
 
-/// Reusable per-tick working memory. Every buffer here used to be a
-/// fresh allocation inside [`Engine::tick`]; at cluster scale (1,200
-/// hosts × 10 ticks × 300 periods) those dominated the replay profile,
-/// so the engine now owns one set and [`Engine::tick_into`] reuses it.
+/// Everything about a cgroup tree that stays the same from tick to tick,
+/// flattened: groups numbered by *position* (pre-order, so a parent comes
+/// before its subtree and a subtree is a contiguous range), threads
+/// numbered by *slot* (position order, then `cgroup.threads` order, so
+/// the threads of a group — and of a whole subtree — are a contiguous
+/// range too). Rebuilt only when [`CgroupTree::structure_epoch`] moves.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Structure epoch of the tree this was built from; 0 before the first.
+    epoch: u64,
+    /// Group at each position.
+    nodes: Vec<NodeIdx>,
+    /// Position of each group's parent (the root names itself).
+    parent: Vec<u32>,
+    /// One past the last position of each group's subtree. The children
+    /// of `p` are `p + 1`, `subtree_end[p + 1]`, … while below
+    /// `subtree_end[p]`.
+    subtree_end: Vec<u32>,
+    /// First slot of each group's own threads; one trailing entry, so
+    /// group `p` owns `thread_start[p]..thread_start[p + 1]` and its
+    /// subtree `thread_start[p]..thread_start[subtree_end[p]]`.
+    thread_start: Vec<u32>,
+    /// Thread in each slot.
+    tids: Vec<Tid>,
+    /// `(thread, slot)`, sorted by thread.
+    by_tid: Vec<(Tid, u32)>,
+    /// Each group's `cpu.max` as last seen and its budget for one tick.
+    /// `cpu.max` is not structure — it is compared every tick — but it
+    /// changes once per controller period at most, and the budget is a
+    /// 128-bit division.
+    budget: Vec<(CpuMax, u64)>,
+    /// The VM-level groups the cache model counts: the marked VM scopes,
+    /// or the children of the root in a tree without marks.
+    vm_tops: Vec<u32>,
+}
+
+impl Plan {
+    fn rebuild(&mut self, tree: &CgroupTree, tick: Micros, placer: &mut Placer) {
+        let old_by_tid = std::mem::take(&mut self.by_tid);
+        self.nodes.clear();
+        self.parent.clear();
+        self.subtree_end.clear();
+        self.thread_start.clear();
+        self.tids.clear();
+        self.budget.clear();
+        self.vm_tops.clear();
+        self.push_subtree(tree, ROOT, 0, tick);
+        self.thread_start.push(self.tids.len() as u32);
+        if self.vm_tops.is_empty() {
+            let mut c = 1;
+            while c < self.nodes.len() {
+                self.vm_tops.push(c as u32);
+                c = self.subtree_end[c] as usize;
+            }
+        }
+
+        // Sticky cores follow their thread into its new slot; threads that
+        // left are forgotten.
+        let old_slot = |tid: &Tid| {
+            let i = old_by_tid.binary_search_by_key(tid, |e| e.0).ok()?;
+            Some(old_by_tid[i].1)
+        };
+        let old_of_new: Vec<Option<u32>> = self.tids.iter().map(old_slot).collect();
+        placer.remap(&old_of_new);
+
+        self.by_tid = old_by_tid;
+        self.by_tid.clear();
+        self.by_tid
+            .extend(self.tids.iter().enumerate().map(|(s, t)| (*t, s as u32)));
+        self.by_tid.sort_unstable();
+        self.epoch = tree.structure_epoch();
+    }
+
+    /// Recursion depth is the hierarchy depth (root → slice → scope →
+    /// libvirt → vCPU group, a small constant).
+    fn push_subtree(&mut self, tree: &CgroupTree, idx: NodeIdx, parent: u32, tick: Micros) {
+        let pos = self.nodes.len();
+        let node = tree.node(idx);
+        self.nodes.push(idx);
+        self.parent.push(parent);
+        self.subtree_end.push(0);
+        self.thread_start.push(self.tids.len() as u32);
+        self.tids.extend_from_slice(node.threads());
+        self.budget
+            .push((node.cpu_max, node.cpu_max.budget_for(tick).as_u64()));
+        if node.vm_scope() {
+            self.vm_tops.push(pos as u32);
+        }
+        for c in tree.children(idx) {
+            self.push_subtree(tree, c, pos as u32, tick);
+        }
+        self.subtree_end[pos] = self.nodes.len() as u32;
+    }
+
+    fn slot_of(&self, tid: Tid) -> Option<usize> {
+        let i = self.by_tid.binary_search_by_key(&tid, |e| e.0).ok()?;
+        Some(self.by_tid[i].1 as usize)
+    }
+
+    /// Slots of the threads in the subtree of the group at `pos`.
+    fn subtree_slots(&self, pos: u32) -> std::ops::Range<usize> {
+        let end = self.subtree_end[pos as usize] as usize;
+        self.thread_start[pos as usize] as usize..self.thread_start[end] as usize
+    }
+}
+
+/// Reusable per-tick working memory, sized by the plan: the steady-state
+/// tick allocates nothing.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Pre-order DFS of the live tree.
-    dfs: Vec<NodeIdx>,
-    /// Demand-side cap per node, dense by arena index.
+    /// `cpu.weight` per position, read once per tick.
+    weight: Vec<u32>,
+    /// What each group asks for, per position: its threads' demands plus
+    /// its children's caps, before its own quota.
+    raw: Vec<u64>,
+    /// Demand-side cap per position: `raw` under the group's quota.
     caps: Vec<u64>,
-    /// Granted budget per group, dense by arena index.
+    /// Granted budget per position.
     group_alloc: Vec<u64>,
-    /// Children of the group currently being filled.
-    children: Vec<NodeIdx>,
-    /// Water-filling entities of the current group.
+    /// Demand per slot, clamped to the tick.
+    want: Vec<u64>,
+    /// Granted CPU time per slot.
+    alloc: Vec<Micros>,
+    /// Water-filling entities, output and bookkeeping of the current group.
     entities: Vec<Entity>,
-    /// Water-filling output of the current group.
     shares: Vec<u64>,
     fill: FillScratch,
-    /// Granted CPU time per thread.
-    thread_alloc: FastMap<Tid, Micros>,
-    /// Every known thread with its allocation, DFS order.
-    all_threads: Vec<(Tid, Micros)>,
     place: PlacementBuf,
+    /// Slot demands gathered by the map-keyed [`Engine::tick_into`].
+    map_demands: Vec<Micros>,
 }
 
 /// Host scheduling engine. See module docs.
@@ -134,7 +279,11 @@ pub struct Engine {
     /// Frequencies from the last tick (idle cores keep reporting).
     core_freqs: Vec<MHz>,
     cache_model: Option<CacheModel>,
+    plan: Plan,
+    plan_rebuilds: u64,
     scratch: Scratch,
+    /// Outcome of the last tick, per slot.
+    slices: Vec<ThreadSlice>,
 }
 
 impl Engine {
@@ -161,7 +310,10 @@ impl Engine {
             tick,
             governor,
             cache_model: None,
+            plan: Plan::default(),
+            plan_rebuilds: 0,
             scratch: Scratch::default(),
+            slices: Vec::new(),
         }
     }
 
@@ -189,9 +341,47 @@ impl Engine {
             .unwrap_or(MHz::ZERO)
     }
 
-    /// Last primary core of a thread, if it ever ran.
+    /// Last primary core of a thread, if it ran under the current plan or
+    /// was carried into it. Threads that left the tree are forgotten at
+    /// the next plan rebuild.
     pub fn thread_last_cpu(&self, tid: Tid) -> Option<CpuId> {
-        self.placer.last_cpu(tid)
+        self.placer.last_cpu(self.plan.slot_of(tid)?)
+    }
+
+    /// Bring the flattened plan up to date with `tree`; `true` if it had
+    /// to be rebuilt, after which slots are renumbered. Every tick does
+    /// this itself — call it first only to learn the slots
+    /// ([`Engine::slots`], [`Engine::slot_of`]) before filling the demand
+    /// vector of [`Engine::tick_slots`].
+    pub fn sync(&mut self, tree: &CgroupTree) -> bool {
+        if self.plan.epoch == tree.structure_epoch() {
+            return false;
+        }
+        self.plan.rebuild(tree, self.tick, &mut self.placer);
+        self.plan_rebuilds += 1;
+        true
+    }
+
+    /// Thread in each slot of the current plan: pre-order over the groups,
+    /// `cgroup.threads` order within a group.
+    pub fn slots(&self) -> &[Tid] {
+        &self.plan.tids
+    }
+
+    /// Slot of a thread in the current plan.
+    pub fn slot_of(&self, tid: Tid) -> Option<usize> {
+        self.plan.slot_of(tid)
+    }
+
+    /// How often the plan was rebuilt — once per tree whose structure
+    /// epoch differed from the plan's at a `sync` or tick.
+    pub fn plan_rebuilds(&self) -> u64 {
+        self.plan_rebuilds
+    }
+
+    /// Threads the placer remembers a core for.
+    pub fn tracked_threads(&self) -> usize {
+        self.placer.tracked_threads()
     }
 
     /// Advance the host by one tick.
@@ -205,141 +395,150 @@ impl Engine {
         out
     }
 
-    /// [`Engine::tick`] into a caller-owned [`TickOutcome`], reusing the
-    /// engine's internal scratch buffers. Behaviour (allocations granted,
-    /// accounting, RNG draw sequence, outcome values) is identical to
-    /// [`Engine::tick`]; only the allocation profile differs — the
-    /// steady-state tick performs no heap allocation, which is what makes
-    /// the 1,200-node trace replay fast.
+    /// [`Engine::tick`] into a caller-owned [`TickOutcome`]: the map-keyed
+    /// front of [`Engine::tick_slots`] — one lookup per thread to gather
+    /// the slot demands, one insert per thread to key the outcome.
     pub fn tick_into(
         &mut self,
         tree: &mut CgroupTree,
         demands: &FastMap<Tid, Micros>,
         out: &mut TickOutcome,
     ) {
+        self.sync(tree);
+        let mut by_slot = std::mem::take(&mut self.scratch.map_demands);
+        by_slot.clear();
+        by_slot.extend(
+            self.plan
+                .tids
+                .iter()
+                .map(|t| demands.get(t).copied().unwrap_or(Micros::ZERO)),
+        );
+        let tick = self.tick_slots(tree, &by_slot);
+        out.threads.clear();
+        out.threads
+            .extend(tick.tids.iter().copied().zip(tick.threads.iter().copied()));
+        out.core_freqs.clear();
+        out.core_freqs.extend_from_slice(tick.core_freqs);
+        out.core_busy.clear();
+        out.core_busy.extend_from_slice(tick.core_busy);
+        out.utilization = tick.utilization;
+        out.power_w = tick.power_w;
+        self.scratch.map_demands = by_slot;
+    }
+
+    /// Advance the host by one tick, slot-indexed: `demands[s]` is the CPU
+    /// time thread [`Engine::slots`]`[s]` *wants* this tick (clamped to
+    /// `tick`), and the returned view carries what it got in `threads[s]`.
+    /// Usage and throttling are accounted into `tree`. The steady-state
+    /// tick performs no heap allocation and no lookup by thread id.
+    ///
+    /// # Panics
+    /// Panics unless `demands` has one entry per slot of the plan for
+    /// `tree` as it is now — [`Engine::sync`] first, then fill.
+    pub fn tick_slots(&mut self, tree: &mut CgroupTree, demands: &[Micros]) -> SlotTick<'_> {
+        self.sync(tree);
         let tick = self.tick;
-        let arena = tree.arena_size();
+        let plan = &mut self.plan;
+        let n_pos = plan.nodes.len();
+        assert_eq!(
+            demands.len(),
+            plan.tids.len(),
+            "one demand per slot of the current plan"
+        );
         let Scratch {
-            dfs,
+            weight,
+            raw,
             caps,
             group_alloc,
-            children,
+            want,
+            alloc,
             entities,
             shares,
             fill,
-            thread_alloc,
-            all_threads,
             place,
+            map_demands: _,
         } = &mut self.scratch;
 
         // ---- 1. demand-side caps, bottom-up -------------------------------
-        tree.iter_dfs_into(dfs);
-        caps.clear();
-        caps.resize(arena, 0);
-        for &idx in dfs.iter().rev() {
-            let node = tree.node(idx);
-            let thread_demand: u64 = node
-                .threads
-                .iter()
-                .map(|t| {
-                    demands
-                        .get(t)
-                        .copied()
-                        .unwrap_or(Micros::ZERO)
-                        .min(tick)
-                        .as_u64()
-                })
-                .sum();
-            let child_demand: u64 = tree.children(idx).map(|c| caps[c.0]).sum();
-            let raw = thread_demand + child_demand;
-            let quota = node.cpu_max.budget_for(tick).as_u64();
-            caps[idx.0] = raw.min(quota);
+        // Reverse pre-order: every group is final before it is added to
+        // its parent.
+        want.clear();
+        want.extend(demands.iter().map(|d| (*d).min(tick).as_u64()));
+        weight.resize(n_pos, 0);
+        caps.resize(n_pos, 0);
+        raw.clear();
+        raw.resize(n_pos, 0);
+        for p in (0..n_pos).rev() {
+            let node = tree.node(plan.nodes[p]);
+            weight[p] = node.weight;
+            let budget = &mut plan.budget[p];
+            if budget.0 != node.cpu_max {
+                *budget = (node.cpu_max, node.cpu_max.budget_for(tick).as_u64());
+            }
+            let threads = plan.thread_start[p] as usize..plan.thread_start[p + 1] as usize;
+            raw[p] += want[threads].iter().sum::<u64>();
+            caps[p] = raw[p].min(budget.1);
+            if p != 0 {
+                raw[plan.parent[p] as usize] += caps[p];
+            }
         }
 
-        // ---- 2. allocation, top-down --------------------------------------
+        // ---- 2. allocation, top-down; 3. usage + throttling accounting ----
         let capacity = (self.spec.nr_threads() as u64) * tick.as_u64();
-        thread_alloc.clear();
-        group_alloc.clear();
-        group_alloc.resize(arena, 0);
-        group_alloc[ROOT.0] = capacity.min(caps[ROOT.0]);
+        group_alloc.resize(n_pos, 0);
+        group_alloc[0] = capacity.min(caps[0]);
+        alloc.resize(want.len(), Micros::ZERO);
+        for p in 0..n_pos {
+            let budget = group_alloc[p];
+            let first_child = p + 1;
+            let end = plan.subtree_end[p] as usize;
+            let threads = plan.thread_start[p] as usize..plan.thread_start[p + 1] as usize;
+            let only_child = first_child < end && plan.subtree_end[first_child] as usize == end;
+            if threads.is_empty() && only_child {
+                // A lone entity gets min(budget, cap) whatever its weight.
+                group_alloc[first_child] = budget.min(caps[first_child]);
+            } else if threads.len() == 1 && first_child == end {
+                alloc[threads.start] = Micros(budget.min(want[threads.start]));
+            } else if !threads.is_empty() || first_child < end {
+                // Entities: child groups first, then direct threads.
+                entities.clear();
+                let mut c = first_child;
+                while c < end {
+                    entities.push(Entity::new(weight[c], caps[c]));
+                    c = plan.subtree_end[c] as usize;
+                }
+                let n_children = entities.len();
+                entities.extend(
+                    want[threads.clone()]
+                        .iter()
+                        .map(|d| Entity::new(weight[p], *d)),
+                );
+                water_fill_into(budget, entities, shares, fill);
+                let mut c = first_child;
+                for share in &shares[..n_children] {
+                    group_alloc[c] = *share;
+                    c = plan.subtree_end[c] as usize;
+                }
+                for (a, share) in alloc[threads.clone()].iter_mut().zip(&shares[n_children..]) {
+                    *a = Micros(*share);
+                }
+            }
 
-        // Pre-order traversal (parents before children); iter_dfs is one.
-        for &idx in dfs.iter() {
-            let budget = group_alloc[idx.0];
-            let node = tree.node(idx);
-            children.clear();
-            children.extend(tree.children(idx));
-            // Entities: child groups first, then direct threads.
-            entities.clear();
-            for &c in children.iter() {
-                entities.push(Entity::new(tree.node(c).weight, caps[c.0]));
-            }
-            for t in &node.threads {
-                let d = demands.get(t).copied().unwrap_or(Micros::ZERO).min(tick);
-                entities.push(Entity::new(node.weight, d.as_u64()));
-            }
-            if entities.is_empty() {
-                continue;
-            }
-            water_fill_into(budget, entities, shares, fill);
-            for (i, &c) in children.iter().enumerate() {
-                group_alloc[c.0] = shares[i];
-            }
-            for (k, t) in node.threads.iter().enumerate() {
-                thread_alloc.insert(*t, Micros(shares[children.len() + k]));
-            }
-        }
-
-        // ---- 3. usage + throttling accounting ------------------------------
-        // Leaf usage, then per-group periods for limited groups.
-        for &idx in dfs.iter() {
-            let node = tree.node(idx);
-            let has_threads = !node.threads.is_empty();
-            let used: Micros = node
-                .threads
-                .iter()
-                .map(|t| thread_alloc.get(t).copied().unwrap_or(Micros::ZERO))
-                .sum();
-            let unlimited = node.cpu_max.is_unlimited();
-            let quota = node.cpu_max.budget_for(tick).as_u64();
-            let raw_demand: u64 = if unlimited {
-                0
-            } else {
-                node.threads
-                    .iter()
-                    .map(|t| {
-                        demands
-                            .get(t)
-                            .copied()
-                            .unwrap_or(Micros::ZERO)
-                            .min(tick)
-                            .as_u64()
-                    })
-                    .sum::<u64>()
-                    + tree.children(idx).map(|c| caps[c.0]).sum::<u64>()
-            };
-            if has_threads {
-                tree.node_mut(idx).cpu_stat.account_usage(used);
-            }
-            if !unlimited {
-                let throttled_for = if raw_demand > quota {
-                    Micros(raw_demand - quota)
-                } else {
-                    Micros::ZERO
-                };
-                tree.node_mut(idx).cpu_stat.account_period(throttled_for);
+            let (cpu_max, quota) = plan.budget[p];
+            if !threads.is_empty() || !cpu_max.is_unlimited() {
+                let stat = &mut tree.node_mut(plan.nodes[p]).cpu_stat;
+                if !threads.is_empty() {
+                    stat.account_usage(alloc[threads].iter().copied().sum());
+                }
+                if !cpu_max.is_unlimited() {
+                    stat.account_period(Micros(raw[p].saturating_sub(quota)));
+                }
             }
         }
 
         // ---- 4. placement ---------------------------------------------------
-        // Include every known thread so idle ones keep a location.
-        all_threads.clear();
-        for &idx in dfs.iter() {
-            for t in &tree.node(idx).threads {
-                all_threads.push((*t, thread_alloc.get(t).copied().unwrap_or(Micros::ZERO)));
-            }
-        }
-        self.placer.place_into(all_threads, tick, place);
+        // Every known thread is placed, so idle ones keep a location.
+        self.placer.place_into(&plan.tids, alloc, tick, place);
         let core_busy = &place.core_busy;
 
         // ---- 5. DVFS ---------------------------------------------------------
@@ -350,46 +549,25 @@ impl Engine {
 
         // ---- 6. per-thread work ----------------------------------------------
         // Optional LLC contention: count the distinct VM-level groups that
-        // actually ran this tick. VM scopes are marked in the tree (the
-        // KVM layout marks its `machine-qemu…scope` groups); plain trees
-        // without marks fall back to the children of the root.
-        let cache_multiplier =
-            match self.cache_model {
-                None => 1.0,
-                Some(model) => {
-                    let subtree_active =
-                        |top: NodeIdx| -> bool {
-                            let mut stack = vec![top];
-                            while let Some(idx) = stack.pop() {
-                                if tree.node(idx).threads.iter().any(|t| {
-                                    thread_alloc.get(t).map(|a| !a.is_zero()).unwrap_or(false)
-                                }) {
-                                    return true;
-                                }
-                                stack.extend(tree.children(idx));
-                            }
-                            false
-                        };
-                    let marked: Vec<NodeIdx> = dfs
+        // actually ran this tick.
+        let cache_multiplier = match self.cache_model {
+            None => 1.0,
+            Some(model) => {
+                let ran = |top: &&u32| {
+                    alloc[plan.subtree_slots(**top)]
                         .iter()
-                        .copied()
-                        .filter(|&i| tree.node(i).vm_scope)
-                        .collect();
-                    let active_groups = if marked.is_empty() {
-                        tree.children(ROOT)
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    } else {
-                        marked
-                            .into_iter()
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    };
-                    model.multiplier(active_groups)
-                }
-            };
+                        .any(|a| !a.is_zero())
+                };
+                model.multiplier(plan.vm_tops.iter().filter(ran).count())
+            }
+        };
 
-        out.threads.clear();
+        let idle = ThreadSlice {
+            ran: Micros::ZERO,
+            last_cpu: CpuId::new(0),
+            work: Cycles::ZERO,
+        };
+        self.slices.resize(alloc.len(), idle);
         for e in place.entries.iter() {
             let slices = place.slices_of(e);
             let mut ran = Micros::ZERO;
@@ -400,14 +578,11 @@ impl Engine {
             }
             let work = Cycles((work.as_u64() as f64 * cache_multiplier) as u64);
             let last_cpu = slices.first().map(|(c, _)| *c).unwrap_or(CpuId::new(0));
-            out.threads.insert(
-                e.tid,
-                ThreadSlice {
-                    ran,
-                    last_cpu,
-                    work,
-                },
-            );
+            self.slices[e.slot as usize] = ThreadSlice {
+                ran,
+                last_cpu,
+                work,
+            };
         }
 
         // ---- 7. power ----------------------------------------------------------
@@ -426,12 +601,14 @@ impl Engine {
         };
         let power_w = node_power_w(&self.spec, utilization, active_freq);
 
-        out.core_freqs.clear();
-        out.core_freqs.extend_from_slice(&self.core_freqs);
-        out.core_busy.clear();
-        out.core_busy.extend_from_slice(core_busy);
-        out.utilization = utilization;
-        out.power_w = power_w;
+        SlotTick {
+            tids: &plan.tids,
+            threads: &self.slices,
+            core_freqs: &self.core_freqs,
+            core_busy,
+            utilization,
+            power_w,
+        }
     }
 }
 
@@ -805,6 +982,443 @@ mod tests {
                     .sum();
                 prop_assert_eq!(accounted, from_tree);
             }
+        }
+    }
+
+    /// The flat-plan engine against the map-keyed reference oracle
+    /// ([`crate::oracle`]): two copies of one tree, the same structure
+    /// churn and demands fed to both, everything observable compared
+    /// after every tick.
+    mod oracle_equivalence {
+        use super::*;
+        use crate::dvfs::GovernorKind;
+        use crate::oracle::OracleEngine;
+        use proptest::prelude::*;
+        use vfc_cgroupfs::tree::kvm_layout;
+        use vfc_simcore::SplitMix64;
+
+        /// One structure or knob change between two ticks. Selectors are
+        /// reduced modulo the live population when applied.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Mkdir {
+                parent: usize,
+                name: u8,
+            },
+            Rmdir {
+                group: usize,
+            },
+            Attach {
+                group: usize,
+            },
+            Detach {
+                group: usize,
+            },
+            MarkScope {
+                group: usize,
+            },
+            Provision {
+                vcpus: u32,
+            },
+            Deprovision {
+                vm: usize,
+            },
+            /// `HostBackend::set_vm_weight`
+            SetWeight {
+                group: usize,
+                weight: u32,
+            },
+            /// `HostBackend::set_vcpu_max`
+            SetMax {
+                group: usize,
+                max: Option<(u64, u64)>,
+            },
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0usize..64, 0u8..8).prop_map(|(parent, name)| Op::Mkdir { parent, name }),
+                (0usize..64).prop_map(|group| Op::Rmdir { group }),
+                (0usize..64).prop_map(|group| Op::Attach { group }),
+                (0usize..64).prop_map(|group| Op::Detach { group }),
+                (0usize..64).prop_map(|group| Op::MarkScope { group }),
+                (1u32..5).prop_map(|vcpus| Op::Provision { vcpus }),
+                (0usize..64).prop_map(|vm| Op::Deprovision { vm }),
+                (0usize..64, 0u32..400).prop_map(|(group, weight)| Op::SetWeight { group, weight }),
+                (
+                    0usize..64,
+                    proptest::option::of((0u64..150_000, 50_000u64..200_001))
+                )
+                    .prop_map(|(group, max)| Op::SetMax { group, max }),
+            ]
+        }
+
+        /// A tree under churn, with the bookkeeping to pick live targets.
+        struct World {
+            tree: CgroupTree,
+            groups: Vec<NodeIdx>,
+            /// Provisioned VMs: scope and vCPU leaves.
+            vms: Vec<(NodeIdx, Vec<NodeIdx>)>,
+            live_tids: Vec<Tid>,
+            dead_tids: Vec<Tid>,
+            next_tid: u32,
+            next_machine: u32,
+        }
+
+        impl World {
+            fn new() -> Self {
+                World {
+                    tree: CgroupTree::new(),
+                    groups: vec![ROOT],
+                    vms: Vec::new(),
+                    live_tids: Vec::new(),
+                    dead_tids: Vec::new(),
+                    next_tid: 100,
+                    next_machine: 1,
+                }
+            }
+
+            fn attach(&mut self, group: NodeIdx) {
+                let tid = Tid::new(self.next_tid);
+                self.next_tid += 1;
+                self.tree.attach_thread(group, tid);
+                self.live_tids.push(tid);
+            }
+
+            fn detach(&mut self, group: NodeIdx) {
+                let gone = self.tree.node(group).threads().to_vec();
+                self.tree.detach_threads(group);
+                self.live_tids.retain(|t| !gone.contains(t));
+                self.dead_tids.extend(gone);
+            }
+
+            fn rmdir(&mut self, group: NodeIdx) {
+                if self.tree.rmdir(group).is_ok() {
+                    self.groups.retain(|g| *g != group);
+                }
+            }
+
+            fn apply(&mut self, op: &Op) {
+                let pick = |groups: &[NodeIdx], sel: usize| groups[sel % groups.len()];
+                match *op {
+                    Op::Mkdir { parent, name } => {
+                        let parent = pick(&self.groups, parent);
+                        if let Ok(g) = self.tree.mkdir(parent, &format!("g{name}")) {
+                            self.groups.push(g);
+                        }
+                    }
+                    Op::Rmdir { group } => self.rmdir(pick(&self.groups, group)),
+                    Op::Attach { group } => self.attach(pick(&self.groups, group)),
+                    Op::Detach { group } => self.detach(pick(&self.groups, group)),
+                    Op::MarkScope { group } => {
+                        self.tree.mark_vm_scope(pick(&self.groups, group));
+                    }
+                    Op::Provision { vcpus } => {
+                        let n = self.next_machine;
+                        self.next_machine += 1;
+                        let before = self.tree.arena_size();
+                        let (scope, leaves) =
+                            kvm_layout::provision(&mut self.tree, n, "vm", vcpus).expect("fresh");
+                        self.groups
+                            .extend((before..self.tree.arena_size()).map(NodeIdx));
+                        for &leaf in &leaves {
+                            self.attach(leaf);
+                        }
+                        self.vms.push((scope, leaves));
+                    }
+                    Op::Deprovision { vm } => {
+                        if self.vms.is_empty() {
+                            return;
+                        }
+                        let (scope, _) = self.vms.remove(vm % self.vms.len());
+                        // Leaves first: detach, then remove bottom-up.
+                        let mut subtree = vec![scope];
+                        let mut i = 0;
+                        while i < subtree.len() {
+                            subtree.extend(self.tree.children(subtree[i]));
+                            i += 1;
+                        }
+                        for &g in subtree.iter().rev() {
+                            self.detach(g);
+                            self.rmdir(g);
+                        }
+                    }
+                    Op::SetWeight { group, weight } => {
+                        self.tree.node_mut(pick(&self.groups, group)).weight = weight;
+                    }
+                    Op::SetMax { group, max } => {
+                        self.tree.node_mut(pick(&self.groups, group)).cpu_max = match max {
+                            None => CpuMax::unlimited(),
+                            Some((q, p)) => CpuMax::with_period(Micros(q), Micros(p)),
+                        };
+                    }
+                }
+            }
+
+            /// Demands of one tick: idle, partial, full and over-full
+            /// threads, and some threads missing from the map.
+            fn demands(&self, rng: &mut SplitMix64) -> FastMap<Tid, Micros> {
+                let mut demands = FastMap::default();
+                for &tid in &self.live_tids {
+                    match rng.next_below(5) {
+                        0 => {}
+                        1 => drop(demands.insert(tid, Micros::ZERO)),
+                        _ => drop(demands.insert(tid, Micros(rng.next_below(130_000)))),
+                    }
+                }
+                // A thread the tree does not know is ignored.
+                demands.insert(Tid::new(7), TICK);
+                demands
+            }
+        }
+
+        fn engines(threads: u32, cache: bool, seed: u64) -> (Engine, OracleEngine) {
+            let spec = NodeSpec::custom("p", 1, threads, 1, MHz(2400));
+            let gov = || Governor::new(GovernorKind::Schedutil, spec.min_mhz, spec.max_mhz, seed);
+            let engine = Engine::with_parts(spec.clone(), TICK, gov(), seed);
+            let oracle = OracleEngine::with_parts(spec.clone(), TICK, gov(), seed);
+            if cache {
+                let model = CacheModel {
+                    penalty_per_corunner: 0.03,
+                    floor: 0.5,
+                };
+                (
+                    engine.with_cache_model(model),
+                    oracle.with_cache_model(model),
+                )
+            } else {
+                (engine, oracle)
+            }
+        }
+
+        /// Tick both engines on `demands` and require equal outcomes,
+        /// equal `cpu.stat` everywhere and equal sticky cores.
+        fn tick_both(
+            engine: &mut Engine,
+            oracle: &mut OracleEngine,
+            world: &mut World,
+            shadow: &mut CgroupTree,
+            demands: &FastMap<Tid, Micros>,
+        ) -> std::result::Result<(), String> {
+            let mut got = TickOutcome::default();
+            let mut want = TickOutcome::default();
+            engine.tick_into(&mut world.tree, demands, &mut got);
+            oracle.tick_into(shadow, demands, &mut want);
+            prop_assert_eq!(&got.threads, &want.threads);
+            prop_assert_eq!(&got.core_freqs, &want.core_freqs);
+            prop_assert_eq!(&got.core_busy, &want.core_busy);
+            prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
+            prop_assert_eq!(got.power_w.to_bits(), want.power_w.to_bits());
+            let groups = world.tree.iter_dfs();
+            prop_assert_eq!(&groups, &shadow.iter_dfs());
+            for &g in &groups {
+                prop_assert_eq!(world.tree.node(g).cpu_stat, shadow.node(g).cpu_stat);
+            }
+            for &tid in &world.live_tids {
+                prop_assert_eq!(engine.thread_last_cpu(tid), oracle.thread_last_cpu(tid));
+            }
+            // The oracle never forgets; the engine tracks the live threads.
+            for &tid in &world.dead_tids {
+                prop_assert_eq!(engine.thread_last_cpu(tid), None);
+            }
+            prop_assert_eq!(engine.tracked_threads(), world.live_tids.len());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn prop_flat_plan_equals_map_oracle_under_churn(
+                setup in proptest::collection::vec(arb_op(), 0..12),
+                steps in proptest::collection::vec(
+                    proptest::collection::vec(arb_op(), 0..4),
+                    32..40,
+                ),
+                threads in 1u32..6,
+                cache in proptest::bool::ANY,
+                seed in 0u64..1_000_000,
+            ) {
+                let mut world = World::new();
+                let mut shadow_world = World::new();
+                for op in &setup {
+                    world.apply(op);
+                    shadow_world.apply(op);
+                }
+                let (mut engine, mut oracle) = engines(threads, cache, seed);
+                let mut rng = SplitMix64::new(seed ^ 0xD3);
+                let mut rebuilds = 0;
+                for ops in &steps {
+                    let epoch = world.tree.structure_epoch();
+                    for op in ops {
+                        world.apply(op);
+                        shadow_world.apply(op);
+                    }
+                    let demands = world.demands(&mut rng);
+                    let first = engine.plan_rebuilds() == 0;
+                    tick_both(
+                        &mut engine,
+                        &mut oracle,
+                        &mut world,
+                        &mut shadow_world.tree,
+                        &demands,
+                    )?;
+                    // Rebuilt when, and only when, the structure moved.
+                    if first || world.tree.structure_epoch() != epoch {
+                        rebuilds += 1;
+                    }
+                    prop_assert_eq!(engine.plan_rebuilds(), rebuilds);
+                }
+                let (placer_draw, governor_draw) = oracle.probe_rngs();
+                prop_assert_eq!(engine.placer.probe_rng(), placer_draw);
+                prop_assert_eq!(engine.governor.probe_rng(), governor_draw);
+            }
+        }
+
+        /// Every structure mutator, alone between two ticks: a plan that
+        /// survived it would schedule the old tree.
+        #[test]
+        fn no_mutator_leaves_a_stale_plan() {
+            let mutators: [(&str, Op); 7] = [
+                ("mkdir", Op::Mkdir { parent: 2, name: 7 }),
+                ("attach_thread", Op::Attach { group: 1 }),
+                ("detach_threads", Op::Detach { group: 6 }),
+                ("mark_vm_scope", Op::MarkScope { group: 1 }),
+                ("provision", Op::Provision { vcpus: 3 }),
+                ("deprovision (detach + rmdir)", Op::Deprovision { vm: 0 }),
+                // Group 3 is VM 0's emulator group: empty, so this succeeds.
+                ("rmdir", Op::Rmdir { group: 4 }),
+            ];
+            for (name, op) in mutators {
+                for cache in [false, true] {
+                    let mut world = World::new();
+                    let mut shadow = World::new();
+                    for w in [&mut world, &mut shadow] {
+                        w.apply(&Op::Provision { vcpus: 2 });
+                        w.apply(&Op::Provision { vcpus: 1 });
+                    }
+                    let (mut engine, mut oracle) = engines(2, cache, 9);
+                    let mut rng = SplitMix64::new(3);
+                    for round in 0..3 {
+                        if round == 1 {
+                            let before = world.tree.structure_epoch();
+                            world.apply(&op);
+                            shadow.apply(&op);
+                            assert_ne!(world.tree.structure_epoch(), before, "{name}");
+                        }
+                        let demands = world.demands(&mut rng);
+                        tick_both(
+                            &mut engine,
+                            &mut oracle,
+                            &mut world,
+                            &mut shadow.tree,
+                            &demands,
+                        )
+                        .unwrap_or_else(|e| panic!("{name}, cache={cache}, round {round}: {e:?}"));
+                    }
+                    assert_eq!(engine.plan_rebuilds(), 2, "{name}");
+                }
+            }
+        }
+
+        /// The knobs a controller turns every period are not structure:
+        /// they take effect without a rebuild.
+        #[test]
+        fn cpu_max_and_weight_take_effect_without_a_rebuild() {
+            let mut world = World::new();
+            let mut shadow = World::new();
+            for w in [&mut world, &mut shadow] {
+                w.apply(&Op::Provision { vcpus: 2 });
+                w.apply(&Op::Provision { vcpus: 2 });
+            }
+            let (mut engine, mut oracle) = engines(2, false, 1);
+            let mut rng = SplitMix64::new(8);
+            for round in 0..6 {
+                let knobs = [
+                    Op::SetMax {
+                        group: round + 3,
+                        max: Some((10_000 * round as u64, 100_000)),
+                    },
+                    Op::SetWeight {
+                        group: 2,
+                        weight: 50 * round as u32,
+                    },
+                ];
+                for op in &knobs {
+                    world.apply(op);
+                    shadow.apply(op);
+                }
+                let demands = world.demands(&mut rng);
+                tick_both(
+                    &mut engine,
+                    &mut oracle,
+                    &mut world,
+                    &mut shadow.tree,
+                    &demands,
+                )
+                .unwrap_or_else(|e| panic!("round {round}: {e:?}"));
+            }
+            assert_eq!(engine.plan_rebuilds(), 1);
+        }
+
+        /// What `benchmark`'s `sim_probes` does: a clone of a tree another
+        /// engine is ticking, under a fresh engine — and then the two
+        /// trees diverge.
+        #[test]
+        fn a_cloned_tree_never_reuses_the_original_plan() {
+            let mut world = World::new();
+            world.apply(&Op::Provision { vcpus: 2 });
+            let (mut engine, _) = engines(2, false, 4);
+            let mut rng = SplitMix64::new(5);
+            let demands = world.demands(&mut rng);
+            engine.tick(&mut world.tree, &demands);
+
+            // Same engine, the clone: a different tree, so a rebuild even
+            // though the structure is equal …
+            let mut clone = world.tree.clone();
+            engine.tick(&mut clone, &demands);
+            assert_eq!(engine.plan_rebuilds(), 2);
+            // … and one step of divergence on each side cannot alias.
+            let leaf = clone.mkdir(ROOT, "only-in-clone").unwrap();
+            clone.attach_thread(leaf, Tid::new(9_000));
+            world.apply(&Op::Provision { vcpus: 1 });
+            engine.tick(&mut clone, &demands);
+            assert_eq!(engine.slots().last(), Some(&Tid::new(9_000)));
+            engine.tick(&mut world.tree, &demands);
+            assert_eq!(engine.slot_of(Tid::new(9_000)), None);
+
+            // A fresh engine on a clone equals the oracle on another.
+            let (mut fresh, mut oracle) = engines(2, false, 6);
+            let mut a = World::new();
+            a.tree = world.tree.clone();
+            a.live_tids = world.live_tids.clone();
+            let mut b = world.tree.clone();
+            for _ in 0..3 {
+                let demands = a.demands(&mut rng);
+                tick_both(&mut fresh, &mut oracle, &mut a, &mut b, &demands).unwrap();
+            }
+        }
+
+        /// Regression: the sticky table grew with every thread a host ever
+        /// ran (`Tid`s are never reused).
+        #[test]
+        fn sticky_table_tracks_live_threads_under_vm_churn() {
+            let mut world = World::new();
+            let (mut engine, _) = engines(4, false, 2);
+            let mut rng = SplitMix64::new(1);
+            for round in 0..50 {
+                world.apply(&Op::Provision {
+                    vcpus: 1 + round % 3,
+                });
+                if round >= 2 {
+                    world.apply(&Op::Deprovision { vm: 0 });
+                }
+                let demands = world.demands(&mut rng);
+                engine.tick(&mut world.tree, &demands);
+                assert_eq!(engine.tracked_threads(), world.live_tids.len());
+            }
+            assert!(world.dead_tids.len() > 80);
+            assert!(engine.tracked_threads() <= 6);
         }
     }
 

@@ -70,11 +70,18 @@ pub fn water_fill_into(
         return;
     }
 
-    let mut remaining = capacity.min(
-        entities
-            .iter()
-            .fold(0u64, |acc, e| acc.saturating_add(e.cap)),
-    );
+    let cap_sum = entities
+        .iter()
+        .fold(0u64, |acc, e| acc.saturating_add(e.cap));
+    if cap_sum <= capacity && cap_sum < u64::MAX {
+        // Nothing to share out: by invariants 1 and 3 the filling rounds
+        // below end with every entity at its cap.
+        for (a, e) in alloc.iter_mut().zip(entities) {
+            *a = e.cap;
+        }
+        return;
+    }
+    let mut remaining = capacity.min(cap_sum);
     // Active = not yet saturated.
     let FillScratch { active, next } = scratch;
     active.clear();
@@ -105,9 +112,21 @@ pub fn water_fill_into(
                 }
             }
         } else {
+            // Entities of one weight have one fair share per round: with
+            // the default `cpu.weight` everywhere that is one 128-bit
+            // division per round, not one per entity.
+            let mut last: Option<(u32, u64)> = None;
             for &i in active.iter() {
-                let fair =
-                    (remaining as u128 * entities[i].weight as u128 / total_weight as u128) as u64;
+                let weight = entities[i].weight;
+                let fair = match last {
+                    Some((w, fair)) if w == weight => fair,
+                    _ => {
+                        let fair =
+                            (remaining as u128 * weight as u128 / total_weight as u128) as u64;
+                        last = Some((weight, fair));
+                        fair
+                    }
+                };
                 let headroom = entities[i].cap - alloc[i];
                 let got = fair.min(headroom);
                 alloc[i] += got;
@@ -237,6 +256,35 @@ mod tests {
     }
 
     proptest! {
+        /// The shortcuts (unconstrained early-out, one division per weight
+        /// and round) against the plain filling rounds, dust and
+        /// zero-weight cases included.
+        #[test]
+        fn prop_equals_plain_filling_rounds(
+            capacity in 0u64..400_000,
+            around_cap_sum in proptest::option::of(-4i64..5),
+            caps in proptest::collection::vec(0u64..120_000, 0..24),
+            weights in proptest::collection::vec(
+                prop_oneof![Just(100u32), Just(100u32), 0u32..4, 1u32..1000],
+                0..24,
+            ),
+        ) {
+            let n = caps.len().min(weights.len());
+            let entities: Vec<Entity> = (0..n)
+                .map(|i| Entity::new(weights[i], caps[i]))
+                .collect();
+            // Half the cases sit on the edge of the early-out.
+            let cap_sum: u64 = entities.iter().map(|e| e.cap).sum();
+            let capacity = match around_cap_sum {
+                Some(d) => cap_sum.saturating_add_signed(d),
+                None => capacity,
+            };
+            prop_assert_eq!(
+                water_fill(capacity, &entities),
+                crate::oracle::water_fill(capacity, &entities)
+            );
+        }
+
         #[test]
         fn prop_invariants(
             capacity in 0u64..5_000_000,

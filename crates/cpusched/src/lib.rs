@@ -24,10 +24,12 @@
 pub mod dvfs;
 pub mod engine;
 pub mod fair;
+#[cfg(test)]
+mod oracle;
 pub mod place;
 pub mod power;
 pub mod topology;
 
 pub use dvfs::{Governor, GovernorKind};
-pub use engine::{CacheModel, Engine, ThreadSlice, TickOutcome};
+pub use engine::{CacheModel, Engine, SlotTick, ThreadSlice, TickOutcome};
 pub use topology::NodeSpec;

@@ -11,48 +11,22 @@
 //! *primary* core — where it spent the most time — is what `/proc` reports
 //! in field 39, and is what we record.
 
-use std::collections::HashMap;
-use vfc_simcore::{CpuId, FastMap, Micros, SplitMix64, Tid};
-
-/// Per-thread placement result for one tick.
-#[derive(Debug, Clone)]
-pub struct ThreadPlacement {
-    /// Time run on each core, largest first.
-    pub slices: Vec<(CpuId, Micros)>,
-}
-
-impl ThreadPlacement {
-    /// The core the thread spent the most time on — what `/proc/{tid}/stat`
-    /// would show at the end of the tick.
-    pub fn primary(&self) -> CpuId {
-        self.slices
-            .first()
-            .map(|(c, _)| *c)
-            .unwrap_or(CpuId::new(0))
-    }
-
-    /// Total time run.
-    pub fn total(&self) -> Micros {
-        self.slices.iter().map(|(_, t)| *t).sum()
-    }
-}
+use vfc_simcore::{CpuId, Micros, SplitMix64, Tid};
 
 /// One thread's placement inside a [`PlacementBuf`]: a `(start, len)`
 /// window into the buffer's flat slice array.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacedThread {
-    /// The thread.
-    pub tid: Tid,
+    /// The thread's slot (its index in the `tids`/`allocs` given to
+    /// [`Placer::place_into`]).
+    pub slot: u32,
     start: u32,
     len: u32,
 }
 
-/// Reusable output and scratch buffers for [`Placer::place_into`].
-///
-/// The per-tick engine calls the placer once per host tick; routing the
-/// result through one flat buffer (instead of a fresh
-/// `HashMap<Tid, ThreadPlacement>` with a `Vec` per thread) removes a
-/// per-thread allocation from every simulated tick.
+/// Reusable output and scratch buffers for [`Placer::place_into`]: one
+/// flat slice array instead of a `Vec` per thread, so a simulated tick
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct PlacementBuf {
     /// One entry per placed thread, in packing order (largest first).
@@ -60,23 +34,39 @@ pub struct PlacementBuf {
     /// Busy time per core.
     pub core_busy: Vec<Micros>,
     slices: Vec<(CpuId, Micros)>,
-    order: Vec<(Tid, Micros)>,
     remaining: Vec<Micros>,
+    /// Packing order: one sort key per thread, see [`packing_key`].
+    order: Vec<u128>,
+}
+
+/// Sort key of the packing order — largest allocation first, thread id
+/// ascending among equals — with the slot in the low bits, so that
+/// sorting plain integers yields the slots in order.
+fn packing_key(slot: usize, tid: Tid, alloc: Micros) -> u128 {
+    ((u64::MAX - alloc.as_u64()) as u128) << 64 | (tid.as_u32() as u128) << 32 | slot as u128
 }
 
 impl PlacementBuf {
-    /// Per-core time slices of one entry, largest first.
+    /// Per-core time slices of one entry, largest first. The first is the
+    /// *primary* core — what `/proc/{tid}/stat` shows at the end of the
+    /// tick.
     pub fn slices_of(&self, e: &PlacedThread) -> &[(CpuId, Micros)] {
         &self.slices[e.start as usize..(e.start + e.len) as usize]
     }
 }
 
 /// Sticky, load-aware placer.
+///
+/// Threads are addressed by *slot*: the caller numbers the threads it
+/// places `0..n` and keeps that numbering from tick to tick; when it
+/// renumbers (threads came or went) it says so through
+/// [`Placer::remap`], which carries the sticky cores over and forgets
+/// the threads that left.
 #[derive(Debug)]
 pub struct Placer {
     nr_cpus: u32,
-    /// Preferred (last primary) core per thread.
-    sticky: FastMap<Tid, CpuId>,
+    /// Preferred (last primary) core per slot; `None` until placed once.
+    sticky: Vec<Option<CpuId>>,
     /// Base migration probability for an idle thread; a fully-loaded
     /// thread migrates with probability `base × (1 − load)² ≈ 0`.
     base_migration: f64,
@@ -88,7 +78,7 @@ impl Placer {
     pub fn new(nr_cpus: u32, seed: u64) -> Self {
         Placer {
             nr_cpus,
-            sticky: FastMap::default(),
+            sticky: Vec::new(),
             base_migration: 0.8,
             rng: SplitMix64::new(seed),
         }
@@ -100,71 +90,78 @@ impl Placer {
         self
     }
 
-    /// Place one tick's allocations onto cores.
-    ///
-    /// `allocs` is (thread, granted CPU time this tick); `tick` is the tick
-    /// length (per-core capacity). Returns placements plus per-core busy
-    /// time. Threads are packed largest-first; a thread whose preferred
-    /// core lacks room spills the remainder onto the emptiest cores, like
-    /// CFS load balancing does.
-    pub fn place(
-        &mut self,
-        allocs: &[(Tid, Micros)],
-        tick: Micros,
-    ) -> (HashMap<Tid, ThreadPlacement>, Vec<Micros>) {
-        let mut buf = PlacementBuf::default();
-        self.place_into(allocs, tick, &mut buf);
-        let mut out = HashMap::with_capacity(buf.entries.len());
-        for e in &buf.entries {
-            out.insert(
-                e.tid,
-                ThreadPlacement {
-                    slices: buf.slices_of(e).to_vec(),
-                },
-            );
-        }
-        (out, buf.core_busy)
+    /// Renumber the slots: new slot `s` is the thread that was in slot
+    /// `old_of_new[s]`, or a thread never seen before. Threads whose old
+    /// slot is not named are forgotten.
+    pub fn remap(&mut self, old_of_new: &[Option<u32>]) {
+        let old = std::mem::take(&mut self.sticky);
+        self.sticky.extend(
+            old_of_new
+                .iter()
+                .map(|o| o.and_then(|o| old.get(o as usize).copied().flatten())),
+        );
     }
 
-    /// [`Placer::place`] into a caller-owned [`PlacementBuf`]. Packing
-    /// order, tie-breaks, and RNG draw sequence are identical to
-    /// [`Placer::place`]; only the result representation differs.
-    pub fn place_into(&mut self, allocs: &[(Tid, Micros)], tick: Micros, buf: &mut PlacementBuf) {
+    /// Place one tick's allocations onto cores.
+    ///
+    /// `allocs[s]` is the CPU time granted to thread `tids[s]` this tick;
+    /// `tick` is the tick length (per-core capacity). Threads are packed
+    /// largest-first; a thread whose preferred core lacks room spills the
+    /// remainder onto the emptiest cores, like CFS load balancing does.
+    pub fn place_into(
+        &mut self,
+        tids: &[Tid],
+        allocs: &[Micros],
+        tick: Micros,
+        buf: &mut PlacementBuf,
+    ) {
+        assert_eq!(tids.len(), allocs.len(), "one allocation per thread");
         let n = self.nr_cpus as usize;
         buf.entries.clear();
         buf.slices.clear();
         buf.remaining.clear();
         buf.remaining.resize(n, tick);
 
+        self.sticky.resize(tids.len(), None);
+        assert!(tids.len() <= u32::MAX as usize, "slots are 32-bit");
+
         // Largest first for tight packing; tid tiebreak for determinism.
         buf.order.clear();
-        buf.order.extend_from_slice(allocs);
-        buf.order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        buf.order.extend(
+            tids.iter()
+                .zip(allocs)
+                .enumerate()
+                .map(|(slot, (tid, alloc))| packing_key(slot, *tid, *alloc)),
+        );
+        buf.order.sort_unstable();
 
         for oi in 0..buf.order.len() {
-            let (tid, want) = buf.order[oi];
+            let slot = buf.order[oi] as u32;
+            let (tid, want) = (tids[slot as usize], allocs[slot as usize]);
             let start = buf.slices.len() as u32;
             if want.is_zero() {
                 // Idle threads still have a location; maybe migrate it.
-                let cur = *self
-                    .sticky
-                    .entry(tid)
-                    .or_insert_with(|| CpuId::new((tid.as_u32()) % self.nr_cpus.max(1)));
+                let cur = self.sticky[slot as usize]
+                    .unwrap_or_else(|| CpuId::new(tid.as_u32() % self.nr_cpus.max(1)));
                 let cur = if self.rng.chance(self.base_migration) {
                     CpuId::new(self.rng.next_below(self.nr_cpus as u64) as u32)
                 } else {
                     cur
                 };
-                self.sticky.insert(tid, cur);
+                self.sticky[slot as usize] = Some(cur);
                 buf.slices.push((cur, Micros::ZERO));
-                buf.entries.push(PlacedThread { tid, start, len: 1 });
+                buf.entries.push(PlacedThread {
+                    slot,
+                    start,
+                    len: 1,
+                });
                 continue;
             }
 
             let load = want.ratio_of(tick).clamp(0.0, 1.0);
             let p_migrate = self.base_migration * (1.0 - load) * (1.0 - load);
-            let preferred = match self.sticky.get(&tid) {
-                Some(&c) if !self.rng.chance(p_migrate) => Some(c),
+            let preferred = match self.sticky[slot as usize] {
+                Some(c) if !self.rng.chance(p_migrate) => Some(c),
                 _ => None,
             };
 
@@ -180,14 +177,14 @@ impl Placer {
                 }
             }
 
-            // Spill to the emptiest cores.
+            // Spill to the emptiest cores (lowest index among equals).
             while !left.is_zero() {
-                let (idx, &room) = buf
-                    .remaining
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, r)| (**r, usize::MAX - *i))
-                    .expect("at least one core");
+                let (mut idx, mut room) = (0, Micros::ZERO);
+                for (i, r) in buf.remaining.iter().enumerate() {
+                    if *r > room {
+                        (idx, room) = (i, *r);
+                    }
+                }
                 if room.is_zero() {
                     // Node over-committed beyond capacity: drop remainder.
                     // (The fair scheduler never allocates more than
@@ -204,10 +201,10 @@ impl Placer {
             let slices = &mut buf.slices[start as usize..];
             slices.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             if let Some((primary, _)) = slices.first() {
-                self.sticky.insert(tid, *primary);
+                self.sticky[slot as usize] = Some(*primary);
             }
             let len = buf.slices.len() as u32 - start;
-            buf.entries.push(PlacedThread { tid, start, len });
+            buf.entries.push(PlacedThread { slot, start, len });
         }
 
         buf.core_busy.clear();
@@ -215,23 +212,66 @@ impl Placer {
             .extend(buf.remaining.iter().map(|r| tick - *r));
     }
 
-    /// Last primary core of a thread (procfs emulation between ticks).
-    pub fn last_cpu(&self, tid: Tid) -> Option<CpuId> {
-        self.sticky.get(&tid).copied()
+    /// Last primary core of the thread in `slot` (procfs emulation
+    /// between ticks); `None` if it was never placed.
+    pub fn last_cpu(&self, slot: usize) -> Option<CpuId> {
+        self.sticky.get(slot).copied().flatten()
     }
 
-    /// Count of migrations is not tracked directly; expose stickiness for
-    /// tests via the preferred-core table size.
+    /// Threads with a remembered core.
     pub fn tracked_threads(&self) -> usize {
-        self.sticky.len()
+        self.sticky.iter().flatten().count()
+    }
+
+    /// The next raw draw of the placement stream — consumes it. Lets the
+    /// reference-oracle tests assert that two engines drew equally often.
+    #[cfg(test)]
+    pub(crate) fn probe_rng(&mut self) -> u64 {
+        self.rng.next_u64()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     const TICK: Micros = Micros(100_000);
+
+    /// One thread's slices, largest first.
+    struct ThreadPlacement {
+        slices: Vec<(CpuId, Micros)>,
+    }
+
+    impl ThreadPlacement {
+        fn primary(&self) -> CpuId {
+            self.slices[0].0
+        }
+
+        fn total(&self) -> Micros {
+            self.slices.iter().map(|(_, t)| *t).sum()
+        }
+    }
+
+    /// Place `(thread, granted time)` pairs — slot = position in the list —
+    /// and key the result by thread.
+    fn place(
+        p: &mut Placer,
+        allocs: &[(Tid, Micros)],
+    ) -> (HashMap<Tid, ThreadPlacement>, Vec<Micros>) {
+        let (tids, want): (Vec<Tid>, Vec<Micros>) = allocs.iter().copied().unzip();
+        let mut buf = PlacementBuf::default();
+        p.place_into(&tids, &want, TICK, &mut buf);
+        let out = buf
+            .entries
+            .iter()
+            .map(|e| {
+                let slices = buf.slices_of(e).to_vec();
+                (tids[e.slot as usize], ThreadPlacement { slices })
+            })
+            .collect();
+        (out, buf.core_busy)
+    }
 
     fn total_busy(busy: &[Micros]) -> Micros {
         busy.iter().copied().sum()
@@ -240,7 +280,7 @@ mod tests {
     #[test]
     fn single_thread_fits_one_core() {
         let mut p = Placer::new(4, 1);
-        let (out, busy) = p.place(&[(Tid::new(1), Micros(60_000))], TICK);
+        let (out, busy) = place(&mut p, &[(Tid::new(1), Micros(60_000))]);
         let pl = &out[&Tid::new(1)];
         assert_eq!(pl.slices.len(), 1);
         assert_eq!(pl.total(), Micros(60_000));
@@ -251,7 +291,7 @@ mod tests {
     fn full_load_threads_fill_all_cores() {
         let mut p = Placer::new(2, 1);
         let allocs: Vec<_> = (0..2).map(|i| (Tid::new(i), TICK)).collect();
-        let (out, busy) = p.place(&allocs, TICK);
+        let (out, busy) = place(&mut p, &allocs);
         assert_eq!(total_busy(&busy), Micros(200_000));
         let cores: Vec<CpuId> = out.values().map(|pl| pl.primary()).collect();
         assert_ne!(cores[0], cores[1], "two full threads on distinct cores");
@@ -268,7 +308,7 @@ mod tests {
             (Tid::new(2), Micros(70_000)),
             (Tid::new(3), Micros(60_000)),
         ];
-        let (out, busy) = p.place(&allocs, TICK);
+        let (out, busy) = place(&mut p, &allocs);
         assert_eq!(total_busy(&busy), Micros(200_000));
         // Everyone got everything they asked for.
         for (tid, want) in allocs {
@@ -283,11 +323,11 @@ mod tests {
     fn busy_threads_are_sticky() {
         let mut p = Placer::new(8, 7);
         let tid = Tid::new(9);
-        let (out, _) = p.place(&[(tid, TICK)], TICK);
+        let (out, _) = place(&mut p, &[(tid, TICK)]);
         let first = out[&tid].primary();
         let mut moved = 0;
         for _ in 0..100 {
-            let (out, _) = p.place(&[(tid, TICK)], TICK);
+            let (out, _) = place(&mut p, &[(tid, TICK)]);
             if out[&tid].primary() != first {
                 moved += 1;
             }
@@ -301,7 +341,7 @@ mod tests {
         let tid = Tid::new(9);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
-            let (out, _) = p.place(&[(tid, Micros::ZERO)], TICK);
+            let (out, _) = place(&mut p, &[(tid, Micros::ZERO)]);
             seen.insert(out[&tid].primary());
         }
         assert!(seen.len() > 3, "idle thread visited {} cores", seen.len());
@@ -316,7 +356,7 @@ mod tests {
                 .collect();
             let mut trace = Vec::new();
             for _ in 0..20 {
-                let (out, _) = p.place(&allocs, TICK);
+                let (out, _) = place(&mut p, &allocs);
                 let mut v: Vec<_> = out.iter().map(|(t, pl)| (*t, pl.primary())).collect();
                 v.sort();
                 trace.push(v);
@@ -350,7 +390,7 @@ mod tests {
                 }
 
                 let mut placer = Placer::new(nr_cpus, seed);
-                let (out, busy) = placer.place(&feasible, TICK);
+                let (out, busy) = place(&mut placer, &feasible);
 
                 // Every thread got exactly its allocation.
                 for (tid, want) in &feasible {
@@ -382,7 +422,7 @@ mod tests {
     #[test]
     fn zero_alloc_thread_reports_a_location() {
         let mut p = Placer::new(4, 3);
-        let (out, busy) = p.place(&[(Tid::new(5), Micros::ZERO)], TICK);
+        let (out, busy) = place(&mut p, &[(Tid::new(5), Micros::ZERO)]);
         assert_eq!(out[&Tid::new(5)].total(), Micros::ZERO);
         assert_eq!(total_busy(&busy), Micros::ZERO);
         assert!(out[&Tid::new(5)].primary().as_u32() < 4);

@@ -23,9 +23,9 @@ use vfc_cgroupfs::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
 use vfc_cgroupfs::error::{CgroupError, Result};
 use vfc_cgroupfs::model::CpuMax;
 use vfc_cgroupfs::tree::{kvm_layout, CgroupTree};
-use vfc_cpusched::engine::{Engine, TickOutcome};
+use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{CpuId, Cycles, FastMap, MHz, Micros, Tid, VcpuId, VmId};
+use vfc_simcore::{CpuId, Cycles, MHz, Micros, Tid, VcpuId, VmId};
 
 /// A workload event, stamped with time and emitting VM.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +78,12 @@ pub struct SimHost {
     spec: NodeSpec,
     engine: Engine,
     tree: CgroupTree,
+    /// Every instance ever provisioned, by `VmId`; dead ones are tombstones.
     vms: Vec<VmInstance>,
+    /// Indices into `vms` of the live instances, in provision order — what
+    /// every per-tick and per-listing walk iterates, so a host's cost
+    /// follows what it hosts now, not what it ever hosted.
+    live: Vec<u32>,
     next_tid: u32,
     next_machine: u32,
     per_template_count: HashMap<String, u32>,
@@ -95,10 +100,10 @@ pub struct SimHost {
     /// inventory cookie.
     inventory_epoch: u64,
     // Reusable per-tick buffers (see `tick`).
-    demands: FastMap<Tid, Micros>,
+    /// Demand per engine slot (each instance knows its vCPUs' slots).
+    demands: Vec<Micros>,
     frac_buf: Vec<f64>,
     delivered: Vec<Cycles>,
-    outcome: TickOutcome,
 }
 
 impl SimHost {
@@ -110,6 +115,7 @@ impl SimHost {
             engine,
             tree: CgroupTree::new(),
             vms: Vec::new(),
+            live: Vec::new(),
             next_tid: 1000,
             next_machine: 1,
             per_template_count: HashMap::new(),
@@ -121,10 +127,9 @@ impl SimHost {
             telemetry: Vec::new(),
             pending_deprovision: Vec::new(),
             inventory_epoch: 0,
-            demands: FastMap::default(),
+            demands: Vec::new(),
             frac_buf: Vec::new(),
             delivered: Vec::new(),
-            outcome: TickOutcome::default(),
         }
     }
 
@@ -163,9 +168,7 @@ impl SimHost {
 
     /// Provisioned memory across live VMs, GB.
     pub fn mem_used_gb(&self) -> u64 {
-        self.vms
-            .iter()
-            .filter(|i| i.alive)
+        self.live_instances()
             .map(|i| i.template.mem_gb as u64)
             .sum()
     }
@@ -211,6 +214,7 @@ impl SimHost {
             tids.push(tid);
         }
         let id = VmId::new(self.vms.len() as u32);
+        self.live.push(id.as_u32());
         self.vms.push(VmInstance::new(
             id,
             template.clone(),
@@ -253,13 +257,15 @@ impl SimHost {
         let inst = &mut self.vms[vm.as_usize()];
         assert!(inst.alive, "deprovision of a dead VM {vm}");
         inst.alive = false;
+        inst.slots.clear();
+        self.live.retain(|&i| i != vm.as_u32());
         let workload =
             std::mem::replace(&mut inst.workload, Box::new(crate::workload::IdleWorkload));
         // Empty and remove the vCPU leaves, then the scope subtree.
         let vcpu_groups = inst.vcpu_groups.clone();
         let scope = inst.scope;
         for g in vcpu_groups {
-            self.tree.node_mut(g).threads.clear();
+            self.tree.detach_threads(g);
             self.tree.rmdir(g).expect("vcpu leaf is empty");
         }
         // libvirt/{emulator} then libvirt then the scope.
@@ -299,9 +305,14 @@ impl SimHost {
             .unwrap_or(false)
     }
 
-    /// All hosted instances.
+    /// All hosted instances, dead ones included (check
+    /// [`VmInstance::alive`]).
     pub fn instances(&self) -> &[VmInstance] {
         &self.vms
+    }
+
+    fn live_instances(&self) -> impl Iterator<Item = &VmInstance> {
+        self.live.iter().map(|&i| &self.vms[i as usize])
     }
 
     /// Instance lookup.
@@ -316,9 +327,10 @@ impl SimHost {
 
     /// Advance the host by one engine tick.
     ///
-    /// The steady-state tick performs no heap allocation: demands,
-    /// delivered cycles, and the engine outcome all live in buffers the
-    /// host reuses across ticks.
+    /// The steady-state tick performs no heap allocation and no lookup by
+    /// thread id: demands go into, and outcomes come out of, vectors
+    /// indexed by the engine's thread slots, which every live instance
+    /// knows for its vCPUs.
     pub fn tick(&mut self) {
         for vm in std::mem::take(&mut self.pending_deprovision) {
             if self.is_alive(vm) {
@@ -326,41 +338,47 @@ impl SimHost {
             }
         }
         let tick = self.engine.tick_len();
-        // 1. demands
-        self.demands.clear();
-        for inst in &mut self.vms {
-            if !inst.alive {
-                continue;
+        // Slots are renumbered when, and only when, the tree changed shape.
+        if self.engine.sync(&self.tree) {
+            for &i in &self.live {
+                let inst = &mut self.vms[i as usize];
+                inst.slots.clear();
+                for tid in &inst.tids {
+                    let slot = self.engine.slot_of(*tid);
+                    inst.slots
+                        .push(slot.expect("a live vCPU thread is in the tree") as u32);
+                }
             }
+            self.demands.resize(self.engine.slots().len(), Micros::ZERO);
+        }
+
+        // 1. demands; a vCPU its workload does not mention is idle.
+        self.demands.fill(Micros::ZERO);
+        for &i in &self.live {
+            let inst = &mut self.vms[i as usize];
             inst.workload
                 .demand_into(self.now, inst.nr_vcpus(), &mut self.frac_buf);
-            for (j, frac) in self.frac_buf.iter().enumerate() {
-                self.demands
-                    .insert(inst.tids[j], tick.scale(frac.clamp(0.0, 1.0)));
+            assert!(
+                self.frac_buf.len() <= inst.slots.len(),
+                "workload {} demands more vCPUs than {} has",
+                inst.workload.name(),
+                inst.name
+            );
+            for (slot, frac) in inst.slots.iter().zip(&self.frac_buf) {
+                self.demands[*slot as usize] = tick.scale(frac.clamp(0.0, 1.0));
             }
         }
 
         // 2. schedule
-        self.engine
-            .tick_into(&mut self.tree, &self.demands, &mut self.outcome);
+        let out = self.engine.tick_slots(&mut self.tree, &self.demands);
         let end = self.now + tick;
 
         // 3. deliver + events
-        for i in 0..self.vms.len() {
-            let inst = &mut self.vms[i];
-            if !inst.alive {
-                continue;
-            }
+        for &i in &self.live {
+            let inst = &mut self.vms[i as usize];
             self.delivered.clear();
-            for t in &inst.tids {
-                self.delivered.push(
-                    self.outcome
-                        .threads
-                        .get(t)
-                        .map(|s| s.work)
-                        .unwrap_or(Cycles::ZERO),
-                );
-            }
+            self.delivered
+                .extend(inst.slots.iter().map(|s| out.threads[*s as usize].work));
             inst.workload.deliver(end, &self.delivered);
             for event in inst.workload.poll_events() {
                 self.events.push(HostEvent {
@@ -371,22 +389,20 @@ impl SimHost {
                 });
             }
             // 4. ground-truth windows
-            let win = &mut self.wins[i];
-            for (j, t) in inst.tids.iter().enumerate() {
-                if let Some(slice) = self.outcome.threads.get(t) {
-                    let acc = &mut win.cur[j];
-                    acc.ran += slice.ran;
-                    acc.work += slice.work;
-                    acc.demanded += self.demands.get(t).copied().unwrap_or(Micros::ZERO);
-                }
+            let win = &mut self.wins[i as usize];
+            for (acc, slot) in win.cur.iter_mut().zip(&inst.slots) {
+                let slice = &out.threads[*slot as usize];
+                acc.ran += slice.ran;
+                acc.work += slice.work;
+                acc.demanded += self.demands[*slot as usize];
             }
         }
 
         self.telemetry.push(TickTelemetry {
             at: end,
-            utilization: self.outcome.utilization,
-            power_w: self.outcome.power_w,
-            mean_core_freq: self.outcome.mean_core_freq(),
+            utilization: out.utilization,
+            power_w: out.power_w,
+            mean_core_freq: out.mean_core_freq(),
         });
         // Amortized tail-keep: drain in bulk so the per-tick cost stays O(1).
         if self.telemetry.len() >= 2 * TELEMETRY_CAP {
@@ -397,7 +413,8 @@ impl SimHost {
         self.now = end;
         self.tick_count += 1;
         if self.tick_count.is_multiple_of(self.period_ticks as u64) {
-            for w in &mut self.wins {
+            for &i in &self.live {
+                let w = &mut self.wins[i as usize];
                 std::mem::swap(&mut w.cur, &mut w.last);
                 w.cur.fill(WindowAcc::default());
             }
@@ -479,6 +496,11 @@ impl SimHost {
         &self.tree
     }
 
+    /// Direct read access to the scheduling engine (tests, inspection).
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
     fn vcpu_group(&self, vm: VmId, vcpu: VcpuId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
         self.vms
             .get(vm.as_usize())
@@ -497,9 +519,7 @@ impl HostBackend for SimHost {
     }
 
     fn vms(&self) -> Vec<VmCgroupInfo> {
-        self.vms
-            .iter()
-            .filter(|i| i.alive)
+        self.live_instances()
             .map(|i| VmCgroupInfo {
                 vm: i.id,
                 name: i.name.clone(),
@@ -525,12 +545,12 @@ impl HostBackend for SimHost {
 
     fn vcpu_threads(&self, vm: VmId, vcpu: VcpuId) -> Result<Vec<Tid>> {
         let g = self.vcpu_group(vm, vcpu)?;
-        Ok(self.tree.node(g).threads.clone())
+        Ok(self.tree.node(g).threads().to_vec())
     }
 
     fn vcpu_first_thread(&self, vm: VmId, vcpu: VcpuId) -> Result<Option<Tid>> {
         let g = self.vcpu_group(vm, vcpu)?;
-        Ok(self.tree.node(g).threads.first().copied())
+        Ok(self.tree.node(g).threads().first().copied())
     }
 
     fn thread_last_cpu(&self, tid: Tid) -> Result<CpuId> {
@@ -549,7 +569,7 @@ impl HostBackend for SimHost {
         let g = self.vcpu_group(vm, vcpu)?;
         let node = self.tree.node(g);
         let last_cpu = node
-            .threads
+            .threads()
             .first()
             .and_then(|tid| self.engine.thread_last_cpu(*tid))
             .unwrap_or(CpuId::new(0));

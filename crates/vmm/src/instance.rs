@@ -20,6 +20,9 @@ pub struct VmInstance {
     pub vcpu_groups: Vec<NodeIdx>,
     /// One host thread per vCPU.
     pub tids: Vec<Tid>,
+    /// Scheduling-engine slot of each vCPU thread, parallel to `tids`;
+    /// `SimHost::tick` renumbers them when the engine rebuilds its plan.
+    pub(crate) slots: Vec<u32>,
     /// The guest behaviour; defaults to idle until attached.
     pub workload: Box<dyn Workload>,
     /// `false` once the VM has been deprovisioned (e.g. migrated away);
@@ -44,6 +47,7 @@ impl VmInstance {
             scope,
             vcpu_groups,
             tids,
+            slots: Vec::new(),
             workload: Box::new(IdleWorkload),
             alive: true,
         }

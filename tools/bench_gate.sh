@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Regression gate for the controller-loop benchmark.
+# Regression gate for the controller-loop and host-engine benchmarks.
 #
-# Re-runs crates/bench/benches/controller.rs with the vendored criterion
-# shim's JSON export and compares each bench's p50 against the budget_us
-# recorded in BENCH_controller.json. Budgets are ~4x the committed
+# Re-runs crates/bench/benches/{controller,scheduler}.rs with the vendored
+# criterion shim's JSON export and compares each bench's p50 against the
+# budget_us recorded in BENCH_controller.json. Budgets are ~4x the committed
 # after-p50, so the gate trips on order-of-magnitude regressions, not on
 # shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
 # every budget for unusually slow machines.
@@ -39,6 +39,13 @@ VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
 VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
 VFC_BENCH_JSON="$OUT" \
   cargo bench -q -p vfc-bench --bench controller
+
+# The host engine rows (engine_tick/*, host_period/*): the simulated host
+# is most of a node_sim period and of a trace replay, and had no alarm.
+VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
+VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
+VFC_BENCH_JSON="$OUT" \
+  cargo bench -q -p vfc-bench --bench scheduler
 
 # The placement-index microbench rows (placement/*) live in the
 # vfc-placement crate so placement regressions are caught independently

@@ -6,15 +6,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use vfc_bench::mixed_host;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::model::CpuMax;
 use vfc_cgroupfs::tree::{CgroupTree, ROOT};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::fair::{water_fill, Entity};
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{FastMap, MHz, Micros, Tid, VcpuId};
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
-use vfc_vmm::{SimHost, VmTemplate};
+use vfc_simcore::{FastMap, Micros, Tid, VcpuId};
 
 /// Tree of `vms` two-level scopes with `vcpus` single-thread leaves each.
 fn build(vms: u32, vcpus: u32) -> (CgroupTree, FastMap<Tid, Micros>) {
@@ -52,22 +51,15 @@ fn bench_tick(c: &mut Criterion) {
 }
 
 /// `SimHost::advance_period` on the node the end-to-end `node_sim`
-/// workload runs: 80 VMs × 2 vCPUs on chetemi (40 threads, saturated), a
-/// third each bursty / steady 80 % / saturating, every vCPU under a
-/// `cpu.max` as a controller would leave it.
+/// workload runs ([`mixed_host`]), every vCPU under a `cpu.max` as a
+/// controller would leave it.
 fn bench_host_period(c: &mut Criterion) {
     let mut group = c.benchmark_group("host_period");
     group.bench_function("160vcpus", |b| {
-        let mut host = SimHost::new(NodeSpec::chetemi(), 42);
-        for i in 0..80u64 {
-            let vm = host.provision(&VmTemplate::new("bench", 2, MHz(600)));
-            match i % 3 {
-                0 => host.attach_workload(vm, Box::new(BurstyWeb::new(i))),
-                1 => host.attach_workload(vm, Box::new(SteadyDemand::new(0.8))),
-                _ => host.attach_workload(vm, Box::new(SteadyDemand::full())),
-            }
-            for j in 0..2 {
-                host.set_vcpu_max(vm, VcpuId::new(j), CpuMax::limited(Micros(30_000)))
+        let mut host = mixed_host();
+        for vm in HostBackend::vms(&host) {
+            for j in 0..vm.nr_vcpus {
+                host.set_vcpu_max(vm.vm, VcpuId::new(j), CpuMax::limited(Micros(30_000)))
                     .expect("live vCPU");
             }
         }

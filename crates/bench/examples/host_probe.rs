@@ -5,24 +5,22 @@
 //! plus the per-thread work; what is left of the period is the host's
 //! demand build, delivery and ground-truth windows.
 //!
-//! The node is the one the end-to-end `node_sim` benchmark runs: 80 VMs ×
-//! 2 vCPUs on chetemi, a third each bursty / steady 80 % / saturating,
-//! under the paper's controller.
+//! The node is the one the end-to-end `node_sim` benchmark runs
+//! (`vfc_bench::mixed_host`), under the paper's controller.
 //!
 //! ```bash
 //! cargo run --release -p vfc-bench --example host_probe
 //! ```
 use std::hint::black_box;
 use std::time::Instant;
+use vfc_bench::mixed_host;
 use vfc_controller::controller::IterationReport;
 use vfc_controller::{Controller, ControllerConfig};
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::place::{PlacementBuf, Placer};
-use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros, VcpuId};
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
-use vfc_vmm::{SimHost, VmTemplate};
+use vfc_simcore::{Micros, VcpuId};
+use vfc_vmm::SimHost;
 
 /// Periods per timed batch. Each round times all four batches back to
 /// back, so that one round sees one CPU speed state and its rows can be
@@ -40,16 +38,8 @@ fn batch_us(mut tick: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let spec = NodeSpec::chetemi();
-    let mut host = SimHost::new(spec.clone(), 42);
-    for i in 0..80u64 {
-        let vm = host.provision(&VmTemplate::new("bench", 2, MHz(600)));
-        match i % 3 {
-            0 => host.attach_workload(vm, Box::new(BurstyWeb::new(i))),
-            1 => host.attach_workload(vm, Box::new(SteadyDemand::new(0.8))),
-            _ => host.attach_workload(vm, Box::new(SteadyDemand::full())),
-        }
-    }
+    let mut host = mixed_host();
+    let spec = host.spec().clone();
     let mut controller = Controller::new(ControllerConfig::paper_defaults(), host.topology_info());
     let mut report = IterationReport::default();
     let mut step = |host: &mut SimHost, timed: &mut f64| {

@@ -4,8 +4,8 @@
 //!
 //! * `controller` — full-loop iteration cost vs hosted vCPU count, plus
 //!   per-stage microbenchmarks (the §IV.A.2 "5 ms per iteration" claim);
-//! * `scheduler` — engine tick cost vs thread count, `water_fill`
-//!   microbenchmark;
+//! * `scheduler` — engine tick cost vs thread count, one simulated host
+//!   period, `water_fill` microbenchmark;
 //! * `placement` — Best/First-Fit over the §IV.C cluster under both
 //!   constraints;
 //! * `figures` — one benchmark per reproduced figure: each measures the
@@ -16,7 +16,7 @@
 use vfc_controller::{ControlMode, Controller, ControllerConfig, ShardCount};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::MHz;
-use vfc_vmm::workload::SteadyDemand;
+use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
 use vfc_vmm::{SimHost, VmTemplate};
 
 /// A chetemi host loaded with saturating 2-vCPU VMs until `vcpus` vCPUs
@@ -35,6 +35,22 @@ pub fn loaded_host(vcpus: u32, mode: ControlMode) -> (SimHost, Controller) {
         host.topology_info(),
     );
     (host, controller)
+}
+
+/// The population of the end-to-end `node_sim` benchmark: 80 VMs × 2 vCPUs
+/// on chetemi (40 threads, saturated), a third each bursty / steady 80 % /
+/// saturating.
+pub fn mixed_host() -> SimHost {
+    let mut host = SimHost::new(NodeSpec::chetemi(), 42);
+    for i in 0..80u64 {
+        let vm = host.provision(&VmTemplate::new("bench", 2, MHz(600)));
+        match i % 3 {
+            0 => host.attach_workload(vm, Box::new(BurstyWeb::new(i))),
+            1 => host.attach_workload(vm, Box::new(SteadyDemand::new(0.8))),
+            _ => host.attach_workload(vm, Box::new(SteadyDemand::full())),
+        }
+    }
+    host
 }
 
 /// A dense many-vCPU host for the sharding benchmarks: `vcpus / 2`

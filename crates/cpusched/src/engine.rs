@@ -175,7 +175,6 @@ struct Plan {
 
 impl Plan {
     fn rebuild(&mut self, tree: &CgroupTree, tick: Micros, placer: &mut Placer) {
-        let old_by_tid = std::mem::take(&mut self.by_tid);
         self.nodes.clear();
         self.parent.clear();
         self.subtree_end.clear();
@@ -194,15 +193,14 @@ impl Plan {
         }
 
         // Sticky cores follow their thread into its new slot; threads that
-        // left are forgotten.
-        let old_slot = |tid: &Tid| {
-            let i = old_by_tid.binary_search_by_key(tid, |e| e.0).ok()?;
-            Some(old_by_tid[i].1)
-        };
-        let old_of_new: Vec<Option<u32>> = self.tids.iter().map(old_slot).collect();
+        // left are forgotten. `by_tid` still indexes the old slots here.
+        let old_of_new: Vec<Option<u32>> = self
+            .tids
+            .iter()
+            .map(|t| self.slot_of(*t).map(|s| s as u32))
+            .collect();
         placer.remap(&old_of_new);
 
-        self.by_tid = old_by_tid;
         self.by_tid.clear();
         self.by_tid
             .extend(self.tids.iter().enumerate().map(|(s, t)| (*t, s as u32)));

@@ -349,11 +349,11 @@ impl SimHost {
                         .push(slot.expect("a live vCPU thread is in the tree") as u32);
                 }
             }
-            self.demands.resize(self.engine.slots().len(), Micros::ZERO);
         }
 
         // 1. demands; a vCPU its workload does not mention is idle.
-        self.demands.fill(Micros::ZERO);
+        self.demands.clear();
+        self.demands.resize(self.engine.slots().len(), Micros::ZERO);
         for &i in &self.live {
             let inst = &mut self.vms[i as usize];
             inst.workload

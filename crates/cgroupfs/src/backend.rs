@@ -91,6 +91,14 @@ pub trait HostBackend {
         None
     }
 
+    /// Inventory listings (or parts of one) that failed since the backend
+    /// was built, for reasons other than the VM being gone. A backend
+    /// that lists from memory has none. Surfaced in `vfcd`'s health line:
+    /// while it grows the controller is running on its last good listing.
+    fn listing_errors(&self) -> u64 {
+        0
+    }
+
     /// First thread id of a vCPU cgroup, without materialising the full
     /// thread list. KVM vCPU groups hold exactly one thread, and the
     /// monitor only samples the first, so backends should override this

@@ -107,10 +107,23 @@ impl CgroupError {
     pub fn is_vanished(&self) -> bool {
         match self {
             CgroupError::NoSuchGroup(_) | CgroupError::NoSuchVcpu { .. } => true,
-            CgroupError::Io { source, .. } => source.kind() == io::ErrorKind::NotFound,
+            CgroupError::Io { source, .. } => io_vanished(source),
             _ => false,
         }
     }
+}
+
+/// `errno` of I/O through a descriptor whose cgroup was `rmdir`'d
+/// (kernfs) or whose CPU was unplugged (sysfs).
+const ENODEV: i32 = 19;
+/// `errno` of reading `/proc/<tid>/stat` of an exited thread.
+const ESRCH: i32 = 3;
+
+/// Does this I/O error say the object behind the path or descriptor no
+/// longer exists? `ENODEV` and `ESRCH` have no stable `ErrorKind`, so
+/// they are matched by number.
+pub(crate) fn io_vanished(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::NotFound || matches!(e.raw_os_error(), Some(ENODEV | ESRCH))
 }
 
 /// Result alias for cgroup operations.
@@ -169,6 +182,25 @@ mod tests {
             io::Error::new(io::ErrorKind::PermissionDenied, "denied"),
         );
         assert!(!denied.is_transient());
+    }
+
+    #[test]
+    fn errno_taxonomy_table() {
+        // (errno, is_vanished, is_transient)
+        const ENOENT: i32 = 2;
+        const EINTR: i32 = 4;
+        const EACCES: i32 = 13;
+        for (errno, vanished, transient) in [
+            (ENOENT, true, false),
+            (ENODEV, true, false),
+            (ESRCH, true, false),
+            (EINTR, false, true),
+            (EACCES, false, false),
+        ] {
+            let e = CgroupError::io("/p", io::Error::from_raw_os_error(errno));
+            assert_eq!(e.is_vanished(), vanished, "errno {errno}: {e}");
+            assert_eq!(e.is_transient(), transient, "errno {errno}: {e}");
+        }
     }
 
     #[test]

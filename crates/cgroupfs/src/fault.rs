@@ -513,6 +513,10 @@ impl<B: HostBackend> HostBackend for FaultInjectingBackend<B> {
         listed
     }
 
+    fn listing_errors(&self) -> u64 {
+        self.inner.listing_errors()
+    }
+
     fn begin_read_pass(&self) {
         // Forwarded so the inner backend's per-pass amortisations still
         // reset. `read_vcpu_raw` is deliberately NOT overridden: the

@@ -157,48 +157,11 @@ impl FixtureTree {
                 .join(kvm_layout::scope_name(n as u32 + 1, name));
             for j in 0..*vcpus {
                 let vdir = scope.join("libvirt").join(kvm_layout::vcpu_dir(j));
-                fs::create_dir_all(&vdir).unwrap();
                 let tid = tids
                     .get(j as usize)
                     .copied()
                     .unwrap_or(Tid::new(1000 * (n as u32 + 1) + j));
-                let unlimited = CpuMax::unlimited();
-                match self.version {
-                    CgroupVersion::V2 => {
-                        fs::write(vdir.join("cpu.max"), parse::format_cpu_max(&unlimited)).unwrap();
-                        fs::write(
-                            vdir.join("cpu.stat"),
-                            parse::format_cpu_stat(&CpuStat::default()),
-                        )
-                        .unwrap();
-                        fs::write(vdir.join("cgroup.threads"), parse::format_threads(&[tid]))
-                            .unwrap();
-                    }
-                    CgroupVersion::V1 => {
-                        fs::write(
-                            vdir.join("cpu.stat"),
-                            v1::format_v1_cpu_stat(0, 0, Micros::ZERO),
-                        )
-                        .unwrap();
-                        fs::write(
-                            vdir.join("cpu.cfs_quota_us"),
-                            v1::format_cfs_quota(&unlimited),
-                        )
-                        .unwrap();
-                        fs::write(
-                            vdir.join("cpu.cfs_period_us"),
-                            v1::format_cfs_period(&unlimited),
-                        )
-                        .unwrap();
-                        fs::write(
-                            vdir.join("cpuacct.usage"),
-                            v1::format_cpuacct_usage(Micros::ZERO),
-                        )
-                        .unwrap();
-                        fs::write(vdir.join("tasks"), parse::format_threads(&[tid])).unwrap();
-                    }
-                }
-                self.set_thread_cpu(tid, CpuId::new(j % b.cpus.max(1)));
+                self.make_vcpu_group(&vdir, tid, CpuId::new(j % b.cpus.max(1)));
             }
             // The emulator group libvirt also creates, plus the scope's
             // weight knob with its kernel default.
@@ -208,6 +171,34 @@ impl FixtureTree {
                 CgroupVersion::V1 => fs::write(scope.join("cpu.shares"), "1024\n").unwrap(),
             }
         }
+    }
+
+    /// Create `dir` as one vCPU group of this tree's hierarchy version —
+    /// zeroed counters, no limit, `tid` as its only thread, last seen on
+    /// `cpu` — the way libvirt would on hot-plug or for a new VM. Tests
+    /// that grow a tree between controller iterations use it for groups
+    /// the builder did not make.
+    pub fn make_vcpu_group(&self, dir: &Path, tid: Tid, cpu: CpuId) {
+        fs::create_dir_all(dir).unwrap();
+        let unlimited = CpuMax::unlimited();
+        let files = match self.version {
+            CgroupVersion::V2 => vec![
+                ("cpu.max", parse::format_cpu_max(&unlimited)),
+                ("cpu.stat", parse::format_cpu_stat(&CpuStat::default())),
+                ("cgroup.threads", parse::format_threads(&[tid])),
+            ],
+            CgroupVersion::V1 => vec![
+                ("cpu.stat", v1::format_v1_cpu_stat(0, 0, Micros::ZERO)),
+                ("cpu.cfs_quota_us", v1::format_cfs_quota(&unlimited)),
+                ("cpu.cfs_period_us", v1::format_cfs_period(&unlimited)),
+                ("cpuacct.usage", v1::format_cpuacct_usage(Micros::ZERO)),
+                ("tasks", parse::format_threads(&[tid])),
+            ],
+        };
+        for (file, content) in files {
+            fs::write(dir.join(file), content).unwrap();
+        }
+        self.set_thread_cpu(tid, cpu);
     }
 
     fn vcpu_dir(&self, vm_name: &str, vcpu: u32) -> PathBuf {

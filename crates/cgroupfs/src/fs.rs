@@ -18,69 +18,458 @@
 //! The guaranteed virtual frequency `F_v` of each VM is not stored in the
 //! kernel; provide it with [`FsBackend::with_vfreq_table`] (in production
 //! this would come from the IaaS control plane's template database).
+//!
+//! # Handles are held between periods
+//!
+//! Every interface file the control loop touches is opened **once**, when
+//! its scope is discovered, and kept: a monitoring read is one
+//! `pread(fd, buf, 0)` into a stack buffer plus one `fstat`, a cap write
+//! is one `fstat` plus one `pwrite(fd, text, 0)`, and [`HostBackend::vms`]
+//! re-scans only the scopes that changed.
+//! What can go stale is checked, not assumed:
+//!
+//! * a descriptor outlives `unlink` on a regular filesystem, so every
+//!   access through a kept handle looks at `st_nlink`; zero — or
+//!   `ENODEV`/`ESRCH`, kernfs's and procfs's answer for a removed cgroup
+//!   or an exited thread — marks the handle *gone* and the access is
+//!   redone **by path** in the same call, which reports what a fresh
+//!   open would: `NotFound`, or the re-created file;
+//! * a gone handle makes the next listing rebuild its scope by path;
+//! * a handle that could not be kept (open failed, descriptor budget
+//!   spent) is not an error: the same routines open the path for the
+//!   duration of the call, exactly as the backend did before it kept
+//!   anything.
+//!
+//! The descriptor budget is the process's soft `RLIMIT_NOFILE` minus
+//! [`FD_RESERVE`], read once from `/proc/self/limits` and shared by every
+//! backend in the process. A node wants `3 × vCPUs` (`cpu.stat`,
+//! `cgroup.threads`, `cpu.max`; 5 on v1) `+ vCPUs` (`/proc/<tid>/stat`)
+//! `+ CPUs` (`scaling_cur_freq`) descriptors.
 
 use crate::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
-use crate::error::{CgroupError, Result};
+use crate::error::{io_vanished, CgroupError, Result};
 use crate::model::CpuMax;
 use crate::parse;
 use crate::tree::kvm_layout;
 use crate::v1;
 use std::collections::HashMap;
-use std::fs;
+use std::ffi::OsString;
+use std::fmt;
+use std::fs::{self, File, OpenOptions};
+use std::io;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{OnceLock, RwLock};
 use vfc_simcore::{CpuId, MHz, Micros, Tid, VcpuId, VmId};
 
-/// One discovered VM scope.
-#[derive(Debug, Clone)]
+/// Descriptors left to the rest of the process — sockets, the journal,
+/// the JSON log, and the transient opens of handles that are not kept
+/// (one per reading thread, plus one directory listing).
+pub const FD_RESERVE: usize = 32;
+
+/// Soft `RLIMIT_NOFILE` assumed when `/proc/self/limits` cannot be read
+/// (the Linux default). An open that still hits `EMFILE` is simply not
+/// kept.
+const DEFAULT_NOFILE: usize = 1024;
+
+/// Process-wide count of kept descriptors against the budget.
+struct FdBudget {
+    limit: usize,
+    kept: AtomicUsize,
+}
+
+impl FdBudget {
+    /// Claim one descriptor slot; `false` when the budget is spent.
+    fn claim(&self) -> bool {
+        // Relaxed: the counter guards no other data.
+        self.kept
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| {
+                (k < self.limit).then_some(k + 1)
+            })
+            .is_ok()
+    }
+
+    fn release(&self) {
+        self.kept.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn fd_budget() -> &'static FdBudget {
+    static BUDGET: OnceLock<FdBudget> = OnceLock::new();
+    BUDGET.get_or_init(|| {
+        let soft = fs::read_to_string("/proc/self/limits")
+            .ok()
+            .and_then(|limits| parse_nofile_soft(&limits))
+            .unwrap_or(DEFAULT_NOFILE);
+        FdBudget {
+            limit: soft.saturating_sub(FD_RESERVE),
+            kept: AtomicUsize::new(0),
+        }
+    })
+}
+
+/// Soft limit of the `Max open files` row of `/proc/<pid>/limits`.
+fn parse_nofile_soft(limits: &str) -> Option<usize> {
+    let row = limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))?;
+    match row.split_ascii_whitespace().next()? {
+        "unlimited" => Some(usize::MAX),
+        n => n.parse().ok(),
+    }
+}
+
+/// How many interface-file descriptors this process may keep open
+/// between periods: soft `RLIMIT_NOFILE` − [`FD_RESERVE`].
+pub fn handle_budget() -> usize {
+    fd_budget().limit
+}
+
+/// A kept descriptor; gives its budget slot back when closed.
+#[derive(Debug)]
+struct Kept(File);
+
+impl Drop for Kept {
+    fn drop(&mut self) {
+        fd_budget().release();
+    }
+}
+
+/// One kernel interface file: its path, and the descriptor opened at
+/// discovery when one could be kept.
+#[derive(Debug)]
+struct Handle {
+    path: PathBuf,
+    kept: Option<Kept>,
+    /// The file behind `kept` is no longer the file at `path` (or there
+    /// was none to open): accesses go by path, and the next listing
+    /// re-opens. Relaxed everywhere: the flag publishes no other data.
+    gone: AtomicBool,
+}
+
+impl Handle {
+    /// Open `path` and keep the descriptor if the budget and the kernel
+    /// allow; any failure (`EMFILE` included) just leaves it unkept.
+    fn open(path: PathBuf, writable: bool) -> Handle {
+        let opened = fd_budget()
+            .claim()
+            .then(|| OpenOptions::new().read(true).write(writable).open(&path));
+        let (kept, missing) = match opened {
+            Some(Ok(file)) => (Some(Kept(file)), false),
+            Some(Err(e)) => {
+                fd_budget().release();
+                (None, e.kind() == io::ErrorKind::NotFound)
+            }
+            None => (None, false),
+        };
+        Handle {
+            path,
+            kept,
+            // A file that is not there yet is looked for again by the
+            // next listing.
+            gone: AtomicBool::new(missing),
+        }
+    }
+
+    /// A handle that keeps nothing: one-off accesses by path.
+    fn transient(path: PathBuf) -> Handle {
+        Handle {
+            path,
+            kept: None,
+            gone: AtomicBool::new(false),
+        }
+    }
+
+    fn is_gone(&self) -> bool {
+        self.gone.load(Ordering::Relaxed)
+    }
+
+    /// The kept descriptor, while it is still the file at `path`.
+    fn live(&self) -> Option<&File> {
+        self.kept
+            .as_ref()
+            .filter(|_| !self.is_gone())
+            .map(|kept| &kept.0)
+    }
+
+    fn io_err(&self, e: io::Error) -> CgroupError {
+        CgroupError::io(self.path.display().to_string(), e)
+    }
+
+    /// Read the whole file and parse it in place: through the kept
+    /// descriptor when it is live, else (or when that finds the file
+    /// gone) through a descriptor opened for this call.
+    fn read<T>(&self, parse: impl Fn(&str) -> Result<T>) -> Result<T> {
+        if let Some(file) = self.live() {
+            match read_whole(file, true, &parse) {
+                Ok(parsed) => return parsed,
+                Err(e) if io_vanished(&e) => self.gone.store(true, Ordering::Relaxed),
+                Err(e) => return Err(self.io_err(e)),
+            }
+        }
+        let file = File::open(&self.path).map_err(|e| self.io_err(e))?;
+        read_whole(&file, false, &parse).map_err(|e| self.io_err(e))?
+    }
+
+    /// Replace the file's content with `text`: in place through the kept
+    /// descriptor when it is live, else by path.
+    fn write(&self, text: &str) -> Result<()> {
+        if let Some(file) = self.live() {
+            match write_in_place(file, text) {
+                Ok(()) => return Ok(()),
+                Err(e) if io_vanished(&e) => self.gone.store(true, Ordering::Relaxed),
+                Err(e) => return Err(self.io_err(e)),
+            }
+        }
+        fs::write(&self.path, text).map_err(|e| self.io_err(e))
+    }
+}
+
+/// Stack buffer of a monitoring read. Every file the loop reads is a few
+/// hundred bytes (`cpu.stat` ≈ 250, `/proc/<tid>/stat` ≈ 350).
+const READ_BUF: usize = 1024;
+
+/// `NotFound`, as a fresh open of an unlinked file's path would say.
+fn unlinked() -> io::Error {
+    io::Error::from(io::ErrorKind::NotFound)
+}
+
+/// One positional read from offset 0, parsed in place. A short read is
+/// the whole file — for a regular file, and for a kernfs/procfs
+/// `seq_file` whose records fit the kernel's page-sized buffer; only a
+/// full buffer continues, into a growing heap buffer. With `check_link`
+/// (kept descriptors) a file unlinked since it was opened is `NotFound`.
+fn read_whole<T>(
+    file: &File,
+    check_link: bool,
+    parse: impl Fn(&str) -> Result<T>,
+) -> io::Result<Result<T>> {
+    let mut buf = [0u8; READ_BUF];
+    let n = file.read_at(&mut buf, 0)?;
+    if check_link && file.metadata()?.nlink() == 0 {
+        return Err(unlinked());
+    }
+    let mut long;
+    let bytes = if n < buf.len() {
+        &buf[..n]
+    } else {
+        long = buf.to_vec();
+        loop {
+            let at = long.len();
+            long.resize(at + READ_BUF, 0);
+            let n = file.read_at(&mut long[at..], at as u64)?;
+            long.truncate(at + n);
+            if n == 0 {
+                break &long[..];
+            }
+        }
+    };
+    let text = std::str::from_utf8(bytes).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    Ok(parse(text))
+}
+
+/// Overwrite from offset 0 through a kept descriptor. The file is cut to
+/// the new text only when it is longer than it — whoever wrote it last,
+/// this backend or a foreign writer; kernfs files report size 0 and take
+/// each `write` as the whole new value, so they are never truncated.
+fn write_in_place(file: &File, text: &str) -> io::Result<()> {
+    let meta = file.metadata()?;
+    if meta.nlink() == 0 {
+        return Err(unlinked());
+    }
+    file.write_all_at(text.as_bytes(), 0)?;
+    if meta.len() > text.len() as u64 {
+        file.set_len(text.len() as u64)?;
+    }
+    Ok(())
+}
+
+/// Stack text buffer for the few dozen bytes of a cap write
+/// (`"<u64> <u64>\n"` is at most 42).
+struct CapText {
+    buf: [u8; 48],
+    len: usize,
+}
+
+impl CapText {
+    fn format(render: impl FnOnce(&mut CapText) -> fmt::Result) -> CapText {
+        let mut text = CapText {
+            buf: [0; 48],
+            len: 0,
+        };
+        render(&mut text).expect("a cap text fits 48 bytes");
+        text
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("only whole strs are appended")
+    }
+}
+
+impl fmt::Write for CapText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Kept handles of files that belong to no scope, by number:
+/// `/proc/<tid>/stat` by tid, `cpu<N>/cpufreq/scaling_cur_freq` by CPU.
+#[derive(Debug, Default)]
+struct HandleMap(RwLock<HashMap<u32, Handle>>);
+
+impl HandleMap {
+    /// Read through the handle kept for `key`, opening (and keeping, if
+    /// possible) `path()` on first use.
+    fn read<T>(
+        &self,
+        key: u32,
+        path: impl FnOnce() -> PathBuf,
+        parse: impl Fn(&str) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(handle) = self.0.read().expect(POISONED).get(&key) {
+            return handle.read(parse);
+        }
+        let handle = Handle::open(path(), false);
+        let parsed = handle.read(parse);
+        if handle.live().is_some() {
+            self.0.write().expect(POISONED).insert(key, handle);
+        }
+        parsed
+    }
+
+    fn remove(&self, key: u32) {
+        self.0.write().expect(POISONED).remove(&key);
+    }
+
+    /// Close the handles found gone; the next read re-opens by path.
+    fn sweep(&self) {
+        if self.0.read().expect(POISONED).values().any(Handle::is_gone) {
+            self.0.write().expect(POISONED).retain(|_, h| !h.is_gone());
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.read().expect(POISONED).len()
+    }
+}
+
+const POISONED: &str = "a thread panicked holding an FsBackend lock";
+
+/// "No thread seen yet" in [`VcpuPlan::tid`] (`pid_max` is at most 2²²).
+const NO_TID: u32 = u32::MAX;
+
+/// One discovered VM scope, with everything [`FsBackend::relist`] needs
+/// to decide next period that it is unchanged.
+#[derive(Debug)]
 struct DiscoveredVm {
     /// libvirt machine number (ordering key).
     number: u32,
     name: String,
+    /// Name of the scope directory under `machine.slice`.
+    dir_name: OsString,
     /// The `machine-qemu…scope` directory itself.
     scope_dir: PathBuf,
-    /// Per-vCPU read/write plans, indexed by vCPU id.
+    /// `scope/libvirt`, where modern libvirt puts the `vcpuN` groups.
+    libvirt: PathBuf,
+    /// There was no `libvirt/` layer: the groups sit in the scope itself.
+    flat: bool,
+    /// `st_nlink` of the groups' parent when it was scanned: 2 + its
+    /// sub-directories on tmpfs, ext4 and kernfs alike. (Directory
+    /// mtimes would not do: kernfs only maintains them once an `iattr`
+    /// exists.)
+    parent_links: u64,
+    /// Per-vCPU handles, indexed by vCPU id.
     vcpus: Vec<VcpuPlan>,
 }
 
-/// Precomputed paths of every file the control loop touches for one
-/// vCPU, joined once at discovery. The per-period reads and the
-/// `cpu.max` write then run straight off these — no `PathBuf::join`
-/// (and no allocation) per sample. The members are hierarchy-version
-/// specific: the plan is built for the version the backend speaks.
-#[derive(Debug, Clone)]
+impl DiscoveredVm {
+    /// May this scope be served from the cache for another period? The
+    /// groups' parent must be the same directory level and still count
+    /// the same sub-directories (a filesystem that does not count them —
+    /// `st_nlink` 1 on btrfs and overlayfs — never qualifies), and no
+    /// handle may have found its file gone.
+    fn unchanged(&self) -> bool {
+        let parent = if self.flat {
+            // One group moving into a new libvirt/ keeps the count.
+            if self.libvirt.is_dir() {
+                return false;
+            }
+            &self.scope_dir
+        } else {
+            &self.libvirt
+        };
+        self.parent_links >= 2
+            && fs::metadata(parent).is_ok_and(|m| m.nlink() == self.parent_links)
+            && !self.vcpus.iter().any(VcpuPlan::any_gone)
+    }
+}
+
+/// The handles of every file the control loop touches for one vCPU,
+/// opened once at discovery. The members are hierarchy-version specific:
+/// the plan is built for the version the backend speaks.
+#[derive(Debug)]
 struct VcpuPlan {
     /// v2: `cpu.stat` (usage + throttled); v1: `cpuacct.usage`.
-    usage: PathBuf,
-    /// v2: `cpu.stat` (same file as `usage`); v1: the v1-flavored
-    /// `cpu.stat` with `throttled_time`.
-    throttled: PathBuf,
+    usage: Handle,
+    /// v1 only: the v1-flavored `cpu.stat` with `throttled_time` (v2
+    /// reads it from `usage`).
+    throttled: Option<Handle>,
     /// v2: `cgroup.threads`; v1: `tasks`.
-    threads: PathBuf,
+    threads: Handle,
     /// v2: `cpu.max`; v1: `cpu.cfs_quota_us`.
-    max: PathBuf,
-    /// v1 only: `cpu.cfs_period_us` (unused placeholder on v2).
-    period: PathBuf,
+    max: Handle,
+    /// v1 only: `cpu.cfs_period_us`.
+    period: Option<Handle>,
+    /// The thread last read from `threads` — whose `/proc` stat handle
+    /// this vCPU keeps alive — or [`NO_TID`]. Relaxed: a memo.
+    tid: AtomicU32,
 }
 
 impl VcpuPlan {
-    fn new(dir: PathBuf, version: CgroupVersion) -> Self {
+    fn new(dir: &Path, version: CgroupVersion) -> Self {
+        let open = |file: &str, writable| Handle::open(dir.join(file), writable);
+        let tid = AtomicU32::new(NO_TID);
         match version {
             CgroupVersion::V2 => VcpuPlan {
-                usage: dir.join("cpu.stat"),
-                throttled: dir.join("cpu.stat"),
-                threads: dir.join("cgroup.threads"),
-                max: dir.join("cpu.max"),
-                period: dir.join("cpu.max"),
+                usage: open("cpu.stat", false),
+                throttled: None,
+                threads: open("cgroup.threads", false),
+                max: open("cpu.max", true),
+                period: None,
+                tid,
             },
             CgroupVersion::V1 => VcpuPlan {
-                usage: dir.join("cpuacct.usage"),
-                throttled: dir.join("cpu.stat"),
-                threads: dir.join("tasks"),
-                max: dir.join("cpu.cfs_quota_us"),
-                period: dir.join("cpu.cfs_period_us"),
+                usage: open("cpuacct.usage", false),
+                throttled: Some(open("cpu.stat", false)),
+                threads: open("tasks", false),
+                max: open("cpu.cfs_quota_us", true),
+                period: Some(open("cpu.cfs_period_us", true)),
+                tid,
             },
         }
+    }
+
+    fn handles(&self) -> impl Iterator<Item = &Handle> {
+        [&self.usage, &self.threads, &self.max]
+            .into_iter()
+            .chain(&self.throttled)
+            .chain(&self.period)
+    }
+
+    fn any_gone(&self) -> bool {
+        self.handles().any(Handle::is_gone)
     }
 }
 
@@ -97,20 +486,30 @@ pub enum CgroupVersion {
 
 /// [`HostBackend`] over a real (or fixture) filesystem tree.
 pub struct FsBackend {
-    cgroup_root: PathBuf,
+    /// `<cgroup root>/machine.slice`.
+    slice: PathBuf,
     proc_root: PathBuf,
     cpu_root: PathBuf,
     version: CgroupVersion,
     vfreq: HashMap<String, MHz>,
-    /// Discovery cache, refreshed by [`HostBackend::vms`]. Behind a
-    /// lock (not a `RefCell`) so the backend is `Sync`: the sharded
-    /// controller reads several shards' vCPUs concurrently through a
-    /// shared `&FsBackend`.
+    /// Discovery cache, in `(number, dir_name)` order, revalidated by
+    /// [`HostBackend::vms`]. Behind a lock (not a `RefCell`) so the
+    /// backend is `Sync`: the sharded controller reads several shards'
+    /// vCPUs concurrently through a shared `&FsBackend`, and positional
+    /// I/O on a shared descriptor needs no cursor.
     cache: RwLock<Vec<DiscoveredVm>>,
+    /// `/proc/<tid>/stat` handles of the threads the vCPU plans name.
+    /// Lock order: `cache` before `procs`.
+    procs: HandleMap,
+    /// `scaling_cur_freq` handles by CPU.
+    freqs: HandleMap,
     /// Per-read-pass memo of `scaling_cur_freq` by CPU, cleared by
     /// [`HostBackend::begin_read_pass`]: vCPUs packed on one core cost
     /// one sysfs read per pass instead of one each.
     freq_memo: RwLock<HashMap<u32, MHz>>,
+    /// Listings and scope scans that failed for another reason than the
+    /// directory being gone. Relaxed: a statistic.
+    listing_errors: AtomicU64,
 }
 
 impl FsBackend {
@@ -122,15 +521,17 @@ impl FsBackend {
         cpu_root: impl Into<PathBuf>,
     ) -> Self {
         let cgroup_root = cgroup_root.into();
-        let version = Self::detect_version(&cgroup_root);
         FsBackend {
-            cgroup_root,
+            version: Self::detect_version(&cgroup_root),
+            slice: cgroup_root.join(kvm_layout::MACHINE_SLICE),
             proc_root: proc_root.into(),
             cpu_root: cpu_root.into(),
-            version,
             vfreq: HashMap::new(),
             cache: RwLock::new(Vec::new()),
+            procs: HandleMap::default(),
+            freqs: HandleMap::default(),
             freq_memo: RwLock::new(HashMap::new()),
+            listing_errors: AtomicU64::new(0),
         }
     }
 
@@ -187,115 +588,218 @@ impl FsBackend {
         self.vfreq.insert(vm_name.into(), freq);
     }
 
-    fn read(&self, path: &Path) -> Result<String> {
-        fs::read_to_string(path).map_err(|e| CgroupError::io(path.display().to_string(), e))
+    /// Interface-file descriptors this backend currently keeps open.
+    pub fn handles_kept(&self) -> usize {
+        let cache = self.cache.read().expect(POISONED);
+        let in_scopes = cache
+            .iter()
+            .flat_map(|vm| &vm.vcpus)
+            .flat_map(VcpuPlan::handles)
+            .filter(|h| h.kept.is_some())
+            .count();
+        in_scopes + self.procs.len() + self.freqs.len()
     }
 
-    fn write(&self, path: &Path, content: &str) -> Result<()> {
-        fs::write(path, content).map_err(|e| CgroupError::io(path.display().to_string(), e))
-    }
-
-    /// Scan `machine.slice` for VM scopes; returns them sorted by machine
-    /// number so `VmId`s are stable across rescans while the VM set is
-    /// unchanged.
-    fn discover(&self) -> Result<Vec<DiscoveredVm>> {
-        let slice = self.cgroup_root.join(kvm_layout::MACHINE_SLICE);
-        let mut vms = Vec::new();
-        let entries = match fs::read_dir(&slice) {
-            Ok(e) => e,
-            // No machine.slice yet: no VMs, not an error.
-            Err(_) => return Ok(vms),
-        };
-        for entry in entries {
-            let entry = entry.map_err(|e| CgroupError::io(slice.display().to_string(), e))?;
-            let dir_name = entry.file_name().to_string_lossy().into_owned();
-            let Some((number, name)) = kvm_layout::parse_scope_name(&dir_name) else {
-                continue;
-            };
-            let scope = entry.path();
-            // vCPU groups live under scope/libvirt/ (modern libvirt) or
-            // directly under scope/.
-            let vcpu_parent = if scope.join("libvirt").is_dir() {
-                scope.join("libvirt")
-            } else {
-                scope.clone()
-            };
-            let mut vcpus: Vec<(u32, PathBuf)> = Vec::new();
-            let children = fs::read_dir(&vcpu_parent)
-                .map_err(|e| CgroupError::io(vcpu_parent.display().to_string(), e))?;
-            for c in children {
-                let c = c.map_err(|e| CgroupError::io(vcpu_parent.display().to_string(), e))?;
-                let cname = c.file_name().to_string_lossy().into_owned();
-                if let Some(j) = kvm_layout::parse_vcpu_dir(&cname) {
-                    if c.path().is_dir() {
-                        vcpus.push((j, c.path()));
+    /// Bring the discovery cache up to date with `machine.slice`: list
+    /// the slice once, keep — plan, handles and all — every cached scope
+    /// whose directory name is still there and which is
+    /// [`DiscoveredVm::unchanged`], and scan only the scopes that are
+    /// new or fail that test. Scopes stay sorted by `(machine number,
+    /// directory name)` so `VmId`s are stable while the VM set is.
+    ///
+    /// Only a missing `machine.slice` means "no VMs". Any other listing
+    /// error leaves the cache — the last good listing — as it is and is
+    /// returned; a scope whose scan fails is left out for the period.
+    fn relist(&self) -> Result<()> {
+        let slice_err = |e| CgroupError::io(self.slice.display().to_string(), e);
+        let mut listed: Vec<(u32, OsString)> = Vec::new();
+        match fs::read_dir(&self.slice) {
+            Ok(entries) => {
+                for entry in entries {
+                    let dir_name = entry.map_err(slice_err)?.file_name();
+                    if let Some((number, _)) = kvm_layout::scope_parts(&dir_name.to_string_lossy())
+                    {
+                        listed.push((number, dir_name));
                     }
                 }
             }
-            vcpus.sort_by_key(|(j, _)| *j);
-            vms.push(DiscoveredVm {
-                number,
-                name,
-                scope_dir: scope.clone(),
-                vcpus: vcpus
-                    .into_iter()
-                    .map(|(_, p)| VcpuPlan::new(p, self.version))
-                    .collect(),
-            });
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(slice_err(e)),
         }
-        vms.sort_by_key(|v| v.number);
-        Ok(vms)
+        listed.sort_unstable();
+
+        let mut cache = self.cache.write().expect(POISONED);
+        let mut cached = std::mem::take(&mut *cache).into_iter().peekable();
+        cache.reserve(listed.len());
+        for (number, dir_name) in listed {
+            // Cached scopes that sort before this entry are off the disk.
+            while let Some(departed) =
+                cached.next_if(|c| (c.number, &c.dir_name) < (number, &dir_name))
+            {
+                self.retire(departed);
+            }
+            match cached.next_if(|c| c.number == number && c.dir_name == dir_name) {
+                Some(vm) if vm.unchanged() => cache.push(vm),
+                stale => {
+                    if let Some(vm) = stale {
+                        self.retire(vm);
+                    }
+                    match self.scan_scope(number, dir_name) {
+                        Ok(vm) => cache.push(vm),
+                        // Torn down between the listing and the scan.
+                        Err(e) if e.is_vanished() => {}
+                        Err(_) => self.count_listing_error(),
+                    }
+                }
+            }
+        }
+        cached.for_each(|departed| self.retire(departed));
+        drop(cache);
+        self.procs.sweep();
+        self.freqs.sweep();
+        Ok(())
+    }
+
+    /// Scan one scope directory by path and open its vCPUs' handles.
+    fn scan_scope(&self, number: u32, dir_name: OsString) -> Result<DiscoveredVm> {
+        let scope_dir = self.slice.join(&dir_name);
+        // vCPU groups live under scope/libvirt/ (modern libvirt) or
+        // directly under scope/.
+        let libvirt = scope_dir.join("libvirt");
+        let flat = !libvirt.is_dir();
+        let vcpu_parent = if flat { &scope_dir } else { &libvirt };
+        let parent_err = |e| CgroupError::io(vcpu_parent.display().to_string(), e);
+        // Link count before the listing: a group added in between then
+        // shows as a mismatch next period, not as a stale plan.
+        let parent_links = fs::metadata(vcpu_parent).map_err(parent_err)?.nlink();
+        let mut vcpus: Vec<(u32, PathBuf)> = Vec::new();
+        for child in fs::read_dir(vcpu_parent).map_err(parent_err)? {
+            let child = child.map_err(parent_err)?;
+            if let Some(j) = kvm_layout::parse_vcpu_dir(&child.file_name().to_string_lossy()) {
+                let path = child.path();
+                if path.is_dir() {
+                    vcpus.push((j, path));
+                }
+            }
+        }
+        vcpus.sort_by_key(|(j, _)| *j);
+        let name = kvm_layout::scope_parts(&dir_name.to_string_lossy())
+            .expect("relist only scans names scope_parts accepts")
+            .1
+            .to_owned();
+        Ok(DiscoveredVm {
+            number,
+            name,
+            parent_links,
+            vcpus: vcpus
+                .iter()
+                .map(|(_, dir)| VcpuPlan::new(dir, self.version))
+                .collect(),
+            dir_name,
+            scope_dir,
+            libvirt,
+            flat,
+        })
+    }
+
+    /// Drop a scope the listing no longer serves from the cache, closing
+    /// its handles — the `/proc` stat handles of its threads included.
+    fn retire(&self, vm: DiscoveredVm) {
+        for plan in &vm.vcpus {
+            let tid = plan.tid.load(Ordering::Relaxed);
+            if tid != NO_TID {
+                self.procs.remove(tid);
+            }
+        }
+    }
+
+    fn count_listing_error(&self) {
+        self.listing_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Path of a VM's scope directory from the cache, refreshing once on
     /// miss.
     fn scope_dir(&self, vm: VmId) -> Result<PathBuf> {
-        let lookup = |cache: &[DiscoveredVm]| -> Option<PathBuf> {
+        let lookup = || -> Option<PathBuf> {
+            let cache = self.cache.read().expect(POISONED);
             cache.get(vm.as_usize()).map(|v| v.scope_dir.clone())
         };
-        if let Some(p) = lookup(&self.cache.read().unwrap()) {
+        if let Some(p) = lookup() {
             return Ok(p);
         }
-        let fresh = self.discover()?;
-        *self.cache.write().unwrap() = fresh;
-        lookup(&self.cache.read().unwrap()).ok_or(CgroupError::NoSuchVcpu {
+        self.relist()?;
+        lookup().ok_or(CgroupError::NoSuchVcpu {
             vm: vm.as_u32(),
             vcpu: 0,
         })
     }
 
-    /// Run `f` against a vCPU's precomputed path plan, refreshing the
-    /// discovery cache once on miss. The closure executes holding the
-    /// cache's read lock, so it must not re-enter cache-mutating paths —
-    /// the file reads and writes it performs never do.
+    /// Run `f` against a vCPU's handles, refreshing the discovery cache
+    /// once on miss. The closure executes holding the cache's read lock,
+    /// so it must not re-enter cache-mutating paths — the file reads and
+    /// writes it performs never do.
     fn with_vcpu_plan<T>(
         &self,
         vm: VmId,
         vcpu: VcpuId,
         f: impl FnOnce(&VcpuPlan) -> Result<T>,
     ) -> Result<T> {
-        {
-            let cache = self.cache.read().unwrap();
-            if let Some(plan) = cache
-                .get(vm.as_usize())
-                .and_then(|v| v.vcpus.get(vcpu.as_usize()))
-            {
-                return f(plan);
-            }
+        fn find(cache: &[DiscoveredVm], vm: VmId, vcpu: VcpuId) -> Option<&VcpuPlan> {
+            cache.get(vm.as_usize())?.vcpus.get(vcpu.as_usize())
         }
-        let fresh = self.discover()?;
-        *self.cache.write().unwrap() = fresh;
-        let cache = self.cache.read().unwrap();
-        match cache
-            .get(vm.as_usize())
-            .and_then(|v| v.vcpus.get(vcpu.as_usize()))
-        {
+        if let Some(plan) = find(&self.cache.read().expect(POISONED), vm, vcpu) {
+            return f(plan);
+        }
+        self.relist()?;
+        match find(&self.cache.read().expect(POISONED), vm, vcpu) {
             Some(plan) => f(plan),
             None => Err(CgroupError::NoSuchVcpu {
                 vm: vm.as_u32(),
                 vcpu: vcpu.as_u32(),
             }),
         }
+    }
+
+    /// Usage and throttled counters of one vCPU: one `cpu.stat` read on
+    /// v2, `cpuacct.usage` then the v1 `cpu.stat` on v1.
+    fn read_counters(&self, plan: &VcpuPlan) -> Result<(Micros, Micros)> {
+        match &plan.throttled {
+            None => {
+                let stat = plan.usage.read(parse::parse_cpu_stat)?;
+                Ok((stat.usage_usec, stat.throttled_usec))
+            }
+            Some(throttled) => {
+                let usage = plan.usage.read(v1::parse_cpuacct_usage)?;
+                Ok((usage, Self::read_v1_throttled(throttled)?))
+            }
+        }
+    }
+
+    /// v1 reports `throttled_time` in ns inside its own cpu.stat;
+    /// tolerate its absence (bandwidth control may be compiled out).
+    fn read_v1_throttled(throttled: &Handle) -> Result<Micros> {
+        match throttled.read(v1::parse_v1_cpu_stat) {
+            Ok((_, _, throttled)) => Ok(throttled),
+            Err(CgroupError::Io { .. }) => Ok(Micros::ZERO),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// A vCPU keeps the `/proc` stat handle of the thread its group
+    /// named last: when a read of the group's threads names another, the
+    /// predecessor's handle is closed.
+    fn follow_thread(&self, plan: &VcpuPlan, first: Option<Tid>) {
+        let now = first.map_or(NO_TID, |t| t.as_u32());
+        let before = plan.tid.swap(now, Ordering::Relaxed);
+        if before != now && before != NO_TID {
+            self.procs.remove(before);
+        }
+    }
+
+    fn read_first_thread(&self, plan: &VcpuPlan) -> Result<Option<Tid>> {
+        let first = plan.threads.read(parse::parse_first_thread)?;
+        self.follow_thread(plan, first);
+        Ok(first)
     }
 }
 
@@ -313,18 +817,18 @@ impl HostBackend for FsBackend {
                 }
             }
         }
-        let max_path = self.cpu_root.join("cpu0/cpufreq/cpuinfo_max_freq");
-        let max_mhz = self
-            .read(&max_path)
-            .ok()
-            .and_then(|s| parse::parse_scaling_cur_freq(&s).ok())
+        let max_mhz = Handle::transient(self.cpu_root.join("cpu0/cpufreq/cpuinfo_max_freq"))
+            .read(parse::parse_scaling_cur_freq)
             .unwrap_or(MHz::ZERO);
         TopologyInfo { nr_cpus, max_mhz }
     }
 
     fn vms(&self) -> Vec<VmCgroupInfo> {
-        let discovered = self.discover().unwrap_or_default();
-        let infos = discovered
+        if self.relist().is_err() {
+            self.count_listing_error();
+        }
+        let cache = self.cache.read().expect(POISONED);
+        cache
             .iter()
             .enumerate()
             .map(|(i, v)| VmCgroupInfo {
@@ -333,64 +837,62 @@ impl HostBackend for FsBackend {
                 nr_vcpus: v.vcpus.len() as u32,
                 vfreq: self.vfreq.get(&v.name).copied(),
             })
-            .collect();
-        *self.cache.write().unwrap() = discovered;
-        infos
+            .collect()
+    }
+
+    fn listing_errors(&self) -> u64 {
+        self.listing_errors.load(Ordering::Relaxed)
     }
 
     fn vcpu_usage(&self, vm: VmId, vcpu: VcpuId) -> Result<Micros> {
         self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => {
-                let stat = parse::parse_cpu_stat(&self.read(&plan.usage)?)?;
-                Ok(stat.usage_usec)
-            }
-            CgroupVersion::V1 => v1::parse_cpuacct_usage(&self.read(&plan.usage)?),
+            CgroupVersion::V2 => Ok(plan.usage.read(parse::parse_cpu_stat)?.usage_usec),
+            CgroupVersion::V1 => plan.usage.read(v1::parse_cpuacct_usage),
         })
     }
 
     fn vcpu_throttled(&self, vm: VmId, vcpu: VcpuId) -> Result<Micros> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => {
-                let stat = parse::parse_cpu_stat(&self.read(&plan.throttled)?)?;
-                Ok(stat.throttled_usec)
-            }
-            CgroupVersion::V1 => {
-                // v1 reports `throttled_time` in ns inside its own
-                // cpu.stat; tolerate its absence (bandwidth control may
-                // be compiled out).
-                match self.read(&plan.throttled) {
-                    Ok(content) => {
-                        let (_, _, throttled) = v1::parse_v1_cpu_stat(&content)?;
-                        Ok(throttled)
-                    }
-                    Err(_) => Ok(Micros::ZERO),
-                }
-            }
+        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.throttled {
+            None => Ok(plan.usage.read(parse::parse_cpu_stat)?.throttled_usec),
+            Some(throttled) => Self::read_v1_throttled(throttled),
         })
     }
 
     fn vcpu_threads(&self, vm: VmId, vcpu: VcpuId) -> Result<Vec<Tid>> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => parse::parse_threads(&self.read(&plan.threads)?),
-            CgroupVersion::V1 => v1::parse_tasks(&self.read(&plan.threads)?),
+        // `tasks` (v1) has the shape of `cgroup.threads`.
+        self.with_vcpu_plan(vm, vcpu, |plan| {
+            let tids = plan.threads.read(parse::parse_threads)?;
+            self.follow_thread(plan, tids.first().copied());
+            Ok(tids)
         })
     }
 
+    fn vcpu_first_thread(&self, vm: VmId, vcpu: VcpuId) -> Result<Option<Tid>> {
+        self.with_vcpu_plan(vm, vcpu, |plan| self.read_first_thread(plan))
+    }
+
     fn thread_last_cpu(&self, tid: Tid) -> Result<CpuId> {
-        let path = self.proc_root.join(tid.as_u32().to_string()).join("stat");
-        parse::parse_stat_last_cpu(&self.read(&path)?)
+        self.procs.read(
+            tid.as_u32(),
+            || self.proc_root.join(tid.as_u32().to_string()).join("stat"),
+            parse::parse_stat_last_cpu,
+        )
     }
 
     fn cpu_cur_freq(&self, cpu: CpuId) -> Result<MHz> {
-        let path = self
-            .cpu_root
-            .join(format!("cpu{}", cpu.as_u32()))
-            .join("cpufreq/scaling_cur_freq");
-        parse::parse_scaling_cur_freq(&self.read(&path)?)
+        self.freqs.read(
+            cpu.as_u32(),
+            || {
+                self.cpu_root
+                    .join(format!("cpu{}", cpu.as_u32()))
+                    .join("cpufreq/scaling_cur_freq")
+            },
+            parse::parse_scaling_cur_freq,
+        )
     }
 
     fn begin_read_pass(&self) {
-        self.freq_memo.write().unwrap().clear();
+        self.freq_memo.write().expect(POISONED).clear();
     }
 
     /// Fused monitoring read: on v2 one `cpu.stat` parse yields both
@@ -400,39 +902,26 @@ impl HostBackend for FsBackend {
     /// default exactly: usage source first, then throttled, threads,
     /// `/proc` stat, frequency.
     fn read_vcpu_raw(&self, vm: VmId, vcpu: VcpuId) -> Result<crate::backend::VcpuRawSample> {
-        let (usage, throttled, tid) = self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => {
-                let stat = parse::parse_cpu_stat(&self.read(&plan.usage)?)?;
-                let tid = parse::parse_threads(&self.read(&plan.threads)?)?
-                    .first()
-                    .copied();
-                Ok((stat.usage_usec, stat.throttled_usec, tid))
-            }
-            CgroupVersion::V1 => {
-                let usage = v1::parse_cpuacct_usage(&self.read(&plan.usage)?)?;
-                let throttled = match self.read(&plan.throttled) {
-                    Ok(content) => v1::parse_v1_cpu_stat(&content)?.2,
-                    Err(_) => Micros::ZERO,
-                };
-                let tid = v1::parse_tasks(&self.read(&plan.threads)?)?
-                    .first()
-                    .copied();
-                Ok((usage, throttled, tid))
-            }
+        let (usage, throttled, tid) = self.with_vcpu_plan(vm, vcpu, |plan| {
+            let (usage, throttled) = self.read_counters(plan)?;
+            Ok((usage, throttled, self.read_first_thread(plan)?))
         })?;
         let last_cpu = match tid {
             Some(tid) => self.thread_last_cpu(tid)?,
             None => CpuId::new(0),
         };
-        let core_freq = {
-            let memo = self.freq_memo.read().unwrap();
+        let memoised = {
+            let memo = self.freq_memo.read().expect(POISONED);
             memo.get(&last_cpu.as_u32()).copied()
         };
-        let core_freq = match core_freq {
+        let core_freq = match memoised {
             Some(f) => f,
             None => {
                 let f = self.cpu_cur_freq(last_cpu)?;
-                self.freq_memo.write().unwrap().insert(last_cpu.as_u32(), f);
+                self.freq_memo
+                    .write()
+                    .expect(POISONED)
+                    .insert(last_cpu.as_u32(), f);
                 f
             }
         };
@@ -445,23 +934,26 @@ impl HostBackend for FsBackend {
     }
 
     fn set_vcpu_max(&mut self, vm: VmId, vcpu: VcpuId, max: CpuMax) -> Result<()> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => self.write(&plan.max, &parse::format_cpu_max(&max)),
-            CgroupVersion::V1 => {
+        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.period {
+            None => plan
+                .max
+                .write(CapText::format(|t| parse::write_cpu_max(t, &max)).as_str()),
+            Some(period) => {
                 // Period first: the kernel rejects quotas larger than the
                 // current period.
-                self.write(&plan.period, &v1::format_cfs_period(&max))?;
-                self.write(&plan.max, &v1::format_cfs_quota(&max))
+                period.write(CapText::format(|t| v1::write_cfs_period(t, &max)).as_str())?;
+                plan.max
+                    .write(CapText::format(|t| v1::write_cfs_quota(t, &max)).as_str())
             }
         })
     }
 
     fn vcpu_max(&self, vm: VmId, vcpu: VcpuId) -> Result<CpuMax> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
-            CgroupVersion::V2 => parse::parse_cpu_max(&self.read(&plan.max)?),
-            CgroupVersion::V1 => {
-                v1::parse_cfs_quota(&self.read(&plan.max)?, &self.read(&plan.period)?)
-            }
+        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.period {
+            None => plan.max.read(parse::parse_cpu_max),
+            Some(period) => plan
+                .max
+                .read(|quota| period.read(|period| v1::parse_cfs_quota(quota, period))),
         })
     }
 
@@ -469,12 +961,14 @@ impl HostBackend for FsBackend {
         let dir = self.scope_dir(vm)?;
         let weight = crate::backend::clamp_cpu_weight(weight);
         match self.version {
-            CgroupVersion::V2 => self.write(&dir.join("cpu.weight"), &format!("{weight}\n")),
+            CgroupVersion::V2 => {
+                Handle::transient(dir.join("cpu.weight")).write(&format!("{weight}\n"))
+            }
             // v1 `cpu.shares` uses 2–262144 with default 1024; convert
             // from the v2 scale (default 100).
             CgroupVersion::V1 => {
                 let shares = (weight as u64 * 1_024 / 100).clamp(2, 262_144);
-                self.write(&dir.join("cpu.shares"), &format!("{shares}\n"))
+                Handle::transient(dir.join("cpu.shares")).write(&format!("{shares}\n"))
             }
         }
     }
@@ -482,23 +976,21 @@ impl HostBackend for FsBackend {
     fn vm_weight(&self, vm: VmId) -> Result<u32> {
         let dir = self.scope_dir(vm)?;
         match self.version {
-            CgroupVersion::V2 => {
-                let content = self.read(&dir.join("cpu.weight"))?;
+            CgroupVersion::V2 => Handle::transient(dir.join("cpu.weight")).read(|content| {
                 content
                     .trim()
                     .parse()
-                    .map_err(|_| CgroupError::parse("cpu.weight", &content))
-            }
-            CgroupVersion::V1 => {
-                let content = self.read(&dir.join("cpu.shares"))?;
+                    .map_err(|_| CgroupError::parse("cpu.weight", content))
+            }),
+            CgroupVersion::V1 => Handle::transient(dir.join("cpu.shares")).read(|content| {
                 let shares: u64 = content
                     .trim()
                     .parse()
-                    .map_err(|_| CgroupError::parse("cpu.shares", &content))?;
+                    .map_err(|_| CgroupError::parse("cpu.shares", content))?;
                 Ok(crate::backend::clamp_cpu_weight(
                     (shares * 100 / 1_024) as u32,
                 ))
-            }
+            }),
         }
     }
 }
@@ -686,5 +1178,180 @@ mod tests {
         assert_eq!(fx.vcpu_cpu_max("legacy", 0), cap);
         backend.clear_vcpu_max(vms[0].vm, VcpuId::new(0)).unwrap();
         assert!(fx.vcpu_cpu_max("legacy", 0).is_unlimited());
+    }
+
+    fn vcpu_dir(fx: &FixtureTree, n: u32, vm: &str, vcpu: u32) -> PathBuf {
+        fx.cgroup_root()
+            .join(kvm_layout::MACHINE_SLICE)
+            .join(kvm_layout::scope_name(n, vm))
+            .join("libvirt")
+            .join(kvm_layout::vcpu_dir(vcpu))
+    }
+
+    #[test]
+    fn nofile_row_of_proc_limits() {
+        let limits = "Limit                     Soft Limit           Hard Limit           Units     \n\
+                      Max stack size            8388608              unlimited            bytes     \n\
+                      Max open files            1024                 524288               files     \n";
+        assert_eq!(parse_nofile_soft(limits), Some(1024));
+        assert_eq!(
+            parse_nofile_soft("Max open files            unlimited   unlimited   files\n"),
+            Some(usize::MAX)
+        );
+        assert_eq!(parse_nofile_soft("Max processes  7  7  processes\n"), None);
+        // This process has a limit, and the budget leaves the reserve.
+        assert!(handle_budget() > 0);
+    }
+
+    #[test]
+    fn files_longer_than_the_stack_buffer_are_read_whole() {
+        let fx = FixtureTree::builder()
+            .cpus(1, MHz(2400))
+            .vm("long", 1, &[7])
+            .build();
+        let backend = fx.backend();
+        let vm = backend.vms()[0].vm;
+        let dir = vcpu_dir(&fx, 1, "long", 0);
+        // A cpu.stat padded with keys newer kernels add, usage last.
+        let mut stat = String::new();
+        for i in 0..200 {
+            stat.push_str(&format!("future_key_{i} {i}\n"));
+        }
+        stat.push_str("usage_usec 4242\nthrottled_usec 17\n");
+        assert!(stat.len() > 2 * READ_BUF);
+        std::fs::write(dir.join("cpu.stat"), &stat).unwrap();
+        let tids: Vec<Tid> = (0..400).map(|i| Tid::new(100_000 + i)).collect();
+        std::fs::write(dir.join("cgroup.threads"), parse::format_threads(&tids)).unwrap();
+
+        assert_eq!(
+            backend.vcpu_usage(vm, VcpuId::new(0)).unwrap(),
+            Micros(4242)
+        );
+        assert_eq!(
+            backend.vcpu_throttled(vm, VcpuId::new(0)).unwrap(),
+            Micros(17)
+        );
+        assert_eq!(backend.vcpu_threads(vm, VcpuId::new(0)).unwrap(), tids);
+        // Exactly a buffer's worth: the continuation reads zero bytes.
+        let exact = format!("usage_usec 1\n{}", "\n".repeat(READ_BUF - 13));
+        assert_eq!(exact.len(), READ_BUF);
+        std::fs::write(dir.join("cpu.stat"), exact).unwrap();
+        assert_eq!(backend.vcpu_usage(vm, VcpuId::new(0)).unwrap(), Micros(1));
+    }
+
+    #[test]
+    fn in_place_cap_write_leaves_no_tail_of_a_longer_foreign_value() {
+        for v1 in [false, true] {
+            let b = FixtureTree::builder().cpus(1, MHz(2400)).vm("w", 1, &[9]);
+            let fx = if v1 { b.v1().build() } else { b.build() };
+            let mut backend = fx.backend();
+            let vm = backend.vms()[0].vm;
+            let dir = vcpu_dir(&fx, 1, "w", 0);
+            let (file, foreign, ours) = if v1 {
+                ("cpu.cfs_quota_us", "123456789012\n", "5000\n")
+            } else {
+                ("cpu.max", "123456789012 1000000\n", "5000 100000\n")
+            };
+            let cap = CpuMax::limited(Micros(5_000));
+            // Through the kept handle: longer, then shorter, then equal.
+            backend
+                .set_vcpu_max(vm, VcpuId::new(0), CpuMax::unlimited())
+                .unwrap();
+            std::fs::write(dir.join(file), foreign).unwrap();
+            for _ in 0..2 {
+                backend.set_vcpu_max(vm, VcpuId::new(0), cap).unwrap();
+                assert_eq!(std::fs::read_to_string(dir.join(file)).unwrap(), ours);
+                assert_eq!(backend.vcpu_max(vm, VcpuId::new(0)).unwrap(), cap);
+            }
+        }
+    }
+
+    #[test]
+    fn failed_listing_keeps_the_last_good_one_and_a_failed_scan_drops_one_scope() {
+        let fx = FixtureTree::builder()
+            .cpus(1, MHz(2400))
+            .vm("a", 1, &[1])
+            .vm("b", 1, &[2])
+            .build();
+        let backend = fx.backend();
+        let both = backend.vms();
+        assert_eq!(both.len(), 2);
+        assert_eq!(backend.listing_errors(), 0);
+
+        // machine.slice is a plain file for a moment: ENOTDIR, not "no VMs".
+        let slice = fx.cgroup_root().join(kvm_layout::MACHINE_SLICE);
+        let aside = fx.root().join("slice.aside");
+        std::fs::rename(&slice, &aside).unwrap();
+        std::fs::write(&slice, "").unwrap();
+        assert_eq!(backend.vms(), both);
+        assert_eq!(backend.listing_errors(), 1);
+        std::fs::remove_file(&slice).unwrap();
+        // Gone altogether is the one listing error that means "no VMs".
+        assert!(backend.vms().is_empty());
+        assert_eq!(backend.listing_errors(), 1);
+        std::fs::rename(&aside, &slice).unwrap();
+        assert_eq!(backend.vms(), both);
+
+        // One scope unreadable (a file where its directory was): only it
+        // is dropped, and counted.
+        let scope_b = slice.join(kvm_layout::scope_name(2, "b"));
+        std::fs::remove_dir_all(&scope_b).unwrap();
+        std::fs::write(&scope_b, "").unwrap();
+        let listed = backend.vms();
+        assert_eq!(listed.len(), 1);
+        assert_eq!(listed[0].name, "a");
+        assert_eq!(backend.listing_errors(), 2);
+    }
+
+    #[test]
+    fn handles_follow_the_thread_and_close_with_their_scope() {
+        let fx = FixtureTree::builder()
+            .cpus(2, MHz(2400))
+            .vm("a", 2, &[11, 12])
+            .vm("b", 1, &[21])
+            .build();
+        let backend = fx.backend();
+        let vms = backend.vms();
+        // Discovery opens cpu.stat, cgroup.threads and cpu.max per vCPU.
+        assert_eq!(backend.handles_kept(), 3 * 3);
+        backend.begin_read_pass();
+        for info in &vms {
+            for j in 0..info.nr_vcpus {
+                backend.read_vcpu_raw(info.vm, VcpuId::new(j)).unwrap();
+            }
+        }
+        // … the first read adds /proc/<tid>/stat per vCPU and
+        // scaling_cur_freq per CPU a thread ran on (cpu0, cpu1).
+        assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
+
+        // vCPU a/0 now runs as another thread: one stat handle swapped.
+        let threads = vcpu_dir(&fx, 1, "a", 0).join("cgroup.threads");
+        std::fs::write(threads, "99\n").unwrap();
+        fx.set_thread_cpu(Tid::new(99), CpuId::new(1));
+        let raw = backend.read_vcpu_raw(vms[0].vm, VcpuId::new(0)).unwrap();
+        assert_eq!(raw.last_cpu, CpuId::new(1));
+        assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
+        assert!(!backend.procs.0.read().unwrap().contains_key(&11));
+
+        // VM a is torn down: the listing that drops it closes its
+        // handles, stat handles included.
+        std::fs::remove_dir_all(
+            fx.cgroup_root()
+                .join(kvm_layout::MACHINE_SLICE)
+                .join(kvm_layout::scope_name(1, "a")),
+        )
+        .unwrap();
+        assert_eq!(backend.vms().len(), 1);
+        assert_eq!(backend.handles_kept(), 3 + 1 + 2);
+    }
+
+    #[test]
+    fn cap_text_rejects_what_does_not_fit() {
+        use std::fmt::Write as _;
+        let widest = CpuMax::with_period(Micros(u64::MAX), Micros(u64::MAX));
+        let text = CapText::format(|t| parse::write_cpu_max(t, &widest));
+        assert_eq!(text.as_str(), parse::format_cpu_max(&widest));
+        let mut full = CapText::format(|t| t.write_str(&"x".repeat(48)));
+        assert!(full.write_str("y").is_err());
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::error::{CgroupError, Result};
 use crate::model::{CpuMax, CpuStat};
+use std::fmt;
 use vfc_simcore::{CpuId, MHz, Micros, Tid};
 
 /// Parse the content of a `cpu.max` file.
@@ -48,9 +49,17 @@ pub fn parse_cpu_max(content: &str) -> Result<CpuMax> {
 
 /// Render a [`CpuMax`] in the exact format the kernel accepts on write.
 pub fn format_cpu_max(max: &CpuMax) -> String {
+    let mut out = String::new();
+    write_cpu_max(&mut out, max).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`format_cpu_max`] into a caller-provided sink — the filesystem
+/// backend formats every cap into a stack buffer, off the allocator.
+pub fn write_cpu_max(out: &mut impl fmt::Write, max: &CpuMax) -> fmt::Result {
     match max.quota {
-        None => format!("max {}\n", max.period.as_u64()),
-        Some(q) => format!("{} {}\n", q.as_u64(), max.period.as_u64()),
+        None => writeln!(out, "max {}", max.period.as_u64()),
+        Some(q) => writeln!(out, "{} {}", q.as_u64(), max.period.as_u64()),
     }
 }
 
@@ -104,8 +113,8 @@ pub fn format_cpu_stat(stat: &CpuStat) -> String {
     )
 }
 
-/// Parse a `cgroup.threads` file: one TID per line.
-pub fn parse_threads(content: &str) -> Result<Vec<Tid>> {
+/// The TIDs of a `cgroup.threads` file, line by line.
+fn thread_lines(content: &str) -> impl Iterator<Item = Result<Tid>> + '_ {
     content
         .lines()
         .map(str::trim)
@@ -115,7 +124,22 @@ pub fn parse_threads(content: &str) -> Result<Vec<Tid>> {
                 .map(Tid::new)
                 .map_err(|_| CgroupError::parse("cgroup.threads", l))
         })
-        .collect()
+}
+
+/// Parse a `cgroup.threads` file: one TID per line.
+pub fn parse_threads(content: &str) -> Result<Vec<Tid>> {
+    thread_lines(content).collect()
+}
+
+/// First TID of a `cgroup.threads` file without materialising the list
+/// (KVM vCPU groups hold exactly one thread). Validates every line, so
+/// it fails on exactly the inputs [`parse_threads`] fails on.
+pub fn parse_first_thread(content: &str) -> Result<Option<Tid>> {
+    let mut first = None;
+    for tid in thread_lines(content) {
+        first.get_or_insert(tid?);
+    }
+    Ok(first)
 }
 
 /// Render a `cgroup.threads` file.
@@ -254,6 +278,20 @@ mod tests {
         assert_eq!(parse_threads("").unwrap(), vec![]);
         assert_eq!(parse_threads("\n\n10\n\n").unwrap(), vec![Tid::new(10)]);
         assert!(parse_threads("abc\n").is_err());
+    }
+
+    #[test]
+    fn first_thread_agrees_with_the_full_parse() {
+        for content in ["", "\n\n10\n\n", "7\n8\n9\n", "abc\n", "5\nxyz\n"] {
+            match parse_threads(content) {
+                Ok(all) => assert_eq!(
+                    parse_first_thread(content).unwrap(),
+                    all.first().copied(),
+                    "{content:?}"
+                ),
+                Err(_) => assert!(parse_first_thread(content).is_err(), "{content:?}"),
+            }
+        }
     }
 
     #[test]

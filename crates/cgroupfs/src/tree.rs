@@ -366,10 +366,15 @@ pub mod kvm_layout {
 
     /// Parse a scope directory name back into `(n, vm_name)`.
     pub fn parse_scope_name(dir: &str) -> Option<(u32, String)> {
+        scope_parts(dir).map(|(n, name)| (n, name.to_owned()))
+    }
+
+    /// [`parse_scope_name`] borrowing the VM name from `dir`.
+    pub fn scope_parts(dir: &str) -> Option<(u32, &str)> {
         let rest = dir.strip_prefix("machine-qemu\\x2d")?;
         let rest = rest.strip_suffix(".scope")?;
         let (n, name) = rest.split_once("\\x2d")?;
-        Some((n.parse().ok()?, name.to_owned()))
+        Some((n.parse().ok()?, name))
     }
 
     /// vCPU sub-group directory name.

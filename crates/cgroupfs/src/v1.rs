@@ -17,6 +17,7 @@
 
 use crate::error::{CgroupError, Result};
 use crate::model::CpuMax;
+use std::fmt;
 use vfc_simcore::{Micros, Tid};
 
 /// Parse `cpu.cfs_quota_us` (+ the period read separately) into a
@@ -42,15 +43,29 @@ pub fn parse_cfs_quota(quota_content: &str, period_content: &str) -> Result<CpuM
 
 /// Render the `cpu.cfs_quota_us` file content of a [`CpuMax`].
 pub fn format_cfs_quota(max: &CpuMax) -> String {
+    let mut out = String::new();
+    write_cfs_quota(&mut out, max).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`format_cfs_quota`] into a caller-provided sink.
+pub fn write_cfs_quota(out: &mut impl fmt::Write, max: &CpuMax) -> fmt::Result {
     match max.quota {
-        None => "-1\n".to_owned(),
-        Some(q) => format!("{}\n", q.as_u64()),
+        None => out.write_str("-1\n"),
+        Some(q) => writeln!(out, "{}", q.as_u64()),
     }
 }
 
 /// Render the `cpu.cfs_period_us` file content.
 pub fn format_cfs_period(max: &CpuMax) -> String {
-    format!("{}\n", max.period.as_u64())
+    let mut out = String::new();
+    write_cfs_period(&mut out, max).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`format_cfs_period`] into a caller-provided sink.
+pub fn write_cfs_period(out: &mut impl fmt::Write, max: &CpuMax) -> fmt::Result {
+    writeln!(out, "{}", max.period.as_u64())
 }
 
 /// Parse `cpuacct.usage` (cumulative nanoseconds) into µs.

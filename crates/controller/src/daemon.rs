@@ -589,18 +589,26 @@ fn publish_metrics(
 }
 
 /// Final observability flush shared by every exit path: the cumulative
-/// health totals go to stderr (so the since-boot counters survive in the
-/// supervisor's log even when no JSON log was configured), the trace
-/// ring is dumped to `trace_dump` tagged with what ended the process,
-/// and the metrics sinks get one last page.
-fn flush_observability(
+/// health totals — with the backend's failed-listing count beside them —
+/// go to stderr (so the since-boot counters survive in the supervisor's
+/// log even when no JSON log was configured), the trace ring is dumped
+/// to `trace_dump` tagged with what ended the process, and the metrics
+/// sinks get one last page.
+fn flush_observability<B: HostBackend + ?Sized>(
     cfg: &DaemonConfig,
     server: &Option<vfc_telemetry::MetricsServer>,
     controller: &Controller,
+    backend: &B,
     reason: &str,
 ) {
-    let totals = serde_json::to_string(&controller.health_totals())
-        .expect("health totals serialization cannot fail");
+    let mut totals = serde::Serialize::ser(&controller.health_totals());
+    if let serde::Value::Object(fields) = &mut totals {
+        fields.push((
+            "listing_errors".to_owned(),
+            serde::Serialize::ser(&backend.listing_errors()),
+        ));
+    }
+    let totals = serde_json::to_string(&totals).expect("health totals serialization cannot fail");
     eprintln!("vfcd: exit ({reason}); cumulative health: {totals}");
     if let Some(path) = &cfg.trace_dump {
         let dump = controller.telemetry().trace().dump_json(reason);
@@ -826,7 +834,7 @@ fn run_loop<B: HostBackend + ?Sized>(
             // Warm handoff: the successor adopts the caps we leave.
             save_journal(&cfg, &controller);
             flush_log(&mut json_log);
-            flush_observability(&cfg, &metrics_server, &controller, "shutdown");
+            flush_observability(&cfg, &metrics_server, &controller, backend, "shutdown");
             eprintln!("vfcd: shutdown requested after {done} iterations; warm handoff");
             return Ok(done);
         }
@@ -834,7 +842,13 @@ fn run_loop<B: HostBackend + ?Sized>(
             if done >= limit {
                 save_journal(&cfg, &controller);
                 flush_log(&mut json_log);
-                flush_observability(&cfg, &metrics_server, &controller, "iteration-limit");
+                flush_observability(
+                    &cfg,
+                    &metrics_server,
+                    &controller,
+                    backend,
+                    "iteration-limit",
+                );
                 return Ok(done);
             }
         }
@@ -907,7 +921,13 @@ fn run_loop<B: HostBackend + ?Sized>(
                 let cleared = uncap_all(backend);
                 save_journal(&cfg, &controller);
                 flush_log(&mut json_log);
-                flush_observability(&cfg, &metrics_server, &controller, "circuit-breaker");
+                flush_observability(
+                    &cfg,
+                    &metrics_server,
+                    &controller,
+                    backend,
+                    "circuit-breaker",
+                );
                 return Err(format!(
                     "circuit breaker: {consecutive_errors} consecutive degraded iterations; \
                      uncapped {cleared} vCPUs and giving up"

@@ -181,6 +181,79 @@ fn warm_sharded_iteration_allocates_nothing() {
     }
 }
 
+/// The same guarantee over the **filesystem backend**: on an unchanged
+/// 40-VM tree a warm iteration allocates exactly what its one
+/// `vms()` listing allocates — so stage 1's reads (stack buffers through
+/// kept handles), stage 6's `cpu.max` writes (formatted on the stack)
+/// and everything between allocate nothing — and the listing's share
+/// does not depend on how many vCPUs the VMs have.
+///
+/// Today's figure: 129 events per listing for 40 VMs — `read_dir`'s
+/// handle and root path (2), each directory entry's name twice (`std`'s
+/// own copy and the `OsString` handed out: 80), the growing `Vec` of
+/// scope names (5), the rebuilt scope cache (1), and the returned
+/// `Vec<VmCgroupInfo>` (1) with its 40 VM names. The count is asserted
+/// as vCPU-independent, not as 129: `std`'s `read_dir` is free to
+/// change its share.
+#[test]
+fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
+    use vfc_cgroupfs::fixture::FixtureTree;
+
+    let measure = |vcpus_per_vm: u32| -> u64 {
+        let names: Vec<String> = (0..40).map(|i| format!("vm{i:02}")).collect();
+        let mut builder = FixtureTree::builder().cpus(8, MHz(2400));
+        for (i, name) in names.iter().enumerate() {
+            let tids: Vec<u32> = (0..vcpus_per_vm)
+                .map(|j| 1_000 + 10 * i as u32 + j)
+                .collect();
+            builder = builder.vm(name, vcpus_per_vm, &tids);
+        }
+        let fx = builder.build();
+        let mut backend = fx.backend();
+        for (i, name) in names.iter().enumerate() {
+            backend.set_vfreq(name.clone(), MHz(if i % 2 == 0 { 600 } else { 1800 }));
+        }
+        let mut ctl = Controller::new(full_config(), backend.topology());
+        ctl.telemetry_mut().set_trace_capacity(4);
+        let mut report = IterationReport::default();
+        let period = |ctl: &mut Controller, backend: &mut _, report: &mut _| -> u64 {
+            // The guests run (the fixture's helpers allocate freely).
+            for (i, name) in names.iter().enumerate() {
+                for j in 0..vcpus_per_vm {
+                    fx.add_vcpu_usage(name, j, Micros(20_000 + 1_000 * (i as u64 % 9)));
+                }
+            }
+            let before = thread_alloc_events();
+            ctl.iterate_into(backend, report).unwrap();
+            thread_alloc_events() - before
+        };
+        for _ in 0..16 {
+            period(&mut ctl, &mut backend, &mut report);
+        }
+        assert!(!report.health.degraded, "{:?}", report.health);
+        assert_eq!(report.vcpus.len(), (40 * vcpus_per_vm) as usize);
+
+        let before = thread_alloc_events();
+        let listed = backend.vms();
+        let listing = thread_alloc_events() - before;
+        assert_eq!(listed.len(), 40);
+        for _ in 0..3 {
+            assert_eq!(
+                period(&mut ctl, &mut backend, &mut report),
+                listing,
+                "a warm iterate_into over FsBackend allocates its listing and nothing else \
+                 ({vcpus_per_vm} vCPUs per VM)"
+            );
+        }
+        listing
+    };
+    assert_eq!(
+        measure(1),
+        measure(4),
+        "the listing's allocations must not grow with the vCPU count"
+    );
+}
+
 // ---- write elision -----------------------------------------------------
 
 #[test]

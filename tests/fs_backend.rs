@@ -273,3 +273,124 @@ fn controller_works_identically_on_cgroup_v1() {
         "small quota {quota} should encode ≈500 MHz (≈20 833 µs/100 ms)"
     );
 }
+
+#[test]
+fn failed_listing_keeps_wallets_histories_and_caps() {
+    // One transient error listing machine.slice must not empty the host:
+    // the run that suffers it stays identical, period for period, to a
+    // twin that does not — wallets, estimates and the caps on disk.
+    fn tight_node() -> (FixtureTree, vfc::cgroupfs::fs::FsBackend, Controller) {
+        let fx = FixtureTree::builder()
+            .cpus(2, MHz(2400))
+            .vm("small0", 2, &[101, 102])
+            .vm("large0", 2, &[201, 202])
+            .build();
+        let mut backend = fx.backend();
+        backend.set_vfreq("small0", MHz(500));
+        backend.set_vfreq("large0", MHz(1800));
+        let ctl = Controller::new(ControllerConfig::paper_defaults(), backend.topology());
+        (fx, backend, ctl)
+    }
+    fn state(
+        fx: &FixtureTree,
+        r: &vfc::controller::IterationReport,
+    ) -> (String, Vec<vfc::cgroupfs::CpuMax>) {
+        let caps = [("small0", 0), ("small0", 1), ("large0", 0), ("large0", 1)]
+            .map(|(vm, j)| fx.vcpu_cpu_max(vm, j))
+            .to_vec();
+        (format!("{:?} {:?}", r.vcpus, r.credits), caps)
+    }
+    if vfc::cgroupfs::fs::handle_budget() < 64 {
+        // With machine.slice not a directory nothing is reachable by
+        // path; only reads through kept handles carry the period.
+        return;
+    }
+    let (fx, mut backend, mut ctl) = tight_node();
+    let (twin_fx, mut twin_backend, mut twin_ctl) = tight_node();
+
+    for period in 0..12 {
+        for fx in [&fx, &twin_fx] {
+            consume(fx, "small0", 2, Micros(300_000));
+            consume(fx, "large0", 2, Micros::SEC);
+        }
+        // Period 6: machine.slice is a plain file while the controller
+        // lists it (ENOTDIR; chmod 000 does not bite under root).
+        let slice = fx.cgroup_root().join("machine.slice");
+        let aside = fx.root().join("machine.slice.aside");
+        if period == 6 {
+            std::fs::rename(&slice, &aside).unwrap();
+            std::fs::write(&slice, "").unwrap();
+        }
+        let r = ctl.iterate(&mut backend).expect("fs backend");
+        if period == 6 {
+            std::fs::remove_file(&slice).unwrap();
+            std::fs::rename(&aside, &slice).unwrap();
+        }
+        let twin = twin_ctl.iterate(&mut twin_backend).expect("fs backend");
+        assert_eq!(r.vcpus.len(), 4, "period {period}: inventory emptied");
+        assert!(!r.health.degraded, "period {period}: {:?}", r.health);
+        assert_eq!(state(&fx, &r), state(&twin_fx, &twin), "period {period}");
+    }
+    assert_eq!(backend.listing_errors(), 1);
+    assert_eq!(twin_backend.listing_errors(), 0);
+    assert!(
+        ctl.credit_of(vfc::simcore::VmId::new(0)) > 0,
+        "wallets survived"
+    );
+}
+
+#[test]
+fn low_fd_dense_node_never_fails_for_lack_of_descriptors() {
+    // A dense node wants 3 × vCPUs + vCPUs + CPUs descriptors. Whatever
+    // part of that the process's RLIMIT_NOFILE leaves room for is kept;
+    // the rest is opened per call, and the loop cannot tell. CI runs
+    // this under `ulimit -n 64` as well as at the default limit.
+    use vfc::cgroupfs::fs::handle_budget;
+    use vfc::controller::apply::allocation_to_cpu_max;
+    const VMS: u32 = 40;
+    let names: Vec<String> = (0..VMS).map(|i| format!("vm{i:02}")).collect();
+    let mut builder = FixtureTree::builder().cpus(8, MHz(2400));
+    for (i, name) in names.iter().enumerate() {
+        let base = 1_000 + 10 * i as u32;
+        builder = builder.vm(name, 2, &[base, base + 1]);
+    }
+    let fx = builder.build();
+    let mut backend = fx.backend();
+    for (i, name) in names.iter().enumerate() {
+        backend.set_vfreq(name.clone(), MHz(if i % 2 == 0 { 600 } else { 1800 }));
+    }
+    let mut ctl = Controller::new(ControllerConfig::paper_defaults(), backend.topology());
+    let period = ctl.config().period;
+
+    for it in 0..10 {
+        for (i, name) in names.iter().enumerate() {
+            consume(&fx, name, 2, Micros(50_000 + 20_000 * (i as u64 % 7)));
+        }
+        let r = ctl
+            .iterate(&mut backend)
+            .expect("no Err for lack of descriptors");
+        assert_eq!(r.vcpus.len(), 2 * VMS as usize, "iteration {it}");
+        assert!(!r.health.degraded, "iteration {it}: {:?}", r.health);
+        for row in &r.vcpus {
+            assert_eq!(
+                fx.vcpu_cpu_max(&row.vm_name, row.addr.vcpu.as_u32()),
+                allocation_to_cpu_max(row.alloc, period),
+                "iteration {it}: {}/{} cpu.max on disk",
+                row.vm_name,
+                row.addr.vcpu
+            );
+        }
+    }
+    assert_eq!(backend.listing_errors(), 0);
+
+    // 80 × (cpu.stat, cgroup.threads, cpu.max) + 80 × /proc/<tid>/stat +
+    // the 2 CPUs the fixture's threads sit on.
+    let wanted = 80 * 3 + 80 + 2;
+    if handle_budget() >= wanted + 64 {
+        // Room to spare (other tests of this binary share the budget):
+        // every handle is kept.
+        assert_eq!(backend.handles_kept(), wanted);
+    } else {
+        assert!(backend.handles_kept() <= handle_budget());
+    }
+}

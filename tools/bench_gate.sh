@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Regression gate for the controller-loop and host-engine benchmarks.
+# Regression gate for the controller-loop, host-engine and
+# filesystem-backend benchmarks.
 #
-# Re-runs crates/bench/benches/{controller,scheduler}.rs with the vendored
-# criterion shim's JSON export and compares each bench's p50 against the
-# budget_us recorded in BENCH_controller.json. Budgets are ~4x the committed
-# after-p50, so the gate trips on order-of-magnitude regressions, not on
-# shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
+# Re-runs crates/bench/benches/{controller,scheduler,fs_backend}.rs with
+# the vendored criterion shim's JSON export and compares each bench's p50
+# against the budget_us recorded in BENCH_controller.json. Budgets are ~4x
+# the committed after-p50 (2x on the fs_backend/* rows, which keeps them
+# under their "before"), so the gate trips on order-of-magnitude
+# regressions, not on shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
 # every budget for unusually slow machines.
 #
 # In addition to the per-row budgets, the baseline's "sharding_gate"
@@ -46,6 +48,17 @@ VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
 VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
 VFC_BENCH_JSON="$OUT" \
   cargo bench -q -p vfc-bench --bench scheduler
+
+# The filesystem-backend rows (fs_backend/*): the one backend that drives
+# a real host. Its fixture tree goes on tmpfs where there is one, so the
+# rows time the backend's system calls rather than a journal.
+fs_tmp=${TMPDIR:-/tmp}
+[ -d /dev/shm ] && [ -w /dev/shm ] && fs_tmp=/dev/shm
+TMPDIR="$fs_tmp" \
+VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
+VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
+VFC_BENCH_JSON="$OUT" \
+  cargo bench -q -p vfc-bench --bench fs_backend
 
 # The placement-index microbench rows (placement/*) live in the
 # vfc-placement crate so placement regressions are caught independently

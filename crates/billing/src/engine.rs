@@ -6,15 +6,17 @@
 //! [`TenantPeriodUsage`] rows and calls [`BillingEngine::meter_period`];
 //! the engine appends ledger records, prices them incrementally and
 //! bumps the revenue/penalty counters. [`BillingEngine::checkpoint`]
-//! persists the ledger atomically; [`BillingEngine::with_ledger`]
-//! replays it after a restart — counters and invoices come back exactly
-//! as if the process had never died.
+//! appends what the file does not hold yet as one sealed, fsynced batch;
+//! [`BillingEngine::with_ledger`] replays the file after a restart —
+//! counters and invoices come back exactly as of the last checkpoint
+//! that returned.
 
 use crate::invoice::{self, Invoice, SpecAudit};
-use crate::ledger::{LedgerError, UsageLedger, UsageRecord};
+use crate::ledger::{record_line, LedgerError, UsageLedger, UsageRecord};
 use crate::pricing::{price_record, PricingConfig, SlaClass};
 use std::io;
 use std::path::PathBuf;
+use vfc_simcore::durable::AppendLog;
 use vfc_telemetry::{MetricId, Registry};
 
 /// Class labels of `vfc_bill_class_revenue_microcents_total`, in index
@@ -53,7 +55,8 @@ pub struct TenantPeriodUsage {
 pub struct BillingEngine {
     cfg: PricingConfig,
     ledger: UsageLedger,
-    path: Option<PathBuf>,
+    /// The ledger file; `log.records()` of `ledger` are durable.
+    log: Option<AppendLog>,
     registry: Registry,
     revenue: MetricId,
     penalties: MetricId,
@@ -98,7 +101,7 @@ impl BillingEngine {
         let mut engine = BillingEngine {
             cfg,
             ledger: UsageLedger::new(),
-            path: None,
+            log: None,
             registry: r,
             revenue,
             penalties,
@@ -113,26 +116,22 @@ impl BillingEngine {
 
     /// An engine persisted at `path`: loads and replays an existing
     /// ledger (telemetry counters come back as if uninterrupted), or
-    /// starts fresh when the file does not exist yet. Any defect in an
+    /// creates the file when it does not exist yet. A batch whose
+    /// checkpoint never returned is ignored; any other defect in an
     /// existing file is a hard error — billing never guesses.
     pub fn with_ledger(cfg: PricingConfig, path: PathBuf) -> Result<Self, LedgerError> {
         let mut engine = BillingEngine::new(cfg);
-        match UsageLedger::load(&path) {
-            Ok(ledger) => {
-                let mut last = None;
-                for r in ledger.records() {
-                    if last != Some(r.period) {
-                        engine.registry.inc(engine.periods_metered, 0, 1);
-                        last = Some(r.period);
-                    }
-                    engine.account(r);
-                }
-                engine.ledger = ledger;
+        let (ledger, log) = UsageLedger::open(&path)?;
+        let mut last = None;
+        for r in ledger.records() {
+            if last != Some(r.period) {
+                engine.registry.inc(engine.periods_metered, 0, 1);
+                last = Some(r.period);
             }
-            Err(LedgerError::Missing) => {}
-            Err(e) => return Err(e),
+            engine.account(r);
         }
-        engine.path = Some(path);
+        engine.ledger = ledger;
+        engine.log = Some(log);
         Ok(engine)
     }
 
@@ -205,12 +204,16 @@ impl BillingEngine {
         self.registry.inc(self.records_total, 0, 1);
     }
 
-    /// Persist the ledger atomically (no-op without a path).
-    pub fn checkpoint(&self) -> io::Result<()> {
-        match &self.path {
-            Some(p) => self.ledger.save(p),
-            None => Ok(()),
-        }
+    /// Make every record metered since the last checkpoint that returned
+    /// `Ok` durable, as one sealed batch (a no-op without a path or
+    /// without such records). After an `Err` nothing counts as written:
+    /// the next checkpoint carries these records again.
+    pub fn checkpoint(&mut self) -> io::Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        let pending = &self.ledger.records()[log.records() as usize..];
+        log.append(pending.iter().map(record_line))
     }
 
     /// Generate `tenant`'s invoice over everything metered so far.
@@ -355,23 +358,104 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    // Restated for the append log. A seal that disagrees with its records
+    // is `Truncated` as before; but a file whose last seal is chopped off
+    // is now exactly what a crash mid-checkpoint leaves, and the one thing
+    // recovery may ignore: the unsealed batch is dropped, the next
+    // checkpoint cuts it, and the file reloads.
     #[test]
     fn corrupt_ledger_fails_closed() {
         let dir = std::env::temp_dir().join(format!("vfc-engine-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("usage.ledger");
+        std::fs::remove_file(&path).ok();
         let mut e = BillingEngine::with_ledger(config(), path.clone()).unwrap();
-        e.meter_period(1, vec![usage("acme", 0)]);
-        e.checkpoint().unwrap();
-        // Chop the seal off: simulated torn write.
+        for p in 1..=2 {
+            e.meter_period(p, vec![usage("acme", 0)]);
+            e.checkpoint().unwrap();
+        }
+        drop(e);
         let text = std::fs::read_to_string(&path).unwrap();
-        let cut = text.rsplit_once("{\"seal\"").unwrap().0.to_owned();
-        std::fs::write(&path, cut).unwrap();
+
+        std::fs::write(&path, text.replace("{\"seal\":2}", "{\"seal\":3}")).unwrap();
         match BillingEngine::with_ledger(config(), path.clone()) {
-            Err(LedgerError::Truncated { .. }) => {}
+            Err(LedgerError::Truncated {
+                sealed: Some(3),
+                found: 2,
+            }) => {}
             other => panic!("want truncation rejection, got {other:?}"),
         }
+
+        let cut = text.rsplit_once("{\"seal\"").unwrap().0;
+        std::fs::write(&path, cut).unwrap();
+        let mut e = BillingEngine::with_ledger(config(), path.clone()).unwrap();
+        assert_eq!(e.ledger().len(), 1, "the unsealed period is not billed");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            cut,
+            "loading never writes"
+        );
+        e.meter_period(2, vec![usage("acme", 1)]);
+        e.checkpoint().unwrap();
+        let strict = UsageLedger::load(&path).unwrap();
+        assert_eq!(strict.records(), e.ledger().records());
         std::fs::remove_file(&path).ok();
+    }
+
+    // A real error from a real syscall: every `write` to `/dev/full` is
+    // `ENOSPC`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_checkpoint_self_heals_and_a_lost_one_is_absent() {
+        let dir = std::env::temp_dir().join(format!("vfc-engine-enospc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("usage.ledger");
+        std::fs::remove_file(&path).ok();
+        let invoices = |e: &BillingEngine| {
+            ["acme", "burst"].map(|t| e.invoice(t, SpecAudit::default()).render_json())
+        };
+        let meter = |e: &mut BillingEngine, p: u64| {
+            e.meter_period(p, vec![usage("acme", p % 2), usage("burst", 0)]);
+        };
+
+        let mut twin = BillingEngine::new(config());
+        let mut e = BillingEngine::with_ledger(config(), path.clone()).unwrap();
+        for p in 1..=2 {
+            meter(&mut twin, p);
+            meter(&mut e, p);
+            e.checkpoint().unwrap();
+        }
+        let as_of_two = invoices(&twin);
+        let len_two = std::fs::metadata(&path).unwrap().len();
+
+        let good = e.log.take().unwrap();
+        let full = std::path::Path::new("/dev/full");
+        e.log = Some(AppendLog::resume(full, good.records(), 0).unwrap());
+        for p in 3..=6 {
+            meter(&mut twin, p);
+            meter(&mut e, p);
+            assert!(e.checkpoint().is_err());
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len_two);
+
+        // Fail, then crash: the file is the twin as of the last `Ok`.
+        let crashed = BillingEngine::with_ledger(config(), path.clone()).unwrap();
+        assert_eq!(invoices(&crashed), as_of_two);
+        drop(crashed);
+
+        // Fail, then heal: one sealed batch carries all four periods.
+        e.log = Some(good);
+        e.checkpoint().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches("{\"seal\":").count(), 3);
+        let healed = BillingEngine::with_ledger(config(), path.clone()).unwrap();
+        assert_eq!(invoices(&healed), invoices(&twin));
+        assert_eq!(healed.render_telemetry(), twin.render_telemetry());
+
+        // Nothing new metered: nothing written.
+        e.checkpoint().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,36 +1,46 @@
 //! The crash-safe usage ledger: every metered tenant-period, appended in
-//! order and persisted atomically.
+//! order and durable once its checkpoint returns.
 //!
-//! The on-disk format is JSON lines:
+//! The on-disk format is the workspace's one log grammar
+//! ([`vfc_simcore::durable`]) over JSON lines:
 //!
 //! ```text
 //! {"version":1}
 //! {"seq":0,"period":1,"tenant":"acme","vfreq_mhz":500, ...}
 //! {"seq":1,"period":1,"tenant":"bob","vfreq_mhz":1200, ...}
 //! {"seal":2}
+//! {"seq":2,"period":2,"tenant":"acme","vfreq_mhz":500, ...}
+//! {"seal":3}
 //! ```
 //!
 //! * line 1 is the format header;
 //! * every record carries a `seq` that must be exactly its position —
 //!   a gap or repeat means the file was hand-edited or interleaved;
-//! * the last line is a **seal** holding the record count. A file
-//!   without a seal, or whose seal disagrees with the record count, was
-//!   truncated mid-write and is rejected as a whole — a bill must never
-//!   silently shrink.
+//! * every checkpoint appends its records and a **seal** holding the
+//!   cumulative record count. A seal that disagrees with the records
+//!   before it rejects the file as a whole — a bill must never silently
+//!   shrink.
 //!
-//! Persistence uses the same discipline as `vfc_controller::persist`:
-//! write `<path>.tmp`, fsync, rename. A crash leaves either the old
-//! complete file or the new complete file, never a torn one. Loading
-//! never panics: every defect maps to a typed [`LedgerError`].
+//! [`UsageLedger::save`] exports a whole ledger as one sealed batch and
+//! [`UsageLedger::load`] / [`UsageLedger::parse`] read such a file
+//! **strictly**: one that does not end in a seal is `Truncated`. Only a
+//! restarting [`BillingEngine`](crate::BillingEngine) takes the log's one
+//! recovery licence and ignores a batch whose checkpoint never returned.
+//! Loading never panics: every defect maps to a typed [`LedgerError`].
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
+use vfc_simcore::durable::{self, AppendLog};
+
+/// Why a ledger file was rejected: the durable log's error taxonomy.
+pub use vfc_simcore::durable::LogError as LedgerError;
 
 /// On-disk format version this build writes and accepts.
 pub const LEDGER_VERSION: u32 = 1;
+
+/// The header line of that version.
+const HEADER: &str = "{\"version\":1}";
 
 /// One metered tenant-period at one guaranteed frequency: what a tenant's
 /// VMs running at `vfreq_mhz` were promised, received and traded during
@@ -65,84 +75,9 @@ pub struct UsageRecord {
     pub violated_vm_periods: u64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Header {
-    version: u32,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Seal {
-    seal: u64,
-}
-
-/// Why a ledger file was rejected. Every variant is a *validated* error:
-/// loading never panics and never returns a silently shortened ledger.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LedgerError {
-    /// The file does not exist (a fresh deployment, not a defect).
-    Missing,
-    /// The file could not be read (permissions, I/O, bad UTF-8).
-    Io(String),
-    /// The header is missing, malformed, or a version this build does
-    /// not speak.
-    Version(String),
-    /// A line failed to parse or appeared after the seal.
-    Corrupt {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// A record's `seq` broke contiguity.
-    Gap {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// The `seq` the chain required.
-        expected: u64,
-        /// The `seq` actually present.
-        found: u64,
-    },
-    /// No seal, or the seal disagrees with the record count — the tail
-    /// was truncated mid-write.
-    Truncated {
-        /// The count the seal claims, if a seal was present at all.
-        sealed: Option<u64>,
-        /// Records actually present.
-        found: u64,
-    },
-}
-
-impl fmt::Display for LedgerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LedgerError::Missing => write!(f, "ledger file missing"),
-            LedgerError::Io(e) => write!(f, "ledger io: {e}"),
-            LedgerError::Version(e) => write!(f, "ledger header: {e}"),
-            LedgerError::Corrupt { line, reason } => {
-                write!(f, "ledger corrupt at line {line}: {reason}")
-            }
-            LedgerError::Gap {
-                line,
-                expected,
-                found,
-            } => write!(
-                f,
-                "ledger seq gap at line {line}: expected {expected}, found {found}"
-            ),
-            LedgerError::Truncated { sealed, found } => match sealed {
-                Some(n) => write!(f, "ledger truncated: seal says {n}, found {found} records"),
-                None => write!(f, "ledger truncated: no seal after {found} records"),
-            },
-        }
-    }
-}
-
-impl std::error::Error for LedgerError {}
-
 /// The in-memory ledger: an append-only record list. Appends assign
-/// `seq`; [`UsageLedger::save`] persists the whole ledger atomically
-/// (callers checkpoint at period granularity, so rewrites stay small —
-/// one line per tenant×tier×period).
+/// `seq`; the billing engine appends each period's records to the file,
+/// [`UsageLedger::save`] exports the whole ledger atomically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UsageLedger {
     records: Vec<UsageRecord>,
@@ -175,117 +110,69 @@ impl UsageLedger {
         self.records.is_empty()
     }
 
-    /// Render the full on-disk form (header, records, seal).
+    /// Render the full on-disk form (header, records, one seal).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(64 + self.records.len() * 160);
-        out.push_str(
-            &serde_json::to_string(&Header {
-                version: LEDGER_VERSION,
-            })
-            .expect("header serializes"),
-        );
-        out.push('\n');
-        for r in &self.records {
-            out.push_str(&serde_json::to_string(r).expect("record serializes"));
-            out.push('\n');
-        }
-        out.push_str(
-            &serde_json::to_string(&Seal {
-                seal: self.records.len() as u64,
-            })
-            .expect("seal serializes"),
-        );
-        out.push('\n');
-        out
+        durable::render(HEADER, self.records.iter().map(record_line))
     }
 
-    /// Persist atomically: write `<path>.tmp`, fsync, rename over
-    /// `path`. After a crash at any point the file at `path` is either
-    /// the previous complete ledger or this one — never a torn mix.
+    /// Export atomically and durably ([`durable::replace_file`]): after a
+    /// crash at any point the file at `path` is either its previous
+    /// complete content or this ledger — never a torn mix.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(self.render().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        durable::replace_file(path, self.render().as_bytes())
     }
 
     /// Load and fully validate a ledger file. See [`LedgerError`] for
     /// the rejection taxonomy; in particular a truncated tail rejects
     /// the whole file rather than returning a silently short bill.
     pub fn load(path: &Path) -> Result<Self, LedgerError> {
-        let text = match fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(LedgerError::Missing),
-            Err(e) => return Err(LedgerError::Io(e.to_string())),
-        };
-        Self::parse(&text)
+        Self::parse(&durable::read(path)?)
     }
 
     /// Validate the textual form (the testable core of [`UsageLedger::load`]).
     pub fn parse(text: &str) -> Result<Self, LedgerError> {
-        let mut lines = text.lines().enumerate();
-        let Some((_, header)) = lines.next() else {
-            return Err(LedgerError::Version("empty file".to_owned()));
-        };
-        match serde_json::from_str::<Header>(header) {
-            Ok(h) if h.version == LEDGER_VERSION => {}
-            Ok(h) => {
-                return Err(LedgerError::Version(format!(
-                    "version {} not supported (want {LEDGER_VERSION})",
-                    h.version
-                )))
-            }
-            Err(e) => return Err(LedgerError::Version(e.to_string())),
+        let mut ledger = UsageLedger::new();
+        let parsed = durable::parse(text, HEADER, |line, json| ledger.replay(line, json))?;
+        if !parsed.sealed || !parsed.tail.is_empty() {
+            return Err(LedgerError::Truncated {
+                sealed: None,
+                found: parsed.records + parsed.tail.lines().count() as u64,
+            });
         }
-        let mut records = Vec::new();
-        let mut sealed: Option<u64> = None;
-        for (idx, line) in lines {
-            let lineno = idx + 1; // 1-based
-            if sealed.is_some() {
-                return Err(LedgerError::Corrupt {
-                    line: lineno,
-                    reason: "content after seal".to_owned(),
-                });
-            }
-            if let Ok(s) = serde_json::from_str::<Seal>(line) {
-                sealed = Some(s.seal);
-                continue;
-            }
-            let record: UsageRecord =
-                serde_json::from_str(line).map_err(|e| LedgerError::Corrupt {
-                    line: lineno,
-                    reason: e.to_string(),
-                })?;
-            let expected = records.len() as u64;
-            if record.seq != expected {
-                return Err(LedgerError::Gap {
-                    line: lineno,
-                    expected,
-                    found: record.seq,
-                });
-            }
-            records.push(record);
-        }
-        let found = records.len() as u64;
-        match sealed {
-            Some(n) if n == found => Ok(UsageLedger { records }),
-            sealed => Err(LedgerError::Truncated { sealed, found }),
-        }
+        Ok(ledger)
+    }
+
+    /// Open the ledger at `path` as a log to append to: the records every
+    /// returned checkpoint sealed, plus the handle that appends the next
+    /// one. A missing file is created empty.
+    pub(crate) fn open(path: &Path) -> Result<(Self, AppendLog), LedgerError> {
+        let mut ledger = UsageLedger::new();
+        let log = AppendLog::open(path, HEADER, |line, json| ledger.replay(line, json))?;
+        Ok((ledger, log))
+    }
+
+    /// Take one committed record line; returns its `seq` for the chain
+    /// check.
+    fn replay(&mut self, line: usize, json: &str) -> Result<u64, LedgerError> {
+        let record: UsageRecord = serde_json::from_str(json).map_err(|e| LedgerError::Corrupt {
+            line,
+            reason: e.to_string(),
+        })?;
+        let seq = record.seq;
+        self.records.push(record);
+        Ok(seq)
     }
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
+/// One record's line in the file.
+pub(crate) fn record_line(record: &UsageRecord) -> String {
+    serde_json::to_string(record).expect("record serializes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     pub(crate) fn record(seq: u64, period: u64, tenant: &str) -> UsageRecord {
         UsageRecord {
@@ -382,14 +269,21 @@ mod tests {
         }
     }
 
+    // Restated for the multi-seal grammar: lines after a seal are the
+    // next batch, so an unsealed line after the last seal is no longer
+    // `Corrupt` — to the strict reader it is a file that does not end in
+    // a seal, i.e. `Truncated` with no seal to vouch for it.
     #[test]
     fn content_after_seal_is_corrupt() {
         let mut l = UsageLedger::new();
         l.push(record(0, 1, "acme"));
         let text = format!("{}{{\"seq\":1}}\n", l.render());
         match UsageLedger::parse(&text) {
-            Err(LedgerError::Corrupt { line: 4, .. }) => {}
-            other => panic!("want trailing corrupt, got {other:?}"),
+            Err(LedgerError::Truncated {
+                sealed: None,
+                found: 2,
+            }) => {}
+            other => panic!("want unsealed tail rejected, got {other:?}"),
         }
     }
 }

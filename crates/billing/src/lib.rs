@@ -11,10 +11,11 @@
 //! and journals.
 //!
 //! * [`ledger`] — the crash-safe usage ledger: per-tenant, per-period
-//!   [`ledger::UsageRecord`]s in a sealed JSON-lines file written with
-//!   the tmp+fsync+rename discipline of `vfc_controller::persist`;
-//!   loading validates the seal and seq chain and rejects truncation —
-//!   a bill never silently shrinks;
+//!   [`ledger::UsageRecord`]s appended, one sealed and fsynced batch
+//!   per checkpoint, to a JSON-lines file on `vfc_simcore::durable`;
+//!   loading validates every seal and the seq chain and ignores only a
+//!   batch whose checkpoint never returned — a bill never silently
+//!   shrinks;
 //! * [`pricing`] — frequency-tiered price curves
 //!   ([`pricing::PriceCurve`]: linear / tiered-step / convex) and SLA
 //!   classes ([`pricing::SlaClass`]: *Guaranteed* bills the reservation

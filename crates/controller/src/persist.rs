@@ -13,9 +13,10 @@
 //!
 //! Design rules:
 //!
-//! * **atomic** — the journal is written to `<path>.tmp`, synced, then
-//!   renamed over the target; a crash mid-write never leaves a torn file
-//!   at the journal path;
+//! * **atomic** — the journal is written through
+//!   [`vfc_simcore::durable::replace_file`] (tmp, fsync, rename, fsync of
+//!   the directory); a crash mid-write never leaves a torn file at the
+//!   journal path;
 //! * **versioned** — [`JOURNAL_VERSION`] gates the schema; an unknown
 //!   version is rejected, never guessed at;
 //! * **validated, never trusted** — corruption, truncation, a changed
@@ -24,7 +25,6 @@
 //! * **keyed by VM name** — backend VM ids are not stable across daemon
 //!   restarts, the cgroup scope names are.
 
-use std::io::Write as _;
 use std::path::Path;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use vfc_simcore::Micros;
@@ -106,24 +106,14 @@ pub fn unix_now_ms() -> u64 {
 }
 
 impl Journal {
-    /// Write the journal atomically: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`. A crash at any point leaves either the old
-    /// journal or the new one, never a torn file.
+    /// Write the journal atomically and durably. A crash at any point
+    /// leaves either the old journal or the new one, never a torn file.
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        let json =
+        let mut json =
             serde_json::to_string_pretty(self).map_err(|e| format!("serialize journal: {e}"))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let mut file =
-            std::fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-        file.write_all(json.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        json.push('\n');
+        vfc_simcore::durable::replace_file(path, json.as_bytes())
+            .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
     /// Load and validate a journal. Never panics: every failure mode —

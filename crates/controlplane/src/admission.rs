@@ -23,7 +23,7 @@
 //! each maps to a stable HTTP status for the API layer.
 
 use crate::quota::{TenantQuota, TenantUsage, TokenBucket};
-use crate::spec::{SpecId, SpecStore, VmSpec};
+use crate::spec::{event_line, SpecEvent, SpecId, SpecStore, VmSpec};
 use crate::telemetry::ControlPlaneMetrics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -31,6 +31,7 @@ use std::fmt;
 use std::path::PathBuf;
 use vfc_billing::SlaClass;
 use vfc_cluster::NodeLoad;
+use vfc_simcore::durable::{AppendLog, LogError};
 use vfc_simcore::MHz;
 use vfc_vmm::VmTemplate;
 
@@ -64,7 +65,8 @@ pub enum AdmissionError {
         /// Total Eq. 7 budget of the nodes currently up (MHz).
         capacity_mhz: u64,
     },
-    /// The mutation was applied in memory but could not be persisted.
+    /// The mutation could not be made durable; it was **not** applied,
+    /// so retrying it is safe.
     Internal(String),
 }
 
@@ -142,7 +144,8 @@ pub struct ControlPlane {
     buckets: BTreeMap<String, TokenBucket>,
     slas: BTreeMap<String, SlaClass>,
     rate: RateLimit,
-    persist: Option<PathBuf>,
+    /// The spec-log file; it holds every event of `store`.
+    log: Option<AppendLog>,
     /// Admission / reconcile metric families.
     pub metrics: ControlPlaneMetrics,
 }
@@ -163,21 +166,21 @@ impl ControlPlane {
             buckets: BTreeMap::new(),
             slas: BTreeMap::new(),
             rate: RateLimit::default(),
-            persist: None,
+            log: None,
             metrics: ControlPlaneMetrics::new(),
         }
     }
 
-    /// A control plane whose spec log is persisted to `path` after every
-    /// accepted mutation. If the file already exists the log is replayed
-    /// (crash recovery): tenants still need to be re-registered, but
-    /// specs — and the ids they were ACKed under — survive.
-    pub fn with_persistence(path: PathBuf) -> Result<Self, String> {
+    /// A control plane whose spec log lives at `path`: every accepted
+    /// mutation is appended there, durably, before it takes effect. If
+    /// the file already exists the log is replayed (crash recovery):
+    /// tenants still need to be re-registered, but specs — and the ids
+    /// they were ACKed under — survive. Otherwise it is created.
+    pub fn with_persistence(path: PathBuf) -> Result<Self, LogError> {
         let mut cp = ControlPlane::new();
-        if path.exists() {
-            cp.store = SpecStore::load(&path)?;
-        }
-        cp.persist = Some(path);
+        let (store, log) = SpecStore::open(&path)?;
+        cp.store = store;
+        cp.log = Some(log);
         Ok(cp)
     }
 
@@ -237,8 +240,8 @@ impl ControlPlane {
     }
 
     /// Admit a new VM for `tenant`. On success the spec is appended to
-    /// the log (and persisted) and its id returned; the reconciler will
-    /// deploy it.
+    /// the log (durably, when persistent) and its id returned; the
+    /// reconciler will deploy it.
     pub fn create_vm(
         &mut self,
         tenant: &str,
@@ -266,9 +269,9 @@ impl ControlPlane {
             self.metrics.rejected(tenant, false);
             return Err(e);
         }
-        let id = self.store.create(tenant, template);
-        self.metrics.accepted(tenant);
-        self.after_mutation(tenant)?;
+        let spec = self.store.stage(tenant, template);
+        let id = spec.id;
+        self.commit(tenant, SpecEvent::Created { spec })?;
         Ok(id)
     }
 
@@ -315,12 +318,15 @@ impl ControlPlane {
             self.metrics.rejected(&tenant, false);
             return Err(e);
         }
-        let generation = self
-            .store
-            .resize(id, new_vfreq)
-            .expect("spec existence checked above");
-        self.metrics.accepted(&tenant);
-        self.after_mutation(&tenant)?;
+        let generation = spec.generation + 1;
+        self.commit(
+            &tenant,
+            SpecEvent::Resized {
+                id,
+                vfreq: new_vfreq,
+                generation,
+            },
+        )?;
         Ok(generation)
     }
 
@@ -328,15 +334,13 @@ impl ControlPlane {
     /// they face no quota or capacity check, but they do draw a rate
     /// token — churn is churn.
     pub fn delete_vm(&mut self, id: SpecId) -> Result<VmSpec, AdmissionError> {
-        let tenant = self
+        let spec = self
             .store
             .get(id)
-            .map(|s| s.tenant.clone())
+            .cloned()
             .ok_or(AdmissionError::UnknownSpec(id))?;
-        self.admit_common(&tenant)?;
-        let spec = self.store.delete(id).expect("spec existence checked above");
-        self.metrics.accepted(&tenant);
-        self.after_mutation(&tenant)?;
+        self.admit_common(&spec.tenant)?;
+        self.commit(&spec.tenant, SpecEvent::Deleted { id })?;
         Ok(spec)
     }
 
@@ -392,15 +396,20 @@ impl ControlPlane {
         Ok(())
     }
 
-    /// Persist the log after an accepted mutation. On I/O failure the
-    /// in-memory state is kept (it is ahead of disk until the next
-    /// successful save) and the caller gets a 500-class error.
-    fn after_mutation(&mut self, _tenant: &str) -> Result<(), AdmissionError> {
+    /// Take an admitted mutation, disk first: append its event to the
+    /// spec-log file, and only once that is durable apply and count it.
+    /// On I/O failure nothing has happened — memory, counters and the
+    /// file's committed content are as before — and the caller gets a
+    /// 500-class error it can safely retry.
+    fn commit(&mut self, tenant: &str, event: SpecEvent) -> Result<(), AdmissionError> {
+        if let Some(log) = &mut self.log {
+            log.append([event_line(self.store.seq(), &event)])
+                .map_err(|e| AdmissionError::Internal(format!("spec log append: {e}")))?;
+        }
+        self.store.apply(event);
+        self.metrics.accepted(tenant);
         self.metrics
             .set_store(self.store.len() as u64, self.store.seq());
-        if let Some(path) = &self.persist {
-            self.store.save(path).map_err(AdmissionError::Internal)?;
-        }
         Ok(())
     }
 }
@@ -571,5 +580,62 @@ mod tests {
             cp.resize_vm(id, MHz(800), &l),
             Err(AdmissionError::UnknownSpec(id))
         );
+    }
+
+    /// Everything a mutation may touch: the fold, the tenant's footprint,
+    /// its admission counters and the exported log-seq gauge.
+    #[cfg(target_os = "linux")]
+    fn observable(cp: &ControlPlane) -> (u64, Vec<VmSpec>, TenantUsage, (u64, u64, u64), bool) {
+        let seq = cp.store().seq();
+        let gauge = format!("vfc_cp_spec_log_seq {seq}\n");
+        (
+            seq,
+            cp.store().specs().cloned().collect(),
+            cp.usage("acme"),
+            cp.metrics.admission_counts("acme"),
+            cp.metrics.render().contains(&gauge),
+        )
+    }
+
+    // A real error from a real syscall: every `write` to `/dev/full` is
+    // `ENOSPC`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_spec_log_write_changes_nothing_and_the_retry_is_clean() {
+        let dir = std::env::temp_dir().join(format!("vfc-cp-enospc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("specs.log");
+        let _ = std::fs::remove_file(&path);
+        let mut cp = ControlPlane::with_persistence(path.clone()).unwrap();
+        cp.add_tenant("acme", TenantQuota::unlimited());
+        let l = loads(&[100_000]);
+        let a = cp.create_vm("acme", VmTemplate::small(), &l).unwrap();
+
+        let full = AppendLog::resume(std::path::Path::new("/dev/full"), 1, 0).unwrap();
+        let good = cp.log.replace(full).unwrap();
+        let before = observable(&cp);
+        assert!(before.4);
+        let tokens = cp.buckets["acme"].available();
+        let errors = [
+            cp.create_vm("acme", VmTemplate::medium(), &l).unwrap_err(),
+            cp.resize_vm(a, MHz(900), &l).unwrap_err(),
+            cp.delete_vm(a).unwrap_err(),
+        ];
+        for e in &errors {
+            assert!(matches!(e, AdmissionError::Internal(_)), "{e:?}");
+            assert_eq!(e.http_status(), 500);
+        }
+        assert_eq!(observable(&cp), before, "a 500 means nothing happened");
+        assert_eq!(cp.buckets["acme"].available(), tokens - 3, "churn is churn");
+
+        // Disk back: each retry gets what the first attempt would have.
+        cp.log = Some(good);
+        let b = cp.create_vm("acme", VmTemplate::medium(), &l).unwrap();
+        assert_eq!(b, SpecId(a.0 + 1));
+        assert_eq!(cp.resize_vm(a, MHz(900), &l), Ok(2));
+        cp.delete_vm(a).unwrap();
+        let back = SpecStore::load(&path).unwrap();
+        assert_eq!(back.log(), cp.store().log());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

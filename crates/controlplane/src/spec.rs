@@ -9,10 +9,11 @@
 //! * every accepted mutation appends one [`SpecEvent`] with a
 //!   monotonically increasing sequence number;
 //! * the in-memory [`VmSpec`] map is a pure fold over that log, so
-//!   persisting the log (atomic tmp + rename, the same pattern as the
-//!   controller's journal) is enough to survive a control-plane crash:
-//!   a restarted process replays the log and the reconciler re-converges
-//!   the cluster against it;
+//!   appending each event to the durable log file
+//!   ([`vfc_simcore::durable`]: one sealed, fsynced line per mutation,
+//!   written *before* the event is applied) is enough to survive a
+//!   control-plane crash: a restarted process replays the file and the
+//!   reconciler re-converges the cluster against it;
 //! * resizes bump the spec's **generation**; the reconciler compares the
 //!   generation it last applied against the spec's current one to decide
 //!   whether a live virtual-frequency resize is still pending.
@@ -21,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use vfc_simcore::durable::{self, AppendLog, LogError};
 use vfc_simcore::MHz;
 use vfc_vmm::VmTemplate;
 
@@ -73,6 +75,22 @@ pub enum SpecEvent {
     },
 }
 
+/// Header line of the spec-log file.
+const HEADER: &str = "{\"spec_log\":1}";
+
+/// One record line of the spec-log file.
+#[derive(Deserialize)]
+struct Line {
+    seq: u64,
+    event: SpecEvent,
+}
+
+/// The line that records `event` at position `seq`.
+pub(crate) fn event_line(seq: u64, event: &SpecEvent) -> String {
+    let event = serde_json::to_string(event).expect("event serializes");
+    format!("{{\"seq\":{seq},\"event\":{event}}}")
+}
+
 /// The desired-state store: an event log and its fold.
 #[derive(Debug, Default, Clone)]
 pub struct SpecStore {
@@ -118,16 +136,22 @@ impl SpecStore {
         &self.log
     }
 
-    /// Append a creation event and return the new spec's id. The caller
-    /// (the admission layer) has already validated the template.
-    pub fn create(&mut self, tenant: &str, template: VmTemplate) -> SpecId {
-        let id = SpecId(self.next_id);
-        let spec = VmSpec {
-            id,
+    /// The spec [`create`](SpecStore::create) would admit — the next id,
+    /// generation 1 — without admitting it.
+    pub(crate) fn stage(&self, tenant: &str, template: VmTemplate) -> VmSpec {
+        VmSpec {
+            id: SpecId(self.next_id),
             tenant: tenant.to_owned(),
             template,
             generation: 1,
-        };
+        }
+    }
+
+    /// Append a creation event and return the new spec's id. The caller
+    /// (the admission layer) has already validated the template.
+    pub fn create(&mut self, tenant: &str, template: VmTemplate) -> SpecId {
+        let spec = self.stage(tenant, template);
+        let id = spec.id;
         self.apply(SpecEvent::Created { spec });
         id
     }
@@ -153,7 +177,7 @@ impl SpecStore {
     }
 
     /// Fold one event into the map (shared by live mutation and replay).
-    fn apply(&mut self, event: SpecEvent) {
+    pub(crate) fn apply(&mut self, event: SpecEvent) {
         match &event {
             SpecEvent::Created { spec } => {
                 self.next_id = self.next_id.max(spec.id.0 + 1);
@@ -176,31 +200,45 @@ impl SpecStore {
         self.log.push(event);
     }
 
-    /// Persist the event log as JSON: write `<path>.tmp`, then rename
-    /// over `path`, so a crash mid-write leaves the previous log intact
-    /// (the same atomic-swap discipline as the controller journal).
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        let body =
-            serde_json::to_string(&self.log).map_err(|e| format!("serialize spec log: {e}"))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    /// Export the whole event log as one sealed batch, atomically and
+    /// durably ([`durable::replace_file`]). A persistent control plane
+    /// does not call this — it appends one line per mutation.
+    pub fn save(&self, path: &Path) -> Result<(), LogError> {
+        let lines = (0u64..).zip(&self.log).map(|(seq, e)| event_line(seq, e));
+        Ok(durable::replace_file(
+            path,
+            durable::render(HEADER, lines).as_bytes(),
+        )?)
     }
 
-    /// Rebuild a store by replaying a persisted log.
-    pub fn load(path: &Path) -> Result<SpecStore, String> {
-        let body =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let log: Vec<SpecEvent> =
-            serde_json::from_str(&body).map_err(|e| format!("parse {}: {e}", path.display()))?;
+    /// Rebuild a store by replaying a persisted log exactly as a restart
+    /// would: a batch whose append never returned is ignored, any other
+    /// defect is a typed error.
+    pub fn load(path: &Path) -> Result<SpecStore, LogError> {
         let mut store = SpecStore::new();
-        for event in log {
-            store.apply(event);
-        }
+        durable::parse(&durable::read(path)?, HEADER, |line, json| {
+            store.replay(line, json)
+        })?;
         Ok(store)
+    }
+
+    /// [`load`](SpecStore::load) plus the handle that appends the next
+    /// event; a missing file is created empty.
+    pub(crate) fn open(path: &Path) -> Result<(SpecStore, AppendLog), LogError> {
+        let mut store = SpecStore::new();
+        let log = AppendLog::open(path, HEADER, |line, json| store.replay(line, json))?;
+        Ok((store, log))
+    }
+
+    /// Fold one committed line's event; returns its `seq` for the chain
+    /// check.
+    fn replay(&mut self, line: usize, json: &str) -> Result<u64, LogError> {
+        let entry: Line = serde_json::from_str(json).map_err(|e| LogError::Corrupt {
+            line,
+            reason: e.to_string(),
+        })?;
+        self.apply(entry.event);
+        Ok(entry.seq)
     }
 }
 

@@ -14,7 +14,9 @@
 //! * a fixed-capacity [`RingBuffer`] used for consumption histories;
 //! * a deterministic discrete-event queue ([`EventQueue`]) ordered by
 //!   `(timestamp, seqno)` — the core of the event-driven cluster
-//!   simulation.
+//!   simulation;
+//! * [`durable`] — the one durable append log (spec log, usage ledger)
+//!   and the atomic whole-file write every persisted file goes through.
 //!
 //! # Unit conventions
 //!
@@ -24,6 +26,7 @@
 //! running at `f` MHz performs exactly `f` hardware cycles
 //! (`10⁶ Hz × 10⁻⁶ s = 1`).
 
+pub mod durable;
 pub mod events;
 pub mod fasthash;
 pub mod ids;

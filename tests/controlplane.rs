@@ -213,6 +213,14 @@ fn reconciler_reconverges_from_persisted_spec_log_after_restart() {
     assert!(rec.reconcile(&mut plane, &mut cluster).converged);
     assert_eq!(plane.store().len(), 2);
 
+    // Third life: the append made *after* recovery survives the next one.
+    let seq = plane.store().seq();
+    drop(plane);
+    let plane = ControlPlane::with_persistence(log.clone()).unwrap();
+    assert_eq!((plane.store().seq(), plane.store().len()), (seq, 2));
+    assert!(plane.store().get(c).is_none());
+    assert_eq!(plane.store().get(a).unwrap().generation, 2);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

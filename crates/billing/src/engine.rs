@@ -11,9 +11,10 @@
 //! counters and invoices come back exactly as of the last checkpoint
 //! that returned.
 
-use crate::invoice::{self, Invoice, SpecAudit};
+use crate::invoice::{Invoice, Running, SpecAudit};
 use crate::ledger::{record_line, LedgerError, UsageLedger, UsageRecord};
 use crate::pricing::{price_record, PricingConfig, SlaClass};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use vfc_simcore::durable::AppendLog;
@@ -57,6 +58,9 @@ pub struct BillingEngine {
     ledger: UsageLedger,
     /// The ledger file; `log.records()` of `ledger` are durable.
     log: Option<AppendLog>,
+    /// Each tenant's invoice over `ledger` under `cfg`, kept by
+    /// [`account`](BillingEngine::account) so a bill scans no ledger.
+    running: BTreeMap<String, Running>,
     registry: Registry,
     revenue: MetricId,
     penalties: MetricId,
@@ -102,6 +106,7 @@ impl BillingEngine {
             cfg,
             ledger: UsageLedger::new(),
             log: None,
+            running: BTreeMap::new(),
             registry: r,
             revenue,
             penalties,
@@ -166,29 +171,15 @@ impl BillingEngine {
                 demanding_vm_periods: u.demanding_vm_periods,
                 violated_vm_periods: u.violated_vm_periods,
             };
+            // Billed, then appended: nothing `account` reads is a position.
+            self.account(&record);
             self.ledger.push(record);
-            let r = self.ledger.records().last().expect("just pushed");
-            let (revenue, penalties, class_revenue, records_total) = (
-                self.revenue,
-                self.penalties,
-                self.class_revenue,
-                self.records_total,
-            );
-            let charge = price_record(&self.cfg, r);
-            let class_idx = match self.cfg.class_of(&r.tenant) {
-                SlaClass::Guaranteed { .. } => 0,
-                SlaClass::Burstable { .. } => 1,
-            };
-            self.registry.inc_dyn(revenue, &r.tenant, charge.gross());
-            self.registry
-                .inc_dyn(penalties, &r.tenant, charge.penalty_microcents);
-            self.registry.inc(class_revenue, class_idx, charge.gross());
-            self.registry.inc(records_total, 0, 1);
         }
     }
 
-    /// Bill one already-appended record onto the telemetry counters
-    /// (replay path).
+    /// Bill one record onto the telemetry counters and its tenant's
+    /// running invoice — the one place a record is billed, metered or
+    /// replayed.
     fn account(&mut self, r: &UsageRecord) {
         let charge = price_record(&self.cfg, r);
         let class_idx = match self.cfg.class_of(&r.tenant) {
@@ -202,6 +193,8 @@ impl BillingEngine {
         self.registry
             .inc(self.class_revenue, class_idx, charge.gross());
         self.registry.inc(self.records_total, 0, 1);
+        let running = self.running.entry(r.tenant.clone()).or_default();
+        running.add(&self.cfg, r);
     }
 
     /// Make every record metered since the last checkpoint that returned
@@ -216,9 +209,13 @@ impl BillingEngine {
         log.append(pending.iter().map(record_line))
     }
 
-    /// Generate `tenant`'s invoice over everything metered so far.
+    /// `tenant`'s invoice over everything metered so far — equal to
+    /// [`generate`](crate::invoice::generate) over the ledger, read from
+    /// the tenant's running state.
     pub fn invoice(&self, tenant: &str, audit: SpecAudit) -> Invoice {
-        invoice::generate(tenant, audit, &self.ledger, &self.cfg)
+        let unmetered = Running::default();
+        let running = self.running.get(tenant).unwrap_or(&unmetered);
+        running.finish(tenant, audit, &self.cfg)
     }
 
     /// `tenant`'s raw usage records, append order.
@@ -267,10 +264,18 @@ impl BillingEngine {
 
     /// Replace a tenant's SLA class (affects pricing of future records
     /// and of invoices generated from now on) and refresh the spot
-    /// gauge.
+    /// gauge. An invoice re-prices history under the class in force, so
+    /// a class that actually changes refolds that tenant's records.
     pub fn set_class(&mut self, tenant: &str, class: SlaClass) {
+        let changed = self.cfg.class_of(tenant) != class;
         self.cfg.classes.insert(tenant.to_owned(), class);
         self.refresh_spot_gauge();
+        if let (true, Some(running)) = (changed, self.running.get_mut(tenant)) {
+            *running = Running::default();
+            for r in self.ledger.records().iter().filter(|r| r.tenant == tenant) {
+                running.add(&self.cfg, r);
+            }
+        }
     }
 }
 

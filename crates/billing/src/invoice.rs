@@ -7,8 +7,8 @@
 //! many times generation runs. Everything is integer arithmetic over
 //! `BTreeMap`-ordered groups; no floats, no hash iteration, no clocks.
 
-use crate::ledger::UsageLedger;
-use crate::pricing::{price_record, PricingConfig};
+use crate::ledger::{UsageLedger, UsageRecord};
+use crate::pricing::{price_record, PricingConfig, SlaClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -101,48 +101,53 @@ impl Invoice {
     }
 }
 
-/// Generate `tenant`'s invoice from the ledger under `cfg`. Pure: see
-/// the module-level determinism contract.
-pub fn generate(
-    tenant: &str,
-    audit: SpecAudit,
-    ledger: &UsageLedger,
-    cfg: &PricingConfig,
-) -> Invoice {
-    let class = cfg.class_of(tenant);
-    // Per-tier accumulation, tiers ascending (BTreeMap order).
-    #[derive(Default)]
-    struct Tier {
-        base: u64,
-        spot: u64,
-        base_qty_mhz_s: u64,
-        spot_qty_mhz_s: u64,
-    }
-    let mut tiers: BTreeMap<u32, Tier> = BTreeMap::new();
-    let mut totals = InvoiceTotals::default();
-    let mut penalty_vm_periods = 0u64;
-    let mut first_period = 0u64;
-    let mut last_period = 0u64;
-    let mut periods = 0u64;
-    for r in ledger.records().iter().filter(|r| r.tenant == tenant) {
-        if periods == 0 || r.period < first_period {
-            first_period = r.period;
+/// Per-tier accumulation of a [`Running`] invoice.
+#[derive(Debug, Clone, Default)]
+struct Tier {
+    base: u64,
+    spot: u64,
+    base_qty_mhz_s: u64,
+    spot_qty_mhz_s: u64,
+}
+
+/// One tenant's invoice as a fold over that tenant's usage records, in
+/// ledger order, under one pricing config: [`add`](Running::add) per
+/// record, [`finish`](Running::finish) for the bill. [`generate`] is
+/// this fold from nothing; the engine keeps one per tenant so a bill
+/// costs no ledger scan.
+#[derive(Debug, Clone, Default)]
+pub struct Running {
+    /// Tiers ascending (`BTreeMap` order).
+    tiers: BTreeMap<u32, Tier>,
+    totals: InvoiceTotals,
+    penalty_vm_periods: u64,
+    first_period: u64,
+    last_period: u64,
+    periods: u64,
+}
+
+impl Running {
+    /// Fold in `r`, one of the tenant's records, priced under `cfg`.
+    pub fn add(&mut self, cfg: &PricingConfig, r: &UsageRecord) {
+        if self.periods == 0 || r.period < self.first_period {
+            self.first_period = r.period;
         }
-        if r.period != last_period {
-            periods += 1; // records are appended in period order
-            last_period = r.period;
+        if r.period != self.last_period {
+            self.periods += 1; // records are appended in period order
+            self.last_period = r.period;
         }
         let charge = price_record(cfg, r);
-        let t = tiers.entry(r.vfreq_mhz).or_default();
+        let t = self.tiers.entry(r.vfreq_mhz).or_default();
         t.base += charge.base_microcents;
         t.spot += charge.spot_microcents;
-        t.base_qty_mhz_s += match class {
-            crate::pricing::SlaClass::Guaranteed { .. } => r.guaranteed_mhz_s,
-            crate::pricing::SlaClass::Burstable { .. } => r.delivered_mhz_s.min(r.guaranteed_mhz_s),
-        };
-        if let crate::pricing::SlaClass::Burstable { .. } = class {
-            t.spot_qty_mhz_s += cfg.auction_usec_to_mhz_s(r.auction_usec);
+        match cfg.class_of(&r.tenant) {
+            SlaClass::Guaranteed { .. } => t.base_qty_mhz_s += r.guaranteed_mhz_s,
+            SlaClass::Burstable { .. } => {
+                t.base_qty_mhz_s += r.delivered_mhz_s.min(r.guaranteed_mhz_s);
+                t.spot_qty_mhz_s += cfg.auction_usec_to_mhz_s(r.auction_usec);
+            }
         }
+        let totals = &mut self.totals;
         totals.charges_microcents += charge.gross();
         totals.penalty_microcents += charge.penalty_microcents;
         totals.guaranteed_mhz_s += r.guaranteed_mhz_s;
@@ -151,62 +156,84 @@ pub fn generate(
         totals.demanding_vm_periods += r.demanding_vm_periods;
         totals.violated_vm_periods += r.violated_vm_periods;
         if charge.penalty_microcents > 0 {
-            penalty_vm_periods += r.violated_vm_periods;
+            self.penalty_vm_periods += r.violated_vm_periods;
         }
-    }
-    totals.net_microcents = totals.charges_microcents as i64 - totals.penalty_microcents as i64;
-
-    let mut lines = Vec::new();
-    for (vfreq, t) in &tiers {
-        if t.base > 0 || t.base_qty_mhz_s > 0 {
-            let what = match class {
-                crate::pricing::SlaClass::Guaranteed { .. } => "reserved",
-                crate::pricing::SlaClass::Burstable { .. } => "delivered",
-            };
-            lines.push(InvoiceLine {
-                description: format!("{what} capacity @ {vfreq} MHz"),
-                vfreq_mhz: *vfreq,
-                quantity: t.base_qty_mhz_s,
-                amount_microcents: t.base as i64,
-            });
-        }
-        if t.spot > 0 || t.spot_qty_mhz_s > 0 {
-            lines.push(InvoiceLine {
-                description: format!("auction-won burst cycles @ {vfreq} MHz (spot)"),
-                vfreq_mhz: *vfreq,
-                quantity: t.spot_qty_mhz_s,
-                amount_microcents: t.spot as i64,
-            });
-        }
-    }
-    if totals.penalty_microcents > 0 {
-        lines.push(InvoiceLine {
-            description: "SLO penalty credit (violated VM-periods)".to_owned(),
-            vfreq_mhz: 0,
-            quantity: penalty_vm_periods,
-            amount_microcents: -(totals.penalty_microcents as i64),
-        });
     }
 
-    Invoice {
-        version: INVOICE_VERSION,
-        tenant: tenant.to_owned(),
-        class: class.name().to_owned(),
-        curve: cfg.curve.kind().to_owned(),
-        first_period,
-        last_period,
-        periods,
-        audit,
-        lines,
-        totals,
+    /// `tenant`'s invoice over the records folded so far; `cfg` is the
+    /// config every [`add`](Running::add) priced under.
+    pub fn finish(&self, tenant: &str, audit: SpecAudit, cfg: &PricingConfig) -> Invoice {
+        let class = cfg.class_of(tenant);
+        let mut totals = self.totals;
+        totals.net_microcents = totals.charges_microcents as i64 - totals.penalty_microcents as i64;
+
+        let mut lines = Vec::new();
+        for (vfreq, t) in &self.tiers {
+            if t.base > 0 || t.base_qty_mhz_s > 0 {
+                let what = match class {
+                    SlaClass::Guaranteed { .. } => "reserved",
+                    SlaClass::Burstable { .. } => "delivered",
+                };
+                lines.push(InvoiceLine {
+                    description: format!("{what} capacity @ {vfreq} MHz"),
+                    vfreq_mhz: *vfreq,
+                    quantity: t.base_qty_mhz_s,
+                    amount_microcents: t.base as i64,
+                });
+            }
+            if t.spot > 0 || t.spot_qty_mhz_s > 0 {
+                lines.push(InvoiceLine {
+                    description: format!("auction-won burst cycles @ {vfreq} MHz (spot)"),
+                    vfreq_mhz: *vfreq,
+                    quantity: t.spot_qty_mhz_s,
+                    amount_microcents: t.spot as i64,
+                });
+            }
+        }
+        if totals.penalty_microcents > 0 {
+            lines.push(InvoiceLine {
+                description: "SLO penalty credit (violated VM-periods)".to_owned(),
+                vfreq_mhz: 0,
+                quantity: self.penalty_vm_periods,
+                amount_microcents: -(totals.penalty_microcents as i64),
+            });
+        }
+
+        Invoice {
+            version: INVOICE_VERSION,
+            tenant: tenant.to_owned(),
+            class: class.name().to_owned(),
+            curve: cfg.curve.kind().to_owned(),
+            first_period: self.first_period,
+            last_period: self.last_period,
+            periods: self.periods,
+            audit,
+            lines,
+            totals,
+        }
     }
+}
+
+/// Generate `tenant`'s invoice from the ledger under `cfg`. Pure: see
+/// the module-level determinism contract. This is the definition of a
+/// bill, and the oracle the engine's kept [`Running`] states are tested
+/// against.
+pub fn generate(
+    tenant: &str,
+    audit: SpecAudit,
+    ledger: &UsageLedger,
+    cfg: &PricingConfig,
+) -> Invoice {
+    let mut running = Running::default();
+    for r in ledger.records().iter().filter(|r| r.tenant == tenant) {
+        running.add(cfg, r);
+    }
+    running.finish(tenant, audit, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::UsageRecord;
-    use crate::pricing::SlaClass;
 
     fn ledger() -> UsageLedger {
         let mut l = UsageLedger::new();

@@ -6,13 +6,17 @@
 //!   whether generated from the in-memory ledger or the reloaded one;
 //! * **a damaged ledger fails closed** — truncating the tail or
 //!   corrupting a line yields a typed [`LedgerError`], never a panic
-//!   and never an `Ok` with a silently shorter (cheaper) bill.
+//!   and never an `Ok` with a silently shorter (cheaper) bill;
+//! * **`bill == f(ledger)`** — whatever an engine has been through, the
+//!   invoice it serves from its running states is `generate_invoice`
+//!   over its ledger and config, as a value and as bytes.
 
 use proptest::prelude::*;
 use vfc_billing::{
-    generate_invoice, LedgerError, PriceCurve, PriceTier, PricingConfig, SlaClass, SpecAudit,
-    UsageLedger, UsageRecord,
+    generate_invoice, BillingEngine, LedgerError, PriceCurve, PriceTier, PricingConfig, SlaClass,
+    SpecAudit, TenantPeriodUsage, UsageLedger, UsageRecord,
 };
+use vfc_simcore::SplitMix64;
 
 const TENANTS: [&str; 3] = ["acme", "bob", "carol"];
 const TIERS: [u32; 3] = [500, 1_200, 1_800];
@@ -146,5 +150,80 @@ proptest! {
         lines[idx] = "{\"not\":\"a record\"}";
         let garbled = lines.join("\n");
         prop_assert!(UsageLedger::parse(&garbled).is_err());
+    }
+
+    #[test]
+    fn prop_engine_invoice_is_generate_over_its_ledger(
+        steps in proptest::collection::vec((0u8..6, 0u64..=u64::MAX), 1..40),
+        curve in 0usize..3,
+    ) {
+        // "dave" is absent from the config; "ghost" is never metered.
+        const METERED: [&str; 4] = ["acme", "bob", "carol", "dave"];
+        let classes = [
+            SlaClass::default(), // what an absent tenant already has
+            SlaClass::Burstable { base_discount_pct: 40, spot_multiplier_pct: 250 },
+            SlaClass::Guaranteed { penalty_microcents_per_violation: 2_500 },
+        ];
+        let dir = std::env::temp_dir().join(format!("vfc-prop-engine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("usage.ledger");
+        let mut engine =
+            BillingEngine::with_ledger(configs().swap_remove(curve), path.clone()).unwrap();
+        let mut period = 0;
+        for (i, (op, seed)) in steps.into_iter().enumerate() {
+            let mut rng = SplitMix64::new(seed);
+            match op {
+                // 1–4 tenants × 1–3 tiers, handed over in any order.
+                0..=2 => {
+                    let (mut tenants, mut rows) = (METERED, Vec::new());
+                    rng.shuffle(&mut tenants);
+                    for tenant in &tenants[..1 + rng.next_below(4) as usize] {
+                        let mut tiers = TIERS;
+                        rng.shuffle(&mut tiers);
+                        for vfreq_mhz in &tiers[..1 + rng.next_below(3) as usize] {
+                            rows.push(TenantPeriodUsage {
+                                tenant: (*tenant).to_owned(),
+                                vfreq_mhz: *vfreq_mhz,
+                                vm_periods: 3,
+                                guaranteed_mhz_s: *vfreq_mhz as u64 * 6,
+                                delivered_mhz_s: rng.next_below(20_000),
+                                auction_usec: rng.next_below(2_000_000),
+                                minted_usec: rng.next_below(50_000),
+                                wasted_share_usec: rng.next_below(500),
+                                demanding_vm_periods: 3,
+                                violated_vm_periods: rng.next_below(4),
+                            });
+                        }
+                    }
+                    rng.shuffle(&mut rows);
+                    period += 1;
+                    engine.meter_period(period, rows);
+                }
+                // A different class, the same class, a tenant with no records.
+                3 | 4 => {
+                    let tenant = METERED[rng.next_below(4) as usize];
+                    engine.set_class(tenant, classes[rng.next_below(3) as usize].clone());
+                }
+                // Restart: what no checkpoint sealed is not billed.
+                _ => {
+                    if rng.next_below(4) > 0 {
+                        engine.checkpoint().unwrap();
+                    }
+                    let cfg = engine.config().clone();
+                    drop(engine);
+                    engine = BillingEngine::with_ledger(cfg, path.clone()).unwrap();
+                    period = engine.ledger().records().last().map_or(0, |r| r.period);
+                }
+            }
+            let audit = SpecAudit { creates: i as u64, resizes: 1, deletes: 0 };
+            for tenant in METERED.into_iter().chain(["ghost"]) {
+                let served = engine.invoice(tenant, audit);
+                let oracle = generate_invoice(tenant, audit, engine.ledger(), engine.config());
+                prop_assert_eq!(served.render_json(), oracle.render_json());
+                prop_assert_eq!(served, oracle);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

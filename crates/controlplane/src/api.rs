@@ -552,7 +552,7 @@ fn route(
         }
         ("GET", ["tenants", name, "bill"]) => match (&rt.billing, rt.plane.quota(name)) {
             (Some(engine), Some(_)) => {
-                let audit = crate::billing::spec_audit(rt.plane.store().log(), name);
+                let audit = rt.plane.store().audit(name);
                 (200, engine.invoice(name, audit).render_json(), None)
             }
             (None, _) => (404, err_body("billing is not enabled"), None),
@@ -900,6 +900,34 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"records\""), "{body}");
         assert!(body.contains("\"vfreq_mhz\":1200"), "{body}");
+
+        // The served bill is the oracle's, byte for byte: `generate_invoice`
+        // over the ledger and `spec_audit` over the log, both from nothing.
+        let (status, body) = post(
+            addr,
+            "POST",
+            "/vms",
+            r#"{"tenant":"acme","name":"db","vcpus":1,"vfreq_mhz":600}"#,
+        );
+        assert_eq!(status, 201, "{body}");
+        let (status, body) = post(addr, "PUT", "/vms/0/vfreq", r#"{"vfreq_mhz":900}"#);
+        assert_eq!(status, 200, "{body}");
+        rt.lock().unwrap().step();
+        let (status, body) = http(addr, "DELETE /vms/1 HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        rt.lock().unwrap().step();
+        let (status, body) = http(addr, "GET /tenants/acme/bill HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        {
+            let rt = rt.lock().unwrap();
+            let engine = rt.billing.as_ref().unwrap();
+            let audit = crate::billing::spec_audit(rt.plane.store().log(), "acme");
+            assert_eq!((audit.creates, audit.resizes, audit.deletes), (2, 1, 1));
+            let oracle =
+                vfc_billing::generate_invoice("acme", audit, engine.ledger(), engine.config());
+            assert_eq!(body, oracle.render_json());
+            assert!(oracle.lines.len() >= 3, "{body}");
+        }
 
         let (status, _) = http(addr, "GET /tenants/ghost/bill HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(status, 404);

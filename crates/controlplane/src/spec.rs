@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use vfc_billing::SpecAudit;
 use vfc_simcore::durable::{self, AppendLog, LogError};
 use vfc_simcore::MHz;
 use vfc_vmm::VmTemplate;
@@ -97,6 +98,11 @@ pub struct SpecStore {
     next_id: u64,
     log: Vec<SpecEvent>,
     specs: BTreeMap<SpecId, VmSpec>,
+    /// Tenant of the last `Created` event per id, live or deleted: the
+    /// log is append-only, so no id is ever forgotten.
+    owner: BTreeMap<SpecId, String>,
+    /// Per-tenant event counts over the whole log.
+    audit: BTreeMap<String, SpecAudit>,
 }
 
 impl SpecStore {
@@ -134,6 +140,13 @@ impl SpecStore {
     /// The raw event log (for diagnostics and tests).
     pub fn log(&self) -> &[SpecEvent] {
         &self.log
+    }
+
+    /// `tenant`'s creates, resizes and deletes over the whole log, as
+    /// [`spec_audit`](crate::billing::spec_audit) counts them — kept by
+    /// the fold, so reading them replays nothing.
+    pub fn audit(&self, tenant: &str) -> SpecAudit {
+        self.audit.get(tenant).copied().unwrap_or_default()
     }
 
     /// The spec [`create`](SpecStore::create) would admit — the next id,
@@ -176,12 +189,15 @@ impl SpecStore {
         Some(spec)
     }
 
-    /// Fold one event into the map (shared by live mutation and replay).
+    /// Fold one event into the map and the audit counts (shared by live
+    /// mutation and replay).
     pub(crate) fn apply(&mut self, event: SpecEvent) {
         match &event {
             SpecEvent::Created { spec } => {
                 self.next_id = self.next_id.max(spec.id.0 + 1);
                 self.specs.insert(spec.id, spec.clone());
+                self.owner.insert(spec.id, spec.tenant.clone());
+                self.audit.entry(spec.tenant.clone()).or_default().creates += 1;
             }
             SpecEvent::Resized {
                 id,
@@ -192,12 +208,23 @@ impl SpecStore {
                     spec.template.vfreq = *vfreq;
                     spec.generation = *generation;
                 }
+                if let Some(audit) = self.audit_of(id) {
+                    audit.resizes += 1;
+                }
             }
             SpecEvent::Deleted { id } => {
                 self.specs.remove(id);
+                if let Some(audit) = self.audit_of(id) {
+                    audit.deletes += 1;
+                }
             }
         }
         self.log.push(event);
+    }
+
+    /// The counts of `id`'s owner, whether or not the spec is still live.
+    fn audit_of(&mut self, id: &SpecId) -> Option<&mut SpecAudit> {
+        self.audit.get_mut(self.owner.get(id)?)
     }
 
     /// Export the whole event log as one sealed batch, atomically and

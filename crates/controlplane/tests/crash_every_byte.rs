@@ -12,7 +12,9 @@ use vfc_billing::{
     generate_invoice, BillingEngine, PricingConfig, SpecAudit, TenantPeriodUsage, UsageLedger,
 };
 use vfc_cluster::{ClusterManager, Strategy};
-use vfc_controlplane::{ControlPlane, RateLimit, SpecEvent, SpecId, TenantQuota, VmSpec};
+use vfc_controlplane::{
+    spec_audit, ControlPlane, RateLimit, SpecEvent, SpecId, TenantQuota, VmSpec,
+};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::durable::LogError;
 use vfc_simcore::{MHz, SplitMix64};
@@ -121,7 +123,7 @@ fn damage_is_typed<S: Debug>(log: &Path, reopen: impl Fn(&Path) -> Result<S, Log
     check(0, Some("[]"), "Version");
 }
 
-type StoreState = (u64, Vec<VmSpec>, Vec<SpecEvent>);
+type StoreState = (u64, Vec<VmSpec>, Vec<SpecEvent>, SpecAudit);
 
 fn open_plane(path: &Path) -> Result<ControlPlane, LogError> {
     let mut plane = ControlPlane::with_persistence(path.to_owned())?;
@@ -135,10 +137,14 @@ fn open_plane(path: &Path) -> Result<ControlPlane, LogError> {
 
 fn store_state(plane: &ControlPlane) -> StoreState {
     let store = plane.store();
+    // The kept counts are the folded ones, recovered or live.
+    assert_eq!(store.audit("acme"), spec_audit(store.log(), "acme"));
+    assert_eq!(store.audit("ghost"), SpecAudit::default());
     (
         store.seq(),
         store.specs().cloned().collect(),
         store.log().to_vec(),
+        store.audit("acme"),
     )
 }
 

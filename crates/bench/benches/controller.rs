@@ -6,13 +6,11 @@
 //! estimation and auction machinery on synthetic inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 use vfc_bench::{dense_host, loaded_host, warm_up};
-use vfc_controller::auction::{run_auction, Buyer};
+use vfc_controller::auction::{run_auction_with, Buyer};
 use vfc_controller::controller::IterationReport;
-use vfc_controller::credits::Wallet;
 use vfc_controller::estimate::trend;
 use vfc_controller::{ControlMode, ShardCount};
 use vfc_simcore::{Micros, VcpuAddr, VcpuId, VmId};
@@ -108,38 +106,30 @@ fn bench_stages(c: &mut Criterion) {
     });
 
     group.bench_function("auction_80_buyers", |b| {
-        // 40 VMs × 2 vCPUs bidding for a 4 M µs market.
+        // 40 VMs × 2 vCPUs bidding for a 4 M µs market, addressed the
+        // way the controller's stage 4 addresses them: wallets in a dense
+        // per-VM table, grants added into a per-slot buffer.
+        let mut slot_alloc = vec![Micros::ZERO; 80];
+        let mut buyers: Vec<Buyer> = Vec::with_capacity(80);
         b.iter(|| {
-            let mut wallet = Wallet::new();
-            let guarantee: HashMap<VmId, Micros> =
-                (0..40).map(|i| (VmId::new(i), Micros(208_333))).collect();
-            let observations: Vec<_> = (0..40)
-                .flat_map(|i| {
-                    (0..2).map(move |j| vfc_controller::monitor::VcpuObservation {
-                        addr: VcpuAddr::new(VmId::new(i), VcpuId::new(j)),
-                        used: Micros(100_000),
-                        throttled: Micros::ZERO,
-                        last_cpu: vfc_simcore::CpuId::new(0),
-                        freq_est: vfc_simcore::MHz(240),
-                    })
-                })
-                .collect();
-            wallet.earn(&observations, &guarantee);
+            // Eq. 4: every vCPU used 100 000 of its 208 333 µs guarantee.
+            let mut credits: Vec<Option<u64>> = vec![Some(2 * 108_333); 40];
             let mut market = Micros(4_000_000);
-            let mut buyers: Vec<Buyer> = observations
-                .iter()
-                .map(|o| Buyer {
-                    addr: o.addr,
-                    want: Micros(500_000),
-                })
-                .collect();
-            let mut alloc = HashMap::new();
-            black_box(run_auction(
+            buyers.clear();
+            for slot in 0..80u32 {
+                let vm = slot / 2;
+                let addr = VcpuAddr::new(VmId::new(vm), VcpuId::new(slot % 2));
+                let mut buyer = Buyer::new(addr, Micros(500_000));
+                (buyer.slot, buyer.vm_idx) = (slot, vm);
+                buyers.push(buyer);
+            }
+            slot_alloc.fill(Micros::ZERO);
+            black_box(run_auction_with(
                 &mut market,
                 &mut buyers,
-                &mut wallet,
+                credits.as_mut_slice(),
                 Micros(100_000),
-                &mut alloc,
+                |buyer, paid| slot_alloc[buyer.slot as usize] += paid,
             ))
         });
     });

@@ -64,29 +64,6 @@ impl ApplyOutcome {
     pub fn errors(&self) -> usize {
         self.failed.len() + self.vanished.len()
     }
-
-    /// Fold stage 6's write traffic into the telemetry. `attempted` is
-    /// the number of `cpu.max` writes issued, `volume_usec` the µs of
-    /// allocation carried by the successful ones, `retries` how many
-    /// writes were re-issues of the previous period's failures, and
-    /// `elided` how many writes were skipped because the in-force
-    /// `cpu.max` already matched.
-    pub fn record_telemetry(
-        &self,
-        attempted: u64,
-        volume_usec: u64,
-        retries: u64,
-        elided: u64,
-        metrics: &mut crate::telemetry::ControllerMetrics,
-    ) {
-        metrics.record_apply(
-            attempted,
-            volume_usec,
-            self.errors() as u64,
-            retries,
-            elided,
-        );
-    }
 }
 
 /// Write every allocation to the backend. A failed write never aborts
@@ -97,8 +74,8 @@ impl ApplyOutcome {
 ///
 /// This is the compatibility entry point over HashMap-keyed allocations
 /// (sorting a fresh address Vec each call); the controller hot path
-/// iterates its dense slot registry — already in sorted address order,
-/// maintained per membership change — and elides unchanged writes.
+/// walks its slot table in a sorted order kept per membership change
+/// and elides unchanged writes.
 pub fn apply_allocations<B: HostBackend + ?Sized>(
     backend: &mut B,
     cfg: &ControllerConfig,

@@ -12,7 +12,8 @@
 //! implementation reconstructs it from the surrounding prose — see
 //! DESIGN.md §5.4 for the reconstruction argument.
 
-use crate::credits::Wallet;
+use crate::credits::{debit, Wallet};
+use crate::estimate::Estimate;
 use std::collections::HashMap;
 use vfc_simcore::{Micros, VcpuAddr};
 
@@ -23,6 +24,67 @@ pub struct Buyer {
     pub addr: VcpuAddr,
     /// Cycles still wanted: `e_{i,j,t} − c_{i,j,t}`.
     pub want: Micros,
+    /// Dense coordinates of the vCPU (see
+    /// [`crate::monitor::VcpuObservation::slot`]); `0` where the caller
+    /// keys its state by address.
+    pub slot: u32,
+    /// Position of the buyer's VM in the dense per-VM tables.
+    pub vm_idx: u32,
+    /// `!balance` of the buyer's VM when the current round began: with
+    /// `addr` as tiebreak, the round's serving order.
+    rank: u64,
+}
+
+impl Buyer {
+    /// A buyer whose credits are found by address (`addr.vm`).
+    pub fn new(addr: VcpuAddr, want: Micros) -> Self {
+        Buyer {
+            addr,
+            want,
+            slot: 0,
+            vm_idx: 0,
+            rank: 0,
+        }
+    }
+
+    /// The buyer for an estimate stage 3 left `want` short, carrying the
+    /// estimate's dense coordinates.
+    pub fn of(e: &Estimate, want: Micros) -> Self {
+        Buyer {
+            slot: e.slot,
+            vm_idx: e.vm_idx,
+            ..Buyer::new(e.addr, want)
+        }
+    }
+}
+
+/// Where the auction finds a buyer's credits: the [`Wallet`] looks them
+/// up by `addr.vm`, a dense per-VM table (`None` = no wallet entry)
+/// indexes with `vm_idx`. Both follow the wallet's entry rule — spending
+/// creates the entry, a zero one included.
+pub trait Purses {
+    /// Balance of the buyer's VM.
+    fn balance(&self, buyer: &Buyer) -> u64;
+    /// Spend up to `amount` of it; returns what was actually debited.
+    fn spend(&mut self, buyer: &Buyer, amount: u64) -> u64;
+}
+
+impl Purses for Wallet {
+    fn balance(&self, buyer: &Buyer) -> u64 {
+        Wallet::balance(self, buyer.addr.vm)
+    }
+    fn spend(&mut self, buyer: &Buyer, amount: u64) -> u64 {
+        Wallet::spend(self, buyer.addr.vm, amount)
+    }
+}
+
+impl Purses for [Option<u64>] {
+    fn balance(&self, buyer: &Buyer) -> u64 {
+        self[buyer.vm_idx as usize].unwrap_or(0)
+    }
+    fn spend(&mut self, buyer: &Buyer, amount: u64) -> u64 {
+        debit(self[buyer.vm_idx as usize].get_or_insert(0), amount)
+    }
 }
 
 /// Outcome summary of an auction run.
@@ -45,22 +107,22 @@ pub fn run_auction(
     window: Micros,
     allocations: &mut HashMap<VcpuAddr, Micros>,
 ) -> AuctionOutcome {
-    run_auction_with(market, buyers, wallet, window, |addr, paid| {
-        *allocations.entry(addr).or_insert(Micros::ZERO) += paid;
+    run_auction_with(market, buyers, wallet, window, |buyer, paid| {
+        *allocations.entry(buyer.addr).or_insert(Micros::ZERO) += paid;
     })
 }
 
-/// [`run_auction`] with a caller-supplied grant sink: `grant(addr, paid)`
-/// is invoked for every sale instead of touching a HashMap, so the hot
-/// path can add into dense per-slot buffers. Allocation-free: the buyer
-/// ordering uses `sort_unstable_by` over the caller's reused buffer
-/// (the balance-desc / address-asc comparator is a total order, so an
-/// unstable sort produces the same deterministic ordering the original
-/// stable sort did).
-pub fn run_auction_with<F: FnMut(VcpuAddr, Micros)>(
+/// [`run_auction`] over any [`Purses`] and with a caller-supplied grant
+/// sink: `grant(buyer, paid)` is invoked for every sale instead of
+/// touching a HashMap, so the hot path can add into dense per-slot
+/// buffers. Allocation-free, and no purse is consulted while sorting:
+/// each round reads every buyer's balance once, then orders the caller's
+/// buffer by (balance descending, address ascending) — a total order,
+/// so the unstable sort is deterministic.
+pub fn run_auction_with<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
     market: &mut Micros,
     buyers: &mut Vec<Buyer>,
-    wallet: &mut Wallet,
+    purses: &mut P,
     window: Micros,
     mut grant: F,
 ) -> AuctionOutcome {
@@ -69,12 +131,10 @@ pub fn run_auction_with<F: FnMut(VcpuAddr, Micros)>(
 
     while !market.is_zero() && !buyers.is_empty() {
         // Richest VMs first; stable id tiebreak keeps runs deterministic.
-        buyers.sort_unstable_by(|a, b| {
-            wallet
-                .balance(b.addr.vm)
-                .cmp(&wallet.balance(a.addr.vm))
-                .then(a.addr.cmp(&b.addr))
-        });
+        for buyer in buyers.iter_mut() {
+            buyer.rank = !purses.balance(buyer);
+        }
+        buyers.sort_unstable_by_key(|b| (b.rank, b.addr));
 
         let mut any_sold = false;
         for buyer in buyers.iter_mut() {
@@ -85,14 +145,14 @@ pub fn run_auction_with<F: FnMut(VcpuAddr, Micros)>(
             if bid.is_zero() {
                 continue;
             }
-            let paid = Micros(wallet.spend(buyer.addr.vm, bid.as_u64()));
+            let paid = Micros(purses.spend(buyer, bid.as_u64()));
             if paid.is_zero() {
                 continue;
             }
             *market -= paid;
             buyer.want -= paid;
             sold += paid;
-            grant(buyer.addr, paid);
+            grant(buyer, paid);
             any_sold = true;
         }
 
@@ -106,22 +166,6 @@ pub fn run_auction_with<F: FnMut(VcpuAddr, Micros)>(
     }
 
     AuctionOutcome { sold, rounds }
-}
-
-/// Fold per-VM spent credits — what each buyer paid in this period's
-/// auction (Alg. 1), derived by the controller from wallet snapshots
-/// bracketing [`run_auction`] — into
-/// `vfc_credits_spent_usec_total{vm=...}`.
-pub fn record_telemetry(
-    spent: &[(vfc_simcore::VmId, u64)],
-    names: &HashMap<vfc_simcore::VmId, &str>,
-    metrics: &mut crate::telemetry::ControllerMetrics,
-) {
-    for (vm, amount) in spent {
-        if let Some(name) = names.get(vm) {
-            metrics.record_credits_spent(name, *amount);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +189,8 @@ mod tests {
             .iter()
             .map(|(vm, _)| VcpuObservation {
                 addr: addr(*vm, 0),
+                slot: 0,
+                vm_idx: 0,
                 used: Micros::ZERO,
                 throttled: Micros::ZERO,
                 last_cpu: CpuId::new(0),
@@ -159,10 +205,7 @@ mod tests {
     fn single_buyer_with_credit_gets_its_want() {
         let mut market = Micros(500_000);
         let mut wallet = wallet_with(&[(0, 1_000_000)]);
-        let mut buyers = vec![Buyer {
-            addr: addr(0, 0),
-            want: Micros(300_000),
-        }];
+        let mut buyers = vec![Buyer::new(addr(0, 0), Micros(300_000))];
         let mut alloc = HashMap::new();
         let out = run_auction(
             &mut market,
@@ -182,10 +225,7 @@ mod tests {
     fn broke_buyer_gets_nothing() {
         let mut market = Micros(500_000);
         let mut wallet = Wallet::new();
-        let mut buyers = vec![Buyer {
-            addr: addr(0, 0),
-            want: Micros(300_000),
-        }];
+        let mut buyers = vec![Buyer::new(addr(0, 0), Micros(300_000))];
         let mut alloc = HashMap::new();
         let out = run_auction(
             &mut market,
@@ -207,14 +247,8 @@ mod tests {
         let mut market = Micros(200_000);
         let mut wallet = wallet_with(&[(0, 10_000_000), (1, 100_000)]);
         let mut buyers = vec![
-            Buyer {
-                addr: addr(0, 0),
-                want: Micros(200_000),
-            },
-            Buyer {
-                addr: addr(1, 0),
-                want: Micros(200_000),
-            },
+            Buyer::new(addr(0, 0), Micros(200_000)),
+            Buyer::new(addr(1, 0), Micros(200_000)),
         ];
         let mut alloc = HashMap::new();
         run_auction(
@@ -235,14 +269,8 @@ mod tests {
         let mut market = Micros(30_000);
         let mut wallet = wallet_with(&[(0, 500_000), (1, 100)]);
         let mut buyers = vec![
-            Buyer {
-                addr: addr(1, 0),
-                want: Micros(30_000),
-            },
-            Buyer {
-                addr: addr(0, 0),
-                want: Micros(30_000),
-            },
+            Buyer::new(addr(1, 0), Micros(30_000)),
+            Buyer::new(addr(0, 0), Micros(30_000)),
         ];
         let mut alloc = HashMap::new();
         run_auction(
@@ -261,10 +289,7 @@ mod tests {
     fn partial_payment_when_wallet_smaller_than_window() {
         let mut market = Micros(100_000);
         let mut wallet = wallet_with(&[(0, 12_345)]);
-        let mut buyers = vec![Buyer {
-            addr: addr(0, 0),
-            want: Micros(100_000),
-        }];
+        let mut buyers = vec![Buyer::new(addr(0, 0), Micros(100_000))];
         let mut alloc = HashMap::new();
         let out = run_auction(
             &mut market,
@@ -286,18 +311,9 @@ mod tests {
             let mut market = Micros(333_333);
             let mut wallet = wallet_with(&[(0, 100_000), (1, 100_000), (2, 50_000)]);
             let mut buyers = vec![
-                Buyer {
-                    addr: addr(0, 0),
-                    want: Micros(150_000),
-                },
-                Buyer {
-                    addr: addr(1, 0),
-                    want: Micros(150_000),
-                },
-                Buyer {
-                    addr: addr(2, 0),
-                    want: Micros(150_000),
-                },
+                Buyer::new(addr(0, 0), Micros(150_000)),
+                Buyer::new(addr(1, 0), Micros(150_000)),
+                Buyer::new(addr(2, 0), Micros(150_000)),
             ];
             let mut alloc = HashMap::new();
             run_auction(
@@ -330,7 +346,7 @@ mod tests {
             let initial_balance: u64 = (0..6).map(|i| wallet.balance(VmId::new(i))).sum();
             let mut market = Micros(market0);
             let mut buyers: Vec<Buyer> = wants.iter().enumerate()
-                .map(|(j, (vm, w))| Buyer { addr: addr(*vm, j as u32), want: Micros(*w) })
+                .map(|(j, (vm, w))| Buyer::new(addr(*vm, j as u32), Micros(*w)))
                 .collect();
             let total_want: u64 = buyers.iter().map(|b| b.want.as_u64()).sum();
             let mut alloc = HashMap::new();

@@ -3,18 +3,16 @@
 use crate::apply::allocation_to_cpu_max;
 use crate::auction::{run_auction_with, AuctionOutcome, Buyer};
 use crate::config::{ControlMode, ControllerConfig};
-use crate::credits::Wallet;
 use crate::distribute::distribute_leftovers_with;
-use crate::estimate::{Estimate, EstimateCase};
+use crate::estimate::{Estimate, EstimateCase, History};
 use crate::persist::{Journal, VcpuState, VmState, JOURNAL_VERSION};
-use crate::shard::{self, Shard, ShardedPipeline};
-use crate::telemetry::{ControllerMetrics, Stage};
+use crate::shard::{self, Shard, ShardedPipeline, VcpuRow};
+use crate::telemetry::{ControllerMetrics, Stage, VmSeries};
 use crate::vfreq::guaranteed_cycles;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vfc_cgroupfs::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
 use vfc_cgroupfs::error::Result;
-use vfc_cgroupfs::model::CpuMax;
 use vfc_simcore::{FastMap, MHz, Micros, VcpuAddr, VcpuId, VmId};
 
 /// Wall-clock cost of each stage of one iteration — the paper reports
@@ -348,51 +346,45 @@ impl IterationReport {
     }
 }
 
+/// Fill `order` with `0..n` sorted by `key`.
+fn sorted_indices<K: Ord>(order: &mut Vec<u32>, n: usize, key: impl Fn(u32) -> K) {
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_unstable_by_key(|&i| key(i));
+}
+
 /// The virtual frequency controller. One instance per node.
 ///
 /// # Hot-path architecture
 ///
 /// Steady state (membership unchanged, no faults) performs **zero heap
-/// allocations** per iteration. The per-vCPU working set lives in a
-/// *dense slot registry* — `slots` (live vCPU addresses in sorted
-/// order) plus flat per-slot and per-VM tables — rebuilt only when the
-/// pipeline's inventory generation moves. Every per-iteration structure
-/// (estimates, allocations, buyers, residuals, per-VM accumulators) is
-/// a flat `Vec` owned by the controller and reused across periods; the
-/// auction and distribution stages add into the slot table through
-/// grant closures instead of HashMaps.
+/// allocations** and **no lookup by address** per iteration. Everything
+/// remembered about a vCPU lives in one row of a *slot table* laid out
+/// in inventory order — VM `i` of the listing owns the slots
+/// `vm_slot_base[i] ..` — and everything about a VM (names, guarantee,
+/// wallet, metric series) in one row of the VM tables. The tables are
+/// re-slotted only when the pipeline's inventory generation moves:
+/// surviving rows move to their new slot, arrivals start from
+/// `Default`, departures are dropped. Stage 1 walks the table in order,
+/// so every observation, estimate and buyer carries its slot and VM
+/// index, and stages 3–6 index the flat per-iteration buffers
+/// (`slot_alloc`, `vm_spent`, …) with them. Finding a row from an id
+/// (`vm_index_of`) is for the cold paths: journal restore, adoption,
+/// resize, vanish clean-up and the re-slot itself.
 ///
 /// Stages 1–2 run through a sharded pipeline
 /// ([`ControllerConfig::shard_count`], `docs/PERFORMANCE.md`):
 /// [`Controller::iterate_into`] runs the shards sequentially on the
 /// calling thread, [`Controller::iterate_into_parallel`] spreads them
 /// across cores. Both produce byte-identical caps, wallets and health
-/// counters for any shard count — the partition is a contiguous split
-/// of the inventory order and the merge concatenates in shard order.
+/// counters for any shard count — a shard is a contiguous run of the
+/// table and the merge concatenates in shard order.
 pub struct Controller {
     cfg: ControllerConfig,
     topo: TopologyInfo,
-    /// Stages 1–2: the sharded monitor + estimator pipeline, owning the
-    /// inventory lister and the merged observation buffers.
+    /// Stages 1–2: the inventory lister, the shard partition and the
+    /// merged observation buffers.
     pipeline: ShardedPipeline,
-    wallet: Wallet,
-    /// `c_{i,j,t-1}` — what we applied last iteration.
-    prev_alloc: FastMap<VcpuAddr, Micros>,
-    /// `cpu.max` writes that failed last iteration, re-issued this one
-    /// for vCPUs that get no fresh allocation.
-    pending_writes: FastMap<VcpuAddr, Micros>,
-    /// Last `cpu.max` successfully written per vCPU, with the allocation
-    /// that produced it. Stage 6 elides a write whose value is already
-    /// in force (plus optional hysteresis, see
-    /// [`ControllerConfig::apply_min_delta_us`]). A failed write clears
-    /// the entry so retries are never elided, and warm-restart adoption
-    /// deliberately does *not* seed it (the first write after a restart
-    /// is always issued).
-    in_force: FastMap<VcpuAddr, (Micros, CpuMax)>,
-    /// VM id → scope name from the most recent inventory. The crash
-    /// journal is keyed by name because backend ids are not stable
-    /// across daemon restarts.
-    last_names: FastMap<VmId, String>,
     iterations: u64,
     /// Running sum of every iteration's [`HealthReport`].
     health_totals: HealthTotals,
@@ -420,36 +412,47 @@ pub struct Controller {
     /// The uncap watchdog already fired for the current excursion.
     uncap_done: bool,
 
-    // ---- dense slot registry (rebuilt per inventory generation) -------
-    /// Monitor generation the registry was built against.
-    registry_generation: Option<u64>,
-    /// Live vCPU addresses, sorted — slot index is the dense key.
+    // ---- slot table (re-slotted per inventory generation) -------------
+    /// Inventory generation the tables were laid out against; `None`
+    /// forces a re-slot (initial state, after a journal restore).
+    table_generation: Option<u64>,
+    /// One row per listed vCPU, in inventory order.
+    rows: Vec<VcpuRow>,
+    /// Slot → address.
     slots: Vec<VcpuAddr>,
-    /// Address → slot index.
-    slot_of: FastMap<VcpuAddr, u32>,
-    /// Slot → VM table index.
-    slot_vm: Vec<u32>,
-    /// VM tables, in inventory order.
+    /// Slots in address order: the deterministic `cpu.max` write order
+    /// of stage 6 (the identity wherever the backend lists by id).
+    write_order: Vec<u32>,
+    /// VM tables, in inventory order. `vm_slot_base` has one more entry
+    /// than there are VMs: VM `i` owns `vm_slot_base[i]..vm_slot_base[i + 1]`.
     vm_ids: Vec<VmId>,
     vm_names: Vec<String>,
     vm_guarantee: Vec<Micros>,
     vm_vfreq: Vec<Option<MHz>>,
-    /// VM id → VM table index.
+    vm_slot_base: Vec<u32>,
+    /// Credit wallets (Eq. 4); `None` = no wallet entry, which is what
+    /// `report.credits` and the balance gauge list (see
+    /// [`crate::credits::Wallet`] for when entries appear and go).
+    vm_credits: Vec<Option<u64>>,
+    /// Where each VM's per-VM metric series were last found.
+    vm_series: Vec<VmSeries>,
+    /// VM id → VM table index (cold paths only).
     vm_index_of: FastMap<VmId, u32>,
-    /// VM table indices ordered by name (trace aggregation order).
+    /// VM table indices ordered by name (trace aggregation order) and by
+    /// id (wallet report order).
     vm_name_order: Vec<u32>,
+    vm_id_order: Vec<u32>,
 
     // ---- per-iteration scratch (reused, cleared each period) ----------
     estimates: Vec<Estimate>,
     slot_alloc: Vec<Micros>,
     slot_has: Vec<bool>,
     buyers: Vec<Buyer>,
-    residual: Vec<(VcpuAddr, Micros)>,
-    dist_scratch: Vec<(VcpuAddr, u64, u64)>,
+    residual: Vec<(u32, Micros)>,
+    dist_scratch: Vec<(u32, u64, u64)>,
     vm_minted: Vec<u64>,
     vm_spent: Vec<u64>,
     vm_alloc: Vec<u64>,
-    failed: Vec<(VcpuAddr, Micros)>,
     write_vanished: Vec<VmId>,
 }
 
@@ -466,14 +469,9 @@ impl Controller {
         }
         let lease_ttl = cfg.cap_lease_ttl;
         Controller {
-            pipeline: ShardedPipeline::new(&cfg),
+            pipeline: ShardedPipeline::new(),
             cfg,
             topo,
-            wallet: Wallet::new(),
-            prev_alloc: FastMap::default(),
-            pending_writes: FastMap::default(),
-            in_force: FastMap::default(),
-            last_names: FastMap::default(),
             iterations: 0,
             health_totals: HealthTotals::default(),
             metrics: ControllerMetrics::new(),
@@ -489,16 +487,20 @@ impl Controller {
                 LeaseState::Disabled
             },
             uncap_done: false,
-            registry_generation: None,
+            table_generation: None,
+            rows: Vec::new(),
             slots: Vec::new(),
-            slot_of: FastMap::default(),
-            slot_vm: Vec::new(),
+            write_order: Vec::new(),
             vm_ids: Vec::new(),
             vm_names: Vec::new(),
             vm_guarantee: Vec::new(),
             vm_vfreq: Vec::new(),
+            vm_slot_base: vec![0],
+            vm_credits: Vec::new(),
+            vm_series: Vec::new(),
             vm_index_of: FastMap::default(),
             vm_name_order: Vec::new(),
+            vm_id_order: Vec::new(),
             estimates: Vec::new(),
             slot_alloc: Vec::new(),
             slot_has: Vec::new(),
@@ -508,7 +510,6 @@ impl Controller {
             vm_minted: Vec::new(),
             vm_spent: Vec::new(),
             vm_alloc: Vec::new(),
-            failed: Vec::new(),
             write_vanished: Vec::new(),
         }
     }
@@ -531,7 +532,23 @@ impl Controller {
 
     /// Credit balance of a VM.
     pub fn credit_of(&self, vm: VmId) -> u64 {
-        self.wallet.balance(vm)
+        self.vm_index_of
+            .get(&vm)
+            .and_then(|&vi| self.vm_credits[vi as usize])
+            .unwrap_or(0)
+    }
+
+    /// The slots of VM table row `vi`.
+    fn vm_slots(&self, vi: usize) -> std::ops::Range<usize> {
+        self.vm_slot_base[vi] as usize..self.vm_slot_base[vi + 1] as usize
+    }
+
+    /// Slot of a vCPU, if it was in the listing the tables were last
+    /// laid out against. A hash lookup: cold paths only.
+    fn slot_of(&self, addr: VcpuAddr) -> Option<usize> {
+        let slots = self.vm_slots(*self.vm_index_of.get(&addr.vm)? as usize);
+        let slot = slots.start + addr.vcpu.as_u32() as usize;
+        (slot < slots.end).then_some(slot)
     }
 
     /// Cumulative health counters since this controller was built (see
@@ -590,8 +607,10 @@ impl Controller {
 
     /// Snapshot everything a warm restart needs — wallets, consumption
     /// histories, previous allocations, monitor baselines and the period
-    /// counter — keyed by VM name (see [`crate::persist`]). VMs whose
-    /// name is not known yet (never inventoried) are omitted.
+    /// counter — keyed by VM name (see [`crate::persist`]). A VM enters
+    /// the snapshot through its vCPUs with an Eq. 3 history; one with
+    /// none (never observed, or every vCPU skipped last period) is
+    /// omitted.
     ///
     /// What is *deliberately not* in the snapshot:
     ///
@@ -604,10 +623,10 @@ impl Controller {
     ///   ([`Controller::adopt_allocation`]) rather than trust memory;
     /// * **ladder / lease / telemetry state** — overload and health
     ///   tracking restart clean by design (a restart *is* the reset);
-    /// * **shard assignment** — per-vCPU state is gathered across all
-    ///   shards and serialized flat, so the restoring process may run
-    ///   any `shard_count` (the §14 merge contract makes shard layout
-    ///   invisible to outputs, journals included).
+    /// * **shard assignment** — the slot table is one table whatever the
+    ///   partition, so the restoring process may run any `shard_count`
+    ///   (the §14 merge contract makes shard layout invisible to
+    ///   outputs, journals included).
     ///
     /// The snapshot is deterministic for a given loop state: VMs are
     /// sorted by name and vCPUs by index, so two exports without an
@@ -616,28 +635,31 @@ impl Controller {
     /// Atomic write-out and validation on load live in
     /// [`crate::persist`]; this method only captures state.
     pub fn export_state(&self) -> Journal {
-        let mut per_vm: HashMap<VmId, Vec<VcpuState>> = HashMap::new();
-        for (addr, history) in self.pipeline.export_histories() {
-            per_vm.entry(addr.vm).or_default().push(VcpuState {
-                vcpu: addr.vcpu.as_u32(),
-                history,
-                prev_alloc: self.prev_alloc.get(&addr).copied(),
-                usage_baseline: self.pipeline.usage_baseline(addr),
-                throttled_baseline: self.pipeline.throttled_baseline(addr),
-            });
-        }
-        let mut vms: Vec<VmState> = per_vm
-            .into_iter()
-            .filter_map(|(vm, mut vcpus)| {
-                let name = self.last_names.get(&vm)?.clone();
-                vcpus.sort_by_key(|v| v.vcpu);
-                Some(VmState {
-                    name,
-                    credits: self.wallet.balance(vm),
-                    vcpus,
+        let mut vms: Vec<VmState> = Vec::new();
+        for (vi, name) in self.vm_names.iter().enumerate() {
+            let slots = self.vm_slots(vi);
+            let vcpus: Vec<VcpuState> = self.rows[slots]
+                .iter()
+                .enumerate()
+                .filter_map(|(j, row)| {
+                    Some(VcpuState {
+                        vcpu: j as u32,
+                        history: row.history.as_ref()?.to_vec(),
+                        prev_alloc: row.prev_alloc,
+                        usage_baseline: row.prev_usage,
+                        throttled_baseline: row.prev_throttled,
+                    })
                 })
-            })
-            .collect();
+                .collect();
+            // A VM is journalled through its tracked vCPUs.
+            if !vcpus.is_empty() {
+                vms.push(VmState {
+                    name: name.clone(),
+                    credits: self.vm_credits[vi].unwrap_or(0),
+                    vcpus,
+                });
+            }
+        }
         vms.sort_by(|a, b| a.name.cmp(&b.name));
         Journal {
             version: JOURNAL_VERSION,
@@ -681,27 +703,28 @@ impl Controller {
     /// [`Controller::adopt_allocation`] — a read-back beats the
     /// journal's memory (DESIGN.md §10.2 table).
     pub fn restore_state(&mut self, journal: &Journal, live: &[VmCgroupInfo]) -> Vec<String> {
+        // No iteration may have listed the host yet: lay the tables out
+        // against `live` and seed its rows. The next iteration re-slots
+        // against its own listing, moving the seeded rows by address.
+        self.reslot(live);
+        self.table_generation = None;
         let by_name: HashMap<&str, &VmState> =
             journal.vms.iter().map(|v| (v.name.as_str(), v)).collect();
         let mut resumed = Vec::new();
-        for vm in live {
+        for (vi, vm) in live.iter().enumerate() {
             let Some(state) = by_name.get(vm.name.as_str()) else {
                 continue;
             };
-            self.wallet.set_balance(vm.vm, state.credits);
-            self.last_names.insert(vm.vm, vm.name.clone());
-            for v in &state.vcpus {
-                if v.vcpu >= vm.nr_vcpus {
-                    // The VM shrank while the daemon was dead.
-                    continue;
-                }
-                let addr = VcpuAddr::new(vm.vm, VcpuId::new(v.vcpu));
-                self.pipeline.seed_history(addr, &v.history);
-                self.pipeline
-                    .seed_baselines(addr, v.usage_baseline, v.throttled_baseline);
-                if let Some(alloc) = v.prev_alloc {
-                    self.prev_alloc.insert(addr, alloc);
-                }
+            self.vm_credits[vi] = (state.credits > 0).then_some(state.credits);
+            let slots = self.vm_slots(vi);
+            // vCPUs past the live count: the VM shrank while the daemon
+            // was dead.
+            for v in state.vcpus.iter().filter(|v| v.vcpu < vm.nr_vcpus) {
+                let row = &mut self.rows[slots.start + v.vcpu as usize];
+                row.history = Some(History::seeded(self.cfg.history_len, &v.history));
+                row.prev_usage = v.usage_baseline.or(row.prev_usage);
+                row.prev_throttled = v.throttled_baseline.or(row.prev_throttled);
+                row.prev_alloc = v.prev_alloc.or(row.prev_alloc);
             }
             resumed.push(vm.name.clone());
         }
@@ -711,9 +734,14 @@ impl Controller {
 
     /// Override `c_{i,j,t-1}` with the allocation implied by a live
     /// `cpu.max` read-back — reconciliation adopts what is actually in
-    /// force over what the journal remembers.
+    /// force over what the journal remembers. Applies to the vCPUs of
+    /// the listing the controller last worked from
+    /// ([`Controller::restore_state`]'s `live`, or the previous
+    /// iteration's inventory); any other address has no state to amend.
     pub fn adopt_allocation(&mut self, addr: VcpuAddr, alloc: Micros) {
-        self.prev_alloc.insert(addr, alloc);
+        if let Some(slot) = self.slot_of(addr) {
+            self.rows[slot].prev_alloc = Some(alloc);
+        }
     }
 
     /// Live virtual-frequency resize hook. The backend (host) is the
@@ -737,24 +765,28 @@ impl Controller {
     /// next delta. Returns the new per-vCPU guarantee `C_i` (Eq. 2).
     pub fn set_vfreq(&mut self, vm: VmId, new_vfreq: MHz) -> Micros {
         let c_i = guaranteed_cycles(new_vfreq, self.topo.max_mhz, self.cfg.period);
-        let vcpus = self
-            .pipeline
-            .export_histories()
-            .iter()
-            .filter(|(addr, _)| addr.vm == vm)
-            .count()
-            .max(1) as u64;
+        let Some(&vi) = self.vm_index_of.get(&vm) else {
+            return c_i; // never listed: nothing acts on old samples
+        };
+        let slots = self.vm_slots(vi as usize);
+        let rows = &mut self.rows[slots];
+        let vcpus = rows.iter().filter(|r| r.history.is_some()).count().max(1) as u64;
         let ceiling = c_i.as_u64() * vcpus * self.cfg.history_len as u64;
-        self.wallet.clamp(vm, ceiling);
-        self.pipeline.forget_vm_histories(vm);
-        self.prev_alloc.retain(|addr, _| addr.vm != vm);
-        // A retry queued under the old frequency would re-impose an
-        // old-sized cap if the vCPU is ever skipped; drop it.
-        self.pending_writes.retain(|addr, _| addr.vm != vm);
-        // Forget the in-force caps so the first post-resize writes are
-        // always issued (hysteresis must never compare against a cap
-        // sized for the old frequency).
-        self.in_force.retain(|addr, _| addr.vm != vm);
+        let credits = &mut self.vm_credits[vi as usize];
+        if credits.is_some_and(|balance| balance > ceiling) {
+            *credits = (ceiling > 0).then_some(ceiling);
+        }
+        for row in rows {
+            row.history = None;
+            row.prev_alloc = None;
+            // A retry queued under the old frequency would re-impose an
+            // old-sized cap if the vCPU is ever skipped; drop it.
+            row.pending = None;
+            // Forget the in-force cap so the first post-resize write is
+            // always issued (hysteresis must never compare against a cap
+            // sized for the old frequency).
+            row.in_force = None;
+        }
         c_i
     }
 
@@ -775,65 +807,68 @@ impl Controller {
         Ok(report)
     }
 
-    /// Rebuild the dense slot registry from the pipeline's inventory.
-    /// Called only when the inventory generation moves; allocation here
-    /// is fine (membership changes are rare events, not steady state).
-    ///
-    /// The registry is the bridge between the sharded stage-1/2 world
-    /// (per-shard maps keyed by [`VcpuAddr`]) and the flat stage-3–6
-    /// world: `slots` holds every live address in sorted order, and the
-    /// slot index is the dense key into every per-iteration table
-    /// (`slot_alloc`, `slot_has`, `slot_vm`). Sorted slot order is also
-    /// the deterministic `cpu.max` write order of stage 6.
-    fn rebuild_registry(&mut self) {
-        let inv = self.pipeline.inventory();
+    /// Lay the slot and VM tables out against `inv`, moving what is
+    /// remembered about every vCPU and VM that is still listed (found by
+    /// id, so state follows an id exactly as far as a map keyed by it
+    /// would) and dropping the rest. Called only when the inventory
+    /// generation moves; allocation here is fine (membership changes are
+    /// rare events, not steady state) but is O(1) events plus one name
+    /// per arrival.
+    fn reslot(&mut self, inv: &[VmCgroupInfo]) {
+        let (n, nr_slots) = (inv.len(), inv.iter().map(|vm| vm.nr_vcpus as usize).sum());
+        let old_base = std::mem::replace(&mut self.vm_slot_base, Vec::with_capacity(n + 1));
+        let mut old_names = std::mem::replace(&mut self.vm_names, Vec::with_capacity(n));
+        let old_credits = std::mem::replace(&mut self.vm_credits, Vec::with_capacity(n));
+        let old_series = std::mem::replace(&mut self.vm_series, Vec::with_capacity(n));
+        let mut old_rows = std::mem::replace(&mut self.rows, Vec::with_capacity(nr_slots));
         self.vm_ids.clear();
-        self.vm_names.clear();
         self.vm_guarantee.clear();
         self.vm_vfreq.clear();
-        self.vm_index_of.clear();
-        for (vi, vm) in inv.iter().enumerate() {
+        self.slots.clear();
+        for vm in inv {
+            let old = self.vm_index_of.get(&vm.vm).map(|&o| o as usize);
             self.vm_ids.push(vm.vm);
-            self.vm_names.push(vm.name.clone());
+            self.vm_names.push(match old {
+                Some(o) if old_names[o] == vm.name => std::mem::take(&mut old_names[o]),
+                _ => vm.name.clone(),
+            });
             self.vm_guarantee.push(guaranteed_cycles(
                 vm.vfreq.unwrap_or(MHz::ZERO),
                 self.topo.max_mhz,
                 self.cfg.period,
             ));
             self.vm_vfreq.push(vm.vfreq);
-            self.vm_index_of.insert(vm.vm, vi as u32);
-        }
-        self.vm_name_order.clear();
-        self.vm_name_order.extend(0..inv.len() as u32);
-        {
-            let names = &self.vm_names;
-            self.vm_name_order
-                .sort_unstable_by(|a, b| names[*a as usize].cmp(&names[*b as usize]));
-        }
-        self.slots.clear();
-        for vm in inv {
+            self.vm_credits.push(old.and_then(|o| old_credits[o]));
+            self.vm_series
+                .push(old.map(|o| old_series[o]).unwrap_or_default());
+            self.vm_slot_base.push(self.slots.len() as u32);
+            let old_slots = old.map_or(0..0, |o| old_base[o] as usize..old_base[o + 1] as usize);
             for j in 0..vm.nr_vcpus {
                 self.slots.push(VcpuAddr::new(vm.vm, VcpuId::new(j)));
+                self.rows.push(match old_slots.start + j as usize {
+                    s if s < old_slots.end => std::mem::take(&mut old_rows[s]),
+                    _ => VcpuRow::default(),
+                });
             }
         }
-        self.slots.sort_unstable();
-        self.slot_of.clear();
-        self.slot_vm.clear();
-        for (i, addr) in self.slots.iter().enumerate() {
-            self.slot_of.insert(*addr, i as u32);
-            self.slot_vm.push(self.vm_index_of[&addr.vm]);
-        }
-        self.last_names.clear();
-        for vm in inv {
-            self.last_names.insert(vm.vm, vm.name.clone());
-        }
-        // Drop per-address and per-VM state of departed members.
-        let slot_of = &self.slot_of;
-        self.prev_alloc.retain(|a, _| slot_of.contains_key(a));
-        self.pending_writes.retain(|a, _| slot_of.contains_key(a));
-        self.in_force.retain(|a, _| slot_of.contains_key(a));
-        self.wallet.retain_vms(&self.vm_ids);
-        self.registry_generation = Some(self.pipeline.generation());
+        self.vm_slot_base.push(self.slots.len() as u32);
+        self.vm_index_of.clear();
+        self.vm_index_of
+            .extend(self.vm_ids.iter().zip(0..).map(|(id, vi)| (*id, vi)));
+
+        let (slots, names, ids) = (&self.slots, &self.vm_names, &self.vm_ids);
+        sorted_indices(&mut self.write_order, slots.len(), |s| slots[s as usize]);
+        sorted_indices(&mut self.vm_name_order, n, |vi| &names[vi as usize]);
+        sorted_indices(&mut self.vm_id_order, n, |vi| ids[vi as usize]);
+    }
+
+    /// [`Controller::reslot`] against the pipeline's current inventory.
+    fn reslot_to_inventory(&mut self) {
+        // Detach the listing for the call: a pointer swap, not a copy.
+        let inv = std::mem::take(&mut self.pipeline.inventory);
+        self.reslot(&inv);
+        self.pipeline.inventory = inv;
+        self.table_generation = Some(self.pipeline.generation());
     }
 
     /// Stage 6 — write the slot allocations (and pending retries) to the
@@ -842,12 +877,12 @@ impl Controller {
     /// ladder's retry rung); `slot_alloc`/`slot_has` must already be
     /// sized to the slot table. Returns the stage's wall time.
     ///
-    /// The slot order *is* the deterministic sorted write order. Per
-    /// slot, the write candidate is this period's fresh allocation, or a
-    /// re-issue of last period's failed write for the (skipped) vCPUs
-    /// that got no fresh one. A candidate whose `cpu.max` value is
-    /// already in force is elided — kernel state ends up identical
-    /// without the syscall.
+    /// Slots are visited in address order, the deterministic write
+    /// order. Per slot, the write candidate is this period's fresh
+    /// allocation, or a re-issue of last period's failed write for the
+    /// (skipped) vCPUs that got no fresh one. A candidate whose
+    /// `cpu.max` value is already in force is elided — kernel state ends
+    /// up identical without the syscall.
     fn stage_apply<B: HostBackend + ?Sized>(
         &mut self,
         backend: &mut B,
@@ -856,36 +891,38 @@ impl Controller {
         vanished_names: &mut Vec<String>,
     ) -> Duration {
         let t = Instant::now();
-        self.failed.clear();
         self.write_vanished.clear();
         let mut attempted = 0u64;
         let mut volume = 0u64;
         let mut elided = 0u64;
         let mut retries = 0u32;
+        let mut failed = 0u32;
         let min_delta = self.cfg.apply_min_delta_us;
-        'slots: for slot in 0..self.slots.len() {
+        for &slot in &self.write_order {
+            let slot = slot as usize;
             let addr = self.slots[slot];
             if self.write_vanished.contains(&addr.vm) {
                 continue;
             }
-            let (alloc, is_retry) = if self.slot_has[slot] {
-                (self.slot_alloc[slot], false)
-            } else if let Some(pending) = self.pending_writes.get(&addr).copied() {
-                (pending, true)
-            } else {
-                continue 'slots;
+            let row = &mut self.rows[slot];
+            // Retriable failures are re-issued once, next period: every
+            // pending write is consumed here, used or not.
+            let (alloc, is_retry) = match (self.slot_has[slot], row.pending.take()) {
+                (true, _) => (self.slot_alloc[slot], false),
+                (false, Some(pending)) => (pending, true),
+                (false, None) => continue,
             };
             if is_retry {
                 retries += 1;
             }
             let max = allocation_to_cpu_max(alloc, period);
-            if let Some(&(in_alloc, in_max)) = self.in_force.get(&addr) {
+            if let Some((in_alloc, in_max)) = row.in_force {
                 if in_max == max {
                     // Exact dedup: the kernel already enforces this
                     // value, so the write would be a no-op syscall.
                     elided += 1;
-                    self.prev_alloc.insert(addr, alloc);
-                    self.in_force.insert(addr, (alloc, max));
+                    row.prev_alloc = Some(alloc);
+                    row.in_force = Some((alloc, max));
                     continue;
                 }
                 if min_delta > 0 && in_alloc.as_u64().abs_diff(alloc.as_u64()) < min_delta {
@@ -893,7 +930,7 @@ impl Controller {
                     // treating it as `c_{i,j,t}` so the estimator
                     // references what is actually enforced.
                     elided += 1;
-                    self.prev_alloc.insert(addr, in_alloc);
+                    row.prev_alloc = Some(in_alloc);
                     continue;
                 }
             }
@@ -901,9 +938,9 @@ impl Controller {
             match backend.set_vcpu_max(addr.vm, addr.vcpu, max) {
                 Ok(()) => {
                     volume += alloc.as_u64();
-                    self.in_force.insert(addr, (alloc, max));
+                    row.in_force = Some((alloc, max));
                     if !is_retry {
-                        self.prev_alloc.insert(addr, alloc);
+                        row.prev_alloc = Some(alloc);
                     }
                     // A successful retry keeps the *old* prev_alloc:
                     // the vCPU was skipped this period, so stages 2–5
@@ -926,43 +963,28 @@ impl Controller {
                     // value while the vCPU stays unobserved, and is
                     // never elided, because the in-force entry is
                     // cleared here.
-                    self.failed.push((addr, alloc));
-                    self.prev_alloc.remove(&addr);
-                    self.in_force.remove(&addr);
+                    failed += 1;
+                    row.pending = Some(alloc);
+                    row.prev_alloc = None;
+                    row.in_force = None;
                 }
             }
         }
         report.health.write_retries = retries;
-        report.health.write_errors = (self.failed.len() + self.write_vanished.len()) as u32;
-
-        // Retriable write failures are re-issued next period.
-        self.pending_writes.clear();
-        for &(addr, alloc) in &self.failed {
-            self.pending_writes.insert(addr, alloc);
-        }
+        report.health.write_errors = failed + self.write_vanished.len() as u32;
 
         // A VM that disappeared during the writes gets the same
-        // cleanup as one that disappeared during monitoring.
-        if !self.write_vanished.is_empty() {
-            let vanished = std::mem::take(&mut self.write_vanished);
-            for vm in &vanished {
-                self.prev_alloc.retain(|a, _| a.vm != *vm);
-                self.pending_writes.retain(|a, _| a.vm != *vm);
-                self.in_force.retain(|a, _| a.vm != *vm);
-                self.pipeline.forget_vm(*vm);
-                if let Some(name) = self.last_names.get(vm) {
-                    vanished_names.push(name.clone());
-                }
-            }
-            let keep: Vec<VmId> = self
-                .vm_ids
-                .iter()
-                .copied()
-                .filter(|v| !vanished.contains(v))
-                .collect();
-            self.wallet.retain_vms(&keep);
-            report.health.vanished_vms.extend(vanished.iter().copied());
-            self.write_vanished = vanished;
+        // cleanup as one that disappeared during monitoring: its rows
+        // and its wallet go now, its table rows when the next period
+        // re-slots (this period's report still lists it).
+        for vm in &self.write_vanished {
+            let vi = self.vm_index_of[vm] as usize;
+            let slots = self.vm_slots(vi);
+            self.rows[slots].fill_with(VcpuRow::default);
+            self.vm_credits[vi] = None;
+            self.pipeline.forget_vm(*vm);
+            vanished_names.push(self.vm_names[vi].clone());
+            report.health.vanished_vms.push(*vm);
         }
         let elapsed = t.elapsed();
         self.metrics.observe_stage(Stage::Apply, elapsed);
@@ -998,8 +1020,8 @@ impl Controller {
 
     /// [`Controller::iterate_into`] with stages 1–2 parallelized across
     /// shards (one scoped thread per chunk of shards, via the vendored
-    /// `rayon`). Requires a `Sync` backend: shard state is disjoint, so
-    /// workers only share `&B`, the config and `c_{t-1}`.
+    /// `rayon`). Requires a `Sync` backend: each shard's rows are its own,
+    /// so workers only share `&B`, the config and the listing.
     ///
     /// Output-equivalent to the sequential entry point — the merge
     /// concatenates per-shard results in shard order, so stages 3–6 see
@@ -1027,7 +1049,7 @@ impl Controller {
     ) -> Result<()>
     where
         B: HostBackend + ?Sized,
-        F: FnOnce(&mut [Shard], &B, &ControllerConfig, &FastMap<VcpuAddr, Micros>),
+        F: FnOnce(&mut [Shard], &mut [VcpuRow], &B, &ControllerConfig, &[VmCgroupInfo]),
     {
         let t_start = Instant::now();
         let mut timings = StageTimings::default();
@@ -1089,17 +1111,21 @@ impl Controller {
         }
 
         // ---- stages 1–2: monitor + estimate (sharded pipeline) ------------
+        // List first: the read loop wants a row for every listed vCPU,
+        // arrivals included, so a moved inventory re-slots the table
+        // before anything is read.
+        self.pipeline.refresh_inventory(backend);
+        if self.table_generation != Some(self.pipeline.generation()) {
+            self.reslot_to_inventory();
+        }
         // Each shard runs its monitor pass and its estimate pass
-        // back-to-back; the merge then concatenates per-shard outputs in
-        // shard order, which is inventory order — the same flat buffers
-        // the unsharded loop produced. The estimator reads `prev_alloc`
-        // *before* this period's vanish cleanup prunes it, which is
-        // equivalent: the pruned entries belong to unobserved vCPUs the
-        // estimator never looks up.
+        // back-to-back over its run of rows; the merge then concatenates
+        // per-shard outputs in shard order, which is inventory order —
+        // the same flat buffers the unsharded loop produces.
         self.pipeline.run(
             backend,
             &self.cfg,
-            &self.prev_alloc,
+            &mut self.rows,
             &mut self.estimates,
             runner,
         );
@@ -1113,30 +1139,15 @@ impl Controller {
         self.metrics.observe_stage(Stage::Monitor, timings.monitor);
         self.metrics
             .observe_stage(Stage::Estimate, timings.estimate);
-        let vcpu_total: u64 = self
-            .pipeline
-            .inventory()
-            .iter()
-            .map(|v| v.nr_vcpus as u64)
-            .sum();
-        self.metrics.record_monitor(
-            self.pipeline.inventory().len() as u64,
-            vcpu_total,
-            self.pipeline.read_errors() as u64,
-            self.pipeline.stale_reused().len() as u64,
-            self.pipeline.skipped().len() as u64,
-            self.pipeline.vanished().len() as u64,
-        );
         crate::estimate::record_telemetry(&self.estimates, &mut self.metrics);
 
-        // Names of vanished VMs (only the previous registry still knows
-        // them) — their per-VM gauge series are dropped in the epilogue.
-        // `Vec::new()` does not allocate; the vanish path is cold.
+        // Names of vanished VMs (only the tables laid out before the
+        // reads still know them) — their per-VM gauge series are dropped
+        // in the epilogue. `Vec::new()` does not allocate; the vanish
+        // path is cold.
         let mut vanished_names: Vec<String> = Vec::new();
         for vm in self.pipeline.vanished() {
-            if let Some(name) = self.last_names.get(vm) {
-                vanished_names.push(name.clone());
-            }
+            vanished_names.push(self.vm_names[self.vm_index_of[vm] as usize].clone());
         }
 
         let health = &mut report.health;
@@ -1154,19 +1165,28 @@ impl Controller {
             .extend_from_slice(self.pipeline.vanished());
         health.degraded = false;
 
-        // A vanished VM must not leave a ghost capping or a pending write.
-        for vm in self.pipeline.vanished() {
-            self.prev_alloc.retain(|a, _| a.vm != *vm);
-            self.pending_writes.retain(|a, _| a.vm != *vm);
-            self.in_force.retain(|a, _| a.vm != *vm);
-        }
-
-        // Membership changed (or first iteration): rebuild the dense
-        // slot registry the rest of the pipeline indexes into.
-        if self.registry_generation != Some(self.pipeline.generation()) {
-            self.rebuild_registry();
+        // A VM vanished under the reads: the lister dropped it, so the
+        // tables are re-slotted without it (no ghost capping, pending
+        // write or wallet survives) and this period's outputs, read at
+        // the old slots, are pointed at the new ones.
+        if self.table_generation != Some(self.pipeline.generation()) {
+            self.reslot_to_inventory();
+            let observations = self.pipeline.observations_mut();
+            for (e, o) in self.estimates.iter_mut().zip(observations) {
+                let vi = self.vm_index_of[&e.addr.vm];
+                e.slot = self.vm_slot_base[vi as usize] + e.addr.vcpu.as_u32();
+                (e.vm_idx, o.slot, o.vm_idx) = (vi, e.slot, vi);
+            }
         }
         let n_vms = self.vm_ids.len();
+        self.metrics.record_monitor(
+            n_vms as u64,
+            self.slots.len() as u64,
+            self.pipeline.read_errors() as u64,
+            self.pipeline.stale_reused().len() as u64,
+            self.pipeline.skipped().len() as u64,
+            self.pipeline.vanished().len() as u64,
+        );
 
         // QoS floors on the estimates (both follow from Eq. 5's premise:
         // the guarantee must hold whenever the estimated demand reaches
@@ -1183,12 +1203,8 @@ impl Controller {
         //   idle floor across many periods), and the increase factor
         //   governs growth beyond the guarantee.
         for e in &mut self.estimates {
-            let floors = !self.prev_alloc.contains_key(&e.addr)
-                || e.case == crate::estimate::EstimateCase::Increase;
-            if floors {
-                let slot = self.slot_of[&e.addr] as usize;
-                let c_i = self.vm_guarantee[self.slot_vm[slot] as usize];
-                e.estimate = e.estimate.max(c_i);
+            if self.rows[e.slot as usize].prev_alloc.is_none() || e.case == EstimateCase::Increase {
+                e.estimate = e.estimate.max(self.vm_guarantee[e.vm_idx as usize]);
             }
         }
 
@@ -1203,12 +1219,11 @@ impl Controller {
             self.vm_minted.clear();
             self.vm_minted.resize(n_vms, 0);
             for obs in self.pipeline.observations() {
-                let slot = self.slot_of[&obs.addr] as usize;
-                let vi = self.slot_vm[slot] as usize;
+                let vi = obs.vm_idx as usize;
                 let c_i = self.vm_guarantee[vi];
                 if c_i > obs.used {
                     let amount = (c_i - obs.used).as_u64();
-                    self.wallet.credit(self.vm_ids[vi], amount);
+                    *self.vm_credits[vi].get_or_insert(0) += amount;
                     self.vm_minted[vi] += amount;
                 }
             }
@@ -1217,9 +1232,8 @@ impl Controller {
             self.slot_has.clear();
             self.slot_has.resize(self.slots.len(), false);
             for e in &self.estimates {
-                let slot = self.slot_of[&e.addr] as usize;
-                let c_i = self.vm_guarantee[self.slot_vm[slot] as usize];
-                self.slot_alloc[slot] = e.estimate.min(c_i);
+                let slot = e.slot as usize;
+                self.slot_alloc[slot] = e.estimate.min(self.vm_guarantee[e.vm_idx as usize]);
                 self.slot_has[slot] = true;
             }
             // Over-subscription guard: placement (Eq. 7) should prevent
@@ -1240,8 +1254,11 @@ impl Controller {
             self.metrics.observe_stage(Stage::Enforce, timings.enforce);
             for vi in 0..n_vms {
                 if self.vm_minted[vi] > 0 {
-                    self.metrics
-                        .record_credits_minted(&self.vm_names[vi], self.vm_minted[vi]);
+                    self.metrics.record_credits_minted(
+                        &self.vm_names[vi],
+                        &mut self.vm_series[vi],
+                        self.vm_minted[vi],
+                    );
                 }
             }
 
@@ -1252,30 +1269,24 @@ impl Controller {
             market_initial = market;
             self.buyers.clear();
             for e in &self.estimates {
-                let alloc = self.slot_alloc[self.slot_of[&e.addr] as usize];
+                let alloc = self.slot_alloc[e.slot as usize];
                 if e.estimate > alloc {
-                    self.buyers.push(Buyer {
-                        addr: e.addr,
-                        want: e.estimate - alloc,
-                    });
+                    self.buyers.push(Buyer::of(e, e.estimate - alloc));
                 }
             }
             self.vm_spent.clear();
             self.vm_spent.resize(n_vms, 0);
             {
-                let slot_of = &self.slot_of;
-                let slot_vm = &self.slot_vm;
                 let slot_alloc = &mut self.slot_alloc;
                 let vm_spent = &mut self.vm_spent;
                 auction_outcome = run_auction_with(
                     &mut market,
                     &mut self.buyers,
-                    &mut self.wallet,
+                    self.vm_credits.as_mut_slice(),
                     self.cfg.window,
-                    |addr, paid| {
-                        let slot = slot_of[&addr] as usize;
-                        slot_alloc[slot] += paid;
-                        vm_spent[slot_vm[slot] as usize] += paid.as_u64();
+                    |buyer, paid| {
+                        slot_alloc[buyer.slot as usize] += paid;
+                        vm_spent[buyer.vm_idx as usize] += paid.as_u64();
                     },
                 );
             }
@@ -1283,8 +1294,11 @@ impl Controller {
             self.metrics.observe_stage(Stage::Auction, timings.auction);
             for vi in 0..n_vms {
                 if self.vm_spent[vi] > 0 {
-                    self.metrics
-                        .record_credits_spent(&self.vm_names[vi], self.vm_spent[vi]);
+                    self.metrics.record_credits_spent(
+                        &self.vm_names[vi],
+                        &mut self.vm_series[vi],
+                        self.vm_spent[vi],
+                    );
                 }
             }
 
@@ -1292,21 +1306,18 @@ impl Controller {
             let t = Instant::now();
             self.residual.clear();
             for e in &self.estimates {
-                let alloc = self.slot_alloc[self.slot_of[&e.addr] as usize];
+                let alloc = self.slot_alloc[e.slot as usize];
                 if e.estimate > alloc {
-                    self.residual.push((e.addr, e.estimate - alloc));
+                    self.residual.push((e.slot, e.estimate - alloc));
                 }
             }
             {
-                let slot_of = &self.slot_of;
                 let slot_alloc = &mut self.slot_alloc;
                 distributed = distribute_leftovers_with(
                     &mut market,
                     &self.residual,
                     &mut self.dist_scratch,
-                    |addr, share| {
-                        slot_alloc[slot_of[&addr] as usize] += share;
-                    },
+                    |slot, share| slot_alloc[slot as usize] += share,
                 );
             }
             market_left = market;
@@ -1343,8 +1354,8 @@ impl Controller {
                     self.slot_has.clear();
                     self.slot_has.resize(self.slots.len(), false);
                     for e in &self.estimates {
-                        let slot = self.slot_of[&e.addr] as usize;
-                        let c_i = self.vm_guarantee[self.slot_vm[slot] as usize];
+                        let slot = e.slot as usize;
+                        let c_i = self.vm_guarantee[e.vm_idx as usize];
                         self.slot_alloc[slot] = if c_i.is_zero() { period } else { c_i };
                         self.slot_has[slot] = true;
                     }
@@ -1366,15 +1377,15 @@ impl Controller {
                     if !self.uncap_done {
                         let t = Instant::now();
                         let mut cleared = 0u64;
-                        for slot in 0..self.slots.len() {
-                            let addr = self.slots[slot];
+                        for &slot in &self.write_order {
+                            let addr = self.slots[slot as usize];
                             if backend.clear_vcpu_max(addr.vm, addr.vcpu).is_ok() {
                                 cleared += 1;
                             }
                         }
-                        self.prev_alloc.clear();
-                        self.pending_writes.clear();
-                        self.in_force.clear();
+                        for row in &mut self.rows {
+                            (row.prev_alloc, row.pending, row.in_force) = (None, None, None);
+                        }
                         self.uncap_done = true;
                         timings.apply = t.elapsed();
                         self.metrics.observe_stage(Stage::Apply, timings.apply);
@@ -1402,11 +1413,14 @@ impl Controller {
                 alloc: Micros::ZERO,
             });
         }
+        // Per-VM allocation totals for the trace ring ride along.
+        self.vm_alloc.clear();
+        self.vm_alloc.resize(n_vms, 0);
         for i in 0..n_rows {
             let e = &self.estimates[i];
             let o = &self.pipeline.observations()[i];
-            let slot = self.slot_of[&e.addr] as usize;
-            let vi = self.slot_vm[slot] as usize;
+            let slot = e.slot as usize;
+            let vi = e.vm_idx as usize;
             let row = &mut report.vcpus[i];
             row.addr = e.addr;
             let name = &self.vm_names[vi];
@@ -1425,6 +1439,7 @@ impl Controller {
             } else {
                 Micros::ZERO
             };
+            self.vm_alloc[vi] += row.alloc.as_u64();
         }
         report.vcpus.sort_unstable_by_key(|v| v.addr);
         report.market_initial = market_initial;
@@ -1500,11 +1515,17 @@ impl Controller {
             self.metrics
                 .observe_shard(idx, s.nr_vcpus() as u64, s.mon_time(), s.est_time());
         }
-        self.wallet.snapshot_into(&mut report.credits);
-        for (vm, bal) in &report.credits {
-            if let Some(&vi) = self.vm_index_of.get(vm) {
-                self.metrics
-                    .record_credit_balance(&self.vm_names[vi as usize], *bal);
+        // Exactly the VMs with a wallet entry, in id order.
+        report.credits.clear();
+        for &vi in &self.vm_id_order {
+            let vi = vi as usize;
+            if let Some(balance) = self.vm_credits[vi] {
+                report.credits.push((self.vm_ids[vi], balance));
+                self.metrics.record_credit_balance(
+                    &self.vm_names[vi],
+                    &mut self.vm_series[vi],
+                    balance,
+                );
             }
         }
         for name in &vanished_names {
@@ -1514,13 +1535,6 @@ impl Controller {
         // Per-VM allocation totals, aggregated by *name* (several VMs may
         // share one), in name order — filled into the trace ring entry,
         // recycling the evicted entry's strings.
-        self.vm_alloc.clear();
-        self.vm_alloc.resize(n_vms, 0);
-        for row in &report.vcpus {
-            if let Some(&slot) = self.slot_of.get(&row.addr) {
-                self.vm_alloc[self.slot_vm[slot as usize] as usize] += row.alloc.as_u64();
-            }
-        }
         let iteration = self.iterations;
         let degraded = report.health.degraded;
         let vm_names = &self.vm_names;

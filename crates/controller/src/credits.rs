@@ -15,7 +15,18 @@ use crate::monitor::VcpuObservation;
 use std::collections::HashMap;
 use vfc_simcore::{FastMap, Micros, VcpuAddr, VmId};
 
-/// Per-VM credit wallets (µs of cycles).
+/// Debit up to `amount` from one balance; returns what was actually
+/// debited (never overdraws).
+pub(crate) fn debit(balance: &mut u64, amount: u64) -> u64 {
+    let spent = amount.min(*balance);
+    *balance -= spent;
+    spent
+}
+
+/// Per-VM credit wallets (µs of cycles), keyed by VM id. The controller
+/// keeps its balances in its VM table (`Option<u64>` per row, `None` = no
+/// wallet entry) and follows the same entry rules: minting and spending
+/// create an entry, a clamp to zero removes it.
 #[derive(Debug, Default)]
 pub struct Wallet {
     credits: FastMap<VmId, u64>,
@@ -40,14 +51,6 @@ impl Wallet {
         }
     }
 
-    /// Credit one VM directly (the per-slot Eq. 4 path: the controller
-    /// hot loop computes `C_i − u` itself and deposits the difference).
-    pub fn credit(&mut self, vm: VmId, amount: u64) {
-        if amount > 0 {
-            *self.credits.entry(vm).or_insert(0) += amount;
-        }
-    }
-
     /// Current balance of a VM.
     pub fn balance(&self, vm: VmId) -> u64 {
         self.credits.get(&vm).copied().unwrap_or(0)
@@ -56,20 +59,7 @@ impl Wallet {
     /// Spend up to `amount` from a VM's wallet; returns what was actually
     /// debited (never overdraws).
     pub fn spend(&mut self, vm: VmId, amount: u64) -> u64 {
-        let balance = self.credits.entry(vm).or_insert(0);
-        let spent = amount.min(*balance);
-        *balance -= spent;
-        spent
-    }
-
-    /// Restore a balance from the crash journal (warm restart). A zero
-    /// balance removes the wallet entry, matching a never-seen VM.
-    pub fn set_balance(&mut self, vm: VmId, credits: u64) {
-        if credits == 0 {
-            self.credits.remove(&vm);
-        } else {
-            self.credits.insert(vm, credits);
-        }
+        debit(self.credits.entry(vm).or_insert(0), amount)
     }
 
     /// Clamp a VM's balance to `ceiling` (live-resize semantics: credits
@@ -95,19 +85,11 @@ impl Wallet {
         self.credits.retain(|vm, _| set.contains(vm));
     }
 
-    /// Snapshot of all balances (for reports), sorted by VM id.
+    /// Snapshot of all wallet entries (for reports), sorted by VM id.
     pub fn snapshot(&self) -> Vec<(VmId, u64)> {
-        let mut v = Vec::new();
-        self.snapshot_into(&mut v);
+        let mut v: Vec<_> = self.credits.iter().map(|(k, v)| (*k, *v)).collect();
+        v.sort_unstable_by_key(|(vm, _)| *vm);
         v
-    }
-
-    /// [`Wallet::snapshot`] into a caller-owned buffer (cleared first) —
-    /// allocation-free once its capacity covers the VM count.
-    pub fn snapshot_into(&self, out: &mut Vec<(VmId, u64)>) {
-        out.clear();
-        out.extend(self.credits.iter().map(|(k, v)| (*k, *v)));
-        out.sort_unstable_by_key(|(vm, _)| *vm);
     }
 }
 
@@ -125,21 +107,6 @@ pub fn base_allocations(
         .collect()
 }
 
-/// Fold per-VM minted credits — the Eq. 4 earnings of this period,
-/// derived by the controller from wallet snapshots bracketing
-/// [`Wallet::earn`] — into `vfc_credits_minted_usec_total{vm=...}`.
-pub fn record_telemetry(
-    minted: &[(VmId, u64)],
-    names: &HashMap<VmId, &str>,
-    metrics: &mut crate::telemetry::ControllerMetrics,
-) {
-    for (vm, amount) in minted {
-        if let Some(name) = names.get(vm) {
-            metrics.record_credits_minted(name, *amount);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +116,8 @@ mod tests {
     fn obs(vm: u32, vcpu: u32, used: u64) -> VcpuObservation {
         VcpuObservation {
             addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)),
+            slot: 0,
+            vm_idx: 0,
             used: Micros(used),
             throttled: Micros::ZERO,
             last_cpu: CpuId::new(0),
@@ -159,6 +128,8 @@ mod tests {
     fn est(vm: u32, vcpu: u32, e: u64) -> Estimate {
         Estimate {
             addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)),
+            slot: 0,
+            vm_idx: 0,
             estimate: Micros(e),
             case: EstimateCase::Stable,
         }

@@ -24,14 +24,15 @@ pub fn distribute_leftovers(
 }
 
 /// [`distribute_leftovers`] with a caller-supplied grant sink and scratch
-/// buffer: `grant(addr, share)` is invoked per non-zero share instead of
-/// touching a HashMap, and the intermediate `(addr, share, cap)` table
+/// buffer: `grant(who, share)` is invoked per non-zero share instead of
+/// touching a HashMap, and the intermediate `(who, share, cap)` table
 /// lives in the reused `scratch` — zero heap allocation once its
-/// capacity has grown to the buyer count.
-pub fn distribute_leftovers_with<F: FnMut(VcpuAddr, Micros)>(
+/// capacity has grown to the buyer count. `K` is however the caller
+/// names a vCPU: its address, or its slot in a dense table.
+pub fn distribute_leftovers_with<K: Copy, F: FnMut(K, Micros)>(
     market: &mut Micros,
-    residual: &[(VcpuAddr, Micros)],
-    scratch: &mut Vec<(VcpuAddr, u64, u64)>,
+    residual: &[(K, Micros)],
+    scratch: &mut Vec<(K, u64, u64)>,
     mut grant: F,
 ) -> Micros {
     let total_residual: u64 = residual.iter().map(|(_, r)| r.as_u64()).sum();
@@ -44,10 +45,10 @@ pub fn distribute_leftovers_with<F: FnMut(VcpuAddr, Micros)>(
     let mut given = 0u64;
     let grants = scratch;
     grants.clear();
-    for (addr, r) in residual {
+    for (who, r) in residual {
         let share = (pot as u128 * r.as_u64() as u128 / total_residual as u128) as u64;
         let share = share.min(r.as_u64());
-        grants.push((*addr, share, r.as_u64()));
+        grants.push((*who, share, r.as_u64()));
         given += share;
     }
     // ...then round-robin the integer dust, respecting residual caps.
@@ -70,9 +71,9 @@ pub fn distribute_leftovers_with<F: FnMut(VcpuAddr, Micros)>(
     }
 
     let distributed: u64 = grants.iter().map(|(_, s, _)| *s).sum();
-    for &(addr, share, _) in grants.iter() {
+    for &(who, share, _) in grants.iter() {
         if share > 0 {
-            grant(addr, Micros(share));
+            grant(who, Micros(share));
         }
     }
     *market -= Micros(distributed);

@@ -36,6 +36,11 @@ pub enum EstimateCase {
 pub struct Estimate {
     /// The vCPU this estimate is for.
     pub addr: VcpuAddr,
+    /// Dense coordinates, copied from the observation (see
+    /// [`VcpuObservation::slot`]).
+    pub slot: u32,
+    /// The VM's position among the listed VMs.
+    pub vm_idx: u32,
     /// Predicted next-period consumption `e_{i,j,t}`, µs per period.
     pub estimate: Micros,
     /// Which of the three cases produced the estimate.
@@ -153,8 +158,8 @@ impl TrendAccumulator {
 }
 
 /// One vCPU's stage-2 state: the consumption ring plus its rolling
-/// trend sums. `pub(crate)` so the sharded pipeline can move a vCPU's
-/// history between shard-local estimators without replaying samples.
+/// trend sums. `pub(crate)` so the controller's slot table can hold one
+/// per row.
 #[derive(Debug)]
 pub(crate) struct History {
     ring: RingBuffer<u64>,
@@ -162,9 +167,11 @@ pub(crate) struct History {
 }
 
 impl History {
-    fn new(cap: usize) -> Self {
+    /// An empty window of `history_len` samples (at least 2: a trend
+    /// needs two points).
+    pub(crate) fn new(history_len: usize) -> Self {
         History {
-            ring: RingBuffer::new(cap),
+            ring: RingBuffer::new(history_len.max(2)),
             acc: TrendAccumulator::default(),
         }
     }
@@ -181,17 +188,82 @@ impl History {
         self.acc.trend(self.ring.len())
     }
 
-    /// Replace the window contents wholesale (warm restart).
-    fn reseed(&mut self, samples: &[u64]) {
-        self.ring.clear();
-        self.acc = TrendAccumulator::default();
+    /// A window holding the most recent of `samples` (warm restart).
+    pub(crate) fn seeded(history_len: usize, samples: &[u64]) -> Self {
+        let mut history = History::new(history_len);
         for &s in samples {
-            self.push(s);
+            history.push(s);
         }
+        history
+    }
+
+    /// The window contents, oldest → newest.
+    pub(crate) fn to_vec(&self) -> Vec<u64> {
+        self.ring.to_vec()
     }
 }
 
-/// Stage-2 state: one consumption history per vCPU.
+/// Eq. 3 and the three cases for one vCPU: push this period's
+/// consumption into its history, classify the trend against
+/// `c_{i,j,t-1}` (`cap`; a vCPU without one — first sighting, or
+/// monitor-only operation — is treated as capped at the full period)
+/// and produce the estimate. [`Estimator`] calls this with state keyed
+/// by address, the controller's slot loop with one row of its table.
+pub(crate) fn estimate_vcpu(
+    cfg: &ControllerConfig,
+    history: &mut History,
+    obs: &VcpuObservation,
+    cap: Option<Micros>,
+) -> Estimate {
+    let period = cfg.period;
+    let t = history.push(obs.used.as_u64());
+
+    let cap = cap.unwrap_or(period);
+    let cap_f = cap.as_u64() as f64;
+    let u = obs.used.as_u64() as f64;
+    // Trend significance scales with consumption so measurement
+    // wiggle on a busy vCPU is filtered while a ramp-up from a
+    // tiny capping still registers.
+    let epsilon = cfg.trend_epsilon_floor.max(cfg.trend_epsilon_rel * u);
+
+    // Throttle-aware extension (opt-in): a vCPU the kernel had to
+    // throttle was demanding more than its capping, whatever its
+    // consumption trend looks like.
+    let throttled_hard = cfg.throttle_aware && obs.throttled.as_u64() > cap.as_u64() / 10;
+
+    let (case, raw) = if throttled_hard || (t > epsilon && u >= cfg.increase_trigger * cap_f) {
+        // Case (a): ramp up by the increase factor.
+        (EstimateCase::Increase, cap_f * (1.0 + cfg.increase_factor))
+    } else if t < -epsilon && u <= cfg.decrease_trigger * cap_f {
+        // Case (b): back off gently.
+        (EstimateCase::Decrease, cap_f * (1.0 - cfg.decrease_factor))
+    } else {
+        // Case (c): track consumption with just enough headroom
+        // that a stable load does not re-trigger an increase.
+        (EstimateCase::Stable, u / cfg.increase_trigger)
+    };
+
+    let mut estimate_u64 = (raw.round() as u64).clamp(cfg.min_cap.as_u64(), period.as_u64());
+    if case == EstimateCase::Stable {
+        // Guard against float rounding putting the consumption
+        // back over the increase trigger of the new capping.
+        while estimate_u64 < period.as_u64() && u >= cfg.increase_trigger * estimate_u64 as f64 {
+            estimate_u64 += 1;
+        }
+    }
+    Estimate {
+        addr: obs.addr,
+        slot: obs.slot,
+        vm_idx: obs.vm_idx,
+        estimate: Micros(estimate_u64),
+        case,
+    }
+}
+
+/// Stage-2 state keyed by vCPU address: one consumption history per
+/// vCPU. The controller keeps the same histories in its slot table; this
+/// type is the stage's stand-alone form and the oracle its tests compare
+/// with.
 #[derive(Debug)]
 pub struct Estimator {
     histories: FastMap<VcpuAddr, History>,
@@ -207,7 +279,9 @@ impl Estimator {
         }
     }
 
-    /// Estimate next-period consumption for every observed vCPU.
+    /// Estimate next-period consumption for every observed vCPU, then
+    /// forget every vCPU that was not observed — gone, or skipped by
+    /// stage 1 this period.
     ///
     /// `prev_alloc` is `c_{i,j,t-1}` — the capping the controller set last
     /// iteration; a vCPU without one (first sighting, or monitor-only
@@ -218,154 +292,41 @@ impl Estimator {
         observations: &[VcpuObservation],
         prev_alloc: &FastMap<VcpuAddr, Micros>,
     ) -> Vec<Estimate> {
-        let mut out = Vec::with_capacity(observations.len());
-        self.estimate_into(cfg, observations, prev_alloc, &mut out);
-        out
-    }
+        let out = observations
+            .iter()
+            .map(|obs| {
+                let history = self
+                    .histories
+                    .entry(obs.addr)
+                    .or_insert_with(|| History::new(self.history_len));
+                estimate_vcpu(cfg, history, obs, prev_alloc.get(&obs.addr).copied())
+            })
+            .collect();
 
-    /// [`Estimator::estimate`] writing into a caller-owned buffer — the
-    /// hot-path entry point. `out` is cleared first; once its capacity
-    /// has grown to the vCPU count this performs no heap allocation in
-    /// steady state (history rings are created on first sighting only).
-    pub fn estimate_into(
-        &mut self,
-        cfg: &ControllerConfig,
-        observations: &[VcpuObservation],
-        prev_alloc: &FastMap<VcpuAddr, Micros>,
-        out: &mut Vec<Estimate>,
-    ) {
-        self.estimate_into_unpruned(cfg, observations, prev_alloc, out);
-
-        // Forget vCPUs that disappeared. The membership check only runs
-        // when the tracked set is larger than the observed one, so the
-        // steady state never builds the HashSet.
+        // Every observed vCPU is tracked by now, so a larger tracked set
+        // means some history was not shown a sample this period.
         if self.histories.len() > observations.len() {
             let live: std::collections::HashSet<VcpuAddr> =
                 observations.iter().map(|o| o.addr).collect();
             self.histories.retain(|addr, _| live.contains(addr));
         }
-    }
-
-    /// [`Estimator::estimate_into`] minus the departed-vCPU prune. The
-    /// sharded pipeline calls this per shard and runs the prune *once,
-    /// globally* after merging (see `shard.rs`): the trigger condition
-    /// (`tracked > observed`) must compare host-wide totals, or a vCPU
-    /// skipped in one shard during the same period another shard gained
-    /// one would lose its history under sharding but keep it unsharded.
-    pub(crate) fn estimate_into_unpruned(
-        &mut self,
-        cfg: &ControllerConfig,
-        observations: &[VcpuObservation],
-        prev_alloc: &FastMap<VcpuAddr, Micros>,
-        out: &mut Vec<Estimate>,
-    ) {
-        let period = cfg.period;
-        out.clear();
-
-        for obs in observations {
-            let history_len = self.history_len.max(2);
-            let history = self
-                .histories
-                .entry(obs.addr)
-                .or_insert_with(|| History::new(history_len));
-            let t = history.push(obs.used.as_u64());
-
-            let cap = prev_alloc.get(&obs.addr).copied().unwrap_or(period);
-            let cap_f = cap.as_u64() as f64;
-            let u = obs.used.as_u64() as f64;
-            // Trend significance scales with consumption so measurement
-            // wiggle on a busy vCPU is filtered while a ramp-up from a
-            // tiny capping still registers.
-            let epsilon = cfg.trend_epsilon_floor.max(cfg.trend_epsilon_rel * u);
-
-            // Throttle-aware extension (opt-in): a vCPU the kernel had to
-            // throttle was demanding more than its capping, whatever its
-            // consumption trend looks like.
-            let throttled_hard = cfg.throttle_aware && obs.throttled.as_u64() > cap.as_u64() / 10;
-
-            let (case, raw) =
-                if throttled_hard || (t > epsilon && u >= cfg.increase_trigger * cap_f) {
-                    // Case (a): ramp up by the increase factor.
-                    (EstimateCase::Increase, cap_f * (1.0 + cfg.increase_factor))
-                } else if t < -epsilon && u <= cfg.decrease_trigger * cap_f {
-                    // Case (b): back off gently.
-                    (EstimateCase::Decrease, cap_f * (1.0 - cfg.decrease_factor))
-                } else {
-                    // Case (c): track consumption with just enough headroom
-                    // that a stable load does not re-trigger an increase.
-                    (EstimateCase::Stable, u / cfg.increase_trigger)
-                };
-
-            let mut estimate_u64 =
-                (raw.round() as u64).clamp(cfg.min_cap.as_u64(), period.as_u64());
-            if case == EstimateCase::Stable {
-                // Guard against float rounding putting the consumption
-                // back over the increase trigger of the new capping.
-                while estimate_u64 < period.as_u64()
-                    && u >= cfg.increase_trigger * estimate_u64 as f64
-                {
-                    estimate_u64 += 1;
-                }
-            }
-            let estimate = Micros(estimate_u64);
-            out.push(Estimate {
-                addr: obs.addr,
-                estimate,
-                case,
-            });
-        }
-    }
-
-    /// Number of vCPU histories currently tracked.
-    pub(crate) fn tracked(&self) -> usize {
-        self.histories.len()
-    }
-
-    /// Keep only histories whose address is in `live` — the global half
-    /// of the departed-vCPU prune under sharding.
-    pub(crate) fn retain_addrs(&mut self, live: &std::collections::HashSet<VcpuAddr>) {
-        self.histories.retain(|addr, _| live.contains(addr));
-    }
-
-    /// Detach all histories for shard migration (rings and trend sums
-    /// move as-is — bit-identical, no sample replay).
-    pub(crate) fn take_histories(&mut self) -> FastMap<VcpuAddr, History> {
-        std::mem::take(&mut self.histories)
-    }
-
-    /// Absorb pooled histories owned by VMs accepted by `owns`, removing
-    /// them from the pool — the receiving half of
-    /// [`Estimator::take_histories`].
-    pub(crate) fn absorb_histories(
-        &mut self,
-        pool: &mut FastMap<VcpuAddr, History>,
-        owns: impl Fn(vfc_simcore::VmId) -> bool,
-    ) {
-        // FastMap has no drain-filter; collect the keys to move (cold
-        // path — repartitions only happen on membership change).
-        let moving: Vec<VcpuAddr> = pool.keys().copied().filter(|a| owns(a.vm)).collect();
-        for addr in moving {
-            if let Some(h) = pool.remove(&addr) {
-                self.histories.insert(addr, h);
-            }
-        }
+        out
     }
 
     /// Consumption history of one vCPU (oldest → newest), for reporting.
     pub fn history_of(&self, addr: VcpuAddr) -> Vec<u64> {
         self.histories
             .get(&addr)
-            .map(|h| h.ring.to_vec())
+            .map(History::to_vec)
             .unwrap_or_default()
     }
 
-    /// Every tracked history (oldest → newest), sorted by address — the
-    /// crash journal's view of stage 2.
+    /// Every tracked history (oldest → newest), sorted by address.
     pub fn export_histories(&self) -> Vec<(VcpuAddr, Vec<u64>)> {
         let mut out: Vec<_> = self
             .histories
             .iter()
-            .map(|(addr, h)| (*addr, h.ring.to_vec()))
+            .map(|(addr, h)| (*addr, h.to_vec()))
             .collect();
         out.sort_by_key(|(addr, _)| *addr);
         out
@@ -381,17 +342,6 @@ impl Estimator {
         let before = self.histories.len();
         self.histories.retain(|addr, _| addr.vm != vm);
         before - self.histories.len()
-    }
-
-    /// Replace a vCPU's history with journalled samples (warm restart).
-    /// Only the most recent `history_len` samples are retained.
-    pub fn seed_history(&mut self, addr: VcpuAddr, samples: &[u64]) {
-        let history_len = self.history_len.max(2);
-        let history = self
-            .histories
-            .entry(addr)
-            .or_insert_with(|| History::new(history_len));
-        history.reseed(samples);
     }
 }
 
@@ -424,6 +374,8 @@ mod tests {
     fn obs(used: u64) -> VcpuObservation {
         VcpuObservation {
             addr: VcpuAddr::new(VmId::new(0), VcpuId::new(0)),
+            slot: 0,
+            vm_idx: 0,
             used: Micros(used),
             throttled: Micros::ZERO,
             last_cpu: CpuId::new(0),

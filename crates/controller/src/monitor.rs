@@ -21,11 +21,18 @@
 //!    [`stale_sample_ttl`](crate::ControllerConfig::stale_sample_ttl)
 //!    periods old;
 //! 3. with no reusable sample, the vCPU is skipped for this iteration:
-//!    it keeps whatever capping it already has, and its history resumes
-//!    when reads succeed again.
+//!    it keeps whatever capping it already has, and its usage baselines,
+//!    so the first successful read afterwards differences against the
+//!    last *real* counter value. Its Eq. 3 history does not survive the
+//!    skip: stage 2 drops the ring of every vCPU it was not shown this
+//!    period, so the vCPU re-enters through the cold-start floor.
+//!
+//! The per-vCPU arithmetic lives in two functions, [`difference`] and
+//! [`reuse_stale`]; [`Monitor`] applies them to state keyed by
+//! [`VcpuAddr`], the controller's slot loop (`shard.rs`) to one row of
+//! its dense per-vCPU table.
 
-use vfc_cgroupfs::backend::{HostBackend, VmCgroupInfo};
-use vfc_cgroupfs::error::Result;
+use vfc_cgroupfs::backend::{HostBackend, VcpuRawSample, VmCgroupInfo};
 use vfc_simcore::{CpuId, FastMap, MHz, Micros, VcpuAddr, VcpuId, VmId};
 
 /// One vCPU's monitored state for this iteration.
@@ -33,6 +40,13 @@ use vfc_simcore::{CpuId, FastMap, MHz, Micros, VcpuAddr, VcpuId, VmId};
 pub struct VcpuObservation {
     /// The observed vCPU.
     pub addr: VcpuAddr,
+    /// Dense coordinates of the vCPU in the listing it was read from:
+    /// its position among all listed vCPUs …
+    pub slot: u32,
+    /// … and its VM's position among the listed VMs. Stages 3–6 index
+    /// their per-slot and per-VM tables with these instead of hashing
+    /// `addr`.
+    pub vm_idx: u32,
     /// Cycles consumed during the last period (`u_{i,j,t}`).
     pub used: Micros,
     /// Time the vCPU spent throttled by its quota during the last period
@@ -44,6 +58,47 @@ pub struct VcpuObservation {
     pub last_cpu: CpuId,
     /// Estimated virtual frequency over the last period.
     pub freq_est: MHz,
+}
+
+/// Difference one raw sample against the vCPU's previous cumulative
+/// counters. The first observation of a vCPU (`None` baselines) reports
+/// `used = 0`: there is no previous sample to difference against.
+pub(crate) fn difference(
+    (addr, slot, vm_idx): (VcpuAddr, u32, u32),
+    raw: &VcpuRawSample,
+    prev_usage: Option<Micros>,
+    prev_throttled: Option<Micros>,
+    period: Micros,
+) -> VcpuObservation {
+    let used = prev_usage.map_or(Micros::ZERO, |prev| raw.usage.saturating_sub(prev));
+    let throttled = prev_throttled.map_or(Micros::ZERO, |prev| raw.throttled.saturating_sub(prev));
+    VcpuObservation {
+        addr,
+        slot,
+        vm_idx,
+        used,
+        throttled,
+        last_cpu: raw.last_cpu,
+        freq_est: MHz((used.ratio_of(period) * raw.core_freq.as_f64()).round() as u32),
+    }
+}
+
+/// Rung 2 of the ladder: answer a failed read from the vCPU's last good
+/// observation if it is younger than `stale_ttl` periods, ageing it.
+/// `None` means rung 3 — skip the vCPU. Baselines are not touched either
+/// way, so the next successful read differences against the last *real*
+/// counter value.
+pub(crate) fn reuse_stale(
+    last_good: Option<&mut (VcpuObservation, u32)>,
+    stale_ttl: u32,
+) -> Option<VcpuObservation> {
+    match last_good {
+        Some((obs, age)) if *age < stale_ttl => {
+            *age += 1;
+            Some(*obs)
+        }
+        _ => None,
+    }
 }
 
 /// What stage 1 produced, including its degradation bookkeeping.
@@ -64,30 +119,11 @@ pub struct MonitorOutcome {
     pub vanished: Vec<VmId>,
 }
 
-/// Per-vCPU monitor state detached from one shard's [`Monitor`] during
-/// repartitioning, waiting to be re-absorbed by the new owner shards
-/// (see [`Monitor::take_state`] / [`Monitor::absorb_state`]).
-#[derive(Debug, Default)]
-pub(crate) struct MonitorState {
-    pub(crate) prev_usage: FastMap<VcpuAddr, Micros>,
-    pub(crate) prev_throttled: FastMap<VcpuAddr, Micros>,
-    pub(crate) last_good: FastMap<VcpuAddr, (VcpuObservation, u32)>,
-}
-
-impl MonitorState {
-    /// Merge another detached state into this pool.
-    pub(crate) fn merge(&mut self, other: MonitorState) {
-        self.prev_usage.extend(other.prev_usage);
-        self.prev_throttled.extend(other.prev_throttled);
-        self.last_good.extend(other.last_good);
-    }
-}
-
-/// Stage-1 state: previous cumulative counters plus the last good
-/// observation per vCPU (for bounded stale reuse), and the cached VM
-/// inventory with this period's observation buffers — all updated in
-/// place so a steady-state `observe_in_place` call performs no heap
-/// allocation.
+/// Stage-1 state keyed by vCPU address: previous cumulative counters
+/// plus the last good observation per vCPU (for bounded stale reuse),
+/// and the cached VM inventory with this period's observation buffers.
+/// The controller keeps the same state in its slot table; this type is
+/// the stage's stand-alone form and the oracle its tests compare with.
 #[derive(Debug, Default)]
 pub struct Monitor {
     prev_usage: FastMap<VcpuAddr, Micros>,
@@ -102,9 +138,6 @@ pub struct Monitor {
     inventory_epoch: Option<u64>,
     /// Whether `inventory` has been listed at least once.
     listed_once: bool,
-    /// Bumped whenever `inventory` *contents* change — downstream dense
-    /// slot tables key their rebuilds off this.
-    generation: u64,
     // This period's outputs, reused across calls.
     observations: Vec<VcpuObservation>,
     read_errors: u32,
@@ -124,17 +157,45 @@ impl Monitor {
     /// per-vCPU errors degrade per the module docs, and `stale_ttl`
     /// bounds how many periods a cached sample may substitute for a
     /// failed read.
-    ///
-    /// This is the allocating convenience wrapper around
-    /// [`Monitor::observe_in_place`]; the controller hot path uses the
-    /// latter plus the accessor methods.
     pub fn observe<B: HostBackend + ?Sized>(
         &mut self,
         backend: &B,
         period: Micros,
         stale_ttl: u32,
     ) -> MonitorOutcome {
-        self.observe_in_place(backend, period, stale_ttl);
+        // Re-list unless the backend can prove the inventory unchanged.
+        let epoch = backend.vms_epoch();
+        let mut changed = false;
+        if !(self.listed_once && epoch.is_some() && epoch == self.inventory_epoch) {
+            let vms = backend.vms();
+            self.inventory_epoch = epoch;
+            self.listed_once = true;
+            changed = vms != self.inventory;
+            self.inventory = vms;
+        }
+        self.read_listed(backend, period, stale_ttl);
+
+        if !self.vanished.is_empty() {
+            let vanished = &self.vanished;
+            self.inventory.retain(|v| !vanished.contains(&v.vm));
+            // Force a re-list next period: the backend's epoch may not
+            // move for a vanish it does not know about (fault layers).
+            self.inventory_epoch = None;
+            self.listed_once = false;
+            changed = true;
+        }
+        // Drop state for departed vCPUs — only worth scanning when the
+        // membership actually changed.
+        if changed {
+            let vms = &self.inventory;
+            let live = |a: &VcpuAddr| {
+                vms.iter()
+                    .any(|v| v.vm == a.vm && a.vcpu.as_u32() < v.nr_vcpus)
+            };
+            self.prev_usage.retain(|a, _| live(a));
+            self.prev_throttled.retain(|a, _| live(a));
+            self.last_good.retain(|a, _| live(a));
+        }
         MonitorOutcome {
             vms: self.inventory.clone(),
             observations: self.observations.clone(),
@@ -145,77 +206,11 @@ impl Monitor {
         }
     }
 
-    /// Re-list the inventory if the backend cannot prove it unchanged.
-    /// Returns true when the cached contents changed (generation bump).
-    fn refresh_inventory<B: HostBackend + ?Sized>(&mut self, backend: &B) -> bool {
-        let epoch = backend.vms_epoch();
-        if self.listed_once && epoch.is_some() && epoch == self.inventory_epoch {
-            return false; // proven unchanged: skip the allocating re-list
-        }
-        let vms = backend.vms();
-        self.inventory_epoch = epoch;
-        self.listed_once = true;
-        if vms != self.inventory {
-            self.inventory = vms;
-            self.generation = self.generation.wrapping_add(1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// [`Monitor::observe`] without constructing a [`MonitorOutcome`]:
-    /// results land in buffers reused across periods, readable through
-    /// [`Monitor::observations`] and friends. In steady state (inventory
-    /// unchanged, no errors) this performs zero heap allocations.
-    pub fn observe_in_place<B: HostBackend + ?Sized>(
+    /// The read loop: every vCPU of every listed VM, in listing order,
+    /// through one batched [`HostBackend::read_vcpu_raw`] pass.
+    fn read_listed<B: HostBackend + ?Sized>(
         &mut self,
         backend: &B,
-        period: Micros,
-        stale_ttl: u32,
-    ) {
-        let mut changed = self.refresh_inventory(backend);
-        // The read loop wants the inventory as a plain slice while it
-        // mutates the per-vCPU maps; detach it for the duration (a
-        // pointer swap, not a copy).
-        let inventory = std::mem::take(&mut self.inventory);
-        self.observe_listed(backend, &inventory, period, stale_ttl);
-        self.inventory = inventory;
-
-        if !self.vanished.is_empty() {
-            let vanished = std::mem::take(&mut self.vanished);
-            self.inventory.retain(|v| !vanished.contains(&v.vm));
-            self.vanished = vanished;
-            // Force a re-list next period: the backend's epoch may not
-            // move for a vanish it does not know about (fault layers).
-            self.inventory_epoch = None;
-            self.listed_once = false;
-            self.generation = self.generation.wrapping_add(1);
-            changed = true;
-        }
-
-        // Drop state for departed vCPUs — only worth scanning when the
-        // membership actually changed.
-        if changed {
-            let inventory = std::mem::take(&mut self.inventory);
-            self.retain_members(&inventory);
-            self.inventory = inventory;
-        }
-    }
-
-    /// The stage-1 read loop over an externally-owned VM list — the
-    /// shard-callable core of [`Monitor::observe_in_place`]. Reads every
-    /// vCPU of every VM in `vms` (in order, through one batched
-    /// [`HostBackend::read_vcpu_raw`] pass), filling the output buffers
-    /// and updating baselines/last-good state. Vanished VMs land in
-    /// [`Monitor::vanished`] with their per-vCPU state dropped; the
-    /// caller owns `vms` and decides what the vanish means for the
-    /// inventory (the unsharded path prunes its own cached listing, the
-    /// sharded pipeline reports it to the global lister).
-    pub(crate) fn observe_listed<B: HostBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        vms: &[VmCgroupInfo],
         period: Micros,
         stale_ttl: u32,
     ) {
@@ -226,15 +221,25 @@ impl Monitor {
         self.vanished.clear();
         backend.begin_read_pass();
 
-        'vms: for info in vms {
+        let mut slot = 0u32;
+        'vms: for (vm_idx, info) in self.inventory.iter().enumerate() {
             let (vm, nr_vcpus) = (info.vm, info.nr_vcpus);
             let vm_start = self.observations.len();
+            let vm_slot = slot;
+            slot += nr_vcpus;
             for j in 0..nr_vcpus {
                 let addr = VcpuAddr::new(vm, VcpuId::new(j));
-                match self.read_vcpu(backend, vm, VcpuId::new(j), period) {
-                    Ok((obs, cumulative, throttled_cum)) => {
-                        self.prev_usage.insert(addr, cumulative);
-                        self.prev_throttled.insert(addr, throttled_cum);
+                match backend.read_vcpu_raw(vm, VcpuId::new(j)) {
+                    Ok(raw) => {
+                        let obs = difference(
+                            (addr, vm_slot + j, vm_idx as u32),
+                            &raw,
+                            self.prev_usage.get(&addr).copied(),
+                            self.prev_throttled.get(&addr).copied(),
+                            period,
+                        );
+                        self.prev_usage.insert(addr, raw.usage);
+                        self.prev_throttled.insert(addr, raw.throttled);
                         self.last_good.insert(addr, (obs, 0));
                         self.observations.push(obs);
                     }
@@ -253,21 +258,12 @@ impl Monitor {
                     }
                     Err(_) => {
                         self.read_errors += 1;
-                        match self.last_good.get_mut(&addr) {
-                            Some((obs, age)) if *age < stale_ttl => {
-                                *age += 1;
-                                let obs = *obs;
-                                // Baselines stay as they are (in place),
-                                // so the next successful read differences
-                                // against the last *real* counter value.
+                        match reuse_stale(self.last_good.get_mut(&addr), stale_ttl) {
+                            Some(obs) => {
                                 self.stale_reused.push(addr);
                                 self.observations.push(obs);
                             }
-                            _ => {
-                                // No (young enough) sample: skip, keeping
-                                // the baselines so history resumes cleanly.
-                                self.skipped.push(addr);
-                            }
+                            None => self.skipped.push(addr),
                         }
                     }
                 }
@@ -275,169 +271,9 @@ impl Monitor {
         }
     }
 
-    /// Drop per-vCPU state for addresses outside `vms` — the membership
-    /// cleanup half of [`Monitor::observe_in_place`], also used by the
-    /// sharded pipeline after repartitioning.
-    pub(crate) fn retain_members(&mut self, vms: &[VmCgroupInfo]) {
-        let live = |a: &VcpuAddr| {
-            vms.iter()
-                .any(|v| v.vm == a.vm && a.vcpu.as_u32() < v.nr_vcpus)
-        };
-        self.prev_usage.retain(|a, _| live(a));
-        self.prev_throttled.retain(|a, _| live(a));
-        self.last_good.retain(|a, _| live(a));
-    }
-
-    /// The cached VM inventory (vanished VMs removed), as of the last
-    /// [`Monitor::observe_in_place`] call.
-    pub fn inventory(&self) -> &[VmCgroupInfo] {
-        &self.inventory
-    }
-
-    /// Bumped whenever [`Monitor::inventory`] contents change.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// This period's observations (fresh or stale), one per readable vCPU.
-    pub fn observations(&self) -> &[VcpuObservation] {
-        &self.observations
-    }
-
-    /// Per-vCPU read errors this period (vanished VMs not included).
-    pub fn read_errors(&self) -> u32 {
-        self.read_errors
-    }
-
-    /// vCPUs answered from the stale-sample cache this period.
-    pub fn stale_reused(&self) -> &[VcpuAddr] {
-        &self.stale_reused
-    }
-
-    /// vCPUs with no observation this period.
-    pub fn skipped(&self) -> &[VcpuAddr] {
-        &self.skipped
-    }
-
-    /// VMs that disappeared between enumeration and reads this period.
-    pub fn vanished(&self) -> &[VmId] {
-        &self.vanished
-    }
-
-    /// The fallible per-vCPU read: one [`HostBackend::read_vcpu_raw`]
-    /// call (backends fuse it; the trait default preserves the legacy
-    /// usage → throttled → placement → frequency call order), then
-    /// differencing against the previous period's baselines. Returns the
-    /// observation plus the raw cumulative counters (for baseline
-    /// bookkeeping).
-    fn read_vcpu<B: HostBackend + ?Sized>(
-        &self,
-        backend: &B,
-        vm: VmId,
-        vcpu: VcpuId,
-        period: Micros,
-    ) -> Result<(VcpuObservation, Micros, Micros)> {
-        let addr = VcpuAddr::new(vm, vcpu);
-        let raw = backend.read_vcpu_raw(vm, vcpu)?;
-        let used = match self.prev_usage.get(&addr) {
-            Some(&prev) => raw.usage.saturating_sub(prev),
-            None => Micros::ZERO,
-        };
-        let throttled = match self.prev_throttled.get(&addr) {
-            Some(&prev) => raw.throttled.saturating_sub(prev),
-            None => Micros::ZERO,
-        };
-        let freq_est = MHz((used.ratio_of(period) * raw.core_freq.as_f64()).round() as u32);
-
-        Ok((
-            VcpuObservation {
-                addr,
-                used,
-                throttled,
-                last_cpu: raw.last_cpu,
-                freq_est,
-            },
-            raw.usage,
-            raw.throttled,
-        ))
-    }
-
-    /// Detach the per-vCPU differencing state (baselines and last-good
-    /// cache) for shard migration: when the sharded pipeline
-    /// repartitions, every vCPU's state moves with it so `used` deltas
-    /// and stale-reuse ages survive the move bit-identically.
-    pub(crate) fn take_state(&mut self) -> MonitorState {
-        MonitorState {
-            prev_usage: std::mem::take(&mut self.prev_usage),
-            prev_throttled: std::mem::take(&mut self.prev_throttled),
-            last_good: std::mem::take(&mut self.last_good),
-        }
-    }
-
-    /// Absorb entries of `pool` owned by VMs accepted by `owns`,
-    /// removing them from the pool — the receiving half of
-    /// [`Monitor::take_state`].
-    pub(crate) fn absorb_state(&mut self, pool: &mut MonitorState, owns: impl Fn(VmId) -> bool) {
-        let MonitorState {
-            prev_usage,
-            prev_throttled,
-            last_good,
-        } = pool;
-        prev_usage.retain(|a, v| {
-            let take = owns(a.vm);
-            if take {
-                self.prev_usage.insert(*a, *v);
-            }
-            !take
-        });
-        prev_throttled.retain(|a, v| {
-            let take = owns(a.vm);
-            if take {
-                self.prev_throttled.insert(*a, *v);
-            }
-            !take
-        });
-        last_good.retain(|a, v| {
-            let take = owns(a.vm);
-            if take {
-                self.last_good.insert(*a, *v);
-            }
-            !take
-        });
-    }
-
     /// Number of vCPUs currently tracked.
     pub fn tracked(&self) -> usize {
         self.prev_usage.len()
-    }
-
-    /// Cumulative `usage_usec` baseline of a vCPU, for the crash journal.
-    pub fn usage_baseline(&self, addr: VcpuAddr) -> Option<Micros> {
-        self.prev_usage.get(&addr).copied()
-    }
-
-    /// Cumulative `throttled_usec` baseline of a vCPU, for the crash
-    /// journal.
-    pub fn throttled_baseline(&self, addr: VcpuAddr) -> Option<Micros> {
-        self.prev_throttled.get(&addr).copied()
-    }
-
-    /// Seed baselines from a journal (warm restart): cgroup counters are
-    /// cumulative and survive a daemon death, so the first observation
-    /// after a restart can difference against the persisted counter
-    /// instead of reporting `used = 0`.
-    pub fn seed_baselines(
-        &mut self,
-        addr: VcpuAddr,
-        usage: Option<Micros>,
-        throttled: Option<Micros>,
-    ) {
-        if let Some(u) = usage {
-            self.prev_usage.insert(addr, u);
-        }
-        if let Some(t) = throttled {
-            self.prev_throttled.insert(addr, t);
-        }
     }
 
     /// Forget everything about a VM (used when other stages learn that a
@@ -448,7 +284,6 @@ impl Monitor {
         self.last_good.retain(|a, _| a.vm != vm);
         if self.inventory.iter().any(|v| v.vm == vm) {
             self.inventory.retain(|v| v.vm != vm);
-            self.generation = self.generation.wrapping_add(1);
             // The backend may not bump its epoch for a vanish it never
             // saw; force a real re-list next period.
             self.inventory_epoch = None;
@@ -457,28 +292,12 @@ impl Monitor {
     }
 }
 
-impl MonitorOutcome {
-    /// Fold this outcome into the controller's telemetry: the inventory
-    /// gauges (`vfc_vms`, `vfc_vcpus`) plus the stage-1 degradation
-    /// counters (read errors, stale reuse, skips, vanished VMs).
-    pub fn record_telemetry(&self, metrics: &mut crate::telemetry::ControllerMetrics) {
-        metrics.record_monitor(
-            self.vms.len() as u64,
-            self.vms.iter().map(|v| v.nr_vcpus as u64).sum(),
-            self.read_errors as u64,
-            self.stale_reused.len() as u64,
-            self.skipped.len() as u64,
-            self.vanished.len() as u64,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::Cell;
     use std::collections::HashMap;
-    use vfc_cgroupfs::error::CgroupError;
+    use vfc_cgroupfs::error::{CgroupError, Result};
     use vfc_cgroupfs::model::CpuMax;
     use vfc_simcore::{Tid, VmId};
 

@@ -2,9 +2,9 @@
 //! loop, behind one [`ControllerMetrics`] registry.
 //!
 //! [`Controller`](crate::Controller) owns one of these and feeds it every
-//! iteration; the stage modules each define a `record_telemetry` hook
-//! that maps their outcome onto the registry (so the metric semantics
-//! live next to the stage they measure). The daemon renders the registry
+//! iteration; the estimate and distribute stages each define a
+//! `record_telemetry` hook that maps their outcome onto the registry (so
+//! the metric semantics live next to the stage they measure). The daemon renders the registry
 //! to Prometheus text (`--metrics` / `--metrics-addr`), the cluster
 //! manager rolls per-node registries into one page, and the trace ring
 //! is dumped on shutdown or a circuit-breaker trip.
@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 use vfc_telemetry::hist::LATENCY_BUCKETS_US;
-use vfc_telemetry::{HistSnapshot, MetricId, Registry, TraceRing};
+use vfc_telemetry::{HistSnapshot, MetricId, Registry, SeriesHint, TraceRing};
 
 /// The six pipeline stages, used to index the per-stage histogram
 /// family. Matches [`vfc_telemetry::STAGE_NAMES`] order.
@@ -109,6 +109,17 @@ pub struct ControllerMetrics {
     /// Shard series currently on the exposition (stale per-shard gauge
     /// series are dropped when the partition shrinks).
     shard_series: usize,
+}
+
+/// Where one VM's series sit in the three per-VM families (credits
+/// minted, credits spent, balance). The controller keeps one per VM-table
+/// row so the per-period updates compare one label instead of scanning
+/// every VM's; see [`SeriesHint`] for why a stale value is harmless.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VmSeries {
+    minted: SeriesHint,
+    spent: SeriesHint,
+    balance: SeriesHint,
 }
 
 /// Direction labels of `vfc_deadline_transitions_total`, in index order.
@@ -366,18 +377,21 @@ impl ControllerMetrics {
     }
 
     /// Stage 3: credits a VM earned this period (Eq. 4).
-    pub fn record_credits_minted(&mut self, vm_name: &str, usec: u64) {
-        self.registry.inc_dyn(self.credits_minted, vm_name, usec);
+    pub fn record_credits_minted(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
+        self.registry
+            .inc_dyn_at(self.credits_minted, &mut at.minted, vm_name, usec);
     }
 
     /// Stage 4: credits a VM spent buying cycles this period.
-    pub fn record_credits_spent(&mut self, vm_name: &str, usec: u64) {
-        self.registry.inc_dyn(self.credits_spent, vm_name, usec);
+    pub fn record_credits_spent(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
+        self.registry
+            .inc_dyn_at(self.credits_spent, &mut at.spent, vm_name, usec);
     }
 
     /// Current wallet balance of a VM (gauge).
-    pub fn record_credit_balance(&mut self, vm_name: &str, usec: u64) {
-        self.registry.set_dyn(self.credit_balance, vm_name, usec);
+    pub fn record_credit_balance(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
+        self.registry
+            .set_dyn_at(self.credit_balance, &mut at.balance, vm_name, usec);
     }
 
     /// Drop a vanished VM's per-VM series so its last balance does not
@@ -592,8 +606,9 @@ mod tests {
     #[test]
     fn vanished_vm_balance_series_is_dropped() {
         let mut m = ControllerMetrics::new();
-        m.record_credit_balance("web", 42);
-        m.record_credits_minted("web", 9);
+        let mut at = VmSeries::default();
+        m.record_credit_balance("web", &mut at, 42);
+        m.record_credits_minted("web", &mut at, 9);
         m.forget_vm("web");
         let page = m.render_prometheus();
         assert!(!page.contains("vfc_credit_balance_usec{vm=\"web\"}"));

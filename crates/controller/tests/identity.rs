@@ -1,0 +1,184 @@
+//! What an operator reads off a controller — the Prometheus page, the
+//! per-VM credit counters in first-seen order, the trace ring dump and
+//! the crash journal — pinned byte-for-byte across a scripted life: a
+//! 3-VM host runs, one VM vanishes under the monitoring reads, a new VM
+//! arrives, a `cpu.max` write bounces, and the controller is
+//! replaced by a successor warm-started from its journal.
+//!
+//! None of this is timing: wall-clock fields (stage histograms, the
+//! deadline gauge, trace and journal timestamps) are scrubbed, and the
+//! host runs a noise-free governor. What remains is decided by which
+//! VMs have a wallet entry, when their series were first touched, which
+//! names the trace aggregates and which vCPUs still have an Eq. 3
+//! history — exactly what a change to how the controller *addresses* its
+//! state must not move. The golden file was produced by the map-keyed
+//! controller (commit `509a5e5`) running this same script. Regenerate
+//! deliberately with:
+//!
+//! ```text
+//! VFC_BLESS=1 cargo test -p vfc-controller --test identity
+//! ```
+
+use std::fmt::Write as _;
+use std::io;
+use std::path::PathBuf;
+
+use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan, HostBackend};
+use vfc_controller::{ControlMode, Controller, ControllerConfig, IterationReport};
+use vfc_cpusched::dvfs::{Governor, GovernorKind};
+use vfc_cpusched::engine::Engine;
+use vfc_cpusched::topology::NodeSpec;
+use vfc_simcore::{MHz, Micros, VcpuId};
+use vfc_telemetry::{TraceDump, TRACE_DUMP_VERSION};
+use vfc_vmm::workload::SteadyDemand;
+use vfc_vmm::{SimHost, VmTemplate};
+
+type Backend = FaultInjectingBackend<SimHost>;
+
+fn run(ctl: &mut Controller, backend: &mut Backend, report: &mut IterationReport, periods: u32) {
+    for _ in 0..periods {
+        backend.inner_mut().advance_period();
+        ctl.iterate_into(backend, report).unwrap();
+    }
+}
+
+/// The exposition without its wall-clock samples.
+fn page(ctl: &Controller) -> String {
+    ctl.telemetry()
+        .render_prometheus()
+        .lines()
+        .filter(|l| {
+            l.starts_with('#')
+                || !(l.contains("_duration_seconds") || l.starts_with("vfc_deadline_spent_us"))
+        })
+        .fold(String::new(), |mut page, l| {
+            page.push_str(l);
+            page.push('\n');
+            page
+        })
+}
+
+/// The trace ring dump with every clock reading zeroed.
+fn trace(ctl: &Controller) -> String {
+    let ring = ctl.telemetry().trace();
+    let dump = TraceDump {
+        version: TRACE_DUMP_VERSION,
+        capacity: ring.capacity(),
+        reason: "identity".into(),
+        iterations: ring
+            .iter()
+            .cloned()
+            .map(|mut t| {
+                t.unix_ms = 0;
+                t.total_us = 0;
+                t.stages_us.fill(0);
+                t
+            })
+            .collect(),
+    };
+    serde_json::to_string_pretty(&dump).unwrap()
+}
+
+fn journal(ctl: &Controller) -> String {
+    let mut journal = ctl.export_state();
+    journal.saved_unix_ms = 0;
+    serde_json::to_string_pretty(&journal).unwrap()
+}
+
+fn section(out: &mut String, title: &str, body: &str) {
+    writeln!(out, "==== {title} ====\n{body}").unwrap();
+}
+
+#[test]
+fn exposition_trace_and_journal_match_the_map_keyed_controller() {
+    let spec = NodeSpec::custom("identity", 1, 4, 2, MHz(2400));
+    let gov =
+        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
+    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 5);
+    let mut host = SimHost::new(spec, 5).with_engine(engine);
+    let alpha = host.provision(&VmTemplate::new("alpha", 2, MHz(600)));
+    let beta = host.provision(&VmTemplate::new("beta", 2, MHz(800)));
+    let gamma = host.provision(&VmTemplate::new("gamma", 1, MHz(1200)));
+    host.attach_workload(alpha, Box::new(SteadyDemand::full()));
+    host.attach_workload(beta, Box::new(SteadyDemand::new(0.3)));
+    host.attach_workload(gamma, Box::new(SteadyDemand::new(0.6)));
+
+    let mut backend = FaultInjectingBackend::new(host, FaultPlan::none(), 5);
+    let cfg = ControllerConfig::paper_defaults().with_mode(ControlMode::Full);
+    let mut ctl = Controller::new(cfg.clone(), backend.topology());
+    ctl.telemetry_mut().set_trace_capacity(32);
+    let mut report = IterationReport::default();
+    let mut out = String::new();
+
+    run(&mut ctl, &mut backend, &mut report, 6);
+
+    // beta's cgroups go while the listing still carries it.
+    backend.vanish_vm(beta);
+    run(&mut ctl, &mut backend, &mut report, 1);
+    assert_eq!(report.health.vanished_vms, [beta]);
+
+    // A new VM arrives, under a name the host has not seen.
+    let delta = backend
+        .inner_mut()
+        .provision(&VmTemplate::new("delta", 2, MHz(700)));
+    backend
+        .inner_mut()
+        .attach_workload(delta, Box::new(SteadyDemand::new(0.9)));
+    run(&mut ctl, &mut backend, &mut report, 2);
+
+    // gamma's demand moves, so its cap is rewritten — and that write
+    // bounces once with EBUSY.
+    backend
+        .inner_mut()
+        .attach_workload(gamma, Box::new(SteadyDemand::full()));
+    backend.script_fault(
+        FaultOp::SetVcpuMax,
+        Some(gamma),
+        Some(VcpuId::new(0)),
+        FaultKind::Io(io::ErrorKind::ResourceBusy),
+        1,
+    );
+    run(&mut ctl, &mut backend, &mut report, 1);
+    assert_eq!(report.health.write_errors, 1);
+    run(&mut ctl, &mut backend, &mut report, 2);
+
+    section(&mut out, "page before the restart", &page(&ctl));
+    let minted: Vec<String> = ctl
+        .telemetry()
+        .credits_minted_by_vm()
+        .map(|(vm, usec)| format!("{vm} {usec}"))
+        .collect();
+    section(
+        &mut out,
+        "credits minted, first-seen order",
+        &minted.join("\n"),
+    );
+    section(&mut out, "trace ring", &trace(&ctl));
+    section(&mut out, "journal at the handoff", &journal(&ctl));
+
+    // Warm restart: a successor resumes from the journal.
+    let handoff = ctl.export_state();
+    let mut ctl = Controller::new(cfg, backend.topology());
+    ctl.telemetry_mut().set_trace_capacity(32);
+    let resumed = ctl.restore_state(&handoff, &backend.vms());
+    section(&mut out, "resumed", &resumed.join("\n"));
+    section(&mut out, "journal as restored", &journal(&ctl));
+    run(&mut ctl, &mut backend, &mut report, 3);
+    section(&mut out, "page after the restart", &page(&ctl));
+    section(&mut out, "trace ring after the restart", &trace(&ctl));
+    section(&mut out, "journal after the restart", &journal(&ctl));
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/identity.txt");
+    if std::env::var_os("VFC_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &out).unwrap();
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    assert!(
+        out == want,
+        "operator-visible output drifted from {}\n--- got ---\n{out}",
+        path.display()
+    );
+}

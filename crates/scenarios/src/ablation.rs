@@ -233,6 +233,8 @@ pub fn sweep_window(windows_us: &[u64]) -> Vec<WindowRow> {
                 [(rich_vm, Micros(10_000_000)), (modest_vm, Micros(150_000))].into();
             let obs = |vm: u32| VcpuObservation {
                 addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(0)),
+                slot: vm,
+                vm_idx: vm,
                 used: Micros::ZERO,
                 throttled: Micros::ZERO,
                 last_cpu: CpuId::new(0),
@@ -243,14 +245,8 @@ pub fn sweep_window(windows_us: &[u64]) -> Vec<WindowRow> {
             // Both want 200 k from a 200 k market.
             let mut market = Micros(200_000);
             let mut buyers = vec![
-                Buyer {
-                    addr: VcpuAddr::new(rich_vm, VcpuId::new(0)),
-                    want: Micros(200_000),
-                },
-                Buyer {
-                    addr: VcpuAddr::new(modest_vm, VcpuId::new(0)),
-                    want: Micros(200_000),
-                },
+                Buyer::new(VcpuAddr::new(rich_vm, VcpuId::new(0)), Micros(200_000)),
+                Buyer::new(VcpuAddr::new(modest_vm, VcpuId::new(0)), Micros(200_000)),
             ];
             let mut alloc = HashMap::new();
             run_auction(

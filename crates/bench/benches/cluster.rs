@@ -1,6 +1,6 @@
-//! Cluster-manager throughput: cost of one cluster period (node
-//! advancement is rayon-parallel) at several cluster sizes and
-//! strategies, plus the end-to-end strategy comparison at test scale.
+//! Cluster-manager throughput: cost of one cluster period at several
+//! cluster sizes and strategies, plus the end-to-end strategy comparison
+//! at test scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

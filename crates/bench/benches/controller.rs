@@ -12,7 +12,7 @@ use vfc_bench::{dense_host, loaded_host, warm_up};
 use vfc_controller::auction::{run_auction_with, Buyer};
 use vfc_controller::controller::IterationReport;
 use vfc_controller::estimate::trend;
-use vfc_controller::{ControlMode, ShardCount};
+use vfc_controller::ControlMode;
 use vfc_simcore::{Micros, VcpuAddr, VcpuId, VmId};
 
 fn bench_iteration(c: &mut Criterion) {
@@ -53,41 +53,18 @@ fn bench_iteration(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense-host scaling (ROADMAP open item 1): the single-threaded loop
-/// at 500/1000/2000 vCPUs, and the sharded parallel loop at the shard
-/// counts `ShardCount::Auto` would pick for those densities (4 @ 1000,
-/// 8 @ 2000). `full_loop/*` rows pin `Fixed(1)` so they measure the
-/// unsharded pipeline even where Auto would shard; `sharded/*` rows run
-/// [`Controller::iterate_into_parallel`], whose stage-1/2 fan-out is
-/// required by BENCH_controller.json to beat the single-threaded p50 at
-/// 1000 vCPUs by ≥ 2x.
+/// Dense-host scaling: the loop at 500/1000/2000 vCPUs.
 fn bench_dense(c: &mut Criterion) {
     let mut group = c.benchmark_group("iteration");
     for vcpus in [500u32, 1000, 2000] {
         group.bench_with_input(BenchmarkId::new("full_loop", vcpus), &vcpus, |b, &vcpus| {
-            let (mut host, mut ctl) = dense_host(vcpus, ShardCount::Fixed(1), ControlMode::Full);
+            let (mut host, mut ctl) = dense_host(vcpus, ControlMode::Full);
             warm_up(&mut host, &mut ctl, 5);
             let mut report = IterationReport::default();
             b.iter_custom(|| {
                 host.advance_period();
                 let t = Instant::now();
                 ctl.iterate_into(&mut host, &mut report)
-                    .expect("sim backend");
-                black_box(&report);
-                t.elapsed()
-            });
-        });
-    }
-    for (vcpus, shards) in [(1000u32, 4u32), (2000, 8)] {
-        group.bench_with_input(BenchmarkId::new("sharded", vcpus), &vcpus, |b, &vcpus| {
-            let (mut host, mut ctl) =
-                dense_host(vcpus, ShardCount::Fixed(shards), ControlMode::Full);
-            warm_up(&mut host, &mut ctl, 5);
-            let mut report = IterationReport::default();
-            b.iter_custom(|| {
-                host.advance_period();
-                let t = Instant::now();
-                ctl.iterate_into_parallel(&mut host, &mut report)
                     .expect("sim backend");
                 black_box(&report);
                 t.elapsed()
@@ -187,29 +164,9 @@ fn bench_event_core(c: &mut Criterion) {
 
     // Datacenter scale: the 1200-node fleet of the `trace` experiment,
     // shrunk to a per-sample trace so the indexed-placement + event-core
-    // fast path is timed at full fleet width. The `_serial` twin forces
-    // one worker through the same replay; BENCH_controller.json's
-    // events_gate compares the two — >= 2x parallel speedup on >= 4
-    // cores, <= 1.1x parallel overhead on few-core runners.
+    // fast path is timed at full fleet width.
     let dc_trace = SyntheticTrace::new(800, 25, 11).generate();
     let dc_nodes = vec![NodeSpec::custom("dc", 1, 4, 2, MHz(2400)); 1200];
-    let dc_replay = |cluster_threads: usize| {
-        let trace = dc_trace.clone();
-        let nodes = dc_nodes.clone();
-        move || {
-            vfc_cluster::set_parallelism(cluster_threads);
-            let mgr = ClusterManager::new(nodes.clone(), Strategy::FrequencyControl, 7);
-            let mut cluster =
-                EventDrivenCluster::new(mgr).with_algorithm(PlacementAlgorithm::FirstFit);
-            cluster.load_trace(trace.clone());
-            let t = Instant::now();
-            cluster.run_until(25);
-            let d = t.elapsed();
-            black_box(cluster.stats().events_processed);
-            vfc_cluster::set_parallelism(0);
-            d
-        }
-    };
     // Events per replay is a pure function of the fixed trace + seed
     // (stable across machines); BENCH_controller.json pins it as
     // events_per_sample so the gate can print events/s from p50.
@@ -224,12 +181,17 @@ fn bench_event_core(c: &mut Criterion) {
         );
     }
     group.bench_function("replay_1200nodes", |b| {
-        let mut sample = dc_replay(0);
-        b.iter_custom(&mut sample);
-    });
-    group.bench_function("replay_1200nodes_serial", |b| {
-        let mut sample = dc_replay(1);
-        b.iter_custom(&mut sample);
+        b.iter_custom(|| {
+            let mgr = ClusterManager::new(dc_nodes.clone(), Strategy::FrequencyControl, 7);
+            let mut cluster =
+                EventDrivenCluster::new(mgr).with_algorithm(PlacementAlgorithm::FirstFit);
+            cluster.load_trace(dc_trace.clone());
+            let t = Instant::now();
+            cluster.run_until(25);
+            let d = t.elapsed();
+            black_box(cluster.stats().events_processed);
+            d
+        });
     });
 
     let quiet: Vec<TraceVmSpec> = (0..8)

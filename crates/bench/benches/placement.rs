@@ -1,8 +1,7 @@
 //! §IV.C placement throughput: Best/First-Fit of the paper's 400-VM
 //! workload over the 22-node cluster under both constraint modes, plus a
-//! parallel multi-order sweep (crossbeam scoped threads via rayon-free
-//! std::thread::scope) as used by the harness to report several arrival
-//! orders at once.
+//! parallel multi-order sweep (`std::thread::scope`) as used by the
+//! harness to report several arrival orders at once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -6,11 +6,11 @@
 //!   names — laying out tables, QoS floors, metric recording, report
 //!   fill inside `total`; the telemetry epilogue and trace push outside
 //!   it — is `total − Σ stages` and `outer − total`.
-//! * 1000 vCPUs: stage timing breakdown, sequential vs parallel shards.
+//! * 1000 vCPUs: the best iteration of 40 and its stage breakdown.
 use std::time::{Duration, Instant};
 use vfc_bench::{dense_host, mixed_host, warm_up};
 use vfc_controller::controller::IterationReport;
-use vfc_controller::{ControlMode, Controller, ControllerConfig, ShardCount};
+use vfc_controller::{ControlMode, Controller, ControllerConfig};
 
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
@@ -60,29 +60,19 @@ fn node_sim_row() {
 
 fn main() {
     node_sim_row();
-    for (label, shards, par) in [
-        ("seq-1", ShardCount::Fixed(1), false),
-        ("seq-4", ShardCount::Fixed(4), false),
-        ("par-4", ShardCount::Fixed(4), true),
-    ] {
-        let (mut host, mut ctl) = dense_host(1000, shards, ControlMode::Full);
-        warm_up(&mut host, &mut ctl, 5);
-        let mut report = IterationReport::default();
-        let mut best = u128::MAX;
-        for _ in 0..40 {
-            host.advance_period();
-            let t = Instant::now();
-            if par {
-                ctl.iterate_into_parallel(&mut host, &mut report).unwrap();
-            } else {
-                ctl.iterate_into(&mut host, &mut report).unwrap();
-            }
-            best = best.min(t.elapsed().as_micros());
-        }
-        let t = &report.timings;
-        println!(
-            "{label}: best-total {best}us | mon {:?} est {:?} enforce {:?} auction {:?} dist {:?} apply {:?} total {:?}",
-            t.monitor, t.estimate, t.enforce, t.auction, t.distribute, t.apply, t.total
-        );
+    let (mut host, mut ctl) = dense_host(1000, ControlMode::Full);
+    warm_up(&mut host, &mut ctl, 5);
+    let mut report = IterationReport::default();
+    let mut best = u128::MAX;
+    for _ in 0..40 {
+        host.advance_period();
+        let t = Instant::now();
+        ctl.iterate_into(&mut host, &mut report).unwrap();
+        best = best.min(t.elapsed().as_micros());
     }
+    let t = &report.timings;
+    println!(
+        "dense 1000: best-total {best}us | mon {:?} est {:?} enforce {:?} auction {:?} dist {:?} apply {:?} total {:?}",
+        t.monitor, t.estimate, t.enforce, t.auction, t.distribute, t.apply, t.total
+    );
 }

@@ -22,7 +22,7 @@ use vfc_cgroupfs::fs::FsBackend;
 use vfc_cgroupfs::model::CpuStat;
 use vfc_cgroupfs::tree::kvm_layout;
 use vfc_cgroupfs::{parse, HostBackend};
-use vfc_controller::{ControlMode, Controller, ControllerConfig, ShardCount};
+use vfc_controller::{ControlMode, Controller, ControllerConfig};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros};
 use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
@@ -62,13 +62,12 @@ pub fn mixed_host() -> SimHost {
     host
 }
 
-/// A dense many-vCPU host for the sharding benchmarks: `vcpus / 2`
-/// hardware threads (the same 2:1 virtual oversubscription as the
-/// chetemi fixture, scaled up), saturating 2-vCPU VMs, and a controller
-/// pinned to the given shard count. Sizes past [`loaded_host`]'s
-/// chetemi node — 500, 1000, 2000 vCPUs — model the dense-host future
-/// of ROADMAP open item 1, not the paper's testbed.
-pub fn dense_host(vcpus: u32, shards: ShardCount, mode: ControlMode) -> (SimHost, Controller) {
+/// A dense many-vCPU host: `vcpus / 2` hardware threads (the same 2:1
+/// virtual oversubscription as the chetemi fixture, scaled up),
+/// saturating 2-vCPU VMs, and a ready controller. Sizes past
+/// [`loaded_host`]'s chetemi node — 500, 1000, 2000 vCPUs — are not the
+/// paper's testbed.
+pub fn dense_host(vcpus: u32, mode: ControlMode) -> (SimHost, Controller) {
     let spec = NodeSpec::custom("dense", 1, (vcpus / 4).max(1), 2, MHz(2400));
     let mut host = SimHost::new(spec, 42);
     let mut hosted = 0;
@@ -77,9 +76,10 @@ pub fn dense_host(vcpus: u32, shards: ShardCount, mode: ControlMode) -> (SimHost
         host.attach_workload(vm, Box::new(SteadyDemand::full()));
         hosted += 2;
     }
-    let mut cfg = ControllerConfig::paper_defaults().with_mode(mode);
-    cfg.shard_count = shards;
-    let controller = Controller::new(cfg, host.topology_info());
+    let controller = Controller::new(
+        ControllerConfig::paper_defaults().with_mode(mode),
+        host.topology_info(),
+    );
     (host, controller)
 }
 

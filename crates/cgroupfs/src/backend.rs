@@ -135,7 +135,7 @@ pub trait HostBackend {
     fn cpu_cur_freq(&self, cpu: CpuId) -> Result<MHz>;
 
     /// Hook called once at the start of every monitoring read pass (one
-    /// pass per controller shard per period), *before* the first
+    /// pass per controller period), *before* the first
     /// [`HostBackend::read_vcpu_raw`] of that pass. Backends that can
     /// amortise work across a pass — e.g. [`crate::fs::FsBackend`]
     /// memoising per-core `scaling_cur_freq` reads so `k` vCPUs packed
@@ -154,8 +154,8 @@ pub trait HostBackend {
     /// per-call, in-order semantics. Backends for which the fine-grained
     /// methods each pay a syscall (the filesystem backend parses
     /// `cpu.stat` twice per vCPU through the default) should override
-    /// this with a fused read; the controller's sharded monitor issues
-    /// all stage-1 reads through here.
+    /// this with a fused read; the controller issues all stage-1 reads
+    /// through here.
     fn read_vcpu_raw(&self, vm: VmId, vcpu: VcpuId) -> Result<VcpuRawSample> {
         let usage = self.vcpu_usage(vm, vcpu)?;
         let throttled = self.vcpu_throttled(vm, vcpu)?;

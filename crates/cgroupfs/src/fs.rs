@@ -494,9 +494,9 @@ pub struct FsBackend {
     vfreq: HashMap<String, MHz>,
     /// Discovery cache, in `(number, dir_name)` order, revalidated by
     /// [`HostBackend::vms`]. Behind a lock (not a `RefCell`) so the
-    /// backend is `Sync`: the sharded controller reads several shards'
-    /// vCPUs concurrently through a shared `&FsBackend`, and positional
-    /// I/O on a shared descriptor needs no cursor.
+    /// backend is `Sync`: threads may read disjoint vCPUs concurrently
+    /// through a shared `&FsBackend`, and positional I/O on a shared
+    /// descriptor needs no cursor.
     cache: RwLock<Vec<DiscoveredVm>>,
     /// `/proc/<tid>/stat` handles of the threads the vCPU plans name.
     /// Lock order: `cache` before `procs`.

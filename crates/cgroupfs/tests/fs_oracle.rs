@@ -520,7 +520,7 @@ proptest! {
     }
 }
 
-/// The sharded monitor's access pattern: threads reading disjoint vCPUs
+/// What `FsBackend: Sync` promises: threads reading disjoint vCPUs
 /// through one shared `&FsBackend`, started together.
 #[test]
 fn two_threads_read_disjoint_vcpus_through_one_backend() {

@@ -22,8 +22,8 @@
 //! | 1 | [`PH_ARRIVE`] | arrivals are admitted (Eq. 7 / core-count) |
 //! | 2 | [`PH_FAULT`] | repairs, node/controller crash draws |
 //! | 3 | [`PH_LANDING`] | due migrations land, stranded VMs retry |
-//! | 4 | [`PH_NODE`] | busy nodes advance in parallel |
-//! | 5 | [`PH_CLOSE`] | serial SLO/energy accounting, migration policy |
+//! | 4 | [`PH_NODE`] | busy nodes advance, in sorted node order |
+//! | 5 | [`PH_CLOSE`] | SLO/energy accounting, migration policy |
 //!
 //! This mirrors the legacy `run_period` sequence exactly (deploys happen
 //! *between* legacy periods, i.e. before the fault phase).
@@ -32,16 +32,9 @@
 //!
 //! Same construction + same scheduled specs ⇒ byte-identical event
 //! journals and reports: every queue tie-break is FIFO, every RNG is
-//! seeded, and the parallel node advance only touches per-node state
-//! that is merged serially in node order. The worker count
-//! ([`crate::set_parallelism`], env `VFC_TRACE_THREADS` under
-//! `experiments trace`) is therefore invisible in every output — the
-//! same-instant batch is sorted *before* the fan-out, each worker owns
-//! disjoint `NodeRuntime`s with their own RNG streams, and all
-//! cross-node accounting (`close_period_for`, fault draws, the journal)
-//! runs on the event-loop thread in that sorted shard order. The
-//! `events_parallel_equivalence` proptest pins serial vs forced-4-thread
-//! runs to byte-identical journals and reports.
+//! seeded, and the same-instant batch of busy nodes is sorted before it
+//! is advanced, so nodes step — and their samples are merged by
+//! `close_period_for` — in node order.
 //!
 //! Against the legacy driver, [`ClusterManager::report`] is
 //! **bit-identical** for runs where no VM ever lands on a host that the
@@ -73,9 +66,9 @@ pub const PH_ARRIVE: u64 = 1;
 pub const PH_FAULT: u64 = 2;
 /// Migration landings and stranded retries.
 pub const PH_LANDING: u64 = 3;
-/// Parallel node advance (hosts tick, controllers iterate).
+/// Node advance (hosts tick, controllers iterate).
 pub const PH_NODE: u64 = 4;
-/// Serial end-of-period accounting.
+/// End-of-period accounting.
 pub const PH_CLOSE: u64 = 5;
 
 /// Pack `(period, phase)` into an event timestamp.
@@ -103,7 +96,7 @@ enum ClusterEvent {
     Landing { vm: usize },
     /// A busy node's controller period.
     NodePeriod { node: usize },
-    /// End-of-period serial accounting.
+    /// End-of-period accounting.
     PeriodClose,
 }
 

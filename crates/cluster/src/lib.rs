@@ -32,16 +32,12 @@ pub mod trace;
 
 pub use events::{EventDrivenCluster, EventStats, WorkloadFactory};
 
-/// Set the worker-thread count for the parallel node advance (and every
-/// other `par_iter_mut` in the process): `0` = one worker per available
-/// core (the default), `1` = fully serial, `n` = exactly `n` workers
-/// even above the core count. The `experiments trace` harness wires the
-/// `VFC_TRACE_THREADS` environment knob to this. Thread count never
-/// changes results — the determinism contract in [`events`] holds for
-/// every value — only wall-clock.
-pub fn set_parallelism(threads: usize) {
-    rayon::set_max_threads(threads);
-}
+/// Does nothing. Nodes advance one after another in sorted node order;
+/// there is no worker count to set. Kept with an empty body only because
+/// `benchmark/`, which a change to the library may not edit, still calls
+/// it in three places; it goes once a `benchmark`-only change drops those
+/// calls (ROADMAP item 2(a)).
+pub fn set_parallelism(_threads: usize) {}
 pub use faults::{FaultModel, FaultReport, RestartPolicy};
 pub use manager::{
     ClusterError, ClusterManager, ClusterReport, GlobalVmId, NodeLoad, PeriodSample, PeriodUsage,

@@ -165,9 +165,9 @@ impl Strategy {
     }
 }
 
-/// Per-VM SLO sample computed node-side in the parallel pass of
-/// [`ClusterManager::run_period`], then merged serially in VM order so
-/// the trackers see a deterministic update sequence.
+/// Per-VM SLO sample computed node-side in the node advance of
+/// [`ClusterManager::run_period`], then merged in node order so the
+/// trackers see a deterministic update sequence.
 #[derive(Clone, Copy)]
 struct SloSample {
     /// Index into the manager's VM records (the merge key).
@@ -209,13 +209,8 @@ struct NodeRuntime {
     /// per-period pass nor the event-driven core ever scans the whole
     /// fleet per node, and an empty node's emptiness is an O(1) check.
     residents: Vec<(usize, VmId, MHz, u32)>,
-    /// Set by the event-driven core to select this node for the next
-    /// parallel advance ([`ClusterManager::advance_marked_nodes`]);
-    /// cleared by the advance itself.
-    run_mark: bool,
-    /// SLO samples this node computed in the parallel pass, merged
-    /// serially afterwards. Both buffers keep their capacity across
-    /// periods.
+    /// SLO samples this node computed in its advance, merged at the
+    /// period close. Keeps its capacity across periods.
     slo_scratch: Vec<SloSample>,
     /// Last values folded into the cluster-wide incremental tallies
     /// (`used_node_count`, `violating_node_count`, `committed_mhz`) —
@@ -243,7 +238,6 @@ impl NodeRuntime {
             recovery_until: 0,
             report: IterationReport::default(),
             residents: Vec::new(),
-            run_mark: false,
             slo_scratch: Vec::new(),
             tallied_used: false,
             tallied_violating: false,
@@ -1139,8 +1133,7 @@ impl ClusterManager {
         // 1. Land migrations whose downtime elapsed; retry stranded VMs.
         self.land_migrations();
 
-        // 2.–3. Advance every node in parallel, then the serial
-        // accounting. `node_ids` is the prebuilt `0..n` index list, so
+        // 2.–3. Advance every node, then the accounting. `node_ids` is the prebuilt `0..n` index list, so
         // the steady-state loop stays off the allocator.
         let ids = std::mem::take(&mut self.node_ids);
         self.advance_node_set(&ids);
@@ -1211,7 +1204,7 @@ impl ClusterManager {
         self.nodes.len()
     }
 
-    /// One node's share of the parallel phase: advance the host, run the
+    /// One node's period: advance the host, run the
     /// controller, then compute each resident's SLO sample while the
     /// node state is hot. A crashed node stands still; a node whose
     /// controller died advances uncapped (fail-open).
@@ -1278,36 +1271,17 @@ impl ClusterManager {
         }
     }
 
-    /// Phase 2: advance the given nodes (sorted indices) for the current
-    /// period. Nodes are fully independent within a period (the manager
-    /// only talks to them between periods), so this is embarrassingly
-    /// parallel — the dominant cost of a cluster run. Small batches run
-    /// serially (spinning up scoped threads to flip a couple of nodes
-    /// costs more than the work); larger ones are marked via
-    /// [`NodeRuntime::run_mark`] and swept by one `par_iter_mut` pass,
-    /// since the vendored rayon subset can only split whole slices.
+    /// Phase 2: advance the given nodes for the current period, in the
+    /// order given (sorted node order). Nodes are independent within a
+    /// period: the manager only talks to them between periods.
     pub(crate) fn advance_node_set(&mut self, active: &[usize]) {
-        let period = self.period;
-        if active.len() <= 4 {
-            for &i in active {
-                Self::advance_node(&mut self.nodes[i], period);
-            }
-            return;
-        }
         for &i in active {
-            self.nodes[i].run_mark = true;
+            Self::advance_node(&mut self.nodes[i], self.period);
         }
-        use rayon::prelude::*;
-        self.nodes.par_iter_mut().for_each(|node| {
-            if node.run_mark {
-                node.run_mark = false;
-                Self::advance_node(node, period);
-            }
-        });
     }
 
-    /// Phase 3–4: serial end-of-period accounting. Merges the SLO
-    /// samples the `active` nodes computed in their parallel advance,
+    /// Phase 3–4: end-of-period accounting. Merges the SLO samples the
+    /// `active` nodes computed in their advance,
     /// accounts offline (in-flight/stranded) VMs, integrates energy,
     /// records the period sample, and runs the migration policy.
     ///

@@ -16,80 +16,6 @@ pub enum ControlMode {
     Full,
 }
 
-/// How many shards the controller splits its monitoring/estimation
-/// stages into (see `docs/PERFORMANCE.md` for the operator's view).
-///
-/// Shards partition the VM inventory into contiguous runs; stages 1–2
-/// run per shard (in parallel through
-/// [`Controller::iterate_into_parallel`](crate::Controller::iterate_into_parallel),
-/// or sequentially shard-by-shard through
-/// [`Controller::iterate_into`](crate::Controller::iterate_into)) and
-/// stages 3–6 always run as one sequential merge, so the produced
-/// `cpu.max` caps, credit balances and health counters are identical
-/// for every shard count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardCount {
-    /// Size by host density: one shard per ~250 vCPUs, capped at 8 —
-    /// small hosts (the paper's 40-vCPU node) stay unsharded, a
-    /// 2000-vCPU host gets 8 shards.
-    #[default]
-    Auto,
-    /// Exactly this many shards (≥ 1). Benchmarks pin `Fixed(1)` vs
-    /// `Fixed(4)` to compare; operators can match NUMA-domain count.
-    Fixed(u32),
-}
-
-impl ShardCount {
-    /// vCPUs per shard that [`ShardCount::Auto`] aims for.
-    pub const AUTO_VCPUS_PER_SHARD: u32 = 250;
-    /// Upper bound of [`ShardCount::Auto`].
-    pub const AUTO_MAX_SHARDS: u32 = 8;
-
-    /// Resolve to a concrete shard count for a host with `total_vcpus`.
-    /// Always ≥ 1.
-    pub fn effective(self, total_vcpus: u32) -> u32 {
-        match self {
-            ShardCount::Auto => total_vcpus
-                .div_ceil(Self::AUTO_VCPUS_PER_SHARD)
-                .clamp(1, Self::AUTO_MAX_SHARDS),
-            ShardCount::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-// Hand-written (de)serialization instead of the derive for one reason:
-// configs and journals written before sharding existed carry no
-// `shard_count` key, which the vendored serde surfaces as `Null` — that
-// must read back as `Auto`, not an error.
-impl Serialize for ShardCount {
-    fn ser(&self) -> serde::Value {
-        match self {
-            ShardCount::Auto => serde::Value::Str("Auto".to_owned()),
-            ShardCount::Fixed(n) => {
-                serde::Value::Object(vec![("Fixed".to_owned(), serde::Value::UInt(*n as u64))])
-            }
-        }
-    }
-}
-
-impl Deserialize for ShardCount {
-    fn de(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if v.is_null() {
-            return Ok(ShardCount::Auto);
-        }
-        if v.as_str() == Some("Auto") {
-            return Ok(ShardCount::Auto);
-        }
-        if let Some(n) = v.get("Fixed").and_then(serde::Value::as_u64) {
-            return Ok(ShardCount::Fixed(n as u32));
-        }
-        Err(serde::DeError::expected(
-            "ShardCount (Auto or {Fixed: n})",
-            v,
-        ))
-    }
-}
-
 /// Tunable parameters of the loop. [`ControllerConfig::paper_defaults`]
 /// reproduces §IV.A.1: increase trigger/factor 95 %/100 %, decrease
 /// trigger/factor 50 %/5 %, `p` = 1 s.
@@ -181,10 +107,6 @@ pub struct ControllerConfig {
     /// before the controller uncaps everything. Renewal at any point
     /// returns the controller to normal operation.
     pub cap_lease_grace: u64,
-    /// Shard count for the monitoring/estimation stages (see
-    /// [`ShardCount`]). Absent in journals and specs written before
-    /// sharding existed; those deserialize to `Auto`.
-    pub shard_count: ShardCount,
 }
 
 impl ControllerConfig {
@@ -209,7 +131,6 @@ impl ControllerConfig {
             ladder_recovery_periods: 3,
             cap_lease_ttl: 0,
             cap_lease_grace: 10,
-            shard_count: ShardCount::Auto,
         }
     }
 
@@ -294,9 +215,6 @@ impl ControllerConfig {
                  (zero hysteresis would oscillate rung-per-period)"
                     .into(),
             );
-        }
-        if self.shard_count == ShardCount::Fixed(0) {
-            return Err("shard_count Fixed(0) is meaningless; use Fixed(1) or Auto".into());
         }
         Ok(())
     }

@@ -4,15 +4,16 @@ use crate::apply::allocation_to_cpu_max;
 use crate::auction::{run_auction_with, AuctionOutcome, Buyer};
 use crate::config::{ControlMode, ControllerConfig};
 use crate::distribute::distribute_leftovers_with;
-use crate::estimate::{Estimate, EstimateCase, History};
+use crate::estimate::{self, Estimate, EstimateCase, History};
+use crate::monitor::{self, VcpuObservation};
 use crate::persist::{Journal, VcpuState, VmState, JOURNAL_VERSION};
-use crate::shard::{self, Shard, ShardedPipeline, VcpuRow};
 use crate::telemetry::{ControllerMetrics, Stage, VmSeries};
 use crate::vfreq::guaranteed_cycles;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vfc_cgroupfs::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
 use vfc_cgroupfs::error::Result;
+use vfc_cgroupfs::model::CpuMax;
 use vfc_simcore::{FastMap, MHz, Micros, VcpuAddr, VcpuId, VmId};
 
 /// Wall-clock cost of each stage of one iteration — the paper reports
@@ -353,6 +354,33 @@ fn sorted_indices<K: Ord>(order: &mut Vec<u32>, n: usize, key: impl Fn(u32) -> K
     order.sort_unstable_by_key(|&i| key(i));
 }
 
+/// Everything the controller remembers about one vCPU between periods.
+/// `None` throughout is a vCPU seen for the first time.
+#[derive(Debug, Default)]
+struct VcpuRow {
+    /// Cumulative `usage_usec` at the last successful read.
+    prev_usage: Option<Micros>,
+    /// Cumulative `throttled_usec` at the last successful read.
+    prev_throttled: Option<Micros>,
+    /// Last successful observation and its age in periods.
+    last_good: Option<(VcpuObservation, u32)>,
+    /// Eq. 3 consumption window.
+    history: Option<History>,
+    /// `c_{i,j,t-1}` — what stage 6 applied last.
+    prev_alloc: Option<Micros>,
+    /// A `cpu.max` write that failed last period, re-issued if the vCPU
+    /// gets no fresh allocation.
+    pending: Option<Micros>,
+    /// Last `cpu.max` successfully written, with the allocation that
+    /// produced it. Stage 6 elides a write whose value is already in
+    /// force (plus optional hysteresis, see
+    /// [`ControllerConfig::apply_min_delta_us`]). A failed write clears
+    /// it so retries are never elided, and warm-restart adoption
+    /// deliberately does *not* seed it (the first write after a restart
+    /// is always issued).
+    in_force: Option<(Micros, CpuMax)>,
+}
+
 /// The virtual frequency controller. One instance per node.
 ///
 /// # Hot-path architecture
@@ -363,36 +391,33 @@ fn sorted_indices<K: Ord>(order: &mut Vec<u32>, n: usize, key: impl Fn(u32) -> K
 /// in inventory order — VM `i` of the listing owns the slots
 /// `vm_slot_base[i] ..` — and everything about a VM (names, guarantee,
 /// wallet, metric series) in one row of the VM tables. The tables are
-/// re-slotted only when the pipeline's inventory generation moves:
-/// surviving rows move to their new slot, arrivals start from
-/// `Default`, departures are dropped. Stage 1 walks the table in order,
-/// so every observation, estimate and buyer carries its slot and VM
-/// index, and stages 3–6 index the flat per-iteration buffers
-/// (`slot_alloc`, `vm_spent`, …) with them. Finding a row from an id
-/// (`vm_index_of`) is for the cold paths: journal restore, adoption,
-/// resize, vanish clean-up and the re-slot itself.
-///
-/// Stages 1–2 run through a sharded pipeline
-/// ([`ControllerConfig::shard_count`], `docs/PERFORMANCE.md`):
-/// [`Controller::iterate_into`] runs the shards sequentially on the
-/// calling thread, [`Controller::iterate_into_parallel`] spreads them
-/// across cores. Both produce byte-identical caps, wallets and health
-/// counters for any shard count — a shard is a contiguous run of the
-/// table and the merge concatenates in shard order.
+/// re-slotted only when the inventory generation moves: surviving rows
+/// move to their new slot, arrivals start from `Default`, departures are
+/// dropped. Stages 1–2 are one loop over the table in inventory order
+/// (one batched backend read per vCPU, no lookup by address), so every
+/// observation, estimate and buyer carries its slot and VM index, and
+/// stages 3–6 index the flat per-iteration buffers (`slot_alloc`,
+/// `vm_spent`, …) with them. Finding a row from an id (`vm_index_of`)
+/// is for the cold paths: journal restore, adoption, resize, vanish
+/// clean-up and the re-slot itself.
 pub struct Controller {
     cfg: ControllerConfig,
     topo: TopologyInfo,
-    /// Stages 1–2: the inventory lister, the shard partition and the
-    /// merged observation buffers.
-    pipeline: ShardedPipeline,
     iterations: u64,
     /// Running sum of every iteration's [`HealthReport`].
     health_totals: HealthTotals,
     /// Stage histograms, market counters and the trace ring.
     metrics: ControllerMetrics,
-    /// Pipeline repartition count already folded into telemetry (the
-    /// pipeline exposes a cumulative total; the metric is a counter).
-    repartitions_seen: u64,
+
+    // ---- inventory lister (the epoch-gated `vms()` cache) -------------
+    /// Host-wide VM inventory (vanished VMs removed), in listing order,
+    /// as of the last refresh or read pass.
+    inventory: Vec<VmCgroupInfo>,
+    /// The epoch `inventory` was listed at; `None` forces a re-list.
+    inventory_epoch: Option<u64>,
+    /// Bumped whenever `inventory` contents change; the slot table keys
+    /// off it.
+    generation: u64,
 
     // ---- overload resilience ------------------------------------------
     /// Current rung of the deadline degradation ladder.
@@ -444,6 +469,9 @@ pub struct Controller {
     vm_id_order: Vec<u32>,
 
     // ---- per-iteration scratch (reused, cleared each period) ----------
+    /// Stage-1 output, in inventory order.
+    observations: Vec<VcpuObservation>,
+    /// Stage-2 output, one per observation.
     estimates: Vec<Estimate>,
     slot_alloc: Vec<Micros>,
     slot_has: Vec<bool>,
@@ -453,7 +481,6 @@ pub struct Controller {
     vm_minted: Vec<u64>,
     vm_spent: Vec<u64>,
     vm_alloc: Vec<u64>,
-    write_vanished: Vec<VmId>,
 }
 
 impl Controller {
@@ -469,13 +496,14 @@ impl Controller {
         }
         let lease_ttl = cfg.cap_lease_ttl;
         Controller {
-            pipeline: ShardedPipeline::new(),
             cfg,
             topo,
             iterations: 0,
             health_totals: HealthTotals::default(),
             metrics: ControllerMetrics::new(),
-            repartitions_seen: 0,
+            inventory: Vec::new(),
+            inventory_epoch: None,
+            generation: 0,
             rung: LadderRung::Full,
             ladder_streak: 0,
             synthetic_stage_us: 0,
@@ -501,6 +529,7 @@ impl Controller {
             vm_index_of: FastMap::default(),
             vm_name_order: Vec::new(),
             vm_id_order: Vec::new(),
+            observations: Vec::new(),
             estimates: Vec::new(),
             slot_alloc: Vec::new(),
             slot_has: Vec::new(),
@@ -510,7 +539,6 @@ impl Controller {
             vm_minted: Vec::new(),
             vm_spent: Vec::new(),
             vm_alloc: Vec::new(),
-            write_vanished: Vec::new(),
         }
     }
 
@@ -622,11 +650,7 @@ impl Controller {
     ///   kernel; a successor must re-learn caps from a live read-back
     ///   ([`Controller::adopt_allocation`]) rather than trust memory;
     /// * **ladder / lease / telemetry state** — overload and health
-    ///   tracking restart clean by design (a restart *is* the reset);
-    /// * **shard assignment** — the slot table is one table whatever the
-    ///   partition, so the restoring process may run any `shard_count`
-    ///   (the §14 merge contract makes shard layout invisible to
-    ///   outputs, journals included).
+    ///   tracking restart clean by design (a restart *is* the reset).
     ///
     /// The snapshot is deterministic for a given loop state: VMs are
     /// sorted by name and vCPUs by index, so two exports without an
@@ -862,13 +886,129 @@ impl Controller {
         sorted_indices(&mut self.vm_id_order, n, |vi| ids[vi as usize]);
     }
 
-    /// [`Controller::reslot`] against the pipeline's current inventory.
+    /// [`Controller::reslot`] against the current inventory.
     fn reslot_to_inventory(&mut self) {
         // Detach the listing for the call: a pointer swap, not a copy.
-        let inv = std::mem::take(&mut self.pipeline.inventory);
+        let inv = std::mem::take(&mut self.inventory);
         self.reslot(&inv);
-        self.pipeline.inventory = inv;
-        self.table_generation = Some(self.pipeline.generation());
+        self.inventory = inv;
+        self.table_generation = Some(self.generation);
+    }
+
+    /// Re-list the inventory unless the backend can prove it unchanged;
+    /// bump the generation when the contents moved.
+    fn refresh_inventory<B: HostBackend + ?Sized>(&mut self, backend: &B) {
+        let epoch = backend.vms_epoch();
+        if epoch.is_some() && epoch == self.inventory_epoch {
+            return; // proven unchanged: skip the allocating re-list
+        }
+        let vms = backend.vms();
+        self.inventory_epoch = epoch;
+        if vms != self.inventory {
+            self.inventory = vms;
+            self.generation = self.generation.wrapping_add(1);
+        }
+    }
+
+    /// Drop the VMs that vanished under this period's reads or writes
+    /// from the lister and force a real re-list next period (the
+    /// backend's epoch may not move for a vanish it never saw). The
+    /// generation bump re-slots the table.
+    fn forget_vanished(&mut self, vanished: &[VmId]) {
+        self.inventory.retain(|v| !vanished.contains(&v.vm));
+        self.inventory_epoch = None;
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// Stages 1–2 — monitor and estimate, one pass over the slot table
+    /// in inventory order: VM by VM, vCPU by vCPU, one batched
+    /// [`HostBackend::read_vcpu_raw`] each. No per-vCPU result feeds
+    /// another vCPU's. Fills `observations`, `estimates` and the read
+    /// side of `health`; returns the two stages' wall times.
+    ///
+    /// Stage 2 forgets the Eq. 3 ring of every vCPU it is not shown: a
+    /// skipped vCPU loses its ring where the skip is decided, a vanished
+    /// VM all its rows.
+    fn monitor_and_estimate<B: HostBackend + ?Sized>(
+        &mut self,
+        backend: &B,
+        health: &mut HealthReport,
+    ) -> (Duration, Duration) {
+        let t = Instant::now();
+        let cfg = &self.cfg;
+        self.observations.clear();
+        health.read_errors = 0;
+        health.stale_reused = 0;
+        health.skipped_vcpus.clear();
+        health.vanished_vms.clear();
+        backend.begin_read_pass();
+
+        'vms: for (vi, info) in self.inventory.iter().enumerate() {
+            let vm_start = self.observations.len();
+            let base = self.vm_slot_base[vi] as usize;
+            let vm_rows = &mut self.rows[base..self.vm_slot_base[vi + 1] as usize];
+            for j in 0..vm_rows.len() {
+                let row = &mut vm_rows[j];
+                let vcpu = VcpuId::new(j as u32);
+                let addr = VcpuAddr::new(info.vm, vcpu);
+                let at = (addr, (base + j) as u32, vi as u32);
+                match backend.read_vcpu_raw(info.vm, vcpu) {
+                    Ok(raw) => {
+                        let obs = monitor::difference(
+                            at,
+                            &raw,
+                            row.prev_usage,
+                            row.prev_throttled,
+                            cfg.period,
+                        );
+                        row.prev_usage = Some(raw.usage);
+                        row.prev_throttled = Some(raw.throttled);
+                        row.last_good = Some((obs, 0));
+                        self.observations.push(obs);
+                    }
+                    Err(e) if e.is_vanished() => {
+                        // The VM's cgroups were removed under us. Undo its
+                        // partial observations and forget the VM entirely:
+                        // no ghost capping, no pending write, no history.
+                        self.observations.truncate(vm_start);
+                        vm_rows.fill_with(VcpuRow::default);
+                        health.vanished_vms.push(info.vm);
+                        continue 'vms;
+                    }
+                    Err(_) => {
+                        health.read_errors += 1;
+                        match monitor::reuse_stale(row.last_good.as_mut(), cfg.stale_sample_ttl) {
+                            // The sample may predate a move of this row.
+                            Some(obs) => {
+                                health.stale_reused += 1;
+                                self.observations.push(VcpuObservation {
+                                    slot: at.1,
+                                    vm_idx: at.2,
+                                    ..obs
+                                });
+                            }
+                            None => {
+                                health.skipped_vcpus.push(addr);
+                                row.history = None;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let monitor_time = t.elapsed();
+
+        let t = Instant::now();
+        self.estimates.clear();
+        for obs in &self.observations {
+            let row = &mut self.rows[obs.slot as usize];
+            let history = row
+                .history
+                .get_or_insert_with(|| History::new(cfg.history_len));
+            self.estimates
+                .push(estimate::estimate_vcpu(cfg, history, obs, row.prev_alloc));
+        }
+        (monitor_time, t.elapsed())
     }
 
     /// Stage 6 — write the slot allocations (and pending retries) to the
@@ -891,7 +1031,9 @@ impl Controller {
         vanished_names: &mut Vec<String>,
     ) -> Duration {
         let t = Instant::now();
-        self.write_vanished.clear();
+        // VMs whose cgroups are gone by the time their cap is written
+        // (cold path: nothing is allocated until one is).
+        let mut write_vanished: Vec<VmId> = Vec::new();
         let mut attempted = 0u64;
         let mut volume = 0u64;
         let mut elided = 0u64;
@@ -901,7 +1043,7 @@ impl Controller {
         for &slot in &self.write_order {
             let slot = slot as usize;
             let addr = self.slots[slot];
-            if self.write_vanished.contains(&addr.vm) {
+            if write_vanished.contains(&addr.vm) {
                 continue;
             }
             let row = &mut self.rows[slot];
@@ -947,7 +1089,7 @@ impl Controller {
                     // never saw the retried value as `c_{t-1}`.
                 }
                 Err(e) if e.is_vanished() => {
-                    self.write_vanished.push(addr.vm);
+                    write_vanished.push(addr.vm);
                 }
                 Err(_) => {
                     // The kernel keeps the old capping, but our model
@@ -971,20 +1113,22 @@ impl Controller {
             }
         }
         report.health.write_retries = retries;
-        report.health.write_errors = failed + self.write_vanished.len() as u32;
+        report.health.write_errors = failed + write_vanished.len() as u32;
 
         // A VM that disappeared during the writes gets the same
         // cleanup as one that disappeared during monitoring: its rows
         // and its wallet go now, its table rows when the next period
         // re-slots (this period's report still lists it).
-        for vm in &self.write_vanished {
+        for vm in &write_vanished {
             let vi = self.vm_index_of[vm] as usize;
             let slots = self.vm_slots(vi);
             self.rows[slots].fill_with(VcpuRow::default);
             self.vm_credits[vi] = None;
-            self.pipeline.forget_vm(*vm);
             vanished_names.push(self.vm_names[vi].clone());
             report.health.vanished_vms.push(*vm);
+        }
+        if !write_vanished.is_empty() {
+            self.forget_vanished(&write_vanished);
         }
         let elapsed = t.elapsed();
         self.metrics.observe_stage(Stage::Apply, elapsed);
@@ -1003,54 +1147,13 @@ impl Controller {
     /// inventory, a healthy steady-state iteration performs **zero heap
     /// allocations** end to end.
     ///
-    /// Stages 1–2 run through the sharded pipeline, but **sequentially**
-    /// on the calling thread, visiting shards in inventory order — the
-    /// exact per-vCPU read sequence of the pre-sharding loop, which
-    /// non-`Sync` fault-injecting backends rely on for deterministic
-    /// replay. Use [`Controller::iterate_into_parallel`] to spread the
-    /// shards across cores; both entry points produce byte-identical
-    /// caps, wallets and health counters.
+    /// Backend reads happen in inventory order, VM by VM, vCPU by vCPU —
+    /// the sequence fault-injecting backends replay their RNG against.
     pub fn iterate_into<B: HostBackend + ?Sized>(
         &mut self,
         backend: &mut B,
         report: &mut IterationReport,
     ) -> Result<()> {
-        self.iterate_core(backend, report, shard::run_shards_sequential::<B>)
-    }
-
-    /// [`Controller::iterate_into`] with stages 1–2 parallelized across
-    /// shards (one scoped thread per chunk of shards, via the vendored
-    /// `rayon`). Requires a `Sync` backend: each shard's rows are its own,
-    /// so workers only share `&B`, the config and the listing.
-    ///
-    /// Output-equivalent to the sequential entry point — the merge
-    /// concatenates per-shard results in shard order, so stages 3–6 see
-    /// the same flat buffers either way. Worth it from a few hundred
-    /// vCPUs up (see `docs/PERFORMANCE.md` for measured crossovers);
-    /// below that the thread-scope overhead dominates, and with one
-    /// shard it degenerates to the sequential path plus one spawn-free
-    /// `thread::scope` guard.
-    pub fn iterate_into_parallel<B: HostBackend + Sync>(
-        &mut self,
-        backend: &mut B,
-        report: &mut IterationReport,
-    ) -> Result<()> {
-        self.iterate_core(backend, report, shard::run_shards_parallel::<B>)
-    }
-
-    /// The six-stage loop, generic over how stages 1–2 are driven
-    /// across shards (`runner` is one of `shard::run_shards_sequential`
-    /// / `shard::run_shards_parallel`).
-    fn iterate_core<B, F>(
-        &mut self,
-        backend: &mut B,
-        report: &mut IterationReport,
-        runner: F,
-    ) -> Result<()>
-    where
-        B: HostBackend + ?Sized,
-        F: FnOnce(&mut [Shard], &mut [VcpuRow], &B, &ControllerConfig, &[VmCgroupInfo]),
-    {
         let t_start = Instant::now();
         let mut timings = StageTimings::default();
         let period = self.cfg.period;
@@ -1110,32 +1213,19 @@ impl Controller {
             self.uncap_done = false;
         }
 
-        // ---- stages 1–2: monitor + estimate (sharded pipeline) ------------
+        // ---- stages 1–2: monitor + estimate -------------------------------
         // List first: the read loop wants a row for every listed vCPU,
         // arrivals included, so a moved inventory re-slots the table
         // before anything is read.
-        self.pipeline.refresh_inventory(backend);
-        if self.table_generation != Some(self.pipeline.generation()) {
+        self.refresh_inventory(backend);
+        if self.table_generation != Some(self.generation) {
             self.reslot_to_inventory();
         }
-        // Each shard runs its monitor pass and its estimate pass
-        // back-to-back over its run of rows; the merge then concatenates
-        // per-shard outputs in shard order, which is inventory order —
-        // the same flat buffers the unsharded loop produces.
-        self.pipeline.run(
-            backend,
-            &self.cfg,
-            &mut self.rows,
-            &mut self.estimates,
-            runner,
-        );
-        // Stage-time attribution: the critical-path shard (largest
-        // monitor+estimate sum) supplies the split, so under the
-        // parallel runner the reported stage times still bound the
-        // pass's wall time instead of summing hidden concurrency.
-        let (mon_t, est_t) = self.pipeline.critical_stage_times();
-        timings.monitor = mon_t;
-        timings.estimate = est_t;
+        let health = &mut report.health;
+        (timings.monitor, timings.estimate) = self.monitor_and_estimate(backend, health);
+        health.write_errors = 0;
+        health.write_retries = 0;
+        health.degraded = false;
         self.metrics.observe_stage(Stage::Monitor, timings.monitor);
         self.metrics
             .observe_stage(Stage::Estimate, timings.estimate);
@@ -1146,33 +1236,18 @@ impl Controller {
         // in the epilogue. `Vec::new()` does not allocate; the vanish
         // path is cold.
         let mut vanished_names: Vec<String> = Vec::new();
-        for vm in self.pipeline.vanished() {
-            vanished_names.push(self.vm_names[self.vm_index_of[vm] as usize].clone());
-        }
-
-        let health = &mut report.health;
-        health.read_errors = self.pipeline.read_errors();
-        health.write_errors = 0;
-        health.write_retries = 0;
-        health.stale_reused = self.pipeline.stale_reused().len() as u32;
-        health.skipped_vcpus.clear();
-        health
-            .skipped_vcpus
-            .extend_from_slice(self.pipeline.skipped());
-        health.vanished_vms.clear();
-        health
-            .vanished_vms
-            .extend_from_slice(self.pipeline.vanished());
-        health.degraded = false;
-
-        // A VM vanished under the reads: the lister dropped it, so the
-        // tables are re-slotted without it (no ghost capping, pending
-        // write or wallet survives) and this period's outputs, read at
-        // the old slots, are pointed at the new ones.
-        if self.table_generation != Some(self.pipeline.generation()) {
+        let read_vanished = health.vanished_vms.len();
+        if read_vanished > 0 {
+            for vm in &health.vanished_vms {
+                vanished_names.push(self.vm_names[self.vm_index_of[vm] as usize].clone());
+            }
+            // A VM vanished under the reads: drop it from the lister and
+            // re-slot the tables without it (no ghost capping, pending
+            // write or wallet survives), then point this period's
+            // outputs, read at the old slots, at the new ones.
+            self.forget_vanished(&health.vanished_vms);
             self.reslot_to_inventory();
-            let observations = self.pipeline.observations_mut();
-            for (e, o) in self.estimates.iter_mut().zip(observations) {
+            for (e, o) in self.estimates.iter_mut().zip(&mut self.observations) {
                 let vi = self.vm_index_of[&e.addr.vm];
                 e.slot = self.vm_slot_base[vi as usize] + e.addr.vcpu.as_u32();
                 (e.vm_idx, o.slot, o.vm_idx) = (vi, e.slot, vi);
@@ -1182,10 +1257,10 @@ impl Controller {
         self.metrics.record_monitor(
             n_vms as u64,
             self.slots.len() as u64,
-            self.pipeline.read_errors() as u64,
-            self.pipeline.stale_reused().len() as u64,
-            self.pipeline.skipped().len() as u64,
-            self.pipeline.vanished().len() as u64,
+            health.read_errors as u64,
+            health.stale_reused as u64,
+            health.skipped_vcpus.len() as u64,
+            read_vanished as u64,
         );
 
         // QoS floors on the estimates (both follow from Eq. 5's premise:
@@ -1218,7 +1293,7 @@ impl Controller {
             let t = Instant::now();
             self.vm_minted.clear();
             self.vm_minted.resize(n_vms, 0);
-            for obs in self.pipeline.observations() {
+            for obs in &self.observations {
                 let vi = obs.vm_idx as usize;
                 let c_i = self.vm_guarantee[vi];
                 if c_i > obs.used {
@@ -1418,7 +1493,7 @@ impl Controller {
         self.vm_alloc.resize(n_vms, 0);
         for i in 0..n_rows {
             let e = &self.estimates[i];
-            let o = &self.pipeline.observations()[i];
+            let o = &self.observations[i];
             let slot = e.slot as usize;
             let vi = e.vm_idx as usize;
             let row = &mut report.vcpus[i];
@@ -1505,16 +1580,6 @@ impl Controller {
         );
         self.metrics
             .observe_lease(self.lease.as_u8(), self.lease_remaining, lease_expired_now);
-        let repartitions = self.pipeline.repartitions();
-        self.metrics.record_shards(
-            self.pipeline.shards().len() as u64,
-            repartitions - self.repartitions_seen,
-        );
-        self.repartitions_seen = repartitions;
-        for (idx, s) in self.pipeline.shards().iter().enumerate() {
-            self.metrics
-                .observe_shard(idx, s.nr_vcpus() as u64, s.mon_time(), s.est_time());
-        }
         // Exactly the VMs with a wallet entry, in id order.
         report.credits.clear();
         for &vi in &self.vm_id_order {

@@ -17,7 +17,6 @@
 //! decrease_trigger = 0.5
 //! decrease_factor = 0.05
 //! history_len = 5
-//! shard_count = auto     # or n >= 1; stage-1/2 sharding (docs/PERFORMANCE.md)
 //! deadline_budget_frac = 0.25   # degradation ladder arms past 25 % of p
 //! ladder_recovery_periods = 3   # in-budget periods before climbing back
 //! lease_ttl = 30         # cap lease TTL in periods (omit to disable)
@@ -46,7 +45,7 @@
 //! the circuit breaker, which uncaps before exiting.
 
 use crate::apply::cpu_max_to_allocation;
-use crate::config::{ControlMode, ControllerConfig, ShardCount};
+use crate::config::{ControlMode, ControllerConfig};
 use crate::controller::{Controller, IterationReport};
 use crate::persist::{self, LoadOutcome};
 use std::collections::{HashMap, HashSet};
@@ -263,17 +262,10 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
                     .parse()
                     .map_err(|_| format!("line {}: bad lease_grace", lineno + 1))?;
             }
+            // Written by deployments that predate the single monitoring
+            // loop; the key no longer selects anything.
             "shard_count" => {
-                cfg.controller.shard_count = if value == "auto" {
-                    ShardCount::Auto
-                } else {
-                    ShardCount::Fixed(value.parse().map_err(|_| {
-                        format!(
-                            "line {}: bad shard_count {value:?} (auto or n >= 1)",
-                            lineno + 1
-                        )
-                    })?)
-                };
+                eprintln!("vfcd: line {}: shard_count is ignored", lineno + 1);
             }
             "max_consecutive_errors" => {
                 cfg.max_consecutive_errors = value
@@ -727,16 +719,7 @@ fn reconcile_on_boot<B: HostBackend + ?Sized>(
 /// between iterations exactly as §III.B.6 describes.
 pub fn run(cfg: DaemonConfig) -> Result<u64, String> {
     let mut backend = discover_backend(&cfg)?;
-    // The production backend is the concrete (and `Sync`) `FsBackend`,
-    // so stages 1–2 run sharded across cores; the generic test/embedder
-    // entry points below stay sequential because fault-injecting
-    // backends are deliberately not `Sync` (deterministic RNG replay).
-    run_loop(
-        cfg,
-        &mut backend,
-        &ShutdownHandle::new(),
-        Controller::iterate_into_parallel::<FsBackend>,
-    )
+    run_with_backend(cfg, &mut backend)
 }
 
 /// Run the control loop against an already-built backend. Split from
@@ -765,27 +748,17 @@ pub fn run_with_shutdown<B: HostBackend + ?Sized>(
     backend: &mut B,
     shutdown: &ShutdownHandle,
 ) -> Result<u64, String> {
-    run_loop(cfg, backend, shutdown, Controller::iterate_into::<B>)
-}
-
-/// The daemon lifecycle shared by every entry point, parameterized over
-/// how one iteration is driven (`step` is [`Controller::iterate_into`]
-/// or [`Controller::iterate_into_parallel`] — the loop around it is
-/// identical either way).
-fn run_loop<B: HostBackend + ?Sized>(
-    cfg: DaemonConfig,
-    backend: &mut B,
-    shutdown: &ShutdownHandle,
-    mut step: impl FnMut(
-        &mut Controller,
-        &mut B,
-        &mut IterationReport,
-    ) -> vfc_cgroupfs::error::Result<()>,
-) -> Result<u64, String> {
     validate_daemon(&cfg)?;
     let topo = backend.topology();
     if topo.nr_cpus == 0 {
         return Err("backend reports zero CPUs — wrong roots?".into());
+    }
+    if topo.max_mhz == MHz::ZERO {
+        // Eq. 2 divides by the node's maximum frequency: every guarantee
+        // would be zero cycles.
+        return Err("backend reports a maximum frequency of 0 MHz — \
+             cpu0/cpufreq/cpuinfo_max_freq is missing or unreadable"
+            .into());
     }
     let period = cfg.controller.period;
     let mut controller = Controller::new(cfg.controller.clone(), topo);
@@ -853,7 +826,7 @@ fn run_loop<B: HostBackend + ?Sized>(
             }
         }
         let started = std::time::Instant::now();
-        let errored = match step(&mut controller, backend, &mut report) {
+        let errored = match controller.iterate_into(backend, &mut report) {
             Ok(()) => {
                 if cfg.verbose {
                     if report.health.degraded {
@@ -969,13 +942,14 @@ mod tests {
 
     #[test]
     fn config_file_shard_count() {
-        let auto = parse_config_file("shard_count = auto\n[vms]\nweb = 500\n").unwrap();
-        assert_eq!(auto.controller.shard_count, ShardCount::Auto);
-        let fixed = parse_config_file("shard_count = 4\n[vms]\nweb = 500\n").unwrap();
-        assert_eq!(fixed.controller.shard_count, ShardCount::Fixed(4));
-        assert!(parse_config_file("shard_count = many").is_err());
-        // Fixed(0) parses but is rejected by ControllerConfig::validate.
-        assert!(parse_config_file("shard_count = 0").is_err());
+        // Deployed files carry the key; it must keep parsing, to nothing.
+        let plain = parse_config_file("[vms]\nweb = 500\n").unwrap();
+        for value in ["auto", "4"] {
+            let old =
+                parse_config_file(&format!("shard_count = {value}\n[vms]\nweb = 500\n")).unwrap();
+            assert_eq!(old.controller, plain.controller);
+            assert_eq!(old.vfreq, plain.vfreq);
+        }
     }
 
     #[test]
@@ -1298,6 +1272,24 @@ mod tests {
         let err = run(cfg).unwrap_err();
         assert!(err.contains("discovery failed after 1 attempts"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn daemon_errors_on_missing_max_frequency() {
+        use vfc_cgroupfs::fixture::FixtureTree;
+        let fx = FixtureTree::builder()
+            .cpus(2, MHz(2400))
+            .vm("web", 1, &[11])
+            .build();
+        std::fs::remove_file(fx.cpu_root().join("cpu0/cpufreq/cpuinfo_max_freq")).unwrap();
+        let cfg = DaemonConfig {
+            roots: Some((fx.cgroup_root(), fx.proc_root(), fx.cpu_root())),
+            iterations: Some(1),
+            ..DaemonConfig::default()
+        };
+        let err = run(cfg).unwrap_err();
+        assert!(err.contains("cpu0/cpufreq/cpuinfo_max_freq"), "{err}");
+        assert!(fx.vcpu_cpu_max("web", 0).is_unlimited(), "nothing written");
     }
 
     #[test]

@@ -46,11 +46,10 @@ pub mod distribute;
 pub mod estimate;
 pub mod monitor;
 pub mod persist;
-pub(crate) mod shard;
 pub mod telemetry;
 pub mod vfreq;
 
-pub use config::{ControlMode, ControllerConfig, ShardCount};
+pub use config::{ControlMode, ControllerConfig};
 pub use controller::{
     Controller, HealthReport, HealthTotals, IterationReport, LadderRung, LeaseState, StageTimings,
     VcpuReport,

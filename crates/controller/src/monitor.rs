@@ -27,10 +27,10 @@
 //!    skip: stage 2 drops the ring of every vCPU it was not shown this
 //!    period, so the vCPU re-enters through the cold-start floor.
 //!
-//! The per-vCPU arithmetic lives in two functions, [`difference`] and
-//! [`reuse_stale`]; [`Monitor`] applies them to state keyed by
-//! [`VcpuAddr`], the controller's slot loop (`shard.rs`) to one row of
-//! its dense per-vCPU table.
+//! The per-vCPU arithmetic lives in two functions, `difference` and
+//! `reuse_stale`; [`Monitor`] applies them to state keyed by
+//! [`VcpuAddr`], the controller's slot loop (`controller.rs`) to one row
+//! of its dense per-vCPU table.
 
 use vfc_cgroupfs::backend::{HostBackend, VcpuRawSample, VmCgroupInfo};
 use vfc_simcore::{CpuId, FastMap, MHz, Micros, VcpuAddr, VcpuId, VmId};

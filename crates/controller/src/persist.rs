@@ -195,6 +195,23 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Journals written while the controller had a `shard_count` option
+    /// may carry the key; extra keys are ignored, so they still restore.
+    #[test]
+    fn journal_with_a_shard_count_key_still_loads() {
+        let path = tmp_path("oldkey");
+        let j = sample();
+        let json = serde_json::to_string_pretty(&j).unwrap();
+        let old = json.replacen('{', "{\n  \"shard_count\": {\"Fixed\": 4},", 1);
+        assert!(old.contains("shard_count"));
+        std::fs::write(&path, old).unwrap();
+        match Journal::load(&path, Micros::SEC, DEFAULT_MAX_AGE) {
+            LoadOutcome::Fresh(loaded) => assert_eq!(loaded, j),
+            other => panic!("expected Fresh, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn missing_file_is_missing_not_an_error() {
         let path = tmp_path("nonexistent");

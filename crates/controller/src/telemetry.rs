@@ -44,13 +44,6 @@ const MARKET_OUTCOMES: [&str; 3] = ["sold", "distributed", "wasted"];
 /// Estimator case labels of `vfc_estimate_cases_total`, in index order.
 const ESTIMATE_CASES: [&str; 3] = ["increase", "decrease", "stable"];
 
-/// Static shard labels for the per-shard stage histograms. The auto
-/// partitioner never exceeds 8 shards
-/// ([`crate::config::ShardCount::AUTO_MAX_SHARDS`]); a `Fixed` count
-/// beyond that clamps into the last label so the family stays static
-/// (and therefore allocation-free on the warm path).
-const SHARD_LABELS: [&str; 8] = ["0", "1", "2", "3", "4", "5", "6", "7"];
-
 /// Default capacity of the iteration trace ring.
 pub const DEFAULT_TRACE_LEN: usize = 128;
 
@@ -100,15 +93,6 @@ pub struct ControllerMetrics {
     lease_state: MetricId,
     lease_remaining: MetricId,
     lease_expiries: MetricId,
-    // Sharded stage-1/2 pipeline.
-    shards: MetricId,
-    shard_repartitions: MetricId,
-    shard_vcpus: MetricId,
-    shard_mon_hist: MetricId,
-    shard_est_hist: MetricId,
-    /// Shard series currently on the exposition (stale per-shard gauge
-    /// series are dropped when the partition shrinks).
-    shard_series: usize,
 }
 
 /// Where one VM's series sit in the three per-VM families (credits
@@ -268,30 +252,6 @@ impl ControllerMetrics {
             "vfc_lease_expiries_total",
             "Cap-lease expiries (transitions into guarantee-only)",
         );
-        let shards = r.gauge("vfc_shards", "Shards in the current stage-1/2 partition");
-        let shard_repartitions = r.counter(
-            "vfc_shard_repartitions_total",
-            "Shard partition rebuilds (inventory generation moves)",
-        );
-        let shard_vcpus = r.gauge_dyn(
-            "vfc_shard_vcpus",
-            "vCPUs owned by each shard of the current partition",
-            "shard",
-        );
-        let shard_mon_hist = r.histogram_vec(
-            "vfc_shard_monitor_duration_seconds",
-            "Per-shard stage-1 (monitor) wall time",
-            "shard",
-            &SHARD_LABELS,
-            &LATENCY_BUCKETS_US,
-        );
-        let shard_est_hist = r.histogram_vec(
-            "vfc_shard_estimate_duration_seconds",
-            "Per-shard stage-2 (estimate) wall time",
-            "shard",
-            &SHARD_LABELS,
-            &LATENCY_BUCKETS_US,
-        );
         ControllerMetrics {
             registry: r,
             trace: TraceRing::new(DEFAULT_TRACE_LEN),
@@ -326,12 +286,6 @@ impl ControllerMetrics {
             lease_state,
             lease_remaining,
             lease_expiries,
-            shards,
-            shard_repartitions,
-            shard_vcpus,
-            shard_mon_hist,
-            shard_est_hist,
-            shard_series: 0,
         }
     }
 
@@ -472,35 +426,6 @@ impl ControllerMetrics {
         if expired_now {
             self.registry.inc(self.lease_expiries, 0, 1);
         }
-    }
-
-    /// Sharded-pipeline shape for one period: the shard count and how
-    /// many repartitions happened since the last call (0 in steady
-    /// state). Per-shard gauge series beyond the new count are dropped
-    /// so a shrunk partition does not leave stale rows on the
-    /// exposition.
-    pub fn record_shards(&mut self, shards: u64, repartitions: u64) {
-        self.registry.set(self.shards, 0, shards);
-        if repartitions > 0 {
-            self.registry.inc(self.shard_repartitions, 0, repartitions);
-        }
-        let shards = shards as usize;
-        for idx in shards..self.shard_series {
-            self.registry
-                .remove_dyn(self.shard_vcpus, SHARD_LABELS[idx.min(7)]);
-        }
-        self.shard_series = shards;
-    }
-
-    /// One shard's stage-1/2 wall times and owned-vCPU count for this
-    /// period. Shard indices ≥ 8 clamp into the last label (the auto
-    /// partitioner never makes them; an oversized `Fixed` count does).
-    pub fn observe_shard(&mut self, idx: usize, vcpus: u64, monitor: Duration, estimate: Duration) {
-        let lbl = idx.min(SHARD_LABELS.len() - 1);
-        self.registry
-            .set_dyn(self.shard_vcpus, SHARD_LABELS[lbl], vcpus);
-        self.registry.observe(self.shard_mon_hist, lbl, monitor);
-        self.registry.observe(self.shard_est_hist, lbl, estimate);
     }
 
     /// Append one iteration to the trace ring.

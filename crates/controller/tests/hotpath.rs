@@ -7,9 +7,8 @@
 //! * an unchanged-demand period issues **zero `cpu.max` writes** — every
 //!   candidate is elided against the in-force value, and the elisions
 //!   are visible on the Prometheus exposition;
-//! * with hysteresis off, the slot-table pipeline — unsharded and at
-//!   three shards — is **golden-equivalent** to the original pipeline of
-//!   map-keyed stages: byte-identical `cpu.max` state, wallet entries,
+//! * with hysteresis off, the slot-table pipeline is
+//!   **golden-equivalent** to the original pipeline of map-keyed stages: byte-identical `cpu.max` state, wallet entries,
 //!   health reports and Eq. 3 histories after every period of a
 //!   randomized life with VM churn, resizes, recycled names and an
 //!   injected fault storm.
@@ -30,7 +29,7 @@ use vfc_controller::credits::{base_allocations, Wallet};
 use vfc_controller::distribute::distribute_leftovers;
 use vfc_controller::estimate::{EstimateCase, Estimator};
 use vfc_controller::monitor::Monitor;
-use vfc_controller::{guaranteed_cycles, ControlMode, ControllerConfig, ShardCount};
+use vfc_controller::{guaranteed_cycles, ControlMode, ControllerConfig};
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
@@ -147,46 +146,6 @@ fn warm_steady_state_iteration_allocates_nothing() {
     }
 }
 
-/// The zero-allocation guarantee survives sharding: with `Fixed(4)`
-/// the sequential runner walks four warm shards per period — merge
-/// buffers, per-shard telemetry series and the repartition plan are
-/// all steady after warmup, so the allocator stays untouched. (The
-/// parallel runner is exempt: spawning scoped workers allocates by
-/// design; its *per-shard stage work* is the same allocation-free code
-/// measured here.)
-#[test]
-fn warm_sharded_iteration_allocates_nothing() {
-    let mut host = quiet_host(8, 2, 23);
-    for (i, name) in ["web", "db", "batch", "cache", "proxy"].iter().enumerate() {
-        let vm = host.provision(&VmTemplate::new(name, 1 + (i as u32 % 3), MHz(800)));
-        host.attach_workload(vm, Box::new(SteadyDemand::new(0.7)));
-    }
-
-    let mut cfg = full_config();
-    cfg.shard_count = vfc_controller::ShardCount::Fixed(4);
-    let mut ctl = Controller::new(cfg, host.topology_info());
-    ctl.telemetry_mut().set_trace_capacity(4);
-
-    let mut report = IterationReport::default();
-    for _ in 0..16 {
-        host.advance_period();
-        ctl.iterate_into(&mut host, &mut report).unwrap();
-    }
-    assert!(!report.health.degraded, "{:?}", report.health);
-
-    for _ in 0..3 {
-        host.advance_period();
-        let before = thread_alloc_events();
-        ctl.iterate_into(&mut host, &mut report).unwrap();
-        let after = thread_alloc_events();
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state sharded iterate_into must not touch the allocator"
-        );
-    }
-}
-
 /// The same guarantee over the **filesystem backend**: on an unchanged
 /// 40-VM tree a warm iteration allocates exactly what its one
 /// `vms()` listing allocates — so stage 1's reads (stack buffers through
@@ -270,8 +229,8 @@ fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
 ///
 /// Today's figures, events beyond the listing on the `node_sim`
 /// population: 26 at 80 hosted VMs, 34 at 160 (the map-keyed controller,
-/// `509a5e5`: 329 and 637 — names cloned into three tables, every shard
-/// rebuilt, the maps rehashed).
+/// `509a5e5`: 329 and 637 — names cloned into three tables, the maps
+/// rehashed).
 #[test]
 fn an_arrival_allocates_a_constant_beyond_its_listing() {
     let arrival = |hosted: usize| -> u64 {
@@ -634,8 +593,7 @@ type Held = (
     Vec<(VcpuAddr, Vec<u64>, Option<Micros>)>,
 );
 
-/// One side of the comparison: the controller at some shard count, or
-/// the map-keyed oracle.
+/// One side of the comparison: the controller, or the map-keyed oracle.
 enum Loop {
     Dense(Box<Controller>, Box<IterationReport>),
     Seed(Box<SeedPipeline>),
@@ -714,7 +672,7 @@ const CASES: u32 = 32;
 const SALT: u64 = 0;
 
 impl World {
-    fn new(seed: u64, shards: Option<ShardCount>) -> World {
+    fn new(seed: u64, dense: bool) -> World {
         let host = quiet_host(4, 2, seed);
         let mut plan = FaultPlan::none()
             .with_kinds(&[
@@ -733,14 +691,12 @@ impl World {
             names: FastMap::default(),
             doomed: None,
         };
-        let mut cfg = full_config();
+        let cfg = full_config();
         let topo = backend.topology();
-        let side = match shards {
-            Some(shards) => {
-                cfg.shard_count = shards;
-                Loop::Dense(Box::new(Controller::new(cfg, topo)), Box::default())
-            }
-            None => Loop::Seed(Box::new(SeedPipeline::new(cfg, topo))),
+        let side = if dense {
+            Loop::Dense(Box::new(Controller::new(cfg, topo)), Box::default())
+        } else {
+            Loop::Seed(Box::new(SeedPipeline::new(cfg, topo)))
         };
         World { backend, side }
     }
@@ -811,6 +767,14 @@ impl World {
             }
             // A VM shut down between this period's reads and its writes.
             9 if alive.len() > 1 => self.backend.doomed = Some(pick(rng)),
+            // Every read of one VM fails for a few periods: all its vCPUs
+            // go stale, then skipped, while the other VMs are untouched.
+            10 => {
+                let busy = FaultKind::Io(std::io::ErrorKind::ResourceBusy);
+                let times = 2 + rng.next_below(7) as u32;
+                let faults = &self.backend.inner;
+                faults.script_fault(FaultOp::VcpuUsage, Some(pick(rng)), None, busy, times);
+            }
             _ => {}
         }
     }
@@ -848,9 +812,8 @@ impl World {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Hysteresis off ⇒ the dense pipeline — unsharded and at three
-    /// shards — and the seed pipeline leave byte-identical `cpu.max`
-    /// state, wallet entries, health reports, Eq. 3 histories and
+    /// Hysteresis off ⇒ the dense pipeline and the seed pipeline leave
+    /// byte-identical `cpu.max` state, wallet entries, health reports, Eq. 3 histories and
     /// `c_{t-1}` after every one of 48 periods, while VMs arrive, leave,
     /// are resized and hand their names on, and every side sits behind
     /// the same seeded fault layer (failing and lying reads, failed and
@@ -859,12 +822,8 @@ proptest! {
     fn golden_equivalence_with_seed_pipeline(seed in 0u64..u64::MAX) {
         let seed = seed ^ SALT;
         prop_assert_eq!(full_config().apply_min_delta_us, 0, "hysteresis off by default");
-        let mut worlds = [
-            World::new(seed, None),
-            World::new(seed, Some(ShardCount::Fixed(1))),
-            World::new(seed, Some(ShardCount::Fixed(3))),
-        ];
-        let mut rngs = [seed; 3].map(SplitMix64::new);
+        let mut worlds = [World::new(seed, false), World::new(seed, true)];
+        let mut rngs = [seed; 2].map(SplitMix64::new);
         for (world, rng) in worlds.iter_mut().zip(&mut rngs) {
             for _ in 0..3 {
                 world.arrive(rng);
@@ -876,16 +835,14 @@ proptest! {
                 world.churn(rng);
                 world.period();
             }
-            let [oracle, dense @ ..] = &worlds;
+            let [oracle, dense] = &worlds;
             let want = (oracle.caps(), oracle.state());
-            for world in dense {
-                let got = (world.caps(), world.state());
-                prop_assert!(
-                    got == want,
-                    "period {}: the dense loop\n{:#?}\nleft the seed pipeline\n{:#?}",
-                    period, got, want
-                );
-            }
+            let got = (dense.caps(), dense.state());
+            prop_assert!(
+                got == want,
+                "period {}: the dense loop\n{:#?}\nleft the seed pipeline\n{:#?}",
+                period, got, want
+            );
         }
     }
 }

@@ -938,20 +938,12 @@ fn overhead_cmd(ctx: &mut Ctx) {
         &rows,
     );
 
-    // Scaling sweep: per-stage mean µs at several hosted-vCPU counts and
-    // shard counts, to see how each stage grows with the number of slots
-    // and what sharding buys (or costs) at each density. 20/80 vCPUs stay
-    // 1-shard (Auto would never shard them); 160+ sweep 1/2/4/8 shards
-    // through the daemon's parallel entry point. speedup_vs_1shard is the
-    // 1-shard total of the same vCPU count divided by this row's total —
-    // on a single-core runner the fan-out degenerates to the serial
-    // fallback, so expect ≈1.0 there (the shard-overhead bound, gated by
-    // tools/bench_gate.sh); multi-core hosts see the stage-1/2 fan-out.
+    // Scaling sweep: per-stage mean µs at several hosted-vCPU counts, to
+    // see how each stage grows with the number of slots.
     println!();
     println!(
-        "{:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9}",
+        "{:<8} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9}",
         "vcpus",
-        "shards",
         "monitor",
         "estimate",
         "enforce",
@@ -960,57 +952,39 @@ fn overhead_cmd(ctx: &mut Ctx) {
         "apply",
         "total",
         "p50_us",
-        "speedup"
     );
     let mut sweep_rows = Vec::new();
     for target in [20u32, 80, 160, 500, 1000, 2000] {
-        let shard_counts: &[u32] = if target < 160 { &[1] } else { &[1, 2, 4, 8] };
-        let mut one_shard_total_us = 0u128;
-        for &shards in shard_counts {
-            let s = overhead::measure_sharded(target, shards, 20);
-            if shards == 1 {
-                one_shard_total_us = s.mean.total.as_micros();
-            }
-            let speedup = if s.mean.total.as_micros() == 0 {
-                1.0
-            } else {
-                one_shard_total_us as f64 / s.mean.total.as_micros() as f64
-            };
-            let us = |d: Duration| d.as_micros().to_string();
-            println!(
-                "{:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9.2}",
-                s.vcpus,
-                s.shards,
-                us(s.mean.monitor),
-                us(s.mean.estimate),
-                us(s.mean.enforce),
-                us(s.mean.auction),
-                us(s.mean.distribute),
-                us(s.mean.apply),
-                us(s.mean.total),
-                s.iteration.p50_us,
-                speedup,
-            );
-            sweep_rows.push(vec![
-                s.vcpus.to_string(),
-                s.shards.to_string(),
-                us(s.mean.monitor),
-                us(s.mean.estimate),
-                us(s.mean.enforce),
-                us(s.mean.auction),
-                us(s.mean.distribute),
-                us(s.mean.apply),
-                us(s.mean.total),
-                s.iteration.p50_us.to_string(),
-                format!("{speedup:.2}"),
-            ]);
-        }
+        let s = overhead::measure(target, 20);
+        let us = |d: Duration| d.as_micros().to_string();
+        println!(
+            "{:<8} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9}",
+            s.vcpus,
+            us(s.mean.monitor),
+            us(s.mean.estimate),
+            us(s.mean.enforce),
+            us(s.mean.auction),
+            us(s.mean.distribute),
+            us(s.mean.apply),
+            us(s.mean.total),
+            s.iteration.p50_us,
+        );
+        sweep_rows.push(vec![
+            s.vcpus.to_string(),
+            us(s.mean.monitor),
+            us(s.mean.estimate),
+            us(s.mean.enforce),
+            us(s.mean.auction),
+            us(s.mean.distribute),
+            us(s.mean.apply),
+            us(s.mean.total),
+            s.iteration.p50_us.to_string(),
+        ]);
     }
     ctx.save_rows(
         "overhead_sweep",
         &[
             "vcpus",
-            "shards",
             "monitor_us",
             "estimate_us",
             "enforce_us",
@@ -1019,7 +993,6 @@ fn overhead_cmd(ctx: &mut Ctx) {
             "apply_us",
             "total_us",
             "iteration_p50_us",
-            "speedup_vs_1shard",
         ],
         &sweep_rows,
     );
@@ -1648,14 +1621,6 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
     }
     if let Some(n) = env_usize("VFC_TRACE_PERIODS") {
         scenario.horizon_s = (n as u64).max(1);
-    }
-    // Worker count for the parallel node advance: 0/unset = one per
-    // core, 1 = serial, n = exactly n workers. Thread count never
-    // changes the replay's results (the event core's determinism
-    // contract), only wall-clock.
-    if let Some(n) = env_usize("VFC_TRACE_THREADS") {
-        vfc_cluster::set_parallelism(n);
-        println!("  VFC_TRACE_THREADS={n} (0 = one worker per core)");
     }
     let trace = scenario.trace();
     let vm_events: u64 = trace.iter().map(|s| s.event_count() as u64).sum();

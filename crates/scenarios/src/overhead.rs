@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 use vfc_controller::controller::IterationReport;
-use vfc_controller::{ControlMode, Controller, ControllerConfig, ShardCount, StageTimings};
+use vfc_controller::{ControlMode, Controller, ControllerConfig, StageTimings};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::MHz;
 use vfc_telemetry::hist::LATENCY_BUCKETS_US;
@@ -35,8 +35,6 @@ pub const DEFAULT_WARMUP: u32 = 3;
 pub struct OverheadReport {
     /// vCPUs hosted during the measurement.
     pub vcpus: u32,
-    /// Shard count the controller ran with (1 = the unsharded loop).
-    pub shards: u32,
     /// Iterations measured (warmup excluded).
     pub iterations: u32,
     /// Warmup iterations discarded before measurement began.
@@ -86,22 +84,10 @@ pub fn measure(target_vcpus: u32, iterations: u32) -> OverheadReport {
 }
 
 /// [`measure`] with an explicit warmup count. `warmup` iterations run
-/// first and are excluded from every reported distribution.
-pub fn measure_with_warmup(target_vcpus: u32, warmup: u32, iterations: u32) -> OverheadReport {
-    measure_inner(target_vcpus, 1, warmup, iterations)
-}
-
-/// [`measure`] at an explicit shard count, through the daemon's
-/// parallel entry point ([`Controller::iterate_into_parallel`]). With
-/// `shards == 1` the fan-out degenerates to the sequential loop, so the
-/// 1-shard rows of the sweep are the unsharded baseline. Targets past
+/// first and are excluded from every reported distribution. Targets past
 /// the chetemi node (> 160 vCPUs) run on a scaled 2:1-oversubscribed
 /// host, matching `vfc_bench::dense_host`.
-pub fn measure_sharded(target_vcpus: u32, shards: u32, iterations: u32) -> OverheadReport {
-    measure_inner(target_vcpus, shards, DEFAULT_WARMUP, iterations)
-}
-
-fn measure_inner(target_vcpus: u32, shards: u32, warmup: u32, iterations: u32) -> OverheadReport {
+pub fn measure_with_warmup(target_vcpus: u32, warmup: u32, iterations: u32) -> OverheadReport {
     let spec = if target_vcpus <= 160 {
         NodeSpec::chetemi()
     } else {
@@ -119,18 +105,15 @@ fn measure_inner(target_vcpus: u32, shards: u32, warmup: u32, iterations: u32) -
         vcpus += 2;
     }
 
-    let mut cfg = ControllerConfig::paper_defaults().with_mode(ControlMode::Full);
-    cfg.shard_count = ShardCount::Fixed(shards.max(1));
+    let cfg = ControllerConfig::paper_defaults().with_mode(ControlMode::Full);
     let mut controller = Controller::new(cfg, host.topology_info());
 
-    // One reused report through the daemon's parallel entry point: what
-    // a sharded production deployment actually pays per period. With one
-    // shard (or one core) the fan-out degenerates to the sequential loop.
+    // One reused report, as the daemon runs it.
     let mut report = IterationReport::default();
     for _ in 0..warmup {
         host.advance_period();
         controller
-            .iterate_into_parallel(&mut host, &mut report)
+            .iterate_into(&mut host, &mut report)
             .expect("sim backend");
     }
 
@@ -145,7 +128,7 @@ fn measure_inner(target_vcpus: u32, shards: u32, warmup: u32, iterations: u32) -
     for _ in 0..iterations {
         host.advance_period();
         controller
-            .iterate_into_parallel(&mut host, &mut report)
+            .iterate_into(&mut host, &mut report)
             .expect("sim backend");
         let t = &report.timings;
         for (hist, stage) in stage_hists.iter_mut().zip([
@@ -175,7 +158,6 @@ fn measure_inner(target_vcpus: u32, shards: u32, warmup: u32, iterations: u32) -
     let n = iterations.max(1);
     OverheadReport {
         vcpus,
-        shards: shards.max(1),
         iterations,
         warmup,
         mean: StageTimings {

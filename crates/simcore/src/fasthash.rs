@@ -26,18 +26,17 @@
 //! # Determinism contract
 //!
 //! `FastHash` carries no per-instance seed, so a given key hashes to
-//! the same `u64` in every process, every run, and every shard. Two
-//! consequences the rest of the tree relies on:
+//! the same `u64` in every process and every run. Two consequences the
+//! rest of the tree relies on:
 //!
 //! * map iteration order is a pure function of the *set of inserted
-//!   keys* (plus capacity history) — tests and the sharded controller's
-//!   merge can iterate id-keyed maps without introducing run-to-run
-//!   variation, though ordered output paths still sort explicitly
-//!   rather than trusting bucket order across `std` versions;
-//! * equal inventories hash identically on both sides of a
-//!   sharded-vs-unsharded comparison, so per-shard `FastMap`s are
-//!   layout-stable and the equivalence proptests
-//!   (`crates/controller/tests/sharding.rs`) never chase hash-order
+//!   keys* (plus capacity history) — tests can iterate id-keyed maps
+//!   without introducing run-to-run variation, though ordered output
+//!   paths still sort explicitly rather than trusting bucket order
+//!   across `std` versions;
+//! * equal inventories hash identically on both sides of a comparison
+//!   between two loops, so the equivalence proptests
+//!   (`crates/controller/tests/hotpath.rs`) never chase hash-order
 //!   ghosts.
 //!
 //! # Security caveat

@@ -80,9 +80,8 @@ pub enum WorkloadEvent {
 
 /// Guest workload behaviour. See module docs for the tick protocol.
 ///
-/// `Send + Sync` so a [`crate::SimHost`] holding boxed workloads can be
-/// read concurrently (`&SimHost` crossing threads) by the sharded
-/// controller's parallel monitoring pass; all methods still take
+/// `Send + Sync` so a [`crate::SimHost`] holding boxed workloads is
+/// itself `Sync` (`&SimHost` may cross threads); all methods still take
 /// `&mut self`, so workload state is only ever mutated from the
 /// simulation thread.
 pub trait Workload: Send + Sync {

@@ -10,20 +10,6 @@
 # regressions, not on shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
 # every budget for unusually slow machines.
 #
-# In addition to the per-row budgets, the baseline's "sharding_gate"
-# entry pins the sharded-loop scaling claim (ROADMAP open item 1): on
-# runners with >= min_cores cores, the sharded 1000-vCPU row must beat
-# the single-threaded loop's linearly-extrapolated p50 (from the
-# 160-vCPU row of the same run) by >= min_speedup. On smaller runners —
-# where the scoped-thread fan-out degenerates to the serial fallback —
-# the gate enforces the shard-overhead bound instead: sharding may cost
-# at most max_overhead_single_core over the unsharded loop at the same
-# vCPU count. The "events_gate" entry applies the same two-sided check
-# to the event core's parallel node advance: events/replay_1200nodes
-# (auto worker count) must beat its forced-serial twin by >= min_speedup
-# on >= min_cores cores, and may cost at most max_overhead_single_core
-# over it on few-core runners.
-#
 # Rows whose baseline "before" is null are fine (benches that postdate
 # the seed have nothing to compare against); the summary prints "-" for
 # them, and events/* rows with an "events_per_sample" count also get an
@@ -77,7 +63,6 @@ scale = float(os.environ.get("VFC_BENCH_GATE_SCALE", "1.0"))
 with open(baseline_path) as f:
     baseline = json.load(f)
 budgets = {b["bench"]: b["budget_us"] for b in baseline["benches"]}
-shards = {b["bench"]: b.get("shards", 1) for b in baseline["benches"]}
 # "before" is null for benches that postdate the seed — treat the two
 # shapes uniformly: a p50 when present, a "-" placeholder otherwise.
 before_p50 = {
@@ -100,21 +85,20 @@ with open(run_path) as f:
 
 failed = []  # (bench, reason) pairs, one per failing row
 print(
-    f"{'bench':<34} {'shards':>6} {'before':>8} {'p50_us':>8} {'budget_us':>10} "
+    f"{'bench':<34} {'before':>8} {'p50_us':>8} {'budget_us':>10} "
     f"{'events/s':>10}  verdict"
 )
 for bench, budget in sorted(budgets.items()):
     allowed = budget * scale
-    n_shards = shards[bench]
     before = before_p50.get(bench)
     before_s = f"{before:.0f}" if before is not None else "-"
     rec = measured.get(bench)
     if rec is None:
         failed.append(
-            (bench, f"[{n_shards} shard(s)] no measurement in the run output (budget {allowed:.0f} µs)")
+            (bench, f"no measurement in the run output (budget {allowed:.0f} µs)")
         )
         print(
-            f"{bench:<34} {n_shards:>6} {before_s:>8} {'-':>8} {allowed:>10.0f} "
+            f"{bench:<34} {before_s:>8} {'-':>8} {allowed:>10.0f} "
             f"{'-':>10}  MISSING"
         )
         continue
@@ -128,110 +112,13 @@ for bench, budget in sorted(budgets.items()):
         failed.append(
             (
                 bench,
-                f"[{n_shards} shard(s)] p50 {p50} µs vs budget {allowed:.0f} µs "
-                f"({p50 / allowed:.2f}x over)",
+                f"p50 {p50} µs vs budget {allowed:.0f} µs ({p50 / allowed:.2f}x over)",
             )
         )
     print(
-        f"{bench:<34} {n_shards:>6} {before_s:>8} {p50:>8} {allowed:>10.0f} "
+        f"{bench:<34} {before_s:>8} {p50:>8} {allowed:>10.0f} "
         f"{eps_s:>10}  {'ok' if ok else 'OVER BUDGET'}"
     )
-
-# ---- sharded scaling gate ------------------------------------------------
-gate = baseline.get("sharding_gate")
-if gate:
-    cores = os.cpu_count() or 1
-    s_bench, s_shards = gate["sharded"], shards.get(gate["sharded"], 1)
-    ref, (ref_v, tgt_v) = gate["reference"], gate["scale_vcpus"]
-    have = all(b in measured for b in (s_bench, ref, gate["overhead_reference"]))
-    if not have:
-        failed.append((s_bench, "sharding gate: required rows missing from the run"))
-    elif cores >= gate["min_cores"]:
-        extrapolated = measured[ref]["p50_us"] * tgt_v / ref_v
-        target = extrapolated / gate["min_speedup"]
-        p50 = measured[s_bench]["p50_us"]
-        verdict = "ok" if p50 <= target else "TOO SLOW"
-        print(
-            f"\nsharding gate ({cores} cores): {s_bench} [{s_shards} shard(s)] "
-            f"p50 {p50} µs vs extrapolated single-thread {extrapolated:.0f} µs "
-            f"/ {gate['min_speedup']} = {target:.0f} µs  {verdict}"
-        )
-        if p50 > target:
-            failed.append(
-                (
-                    s_bench,
-                    f"[{s_shards} shard(s)] p50 {p50} µs misses the >={gate['min_speedup']}x "
-                    f"speedup target {target:.0f} µs (single-thread extrapolated "
-                    f"{extrapolated:.0f} µs from {ref})",
-                )
-            )
-    else:
-        # Few-core runner: the parallel fan-out cannot win; bound the
-        # price of sharding instead of the speedup.
-        base = measured[gate["overhead_reference"]]["p50_us"]
-        limit = base * gate["max_overhead_single_core"]
-        p50 = measured[s_bench]["p50_us"]
-        verdict = "ok" if p50 <= limit else "OVERHEAD"
-        print(
-            f"\nsharding gate ({cores} cores < {gate['min_cores']}: speedup check skipped): "
-            f"{s_bench} [{s_shards} shard(s)] p50 {p50} µs vs overhead bound "
-            f"{limit:.0f} µs ({gate['max_overhead_single_core']}x unsharded)  {verdict}"
-        )
-        if p50 > limit:
-            failed.append(
-                (
-                    s_bench,
-                    f"[{s_shards} shard(s)] p50 {p50} µs exceeds the few-core "
-                    f"shard-overhead bound {limit:.0f} µs "
-                    f"({gate['max_overhead_single_core']}x {gate['overhead_reference']})",
-                )
-            )
-
-# ---- parallel event-stepping gate ----------------------------------------
-# Same two-sided shape as the sharding gate: the auto-threaded replay
-# must beat its forced-serial twin on multi-core runners, and may cost
-# at most a small overhead factor where only one core exists (there the
-# fan-out degenerates to the serial loop and any gap is pure shim cost).
-egate = baseline.get("events_gate")
-if egate:
-    cores = os.cpu_count() or 1
-    par, ser = egate["parallel"], egate["serial"]
-    if par not in measured or ser not in measured:
-        failed.append((par, "events gate: required rows missing from the run"))
-    else:
-        p_par, p_ser = measured[par]["p50_us"], measured[ser]["p50_us"]
-        if cores >= egate["min_cores"]:
-            target = p_ser / egate["min_speedup"]
-            verdict = "ok" if p_par <= target else "TOO SLOW"
-            print(
-                f"\nevents gate ({cores} cores): {par} p50 {p_par} µs vs serial "
-                f"{p_ser} µs / {egate['min_speedup']} = {target:.0f} µs  {verdict}"
-            )
-            if p_par > target:
-                failed.append(
-                    (
-                        par,
-                        f"p50 {p_par} µs misses the >={egate['min_speedup']}x parallel "
-                        f"speedup target {target:.0f} µs (serial twin {p_ser} µs)",
-                    )
-                )
-        else:
-            limit = p_ser * egate["max_overhead_single_core"]
-            verdict = "ok" if p_par <= limit else "OVERHEAD"
-            print(
-                f"\nevents gate ({cores} cores < {egate['min_cores']}: speedup check "
-                f"skipped): {par} p50 {p_par} µs vs overhead bound {limit:.0f} µs "
-                f"({egate['max_overhead_single_core']}x {ser})  {verdict}"
-            )
-            if p_par > limit:
-                failed.append(
-                    (
-                        par,
-                        f"p50 {p_par} µs exceeds the few-core parallel-stepping "
-                        f"overhead bound {limit:.0f} µs "
-                        f"({egate['max_overhead_single_core']}x {ser})",
-                    )
-                )
 
 if failed:
     print(f"\nbench gate FAILED ({len(failed)} check(s)):", file=sys.stderr)

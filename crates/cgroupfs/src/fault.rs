@@ -341,11 +341,6 @@ impl<B: HostBackend> FaultInjectingBackend<B> {
         &mut self.inner
     }
 
-    /// Unwrap, discarding the fault layer.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
     /// Stop injecting: every subsequent operation passes straight
     /// through. Vanished VMs stay vanished — a disappeared VM does not
     /// come back just because the fault storm ended.

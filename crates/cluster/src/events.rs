@@ -289,15 +289,6 @@ impl EventDrivenCluster {
         }
     }
 
-    /// Process events until none remain (every VM departed or ran its
-    /// lifetime out); returns the final period. Diverges only if some
-    /// VM never departs — cap those runs with
-    /// [`EventDrivenCluster::run_until`].
-    pub fn run_to_completion(&mut self) -> u64 {
-        while self.step() {}
-        self.mgr.period()
-    }
-
     /// Pop + dispatch one event. Returns `false` on an empty queue.
     fn step(&mut self) -> bool {
         let Some(ev) = self.pop_logged() else {

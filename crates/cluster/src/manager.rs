@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_controller::{
-    ControlMode, Controller, ControllerConfig, IterationReport, Journal, LeaseState,
+    ControlMode, Controller, ControllerConfig, CreditFlow, IterationReport, Journal, LeaseState,
 };
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
@@ -172,6 +172,8 @@ impl Strategy {
 struct SloSample {
     /// Index into the manager's VM records (the merge key).
     vm: usize,
+    /// The VM's id on this node (the key of the report's credit flows).
+    local: VmId,
     worst_demand: f64,
     worst_delivery: f64,
     rec_demand: f64,
@@ -202,6 +204,9 @@ struct NodeRuntime {
     /// capacity after a few periods, so the per-period controller run
     /// stays off the allocator (see `Controller::iterate_into`).
     report: IterationReport,
+    /// The period `report` was filled in: a down node or a dead
+    /// controller leaves an older report behind.
+    report_period: u64,
     /// VMs resident on this node, as (VM-record index, local id,
     /// guaranteed vfreq, vCPU count), kept sorted by VM-record index and
     /// maintained *incrementally* at every placement transition (deploy,
@@ -237,6 +242,7 @@ impl NodeRuntime {
             snapshot: None,
             recovery_until: 0,
             report: IterationReport::default(),
+            report_period: 0,
             residents: Vec::new(),
             slo_scratch: Vec::new(),
             tallied_used: false,
@@ -281,8 +287,9 @@ struct VmRecord {
 /// [`ClusterManager::enable_usage_export`] is on. All quantities are
 /// ground truth read node-side while the period's state is hot: the
 /// delivered work comes from the exact per-vCPU frequencies, the credit
-/// flows are deltas of the node controller's cumulative Eq. 4 counters,
-/// and the SLO flags apply the same predicate as [`SloTracker`].
+/// flows are the ones the node controller's iteration report carried
+/// for the period, and the SLO flags apply the same predicate as
+/// [`SloTracker`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VmPeriodUsage {
     /// The VM (stable across migrations).
@@ -321,28 +328,10 @@ pub struct PeriodUsage {
     /// Market cycles wasted cluster-wide this period (Eq. 6 leftovers
     /// that neither the auction nor free distribution placed), µs.
     pub wasted_market_usec: u64,
-    /// Credit-flow deltas that could not be attributed to a resident VM
-    /// (the VM departed within the period), µs. Kept visible so a biller
-    /// can see metering is conservative rather than silently lossy.
+    /// Credit flows of VMs no longer resident at the period close, µs.
+    /// Kept visible so a biller can see metering is conservative rather
+    /// than silently lossy.
     pub unattributed_usec: u64,
-}
-
-/// Per-node snapshot of the controller's cumulative economy counters,
-/// diffed each period to produce [`VmPeriodUsage`] credit flows. A
-/// rebuilt controller (crash restart) resets its counters to zero; a
-/// current value below the snapshot therefore means "fresh counter" and
-/// the delta is the current value itself.
-#[derive(Debug, Default)]
-struct NodeEconSnapshot {
-    minted: std::collections::BTreeMap<String, u64>,
-    spent: std::collections::BTreeMap<String, u64>,
-    wasted: u64,
-}
-
-#[derive(Debug, Default)]
-struct UsageExportState {
-    node_econ: Vec<NodeEconSnapshot>,
-    pending: Vec<PeriodUsage>,
 }
 
 /// One period's cluster-wide sample (for time-series reporting).
@@ -431,9 +420,9 @@ pub struct ClusterManager {
     /// to every controller built from here on (restarts included).
     ladder: Option<(f64, u32)>,
     /// Per-period usage metering, when enabled via
-    /// [`ClusterManager::enable_usage_export`]. `None` = off (the
-    /// default): the hot path pays nothing.
-    usage_export: Option<UsageExportState>,
+    /// [`ClusterManager::enable_usage_export`]: the records not yet
+    /// drained. `None` = off (the default): the hot path pays nothing.
+    usage_export: Option<Vec<PeriodUsage>>,
     /// The strategy's placement constraint, cached (it never changes
     /// after construction) so the placement fast path skips the match.
     mode: ConstraintMode,
@@ -1216,6 +1205,7 @@ impl ClusterManager {
                 if let Some(ctl) = &mut node.controller {
                     ctl.iterate_into(&mut node.host, &mut node.report)
                         .expect("sim backend");
+                    node.report_period = period;
                 }
             }
         }
@@ -1260,6 +1250,7 @@ impl ClusterManager {
             }
             node.slo_scratch.push(SloSample {
                 vm,
+                local,
                 worst_demand,
                 worst_delivery,
                 rec_demand,
@@ -1292,9 +1283,7 @@ impl ClusterManager {
     /// integer counters per class, so merge order cannot affect them.
     pub(crate) fn close_period_for(&mut self, active: &[usize]) {
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active not sorted");
-        if self.usage_export.is_some() {
-            self.export_usage(active);
-        }
+        self.export_usage(active);
         for &n in active {
             for k in 0..self.nodes[n].slo_scratch.len() {
                 let s = self.nodes[n].slo_scratch[k];
@@ -1385,9 +1374,7 @@ impl ClusterManager {
     /// [`PeriodUsage`] record for [`ClusterManager::drain_usage`] to
     /// collect. Off by default — the hot path pays nothing then.
     pub fn enable_usage_export(&mut self) {
-        if self.usage_export.is_none() {
-            self.usage_export = Some(UsageExportState::default());
-        }
+        self.usage_export.get_or_insert_default();
     }
 
     /// Collect the usage records accumulated since the last drain (empty
@@ -1396,122 +1383,71 @@ impl ClusterManager {
     pub fn drain_usage(&mut self) -> Vec<PeriodUsage> {
         self.usage_export
             .as_mut()
-            .map(|e| std::mem::take(&mut e.pending))
+            .map(std::mem::take)
             .unwrap_or_default()
     }
 
     /// Build this period's [`PeriodUsage`] record: per-VM delivered work
-    /// and SLO flags off the nodes' hot SLO scratch, offline VMs as
-    /// zero-delivery violations, and credit flows as deltas of each
-    /// active node controller's cumulative mint/spend counters
-    /// (attributed back to VM records via the hosts' instance names).
+    /// and SLO flags off the nodes' hot SLO scratch, joined by local VM
+    /// id with the credit flows of each node's iteration report, and
+    /// offline VMs as zero-delivery violations. A node whose controller
+    /// did not iterate this period (node down, controller dead) holds a
+    /// stale report and contributes no flows.
     fn export_usage(&mut self, active: &[usize]) {
-        let Some(mut exp) = self.usage_export.take() else {
+        let Some(pending) = &mut self.usage_export else {
             return;
         };
-        if exp.node_econ.len() < self.nodes.len() {
-            exp.node_econ
-                .resize_with(self.nodes.len(), NodeEconSnapshot::default);
-        }
+        let offline_usage = |i: usize, t: &VmTemplate| VmPeriodUsage {
+            vm: GlobalVmId(i as u32),
+            class: t.name.clone(),
+            vfreq_mhz: t.vfreq.as_u32(),
+            vcpus: t.vcpus,
+            delivered_mhz_s: 0,
+            guaranteed_mhz_s: t.vfreq.as_u32() as u64 * t.vcpus as u64,
+            minted_usec: 0,
+            spent_usec: 0,
+            demanding: true,
+            violated: true,
+            offline: true,
+        };
         let mut vms: Vec<VmPeriodUsage> = Vec::new();
-        // VM-record index -> position in `vms`, for credit attribution.
-        let mut by_vm: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-        for &n in active {
-            for s in &self.nodes[n].slo_scratch {
-                let t = &self.vms[s.vm].template;
-                let demanding = s.worst_demand.is_finite() && s.worst_demand >= 1.0;
-                let violated = demanding && s.worst_delivery < self.slo.tolerance();
-                by_vm.insert(s.vm, vms.len());
-                vms.push(VmPeriodUsage {
-                    vm: GlobalVmId(s.vm as u32),
-                    class: t.name.clone(),
-                    vfreq_mhz: t.vfreq.as_u32(),
-                    vcpus: t.vcpus,
-                    delivered_mhz_s: s.delivered_mhz,
-                    guaranteed_mhz_s: t.vfreq.as_u32() as u64 * t.vcpus as u64,
-                    minted_usec: 0,
-                    spent_usec: 0,
-                    demanding,
-                    violated,
-                    offline: false,
-                });
-            }
-        }
-        for &i in &self.offline_vms {
-            let t = &self.vms[i].template;
-            by_vm.insert(i, vms.len());
-            vms.push(VmPeriodUsage {
-                vm: GlobalVmId(i as u32),
-                class: t.name.clone(),
-                vfreq_mhz: t.vfreq.as_u32(),
-                vcpus: t.vcpus,
-                delivered_mhz_s: 0,
-                guaranteed_mhz_s: t.vfreq.as_u32() as u64 * t.vcpus as u64,
-                minted_usec: 0,
-                spent_usec: 0,
-                demanding: true,
-                violated: true,
-                offline: true,
-            });
-        }
         let mut wasted = 0u64;
         let mut unattributed = 0u64;
         for &n in active {
             let node = &self.nodes[n];
-            let snap = &mut exp.node_econ[n];
-            let Some(ctl) = node.controller.as_ref() else {
-                continue;
-            };
-            let tm = ctl.telemetry();
-            for pass in 0..2usize {
-                let series: Vec<(&str, u64)> = if pass == 0 {
-                    tm.credits_minted_by_vm().collect()
-                } else {
-                    tm.credits_spent_by_vm().collect()
-                };
-                for (label, cur) in series {
-                    let book = if pass == 0 {
-                        &mut snap.minted
-                    } else {
-                        &mut snap.spent
-                    };
-                    let prev = book.get(label).copied().unwrap_or(0);
-                    // A rebuilt controller restarts its counters at zero.
-                    let delta = if cur >= prev { cur - prev } else { cur };
-                    if cur != prev {
-                        book.insert(label.to_owned(), cur);
-                    }
-                    if delta == 0 {
-                        continue;
-                    }
-                    let owner = node
-                        .residents
-                        .iter()
-                        .find(|r| node.host.instance(r.1).name == label)
-                        .and_then(|r| by_vm.get(&r.0));
-                    match owner {
-                        Some(&at) if pass == 0 => vms[at].minted_usec += delta,
-                        Some(&at) => vms[at].spent_usec += delta,
-                        None => unattributed += delta,
-                    }
-                }
-            }
-            let cur = tm.market_wasted_usec();
-            let delta = if cur >= snap.wasted {
-                cur - snap.wasted
+            let flows: &[CreditFlow] = if node.report_period == self.period {
+                wasted += node.report.market_left.as_u64();
+                &node.report.flows
             } else {
-                cur
+                &[]
             };
-            snap.wasted = cur;
-            wasted += delta;
+            unattributed += flows.iter().map(|f| f.minted + f.spent).sum::<u64>();
+            for s in &node.slo_scratch {
+                let demanding = s.worst_demand.is_finite() && s.worst_demand >= 1.0;
+                let flow = flows
+                    .binary_search_by_key(&s.local, |f| f.vm)
+                    .map_or((0, 0), |at| (flows[at].minted, flows[at].spent));
+                unattributed -= flow.0 + flow.1;
+                vms.push(VmPeriodUsage {
+                    delivered_mhz_s: s.delivered_mhz,
+                    minted_usec: flow.0,
+                    spent_usec: flow.1,
+                    demanding,
+                    violated: demanding && s.worst_delivery < self.slo.tolerance(),
+                    offline: false,
+                    ..offline_usage(s.vm, &self.vms[s.vm].template)
+                });
+            }
         }
-        exp.pending.push(PeriodUsage {
+        for &i in &self.offline_vms {
+            vms.push(offline_usage(i, &self.vms[i].template));
+        }
+        pending.push(PeriodUsage {
             period: self.period,
             vms,
             wasted_market_usec: wasted,
             unattributed_usec: unattributed,
         });
-        self.usage_export = Some(exp);
     }
 
     /// Land migrations whose downtime elapsed (possibly failing and
@@ -2579,5 +2515,151 @@ mod tests {
         let bound = 5.0 * 300.0 / 3600.0;
         assert!(r.energy_wh > 0.0 && r.energy_wh <= bound, "{}", r.energy_wh);
         assert_eq!(r.nodes_active, 1);
+    }
+
+    /// One metered node hosting a light VM (mints every market period)
+    /// and one that idles three periods, then saturates (mints, then
+    /// spends what it saved).
+    fn metered_node(faults: FaultModel) -> (ClusterManager, [GlobalVmId; 2]) {
+        let mut c = ClusterManager::with_faults(
+            vec![NodeSpec::custom("n", 1, 2, 2, MHz(2400))],
+            Strategy::FrequencyControl,
+            1,
+            faults,
+        );
+        c.enable_usage_export();
+        let light = c.deploy(
+            &VmTemplate::new("light", 2, MHz(1200)),
+            Box::new(SteadyDemand::new(0.1)),
+        );
+        let mut demand = vec![0.05; 30];
+        demand.push(1.0);
+        let burst = c.deploy(
+            &VmTemplate::new("burst", 1, MHz(600)),
+            Box::new(vfc_vmm::workload::TraceWorkload::new(demand)),
+        );
+        (c, [light.unwrap(), burst.unwrap()])
+    }
+
+    /// Run one period and drain its usage record.
+    fn metered_period(c: &mut ClusterManager) -> PeriodUsage {
+        c.run_period();
+        let mut drained = c.drain_usage();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].period, c.period);
+        drained.remove(0)
+    }
+
+    fn total_flows(usage: &PeriodUsage) -> u64 {
+        let per_vm = |v: &VmPeriodUsage| v.minted_usec + v.spent_usec;
+        usage.vms.iter().map(per_vm).sum::<u64>() + usage.unattributed_usec
+    }
+
+    #[test]
+    fn restarted_controller_meters_the_flows_its_report_carried() {
+        for crash in [2u64, 3] {
+            for restart in [RestartPolicy::Cold, RestartPolicy::Warm] {
+                let case = format!("crash at {crash}, {restart:?}");
+                let mut faults = FaultModel::none();
+                faults.scripted_controller_crashes.push((crash, 0));
+                faults.controller_restart_periods = 1;
+                faults.restart = restart;
+                let (mut c, ids) = metered_node(faults);
+                // Eq. 4 replayed from the metered flows alone.
+                let mut wallets = [0u64; 2];
+                let (mut minted, mut spent) = (0, 0);
+                for p in 1..=8u64 {
+                    let usage = metered_period(&mut c);
+                    let node = &c.nodes[0];
+                    let iterated = node.report_period == p;
+                    assert_eq!(iterated, p != crash, "{case}, period {p}");
+                    if !iterated {
+                        // The dead controller's last report stays unbilled.
+                        assert_eq!(total_flows(&usage), 0, "{case}, period {p}");
+                        assert_eq!(usage.wasted_market_usec, 0, "{case}, period {p}");
+                        if restart == RestartPolicy::Cold {
+                            wallets = [0; 2];
+                        }
+                        continue;
+                    }
+                    assert_eq!(
+                        usage.wasted_market_usec,
+                        node.report.market_left.as_u64(),
+                        "{case}, period {p}"
+                    );
+                    assert_eq!(usage.unattributed_usec, 0, "{case}, period {p}");
+                    for (id, wallet) in ids.iter().zip(&mut wallets) {
+                        let Location::OnNode { local, .. } = c.vms[id.0 as usize].location else {
+                            panic!("{id} left its node");
+                        };
+                        let flow = node.report.flows.iter().find(|f| f.vm == local).unwrap();
+                        let row = usage.vms.iter().find(|v| v.vm == *id).unwrap();
+                        assert_eq!(
+                            (row.minted_usec, row.spent_usec),
+                            (flow.minted, flow.spent),
+                            "{case}, period {p}, {id}"
+                        );
+                        *wallet = *wallet + row.minted_usec - row.spent_usec;
+                        let held = node.report.credits.iter().find(|(vm, _)| *vm == local);
+                        assert_eq!(
+                            *wallet,
+                            held.map_or(0, |(_, balance)| *balance),
+                            "{case}, period {p}, {id}: Σ minted − Σ spent ≠ Δbalance"
+                        );
+                        minted += row.minted_usec;
+                        spent += row.spent_usec;
+                    }
+                }
+                assert!(
+                    minted > 0 && spent > 0,
+                    "{case}: {minted} minted, {spent} spent"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_expired_lease_bills_no_stale_flows() {
+        let mut faults = FaultModel::none();
+        faults.scripted_partitions.push((3, 12, 0));
+        let (mut c, _) = metered_node(faults);
+        c.enable_cap_leases(2, 3);
+        let mut degraded = 0;
+        for p in 1..=8u64 {
+            c.renew_leases();
+            let usage = metered_period(&mut c);
+            if c.nodes[0].report.health.lease_state == LeaseState::Leased {
+                assert!(total_flows(&usage) > 0, "period {p}: the market ran");
+            } else {
+                degraded += 1;
+                assert_eq!(total_flows(&usage), 0, "period {p}");
+                assert_eq!(usage.wasted_market_usec, 0, "period {p}");
+            }
+        }
+        assert!(degraded > 0, "the lease never expired");
+    }
+
+    #[test]
+    fn a_degraded_ladder_rung_bills_no_stale_flows() {
+        let (mut c, _) = metered_node(FaultModel::none());
+        c.enable_deadline_ladder(0.05, 4);
+        let mut rungs = Vec::new();
+        for p in 1..=8u64 {
+            // Two overruns walk full → reuse-previous → monitor-only.
+            c.inject_stage_delay_us(0, if (4..6).contains(&p) { 200_000 } else { 0 });
+            let usage = metered_period(&mut c);
+            let rung = c.nodes[0].report.health.ladder_rung;
+            if rung == vfc_controller::LadderRung::Full {
+                assert!(total_flows(&usage) > 0, "period {p}: the market ran");
+            } else {
+                assert_eq!(total_flows(&usage), 0, "period {p}, {rung:?}");
+                assert_eq!(usage.wasted_market_usec, 0, "period {p}, {rung:?}");
+            }
+            rungs.push(rung);
+        }
+        assert!(
+            rungs.contains(&vfc_controller::LadderRung::MonitorOnly),
+            "{rungs:?}"
+        );
     }
 }

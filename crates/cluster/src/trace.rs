@@ -250,12 +250,6 @@ impl SyntheticTrace {
         }
     }
 
-    /// Builder-style mean-lifetime override.
-    pub fn with_mean_lifetime(mut self, seconds: u64) -> Self {
-        self.mean_lifetime_s = seconds.max(1);
-        self
-    }
-
     /// Render the generated trace in the CSV format, header included —
     /// how the committed sample/golden traces are produced.
     pub fn to_csv(&self) -> String {

@@ -7,11 +7,8 @@
 //! vCPU may use a whole hardware thread) is written as `max` — no reason
 //! to make the kernel track a limit that cannot bind.
 
-use crate::config::ControllerConfig;
-use std::collections::HashMap;
-use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::model::{CpuMax, DEFAULT_PERIOD};
-use vfc_simcore::{Micros, VcpuAddr, VmId};
+use vfc_simcore::Micros;
 
 /// Kernel-imposed floor on `cpu.max` quotas (1 ms).
 pub const KERNEL_MIN_QUOTA: Micros = Micros(1_000);
@@ -44,60 +41,6 @@ pub fn cpu_max_to_allocation(max: CpuMax, period: Micros) -> Micros {
                 .min(period)
         }
     }
-}
-
-/// What stage 6 managed to write.
-#[derive(Debug, Clone, Default)]
-pub struct ApplyOutcome {
-    /// Cgroups updated successfully.
-    pub written: usize,
-    /// Writes that failed with a retriable error, with the allocation
-    /// that should be retried next period.
-    pub failed: Vec<(VcpuAddr, Micros)>,
-    /// VMs whose cgroups disappeared mid-write; their pending writes are
-    /// dropped, not retried.
-    pub vanished: Vec<VmId>,
-}
-
-impl ApplyOutcome {
-    /// Total write errors this iteration (retriable + vanished).
-    pub fn errors(&self) -> usize {
-        self.failed.len() + self.vanished.len()
-    }
-}
-
-/// Write every allocation to the backend. A failed write never aborts
-/// the stage: the remaining vCPUs are still updated, and the failure is
-/// reported in the outcome — retriable errors together with the intended
-/// allocation (the controller re-issues them next period), disappeared
-/// VMs separately (nothing left to write to).
-///
-/// This is the compatibility entry point over HashMap-keyed allocations
-/// (sorting a fresh address Vec each call); the controller hot path
-/// walks its slot table in a sorted order kept per membership change
-/// and elides unchanged writes.
-pub fn apply_allocations<B: HostBackend + ?Sized>(
-    backend: &mut B,
-    cfg: &ControllerConfig,
-    allocations: &HashMap<VcpuAddr, Micros>,
-) -> ApplyOutcome {
-    // Deterministic write order (useful for fixture-based tests and logs).
-    let mut addrs: Vec<&VcpuAddr> = allocations.keys().collect();
-    addrs.sort_unstable();
-    let mut out = ApplyOutcome::default();
-    for addr in &addrs {
-        if out.vanished.contains(&addr.vm) {
-            continue;
-        }
-        let alloc = allocations[addr];
-        let max = allocation_to_cpu_max(alloc, cfg.period);
-        match backend.set_vcpu_max(addr.vm, addr.vcpu, max) {
-            Ok(()) => out.written += 1,
-            Err(e) if e.is_vanished() => out.vanished.push(addr.vm),
-            Err(_) => out.failed.push((**addr, alloc)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -295,6 +295,18 @@ pub struct VcpuReport {
     pub alloc: Micros,
 }
 
+/// One VM's credit flows over one period — what a metering layer bills
+/// on, and the first fields of a per-VM decision record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+pub struct CreditFlow {
+    /// The VM (node-local id).
+    pub vm: VmId,
+    /// Credits earned by consuming below the guarantee (Eq. 4), µs.
+    pub minted: u64,
+    /// Credits paid in the auction (Alg. 1), µs.
+    pub spent: u64,
+}
+
 /// Summary of one controller iteration.
 ///
 /// `Default` yields an empty report suitable as the reusable buffer for
@@ -314,6 +326,9 @@ pub struct IterationReport {
     pub market_left: Micros,
     /// Credit balances after the iteration, sorted by VM.
     pub credits: Vec<(VmId, u64)>,
+    /// What every VM the market ran for earned (Eq. 4) and paid (Alg. 1)
+    /// this period, sorted by VM; empty whenever the market did not run.
+    pub flows: Vec<CreditFlow>,
     /// Wall-clock cost of each stage.
     pub timings: StageTimings,
     /// Errors encountered and degradations applied this iteration.
@@ -550,12 +565,6 @@ impl Controller {
     /// Iterations executed so far.
     pub fn iterations(&self) -> u64 {
         self.iterations
-    }
-
-    /// Switch between monitor-only (scenario A) and full control
-    /// (scenario B) at runtime.
-    pub fn set_mode(&mut self, mode: ControlMode) {
-        self.cfg.mode = mode;
     }
 
     /// Credit balance of a VM.
@@ -1580,6 +1589,18 @@ impl Controller {
         );
         self.metrics
             .observe_lease(self.lease.as_u8(), self.lease_remaining, lease_expired_now);
+        // Every VM's flows, in id order — when the market ran: the
+        // tables are last market period's otherwise.
+        report.flows.clear();
+        if plan == Plan::Market {
+            report
+                .flows
+                .extend(self.vm_id_order.iter().map(|&vi| CreditFlow {
+                    vm: self.vm_ids[vi as usize],
+                    minted: self.vm_minted[vi as usize],
+                    spent: self.vm_spent[vi as usize],
+                }));
+        }
         // Exactly the VMs with a wallet entry, in id order.
         report.credits.clear();
         for &vi in &self.vm_id_order {

@@ -320,8 +320,24 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
 ///      [--trace-dump FILE] [--trace-len N]
 ///      [--cgroup-root DIR --proc-root DIR --cpu-root DIR]
 /// ```
+///
+/// The `--config` file is loaded first and every flag applies over it,
+/// wherever on the line the flag stands.
 pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
-    let mut cfg = DaemonConfig::default();
+    let mut configs = (0..args.len()).filter(|&at| args[at] == "--config");
+    let mut cfg = match configs.next() {
+        Some(at) => {
+            let path = args.get(at + 1).ok_or("--config needs a value")?;
+            let content =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            parse_config_file(&content)?
+        }
+        None => DaemonConfig::default(),
+    };
+    // One file is the base; a second has no order to be merged in.
+    if configs.next().is_some() {
+        return Err("--config given more than once".into());
+    }
     let mut cgroup_root = None;
     let mut proc_root = None;
     let mut cpu_root = None;
@@ -334,25 +350,8 @@ pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--config" => {
-                let path = next(&mut i)?;
-                let content = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let file_cfg = parse_config_file(&content)?;
-                // CLI flags seen later still override; merge file first.
-                cfg.controller = file_cfg.controller;
-                cfg.vfreq.extend(file_cfg.vfreq);
-                cfg.max_consecutive_errors = file_cfg.max_consecutive_errors;
-                cfg.discovery_retries = file_cfg.discovery_retries;
-                cfg.discovery_backoff = file_cfg.discovery_backoff;
-                cfg.journal_interval = file_cfg.journal_interval;
-                cfg.journal_path = file_cfg.journal_path.or(cfg.journal_path.take());
-                cfg.log_json = file_cfg.log_json.or(cfg.log_json.take());
-                cfg.metrics_path = file_cfg.metrics_path.or(cfg.metrics_path.take());
-                cfg.metrics_addr = file_cfg.metrics_addr.or(cfg.metrics_addr.take());
-                cfg.trace_dump = file_cfg.trace_dump.or(cfg.trace_dump.take());
-                cfg.trace_len = file_cfg.trace_len;
-            }
+            // Loaded above.
+            "--config" => drop(next(&mut i)?),
             "--monitor-only" => cfg.controller.mode = ControlMode::MonitorOnly,
             "--deadline-budget" => {
                 cfg.controller.deadline_budget_frac = next(&mut i)?
@@ -1411,6 +1410,44 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("must differ"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flags_override_the_config_file_in_either_order() {
+        let dir = std::env::temp_dir().join(format!("vfcd-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("vfcd.conf");
+        std::fs::write(
+            &path,
+            "mode = full\njournal_interval = 4\ntrace_len = 9\nlog_json = /tmp/file.jsonl\n\
+             [vms]\nweb = 500\n",
+        )
+        .unwrap();
+        let file = ["--config", path.to_str().unwrap()];
+        let flags = [
+            "--monitor-only",
+            "--journal-interval",
+            "2",
+            "--log-json",
+            "/tmp/flag.jsonl",
+            "--vfreq",
+            "web=900",
+        ];
+        let flags_first = parse_args(&args(&[&flags[..], &file[..]].concat())).unwrap();
+        let file_first = parse_args(&args(&[&file[..], &flags[..]].concat())).unwrap();
+        assert_eq!(flags_first, file_first);
+        let cfg = file_first;
+        assert_eq!(cfg.controller.mode, ControlMode::MonitorOnly);
+        assert_eq!(cfg.journal_interval, 2);
+        assert_eq!(cfg.log_json, Some(PathBuf::from("/tmp/flag.jsonl")));
+        assert_eq!(cfg.vfreq["web"], MHz(900));
+        // What no flag names still comes from the file.
+        assert_eq!(cfg.trace_len, 9);
+
+        let twice = [&file[..], &file[..]].concat();
+        let err = parse_args(&args(&twice)).unwrap_err();
+        assert!(err.contains("more than once"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

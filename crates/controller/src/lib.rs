@@ -51,8 +51,8 @@ pub mod vfreq;
 
 pub use config::{ControlMode, ControllerConfig};
 pub use controller::{
-    Controller, HealthReport, HealthTotals, IterationReport, LadderRung, LeaseState, StageTimings,
-    VcpuReport,
+    Controller, CreditFlow, HealthReport, HealthTotals, IterationReport, LadderRung, LeaseState,
+    StageTimings, VcpuReport,
 };
 pub use monitor::MonitorOutcome;
 pub use persist::{Journal, LoadOutcome, JOURNAL_VERSION};

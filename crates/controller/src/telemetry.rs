@@ -428,11 +428,6 @@ impl ControllerMetrics {
         }
     }
 
-    /// Append one iteration to the trace ring.
-    pub fn push_trace(&mut self, trace: vfc_telemetry::IterationTrace) {
-        self.trace.push(trace);
-    }
-
     /// Append one iteration to the trace ring, recycling the evicted
     /// entry's buffers (see [`TraceRing::push_with`]).
     pub fn push_trace_with<F: FnOnce(&mut vfc_telemetry::IterationTrace)>(&mut self, fill: F) {
@@ -468,22 +463,9 @@ impl ControllerMetrics {
     }
 
     /// Per-VM credits minted since boot (Eq. 4), as (vm name, µs) pairs
-    /// in first-seen order. Metering layers diff successive reads to get
-    /// per-period deltas.
+    /// in first-seen order (the page sorts them by name).
     pub fn credits_minted_by_vm(&self) -> impl Iterator<Item = (&str, u64)> {
         self.registry.series_values(self.credits_minted)
-    }
-
-    /// Per-VM credits spent in the auction since boot (Alg. 1), as
-    /// (vm name, µs) pairs in first-seen order.
-    pub fn credits_spent_by_vm(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.registry.series_values(self.credits_spent)
-    }
-
-    /// Cumulative wasted market cycles since boot (µs) — the `wasted`
-    /// outcome of `vfc_market_cycles_usec_total` (Eq. 6 leftovers).
-    pub fn market_wasted_usec(&self) -> u64 {
-        self.registry.value(self.market, 2)
     }
 
     /// The iteration trace ring (read side; dumped on daemon exits).

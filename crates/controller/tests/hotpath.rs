@@ -24,7 +24,7 @@ use vfc_cgroupfs::{
 };
 use vfc_controller::apply::allocation_to_cpu_max;
 use vfc_controller::auction::{run_auction, Buyer};
-use vfc_controller::controller::{Controller, HealthReport, IterationReport};
+use vfc_controller::controller::{Controller, CreditFlow, HealthReport, IterationReport};
 use vfc_controller::credits::{base_allocations, Wallet};
 use vfc_controller::distribute::distribute_leftovers;
 use vfc_controller::estimate::{EstimateCase, Estimator};
@@ -349,6 +349,7 @@ struct SeedPipeline {
     c_max: Micros,
     max_mhz: MHz,
     health: HealthReport,
+    flows: Vec<CreditFlow>,
 }
 
 impl SeedPipeline {
@@ -363,6 +364,7 @@ impl SeedPipeline {
             c_max: topo.c_max(cfg.period),
             max_mhz: topo.max_mhz,
             health: HealthReport::default(),
+            flows: Vec::new(),
             cfg,
         }
     }
@@ -421,7 +423,14 @@ impl SeedPipeline {
             }
         }
 
+        // Eq. 4 read off the wallet: what stage 3 added, what the
+        // auction took, for every listed VM in id order.
+        let mut by_id = ids.clone();
+        by_id.sort_unstable();
+        let balances = |w: &Wallet| -> Vec<u64> { by_id.iter().map(|vm| w.balance(*vm)).collect() };
+        let before = balances(&self.wallet);
         self.wallet.earn(&out.observations, &guarantee);
+        let earned = balances(&self.wallet);
 
         let mut allocations = base_allocations(&estimates, &guarantee);
         let base_total: Micros = allocations.values().copied().sum();
@@ -446,6 +455,14 @@ impl SeedPipeline {
             self.cfg.window,
             &mut allocations,
         );
+        let paid = balances(&self.wallet);
+        self.flows = (0..by_id.len())
+            .map(|k| CreditFlow {
+                vm: by_id[k],
+                minted: earned[k] - before[k],
+                spent: earned[k] - paid[k],
+            })
+            .collect();
 
         let residual: Vec<(VcpuAddr, Micros)> = estimates
             .iter()
@@ -585,10 +602,11 @@ impl HostBackend for Scripted {
 }
 
 /// What a loop holds that the other sides must hold too: the wallet
-/// entries, the health report (rendered), and every tracked vCPU's
-/// Eq. 3 history and `c_{t-1}`.
+/// entries, the period's credit flows, the health report (rendered),
+/// and every tracked vCPU's Eq. 3 history and `c_{t-1}`.
 type Held = (
     Vec<(VmId, u64)>,
+    Vec<CreditFlow>,
     String,
     Vec<(VcpuAddr, Vec<u64>, Option<Micros>)>,
 );
@@ -642,7 +660,12 @@ impl Loop {
                     }
                 }
                 tracked.sort();
-                (report.credits.clone(), health(&report.health), tracked)
+                (
+                    report.credits.clone(),
+                    report.flows.clone(),
+                    health(&report.health),
+                    tracked,
+                )
             }
             Loop::Seed(oracle) => {
                 let tracked = oracle
@@ -651,7 +674,12 @@ impl Loop {
                     .into_iter()
                     .map(|(addr, h)| (addr, h, oracle.prev_alloc.get(&addr).copied()))
                     .collect();
-                (oracle.wallet.snapshot(), health(&oracle.health), tracked)
+                (
+                    oracle.wallet.snapshot(),
+                    oracle.flows.clone(),
+                    health(&oracle.health),
+                    tracked,
+                )
             }
         }
     }

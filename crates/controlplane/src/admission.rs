@@ -208,12 +208,6 @@ impl ControlPlane {
         self.slas.insert(name.to_owned(), sla);
     }
 
-    /// The SLA class the tenant is billed under (default when none was
-    /// registered explicitly).
-    pub fn sla_of(&self, tenant: &str) -> SlaClass {
-        self.slas.get(tenant).cloned().unwrap_or_default()
-    }
-
     /// All explicitly registered SLA classes, tenant-ordered.
     pub fn slas(&self) -> impl Iterator<Item = (&str, &SlaClass)> {
         self.slas.iter().map(|(t, c)| (t.as_str(), c))

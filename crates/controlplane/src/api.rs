@@ -121,8 +121,8 @@ impl ControlPlaneRuntime {
     /// attributing VMs to tenants through the reconciler's bindings.
     fn meter(&mut self) {
         // Reverse map binding.vm → tenant over the live specs. Specs
-        // deleted earlier this period have already been undeployed, so
-        // their residual cycles land in `unattributed_usec` by design.
+        // deleted earlier this period were undeployed before any
+        // controller iterated: the period holds nothing of theirs.
         let mut owner: std::collections::BTreeMap<vfc_cluster::GlobalVmId, String> =
             std::collections::BTreeMap::new();
         for spec in self.plane.store().specs() {

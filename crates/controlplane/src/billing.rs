@@ -41,9 +41,7 @@ pub fn spec_audit(log: &[SpecEvent], tenant: &str) -> SpecAudit {
 /// metering rows, tenant-then-frequency ordered. `tenant_of` maps a
 /// cluster VM to its owner (via the reconciler's bindings); VMs the
 /// mapping cannot place — e.g. deleted between metering and billing —
-/// are dropped from revenue rather than guessed onto a tenant, and the
-/// cluster already surfaces their cycles in
-/// [`PeriodUsage::unattributed_usec`].
+/// are dropped from revenue rather than guessed onto a tenant.
 ///
 /// The cluster-wide wasted market cycles (Eq. 6's ω, cycles sold but
 /// never delivered) are prorated across rows by guaranteed share with

@@ -67,11 +67,12 @@ pub struct Placer {
     nr_cpus: u32,
     /// Preferred (last primary) core per slot; `None` until placed once.
     sticky: Vec<Option<CpuId>>,
-    /// Base migration probability for an idle thread; a fully-loaded
-    /// thread migrates with probability `base × (1 − load)² ≈ 0`.
-    base_migration: f64,
     rng: SplitMix64,
 }
+
+/// Migration probability per tick for an idle thread; a fully-loaded
+/// thread migrates with probability `base × (1 − load)² ≈ 0`.
+const BASE_MIGRATION: f64 = 0.8;
 
 impl Placer {
     /// Placer for a node with `nr_cpus` hardware threads.
@@ -79,15 +80,8 @@ impl Placer {
         Placer {
             nr_cpus,
             sticky: Vec::new(),
-            base_migration: 0.8,
             rng: SplitMix64::new(seed),
         }
-    }
-
-    /// Override the idle-thread migration probability (default 0.8/tick).
-    pub fn with_base_migration(mut self, p: f64) -> Self {
-        self.base_migration = p.clamp(0.0, 1.0);
-        self
     }
 
     /// Renumber the slots: new slot `s` is the thread that was in slot
@@ -143,7 +137,7 @@ impl Placer {
                 // Idle threads still have a location; maybe migrate it.
                 let cur = self.sticky[slot as usize]
                     .unwrap_or_else(|| CpuId::new(tid.as_u32() % self.nr_cpus.max(1)));
-                let cur = if self.rng.chance(self.base_migration) {
+                let cur = if self.rng.chance(BASE_MIGRATION) {
                     CpuId::new(self.rng.next_below(self.nr_cpus as u64) as u32)
                 } else {
                     cur
@@ -159,7 +153,7 @@ impl Placer {
             }
 
             let load = want.ratio_of(tick).clamp(0.0, 1.0);
-            let p_migrate = self.base_migration * (1.0 - load) * (1.0 - load);
+            let p_migrate = BASE_MIGRATION * (1.0 - load) * (1.0 - load);
             let preferred = match self.sticky[slot as usize] {
                 Some(c) if !self.rng.chance(p_migrate) => Some(c),
                 _ => None,

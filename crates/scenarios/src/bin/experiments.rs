@@ -179,8 +179,8 @@ fn main() -> ExitCode {
     let mut cache: BTreeMap<String, ScenarioOutcome> = BTreeMap::new();
 
     // When the whole suite runs, the six long scenario simulations are
-    // independent — fill the cache in parallel (crossbeam scoped threads;
-    // each simulation is single-threaded and deterministic).
+    // independent — fill the cache in parallel (scoped threads; each
+    // simulation is single-threaded and deterministic).
     if command == "all" {
         println!("prefilling the six evaluation runs in parallel…");
         let runs: Vec<(String, Box<dyn FnOnce() -> ScenarioOutcome + Send>)> = vec![
@@ -217,17 +217,16 @@ fn main() -> ExitCode {
                 Box::new(move || eval2::run(ControlMode::Full, scale)),
             ),
         ];
-        let results = crossbeam::thread::scope(|s| {
+        let results = std::thread::scope(|s| {
             let handles: Vec<_> = runs
                 .into_iter()
-                .map(|(key, run)| s.spawn(move |_| (key, run())))
+                .map(|(key, run)| s.spawn(move || (key, run())))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("scenario thread"))
                 .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
+        });
         cache.extend(results);
     }
 

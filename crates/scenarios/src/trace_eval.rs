@@ -125,18 +125,6 @@ pub struct TraceOutcome {
     pub report: ClusterReport,
 }
 
-impl TraceOutcome {
-    /// Fraction of admission attempts refused for lack of capacity.
-    pub fn rejection_rate(&self) -> f64 {
-        let attempts = (self.report.deployed + self.report.rejected) as f64;
-        if attempts == 0.0 {
-            0.0
-        } else {
-            self.report.rejected as f64 / attempts
-        }
-    }
-}
-
 /// Per-class demand profiles, same assignment as the cluster comparison
 /// scenario: small = bursty web, medium = steady 80 %, large = saturating.
 fn workload_factory() -> WorkloadFactory {

@@ -21,6 +21,11 @@ use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// How long one scrape connection may stall the accept thread, reading
+/// or writing — the control-plane API's default request timeouts.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Escape a `# HELP` text: `\` → `\\`, newline → `\n`.
 fn escape_help(s: &str) -> String {
@@ -214,6 +219,10 @@ impl MetricsServer {
             .spawn(move || {
                 for stream in listener.incoming() {
                     let Ok(mut stream) = stream else { continue };
+                    // One thread serves every scrape: a client that
+                    // connects and goes quiet must not hold it.
+                    let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
                     // Drain the request line + headers best-effort; a
                     // scraper that pipelines is out of scope.
                     let mut buf = [0u8; 1024];
@@ -341,5 +350,20 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("text/plain; version=0.0.4"));
         assert!(response.ends_with("vfc_iterations_total 7\n"), "{response}");
+    }
+
+    #[test]
+    fn an_idle_connection_does_not_wedge_the_listener() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        server.publish("up 1\n".to_string());
+        // Connects first, sends nothing, stays open past the scrape.
+        let idle = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(CLIENT_TIMEOUT * 5)).unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.ends_with("up 1\n"), "{response}");
+        drop(idle);
     }
 }

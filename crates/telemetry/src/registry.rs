@@ -365,8 +365,7 @@ impl Registry {
     /// Iterate over every (label, value) pair of a counter/gauge family
     /// in series order (histogram series are skipped). For dynamic
     /// families this is the only way to enumerate labels that appeared
-    /// at runtime — e.g. the per-VM credit counters a metering layer
-    /// folds into per-tenant usage.
+    /// at runtime, in the order they first appeared.
     pub fn series_values(&self, id: MetricId) -> impl Iterator<Item = (&str, u64)> {
         self.metrics[id.0]
             .series

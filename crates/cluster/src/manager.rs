@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_controller::{
-    ControlMode, Controller, ControllerConfig, CreditFlow, IterationReport, Journal, LeaseState,
+    Controller, ControllerConfig, CreditFlow, IterationReport, Journal, LeaseState,
 };
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
@@ -227,14 +227,10 @@ struct NodeRuntime {
 }
 
 impl NodeRuntime {
-    fn new(spec: NodeSpec, strategy: &Strategy, seed: u64) -> Self {
-        let host = SimHost::new(spec.clone(), seed);
-        let controller = strategy
-            .controller_config()
-            .map(|cfg| Controller::new(cfg.with_mode(ControlMode::Full), host.topology_info()));
+    fn new(spec: NodeSpec, seed: u64) -> Self {
         NodeRuntime {
-            host,
-            controller,
+            host: SimHost::new(spec.clone(), seed),
+            controller: None,
             bin: NodeBin::new(spec),
             hot_streak: 0,
             repairs_at: None,
@@ -411,14 +407,11 @@ pub struct ClusterManager {
     /// Reusable snapshot of [`ClusterManager::offline_vms`] for the
     /// per-period landing sweep (landing mutates the offline set).
     landing_scratch: Vec<usize>,
-    /// Fail-safe cap leases `(ttl, grace)` in periods, when enabled via
-    /// [`ClusterManager::enable_cap_leases`]; applied to every
-    /// controller built from here on (restarts included).
-    lease: Option<(u64, u64)>,
-    /// Deadline-ladder policy `(budget_frac, recovery_periods)`, when
-    /// enabled via [`ClusterManager::enable_deadline_ladder`]; applied
-    /// to every controller built from here on (restarts included).
-    ladder: Option<(f64, u32)>,
+    /// What every node controller is built from (restarts included):
+    /// the strategy's parameters (full mode), plus the cap-lease and
+    /// deadline-ladder policies once enabled. `None` under the migration
+    /// strategy, which runs no controllers.
+    controller_config: Option<ControllerConfig>,
     /// Per-period usage metering, when enabled via
     /// [`ClusterManager::enable_usage_export`]: the records not yet
     /// drained. `None` = off (the default): the hot path pays nothing.
@@ -463,13 +456,14 @@ impl ClusterManager {
         let nodes: Vec<NodeRuntime> = specs
             .into_iter()
             .enumerate()
-            .map(|(i, spec)| NodeRuntime::new(spec, &strategy, seed.wrapping_add(i as u64 * 7919)))
+            .map(|(i, spec)| NodeRuntime::new(spec, seed.wrapping_add(i as u64 * 7919)))
             .collect();
         let node_ids = (0..nodes.len()).collect();
         let frng = SplitMix64::new(faults.seed ^ 0x5EED_F417);
         let mode = strategy.constraint();
         let index = ResidualIndex::new(nodes.len());
         let capacity_mhz_total = nodes.iter().map(|n| n.bin.spec.freq_capacity_mhz()).sum();
+        let controller_config = strategy.controller_config();
         let mut mgr = ClusterManager {
             strategy,
             nodes,
@@ -489,8 +483,7 @@ impl ClusterManager {
             pending_inflight: Vec::new(),
             node_ids,
             landing_scratch: Vec::new(),
-            lease: None,
-            ladder: None,
+            controller_config,
             usage_export: None,
             mode,
             index,
@@ -500,6 +493,7 @@ impl ClusterManager {
             capacity_mhz_total,
         };
         for i in 0..mgr.nodes.len() {
+            mgr.nodes[i].controller = mgr.fresh_controller(i);
             mgr.refresh_node(i);
         }
         mgr
@@ -537,20 +531,25 @@ impl ClusterManager {
         }
     }
 
-    /// The controller configuration new controllers are built with: the
-    /// strategy's parameters plus the cap-lease / deadline-ladder
-    /// policies, if enabled.
-    fn active_controller_config(&self) -> Option<ControllerConfig> {
-        let mut cfg = self.strategy.controller_config()?;
-        if let Some((ttl, grace)) = self.lease {
-            cfg.cap_lease_ttl = ttl;
-            cfg.cap_lease_grace = grace;
+    /// A cold controller for `node` — the one place node controllers
+    /// are built. `None` under the migration strategy.
+    fn fresh_controller(&self, node: usize) -> Option<Controller> {
+        let cfg = self.controller_config.clone()?;
+        Some(Controller::new(cfg, self.nodes[node].host.topology_info()))
+    }
+
+    /// Change the controller configuration and rebuild every live
+    /// controller fresh from it. No-op under the migration strategy.
+    fn reconfigure_controllers(&mut self, change: impl FnOnce(&mut ControllerConfig)) {
+        let Some(cfg) = &mut self.controller_config else {
+            return;
+        };
+        change(cfg);
+        for i in 0..self.nodes.len() {
+            if self.nodes[i].controller.is_some() {
+                self.nodes[i].controller = self.fresh_controller(i);
+            }
         }
-        if let Some((frac, recovery)) = self.ladder {
-            cfg.deadline_budget_frac = frac;
-            cfg.ladder_recovery_periods = recovery;
-        }
-        Some(cfg)
     }
 
     /// Enable the deadline-aware degradation ladder on every
@@ -561,18 +560,10 @@ impl ClusterManager {
     /// back. Call right after construction: existing controllers are
     /// rebuilt fresh. No-op under the migration strategy.
     pub fn enable_deadline_ladder(&mut self, budget_frac: f64, recovery_periods: u32) {
-        self.ladder = Some((budget_frac, recovery_periods));
-        let Some(cfg) = self.active_controller_config() else {
-            return;
-        };
-        for node in &mut self.nodes {
-            if node.controller.is_some() {
-                node.controller = Some(Controller::new(
-                    cfg.clone().with_mode(ControlMode::Full),
-                    node.host.topology_info(),
-                ));
-            }
-        }
+        self.reconfigure_controllers(|cfg| {
+            cfg.deadline_budget_frac = budget_frac;
+            cfg.ladder_recovery_periods = recovery_periods;
+        });
     }
 
     /// Inject a synthetic per-period stage delay (µs) into one node's
@@ -608,18 +599,10 @@ impl ClusterManager {
     /// after construction: existing controllers are rebuilt fresh.
     /// No-op under the migration strategy (no controllers to lease).
     pub fn enable_cap_leases(&mut self, ttl: u64, grace: u64) {
-        self.lease = Some((ttl, grace));
-        let Some(cfg) = self.active_controller_config() else {
-            return;
-        };
-        for node in &mut self.nodes {
-            if node.controller.is_some() {
-                node.controller = Some(Controller::new(
-                    cfg.clone().with_mode(ControlMode::Full),
-                    node.host.topology_info(),
-                ));
-            }
-        }
+        self.reconfigure_controllers(|cfg| {
+            cfg.cap_lease_ttl = ttl;
+            cfg.cap_lease_grace = grace;
+        });
     }
 
     /// Renew the cap lease of every node the control plane can reach:
@@ -1562,13 +1545,9 @@ impl ClusterManager {
             }
             if self.nodes[i].controller_returns_at == Some(p) && !self.nodes[i].is_down() {
                 self.nodes[i].controller_returns_at = None;
-                let cfg = self
-                    .active_controller_config()
+                let mut ctl = self
+                    .fresh_controller(i)
                     .expect("only controller strategies lose controllers");
-                let mut ctl = Controller::new(
-                    cfg.with_mode(ControlMode::Full),
-                    self.nodes[i].host.topology_info(),
-                );
                 match self.nodes[i].snapshot.take() {
                     Some(snap) => {
                         let live = HostBackend::vms(&self.nodes[i].host);
@@ -1642,7 +1621,7 @@ impl ClusterManager {
             self.vms[idx].location = next;
             self.add_offline(idx);
         }
-        let cfg = self.active_controller_config();
+        let controller = self.fresh_controller(node);
         let rt = &mut self.nodes[node];
         rt.repairs_at = Some(self.period + self.faults.repair_periods.max(1));
         rt.controller_returns_at = None;
@@ -1650,8 +1629,7 @@ impl ClusterManager {
         rt.hot_streak = 0;
         rt.recovery_until = 0;
         // Whatever controller state existed died with the node.
-        rt.controller = cfg
-            .map(|cfg| Controller::new(cfg.with_mode(ControlMode::Full), rt.host.topology_info()));
+        rt.controller = controller;
         // One refresh covers the whole evacuation: the loop above always
         // excludes this node from placement, and no other bin changes
         // (evacuees go in flight, they do not land here).

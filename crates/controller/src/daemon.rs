@@ -341,6 +341,7 @@ pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     let mut cgroup_root = None;
     let mut proc_root = None;
     let mut cpu_root = None;
+    let mut flagged_vms = HashSet::new();
     let mut i = 0;
     let next = |i: &mut usize| -> Result<String, String> {
         *i += 1;
@@ -396,6 +397,11 @@ pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
                 let mhz: u32 = mhz
                     .parse()
                     .map_err(|_| format!("bad frequency in {spec:?}"))?;
+                // A flag overrides the file's entry; a name given twice on
+                // the line is the same error as twice in the file.
+                if !flagged_vms.insert(name.to_owned()) {
+                    return Err(format!("--vfreq: duplicate VM name {name:?}"));
+                }
                 cfg.vfreq.insert(name.to_owned(), MHz(mhz));
             }
             "--log-json" => cfg.log_json = Some(PathBuf::from(next(&mut i)?)),
@@ -1212,6 +1218,45 @@ mod tests {
     }
 
     #[test]
+    fn the_scrape_endpoint_serves_the_page_and_refuses_typed() {
+        use std::io::{Read as _, Write as _};
+        use vfc_cgroupfs::fixture::FixtureTree;
+        let fx = FixtureTree::builder()
+            .cpus(1, MHz(2400))
+            .vm("web", 1, &[16])
+            .build();
+        let mut backend = fx.backend();
+        let cfg = DaemonConfig::default();
+        let mut controller = Controller::new(cfg.controller.clone(), backend.topology());
+        controller.iterate(&mut backend).unwrap();
+        // What `--metrics-addr` binds, fed the way the loop feeds it.
+        let server = Some(vfc_telemetry::MetricsServer::bind("127.0.0.1:0").unwrap());
+        publish_metrics(&cfg, &server, &controller);
+        let addr = server.as_ref().unwrap().local_addr();
+        let exchange = |request: &[u8]| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream.write_all(request).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        };
+        let scrape = || {
+            let response = exchange(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            let (_, body) = response.split_once("\r\n\r\n").unwrap();
+            assert_eq!(body, controller.telemetry().render_prometheus());
+        };
+        scrape();
+        // Headers that never finish: 408 once the read deadline passes.
+        let response = exchange(b"GET /metrics HTTP/1.1\r\n");
+        assert!(response.starts_with("HTTP/1.1 408"), "{response}");
+        // A declared body over the cap: 413 before a body byte is read.
+        let response = exchange(b"POST /metrics HTTP/1.1\r\nContent-Length: 10000000\r\n\r\n");
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        scrape();
+    }
+
+    #[test]
     fn cli_and_config_accept_telemetry_keys() {
         let cfg = parse_args(&args(&[
             "--metrics",
@@ -1449,6 +1494,14 @@ mod tests {
         let err = parse_args(&args(&twice)).unwrap_err();
         assert!(err.contains("more than once"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_vm_named_twice_on_the_command_line_is_rejected() {
+        let err = parse_args(&args(&["--vfreq", "web=500", "--vfreq", "web=1800"])).unwrap_err();
+        assert!(err.contains("duplicate VM name \"web\""), "{err}");
+        let cfg = parse_args(&args(&["--vfreq", "web=500", "--vfreq", "db=1800"])).unwrap();
+        assert_eq!((cfg.vfreq["web"], cfg.vfreq["db"]), (MHz(500), MHz(1800)));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Std-only HTTP/JSON API over the control plane.
 //!
-//! The same discipline as the telemetry
-//! [`MetricsServer`](vfc_telemetry::MetricsServer): a bound
-//! `TcpListener`, one accept thread, no keep-alive, no TLS, no streaming
-//! — requests are small JSON documents and responses close the
-//! connection. The accept thread shares the
-//! [`ControlPlaneRuntime`] with the reconcile loop through a mutex;
-//! admission calls are cheap (validation + an FFD pack), so holding the
-//! lock for a request's duration is fine at control-plane rates.
+//! [`ApiServer`] is the shared [`Listener`]
+//! with this module's router as its handler. No keep-alive, no TLS, no
+//! streaming — requests are small JSON documents and responses close the
+//! connection. The workers share the [`ControlPlaneRuntime`] with the
+//! reconcile loop through a mutex; admission calls are cheap (validation
+//! and an FFD pack), so holding the lock for a request's duration is fine
+//! at control-plane rates.
 //!
 //! Routes:
 //!
@@ -33,15 +32,16 @@
 //! ## Overload protection
 //!
 //! Every limit that stands between a hostile client and the reconcile
-//! loop lives in [`ApiServerConfig`], and every refusal is a typed
-//! [`OverloadError`] mapped 1:1 to a status — `408` a client that
-//! cannot deliver a request within the read timeout (slow loris),
-//! `413` a body over the cap (refused from the `Content-Length` header
-//! before a single body byte is read), `503` + `Retry-After` when the
-//! bounded accept queue or the reconciler backlog saturates. Rate-limit
-//! `429`s also carry `Retry-After`. Sheds are counted per reason in
-//! `vfc_cp_shed_total` ([`ShedReason`]). Reads (`GET`) are never shed
-//! on backlog: an operator must be able to see an overloaded plane.
+//! loop lives in [`ApiServerConfig`]. The listener refuses and counts —
+//! without the runtime lock — `408` a client that cannot deliver a
+//! request within the read timeout (slow loris), `413` a body over the
+//! cap (refused from the `Content-Length` header before a single body
+//! byte is read) and `503` + `Retry-After` when the bounded accept queue
+//! is full; the router answers mutations `503` + `Retry-After` while the
+//! reconciler backlog saturates. Rate-limit `429`s also carry
+//! `Retry-After`. Sheds are counted per reason in `vfc_cp_shed_total`
+//! ([`ShedReason`]). Reads (`GET`) are never shed on backlog: an
+//! operator must be able to see an overloaded plane.
 
 use crate::admission::{AdmissionError, ControlPlane};
 use crate::quota::{TenantQuota, TenantUsage};
@@ -49,14 +49,12 @@ use crate::reconcile::{ReconcileSummary, Reconciler};
 use crate::spec::SpecId;
 use crate::telemetry::ShedReason;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, TrySendError};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use vfc_billing::BillingEngine;
 use vfc_cluster::ClusterManager;
 use vfc_simcore::MHz;
+use vfc_telemetry::http::{Limits, Listener, Response};
 use vfc_vmm::VmTemplate;
 
 /// Everything the control plane drives, bundled so the HTTP thread and
@@ -209,24 +207,11 @@ struct ErrorResp {
 }
 
 /// Overload limits of the API front door.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ApiServerConfig {
-    /// Total time a client gets to deliver one full request. The clock
-    /// covers the whole read — a slow loris trickling one byte per
-    /// packet still hits it — and expiry answers `408`.
-    pub read_timeout: Duration,
-    /// Socket write timeout for the response.
-    pub write_timeout: Duration,
-    /// Largest accepted request body; a larger `Content-Length` is
-    /// refused with `413` before any body byte is read (oversized
-    /// headers are cut off the same way).
-    pub max_body_bytes: usize,
-    /// Bounded accept queue depth: connections beyond it are shed
-    /// immediately with `503` + `Retry-After` instead of queueing
-    /// without bound behind a busy worker.
-    pub queue_depth: usize,
-    /// Worker threads draining the accept queue (≥ 1).
-    pub workers: usize,
+    /// The listener's limits: read and write timeouts, body cap, accept
+    /// queue depth and workers.
+    pub limits: Limits,
     /// Mutations (`POST`/`PUT`/`DELETE`) are shed with `503` while the
     /// reconciler backlog is at or above this many pending actions,
     /// letting the loop drain before taking new work. `0` disables
@@ -234,90 +219,10 @@ pub struct ApiServerConfig {
     pub max_backlog: usize,
 }
 
-impl Default for ApiServerConfig {
-    fn default() -> Self {
-        ApiServerConfig {
-            read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
-            max_body_bytes: 64 * 1024,
-            queue_depth: 64,
-            workers: 2,
-            max_backlog: 0,
-        }
-    }
-}
-
-/// Why the front door refused a request before admission saw it. Each
-/// variant maps 1:1 to a status via [`OverloadError::http_status`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadError {
-    /// The client did not deliver a full request within the read
-    /// timeout (`408`).
-    ReadTimeout,
-    /// Declared or delivered request size exceeds the cap (`413`).
-    BodyTooLarge,
-    /// The bounded accept queue was full (`503`, retryable).
-    QueueFull,
-    /// The reconciler backlog is saturated; mutations are refused until
-    /// it drains (`503`, retryable).
-    BacklogSaturated,
-    /// The bytes were not a parseable HTTP request (`400` — client
-    /// error, not overload; it sheds no counter).
-    Malformed,
-}
-
-impl OverloadError {
-    /// The HTTP status the API layer answers with.
-    pub fn http_status(&self) -> u16 {
-        match self {
-            OverloadError::ReadTimeout => 408,
-            OverloadError::BodyTooLarge => 413,
-            OverloadError::QueueFull | OverloadError::BacklogSaturated => 503,
-            OverloadError::Malformed => 400,
-        }
-    }
-
-    /// Seconds for the `Retry-After` header, when retrying can help.
-    pub fn retry_after(&self) -> Option<u64> {
-        match self {
-            OverloadError::QueueFull | OverloadError::BacklogSaturated => Some(1),
-            _ => None,
-        }
-    }
-
-    /// The shed counter this refusal increments, if it is an overload
-    /// (a malformed request is the client's fault, not load).
-    pub fn shed_reason(&self) -> Option<ShedReason> {
-        match self {
-            OverloadError::ReadTimeout => Some(ShedReason::ReadTimeout),
-            OverloadError::BodyTooLarge => Some(ShedReason::BodyTooLarge),
-            OverloadError::QueueFull => Some(ShedReason::QueueFull),
-            OverloadError::BacklogSaturated => Some(ShedReason::Backlog),
-            OverloadError::Malformed => None,
-        }
-    }
-}
-
-impl std::fmt::Display for OverloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverloadError::ReadTimeout => write!(f, "request read timed out"),
-            OverloadError::BodyTooLarge => write!(f, "request exceeds the body cap"),
-            OverloadError::QueueFull => write!(f, "server overloaded: accept queue full"),
-            OverloadError::BacklogSaturated => {
-                write!(f, "server overloaded: reconcile backlog saturated")
-            }
-            OverloadError::Malformed => write!(f, "malformed request"),
-        }
-    }
-}
-
-impl std::error::Error for OverloadError {}
-
-/// The API endpoint: owns nothing but the bound address; the accept
-/// and worker threads hold the runtime `Arc` and exit with the process.
+/// The API endpoint: the shared listener, routing into the runtime. The
+/// listener's threads hold the runtime `Arc` and exit with the process.
 pub struct ApiServer {
-    addr: std::net::SocketAddr,
+    listener: Listener,
 }
 
 impl ApiServer {
@@ -330,94 +235,29 @@ impl ApiServer {
         ApiServer::bind_with(addr, runtime, ApiServerConfig::default())
     }
 
-    /// Bind with explicit overload limits: a bounded accept queue
-    /// drained by `cfg.workers` threads, with the accept thread
-    /// answering `503` the moment the queue is full.
+    /// Bind with explicit overload limits. From here on the runtime's
+    /// `vfc_cp_shed_total` reads the listener's own refusal counts.
     pub fn bind_with<A: ToSocketAddrs>(
         addr: A,
         runtime: Arc<Mutex<ControlPlaneRuntime>>,
         cfg: ApiServerConfig,
     ) -> Result<ApiServer, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind api addr: {e}"))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| format!("api local addr: {e}"))?;
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(cfg.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        for worker in 0..cfg.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let runtime = Arc::clone(&runtime);
-            std::thread::Builder::new()
-                .name(format!("vfc-cp-api-{worker}"))
-                .spawn(move || loop {
-                    // Hold the receiver lock only for the dequeue, not
-                    // while handling.
-                    let next = match rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(mut stream) = next else { break };
-                    handle(&runtime, &cfg, &mut stream);
-                })
-                .map_err(|e| format!("spawn api worker: {e}"))?;
-        }
-        std::thread::Builder::new()
-            .name("vfc-cp-api".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(mut stream)) => {
-                            shed(&runtime, OverloadError::QueueFull);
-                            let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-                            let e = OverloadError::QueueFull;
-                            respond(
-                                &mut stream,
-                                e.http_status(),
-                                &err_body(&e.to_string()),
-                                e.retry_after(),
-                            );
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-            })
-            .map_err(|e| format!("spawn api thread: {e}"))?;
-        Ok(ApiServer { addr: local })
+        let served = Arc::clone(&runtime);
+        let listener = Listener::bind(addr, cfg.limits, move |method, path, body| {
+            route(&served, cfg.max_backlog, method, path, body)
+        })?;
+        runtime
+            .lock()
+            .map_err(|_| "runtime lock poisoned".to_owned())?
+            .plane
+            .metrics
+            .count_refusals_of(&listener);
+        Ok(ApiServer { listener })
     }
 
     /// The actually bound address (resolves `:0` to the chosen port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-}
-
-/// Count a shed in the runtime's metrics (skipped if the lock is
-/// poisoned — shedding must never block on accounting).
-fn shed(runtime: &Mutex<ControlPlaneRuntime>, e: OverloadError) {
-    if let (Some(reason), Ok(mut rt)) = (e.shed_reason(), runtime.lock()) {
-        rt.plane.metrics.shed(reason);
-    }
-}
-
-/// Serve one connection: read within the limits, route, respond.
-fn handle(runtime: &Mutex<ControlPlaneRuntime>, cfg: &ApiServerConfig, stream: &mut TcpStream) {
-    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    match read_request(stream, cfg) {
-        Ok((method, path, body)) => {
-            let (status, body, retry_after) = route(runtime, cfg, &method, &path, &body);
-            respond(stream, status, &body, retry_after);
-        }
-        Err(e) => {
-            shed(runtime, e);
-            respond(
-                stream,
-                e.http_status(),
-                &err_body(&e.to_string()),
-                e.retry_after(),
-            );
-        }
+        self.listener.local_addr()
     }
 }
 
@@ -426,53 +266,57 @@ fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
-fn err_body(msg: &str) -> String {
-    serde_json::to_string(&ErrorResp {
+fn error(status: u16, msg: &str) -> Response {
+    let body = serde_json::to_string(&ErrorResp {
         error: msg.to_owned(),
     })
-    .unwrap_or_else(|_| "{\"error\":\"unrenderable\"}".into())
+    .unwrap_or_else(|_| "{\"error\":\"unrenderable\"}".into());
+    Response::json(status, body)
 }
 
 /// `429`s carry `Retry-After: 1` — the bucket refills next period — so
 /// a well-behaved client knows when trying again can succeed.
-fn admission_err(e: &AdmissionError) -> (u16, String, Option<u64>) {
+fn admission_err(e: &AdmissionError) -> Response {
     let status = e.http_status();
-    let retry_after = (status == 429).then_some(1);
-    (status, err_body(&e.to_string()), retry_after)
-}
-
-fn ok_json<T: Serialize>(status: u16, value: &T) -> (u16, String, Option<u64>) {
-    match serde_json::to_string(value) {
-        Ok(body) => (status, body, None),
-        Err(e) => (500, err_body(&format!("serialize response: {e}")), None),
+    Response {
+        retry_after: (status == 429).then_some(1),
+        ..error(status, &e.to_string())
     }
 }
 
-/// Dispatch one request. Split out of the accept loop so unit tests can
-/// call it without sockets. Returns `(status, body, retry_after)`.
+fn ok_json<T: Serialize>(status: u16, value: &T) -> Response {
+    match serde_json::to_string(value) {
+        Ok(body) => Response::json(status, body),
+        Err(e) => error(500, &format!("serialize response: {e}")),
+    }
+}
+
+/// Answer one well-formed request against the runtime.
 fn route(
     runtime: &Mutex<ControlPlaneRuntime>,
-    cfg: &ApiServerConfig,
+    max_backlog: usize,
     method: &str,
     path: &str,
     body: &[u8],
-) -> (u16, String, Option<u64>) {
+) -> Response {
     let Ok(mut rt) = runtime.lock() else {
-        return (500, err_body("runtime lock poisoned"), None);
+        return error(500, "runtime lock poisoned");
     };
     let rt = &mut *rt;
     // Backlog shedding guards mutations only: reads must keep working
     // on an overloaded plane or the operator flies blind.
-    if cfg.max_backlog > 0 && matches!(method, "POST" | "PUT" | "DELETE") {
+    if max_backlog > 0 && matches!(method, "POST" | "PUT" | "DELETE") {
         let backlog = rt.reconciler.backlog(&rt.plane);
-        if backlog >= cfg.max_backlog {
+        if backlog >= max_backlog {
             rt.plane.metrics.shed(ShedReason::Backlog);
             let per_period = rt.reconciler.config().max_actions_per_period.max(1);
             // Seconds until the loop has plausibly drained the queue,
             // at one reconcile pass per (≈1 s) period.
             let drain = (backlog / per_period) as u64 + 1;
-            let e = OverloadError::BacklogSaturated;
-            return (e.http_status(), err_body(&e.to_string()), Some(drain));
+            return Response {
+                retry_after: Some(drain),
+                ..error(503, "server overloaded: reconcile backlog saturated")
+            };
         }
     }
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
@@ -480,7 +324,7 @@ fn route(
         ("POST", ["vms"]) => {
             let req: CreateReq = match parse_body(body) {
                 Ok(r) => r,
-                Err(e) => return (400, err_body(&format!("bad body: {e}")), None),
+                Err(e) => return error(400, &format!("bad body: {e}")),
             };
             let template = VmTemplate::new(&req.name, req.vcpus, MHz(req.vfreq_mhz))
                 .with_mem_gb(req.mem_gb.unwrap_or(4));
@@ -498,7 +342,7 @@ fn route(
         }
         ("DELETE", ["vms", id]) => {
             let Ok(id) = id.parse::<u64>() else {
-                return (400, err_body("vm id must be an integer"), None);
+                return error(400, "vm id must be an integer");
             };
             match rt.plane.delete_vm(SpecId(id)) {
                 Ok(_) => ok_json(200, &DeletedResp { id }),
@@ -507,11 +351,11 @@ fn route(
         }
         ("PUT", ["vms", id, "vfreq"]) => {
             let Ok(id) = id.parse::<u64>() else {
-                return (400, err_body("vm id must be an integer"), None);
+                return error(400, "vm id must be an integer");
             };
             let req: VfreqReq = match parse_body(body) {
                 Ok(r) => r,
-                Err(e) => return (400, err_body(&format!("bad body: {e}")), None),
+                Err(e) => return error(400, &format!("bad body: {e}")),
             };
             let loads = rt.cluster.node_loads();
             match rt.plane.resize_vm(SpecId(id), MHz(req.vfreq_mhz), &loads) {
@@ -521,7 +365,7 @@ fn route(
         }
         ("GET", ["vms", id]) => {
             let Ok(id) = id.parse::<u64>() else {
-                return (400, err_body("vm id must be an integer"), None);
+                return error(400, "vm id must be an integer");
             };
             match rt.plane.store().get(SpecId(id)) {
                 Some(spec) => {
@@ -547,16 +391,16 @@ fn route(
                         },
                     )
                 }
-                None => (404, err_body(&format!("no such vm spec-{id}")), None),
+                None => error(404, &format!("no such vm spec-{id}")),
             }
         }
         ("GET", ["tenants", name, "bill"]) => match (&rt.billing, rt.plane.quota(name)) {
             (Some(engine), Some(_)) => {
                 let audit = rt.plane.store().audit(name);
-                (200, engine.invoice(name, audit).render_json(), None)
+                Response::json(200, engine.invoice(name, audit).render_json())
             }
-            (None, _) => (404, err_body("billing is not enabled"), None),
-            (_, None) => (404, err_body(&format!("unknown tenant {name:?}")), None),
+            (None, _) => error(404, "billing is not enabled"),
+            (_, None) => error(404, &format!("unknown tenant {name:?}")),
         },
         ("GET", ["tenants", name, "usage", "history"]) => {
             match (&rt.billing, rt.plane.quota(name)) {
@@ -571,8 +415,8 @@ fn route(
                         },
                     )
                 }
-                (None, _) => (404, err_body("billing is not enabled"), None),
-                (_, None) => (404, err_body(&format!("unknown tenant {name:?}")), None),
+                (None, _) => error(404, "billing is not enabled"),
+                (_, None) => error(404, &format!("unknown tenant {name:?}")),
             }
         }
         ("GET", ["tenants", name, "usage"]) => match rt.plane.quota(name) {
@@ -584,7 +428,7 @@ fn route(
                     quota,
                 },
             ),
-            None => (404, err_body(&format!("unknown tenant {name:?}")), None),
+            None => error(404, &format!("unknown tenant {name:?}")),
         },
         ("GET", ["healthz"]) => ok_json(
             200,
@@ -602,126 +446,10 @@ fn route(
             if let Some(engine) = &rt.billing {
                 page.push_str(&engine.render_telemetry());
             }
-            (200, page, None)
+            Response::prometheus(page)
         }
-        _ => (404, err_body(&format!("no route {method} {path}")), None),
+        _ => error(404, &format!("no route {method} {path}")),
     }
-}
-
-/// One bounded, deadline-aware read. The socket read timeout is set to
-/// the time left until the overall deadline, so a trickling sender
-/// cannot reset the clock packet by packet.
-fn read_chunk(
-    stream: &mut TcpStream,
-    chunk: &mut [u8],
-    started: std::time::Instant,
-    timeout: Duration,
-) -> Result<usize, OverloadError> {
-    let remaining = timeout
-        .checked_sub(started.elapsed())
-        .filter(|d| !d.is_zero())
-        .ok_or(OverloadError::ReadTimeout)?;
-    stream
-        .set_read_timeout(Some(remaining))
-        .map_err(|_| OverloadError::Malformed)?;
-    match stream.read(chunk) {
-        Ok(0) => Err(OverloadError::Malformed), // EOF mid-request
-        Ok(n) => Ok(n),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(OverloadError::ReadTimeout)
-        }
-        Err(_) => Err(OverloadError::Malformed),
-    }
-}
-
-/// Read one request — request line, headers, `Content-Length` body —
-/// within `cfg`'s limits: the whole read must finish inside
-/// `read_timeout`, headers stop at 16 KiB, and a declared body over
-/// `max_body_bytes` is refused before a single body byte is read.
-fn read_request(
-    stream: &mut TcpStream,
-    cfg: &ApiServerConfig,
-) -> Result<(String, String, Vec<u8>), OverloadError> {
-    let started = std::time::Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(pos) = find(&buf, b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() > 16 * 1024 {
-            return Err(OverloadError::BodyTooLarge);
-        }
-        let n = read_chunk(stream, &mut chunk, started, cfg.read_timeout)?;
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..header_end]).map_err(|_| OverloadError::Malformed)?;
-    let mut lines = head.split("\r\n");
-    let mut request_line = lines
-        .next()
-        .ok_or(OverloadError::Malformed)?
-        .split_whitespace();
-    let method = request_line
-        .next()
-        .ok_or(OverloadError::Malformed)?
-        .to_owned();
-    let path = request_line
-        .next()
-        .ok_or(OverloadError::Malformed)?
-        .to_owned();
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > cfg.max_body_bytes {
-        return Err(OverloadError::BodyTooLarge);
-    }
-    let mut body = buf[header_end..].to_vec();
-    while body.len() < content_length {
-        let n = read_chunk(stream, &mut chunk, started, cfg.read_timeout)?;
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok((method, path, body))
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-fn respond(stream: &mut TcpStream, status: u16, body: &str, retry_after: Option<u64>) {
-    let reason = match status {
-        200 => "OK",
-        201 => "Created",
-        400 => "Bad Request",
-        403 => "Forbidden",
-        404 => "Not Found",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        507 => "Insufficient Storage",
-        _ => "Internal Server Error",
-    };
-    let content_type = if body.starts_with('{') {
-        "application/json"
-    } else {
-        "text/plain; version=0.0.4; charset=utf-8"
-    };
-    let retry = retry_after
-        .map(|secs| format!("Retry-After: {secs}\r\n"))
-        .unwrap_or_default();
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    let _ = stream.write_all(response.as_bytes());
 }
 
 #[cfg(test)]
@@ -729,6 +457,9 @@ mod tests {
     use super::*;
     use crate::quota::TenantQuota;
     use crate::reconcile::ReconcilerConfig;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
     use vfc_cluster::Strategy;
     use vfc_cpusched::topology::NodeSpec;
 
@@ -999,8 +730,11 @@ mod tests {
     fn slow_loris_and_oversized_bodies_are_shed_typed() {
         let rt = runtime();
         let cfg = ApiServerConfig {
-            read_timeout: Duration::from_millis(200),
-            max_body_bytes: 1024,
+            limits: Limits {
+                read_timeout: Duration::from_millis(200),
+                max_body_bytes: 1024,
+                ..Limits::default()
+            },
             ..ApiServerConfig::default()
         };
         let server = ApiServer::bind_with("127.0.0.1:0", Arc::clone(&rt), cfg).unwrap();
@@ -1024,6 +758,69 @@ mod tests {
         let rt = rt.lock().unwrap();
         assert_eq!(rt.plane.metrics.sheds(ShedReason::BodyTooLarge), 1);
         assert_eq!(rt.plane.metrics.sheds(ShedReason::ReadTimeout), 1);
+    }
+
+    #[test]
+    fn a_full_queue_sheds_while_the_runtime_lock_is_held() {
+        let rt = runtime();
+        let cfg = ApiServerConfig {
+            limits: Limits {
+                workers: 1,
+                queue_depth: 1,
+                ..Limits::default()
+            },
+            ..ApiServerConfig::default()
+        };
+        let server = ApiServer::bind_with("127.0.0.1:0", Arc::clone(&rt), cfg).unwrap();
+        let addr = server.local_addr();
+        let send = |request: &[u8]| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(request).unwrap();
+            stream
+        };
+        let read = |mut stream: TcpStream| {
+            let mut response = String::new();
+            stream.read_to_string(&mut response).map(|_| response)
+        };
+        let health = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+
+        let held = rt.lock().unwrap();
+        // A: the one worker takes it and blocks in the router on the held
+        // lock. Nothing in the server shows that hand-off, so give the
+        // worker ample time to wake before B arrives; had it not, B would
+        // be the connection refused and the count below would read 2.
+        let a = send(health);
+        std::thread::sleep(Duration::from_millis(100));
+        // B fills the queue.
+        let b = send(health);
+        // C finds it full: 503 + Retry-After at once, lock or no lock.
+        let c = send(health);
+        c.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let response = read(c).expect("the refusal must not wait on the runtime lock");
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("Retry-After: 1"), "{response}");
+        assert_eq!(held.plane.metrics.sheds(ShedReason::QueueFull), 1);
+        drop(held);
+
+        for stream in [a, b] {
+            let response = read(stream).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        }
+        assert_eq!(
+            rt.lock()
+                .unwrap()
+                .plane
+                .metrics
+                .sheds(ShedReason::QueueFull),
+            1
+        );
+        let (status, body) = http(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 200);
+        assert!(
+            body.contains("vfc_cp_shed_total{reason=\"queue_full\"} 1"),
+            "{body}"
+        );
     }
 
     #[test]

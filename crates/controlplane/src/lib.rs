@@ -42,7 +42,7 @@ pub mod spec;
 pub mod telemetry;
 
 pub use admission::{AdmissionError, ControlPlane, RateLimit};
-pub use api::{ApiServer, ApiServerConfig, ControlPlaneRuntime, OverloadError};
+pub use api::{ApiServer, ApiServerConfig, ControlPlaneRuntime};
 pub use billing::{aggregate_usage, spec_audit};
 pub use quota::{TenantQuota, TenantUsage, TokenBucket};
 pub use reconcile::{Binding, ReconcileSummary, Reconciler, ReconcilerConfig, WorkloadFactory};

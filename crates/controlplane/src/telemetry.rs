@@ -26,6 +26,7 @@
 //! inadmissible".
 
 use crate::quota::TenantUsage;
+use vfc_telemetry::http::{Listener, Refusal};
 use vfc_telemetry::{MetricId, Registry, LATENCY_BUCKETS_US};
 
 /// What a reconcile pass did with one spec — the label values of
@@ -53,7 +54,10 @@ pub const ACTION_LABELS: [&str; 6] = [
 ];
 
 /// Why the API front door refused work before it reached admission —
-/// the label values of `vfc_cp_shed_total`.
+/// the label values of `vfc_cp_shed_total`. The first three are the
+/// listener's own [`Refusal`]s, counted by the listener
+/// ([`ControlPlaneMetrics::count_refusals_of`]); `Backlog` is decided
+/// and counted by the API's router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// A client failed to deliver a full request within the read
@@ -245,6 +249,21 @@ impl ControlPlaneMetrics {
     /// Count one shed request.
     pub fn shed(&mut self, reason: ShedReason) {
         self.registry.inc(self.shed, reason as usize, 1);
+    }
+
+    /// Read `listener`'s own refusal counts into `vfc_cp_shed_total`
+    /// from now on. The listener bumps them without a lock, so no shed
+    /// waits on the runtime lock to be counted; counts made so far carry
+    /// over.
+    pub fn count_refusals_of(&mut self, listener: &Listener) {
+        for (reason, refusal) in [
+            (ShedReason::ReadTimeout, Refusal::ReadTimeout),
+            (ShedReason::BodyTooLarge, Refusal::BodyTooLarge),
+            (ShedReason::QueueFull, Refusal::QueueFull),
+        ] {
+            let cell = listener.refusal_counter(refusal);
+            self.registry.share(self.shed, reason as usize, cell);
+        }
     }
 
     /// Read back one shed counter (tests, rollups).

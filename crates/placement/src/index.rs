@@ -2,7 +2,8 @@
 //!
 //! The cluster manager answers every placement question — admission,
 //! evacuation, migration fallback, control-plane feasibility — by
-//! scanning all `n` node bins and applying [`ConstraintMode::fits`].
+//! scanning all `n` node bins and applying
+//! [`ConstraintMode::fits`](crate::ConstraintMode::fits).
 //! That scan is exact but linear, and at trace scale (1,200 nodes,
 //! ~100k arrivals/evacuations) it dominates the placement cost.
 //!
@@ -32,7 +33,8 @@
 //! with the slot's current residuals after *every* mutation (place,
 //! remove, resize, node repair) and [`ResidualIndex::deactivate`] when
 //! a slot leaves the candidate set (node crash). Residuals are in the
-//! owner's constraint units ([`ConstraintMode::remaining`]): MHz under
+//! owner's constraint units
+//! ([`ConstraintMode::remaining`](crate::ConstraintMode::remaining)): MHz under
 //! Eq. 7, vCPU slots under core-count.
 
 use std::collections::BTreeSet;

@@ -37,6 +37,7 @@ use vfc_controlplane::{
 };
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros};
+use vfc_telemetry::http::Limits;
 use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
 use vfc_vmm::VmTemplate;
 
@@ -393,9 +394,12 @@ pub fn api_stress(s: ApiStressScenario) -> Result<ApiStressOutcome, String> {
         "127.0.0.1:0",
         Arc::clone(&runtime),
         ApiServerConfig {
-            read_timeout: s.timeout,
-            write_timeout: s.timeout,
-            max_body_bytes: 1024,
+            limits: Limits {
+                read_timeout: s.timeout,
+                write_timeout: s.timeout,
+                max_body_bytes: 1024,
+                ..Limits::default()
+            },
             ..ApiServerConfig::default()
         },
     )?;

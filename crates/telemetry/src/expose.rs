@@ -6,26 +6,22 @@
 //! * **textfile** — [`write_textfile`] writes the rendered page to
 //!   `<path>.tmp` and atomically renames it over `<path>`, so a scraper
 //!   (e.g. node_exporter's textfile collector) never reads a torn page;
-//! * **HTTP** — [`MetricsServer`] binds a `TcpListener` and serves the
-//!   most recently [published](MetricsServer::publish) page to any `GET`.
-//!   The accept loop runs on its own thread; the control loop only ever
-//!   pays one mutex lock + one `String` clone per publish.
+//! * **HTTP** — [`MetricsServer`] binds the shared
+//!   [`Listener`] and serves the most recently
+//!   [published](MetricsServer::publish) page to any request. The
+//!   listener runs on its own threads; the control loop only ever pays
+//!   one mutex lock + one `String` clone per publish.
 //!
 //! Determinism: metrics render in registration order; series of a
 //! dynamic family render sorted by label value. The same registry state
 //! always renders to the same bytes (the golden-file test pins this).
 
 use crate::hist::fmt_us_as_secs;
+use crate::http::{Limits, Listener, Response};
 use crate::registry::{Kind, Registry, SeriesData};
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// How long one scrape connection may stall the accept thread, reading
-/// or writing — the control-plane API's default request timeouts.
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Escape a `# HELP` text: `\` → `\\`, newline → `\n`.
 fn escape_help(s: &str) -> String {
@@ -135,7 +131,8 @@ fn render_grouped_inner(
                     pairs.push((key, series.label.as_str()));
                 }
                 match &series.data {
-                    SeriesData::Value(v) => {
+                    SeriesData::Value(_) | SeriesData::Shared(_) => {
+                        let v = series.data.scalar().unwrap_or(0);
                         out.push_str(&format!("{}{} {v}\n", meta.name, labels(&pairs)));
                     }
                     SeriesData::Hist(h) => {
@@ -192,51 +189,25 @@ pub fn write_textfile(path: &Path, page: &str) -> Result<(), String> {
         .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
-/// A minimal blocking HTTP exposition endpoint.
-///
-/// Binds at construction; a detached thread accepts connections and
-/// answers every request with the last published page (`200 OK`,
-/// `text/plain; version=0.0.4`). There is deliberately no routing, no
-/// keep-alive and no TLS — this is a scrape endpoint, not a web server.
-/// The thread exits with the process; [`MetricsServer`] holds no
-/// non-static resources.
+/// The HTTP exposition endpoint: the shared [`Listener`] at its default
+/// [`Limits`], answering every well-formed request with the last
+/// [published](MetricsServer::publish) page. There is deliberately no
+/// routing — this is a scrape endpoint, not a web server. The
+/// listener's threads exit with the process.
 pub struct MetricsServer {
     page: Arc<Mutex<String>>,
-    addr: std::net::SocketAddr,
+    listener: Listener,
 }
 
 impl MetricsServer {
-    /// Bind `addr` (e.g. `127.0.0.1:9464`) and start the accept thread.
+    /// Bind `addr` (e.g. `127.0.0.1:9464`) and start serving.
     pub fn bind<A: ToSocketAddrs>(addr: A) -> Result<MetricsServer, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind metrics addr: {e}"))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| format!("metrics local addr: {e}"))?;
         let page = Arc::new(Mutex::new(String::new()));
         let served = Arc::clone(&page);
-        std::thread::Builder::new()
-            .name("vfc-metrics".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(mut stream) = stream else { continue };
-                    // One thread serves every scrape: a client that
-                    // connects and goes quiet must not hold it.
-                    let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
-                    let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
-                    // Drain the request line + headers best-effort; a
-                    // scraper that pipelines is out of scope.
-                    let mut buf = [0u8; 1024];
-                    let _ = stream.read(&mut buf);
-                    let body = served.lock().map(|p| p.clone()).unwrap_or_default();
-                    let response = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len(),
-                    );
-                    let _ = stream.write_all(response.as_bytes());
-                }
-            })
-            .map_err(|e| format!("spawn metrics thread: {e}"))?;
-        Ok(MetricsServer { page, addr: local })
+        let listener = Listener::bind(addr, Limits::default(), move |_, _, _| {
+            Response::prometheus(served.lock().map(|p| p.clone()).unwrap_or_default())
+        })?;
+        Ok(MetricsServer { page, listener })
     }
 
     /// Replace the page served to the next scrape.
@@ -248,7 +219,7 @@ impl MetricsServer {
 
     /// The actually bound address (resolves `:0` to the chosen port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 }
 
@@ -256,6 +227,7 @@ impl MetricsServer {
 mod tests {
     use super::*;
     use crate::hist::LATENCY_BUCKETS_US;
+    use std::io::{Read as _, Write as _};
 
     fn sample_registry() -> Registry {
         let mut r = Registry::new();
@@ -359,7 +331,9 @@ mod tests {
         // Connects first, sends nothing, stays open past the scrape.
         let idle = std::net::TcpStream::connect(server.local_addr()).unwrap();
         let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_read_timeout(Some(CLIENT_TIMEOUT * 5)).unwrap();
+        stream
+            .set_read_timeout(Some(Limits::default().read_timeout * 5))
+            .unwrap();
         stream.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();

@@ -15,9 +15,11 @@
 //!   histogram families behind copyable handles, mutated by index (no
 //!   hashing on the hot path);
 //! * [`expose`] — Prometheus text-format [rendering](expose::render),
-//!   atomically-swapped [textfiles](expose::write_textfile), a minimal
-//!   std-only [HTTP endpoint](expose::MetricsServer), and a
+//!   atomically-swapped [textfiles](expose::write_textfile), the
+//!   [scrape endpoint](expose::MetricsServer), and a
 //!   [merged multi-node rollup](expose::render_merged);
+//! * [`http`] — the one std-only HTTP [listener](http::Listener), which
+//!   the scrape endpoint and the control-plane API both bind;
 //! * [`trace`] — a ring-buffer [trace journal](trace::TraceRing) of the
 //!   last N iterations, dumped as JSON for post-mortems when the daemon
 //!   dies or trips its circuit breaker.
@@ -29,6 +31,7 @@
 
 pub mod expose;
 pub mod hist;
+pub mod http;
 pub mod registry;
 pub mod trace;
 

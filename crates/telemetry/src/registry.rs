@@ -22,6 +22,8 @@
 //! notation. The exposition lives in [`crate::expose`].
 
 use crate::hist::Histogram;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Metric kind, mirroring the Prometheus `# TYPE` keywords.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +52,22 @@ impl Kind {
 pub(crate) enum SeriesData {
     /// Counter or gauge value.
     Value(u64),
+    /// A counter other threads bump without the registry's owner (see
+    /// [`Registry::share`]).
+    Shared(Arc<AtomicU64>),
     /// Histogram state.
     Hist(Histogram),
+}
+
+impl SeriesData {
+    /// The counter or gauge value; `None` for a histogram.
+    pub(crate) fn scalar(&self) -> Option<u64> {
+        match self {
+            SeriesData::Value(v) => Some(*v),
+            SeriesData::Shared(cell) => Some(cell.load(Ordering::Relaxed)),
+            SeriesData::Hist(_) => None,
+        }
+    }
 }
 
 /// One series of a metric: a label value (empty for unlabelled metrics)
@@ -260,9 +276,23 @@ impl Registry {
     /// Increment a counter series by `by` (`idx` = label position; 0 for
     /// unlabelled).
     pub fn inc(&mut self, id: MetricId, idx: usize, by: u64) {
-        if let SeriesData::Value(v) = &mut self.metrics[id.0].series[idx].data {
-            *v += by;
+        match &mut self.metrics[id.0].series[idx].data {
+            SeriesData::Value(v) => *v += by,
+            SeriesData::Shared(cell) => {
+                cell.fetch_add(by, Ordering::Relaxed);
+            }
+            SeriesData::Hist(_) => {}
         }
+    }
+
+    /// Back counter series `idx` by `cell`, which other threads bump
+    /// without this registry's owner — a listener counting its own
+    /// refusals. Reads and renders load it from then on; the count the
+    /// series held so far is carried into `cell`.
+    pub fn share(&mut self, id: MetricId, idx: usize, cell: Arc<AtomicU64>) {
+        let data = &mut self.metrics[id.0].series[idx].data;
+        cell.fetch_add(data.scalar().unwrap_or(0), Ordering::Relaxed);
+        *data = SeriesData::Shared(cell);
     }
 
     /// Set a gauge series to `value`.
@@ -343,10 +373,11 @@ impl Registry {
     /// Read a counter/gauge series value (0 if the series does not
     /// exist or the id is a histogram).
     pub fn value(&self, id: MetricId, idx: usize) -> u64 {
-        match self.metrics[id.0].series.get(idx).map(|s| &s.data) {
-            Some(SeriesData::Value(v)) => *v,
-            _ => 0,
-        }
+        self.metrics[id.0]
+            .series
+            .get(idx)
+            .and_then(|s| s.data.scalar())
+            .unwrap_or(0)
     }
 
     /// Read a dynamic-label series value (0 if the label was never seen).
@@ -355,10 +386,7 @@ impl Registry {
             .series
             .iter()
             .find(|s| s.label == label)
-            .and_then(|s| match &s.data {
-                SeriesData::Value(v) => Some(*v),
-                _ => None,
-            })
+            .and_then(|s| s.data.scalar())
             .unwrap_or(0)
     }
 
@@ -370,10 +398,7 @@ impl Registry {
         self.metrics[id.0]
             .series
             .iter()
-            .filter_map(|s| match &s.data {
-                SeriesData::Value(v) => Some((s.label.as_str(), *v)),
-                SeriesData::Hist(_) => None,
-            })
+            .filter_map(|s| Some((s.label.as_str(), s.data.scalar()?)))
     }
 
     /// Borrow a histogram series (None for value series / missing idx).

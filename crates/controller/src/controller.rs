@@ -421,7 +421,7 @@ pub struct Controller {
     iterations: u64,
     /// Running sum of every iteration's [`HealthReport`].
     health_totals: HealthTotals,
-    /// Stage histograms, market counters and the trace ring.
+    /// Stage histograms and market counters.
     metrics: ControllerMetrics,
 
     // ---- inventory lister (the epoch-gated `vms()` cache) -------------
@@ -478,9 +478,7 @@ pub struct Controller {
     vm_series: Vec<VmSeries>,
     /// VM id → VM table index (cold paths only).
     vm_index_of: FastMap<VmId, u32>,
-    /// VM table indices ordered by name (trace aggregation order) and by
-    /// id (wallet report order).
-    vm_name_order: Vec<u32>,
+    /// VM table indices ordered by id (wallet report order).
     vm_id_order: Vec<u32>,
 
     // ---- per-iteration scratch (reused, cleared each period) ----------
@@ -495,7 +493,6 @@ pub struct Controller {
     dist_scratch: Vec<(u32, u64, u64)>,
     vm_minted: Vec<u64>,
     vm_spent: Vec<u64>,
-    vm_alloc: Vec<u64>,
 }
 
 impl Controller {
@@ -542,7 +539,6 @@ impl Controller {
             vm_credits: Vec::new(),
             vm_series: Vec::new(),
             vm_index_of: FastMap::default(),
-            vm_name_order: Vec::new(),
             vm_id_order: Vec::new(),
             observations: Vec::new(),
             estimates: Vec::new(),
@@ -553,7 +549,6 @@ impl Controller {
             dist_scratch: Vec::new(),
             vm_minted: Vec::new(),
             vm_spent: Vec::new(),
-            vm_alloc: Vec::new(),
         }
     }
 
@@ -632,14 +627,9 @@ impl Controller {
         self.synthetic_stage_us = us;
     }
 
-    /// The telemetry registry, stage histograms and trace ring.
+    /// The telemetry registry and stage histograms.
     pub fn telemetry(&self) -> &ControllerMetrics {
         &self.metrics
-    }
-
-    /// Mutable telemetry access (e.g. resizing the trace ring at boot).
-    pub fn telemetry_mut(&mut self) -> &mut ControllerMetrics {
-        &mut self.metrics
     }
 
     /// Snapshot everything a warm restart needs — wallets, consumption
@@ -889,9 +879,8 @@ impl Controller {
         self.vm_index_of
             .extend(self.vm_ids.iter().zip(0..).map(|(id, vi)| (*id, vi)));
 
-        let (slots, names, ids) = (&self.slots, &self.vm_names, &self.vm_ids);
+        let (slots, ids) = (&self.slots, &self.vm_ids);
         sorted_indices(&mut self.write_order, slots.len(), |s| slots[s as usize]);
-        sorted_indices(&mut self.vm_name_order, n, |vi| &names[vi as usize]);
         sorted_indices(&mut self.vm_id_order, n, |vi| ids[vi as usize]);
     }
 
@@ -1497,9 +1486,6 @@ impl Controller {
                 alloc: Micros::ZERO,
             });
         }
-        // Per-VM allocation totals for the trace ring ride along.
-        self.vm_alloc.clear();
-        self.vm_alloc.resize(n_vms, 0);
         for i in 0..n_rows {
             let e = &self.estimates[i];
             let o = &self.observations[i];
@@ -1523,7 +1509,6 @@ impl Controller {
             } else {
                 Micros::ZERO
             };
-            self.vm_alloc[vi] += row.alloc.as_u64();
         }
         report.vcpus.sort_unstable_by_key(|v| v.addr);
         report.market_initial = market_initial;
@@ -1617,54 +1602,6 @@ impl Controller {
         for name in &vanished_names {
             self.metrics.forget_vm(name);
         }
-
-        // Per-VM allocation totals, aggregated by *name* (several VMs may
-        // share one), in name order — filled into the trace ring entry,
-        // recycling the evicted entry's strings.
-        let iteration = self.iterations;
-        let degraded = report.health.degraded;
-        let vm_names = &self.vm_names;
-        let vm_alloc = &self.vm_alloc;
-        let order = &self.vm_name_order;
-        self.metrics.push_trace_with(|tr| {
-            tr.iteration = iteration;
-            tr.unix_ms = vfc_telemetry::trace::unix_now_ms();
-            tr.stages_us.clear();
-            tr.stages_us.extend_from_slice(&[
-                timings.monitor.as_micros() as u64,
-                timings.estimate.as_micros() as u64,
-                timings.enforce.as_micros() as u64,
-                timings.auction.as_micros() as u64,
-                timings.distribute.as_micros() as u64,
-                timings.apply.as_micros() as u64,
-            ]);
-            tr.total_us = timings.total.as_micros() as u64;
-            tr.degraded = degraded;
-            let mut k = 0usize;
-            let mut i = 0usize;
-            while i < order.len() {
-                let name = &vm_names[order[i] as usize];
-                let mut sum = vm_alloc[order[i] as usize];
-                let mut j = i + 1;
-                while j < order.len() && vm_names[order[j] as usize] == *name {
-                    sum += vm_alloc[order[j] as usize];
-                    j += 1;
-                }
-                if k < tr.vm_alloc_us.len() {
-                    let entry = &mut tr.vm_alloc_us[k];
-                    if entry.0 != *name {
-                        entry.0.clear();
-                        entry.0.push_str(name);
-                    }
-                    entry.1 = sum;
-                } else {
-                    tr.vm_alloc_us.push((name.clone(), sum));
-                }
-                k += 1;
-                i = j;
-            }
-            tr.vm_alloc_us.truncate(k);
-        });
 
         Ok(())
     }

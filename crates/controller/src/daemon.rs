@@ -48,6 +48,7 @@ use crate::apply::cpu_max_to_allocation;
 use crate::config::{ControlMode, ControllerConfig};
 use crate::controller::{Controller, IterationReport};
 use crate::persist::{self, LoadOutcome};
+use crate::telemetry::iteration_trace;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +56,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::fs::FsBackend;
+use vfc_simcore::durable::replace_file;
 use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId};
+use vfc_telemetry::{MetricsServer, TraceRing};
 
 /// Parsed daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,17 +94,19 @@ pub struct DaemonConfig {
     /// with `journal_path` set.
     pub journal_interval: u64,
     /// Prometheus textfile exposition: after every iteration the full
-    /// metrics page is written here atomically (tmp + rename), ready for
-    /// the node-exporter textfile collector or a `curl file://` scrape.
+    /// metrics page replaces this file atomically and durably
+    /// ([`replace_file`]), ready for the node-exporter textfile
+    /// collector or a `curl file://` scrape.
     pub metrics_path: Option<PathBuf>,
     /// Prometheus HTTP exposition: bind a minimal std-only listener on
     /// this address (e.g. `127.0.0.1:9753`) serving the same page.
     pub metrics_addr: Option<String>,
-    /// Where to dump the iteration trace ring as JSON on every exit path
-    /// (warm shutdown, iteration limit, circuit breaker); `None`
-    /// disables dumping.
+    /// Where to dump the daemon's iteration trace ring as JSON on every
+    /// exit path (warm shutdown, iteration limit, circuit breaker);
+    /// `None` disables dumping.
     pub trace_dump: Option<PathBuf>,
-    /// Capacity of the iteration trace ring (clamped to ≥ 1).
+    /// Capacity of the iteration trace ring (clamped to ≥ 1; default
+    /// 128).
     pub trace_len: usize,
 }
 
@@ -122,7 +127,7 @@ impl Default for DaemonConfig {
             metrics_path: None,
             metrics_addr: None,
             trace_dump: None,
-            trace_len: crate::telemetry::DEFAULT_TRACE_LEN,
+            trace_len: 128,
         }
     }
 }
@@ -551,33 +556,21 @@ fn save_journal(cfg: &DaemonConfig, controller: &Controller) {
     }
 }
 
-/// Flush the buffered JSON log on the daemon's exit paths so the last
-/// iterations' records are never lost to the buffer.
-fn flush_log(log: &mut Option<std::io::BufWriter<std::fs::File>>) {
-    use std::io::Write as _;
-    if let Some(file) = log {
-        if let Err(e) = file.flush() {
-            eprintln!("vfcd: json log flush failed: {e}");
-        }
-    }
-}
-
 /// Publish the current metrics page to every configured sink: the
 /// atomically-swapped textfile and/or the HTTP endpoint. A failed
 /// textfile write is reported, never fatal — observability must not
 /// take the control loop down.
-fn publish_metrics(
-    cfg: &DaemonConfig,
-    server: &Option<vfc_telemetry::MetricsServer>,
-    controller: &Controller,
-) {
+fn publish_metrics(cfg: &DaemonConfig, server: &Option<MetricsServer>, controller: &Controller) {
     if cfg.metrics_path.is_none() && server.is_none() {
         return;
     }
     let page = controller.telemetry().render_prometheus();
     if let Some(path) = &cfg.metrics_path {
-        if let Err(e) = vfc_telemetry::write_textfile(path, &page) {
-            eprintln!("vfcd: metrics textfile write failed: {e}");
+        if let Err(e) = replace_file(path, page.as_bytes()) {
+            eprintln!(
+                "vfcd: metrics textfile {} write failed: {e}",
+                path.display()
+            );
         }
     }
     if let Some(server) = server {
@@ -585,19 +578,29 @@ fn publish_metrics(
     }
 }
 
-/// Final observability flush shared by every exit path: the cumulative
-/// health totals — with the backend's failed-listing count beside them —
-/// go to stderr (so the since-boot counters survive in the supervisor's
-/// log even when no JSON log was configured), the trace ring is dumped
-/// to `trace_dump` tagged with what ended the process, and the metrics
-/// sinks get one last page.
-fn flush_observability<B: HostBackend + ?Sized>(
+/// Every exit path's flush, tagged with what ended the loop (`reason`):
+/// the journal; the buffered JSON log, so the last iterations' records
+/// are never lost to the buffer; the cumulative health totals — with the
+/// backend's failed-listing count beside them — on stderr (so the
+/// since-boot counters survive in the supervisor's log even when no
+/// JSON log was configured); the trace ring, dumped to `trace_dump`
+/// with the reason; and one last metrics page.
+fn flush_on_exit<B: HostBackend + ?Sized>(
+    reason: &str,
     cfg: &DaemonConfig,
-    server: &Option<vfc_telemetry::MetricsServer>,
     controller: &Controller,
     backend: &B,
-    reason: &str,
+    json_log: &mut Option<std::io::BufWriter<std::fs::File>>,
+    server: &Option<MetricsServer>,
+    trace: &TraceRing,
 ) {
+    use std::io::Write as _;
+    save_journal(cfg, controller);
+    if let Some(file) = json_log {
+        if let Err(e) = file.flush() {
+            eprintln!("vfcd: json log flush failed: {e}");
+        }
+    }
     let mut totals = serde::Serialize::ser(&controller.health_totals());
     if let serde::Value::Object(fields) = &mut totals {
         fields.push((
@@ -608,14 +611,13 @@ fn flush_observability<B: HostBackend + ?Sized>(
     let totals = serde_json::to_string(&totals).expect("health totals serialization cannot fail");
     eprintln!("vfcd: exit ({reason}); cumulative health: {totals}");
     if let Some(path) = &cfg.trace_dump {
-        let dump = controller.telemetry().trace().dump_json(reason);
-        match vfc_telemetry::write_textfile(path, &dump) {
+        match replace_file(path, trace.dump_json(reason).as_bytes()) {
             Ok(()) => eprintln!(
                 "vfcd: dumped {} iteration traces to {}",
-                controller.telemetry().trace().len(),
+                trace.len(),
                 path.display()
             ),
-            Err(e) => eprintln!("vfcd: trace dump failed: {e}"),
+            Err(e) => eprintln!("vfcd: trace dump to {} failed: {e}", path.display()),
         }
     }
     publish_metrics(cfg, server, controller);
@@ -767,10 +769,10 @@ pub fn run_with_shutdown<B: HostBackend + ?Sized>(
     }
     let period = cfg.controller.period;
     let mut controller = Controller::new(cfg.controller.clone(), topo);
-    controller.telemetry_mut().set_trace_capacity(cfg.trace_len);
+    let mut trace = TraceRing::new(cfg.trace_len);
     let metrics_server = match &cfg.metrics_addr {
         Some(addr) => {
-            let server = vfc_telemetry::MetricsServer::bind(addr.as_str())
+            let server = MetricsServer::bind(addr.as_str())
                 .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
             eprintln!("vfcd: serving /metrics on http://{}", server.local_addr());
             Some(server)
@@ -804,35 +806,23 @@ pub fn run_with_shutdown<B: HostBackend + ?Sized>(
     let mut done = 0u64;
     let mut consecutive_errors = 0u32;
     // One report, reused every period: its row and health buffers reach
-    // steady-state capacity after a few iterations, keeping the daemon
-    // loop off the allocator (see `Controller::iterate_into`).
+    // steady-state capacity after a few iterations, keeping the
+    // iteration itself off the allocator (see `Controller::iterate_into`);
+    // the trace entry and the metrics page are built after it.
     let mut report = IterationReport::default();
-    loop {
+    let (reason, outcome) = loop {
+        // Warm handoff on both: the successor adopts the caps we leave.
         if shutdown.due(done) {
-            // Warm handoff: the successor adopts the caps we leave.
-            save_journal(&cfg, &controller);
-            flush_log(&mut json_log);
-            flush_observability(&cfg, &metrics_server, &controller, backend, "shutdown");
             eprintln!("vfcd: shutdown requested after {done} iterations; warm handoff");
-            return Ok(done);
+            break ("shutdown", Ok(done));
         }
-        if let Some(limit) = cfg.iterations {
-            if done >= limit {
-                save_journal(&cfg, &controller);
-                flush_log(&mut json_log);
-                flush_observability(
-                    &cfg,
-                    &metrics_server,
-                    &controller,
-                    backend,
-                    "iteration-limit",
-                );
-                return Ok(done);
-            }
+        if cfg.iterations.is_some_and(|limit| done >= limit) {
+            break ("iteration-limit", Ok(done));
         }
         let started = std::time::Instant::now();
         let errored = match controller.iterate_into(backend, &mut report) {
             Ok(()) => {
+                trace.push(iteration_trace(controller.iterations(), &report));
                 if cfg.verbose {
                     if report.health.degraded {
                         eprintln!(
@@ -897,19 +887,13 @@ pub fn run_with_shutdown<B: HostBackend + ?Sized>(
             consecutive_errors += 1;
             if cfg.max_consecutive_errors > 0 && consecutive_errors >= cfg.max_consecutive_errors {
                 let cleared = uncap_all(backend);
-                save_journal(&cfg, &controller);
-                flush_log(&mut json_log);
-                flush_observability(
-                    &cfg,
-                    &metrics_server,
-                    &controller,
-                    backend,
+                break (
                     "circuit-breaker",
+                    Err(format!(
+                        "circuit breaker: {consecutive_errors} consecutive degraded iterations; \
+                         uncapped {cleared} vCPUs and giving up"
+                    )),
                 );
-                return Err(format!(
-                    "circuit breaker: {consecutive_errors} consecutive degraded iterations; \
-                     uncapped {cleared} vCPUs and giving up"
-                ));
             }
         } else {
             consecutive_errors = 0;
@@ -920,7 +904,17 @@ pub fn run_with_shutdown<B: HostBackend + ?Sized>(
         if spent < period {
             std::thread::sleep(period - spent);
         }
-    }
+    };
+    flush_on_exit(
+        reason,
+        &cfg,
+        &controller,
+        backend,
+        &mut json_log,
+        &metrics_server,
+        &trace,
+    );
+    outcome
 }
 
 #[cfg(test)]
@@ -1184,6 +1178,39 @@ mod tests {
             .vm_alloc_us
             .iter()
             .any(|(n, _)| n == "web"));
+    }
+
+    #[test]
+    fn a_huge_trace_len_boots_and_dumps_what_ran() {
+        use vfc_cgroupfs::fixture::FixtureTree;
+        let fx = FixtureTree::builder()
+            .cpus(1, MHz(2400))
+            .vm("web", 1, &[17])
+            .build();
+        let out = fx.root().join("out");
+        std::fs::create_dir(&out).unwrap();
+        let (metrics, traces) = (out.join("vfcd.prom"), out.join("vfcd-traces.json"));
+        let mut cfg = parse_config_file("trace_len = 100000000000\nperiod_ms = 20\n").unwrap();
+        cfg.iterations = Some(2);
+        cfg.metrics_path = Some(metrics.clone());
+        cfg.trace_dump = Some(traces.clone());
+        cfg.roots = Some((fx.cgroup_root(), fx.proc_root(), fx.cpu_root()));
+        assert_eq!(run(cfg).unwrap(), 2);
+
+        let dump: vfc_telemetry::TraceDump =
+            serde_json::from_str(&std::fs::read_to_string(&traces).unwrap()).unwrap();
+        assert_eq!(dump.capacity, 100_000_000_000);
+        assert_eq!(dump.iterations.len(), 2);
+        // Both files went through one durable tmp → rename writer.
+        let mut left: Vec<_> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["vfcd-traces.json", "vfcd.prom"]);
+        assert!(std::fs::read_to_string(&metrics)
+            .unwrap()
+            .contains("vfc_iterations_total 2"));
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! iteration; the estimate and distribute stages each define a
 //! `record_telemetry` hook that maps their outcome onto the registry (so
 //! the metric semantics live next to the stage they measure). The daemon renders the registry
-//! to Prometheus text (`--metrics` / `--metrics-addr`), the cluster
-//! manager rolls per-node registries into one page, and the trace ring
-//! is dumped on shutdown or a circuit-breaker trip.
+//! to Prometheus text (`--metrics` / `--metrics-addr`) and the cluster
+//! manager rolls per-node registries into one page. The controller keeps
+//! no trace: the daemon builds each period's trace entry from the
+//! iteration's report with [`iteration_trace`] and keeps the ring itself.
 //!
-//! Steady-state cost per iteration: seven histogram observes, ~15
-//! integer counter updates, and one bounded trace push — see
+//! Steady-state cost per iteration: seven histogram observes and ~15
+//! integer counter updates — see
 //! `scenarios::overhead` for the measured share of the control period
 //! (< 5 % in release builds). The full metric reference, with units and
 //! the paper equation each metric measures, is `docs/OBSERVABILITY.md`.
 
+use crate::controller::IterationReport;
+use std::collections::BTreeMap;
 use std::time::Duration;
 use vfc_telemetry::hist::LATENCY_BUCKETS_US;
-use vfc_telemetry::{HistSnapshot, MetricId, Registry, SeriesHint, TraceRing};
+use vfc_telemetry::{HistSnapshot, IterationTrace, MetricId, Registry, SeriesHint};
 
 /// The six pipeline stages, used to index the per-stage histogram
 /// family. Matches [`vfc_telemetry::STAGE_NAMES`] order.
@@ -44,15 +47,11 @@ const MARKET_OUTCOMES: [&str; 3] = ["sold", "distributed", "wasted"];
 /// Estimator case labels of `vfc_estimate_cases_total`, in index order.
 const ESTIMATE_CASES: [&str; 3] = ["increase", "decrease", "stable"];
 
-/// Default capacity of the iteration trace ring.
-pub const DEFAULT_TRACE_LEN: usize = 128;
-
 /// The controller's metric registry plus pre-registered handles for
 /// every series the six stages update.
 #[derive(Debug)]
 pub struct ControllerMetrics {
     registry: Registry,
-    trace: TraceRing,
     // Loop shape.
     iterations: MetricId,
     stage_hist: MetricId,
@@ -254,7 +253,6 @@ impl ControllerMetrics {
         );
         ControllerMetrics {
             registry: r,
-            trace: TraceRing::new(DEFAULT_TRACE_LEN),
             iterations,
             stage_hist,
             iter_hist,
@@ -428,12 +426,6 @@ impl ControllerMetrics {
         }
     }
 
-    /// Append one iteration to the trace ring, recycling the evicted
-    /// entry's buffers (see [`TraceRing::push_with`]).
-    pub fn push_trace_with<F: FnOnce(&mut vfc_telemetry::IterationTrace)>(&mut self, fill: F) {
-        self.trace.push_with(fill);
-    }
-
     // ---- read side -----------------------------------------------------
 
     /// The underlying registry (for rendering or merged rollups).
@@ -467,22 +459,51 @@ impl ControllerMetrics {
     pub fn credits_minted_by_vm(&self) -> impl Iterator<Item = (&str, u64)> {
         self.registry.series_values(self.credits_minted)
     }
+}
 
-    /// The iteration trace ring (read side; dumped on daemon exits).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
+/// The trace entry of the `iteration`th period, read off its report:
+/// stage and total wall times, the degraded flag, and each VM's
+/// allocation summed over its report rows — and over VMs sharing a
+/// name — sorted by name. A VM whose every vCPU was skipped this period
+/// has no row, so it is not listed.
+pub fn iteration_trace(iteration: u64, report: &IterationReport) -> IterationTrace {
+    let t = &report.timings;
+    let stages = [
+        t.monitor,
+        t.estimate,
+        t.enforce,
+        t.auction,
+        t.distribute,
+        t.apply,
+    ];
+    let mut by_name = BTreeMap::<&str, u64>::new();
+    for v in &report.vcpus {
+        *by_name.entry(&v.vm_name).or_default() += v.alloc.as_u64();
     }
-
-    /// Resize the trace ring (drops recorded history; intended for boot
-    /// time, before the first iteration).
-    pub fn set_trace_capacity(&mut self, cap: usize) {
-        self.trace = TraceRing::new(cap);
+    IterationTrace {
+        iteration,
+        unix_ms: vfc_telemetry::trace::unix_now_ms(),
+        stages_us: stages.iter().map(|d| d.as_micros() as u64).collect(),
+        total_us: t.total.as_micros() as u64,
+        degraded: report.health.degraded,
+        vm_alloc_us: by_name
+            .into_iter()
+            .map(|(name, us)| (name.to_owned(), us))
+            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, VcpuReport};
+    use crate::estimate::EstimateCase;
+    use crate::{ControlMode, ControllerConfig};
+    use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan, HostBackend};
+    use vfc_cpusched::topology::NodeSpec;
+    use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId, VmId};
+    use vfc_vmm::workload::SteadyDemand;
+    use vfc_vmm::{SimHost, VmTemplate};
 
     #[test]
     fn stage_histograms_accumulate_under_their_label() {
@@ -521,5 +542,98 @@ mod tests {
         assert!(!page.contains("vfc_credit_balance_usec{vm=\"web\"}"));
         // The historical counter survives.
         assert!(page.contains("vfc_credits_minted_usec_total{vm=\"web\"} 9"));
+    }
+
+    // ---- iteration_trace -------------------------------------------------
+
+    fn row(vm: u32, vcpu: u32, name: &str, alloc: u64) -> VcpuReport {
+        VcpuReport {
+            addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)),
+            vm_name: name.into(),
+            vfreq: None,
+            used: Micros::ZERO,
+            freq_est: MHz::ZERO,
+            estimate: Micros::ZERO,
+            case: EstimateCase::Stable,
+            guaranteed: Micros::ZERO,
+            alloc: Micros(alloc),
+        }
+    }
+
+    fn listed(report: &IterationReport) -> Vec<(String, u64)> {
+        iteration_trace(1, report).vm_alloc_us
+    }
+
+    #[test]
+    fn trace_sums_vms_sharing_a_name_in_name_order() {
+        let report = IterationReport {
+            vcpus: vec![
+                row(1, 0, "web", 100),
+                row(1, 1, "web", 200),
+                row(2, 0, "db", 50),
+                row(3, 0, "web", 300),
+            ],
+            ..IterationReport::default()
+        };
+        let trace = iteration_trace(7, &report);
+        assert_eq!(trace.iteration, 7);
+        assert_eq!(trace.stages_us.len(), vfc_telemetry::STAGE_NAMES.len());
+        assert_eq!(
+            trace.vm_alloc_us,
+            [("db".to_owned(), 50), ("web".to_owned(), 600)]
+        );
+    }
+
+    /// A host running `web0` (1 vCPU) and `db0` (2 vCPUs) behind a fault
+    /// layer, with `db0`'s id.
+    fn two_vms() -> (FaultInjectingBackend<SimHost>, VmId) {
+        let mut host = SimHost::new(NodeSpec::custom("t", 1, 4, 1, MHz(2400)), 3);
+        let web = host.provision(&VmTemplate::new("web", 1, MHz(800)));
+        let db = host.provision(&VmTemplate::new("db", 2, MHz(600)));
+        host.attach_workload(web, Box::new(SteadyDemand::full()));
+        host.attach_workload(db, Box::new(SteadyDemand::new(0.5)));
+        (FaultInjectingBackend::new(host, FaultPlan::none(), 3), db)
+    }
+
+    fn period(
+        backend: &mut FaultInjectingBackend<SimHost>,
+        ctl: &mut Controller,
+    ) -> IterationReport {
+        backend.inner_mut().advance_period();
+        ctl.iterate(backend).unwrap()
+    }
+
+    #[test]
+    fn a_vm_with_every_vcpu_skipped_is_not_listed() {
+        let (mut backend, db) = two_vms();
+        let cfg = ControllerConfig {
+            stale_sample_ttl: 0,
+            ..ControllerConfig::paper_defaults()
+        };
+        let mut ctl = Controller::new(cfg, backend.topology());
+        let report = period(&mut backend, &mut ctl);
+        let names: Vec<String> = listed(&report).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["db0", "web0"]);
+
+        let busy = FaultKind::Io(std::io::ErrorKind::ResourceBusy);
+        backend.script_fault(FaultOp::VcpuUsage, Some(db), None, busy, 2);
+        let report = period(&mut backend, &mut ctl);
+        assert_eq!(report.health.skipped_vcpus.len(), 2);
+        let names: Vec<String> = listed(&report).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["web0"]);
+    }
+
+    #[test]
+    fn a_monitor_only_period_lists_every_vm_at_zero() {
+        let (mut backend, _) = two_vms();
+        let cfg = ControllerConfig::paper_defaults().with_mode(ControlMode::MonitorOnly);
+        let mut ctl = Controller::new(cfg, backend.topology());
+        for _ in 0..3 {
+            let report = period(&mut backend, &mut ctl);
+            assert_eq!(
+                listed(&report),
+                [("db0".to_owned(), 0), ("web0".to_owned(), 0)]
+            );
+        }
     }
 }

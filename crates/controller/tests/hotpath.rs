@@ -120,10 +120,6 @@ fn warm_steady_state_iteration_allocates_nothing() {
     host.attach_workload(batch, Box::new(SteadyDemand::new(0.8)));
 
     let mut ctl = Controller::new(full_config(), host.topology_info());
-    // A small ring reaches eviction (entry recycling) within the warmup
-    // instead of after 128 pushes.
-    ctl.telemetry_mut().set_trace_capacity(4);
-
     let mut report = IterationReport::default();
     for _ in 0..16 {
         host.advance_period();
@@ -131,8 +127,8 @@ fn warm_steady_state_iteration_allocates_nothing() {
     }
     assert!(!report.health.degraded, "{:?}", report.health);
 
-    // Measure a few full periods: registry, histories, scratch vectors,
-    // telemetry series and the trace ring are all warm now.
+    // Measure a few full periods: registry, histories, scratch vectors
+    // and telemetry series are all warm now.
     for _ in 0..3 {
         host.advance_period();
         let before = thread_alloc_events();
@@ -179,7 +175,6 @@ fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
             backend.set_vfreq(name.clone(), MHz(if i % 2 == 0 { 600 } else { 1800 }));
         }
         let mut ctl = Controller::new(full_config(), backend.topology());
-        ctl.telemetry_mut().set_trace_capacity(4);
         let mut report = IterationReport::default();
         let period = |ctl: &mut Controller, backend: &mut _, report: &mut _| -> u64 {
             // The guests run (the fixture's helpers allocate freely).
@@ -228,7 +223,8 @@ fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
 /// hosted VM.
 ///
 /// Today's figures, events beyond the listing on the `node_sim`
-/// population: 26 at 80 hosted VMs, 34 at 160 (the map-keyed controller,
+/// population: 21 at 80 hosted VMs, 21 at 160 (25 and 33 while the
+/// controller filled a trace ring, `131a0e9`; the map-keyed controller,
 /// `509a5e5`: 329 and 637 — names cloned into three tables, the maps
 /// rehashed).
 #[test]
@@ -243,7 +239,6 @@ fn an_arrival_allocates_a_constant_beyond_its_listing() {
             provision(&mut host);
         }
         let mut ctl = Controller::new(full_config(), host.topology_info());
-        ctl.telemetry_mut().set_trace_capacity(4);
         let mut report = IterationReport::default();
         for _ in 0..16 {
             host.advance_period();

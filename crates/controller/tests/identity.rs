@@ -1,6 +1,7 @@
 //! What an operator reads off a controller — the Prometheus page, the
-//! per-VM credit counters in first-seen order, the trace ring dump and
-//! the crash journal — pinned byte-for-byte across a scripted life: a
+//! per-VM credit counters in first-seen order, the trace ring dump (its
+//! entries built from each report by `iteration_trace`, as `vfcd` builds
+//! them) and the crash journal — pinned byte-for-byte across a scripted life: a
 //! 3-VM host runs, one VM vanishes under the monitoring reads, a new VM
 //! arrives, a `cpu.max` write bounces, and the controller is
 //! replaced by a successor warm-started from its journal.
@@ -24,21 +25,35 @@ use std::io;
 use std::path::PathBuf;
 
 use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan, HostBackend};
+use vfc_controller::telemetry::iteration_trace;
 use vfc_controller::{ControlMode, Controller, ControllerConfig, IterationReport};
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros, VcpuId};
-use vfc_telemetry::{TraceDump, TRACE_DUMP_VERSION};
+use vfc_telemetry::TraceRing;
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::{SimHost, VmTemplate};
 
 type Backend = FaultInjectingBackend<SimHost>;
 
-fn run(ctl: &mut Controller, backend: &mut Backend, report: &mut IterationReport, periods: u32) {
+/// Run `periods` periods, pushing each one's trace entry with every
+/// clock reading zeroed.
+fn run(
+    ctl: &mut Controller,
+    backend: &mut Backend,
+    report: &mut IterationReport,
+    ring: &mut TraceRing,
+    periods: u32,
+) {
     for _ in 0..periods {
         backend.inner_mut().advance_period();
         ctl.iterate_into(backend, report).unwrap();
+        let mut trace = iteration_trace(ctl.iterations(), report);
+        trace.unix_ms = 0;
+        trace.total_us = 0;
+        trace.stages_us.fill(0);
+        ring.push(trace);
     }
 }
 
@@ -56,27 +71,6 @@ fn page(ctl: &Controller) -> String {
             page.push('\n');
             page
         })
-}
-
-/// The trace ring dump with every clock reading zeroed.
-fn trace(ctl: &Controller) -> String {
-    let ring = ctl.telemetry().trace();
-    let dump = TraceDump {
-        version: TRACE_DUMP_VERSION,
-        capacity: ring.capacity(),
-        reason: "identity".into(),
-        iterations: ring
-            .iter()
-            .cloned()
-            .map(|mut t| {
-                t.unix_ms = 0;
-                t.total_us = 0;
-                t.stages_us.fill(0);
-                t
-            })
-            .collect(),
-    };
-    serde_json::to_string_pretty(&dump).unwrap()
 }
 
 fn journal(ctl: &Controller) -> String {
@@ -106,15 +100,15 @@ fn exposition_trace_and_journal_match_the_map_keyed_controller() {
     let mut backend = FaultInjectingBackend::new(host, FaultPlan::none(), 5);
     let cfg = ControllerConfig::paper_defaults().with_mode(ControlMode::Full);
     let mut ctl = Controller::new(cfg.clone(), backend.topology());
-    ctl.telemetry_mut().set_trace_capacity(32);
+    let mut ring = TraceRing::new(32);
     let mut report = IterationReport::default();
     let mut out = String::new();
 
-    run(&mut ctl, &mut backend, &mut report, 6);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 6);
 
     // beta's cgroups go while the listing still carries it.
     backend.vanish_vm(beta);
-    run(&mut ctl, &mut backend, &mut report, 1);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 1);
     assert_eq!(report.health.vanished_vms, [beta]);
 
     // A new VM arrives, under a name the host has not seen.
@@ -124,7 +118,7 @@ fn exposition_trace_and_journal_match_the_map_keyed_controller() {
     backend
         .inner_mut()
         .attach_workload(delta, Box::new(SteadyDemand::new(0.9)));
-    run(&mut ctl, &mut backend, &mut report, 2);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 2);
 
     // gamma's demand moves, so its cap is rewritten — and that write
     // bounces once with EBUSY.
@@ -138,9 +132,9 @@ fn exposition_trace_and_journal_match_the_map_keyed_controller() {
         FaultKind::Io(io::ErrorKind::ResourceBusy),
         1,
     );
-    run(&mut ctl, &mut backend, &mut report, 1);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 1);
     assert_eq!(report.health.write_errors, 1);
-    run(&mut ctl, &mut backend, &mut report, 2);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 2);
 
     section(&mut out, "page before the restart", &page(&ctl));
     let minted: Vec<String> = ctl
@@ -153,19 +147,23 @@ fn exposition_trace_and_journal_match_the_map_keyed_controller() {
         "credits minted, first-seen order",
         &minted.join("\n"),
     );
-    section(&mut out, "trace ring", &trace(&ctl));
+    section(&mut out, "trace ring", &ring.dump_json("identity"));
     section(&mut out, "journal at the handoff", &journal(&ctl));
 
     // Warm restart: a successor resumes from the journal.
     let handoff = ctl.export_state();
     let mut ctl = Controller::new(cfg, backend.topology());
-    ctl.telemetry_mut().set_trace_capacity(32);
+    let mut ring = TraceRing::new(32);
     let resumed = ctl.restore_state(&handoff, &backend.vms());
     section(&mut out, "resumed", &resumed.join("\n"));
     section(&mut out, "journal as restored", &journal(&ctl));
-    run(&mut ctl, &mut backend, &mut report, 3);
+    run(&mut ctl, &mut backend, &mut report, &mut ring, 3);
     section(&mut out, "page after the restart", &page(&ctl));
-    section(&mut out, "trace ring after the restart", &trace(&ctl));
+    section(
+        &mut out,
+        "trace ring after the restart",
+        &ring.dump_json("identity"),
+    );
     section(&mut out, "journal after the restart", &journal(&ctl));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/identity.txt");

@@ -1,16 +1,12 @@
 //! Prometheus text-format exposition (version 0.0.4).
 //!
 //! [`render`] serializes a [`Registry`] to the standard
-//! `# HELP`/`# TYPE` text format. Two delivery mechanisms, both std-only:
-//!
-//! * **textfile** — [`write_textfile`] writes the rendered page to
-//!   `<path>.tmp` and atomically renames it over `<path>`, so a scraper
-//!   (e.g. node_exporter's textfile collector) never reads a torn page;
-//! * **HTTP** — [`MetricsServer`] binds the shared
-//!   [`Listener`] and serves the most recently
-//!   [published](MetricsServer::publish) page to any request. The
-//!   listener runs on its own threads; the control loop only ever pays
-//!   one mutex lock + one `String` clone per publish.
+//! `# HELP`/`# TYPE` text format. The page is a `String`: an embedder
+//! writes it to a textfile however it writes its other files, or hands
+//! it to [`MetricsServer`], which binds the shared [`Listener`] and
+//! serves the most recently [published](MetricsServer::publish) page to
+//! any request. The listener runs on its own threads; the control loop
+//! only ever pays one mutex lock + one `String` clone per publish.
 //!
 //! Determinism: metrics render in registration order; series of a
 //! dynamic family render sorted by label value. The same registry state
@@ -20,7 +16,6 @@ use crate::hist::fmt_us_as_secs;
 use crate::http::{Limits, Listener, Response};
 use crate::registry::{Kind, Registry, SeriesData};
 use std::net::ToSocketAddrs;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Escape a `# HELP` text: `\` → `\\`, newline → `\n`.
@@ -177,18 +172,6 @@ fn render_grouped_inner(
     }
 }
 
-/// Atomically replace `path` with `page`: write `<path>.tmp`, then
-/// rename over the target. A scraper reading the file concurrently sees
-/// either the old page or the new one, never a torn mix.
-pub fn write_textfile(path: &Path, page: &str) -> Result<(), String> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, page).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-}
-
 /// The HTTP exposition endpoint: the shared [`Listener`] at its default
 /// [`Limits`], answering every well-formed request with the last
 /// [published](MetricsServer::publish) page. There is deliberately no
@@ -293,20 +276,6 @@ mod tests {
         let page = render(&r, None);
         assert!(page.contains("# HELP esc_total line\\nbreak and back\\\\slash"));
         assert!(page.contains("esc_total{vm=\"we\\\"ird\\\\vm\\n\"} 1"));
-    }
-
-    #[test]
-    fn textfile_swap_is_atomic_and_clean() {
-        let dir = std::env::temp_dir().join(format!("vfc-telemetry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.prom");
-        write_textfile(&path, "one 1\n").unwrap();
-        write_textfile(&path, "two 2\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "two 2\n");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::Path::new(&tmp).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

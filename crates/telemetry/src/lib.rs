@@ -15,14 +15,13 @@
 //!   histogram families behind copyable handles, mutated by index (no
 //!   hashing on the hot path);
 //! * [`expose`] — Prometheus text-format [rendering](expose::render),
-//!   atomically-swapped [textfiles](expose::write_textfile), the
-//!   [scrape endpoint](expose::MetricsServer), and a
+//!   the [scrape endpoint](expose::MetricsServer), and a
 //!   [merged multi-node rollup](expose::render_merged);
 //! * [`http`] — the one std-only HTTP [listener](http::Listener), which
 //!   the scrape endpoint and the control-plane API both bind;
 //! * [`trace`] — a ring-buffer [trace journal](trace::TraceRing) of the
-//!   last N iterations, dumped as JSON for post-mortems when the daemon
-//!   dies or trips its circuit breaker.
+//!   last N iterations, kept by the daemon and dumped as JSON for
+//!   post-mortems when it dies or trips its circuit breaker.
 //!
 //! Everything is integer-valued (µs and event counts) end to end, so an
 //! exposition can never contain `NaN`; durations render in seconds via
@@ -35,7 +34,7 @@ pub mod http;
 pub mod registry;
 pub mod trace;
 
-pub use expose::{render, render_merged, write_textfile, MetricsServer};
+pub use expose::{render, render_merged, MetricsServer};
 pub use hist::{HistSnapshot, Histogram, LATENCY_BUCKETS_US};
 pub use registry::{Kind, MetricId, Registry, SeriesHint};
 pub use trace::{IterationTrace, TraceDump, TraceRing, STAGE_NAMES, TRACE_DUMP_VERSION};

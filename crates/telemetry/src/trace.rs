@@ -6,6 +6,9 @@
 //! window of per-iteration traces — per-stage spans, degradation flags
 //! and per-VM allocations — that the daemon dumps as JSON on SIGTERM or
 //! a circuit-breaker trip, turning a dead process into a post-mortem.
+//! The daemon is its one owner: it fills the ring from each iteration's
+//! report, outside the control loop, and a controller embedded anywhere
+//! else keeps no trace.
 
 use std::collections::VecDeque;
 
@@ -40,8 +43,9 @@ pub struct IterationTrace {
     pub vm_alloc_us: Vec<(String, u64)>,
 }
 
-/// Fixed-capacity ring of [`IterationTrace`]s: pushing the N+1th entry
-/// drops the oldest.
+/// Bounded ring of [`IterationTrace`]s: pushing the N+1th entry drops
+/// the oldest. Memory grows with the entries pushed, not with the
+/// capacity asked for.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     cap: usize,
@@ -69,7 +73,7 @@ impl TraceRing {
     pub fn new(cap: usize) -> Self {
         TraceRing {
             cap: cap.max(1),
-            buf: VecDeque::with_capacity(cap.max(1)),
+            buf: VecDeque::new(),
         }
     }
 
@@ -79,29 +83,6 @@ impl TraceRing {
             self.buf.pop_front();
         }
         self.buf.push_back(trace);
-    }
-
-    /// Append a trace by filling a recycled entry in place: once the
-    /// ring is full, the evicted oldest entry (with its `stages_us` /
-    /// `vm_alloc_us` buffers and their `String`s) is handed to `fill`
-    /// for reuse, so steady-state tracing performs no heap allocation.
-    /// While the ring is still filling, `fill` receives a fresh empty
-    /// entry.
-    pub fn push_with<F: FnOnce(&mut IterationTrace)>(&mut self, fill: F) {
-        let mut entry = if self.buf.len() == self.cap {
-            self.buf.pop_front().expect("cap >= 1")
-        } else {
-            IterationTrace {
-                iteration: 0,
-                unix_ms: 0,
-                stages_us: Vec::new(),
-                total_us: 0,
-                degraded: false,
-                vm_alloc_us: Vec::new(),
-            }
-        };
-        fill(&mut entry);
-        self.buf.push_back(entry);
     }
 
     /// Entries currently held.

@@ -62,7 +62,7 @@ fn main() {
     engine.sync(&tree);
     let tick = engine.tick_len();
     let mut demands = vec![Micros::ZERO; engine.slots().len()];
-    for inst in host.instances().iter().filter(|i| i.alive) {
+    for inst in host.instances() {
         for (j, tid) in inst.tids.iter().enumerate() {
             let slot = engine.slot_of(*tid).expect("live thread");
             demands[slot] = host.vcpu_demand_last_window(inst.id, VcpuId::new(j as u32)) / 10;

@@ -2,9 +2,12 @@
 //!
 //! Used by the host simulator (`vfc-vmm`) as its authoritative cgroup
 //! state, and by fixtures to materialize on-disk trees. Nodes are stored
-//! in a flat arena (`Vec`) and addressed by [`NodeIdx`]; removed nodes are
-//! tombstoned so indices stay stable — the hierarchy of a host changes
-//! rarely (VM provision/teardown) while lookups happen every tick.
+//! in a flat arena (`Vec`) and addressed by [`NodeIdx`]. `rmdir` frees a
+//! node's heap data and puts its slot on a free list, which the next
+//! `mkdir` reuses, so the arena is bounded by the peak number of live
+//! groups, not by every group a host ever created. A [`NodeIdx`] is
+//! therefore valid only while its group lives: after `rmdir` the same
+//! index may name a different, later group.
 //!
 //! The KVM layout helpers create the exact structure libvirt/KVM produce
 //! on a systemd host:
@@ -23,7 +26,8 @@ use crate::model::{CpuMax, CpuStat, DEFAULT_WEIGHT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vfc_simcore::Tid;
 
-/// Index of a node in the [`CgroupTree`] arena.
+/// Index of a node in the [`CgroupTree`] arena. Valid only while its
+/// group lives: `rmdir` frees the slot and a later `mkdir` may reuse it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeIdx(pub usize);
 
@@ -89,6 +93,9 @@ impl CgroupNode {
 #[derive(Debug)]
 pub struct CgroupTree {
     nodes: Vec<CgroupNode>,
+    /// Slots of removed groups, most recently freed last: `mkdir` pops
+    /// from here before it grows `nodes`.
+    free: Vec<NodeIdx>,
     /// Live groups, root included.
     live: usize,
     /// See [`CgroupTree::structure_epoch`].
@@ -115,10 +122,12 @@ impl Default for CgroupTree {
 impl Clone for CgroupTree {
     /// The clone is a tree of its own: it gets a fresh structure epoch, so
     /// a plan cached for the original is never mistaken for the clone's
-    /// once the two diverge.
+    /// once the two diverge. It copies the free list too, so the same
+    /// `mkdir`s issue the same indices in both.
     fn clone(&self) -> Self {
         CgroupTree {
             nodes: self.nodes.clone(),
+            free: self.free.clone(),
             live: self.live,
             epoch: fresh_epoch(),
         }
@@ -130,6 +139,7 @@ impl CgroupTree {
     pub fn new() -> Self {
         CgroupTree {
             nodes: vec![CgroupNode::new(String::new(), None)],
+            free: Vec::new(),
             live: 1,
             epoch: fresh_epoch(),
         }
@@ -146,14 +156,14 @@ impl CgroupTree {
         self.epoch
     }
 
-    /// Immutable node access.
+    /// Immutable node access. `idx` must name a live group.
     pub fn node(&self, idx: NodeIdx) -> &CgroupNode {
         let n = &self.nodes[idx.0];
         debug_assert!(n.alive, "access to removed cgroup node");
         n
     }
 
-    /// Mutable node access.
+    /// Mutable node access. `idx` must name a live group.
     pub fn node_mut(&mut self, idx: NodeIdx) -> &mut CgroupNode {
         let n = &mut self.nodes[idx.0];
         debug_assert!(n.alive, "access to removed cgroup node");
@@ -170,8 +180,9 @@ impl CgroupTree {
         false // the root always exists
     }
 
-    /// Create a child group under `parent`. Errors if a live child with
-    /// the same name exists.
+    /// Create a child group under `parent`, in the slot most recently
+    /// freed by `rmdir` if there is one. Errors if a live child with the
+    /// same name exists.
     pub fn mkdir(&mut self, parent: NodeIdx, name: &str) -> Result<NodeIdx> {
         if name.is_empty() || name.contains('/') {
             return Err(CgroupError::Invalid(format!("bad cgroup name {name:?}")));
@@ -182,9 +193,17 @@ impl CgroupTree {
                 self.path_of(parent)
             )));
         }
-        let idx = NodeIdx(self.nodes.len());
-        self.nodes
-            .push(CgroupNode::new(name.to_owned(), Some(parent)));
+        let node = CgroupNode::new(name.to_owned(), Some(parent));
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.nodes[idx.0] = node;
+                idx
+            }
+            None => {
+                self.nodes.push(node);
+                NodeIdx(self.nodes.len() - 1)
+            }
+        };
         self.nodes[parent.0].children.push(idx);
         self.live += 1;
         self.epoch = fresh_epoch();
@@ -204,7 +223,9 @@ impl CgroupTree {
     }
 
     /// Remove a leaf group. Errors if the group still has children or
-    /// threads (matching kernel `rmdir` semantics).
+    /// threads (matching kernel `rmdir` semantics). The group's heap data
+    /// is dropped and its slot freed for the next `mkdir`, so `idx` must
+    /// not be used again.
     pub fn rmdir(&mut self, idx: NodeIdx) -> Result<()> {
         if idx == ROOT {
             return Err(CgroupError::Invalid("cannot remove the root".into()));
@@ -226,7 +247,11 @@ impl CgroupTree {
             )));
         }
         let parent = node.parent.expect("non-root has a parent");
-        self.nodes[idx.0].alive = false;
+        self.nodes[idx.0] = CgroupNode {
+            alive: false,
+            ..CgroupNode::new(String::new(), None)
+        };
+        self.free.push(idx);
         self.nodes[parent.0].children.retain(|c| *c != idx);
         self.live -= 1;
         self.epoch = fresh_epoch();
@@ -275,15 +300,16 @@ impl CgroupTree {
         out
     }
 
-    /// Live children of a node, in creation order (`rmdir` unlinks a
-    /// group from its parent, so no tombstone is ever listed).
+    /// Live children of a node, in creation order whatever slots they
+    /// occupy (`rmdir` unlinks a group from its parent, so no freed slot
+    /// is ever listed).
     pub fn children(&self, idx: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         self.nodes[idx.0].children.iter().copied()
     }
 
     /// Depth-first iteration over all live nodes, root included.
     pub fn iter_dfs(&self) -> Vec<NodeIdx> {
-        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::with_capacity(self.live);
         self.iter_dfs_into(&mut out);
         out
     }
@@ -304,9 +330,10 @@ impl CgroupTree {
         }
     }
 
-    /// Size of the node arena (live + tombstoned) — the exclusive upper
-    /// bound on every [`NodeIdx`] this tree has ever issued. Lets hot
-    /// paths use dense per-node scratch arrays instead of hash maps.
+    /// Size of the node arena (live + freed slots) — the exclusive upper
+    /// bound on every [`NodeIdx`] of a live group, and at most the peak
+    /// number of groups ever live at once. Lets hot paths use dense
+    /// per-node scratch arrays instead of hash maps.
     pub fn arena_size(&self) -> usize {
         self.nodes.len()
     }
@@ -542,6 +569,97 @@ mod tests {
     }
 
     #[test]
+    fn arena_is_bounded_by_the_peak_of_live_groups() {
+        let mut t = CgroupTree::new();
+        // Churn 1 000 VM scopes through at most 4 live at once.
+        let mut live = std::collections::VecDeque::new();
+        for n in 0..1_000u32 {
+            let (scope, vcpus) = kvm_layout::provision(&mut t, n, "vm", 1 + n % 3).unwrap();
+            live.push_back((scope, vcpus));
+            if live.len() > 3 {
+                let (scope, vcpus) = live.pop_front().unwrap();
+                for g in vcpus {
+                    t.rmdir(g).unwrap();
+                }
+                let libvirt = t.children(scope).next().unwrap();
+                let emulator = t.children(libvirt).next().unwrap();
+                for g in [emulator, libvirt, scope] {
+                    t.rmdir(g).unwrap();
+                }
+            }
+        }
+        // Root, machine.slice, and 4 scopes of at most 3 + 3 groups.
+        assert!(t.arena_size() <= 2 + 4 * 6, "arena {}", t.arena_size());
+        assert_eq!(t.len(), t.iter_dfs().len());
+    }
+
+    #[test]
+    fn a_reused_slot_reads_as_the_new_group() {
+        let mut t = CgroupTree::new();
+        let a = t.mkdir(ROOT, "a").unwrap();
+        let b = t.mkdir(a, "b").unwrap();
+        t.attach_thread(b, Tid::new(9));
+        t.mark_vm_scope(b);
+        t.node_mut(b).cpu_max = CpuMax::limited(Micros(10_000));
+        t.node_mut(b).weight = 900;
+        t.node_mut(b).cpu_stat.account_usage(Micros(77));
+        t.detach_threads(b);
+        t.rmdir(b).unwrap();
+
+        let c = t.mkdir(ROOT, "c").unwrap();
+        assert_eq!(c, b, "the most recently freed slot is reused");
+        let node = t.node(c);
+        assert_eq!(node.name, "c");
+        assert_eq!(node.parent(), Some(ROOT));
+        assert!(node.threads().is_empty());
+        assert!(!node.vm_scope());
+        assert!(node.cpu_max.is_unlimited());
+        assert_eq!(node.weight, DEFAULT_WEIGHT);
+        assert_eq!(node.cpu_stat, CpuStat::default());
+        assert_eq!(t.path_of(c), "/c");
+        assert_eq!(t.resolve("/c").unwrap(), c);
+        assert!(t.resolve("/a/b").is_err());
+        assert_eq!(t.children(a).count(), 0);
+        // Freed slots come back last-freed first.
+        let (x, y) = (t.mkdir(a, "x").unwrap(), t.mkdir(a, "y").unwrap());
+        t.rmdir(x).unwrap();
+        t.rmdir(y).unwrap();
+        assert_eq!(t.mkdir(a, "z").unwrap(), y);
+        assert_eq!(t.mkdir(a, "w").unwrap(), x);
+    }
+
+    #[test]
+    fn children_and_dfs_keep_creation_order_across_reuse() {
+        let mut t = CgroupTree::new();
+        let x = t.mkdir(ROOT, "x").unwrap();
+        let y = t.mkdir(ROOT, "y").unwrap();
+        let y1 = t.mkdir(y, "y1").unwrap();
+        t.rmdir(x).unwrap();
+        // `w` takes `x`'s slot, the lowest index, but is the youngest.
+        let w = t.mkdir(ROOT, "w").unwrap();
+        assert_eq!(w, x);
+        let w1 = t.mkdir(w, "w1").unwrap();
+        assert_eq!(t.children(ROOT).collect::<Vec<_>>(), [y, w]);
+        assert_eq!(t.iter_dfs(), [ROOT, y, y1, w, w1]);
+    }
+
+    #[test]
+    fn a_clone_issues_the_same_indices() {
+        let mut t = CgroupTree::new();
+        let groups: Vec<NodeIdx> = (0..5)
+            .map(|i| t.mkdir(ROOT, &format!("g{i}")).unwrap())
+            .collect();
+        t.rmdir(groups[3]).unwrap();
+        t.rmdir(groups[1]).unwrap();
+        let mut c = t.clone();
+        for name in ["p", "q", "r"] {
+            assert_eq!(c.mkdir(ROOT, name).unwrap(), t.mkdir(ROOT, name).unwrap());
+        }
+        assert_eq!(c.arena_size(), t.arena_size());
+        assert_eq!(c.iter_dfs(), t.iter_dfs());
+    }
+
+    #[test]
     fn subtree_usage_aggregates() {
         let mut t = CgroupTree::new();
         let a = t.mkdir(ROOT, "a").unwrap();
@@ -595,7 +713,9 @@ mod tests {
             #[test]
             fn prop_tree_stays_consistent(ops in arb_ops()) {
                 let mut tree = CgroupTree::new();
+                // Live groups in creation order.
                 let mut live: Vec<NodeIdx> = vec![ROOT];
+                let mut peak = 1;
                 for op in ops {
                     match op {
                         Op::Mkdir { parent, name } => {
@@ -617,6 +737,9 @@ mod tests {
                             tree.attach_thread(idx, Tid::new(tid));
                         }
                     }
+                    peak = peak.max(live.len());
+                    // Freed slots are reused before the arena grows.
+                    prop_assert!(tree.arena_size() <= peak);
                 }
 
                 // Every live node resolves through its own path.
@@ -628,12 +751,17 @@ mod tests {
                 let dfs = tree.iter_dfs();
                 prop_assert_eq!(dfs.len(), live.len());
                 prop_assert_eq!(tree.len(), live.len());
-                // No child lists point at dead nodes, and parent links
-                // agree with child links.
+                // No child lists point at dead nodes, parent links agree
+                // with child links, and children are in creation order
+                // whatever slots they were given.
                 for &idx in &dfs {
-                    for c in tree.children(idx) {
-                        prop_assert_eq!(tree.node(c).parent(), Some(idx));
-                    }
+                    let children: Vec<NodeIdx> = tree.children(idx).collect();
+                    let born: Vec<NodeIdx> = live
+                        .iter()
+                        .copied()
+                        .filter(|&l| l != ROOT && tree.node(l).parent() == Some(idx))
+                        .collect();
+                    prop_assert_eq!(children, born);
                 }
             }
         }

@@ -833,10 +833,10 @@ impl Controller {
     /// Lay the slot and VM tables out against `inv`, moving what is
     /// remembered about every vCPU and VM that is still listed (found by
     /// id, so state follows an id exactly as far as a map keyed by it
-    /// would) and dropping the rest. Called only when the inventory
-    /// generation moves; allocation here is fine (membership changes are
-    /// rare events, not steady state) but is O(1) events plus one name
-    /// per arrival.
+    /// would) and dropping the rest, a departed VM's balance gauge
+    /// included. Called only when the inventory generation moves;
+    /// allocation here is fine (membership changes are rare events, not
+    /// steady state) but is O(1) events plus one name per arrival.
     fn reslot(&mut self, inv: &[VmCgroupInfo]) {
         let (n, nr_slots) = (inv.len(), inv.iter().map(|vm| vm.nr_vcpus as usize).sum());
         let old_base = std::mem::replace(&mut self.vm_slot_base, Vec::with_capacity(n + 1));
@@ -875,6 +875,11 @@ impl Controller {
             }
         }
         self.vm_slot_base.push(self.slots.len() as u32);
+        // Every name still here was not carried over: its VM left (or was
+        // renamed). A new VM under that name records its own balance.
+        for name in old_names.iter().filter(|n| !n.is_empty()) {
+            self.metrics.forget_vm(name);
+        }
         self.vm_index_of.clear();
         self.vm_index_of
             .extend(self.vm_ids.iter().zip(0..).map(|(id, vi)| (*id, vi)));

@@ -502,7 +502,7 @@ mod tests {
     use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan, HostBackend};
     use vfc_cpusched::topology::NodeSpec;
     use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId, VmId};
-    use vfc_vmm::workload::SteadyDemand;
+    use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
     use vfc_vmm::{SimHost, VmTemplate};
 
     #[test]
@@ -635,5 +635,34 @@ mod tests {
                 [("db0".to_owned(), 0), ("web0".to_owned(), 0)]
             );
         }
+    }
+
+    /// Regression: a VM that departs cleanly — gone from one listing to
+    /// the next, never vanishing under a read — kept its last balance on
+    /// the page for good.
+    #[test]
+    fn a_departed_vms_balance_leaves_the_page() {
+        let mut host = SimHost::new(NodeSpec::custom("t", 1, 4, 2, MHz(2400)), 7);
+        let vms = [0, 1].map(|seed| {
+            let vm = host.provision(&VmTemplate::small());
+            host.attach_workload(vm, Box::new(BurstyWeb::new(seed)));
+            vm
+        });
+        let mut ctl = Controller::new(ControllerConfig::paper_defaults(), host.topology_info());
+        let mut periods = |host: &mut SimHost, n: usize| -> String {
+            for _ in 0..n {
+                host.advance_period();
+                ctl.iterate(host).unwrap();
+            }
+            ctl.telemetry().render_prometheus()
+        };
+        let gauge = |vm: &str| format!("vfc_credit_balance_usec{{vm=\"{vm}\"}}");
+        let page = periods(&mut host, 5);
+        assert!(page.contains(&gauge("small1")), "{page}");
+
+        drop(host.deprovision(vms[1]));
+        let page = periods(&mut host, 5);
+        assert!(!page.contains(&gauge("small1")), "{page}");
+        assert!(page.contains(&gauge("small0")), "{page}");
     }
 }

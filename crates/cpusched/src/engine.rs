@@ -1090,10 +1090,24 @@ mod tests {
                 self.dead_tids.extend(gone);
             }
 
+            /// `rmdir` frees the slot for a later `mkdir`: no list may
+            /// keep the index, or it would name that later group.
             fn rmdir(&mut self, group: NodeIdx) {
                 if self.tree.rmdir(group).is_ok() {
                     self.groups.retain(|g| *g != group);
+                    self.vms.retain(|(scope, _)| *scope != group);
                 }
+            }
+
+            /// `top` and every group below it, parents first.
+            fn subtree(&self, top: NodeIdx) -> Vec<NodeIdx> {
+                let mut subtree = vec![top];
+                let mut i = 0;
+                while i < subtree.len() {
+                    subtree.extend(self.tree.children(subtree[i]));
+                    i += 1;
+                }
+                subtree
             }
 
             fn apply(&mut self, op: &Op) {
@@ -1114,11 +1128,15 @@ mod tests {
                     Op::Provision { vcpus } => {
                         let n = self.next_machine;
                         self.next_machine += 1;
-                        let before = self.tree.arena_size();
+                        let slice = self.tree.child_named(ROOT, kvm_layout::MACHINE_SLICE);
                         let (scope, leaves) =
                             kvm_layout::provision(&mut self.tree, n, "vm", vcpus).expect("fresh");
-                        self.groups
-                            .extend((before..self.tree.arena_size()).map(NodeIdx));
+                        // The new groups may sit in slots an `rmdir` freed.
+                        if slice.is_none() {
+                            self.groups.push(self.tree.node(scope).parent().expect("slice"));
+                        }
+                        let subtree = self.subtree(scope);
+                        self.groups.extend(subtree);
                         for &leaf in &leaves {
                             self.attach(leaf);
                         }
@@ -1130,13 +1148,7 @@ mod tests {
                         }
                         let (scope, _) = self.vms.remove(vm % self.vms.len());
                         // Leaves first: detach, then remove bottom-up.
-                        let mut subtree = vec![scope];
-                        let mut i = 0;
-                        while i < subtree.len() {
-                            subtree.extend(self.tree.children(subtree[i]));
-                            i += 1;
-                        }
-                        for &g in subtree.iter().rev() {
+                        for &g in self.subtree(scope).iter().rev() {
                             self.detach(g);
                             self.rmdir(g);
                         }
@@ -1316,6 +1328,42 @@ mod tests {
                     }
                     assert_eq!(engine.plan_rebuilds(), 2, "{name}");
                 }
+            }
+        }
+
+        /// A VM provisioned into the slots a departed one freed gets lower
+        /// indices than an older VM, and must still be scheduled after it.
+        #[test]
+        fn a_provision_into_freed_slots_schedules_like_the_oracle() {
+            for cache in [false, true] {
+                let mut world = World::new();
+                let mut shadow = World::new();
+                let (mut engine, mut oracle) = engines(2, cache, 5);
+                let mut rng = SplitMix64::new(8);
+                let script = [
+                    Op::Provision { vcpus: 2 },
+                    Op::Provision { vcpus: 1 },
+                    Op::Deprovision { vm: 0 },
+                    Op::Provision { vcpus: 2 },
+                    Op::Provision { vcpus: 3 },
+                ];
+                for op in &script {
+                    world.apply(op);
+                    shadow.apply(op);
+                    let demands = world.demands(&mut rng);
+                    tick_both(
+                        &mut engine,
+                        &mut oracle,
+                        &mut world,
+                        &mut shadow.tree,
+                        &demands,
+                    )
+                    .unwrap_or_else(|e| panic!("cache={cache}, {op:?}: {e:?}"));
+                }
+                let (old, reused) = (world.vms[0].0, world.vms[1].0);
+                assert!(reused < old, "the third VM took the first one's slots");
+                // Root, slice, and the first, second and fourth VMs' groups.
+                assert_eq!(world.tree.arena_size(), 2 + 5 + 4 + 6);
             }
         }
 

@@ -60,12 +60,25 @@ struct WindowAcc {
     demanded: Micros,
 }
 
-/// Ground-truth frequency windows of one VM, one slot per vCPU.
-#[derive(Debug, Clone, Default)]
-struct VmWindows {
+/// Ground-truth frequency windows of one VM, one slot per vCPU: the
+/// window being filled and the last completed one.
+#[derive(Debug, Clone)]
+pub(crate) struct VmWindows {
     cur: Vec<WindowAcc>,
     last: Vec<WindowAcc>,
 }
+
+impl VmWindows {
+    pub(crate) fn new(vcpus: usize) -> Self {
+        VmWindows {
+            cur: vec![WindowAcc::default(); vcpus],
+            last: vec![WindowAcc::default(); vcpus],
+        }
+    }
+}
+
+/// [`SimHost`]'s position entry of a departed VM.
+const GONE: u32 = u32::MAX;
 
 /// Ticks of telemetry history kept per host. Consumers only ever read
 /// the tail (the cluster's energy accounting averages the last window's
@@ -78,20 +91,21 @@ pub struct SimHost {
     spec: NodeSpec,
     engine: Engine,
     tree: CgroupTree,
-    /// Every instance ever provisioned, by `VmId`; dead ones are tombstones.
+    /// The live instances, in provision order, each with its frequency
+    /// windows — what every per-tick and per-listing walk iterates, so a
+    /// host's cost and memory follow what it hosts now, not what it ever
+    /// hosted.
     vms: Vec<VmInstance>,
-    /// Indices into `vms` of the live instances, in provision order — what
-    /// every per-tick and per-listing walk iterates, so a host's cost
-    /// follows what it hosts now, not what it ever hosted.
-    live: Vec<u32>,
+    /// Position in `vms` of every `VmId` this host issued, [`GONE`] once
+    /// the VM departed. `VmId`s are never reused, so this is the one
+    /// thing that grows per VM ever provisioned (4 B each).
+    position: Vec<u32>,
     next_tid: u32,
     next_machine: u32,
     per_template_count: HashMap<String, u32>,
     now: Micros,
     tick_count: u64,
     period_ticks: u32,
-    /// Per-VM frequency windows, parallel to `vms`.
-    wins: Vec<VmWindows>,
     events: Vec<HostEvent>,
     telemetry: Vec<TickTelemetry>,
     pending_deprovision: Vec<VmId>,
@@ -115,14 +129,13 @@ impl SimHost {
             engine,
             tree: CgroupTree::new(),
             vms: Vec::new(),
-            live: Vec::new(),
+            position: Vec::new(),
             next_tid: 1000,
             next_machine: 1,
             per_template_count: HashMap::new(),
             now: Micros::ZERO,
             tick_count: 0,
             period_ticks: 10,
-            wins: Vec::new(),
             events: Vec::new(),
             telemetry: Vec::new(),
             pending_deprovision: Vec::new(),
@@ -168,9 +181,7 @@ impl SimHost {
 
     /// Provisioned memory across live VMs, GB.
     pub fn mem_used_gb(&self) -> u64 {
-        self.live_instances()
-            .map(|i| i.template.mem_gb as u64)
-            .sum()
+        self.vms.iter().map(|i| i.template.mem_gb as u64).sum()
     }
 
     /// Free memory on the node, GB.
@@ -213,8 +224,8 @@ impl SimHost {
             self.tree.attach_thread(g, tid);
             tids.push(tid);
         }
-        let id = VmId::new(self.vms.len() as u32);
-        self.live.push(id.as_u32());
+        let id = VmId::new(self.position.len() as u32);
+        self.position.push(self.vms.len() as u32);
         self.vms.push(VmInstance::new(
             id,
             template.clone(),
@@ -223,53 +234,51 @@ impl SimHost {
             vcpu_groups,
             tids,
         ));
-        self.wins.push(VmWindows {
-            cur: vec![WindowAcc::default(); template.vcpus as usize],
-            last: vec![WindowAcc::default(); template.vcpus as usize],
-        });
         self.inventory_epoch += 1;
         id
     }
 
-    /// Attach (replace) the guest workload of a VM.
+    /// Attach (replace) the guest workload of a live VM.
     pub fn attach_workload(&mut self, vm: VmId, workload: Box<dyn Workload>) {
-        self.vms[vm.as_usize()].workload = workload;
+        let p = self.hosted(vm);
+        self.vms[p].workload = workload;
     }
 
-    /// Change a VM's guaranteed virtual frequency at runtime (the
+    /// Change a live VM's guaranteed virtual frequency at runtime (the
     /// customer upgrades/downgrades the template). The controller picks
     /// the new `F_v` up at its next iteration — no restart, no migration;
     /// this is precisely the agility the paper's template knob enables.
     pub fn set_vfreq(&mut self, vm: VmId, vfreq: MHz) {
-        self.vms[vm.as_usize()].template.vfreq = vfreq;
+        let p = self.hosted(vm);
+        self.vms[p].template.vfreq = vfreq;
         // The vfreq is part of the `vms()` listing.
         self.inventory_epoch += 1;
     }
 
     /// Tear a VM down (KVM shutdown or migration source side): its
-    /// threads disappear, its cgroups are removed, and its workload —
-    /// with all progress state — is handed back so a migration can resume
-    /// it elsewhere. The `VmId` is tombstoned, never reused.
+    /// threads disappear, its cgroups are removed, its instance is
+    /// dropped, and its workload — with all progress state — is handed
+    /// back so a migration can resume it elsewhere. The `VmId` is never
+    /// reused; every later read of it answers as for an unknown VM.
     ///
     /// # Panics
     /// Panics if the VM is already dead.
     pub fn deprovision(&mut self, vm: VmId) -> Box<dyn Workload> {
-        let inst = &mut self.vms[vm.as_usize()];
-        assert!(inst.alive, "deprovision of a dead VM {vm}");
-        inst.alive = false;
-        inst.slots.clear();
-        self.live.retain(|&i| i != vm.as_u32());
-        let workload =
-            std::mem::replace(&mut inst.workload, Box::new(crate::workload::IdleWorkload));
+        let pos = self
+            .position_of(vm)
+            .unwrap_or_else(|| panic!("deprovision of a dead VM {vm}"));
+        let inst = self.vms.remove(pos);
+        self.position[vm.as_usize()] = GONE;
+        for (p, later) in self.vms.iter().enumerate().skip(pos) {
+            self.position[later.id.as_usize()] = p as u32;
+        }
         // Empty and remove the vCPU leaves, then the scope subtree.
-        let vcpu_groups = inst.vcpu_groups.clone();
-        let scope = inst.scope;
-        for g in vcpu_groups {
+        for &g in &inst.vcpu_groups {
             self.tree.detach_threads(g);
             self.tree.rmdir(g).expect("vcpu leaf is empty");
         }
         // libvirt/{emulator} then libvirt then the scope.
-        let children: Vec<_> = self.tree.children(scope).collect();
+        let children: Vec<_> = self.tree.children(inst.scope).collect();
         for libvirt in children {
             let grandchildren: Vec<_> = self.tree.children(libvirt).collect();
             for c in grandchildren {
@@ -277,11 +286,9 @@ impl SimHost {
             }
             self.tree.rmdir(libvirt).expect("libvirt group is empty");
         }
-        self.tree.rmdir(scope).expect("scope is empty");
-        // Drop ground-truth windows for the departed vCPUs.
-        self.wins[vm.as_usize()] = VmWindows::default();
+        self.tree.rmdir(inst.scope).expect("scope is empty");
         self.inventory_epoch += 1;
-        workload
+        inst.workload
     }
 
     /// Ask for a VM to be torn down at the start of the next tick rather
@@ -299,30 +306,42 @@ impl SimHost {
 
     /// Is the VM still provisioned?
     pub fn is_alive(&self, vm: VmId) -> bool {
-        self.vms
-            .get(vm.as_usize())
-            .map(|i| i.alive)
-            .unwrap_or(false)
+        self.position_of(vm).is_some()
     }
 
-    /// All hosted instances, dead ones included (check
-    /// [`VmInstance::alive`]).
+    /// The live instances, in provision order.
     pub fn instances(&self) -> &[VmInstance] {
         &self.vms
     }
 
-    fn live_instances(&self) -> impl Iterator<Item = &VmInstance> {
-        self.live.iter().map(|&i| &self.vms[i as usize])
+    fn position_of(&self, vm: VmId) -> Option<usize> {
+        match self.position.get(vm.as_usize()) {
+            Some(&p) if p != GONE => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    fn live(&self, vm: VmId) -> Option<&VmInstance> {
+        self.position_of(vm).map(|p| &self.vms[p])
+    }
+
+    /// [`SimHost::position_of`] a VM that must be live.
+    fn hosted(&self, vm: VmId) -> usize {
+        self.position_of(vm)
+            .unwrap_or_else(|| panic!("{vm} is not live on this host"))
     }
 
     /// Instance lookup.
+    ///
+    /// # Panics
+    /// Panics if the VM is not live on this host.
     pub fn instance(&self, vm: VmId) -> &VmInstance {
-        &self.vms[vm.as_usize()]
+        &self.vms[self.hosted(vm)]
     }
 
-    /// Has the VM's workload completed?
+    /// Has the live VM's workload completed?
     pub fn workload_done(&self, vm: VmId) -> bool {
-        self.vms[vm.as_usize()].workload.is_done()
+        self.instance(vm).workload.is_done()
     }
 
     /// Advance the host by one engine tick.
@@ -340,8 +359,7 @@ impl SimHost {
         let tick = self.engine.tick_len();
         // Slots are renumbered when, and only when, the tree changed shape.
         if self.engine.sync(&self.tree) {
-            for &i in &self.live {
-                let inst = &mut self.vms[i as usize];
+            for inst in &mut self.vms {
                 inst.slots.clear();
                 for tid in &inst.tids {
                     let slot = self.engine.slot_of(*tid);
@@ -354,8 +372,7 @@ impl SimHost {
         // 1. demands; a vCPU its workload does not mention is idle.
         self.demands.clear();
         self.demands.resize(self.engine.slots().len(), Micros::ZERO);
-        for &i in &self.live {
-            let inst = &mut self.vms[i as usize];
+        for inst in &mut self.vms {
             inst.workload
                 .demand_into(self.now, inst.nr_vcpus(), &mut self.frac_buf);
             assert!(
@@ -374,8 +391,7 @@ impl SimHost {
         let end = self.now + tick;
 
         // 3. deliver + events
-        for &i in &self.live {
-            let inst = &mut self.vms[i as usize];
+        for inst in &mut self.vms {
             self.delivered.clear();
             self.delivered
                 .extend(inst.slots.iter().map(|s| out.threads[*s as usize].work));
@@ -389,8 +405,7 @@ impl SimHost {
                 });
             }
             // 4. ground-truth windows
-            let win = &mut self.wins[i as usize];
-            for (acc, slot) in win.cur.iter_mut().zip(&inst.slots) {
+            for (acc, slot) in inst.windows.cur.iter_mut().zip(&inst.slots) {
                 let slice = &out.threads[*slot as usize];
                 acc.ran += slice.ran;
                 acc.work += slice.work;
@@ -413,8 +428,8 @@ impl SimHost {
         self.now = end;
         self.tick_count += 1;
         if self.tick_count.is_multiple_of(self.period_ticks as u64) {
-            for &i in &self.live {
-                let w = &mut self.wins[i as usize];
+            for inst in &mut self.vms {
+                let w = &mut inst.windows;
                 std::mem::swap(&mut w.cur, &mut w.last);
                 w.cur.fill(WindowAcc::default());
             }
@@ -440,11 +455,15 @@ impl SimHost {
     /// window: placement-weighted hardware cycles / wall time.
     pub fn vcpu_freq_exact(&self, vm: VmId, vcpu: VcpuId) -> MHz {
         let window = self.engine.tick_len() * self.period_ticks as u64;
-        self.wins
-            .get(vm.as_usize())
-            .and_then(|w| w.last.get(vcpu.as_usize()))
+        self.last_window(vm, vcpu)
             .map(|acc| acc.work.avg_freq_over(window))
             .unwrap_or(MHz::ZERO)
+    }
+
+    /// The vCPU's last completed window; `None` for a departed or unknown
+    /// VM or vCPU.
+    fn last_window(&self, vm: VmId, vcpu: VcpuId) -> Option<&WindowAcc> {
+        self.live(vm)?.windows.last.get(vcpu.as_usize())
     }
 
     /// CPU time the vCPU *asked for* over the last completed window —
@@ -452,9 +471,7 @@ impl SimHost {
     /// by the cluster SLO accounting to distinguish "did not want" from
     /// "could not get".
     pub fn vcpu_demand_last_window(&self, vm: VmId, vcpu: VcpuId) -> Micros {
-        self.wins
-            .get(vm.as_usize())
-            .and_then(|w| w.last.get(vcpu.as_usize()))
+        self.last_window(vm, vcpu)
             .map(|acc| acc.demanded)
             .unwrap_or(Micros::ZERO)
     }
@@ -463,14 +480,13 @@ impl SimHost {
     /// window × current frequency of the core the vCPU last ran on.
     pub fn vcpu_freq_estimate(&self, vm: VmId, vcpu: VcpuId) -> MHz {
         let window = self.engine.tick_len() * self.period_ticks as u64;
-        let Some(acc) = self
-            .wins
-            .get(vm.as_usize())
-            .and_then(|w| w.last.get(vcpu.as_usize()))
-        else {
+        let Some(inst) = self.live(vm) else {
             return MHz::ZERO;
         };
-        let tid = self.vms[vm.as_usize()].tids[vcpu.as_usize()];
+        let Some(acc) = inst.windows.last.get(vcpu.as_usize()) else {
+            return MHz::ZERO;
+        };
+        let tid = inst.tids[vcpu.as_usize()];
         let core = self.engine.thread_last_cpu(tid).unwrap_or(CpuId::new(0));
         let f = self.engine.core_freq(core);
         MHz((acc.ran.ratio_of(window) * f.as_f64()).round() as u32)
@@ -502,14 +518,20 @@ impl SimHost {
     }
 
     fn vcpu_group(&self, vm: VmId, vcpu: VcpuId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
-        self.vms
-            .get(vm.as_usize())
-            .filter(|i| i.alive)
+        self.live(vm)
             .and_then(|i| i.vcpu_groups.get(vcpu.as_usize()).copied())
             .ok_or(CgroupError::NoSuchVcpu {
                 vm: vm.as_u32(),
                 vcpu: vcpu.as_u32(),
             })
+    }
+
+    /// A live VM's scope group, as the backend's per-VM calls answer it.
+    fn scope_of(&self, vm: VmId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
+        self.live(vm).map(|i| i.scope).ok_or(CgroupError::NoSuchVcpu {
+            vm: vm.as_u32(),
+            vcpu: 0,
+        })
     }
 }
 
@@ -519,7 +541,8 @@ impl HostBackend for SimHost {
     }
 
     fn vms(&self) -> Vec<VmCgroupInfo> {
-        self.live_instances()
+        self.vms
+            .iter()
             .map(|i| VmCgroupInfo {
                 vm: i.id,
                 name: i.name.clone(),
@@ -597,29 +620,13 @@ impl HostBackend for SimHost {
     }
 
     fn set_vm_weight(&mut self, vm: VmId, weight: u32) -> Result<()> {
-        let inst =
-            self.vms
-                .get(vm.as_usize())
-                .filter(|i| i.alive)
-                .ok_or(CgroupError::NoSuchVcpu {
-                    vm: vm.as_u32(),
-                    vcpu: 0,
-                })?;
-        let scope = inst.scope;
+        let scope = self.scope_of(vm)?;
         self.tree.node_mut(scope).weight = vfc_cgroupfs::backend::clamp_cpu_weight(weight);
         Ok(())
     }
 
     fn vm_weight(&self, vm: VmId) -> Result<u32> {
-        let inst =
-            self.vms
-                .get(vm.as_usize())
-                .filter(|i| i.alive)
-                .ok_or(CgroupError::NoSuchVcpu {
-                    vm: vm.as_u32(),
-                    vcpu: 0,
-                })?;
-        Ok(self.tree.node(inst.scope).weight)
+        Ok(self.tree.node(self.scope_of(vm)?).weight)
     }
 }
 
@@ -819,6 +826,43 @@ mod tests {
         // The host keeps running; the survivor gets the freed capacity.
         h.advance_period();
         assert!(h.vcpu_usage(b, VcpuId::new(0)).unwrap().as_u64() > 0);
+    }
+
+    #[test]
+    fn a_departure_in_the_middle_keeps_order_ids_and_answers() {
+        let mut h = quiet_host(4, 2400);
+        let [a, b, c] = [0, 1, 2].map(|_| h.provision(&VmTemplate::small()));
+        for vm in [a, b, c] {
+            h.attach_workload(vm, Box::new(SteadyDemand::new(0.5)));
+        }
+        h.advance_period();
+        assert!(h.vcpu_freq_exact(b, VcpuId::new(0)) > MHz::ZERO);
+        drop(h.deprovision(b));
+
+        // The later instance moved down a place and is still found by id.
+        let listed = |h: &SimHost| -> Vec<VmId> { HostBackend::vms(h).iter().map(|v| v.vm).collect() };
+        assert_eq!(listed(&h), [a, c]);
+        assert_eq!(h.instances().len(), 2);
+        assert_eq!(h.instance(c).name, "small2");
+        h.set_vfreq(c, MHz(700));
+        assert_eq!(HostBackend::vms(&h)[1].vfreq, Some(MHz(700)));
+        assert!(h.vcpu_usage(c, VcpuId::new(1)).is_ok());
+
+        // A departed id is never reissued, and reads as unknown.
+        let d = h.provision(&VmTemplate::small());
+        assert_eq!(d, VmId::new(3));
+        assert_eq!(listed(&h), [a, c, d]);
+        assert_eq!(h.vcpu_freq_exact(b, VcpuId::new(0)), MHz::ZERO);
+        assert_eq!(h.vcpu_freq_estimate(b, VcpuId::new(0)), MHz::ZERO);
+        assert_eq!(h.vcpu_demand_last_window(b, VcpuId::new(0)), Micros::ZERO);
+        assert!(matches!(
+            h.vcpu_usage(b, VcpuId::new(0)),
+            Err(CgroupError::NoSuchVcpu { vm: 1, vcpu: 0 })
+        ));
+        assert!(h.vm_weight(b).is_err());
+        assert!(h.set_vm_weight(VmId::new(99), 100).is_err());
+        h.advance_period();
+        assert!(h.vcpu_freq_exact(c, VcpuId::new(0)) > MHz::ZERO);
     }
 
     #[test]

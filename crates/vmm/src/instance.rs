@@ -1,12 +1,14 @@
 //! A provisioned VM instance.
 
+use crate::host::VmWindows;
 use crate::template::VmTemplate;
 use crate::workload::{IdleWorkload, Workload};
 use vfc_cgroupfs::tree::NodeIdx;
 use vfc_simcore::{Tid, VmId};
 
 /// One hosted VM (`i ∈ I` in the paper): template + cgroup layout +
-/// vCPU threads + the guest workload.
+/// vCPU threads + the guest workload. A host keeps an instance only while
+/// the VM lives; `SimHost::deprovision` drops it.
 pub struct VmInstance {
     /// Backend-stable id.
     pub id: VmId,
@@ -25,9 +27,8 @@ pub struct VmInstance {
     pub(crate) slots: Vec<u32>,
     /// The guest behaviour; defaults to idle until attached.
     pub workload: Box<dyn Workload>,
-    /// `false` once the VM has been deprovisioned (e.g. migrated away);
-    /// tombstoned so `VmId`s stay stable.
-    pub alive: bool,
+    /// Ground-truth frequency windows, one slot per vCPU.
+    pub(crate) windows: VmWindows,
 }
 
 impl VmInstance {
@@ -45,11 +46,11 @@ impl VmInstance {
             template,
             name,
             scope,
+            windows: VmWindows::new(tids.len()),
             vcpu_groups,
             tids,
             slots: Vec::new(),
             workload: Box::new(IdleWorkload),
-            alive: true,
         }
     }
 

@@ -8,10 +8,12 @@
 //! * after every mutator the slot-indexed path (demands in, windows out)
 //!   and the cgroup-indexed path (`cpu.stat`) still describe the same
 //!   vCPUs;
-//! * the placer remembers the live threads only.
+//! * the placer remembers the live threads only, and the host's heap
+//!   follows the VMs it hosts now, not every VM it ever hosted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::model::CpuMax;
@@ -24,42 +26,54 @@ use vfc_vmm::{SimHost, VmTemplate};
 
 // ---- counting allocator ------------------------------------------------
 //
-// Counts allocation *events* (alloc, alloc_zeroed, realloc) per thread.
-// The Rust test harness runs each test on its own thread, so a test
-// reading its thread-local counter sees only its own traffic.
+// Counts allocation *events* (alloc, alloc_zeroed, realloc) and live heap
+// bytes per thread. The Rust test harness runs each test on its own
+// thread, so a test reading its thread-local counters sees only its own
+// traffic (everything here is freed on the thread that allocated it).
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: i64) {
     // `try_with` so allocations during TLS teardown never panic.
     let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+    grow(bytes);
+}
+
+fn grow(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 fn thread_alloc_events() -> u64 {
     ALLOC_EVENTS.with(|c| c.get())
 }
 
+fn thread_live_bytes() -> i64 {
+    LIVE_BYTES.with(|c| c.get())
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -256,7 +270,7 @@ fn every_mutator_keeps_slots_and_cgroups_in_step() {
 #[test]
 fn placer_tracks_only_live_threads_under_vm_churn() {
     let mut host = quiet_host(4);
-    let mut live = std::collections::VecDeque::new();
+    let mut live = VecDeque::new();
     for round in 0..60u32 {
         let vm = host.provision(&VmTemplate::new("t", 1 + round % 3, MHz(600)));
         host.attach_workload(vm, Box::new(SteadyDemand::new(0.5)));
@@ -270,5 +284,33 @@ fn placer_tracks_only_live_threads_under_vm_churn() {
         assert_eq!(host.engine().slots().len(), vcpus as usize);
     }
     assert_eq!(HostBackend::vms(&host).len(), 3);
-    assert_eq!(host.instances().len(), 60);
+    assert_eq!(host.instances().len(), 3);
+}
+
+/// Regression: a departed VM used to leave its instance (name, template,
+/// cgroup and thread lists) and its five cgroup nodes behind, about
+/// 1.4 KB per VM, so a host's heap grew with every VM it ever hosted.
+#[test]
+fn host_memory_follows_live_vms_not_vms_ever_hosted() {
+    let mut host = quiet_host(4);
+    let mut live = VecDeque::new();
+    let mut after_40 = 0;
+    for round in 0..4_000u32 {
+        let vm = host.provision(&VmTemplate::new("t", 1 + round % 3, MHz(600)));
+        host.attach_workload(vm, Box::new(SteadyDemand::new(0.5)));
+        live.push_back(vm);
+        if live.len() > 3 {
+            drop(host.deprovision(live.pop_front().unwrap()));
+        }
+        host.tick();
+        if round == 39 {
+            after_40 = thread_live_bytes();
+        }
+    }
+    // What still grows: 4 B of `VmId` → position per VM ever provisioned.
+    let grown = thread_live_bytes() - after_40;
+    assert!(
+        grown <= 32 * 1024,
+        "3 960 more VMs through 3 live slots grew the heap by {grown} B"
+    );
 }

@@ -35,20 +35,9 @@ pub struct ControllerConfig {
     pub decrease_trigger: f64,
     /// Case (b): the capping shrinks by this fraction (0.05 = −5 %).
     pub decrease_factor: f64,
-    /// Absolute floor of the trend-significance threshold (µs/iteration).
-    /// A trend must exceed `max(floor, rel × u)` to count as non-stable.
-    pub trend_epsilon_floor: f64,
-    /// Relative component of the trend-significance threshold, as a
-    /// fraction of the current consumption. Filters measurement wiggle on
-    /// heavily-loaded vCPUs without blocking ramp-ups from tiny cappings.
-    pub trend_epsilon_rel: f64,
     /// Auction window: cycles a vCPU may buy per auction round, bounding
     /// how much one rich VM can take (§III.B.4).
     pub window: Micros,
-    /// Floor for any capping we write: the kernel rejects quotas below
-    /// 1 ms, and a vCPU must keep enough cycles to answer its guest
-    /// kernel's housekeeping.
-    pub min_cap: Micros,
     /// Control or monitor-only.
     pub mode: ControlMode,
     /// **Extension beyond the paper** (off by default): treat a vCPU
@@ -64,16 +53,6 @@ pub struct ControllerConfig {
     /// skipped for the iteration (degradation ladder, step 2). `0`
     /// disables stale reuse: any failed read skips the vCPU immediately.
     pub stale_sample_ttl: u32,
-    /// **Extension beyond the paper** (off by default): write hysteresis.
-    /// When positive, stage 6 skips a `cpu.max` write whose allocation
-    /// differs from the cap currently in force by less than this many µs
-    /// — trading sub-threshold capping precision for fewer kernel
-    /// crossings on hosts where writes are expensive. `0` preserves the
-    /// paper's behavior exactly: every computed allocation is applied
-    /// (writes whose resulting `cpu.max` is *identical* to the in-force
-    /// value are still elided as pure syscall dedup — the kernel state
-    /// ends up byte-identical either way).
-    pub apply_min_delta_us: u64,
     /// Per-period time budget for one whole iteration, as a fraction of
     /// [`period`](ControllerConfig::period). When the measured iteration
     /// time overruns the budget the controller descends one rung of the
@@ -119,14 +98,10 @@ impl ControllerConfig {
             increase_factor: 1.00,
             decrease_trigger: 0.50,
             decrease_factor: 0.05,
-            trend_epsilon_floor: 50.0,
-            trend_epsilon_rel: 0.02,
             window: Micros(100_000),
-            min_cap: Micros(1_000),
             mode: ControlMode::Full,
             throttle_aware: false,
             stale_sample_ttl: 2,
-            apply_min_delta_us: 0,
             deadline_budget_frac: 0.0,
             ladder_recovery_periods: 3,
             cap_lease_ttl: 0,
@@ -191,9 +166,6 @@ impl ControllerConfig {
         }
         if self.window.is_zero() {
             return Err("auction window must be positive".into());
-        }
-        if self.trend_epsilon_floor < 0.0 || self.trend_epsilon_rel < 0.0 {
-            return Err("trend epsilons must be non-negative".into());
         }
         if !self.deadline_budget_frac.is_finite() || self.deadline_budget_frac < 0.0 {
             return Err(format!(

@@ -386,14 +386,11 @@ struct VcpuRow {
     /// A `cpu.max` write that failed last period, re-issued if the vCPU
     /// gets no fresh allocation.
     pending: Option<Micros>,
-    /// Last `cpu.max` successfully written, with the allocation that
-    /// produced it. Stage 6 elides a write whose value is already in
-    /// force (plus optional hysteresis, see
-    /// [`ControllerConfig::apply_min_delta_us`]). A failed write clears
-    /// it so retries are never elided, and warm-restart adoption
-    /// deliberately does *not* seed it (the first write after a restart
-    /// is always issued).
-    in_force: Option<(Micros, CpuMax)>,
+    /// Last `cpu.max` successfully written. Stage 6 elides a write whose
+    /// value is already in force. A failed write clears it so retries
+    /// are never elided, and warm-restart adoption deliberately does
+    /// *not* seed it (the first write after a restart is always issued).
+    in_force: Option<CpuMax>,
 }
 
 /// The virtual frequency controller. One instance per node.
@@ -806,8 +803,8 @@ impl Controller {
             // old-sized cap if the vCPU is ever skipped; drop it.
             row.pending = None;
             // Forget the in-force cap so the first post-resize write is
-            // always issued (hysteresis must never compare against a cap
-            // sized for the old frequency).
+            // always issued, never elided against a cap sized for the old
+            // frequency.
             row.in_force = None;
         }
         c_i
@@ -1042,7 +1039,6 @@ impl Controller {
         let mut elided = 0u64;
         let mut retries = 0u32;
         let mut failed = 0u32;
-        let min_delta = self.cfg.apply_min_delta_us;
         for &slot in &self.write_order {
             let slot = slot as usize;
             let addr = self.slots[slot];
@@ -1061,29 +1057,18 @@ impl Controller {
                 retries += 1;
             }
             let max = allocation_to_cpu_max(alloc, period);
-            if let Some((in_alloc, in_max)) = row.in_force {
-                if in_max == max {
-                    // Exact dedup: the kernel already enforces this
-                    // value, so the write would be a no-op syscall.
-                    elided += 1;
-                    row.prev_alloc = Some(alloc);
-                    row.in_force = Some((alloc, max));
-                    continue;
-                }
-                if min_delta > 0 && in_alloc.as_u64().abs_diff(alloc.as_u64()) < min_delta {
-                    // Hysteresis: keep the in-force cap, and keep
-                    // treating it as `c_{i,j,t}` so the estimator
-                    // references what is actually enforced.
-                    elided += 1;
-                    row.prev_alloc = Some(in_alloc);
-                    continue;
-                }
+            if row.in_force == Some(max) {
+                // The kernel already enforces this value, so the write
+                // would be a no-op syscall.
+                elided += 1;
+                row.prev_alloc = Some(alloc);
+                continue;
             }
             attempted += 1;
             match backend.set_vcpu_max(addr.vm, addr.vcpu, max) {
                 Ok(()) => {
                     volume += alloc.as_u64();
-                    row.in_force = Some((alloc, max));
+                    row.in_force = Some(max);
                     if !is_retry {
                         row.prev_alloc = Some(alloc);
                     }
@@ -1743,7 +1728,7 @@ mod tests {
         let v = r.vcpu(VcpuAddr::new(vm, VcpuId::new(0))).unwrap();
         // An idle vCPU is allocated only the floor, freeing its guarantee
         // for the market.
-        assert_eq!(v.alloc, ctl.config().min_cap);
+        assert_eq!(v.alloc, crate::estimate::MIN_CAP);
     }
 
     #[test]

@@ -232,11 +232,6 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
                     .parse()
                     .map_err(|_| format!("line {}: bad stale_sample_ttl", lineno + 1))?;
             }
-            "apply_min_delta_us" => {
-                cfg.controller.apply_min_delta_us = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad apply_min_delta_us", lineno + 1))?;
-            }
             "deadline_budget_frac" => {
                 cfg.controller.deadline_budget_frac = parse_f64(value)?;
             }
@@ -268,9 +263,10 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
                     .map_err(|_| format!("line {}: bad lease_grace", lineno + 1))?;
             }
             // Written by deployments that predate the single monitoring
-            // loop; the key no longer selects anything.
-            "shard_count" => {
-                eprintln!("vfcd: line {}: shard_count is ignored", lineno + 1);
+            // loop (`shard_count`) or the removal of write hysteresis
+            // (`apply_min_delta_us`); neither key selects anything now.
+            "shard_count" | "apply_min_delta_us" => {
+                eprintln!("vfcd: line {}: {key} is ignored", lineno + 1);
             }
             "max_consecutive_errors" => {
                 cfg.max_consecutive_errors = value
@@ -940,12 +936,17 @@ mod tests {
     }
 
     #[test]
-    fn config_file_shard_count() {
-        // Deployed files carry the key; it must keep parsing, to nothing.
+    fn config_file_ignored_keys() {
+        // Deployed files carry these keys; they must keep parsing, to
+        // nothing.
         let plain = parse_config_file("[vms]\nweb = 500\n").unwrap();
-        for value in ["auto", "4"] {
-            let old =
-                parse_config_file(&format!("shard_count = {value}\n[vms]\nweb = 500\n")).unwrap();
+        for line in [
+            "shard_count = auto",
+            "shard_count = 4",
+            "apply_min_delta_us = 0",
+            "apply_min_delta_us = 1500",
+        ] {
+            let old = parse_config_file(&format!("{line}\n[vms]\nweb = 500\n")).unwrap();
             assert_eq!(old.controller, plain.controller);
             assert_eq!(old.vfreq, plain.vfreq);
         }
@@ -1069,8 +1070,8 @@ mod tests {
         };
         cfg.vfreq.insert("web".into(), MHz(500));
         // Short period so the test sleeps ≤150 ms total; must stay well
-        // above min_cap (1 ms) or every capping legitimately rounds up
-        // to "max".
+        // above the 1 ms capping floor or every capping legitimately
+        // rounds up to "max".
         cfg.controller.period = Micros::from_millis(50);
         cfg.roots = Some((fx.cgroup_root(), fx.proc_root(), fx.cpu_root()));
         let ran = run(cfg).unwrap();
@@ -1393,12 +1394,10 @@ mod tests {
     fn config_file_accepts_resilience_keys() {
         let cfg = parse_config_file(
             "stale_sample_ttl = 4\nmax_consecutive_errors = 25\n\
-             discovery_retries = 7\ndiscovery_backoff_ms = 250\n\
-             apply_min_delta_us = 1500\n",
+             discovery_retries = 7\ndiscovery_backoff_ms = 250\n",
         )
         .unwrap();
         assert_eq!(cfg.controller.stale_sample_ttl, 4);
-        assert_eq!(cfg.controller.apply_min_delta_us, 1500);
         assert_eq!(cfg.max_consecutive_errors, 25);
         assert_eq!(cfg.discovery_retries, 7);
         assert_eq!(cfg.discovery_backoff, Duration::from_millis(250));
@@ -1407,7 +1406,6 @@ mod tests {
     #[test]
     fn config_file_rejects_bad_resilience_values() {
         assert!(parse_config_file("stale_sample_ttl = forever").is_err());
-        assert!(parse_config_file("apply_min_delta_us = -5").is_err());
         assert!(parse_config_file("max_consecutive_errors = -1").is_err());
         assert!(parse_config_file("discovery_retries = 1.5").is_err());
         assert!(parse_config_file("discovery_backoff_ms = soon").is_err());

@@ -203,6 +203,18 @@ impl History {
     }
 }
 
+/// Absolute floor of the trend-significance threshold (µs/iteration).
+/// A trend must exceed `max(floor, rel × u)` to count as non-stable.
+const TREND_EPSILON_FLOOR: f64 = 50.0;
+/// Relative component of the trend-significance threshold, as a
+/// fraction of the current consumption. Filters measurement wiggle on
+/// heavily-loaded vCPUs without blocking ramp-ups from tiny cappings.
+const TREND_EPSILON_REL: f64 = 0.02;
+/// Floor for any capping we write: the kernel rejects quotas below
+/// 1 ms, and a vCPU must keep enough cycles to answer its guest
+/// kernel's housekeeping.
+pub(crate) const MIN_CAP: Micros = Micros(1_000);
+
 /// Eq. 3 and the three cases for one vCPU: push this period's
 /// consumption into its history, classify the trend against
 /// `c_{i,j,t-1}` (`cap`; a vCPU without one — first sighting, or
@@ -224,7 +236,7 @@ pub(crate) fn estimate_vcpu(
     // Trend significance scales with consumption so measurement
     // wiggle on a busy vCPU is filtered while a ramp-up from a
     // tiny capping still registers.
-    let epsilon = cfg.trend_epsilon_floor.max(cfg.trend_epsilon_rel * u);
+    let epsilon = TREND_EPSILON_FLOOR.max(TREND_EPSILON_REL * u);
 
     // Throttle-aware extension (opt-in): a vCPU the kernel had to
     // throttle was demanding more than its capping, whatever its
@@ -243,7 +255,7 @@ pub(crate) fn estimate_vcpu(
         (EstimateCase::Stable, u / cfg.increase_trigger)
     };
 
-    let mut estimate_u64 = (raw.round() as u64).clamp(cfg.min_cap.as_u64(), period.as_u64());
+    let mut estimate_u64 = (raw.round() as u64).clamp(MIN_CAP.as_u64(), period.as_u64());
     if case == EstimateCase::Stable {
         // Guard against float rounding putting the consumption
         // back over the increase trigger of the new capping.
@@ -513,10 +525,10 @@ mod tests {
         let _ = est.estimate(&c, &[obs(880_000)], &prev);
         let e = est.estimate(&c, &[obs(900_000)], &prev);
         assert!(e[0].estimate <= c.period);
-        // Zero consumption floors at min_cap.
+        // Zero consumption floors at MIN_CAP.
         let mut est = Estimator::new(&c);
         let e = est.estimate(&c, &[obs(0)], &FastMap::default());
-        assert_eq!(e[0].estimate, c.min_cap);
+        assert_eq!(e[0].estimate, MIN_CAP);
     }
 
     #[test]

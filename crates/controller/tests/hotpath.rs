@@ -7,7 +7,7 @@
 //! * an unchanged-demand period issues **zero `cpu.max` writes** — every
 //!   candidate is elided against the in-force value, and the elisions
 //!   are visible on the Prometheus exposition;
-//! * with hysteresis off, the slot-table pipeline is
+//! * the slot-table pipeline is
 //!   **golden-equivalent** to the original pipeline of map-keyed stages: byte-identical `cpu.max` state, wallet entries,
 //!   health reports and Eq. 3 histories after every period of a
 //!   randomized life with VM churn, resizes, recycled names and an
@@ -340,7 +340,7 @@ struct SeedPipeline {
     wallet: Wallet,
     prev_alloc: FastMap<VcpuAddr, Micros>,
     pending: FastMap<VcpuAddr, Micros>,
-    in_force: FastMap<VcpuAddr, (Micros, CpuMax)>,
+    in_force: FastMap<VcpuAddr, CpuMax>,
     c_max: Micros,
     max_mhz: MHz,
     health: HealthReport,
@@ -487,18 +487,13 @@ impl SeedPipeline {
             };
             retries += u32::from(is_retry);
             let max = allocation_to_cpu_max(alloc, period);
-            if self
-                .in_force
-                .get(&addr)
-                .is_some_and(|(_, in_max)| *in_max == max)
-            {
+            if self.in_force.get(&addr) == Some(&max) {
                 self.prev_alloc.insert(addr, alloc);
-                self.in_force.insert(addr, (alloc, max));
                 continue;
             }
             match host.set_vcpu_max(addr.vm, addr.vcpu, max) {
                 Ok(()) => {
-                    self.in_force.insert(addr, (alloc, max));
+                    self.in_force.insert(addr, max);
                     if !is_retry {
                         self.prev_alloc.insert(addr, alloc);
                     }
@@ -835,7 +830,7 @@ impl World {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Hysteresis off ⇒ the dense pipeline and the seed pipeline leave
+    /// The dense pipeline and the seed pipeline leave
     /// byte-identical `cpu.max` state, wallet entries, health reports, Eq. 3 histories and
     /// `c_{t-1}` after every one of 48 periods, while VMs arrive, leave,
     /// are resized and hand their names on, and every side sits behind
@@ -844,7 +839,6 @@ proptest! {
     #[test]
     fn golden_equivalence_with_seed_pipeline(seed in 0u64..u64::MAX) {
         let seed = seed ^ SALT;
-        prop_assert_eq!(full_config().apply_min_delta_us, 0, "hysteresis off by default");
         let mut worlds = [World::new(seed, false), World::new(seed, true)];
         let mut rngs = [seed; 2].map(SplitMix64::new);
         for (world, rng) in worlds.iter_mut().zip(&mut rngs) {

@@ -1133,7 +1133,8 @@ mod tests {
                             kvm_layout::provision(&mut self.tree, n, "vm", vcpus).expect("fresh");
                         // The new groups may sit in slots an `rmdir` freed.
                         if slice.is_none() {
-                            self.groups.push(self.tree.node(scope).parent().expect("slice"));
+                            self.groups
+                                .push(self.tree.node(scope).parent().expect("slice"));
                         }
                         let subtree = self.subtree(scope);
                         self.groups.extend(subtree);

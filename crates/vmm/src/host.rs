@@ -528,10 +528,12 @@ impl SimHost {
 
     /// A live VM's scope group, as the backend's per-VM calls answer it.
     fn scope_of(&self, vm: VmId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
-        self.live(vm).map(|i| i.scope).ok_or(CgroupError::NoSuchVcpu {
-            vm: vm.as_u32(),
-            vcpu: 0,
-        })
+        self.live(vm)
+            .map(|i| i.scope)
+            .ok_or(CgroupError::NoSuchVcpu {
+                vm: vm.as_u32(),
+                vcpu: 0,
+            })
     }
 }
 
@@ -840,7 +842,8 @@ mod tests {
         drop(h.deprovision(b));
 
         // The later instance moved down a place and is still found by id.
-        let listed = |h: &SimHost| -> Vec<VmId> { HostBackend::vms(h).iter().map(|v| v.vm).collect() };
+        let listed =
+            |h: &SimHost| -> Vec<VmId> { HostBackend::vms(h).iter().map(|v| v.vm).collect() };
         assert_eq!(listed(&h), [a, c]);
         assert_eq!(h.instances().len(), 2);
         assert_eq!(h.instance(c).name, "small2");

@@ -20,13 +20,12 @@ else
     done
     # The glob silently shrinks if a core doc is deleted or renamed, so
     # pin the set that must always be scanned (and therefore exist).
-    # The non-markdown entries are the performance artifacts those docs
-    # link to (DESIGN.md §16, EXPERIMENTS.md trace section): renaming
-    # either one must fail here, not strand the docs.
+    # The non-markdown entry is the performance artifact those docs link
+    # to (EXPERIMENTS.md trace section): renaming it must fail here, not
+    # strand the docs.
     for required in README.md DESIGN.md EXPERIMENTS.md \
         docs/PERFORMANCE.md docs/OBSERVABILITY.md docs/CONTROLPLANE.md \
-        docs/BILLING.md \
-        BENCH_controller.json results/trace_eval.csv; do
+        docs/BILLING.md results/trace_eval.csv; do
         if [ ! -f "$required" ]; then
             echo "check_doc_links: required file missing -> $required" >&2
             exit 1

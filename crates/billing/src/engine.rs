@@ -227,14 +227,9 @@ impl BillingEngine {
             .collect()
     }
 
-    /// The `vfc_bill_*` registry (for merged expositions).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Render the `vfc_bill_*` families as a Prometheus text page.
     pub fn render_telemetry(&self) -> String {
-        vfc_telemetry::render(&self.registry, None)
+        vfc_telemetry::render(&self.registry)
     }
 
     /// Recompute the spot-price gauge: the curve rate at `F^MAX` times

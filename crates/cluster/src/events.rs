@@ -3,12 +3,13 @@
 //! [`ClusterManager::run_period`] is a fixed-step driver: every node
 //! advances every period, which is O(nodes) per period even when almost
 //! every host is quiet — hopeless for thousands of nodes and hundreds of
-//! thousands of VM arrivals. [`EventDrivenCluster`] reworks the same
-//! cluster around a discrete-event queue ([`vfc_simcore::EventQueue`]):
-//! VM arrival/departure, controller periods, fault ticks, and migration
-//! completions are *events*, and **a quiet host schedules nothing and
-//! costs nothing** — its controller runs zero iterations and its host
-//! never ticks.
+//! thousands of VM arrivals. [`EventDrivenCluster`] runs the same period
+//! body from a discrete-event queue ([`vfc_simcore::EventQueue`]). The
+//! only independent events are the online stream the cluster answers to
+//! — VM arrivals and departures — plus one tick per period while there is
+//! anything to simulate. A tick advances only the nodes that host VMs, so
+//! **a quiet host costs nothing**: its controller runs zero iterations and
+//! its host never ticks.
 //!
 //! # Phase encoding
 //!
@@ -20,21 +21,22 @@
 //! |------:|----------|--------------|
 //! | 0 | [`PH_DEPART`] | departures free capacity first |
 //! | 1 | [`PH_ARRIVE`] | arrivals are admitted (Eq. 7 / core-count) |
-//! | 2 | [`PH_FAULT`] | repairs, node/controller crash draws |
-//! | 3 | [`PH_LANDING`] | due migrations land, stranded VMs retry |
-//! | 4 | [`PH_NODE`] | busy nodes advance, in sorted node order |
-//! | 5 | [`PH_CLOSE`] | SLO/energy accounting, migration policy |
+//! | 2 | [`PH_TICK`] | the period: faults, landings, busy nodes advance in node order, close |
 //!
-//! This mirrors the legacy `run_period` sequence exactly (deploys happen
-//! *between* legacy periods, i.e. before the fault phase).
+//! The tick is the body of the legacy `run_period` (deploys happen
+//! *between* legacy periods, i.e. before the fault phase) over the
+//! nodes that host a VM instead of every node. It closes the period —
+//! SLO/energy accounting, the migration policy — when a VM was present at
+//! the end of the previous period or was admitted in this one. The next
+//! tick is queued while VMs are present, or while a fault model is active
+//! and arrivals are pending; an admission revives the chain.
 //!
 //! # Determinism contract
 //!
 //! Same construction + same scheduled specs ⇒ byte-identical event
 //! journals and reports: every queue tie-break is FIFO, every RNG is
-//! seeded, and the same-instant batch of busy nodes is sorted before it
-//! is advanced, so nodes step — and their samples are merged by
-//! `close_period_for` — in node order.
+//! seeded, and a tick advances its nodes — and the close merges their
+//! samples — in node order.
 //!
 //! Against the legacy driver, [`ClusterManager::report`] is
 //! **bit-identical** for runs where no VM ever lands on a host that the
@@ -42,7 +44,8 @@
 //! departures at any time, no faults, no migrations): an idle host's
 //! governor RNG advances under the legacy driver but not here, so a VM
 //! landing on such a host later sees a different (equally valid) noise
-//! stream. The `events_equivalence` proptest pins the contract.
+//! stream. The `event_core_matches_legacy_run_period` proptest
+//! (`tests/events.rs`) pins the contract.
 //! Period-sample history differs in one way: the event core records no
 //! samples for periods in which the whole cluster was empty (it jumps
 //! over them), and when a fault model is active it only processes
@@ -52,7 +55,7 @@ use crate::manager::{ClusterError, ClusterManager, ClusterReport, GlobalVmId};
 use crate::trace::TraceVmSpec;
 use serde::{Deserialize, Serialize};
 use vfc_placement::algo::PlacementAlgorithm;
-use vfc_simcore::{EventQueue, Scheduled, SplitMix64};
+use vfc_simcore::{EventQueue, SplitMix64};
 use vfc_vmm::workload::{SteadyDemand, Workload};
 use vfc_vmm::VmTemplate;
 
@@ -62,14 +65,8 @@ pub const PHASES_PER_PERIOD: u64 = 8;
 pub const PH_DEPART: u64 = 0;
 /// Arrivals: admission under the strategy's constraint.
 pub const PH_ARRIVE: u64 = 1;
-/// Fault machinery: repairs first, then crash draws.
-pub const PH_FAULT: u64 = 2;
-/// Migration landings and stranded retries.
-pub const PH_LANDING: u64 = 3;
-/// Node advance (hosts tick, controllers iterate).
-pub const PH_NODE: u64 = 4;
-/// End-of-period accounting.
-pub const PH_CLOSE: u64 = 5;
+/// The period itself: faults, landings, node advance, close.
+pub const PH_TICK: u64 = 2;
 
 /// Pack `(period, phase)` into an event timestamp.
 pub fn encode_time(period: u64, phase: u64) -> u64 {
@@ -83,21 +80,15 @@ pub fn decode_time(t: u64) -> (u64, u64) {
 }
 
 /// What can happen in the cluster. `slot` indexes the scheduled spec
-/// table, `vm` a manager VM record, `node` a cluster node.
+/// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClusterEvent {
     /// A trace VM arrives and requests admission.
     Arrival { slot: usize },
     /// A trace VM departs (wherever it currently is).
     Departure { slot: usize },
-    /// Per-period fault machinery (only while a fault model is active).
-    FaultTick,
-    /// An in-flight VM's downtime elapsed (or a stranded retry).
-    Landing { vm: usize },
-    /// A busy node's controller period.
-    NodePeriod { node: usize },
-    /// End-of-period accounting.
-    PeriodClose,
+    /// One period of the cluster.
+    Tick,
 }
 
 /// Counters for everything the event loop processed — the raw material
@@ -105,19 +96,17 @@ enum ClusterEvent {
 /// figure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventStats {
-    /// Every event popped off the queue.
+    /// Every event popped off the queue: arrivals, departures, ticks.
     pub events_processed: u64,
     /// VM arrivals processed (admitted or rejected).
     pub arrivals: u64,
     /// VM departures processed.
     pub departures: u64,
-    /// Landing events processed (includes stranded retries).
-    pub landings: u64,
-    /// Per-node period advances processed.
+    /// Node advances: each tick counts the nodes it advanced.
     pub node_periods: u64,
-    /// Fault ticks processed.
+    /// Ticks that ran the fault phase.
     pub fault_ticks: u64,
-    /// Period closes processed.
+    /// Ticks that closed their period.
     pub closes: u64,
 }
 
@@ -136,19 +125,12 @@ pub struct EventDrivenCluster {
     /// Slot → manager id once admitted (`None` before arrival or after a
     /// capacity rejection).
     slot_gvm: Vec<Option<GlobalVmId>>,
-    /// Per node: the latest period for which a `NodePeriod` event has
-    /// been scheduled — the "is this host awake?" guard.
-    node_next: Vec<u64>,
-    /// Nodes advanced in the current period's `PH_NODE` batch, sorted.
-    active_nodes: Vec<usize>,
-    active_period: u64,
-    /// Is a `PeriodClose` currently queued? (The close chain
-    /// self-perpetuates while VMs are present.)
-    close_queued: bool,
-    /// Is a `FaultTick` currently queued?
-    fault_tick_queued: bool,
-    /// Scratch for batching same-instant landings.
-    landing_batch: Vec<usize>,
+    /// Is a tick queued? (The tick chain re-queues itself; an admission
+    /// revives it.)
+    tick_queued: bool,
+    /// Does the current period close? A VM was present at the end of the
+    /// previous period, or one was admitted in this one.
+    close_due: bool,
     /// VMs currently deployed (placed, in flight, or stranded).
     vms_present: usize,
     /// Scheduled arrivals not yet processed.
@@ -163,20 +145,14 @@ pub struct EventDrivenCluster {
 impl EventDrivenCluster {
     /// Wrap a freshly built manager. Workloads default to a steady full
     /// demand; override with [`EventDrivenCluster::with_workloads`].
-    pub fn new(mut mgr: ClusterManager) -> Self {
-        mgr.set_track_inflight();
-        let node_next = vec![0; mgr.node_count()];
+    pub fn new(mgr: ClusterManager) -> Self {
         EventDrivenCluster {
             mgr,
             queue: EventQueue::new(),
             specs: Vec::new(),
             slot_gvm: Vec::new(),
-            node_next,
-            active_nodes: Vec::new(),
-            active_period: 0,
-            close_queued: false,
-            fault_tick_queued: false,
-            landing_batch: Vec::new(),
+            tick_queued: false,
+            close_due: false,
             vms_present: 0,
             arrivals_pending: 0,
             algorithm: PlacementAlgorithm::BestFit,
@@ -282,82 +258,27 @@ impl EventDrivenCluster {
     pub fn run_until(&mut self, horizon: u64) {
         let limit = encode_time(horizon, PHASES_PER_PERIOD - 1);
         while self.queue.peek_time().is_some_and(|t| t <= limit) {
-            self.step();
+            let ev = self.queue.pop().expect("an event was peeked");
+            let (p, phase) = decode_time(ev.time);
+            self.stats.events_processed += 1;
+            if let Some(journal) = &mut self.journal {
+                journal.push(format!("p{p}.{phase} seq{} {:?}", ev.seq, ev.event));
+            }
+            match ev.event {
+                ClusterEvent::Arrival { slot } => self.on_arrival(p, slot),
+                ClusterEvent::Departure { slot } => self.on_departure(slot),
+                ClusterEvent::Tick => self.on_tick(p),
+            }
         }
         if self.mgr.period() < horizon {
             self.mgr.begin_period_at(horizon);
         }
     }
 
-    /// Pop + dispatch one event. Returns `false` on an empty queue.
-    fn step(&mut self) -> bool {
-        let Some(ev) = self.pop_logged() else {
-            return false;
-        };
-        let (p, _phase) = decode_time(ev.time);
-        match ev.event {
-            ClusterEvent::Arrival { slot } => self.on_arrival(p, slot),
-            ClusterEvent::Departure { slot } => self.on_departure(slot),
-            ClusterEvent::FaultTick => self.on_fault_tick(p),
-            ClusterEvent::Landing { vm } => self.on_landing_batch(p, ev.time, vm),
-            ClusterEvent::NodePeriod { node } => self.on_node_batch(p, ev.time, node),
-            ClusterEvent::PeriodClose => self.on_close(p),
-        }
-        true
-    }
-
-    fn pop_logged(&mut self) -> Option<Scheduled<ClusterEvent>> {
-        let ev = self.queue.pop()?;
-        self.log_event(&ev);
-        Some(ev)
-    }
-
-    fn pop_logged_at(&mut self, t: u64) -> Option<Scheduled<ClusterEvent>> {
-        let ev = self.queue.pop_at(t)?;
-        self.log_event(&ev);
-        Some(ev)
-    }
-
-    fn log_event(&mut self, ev: &Scheduled<ClusterEvent>) {
-        self.stats.events_processed += 1;
-        if let Some(journal) = &mut self.journal {
-            let (p, phase) = decode_time(ev.time);
-            journal.push(format!("p{p}.{phase} seq{} {:?}", ev.seq, ev.event));
-        }
-    }
-
-    /// A node gained a VM effective period `p`: make sure it advances
-    /// from `p` on, and that `p` gets a close.
-    fn wake_node(&mut self, node: usize, p: u64) {
-        if self.node_next[node] < p {
-            self.node_next[node] = p;
-            self.queue
-                .schedule(encode_time(p, PH_NODE), ClusterEvent::NodePeriod { node });
-        }
-        self.ensure_close(p);
-    }
-
-    /// Revive the close chain at period `p` if it is not already queued.
-    /// While VMs are present the close handler re-schedules itself, so
-    /// every period from the first admission to the last departure gets
-    /// its serial accounting (offline VMs included).
-    fn ensure_close(&mut self, p: u64) {
-        if !self.close_queued {
-            self.close_queued = true;
-            self.queue
-                .schedule(encode_time(p, PH_CLOSE), ClusterEvent::PeriodClose);
-        }
-    }
-
-    /// Revive the fault chain at period `p` if a model is active. Fault
-    /// draws happen every period while VMs are present or arrivals are
-    /// pending; quiet stretches before the first arrival are jumped.
-    fn ensure_fault_tick(&mut self, p: u64) {
-        if self.mgr.faults_enabled() && !self.fault_tick_queued {
-            self.fault_tick_queued = true;
-            self.queue
-                .schedule(encode_time(p, PH_FAULT), ClusterEvent::FaultTick);
-        }
+    fn queue_tick(&mut self, p: u64) {
+        self.tick_queued = true;
+        self.queue
+            .schedule(encode_time(p, PH_TICK), ClusterEvent::Tick);
     }
 
     fn on_arrival(&mut self, p: u64, slot: usize) {
@@ -372,12 +293,10 @@ impl EventDrivenCluster {
             Ok(id) => {
                 self.slot_gvm[slot] = Some(id);
                 self.vms_present += 1;
-                let node = self
-                    .mgr
-                    .vm_node(id.0 as usize)
-                    .expect("freshly deployed VM is placed");
-                self.wake_node(node, p);
-                self.ensure_fault_tick(p);
+                self.close_due = true;
+                if !self.tick_queued {
+                    self.queue_tick(p);
+                }
             }
             Err(ClusterError::NoCapacity) => {
                 // Counted as a rejection by the manager; the departure
@@ -397,126 +316,15 @@ impl EventDrivenCluster {
         }
     }
 
-    fn on_fault_tick(&mut self, p: u64) {
-        self.stats.fault_ticks += 1;
-        self.fault_tick_queued = false;
-        self.mgr.begin_period_at(p);
-        self.mgr.fault_phase();
-        // Crash evacuations became in-flight VMs: schedule their
-        // landings. Stranded VMs (nowhere to go) retry *this* period's
-        // landing phase, exactly like the legacy per-period sweep.
-        for (vm, arrive) in self.mgr.drain_pending_inflight() {
-            self.queue.schedule(
-                encode_time(arrive, PH_LANDING),
-                ClusterEvent::Landing { vm },
-            );
-        }
-        for vm in self.mgr.stranded_indices() {
-            self.queue
-                .schedule(encode_time(p, PH_LANDING), ClusterEvent::Landing { vm });
-        }
-        if self.vms_present > 0 {
-            self.ensure_close(p);
-        }
-        if self.vms_present > 0 || self.arrivals_pending > 0 {
-            self.fault_tick_queued = true;
-            self.queue
-                .schedule(encode_time(p + 1, PH_FAULT), ClusterEvent::FaultTick);
-        }
-    }
-
-    fn on_landing_batch(&mut self, p: u64, t: u64, first: usize) {
-        self.stats.landings += 1;
-        let mut batch = std::mem::take(&mut self.landing_batch);
-        batch.clear();
-        batch.push(first);
-        while let Some(ev) = self.pop_logged_at(t) {
-            self.stats.landings += 1;
-            let ClusterEvent::Landing { vm } = ev.event else {
-                unreachable!("only landings live in PH_LANDING");
-            };
-            batch.push(vm);
-        }
-        // Land in ascending VM-record order (legacy sweep order);
-        // stranded retries may duplicate scheduled landings.
-        batch.sort_unstable();
-        batch.dedup();
-        self.mgr.begin_period_at(p);
-        self.mgr.land_vm_set(&batch);
-        for &vm in &batch {
-            if let Some(node) = self.mgr.vm_node(vm) {
-                self.wake_node(node, p);
-            }
-        }
-        // Failed/rolled-back landings went back in flight.
-        for (vm, arrive) in self.mgr.drain_pending_inflight() {
-            self.queue.schedule(
-                encode_time(arrive, PH_LANDING),
-                ClusterEvent::Landing { vm },
-            );
-        }
-        self.landing_batch = batch;
-    }
-
-    fn on_node_batch(&mut self, p: u64, t: u64, first: usize) {
-        self.stats.node_periods += 1;
-        let mut batch = std::mem::take(&mut self.active_nodes);
-        batch.clear();
-        batch.push(first);
-        while let Some(ev) = self.pop_logged_at(t) {
-            self.stats.node_periods += 1;
-            let ClusterEvent::NodePeriod { node } = ev.event else {
-                unreachable!("only node periods live in PH_NODE");
-            };
-            batch.push(node);
-        }
-        // One event per node per period (guarded by `node_next`), but
-        // scheduling order is arbitrary — sort for the deterministic
-        // merge order `close_period_for` requires.
-        batch.sort_unstable();
-        batch.dedup();
-        // A node emptied since its period was scheduled (departures,
-        // crash evacuation) goes back to sleep without advancing.
-        batch.retain(|&n| self.mgr.node_has_residents(n));
-        self.mgr.begin_period_at(p);
-        self.mgr.advance_node_set(&batch);
-        for &n in &batch {
-            debug_assert!(self.mgr.node_has_residents(n));
-            self.node_next[n] = p + 1;
-            self.queue.schedule(
-                encode_time(p + 1, PH_NODE),
-                ClusterEvent::NodePeriod { node: n },
-            );
-        }
-        if !batch.is_empty() {
-            self.ensure_close(p);
-        }
-        self.active_nodes = batch;
-        self.active_period = p;
-    }
-
-    fn on_close(&mut self, p: u64) {
-        self.stats.closes += 1;
-        self.close_queued = false;
-        let mut active = std::mem::take(&mut self.active_nodes);
-        if self.active_period != p {
-            // No node advanced this period (offline-only accounting).
-            active.clear();
-        }
-        self.mgr.begin_period_at(p);
-        self.mgr.close_period_for(&active);
-        self.active_nodes = active;
-        // The migration policy may have started migrations just now.
-        for (vm, arrive) in self.mgr.drain_pending_inflight() {
-            self.queue.schedule(
-                encode_time(arrive, PH_LANDING),
-                ClusterEvent::Landing { vm },
-            );
-        }
-        if self.vms_present > 0 {
-            self.close_queued = true;
-            self.queue
-                .schedule(encode_time(p + 1, PH_CLOSE), ClusterEvent::PeriodClose);
+    fn on_tick(&mut self, p: u64) {
+        self.tick_queued = false;
+        let faults = self.mgr.faults_enabled();
+        self.stats.fault_ticks += u64::from(faults);
+        self.stats.closes += u64::from(self.close_due);
+        self.stats.node_periods += self.mgr.run_busy_period(p, self.close_due) as u64;
+        self.close_due = self.vms_present > 0;
+        if self.vms_present > 0 || (faults && self.arrivals_pending > 0) {
+            self.queue_tick(p + 1);
         }
     }
 }

@@ -18,11 +18,14 @@
 //!
 //! The [`manager::ClusterManager`] runs either strategy over a set of
 //! [`vfc_cpusched::topology::NodeSpec`]s, tracking energy, migrations and
-//! per-class SLO violations ([`slo`]). Two drivers sit on top of it:
-//! the legacy fixed-step [`ClusterManager::run_period`] (every node,
-//! every period) and the discrete-event [`events::EventDrivenCluster`]
-//! (only busy nodes cost anything), which replays VM lifetimes from a
-//! [`trace::TraceReader`] at datacenter scale.
+//! per-class SLO violations ([`slo`]). The cluster steps in two ways,
+//! both through the manager's one period body (faults, landings, node
+//! advance, close): the legacy fixed-step [`ClusterManager::run_period`]
+//! over every node, every period, and the discrete-event
+//! [`events::EventDrivenCluster`], which queues VM arrivals, departures
+//! and one tick per period, advances only the nodes that host VMs, and
+//! replays VM lifetimes from a [`trace::TraceReader`] at datacenter
+//! scale.
 
 pub mod events;
 pub mod faults;

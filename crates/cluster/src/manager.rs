@@ -391,22 +391,20 @@ pub struct ClusterManager {
     freport: FaultReport,
     recovery: SloTracker,
     /// VM-record indices currently [`Location::InFlight`] or
-    /// [`Location::Stranded`], sorted — the per-period offline-SLO
-    /// accounting and the event core's landing scheduler read this
-    /// instead of scanning the whole fleet.
+    /// [`Location::Stranded`], sorted — the per-period landing sweep and
+    /// offline-SLO accounting read this instead of scanning the whole
+    /// fleet.
     offline_vms: Vec<usize>,
-    /// When `true` (set by the event-driven core), every transition into
-    /// [`Location::InFlight`] records `(vm index, arrival period)` in
-    /// [`ClusterManager::pending_inflight`] so the core can schedule a
-    /// landing event. The legacy `run_period` path leaves this off.
-    track_inflight: bool,
-    pending_inflight: Vec<(usize, u64)>,
-    /// Prebuilt `0..nodes.len()` index list — the legacy full-fleet
-    /// driver's `active` set, kept so `run_period` allocates nothing.
-    node_ids: Vec<usize>,
+    /// Indices of the nodes hosting at least one VM, sorted — the nodes
+    /// the event core advances. Written only by
+    /// [`ClusterManager::add_resident`] / [`ClusterManager::remove_resident`].
+    occupied: Vec<usize>,
     /// Reusable snapshot of [`ClusterManager::offline_vms`] for the
     /// per-period landing sweep (landing mutates the offline set).
     landing_scratch: Vec<usize>,
+    /// Reusable list of the nodes a period advances and closes over (the
+    /// migration policy mutates `occupied` during the close).
+    active_scratch: Vec<usize>,
     /// What every node controller is built from (restarts included):
     /// the strategy's parameters (full mode), plus the cap-lease and
     /// deadline-ladder policies once enabled. `None` under the migration
@@ -458,7 +456,6 @@ impl ClusterManager {
             .enumerate()
             .map(|(i, spec)| NodeRuntime::new(spec, seed.wrapping_add(i as u64 * 7919)))
             .collect();
-        let node_ids = (0..nodes.len()).collect();
         let frng = SplitMix64::new(faults.seed ^ 0x5EED_F417);
         let mode = strategy.constraint();
         let index = ResidualIndex::new(nodes.len());
@@ -479,10 +476,9 @@ impl ClusterManager {
             freport: FaultReport::default(),
             recovery: SloTracker::new(0.95),
             offline_vms: Vec::new(),
-            track_inflight: false,
-            pending_inflight: Vec::new(),
-            node_ids,
+            occupied: Vec::new(),
             landing_scratch: Vec::new(),
+            active_scratch: Vec::new(),
             controller_config,
             usage_export: None,
             mode,
@@ -638,7 +634,8 @@ impl ClusterManager {
     }
 
     /// Insert VM `vm` into `node`'s resident index (sorted by VM-record
-    /// index). Called at every transition into [`Location::OnNode`].
+    /// index), and the node into `occupied` if it was empty. Called at
+    /// every transition into [`Location::OnNode`].
     fn add_resident(&mut self, node: usize, vm: usize, local: VmId) {
         let t = &self.vms[vm].template;
         let entry = (vm, local, t.vfreq, t.vcpus);
@@ -647,11 +644,18 @@ impl ClusterManager {
             .binary_search_by_key(&vm, |r| r.0)
             .expect_err("VM resident twice on one node");
         residents.insert(at, entry);
+        if residents.len() == 1 {
+            let at = self
+                .occupied
+                .binary_search(&node)
+                .expect_err("empty node listed as occupied");
+            self.occupied.insert(at, node);
+        }
     }
 
     /// Remove VM `vm` from `node`'s resident index. A node emptied this
-    /// way also forgets its migration-policy hot streak (an empty node
-    /// cannot stay hot).
+    /// way leaves `occupied` and forgets its migration-policy hot streak
+    /// (an empty node cannot stay hot).
     fn remove_resident(&mut self, node: usize, vm: usize) {
         let residents = &mut self.nodes[node].residents;
         let at = residents
@@ -660,6 +664,11 @@ impl ClusterManager {
         residents.remove(at);
         if residents.is_empty() {
             self.nodes[node].hot_streak = 0;
+            let at = self
+                .occupied
+                .binary_search(&node)
+                .expect("occupied list out of sync");
+            self.occupied.remove(at);
         }
     }
 
@@ -677,64 +686,9 @@ impl ClusterManager {
         }
     }
 
-    /// Record a transition into [`Location::InFlight`] for the event
-    /// core's landing scheduler (no-op on the legacy path).
-    fn note_inflight(&mut self, vm: usize, arrive: u64) {
-        if self.track_inflight {
-            self.pending_inflight.push((vm, arrive));
-        }
-    }
-
-    /// Turn on in-flight tracking (event-driven core only).
-    pub(crate) fn set_track_inflight(&mut self) {
-        self.track_inflight = true;
-    }
-
-    /// Drain the in-flight transitions recorded since the last call.
-    pub(crate) fn drain_pending_inflight(&mut self) -> Vec<(usize, u64)> {
-        std::mem::take(&mut self.pending_inflight)
-    }
-
-    /// Sorted VM-record indices currently stranded (evacuated with
-    /// nowhere to go). The event core re-schedules a landing retry for
-    /// each of these every period, mirroring the legacy per-period scan.
-    pub(crate) fn stranded_indices(&self) -> Vec<usize> {
-        self.offline_vms
-            .iter()
-            .copied()
-            .filter(|&i| matches!(self.vms[i].location, Location::Stranded))
-            .collect()
-    }
-
     /// Fault counters accumulated so far.
     pub fn fault_report(&self) -> FaultReport {
         self.freport
-    }
-
-    /// Per-node controller telemetry rolled into one Prometheus page:
-    /// every controller-bearing node's registry rendered under a
-    /// `node="<family>-<index>"` label, `# HELP`/`# TYPE` emitted once
-    /// per metric. Nodes without a controller — the migration strategy,
-    /// or a node whose controller is currently crashed/fail-open — are
-    /// simply absent from the page, which is itself a signal a scrape
-    /// alert can key on (`count by (__name__) (vfc_iterations_total)`
-    /// drops below the node count).
-    pub fn telemetry_prometheus(&self) -> String {
-        let labelled: Vec<(String, &vfc_telemetry::Registry)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| {
-                n.controller
-                    .as_ref()
-                    .map(|c| (format!("{}-{i}", n.bin.spec.name), c.telemetry().registry()))
-            })
-            .collect();
-        let refs: Vec<(&str, &vfc_telemetry::Registry)> = labelled
-            .iter()
-            .map(|(name, r)| (name.as_str(), *r))
-            .collect();
-        vfc_telemetry::render_merged("node", &refs)
     }
 
     /// Cumulative controller health per node (`<family>-<index>` →
@@ -1024,17 +978,15 @@ impl ClusterManager {
         self.nodes[node].bin.remove(&old_request);
         self.refresh_node(node);
         self.remove_resident(node, id.0 as usize);
-        let arrive = self.period + 1;
         let record = &mut self.vms[id.0 as usize];
         record.template = new_template;
         record.parked = Some(workload);
         record.location = Location::InFlight {
             dest,
-            arrive,
+            arrive: self.period + 1,
             src: None,
         };
         self.add_offline(id.0 as usize);
-        self.note_inflight(id.0 as usize, arrive);
         self.migrations += 1;
         Ok(ResizeOutcome::Migrating)
     }
@@ -1088,36 +1040,61 @@ impl ClusterManager {
     ///
     /// This is the legacy fixed-step driver: every node advances every
     /// period, even empty ones. The event-driven core
-    /// ([`crate::events::EventDrivenCluster`]) reuses the same phase
-    /// helpers below but only advances nodes that actually host VMs.
+    /// ([`crate::events::EventDrivenCluster`]) runs the same period body
+    /// over the nodes that host VMs.
     pub fn run_period(&mut self) {
         self.period += 1;
+        self.period_body(false, true);
+    }
 
-        // 0. Fault machinery (serial — every random draw comes from one
-        // stream in a fixed order, so runs are reproducible). Repairs
-        // and controller restarts due this period happen before new
-        // crashes; crashes happen before landings so nothing lands on a
-        // node that just died.
+    /// Event-core entry: run period `p` over the nodes that host a VM,
+    /// closing it when `close`. Returns how many nodes advanced.
+    pub(crate) fn run_busy_period(&mut self, p: u64, close: bool) -> usize {
+        self.begin_period_at(p);
+        self.period_body(true, close)
+    }
+
+    /// The one period body `run_period` and the event core share:
+    ///
+    /// 0. fault machinery, when a model is active (repairs and
+    ///    controller restarts due this period happen before new crashes;
+    ///    crashes happen before landings so nothing lands on a node that
+    ///    just died);
+    /// 1. land migrations whose downtime elapsed, retry stranded VMs;
+    /// 2. advance nodes in ascending order: every node, or with
+    ///    `busy_only` those that host a VM after step 1;
+    /// 3. close the period over the advanced nodes, when `close`.
+    ///
+    /// Returns how many nodes advanced. The node list is a reused
+    /// scratch buffer, so the steady-state loop stays off the allocator.
+    fn period_body(&mut self, busy_only: bool, close: bool) -> usize {
         if self.faults.enabled() {
             self.fault_phase();
         }
-
-        // 1. Land migrations whose downtime elapsed; retry stranded VMs.
         self.land_migrations();
-
-        // 2.–3. Advance every node, then the accounting. `node_ids` is the prebuilt `0..n` index list, so
-        // the steady-state loop stays off the allocator.
-        let ids = std::mem::take(&mut self.node_ids);
-        self.advance_node_set(&ids);
-        self.close_period_for(&ids);
-        self.node_ids = ids;
+        let mut active = std::mem::take(&mut self.active_scratch);
+        active.clear();
+        if busy_only {
+            active.extend_from_slice(&self.occupied);
+        } else {
+            active.extend(0..self.nodes.len());
+        }
+        for &i in &active {
+            Self::advance_node(&mut self.nodes[i], self.period);
+        }
+        if close {
+            self.close_period_for(&active);
+        }
+        let advanced = active.len();
+        self.active_scratch = active;
+        advanced
     }
 
     /// Phase 0 of a period: due repairs and controller restarts come
     /// into effect, then new node/controller crashes are drawn. Serial —
     /// every random draw comes from one stream in a fixed order, so runs
     /// are reproducible.
-    pub(crate) fn fault_phase(&mut self) {
+    fn fault_phase(&mut self) {
         self.recover_for_period();
         self.inject_node_crashes();
         self.inject_controller_crashes();
@@ -1155,20 +1132,6 @@ impl ClusterManager {
     /// Is a fault model active?
     pub(crate) fn faults_enabled(&self) -> bool {
         self.faults.enabled()
-    }
-
-    /// Node currently hosting VM-record `vm`, if it is placed.
-    pub(crate) fn vm_node(&self, vm: usize) -> Option<usize> {
-        match self.vms.get(vm)?.location {
-            Location::OnNode { node, .. } => Some(node),
-            _ => None,
-        }
-    }
-
-    /// Does node `n` currently host at least one VM? O(1) off the
-    /// incrementally maintained resident index.
-    pub(crate) fn node_has_residents(&self, n: usize) -> bool {
-        !self.nodes[n].residents.is_empty()
     }
 
     /// Number of nodes in the cluster.
@@ -1245,17 +1208,8 @@ impl ClusterManager {
         }
     }
 
-    /// Phase 2: advance the given nodes for the current period, in the
-    /// order given (sorted node order). Nodes are independent within a
-    /// period: the manager only talks to them between periods.
-    pub(crate) fn advance_node_set(&mut self, active: &[usize]) {
-        for &i in active {
-            Self::advance_node(&mut self.nodes[i], self.period);
-        }
-    }
-
-    /// Phase 3–4: end-of-period accounting. Merges the SLO samples the
-    /// `active` nodes computed in their advance,
+    /// Step 3 of the period body: end-of-period accounting. Merges the
+    /// SLO samples the `active` nodes computed in their advance,
     /// accounts offline (in-flight/stranded) VMs, integrates energy,
     /// records the period sample, and runs the migration policy.
     ///
@@ -1264,7 +1218,7 @@ impl ClusterManager {
     /// the busy subset produce bit-identical float sums (quiet nodes are
     /// powered off and contribute exactly nothing). The SLO trackers are
     /// integer counters per class, so merge order cannot affect them.
-    pub(crate) fn close_period_for(&mut self, active: &[usize]) {
+    fn close_period_for(&mut self, active: &[usize]) {
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active not sorted");
         self.export_usage(active);
         for &n in active {
@@ -1433,8 +1387,9 @@ impl ClusterManager {
         });
     }
 
-    /// Land migrations whose downtime elapsed (possibly failing and
-    /// rolling back), and retry stranded VMs. Scans only the offline
+    /// Land migrations whose downtime elapsed (possibly failing the
+    /// handshake and rolling back), and re-place stranded VMs if capacity
+    /// appeared, in ascending VM-record order. Scans only the offline
     /// set — placed VMs are never touched here. The scratch buffer keeps
     /// its capacity across periods, so the steady-state loop stays off
     /// the allocator.
@@ -1442,19 +1397,8 @@ impl ClusterManager {
         let mut due = std::mem::take(&mut self.landing_scratch);
         due.clear();
         due.extend_from_slice(&self.offline_vms);
-        self.land_vm_set(&due);
-        self.landing_scratch = due;
-    }
-
-    /// Try to land each offline VM in `vms` (VM-record indices, sorted
-    /// ascending): stranded VMs are re-placed if capacity appeared,
-    /// in-flight VMs whose downtime elapsed land (possibly failing the
-    /// handshake and rolling back). Indices that are not currently
-    /// offline — or in flight but not yet due — are skipped, so the
-    /// event core may pass a superset.
-    pub(crate) fn land_vm_set(&mut self, vms: &[usize]) {
         let p = self.period;
-        for &idx in vms {
+        for &idx in &due {
             match self.vms[idx].location {
                 Location::Stranded => {
                     let request = PlacementRequest::from(&self.vms[idx].template);
@@ -1465,21 +1409,13 @@ impl ClusterManager {
                 Location::InFlight { dest, arrive, src } if arrive <= p => {
                     let request = PlacementRequest::from(&self.vms[idx].template);
                     let mode = self.strategy.constraint();
-                    if self.nodes[dest].is_down() || !mode.fits(&self.nodes[dest].bin, &request) {
+                    // `Some(next hop)` when the VM cannot land on `dest`.
+                    let relaunch = if self.nodes[dest].is_down()
+                        || !mode.fits(&self.nodes[dest].bin, &request)
+                    {
                         // Destination died (or filled up) while the VM
                         // was in flight: place it somewhere else.
-                        let next = match self.place_excluding(&request, None) {
-                            Some(other) => {
-                                self.note_inflight(idx, p + 1);
-                                Location::InFlight {
-                                    dest: other,
-                                    arrive: p + 1,
-                                    src: None,
-                                }
-                            }
-                            None => Location::Stranded,
-                        };
-                        self.vms[idx].location = next;
+                        Some(self.place_excluding(&request, None))
                     } else if src.is_some()
                         && self.faults.migration_fail_rate > 0.0
                         && self.frng.chance(self.faults.migration_fail_rate)
@@ -1488,30 +1424,31 @@ impl ClusterManager {
                         // source (one extra offline period), or re-place
                         // if the source meanwhile died or filled up.
                         self.freport.migrations_failed += 1;
-                        let back = src
-                            .filter(|&s| {
+                        Some(
+                            src.filter(|&s| {
                                 !self.nodes[s].is_down() && mode.fits(&self.nodes[s].bin, &request)
                             })
-                            .or_else(|| self.place_excluding(&request, Some(dest)));
-                        let next = match back {
-                            Some(node) => {
-                                self.note_inflight(idx, p + 1);
-                                Location::InFlight {
+                            .or_else(|| self.place_excluding(&request, Some(dest))),
+                        )
+                    } else {
+                        None
+                    };
+                    match relaunch {
+                        None => self.land_on(idx, dest),
+                        Some(hop) => {
+                            self.vms[idx].location =
+                                hop.map_or(Location::Stranded, |node| Location::InFlight {
                                     dest: node,
                                     arrive: p + 1,
                                     src: None,
-                                }
-                            }
-                            None => Location::Stranded,
-                        };
-                        self.vms[idx].location = next;
-                    } else {
-                        self.land_on(idx, dest);
+                                });
+                        }
                     }
                 }
                 _ => {}
             }
         }
+        self.landing_scratch = due;
     }
 
     /// Provision VM `idx` on `dest` and resume its parked workload.
@@ -1606,16 +1543,12 @@ impl ClusterManager {
             self.remove_resident(node, idx);
             self.vms[idx].parked = Some(workload);
             self.freport.evacuated_vms += 1;
-            let arrive = self.period + self.faults.evacuation_downtime_periods.max(1);
             let next = match self.place_excluding(&request, Some(node)) {
-                Some(dest) => {
-                    self.note_inflight(idx, arrive);
-                    Location::InFlight {
-                        dest,
-                        arrive,
-                        src: None,
-                    }
-                }
+                Some(dest) => Location::InFlight {
+                    dest,
+                    arrive: self.period + self.faults.evacuation_downtime_periods.max(1),
+                    src: None,
+                },
                 None => Location::Stranded,
             };
             self.vms[idx].location = next;
@@ -1716,14 +1649,12 @@ impl ClusterManager {
         self.refresh_node(src);
         self.remove_resident(src, vm_idx);
         self.vms[vm_idx].parked = Some(workload);
-        let arrive = self.period + downtime as u64;
         self.vms[vm_idx].location = Location::InFlight {
             dest,
-            arrive,
+            arrive: self.period + downtime as u64,
             src: Some(src),
         };
         self.add_offline(vm_idx);
-        self.note_inflight(vm_idx, arrive);
         self.migrations += 1;
         true
     }
@@ -1836,7 +1767,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_rollup_labels_every_controller_node() {
+    fn health_totals_name_every_controller_node() {
         let mut c = small_cluster(Strategy::FrequencyControl);
         c.deploy(
             &VmTemplate::new("std", 2, MHz(1200)),
@@ -1846,29 +1777,15 @@ mod tests {
         for _ in 0..5 {
             c.run_period();
         }
-        let page = c.telemetry_prometheus();
-        // HELP/TYPE once, one series per node.
-        assert_eq!(
-            page.matches("# TYPE vfc_iterations_total counter").count(),
-            1
-        );
-        for node in ["n-0", "n-1", "n-2"] {
-            assert!(
-                page.contains(&format!("vfc_iterations_total{{node=\"{node}\"}} 5")),
-                "node {node} missing:\n{page}"
-            );
-        }
-        // Stage histograms carry both labels.
-        assert!(page.contains("vfc_stage_duration_seconds_count{node=\"n-0\",stage=\"monitor\"} 5"));
-        // Cumulative health is visible per node too.
+        // `run_period` advances every node, occupied or not.
         let totals = c.health_totals();
-        assert_eq!(totals.len(), 3);
+        let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["n-0", "n-1", "n-2"]);
         assert!(totals.iter().all(|(_, t)| t.iterations == 5));
 
-        // The migration strategy has no controllers: empty page, no series.
+        // The migration strategy has no controllers: no totals.
         let mut m = small_cluster(Strategy::migration_default());
         m.run_period();
-        assert!(m.telemetry_prometheus().is_empty());
         assert!(m.health_totals().is_empty());
     }
 

@@ -428,14 +428,9 @@ impl ControllerMetrics {
 
     // ---- read side -----------------------------------------------------
 
-    /// The underlying registry (for rendering or merged rollups).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Render this controller's registry as a Prometheus text page.
     pub fn render_prometheus(&self) -> String {
-        vfc_telemetry::render(&self.registry, None)
+        vfc_telemetry::render(&self.registry)
     }
 
     /// Latency summary of one stage (p50/p95/p99/max, µs).

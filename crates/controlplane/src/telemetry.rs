@@ -283,7 +283,7 @@ impl ControlPlaneMetrics {
 
     /// Render the registry as a Prometheus text page.
     pub fn render(&self) -> String {
-        vfc_telemetry::render(&self.registry, None)
+        vfc_telemetry::render(&self.registry)
     }
 }
 

@@ -1559,10 +1559,7 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
 /// Eq. 7 FF/BF regimes and the vCPU-packing baseline. Returns `false`
 /// (CI failure) when the golden replay misbehaves or `VFC_TRACE_MIN_EPS`
 /// is set and the slowest regime's replay throughput falls below it.
-///
-/// Scale knobs (all optional): `VFC_TRACE_NODES`, `VFC_TRACE_VMS`,
-/// `VFC_TRACE_PERIODS` override the synthetic scenario; `--quick` runs
-/// the shrunk variant.
+/// `--quick` runs the shrunk scenario.
 fn trace_cmd(ctx: &mut Ctx) -> bool {
     use vfc_cluster::{ClusterManager, CsvTraceReader, EventDrivenCluster, Strategy, TraceReader};
     use vfc_scenarios::trace_eval::{run_variant, variants, TraceScenario};
@@ -1602,25 +1599,11 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
     }
 
     // 2. Scale comparison.
-    let mut scenario = if ctx.scale.0 < 1.0 {
+    let scenario = if ctx.scale.0 < 1.0 {
         TraceScenario::quick()
     } else {
         TraceScenario::default()
     };
-    let env_usize = |key: &str| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    };
-    if let Some(n) = env_usize("VFC_TRACE_NODES") {
-        scenario.nodes = n.max(1);
-    }
-    if let Some(n) = env_usize("VFC_TRACE_VMS") {
-        scenario.vms = n.max(1);
-    }
-    if let Some(n) = env_usize("VFC_TRACE_PERIODS") {
-        scenario.horizon_s = (n as u64).max(1);
-    }
     let trace = scenario.trace();
     let vm_events: u64 = trace.iter().map(|s| s.event_count() as u64).sum();
     println!(

@@ -1,11 +1,10 @@
 //! Deterministic discrete-event queue.
 //!
 //! The datacenter-scale cluster simulation (see `vfc-cluster`) is
-//! event-driven: VM arrivals and departures, controller periods,
-//! migration completions and fault ticks are all *events* ordered by
-//! timestamp, so a quiet host schedules nothing and costs nothing. This
-//! module provides the core primitive: a binary-heap priority queue of
-//! `(timestamp, seqno)`-ordered events.
+//! event-driven: VM arrivals and departures, and one tick per period
+//! while anything is there to simulate, are *events* ordered by
+//! timestamp. This module provides the core primitive: a binary-heap
+//! priority queue of `(timestamp, seqno)`-ordered events.
 //!
 //! # Determinism contract
 //!
@@ -18,8 +17,8 @@
 //!
 //! Timestamps are plain `u64`s; the caller picks the unit (the cluster
 //! simulation packs `period × PHASES + phase` into one integer so that
-//! intra-period ordering — admissions before landings before controller
-//! runs — is part of the timestamp itself).
+//! intra-period ordering — departures before admissions before the
+//! period's tick — is part of the timestamp itself).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -127,17 +126,6 @@ impl<E> EventQueue<E> {
         Some(entry.0)
     }
 
-    /// Remove and return the earliest event only if it fires exactly at
-    /// `time` — the batching primitive: the cluster driver pops every
-    /// same-instant controller-period event into one parallel batch.
-    pub fn pop_at(&mut self, time: u64) -> Option<Scheduled<E>> {
-        if self.peek_time() == Some(time) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Number of queued events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -194,18 +182,6 @@ mod tests {
         q.schedule(10, ());
         q.pop();
         q.schedule(9, ());
-    }
-
-    #[test]
-    fn pop_at_only_takes_the_exact_instant() {
-        let mut q = EventQueue::new();
-        q.schedule(4, "now");
-        q.schedule(9, "later");
-        assert!(q.pop_at(3).is_none());
-        assert_eq!(q.pop_at(4).unwrap().event, "now");
-        assert!(q.pop_at(4).is_none());
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

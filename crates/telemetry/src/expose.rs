@@ -43,133 +43,74 @@ fn labels(pairs: &[(&str, &str)]) -> String {
     format!("{{{}}}", inner.join(","))
 }
 
-/// Render one registry to Prometheus text format. `extra_label`, when
-/// given, is prepended to every series' label set — this is how a
-/// cluster manager stamps each node's registry with `node="…"`.
-pub fn render(registry: &Registry, extra_label: Option<(&str, &str)>) -> String {
+/// Render one registry to Prometheus text format.
+pub fn render(registry: &Registry) -> String {
     let mut out = String::new();
-    let groups: Vec<&Registry> = vec![registry];
-    render_grouped_inner(
-        &mut out,
-        &groups,
-        &[extra_label.map(|(k, v)| (k, v.to_string()))],
-    );
-    out
-}
-
-/// Render several registries with **identical metric layouts** (same
-/// metrics registered in the same order) as one page: each metric's
-/// `# HELP`/`# TYPE` header appears once, followed by every registry's
-/// series tagged with its `label_key`/`label_value` pair. This is the
-/// cluster-manager rollup: one registry per node, one page for the
-/// scraper.
-///
-/// Registries whose metric list differs from the first one's are
-/// skipped (a half-upgraded cluster must not corrupt the page).
-pub fn render_merged(label_key: &'static str, registries: &[(&str, &Registry)]) -> String {
-    let Some((_, first)) = registries.first() else {
-        return String::new();
-    };
-    let compatible: Vec<(&str, &Registry)> = registries
-        .iter()
-        .filter(|(_, r)| {
-            r.metrics.len() == first.metrics.len()
-                && r.metrics
-                    .iter()
-                    .zip(first.metrics.iter())
-                    .all(|(a, b)| a.name == b.name)
-        })
-        .copied()
-        .collect();
-    let regs: Vec<&Registry> = compatible.iter().map(|(_, r)| *r).collect();
-    let extras: Vec<Option<(&str, String)>> = compatible
-        .iter()
-        .map(|(name, _)| Some((label_key, (*name).to_string())))
-        .collect();
-    let mut out = String::new();
-    render_grouped_inner(&mut out, &regs, &extras);
-    out
-}
-
-fn render_grouped_inner(
-    out: &mut String,
-    registries: &[&Registry],
-    extras: &[Option<(&str, String)>],
-) {
-    let Some(first) = registries.first() else {
-        return;
-    };
-    for mi in 0..first.metrics.len() {
-        let meta = &first.metrics[mi];
+    for meta in &registry.metrics {
         out.push_str(&format!(
             "# HELP {} {}\n",
             meta.name,
             escape_help(meta.help)
         ));
         out.push_str(&format!("# TYPE {} {}\n", meta.name, meta.kind.as_str()));
-        for (reg, extra) in registries.iter().zip(extras.iter()) {
-            let metric = &reg.metrics[mi];
-            // Dynamic families render sorted by label value for a stable
-            // page; fixed families keep their registration order (the
-            // caller chose it deliberately, e.g. pipeline stage order).
-            let mut order: Vec<usize> = (0..metric.series.len()).collect();
-            if metric.dynamic {
-                order.sort_by(|&a, &b| metric.series[a].label.cmp(&metric.series[b].label));
+        // Dynamic families render sorted by label value for a stable
+        // page; fixed families keep their registration order (the caller
+        // chose it deliberately, e.g. pipeline stage order).
+        let mut order: Vec<usize> = (0..meta.series.len()).collect();
+        if meta.dynamic {
+            order.sort_by(|&a, &b| meta.series[a].label.cmp(&meta.series[b].label));
+        }
+        for si in order {
+            let series = &meta.series[si];
+            let mut pairs: Vec<(&str, &str)> = Vec::new();
+            if let Some(key) = meta.label_key {
+                pairs.push((key, series.label.as_str()));
             }
-            for si in order {
-                let series = &metric.series[si];
-                let mut pairs: Vec<(&str, &str)> = Vec::new();
-                if let Some((k, v)) = extra {
-                    pairs.push((k, v.as_str()));
+            match &series.data {
+                SeriesData::Value(_) | SeriesData::Shared(_) => {
+                    let v = series.data.scalar().unwrap_or(0);
+                    out.push_str(&format!("{}{} {v}\n", meta.name, labels(&pairs)));
                 }
-                if let Some(key) = metric.label_key {
-                    pairs.push((key, series.label.as_str()));
-                }
-                match &series.data {
-                    SeriesData::Value(_) | SeriesData::Shared(_) => {
-                        let v = series.data.scalar().unwrap_or(0);
-                        out.push_str(&format!("{}{} {v}\n", meta.name, labels(&pairs)));
-                    }
-                    SeriesData::Hist(h) => {
-                        debug_assert_eq!(meta.kind, Kind::Histogram);
-                        let mut cumulative = 0u64;
-                        let counts = h.bucket_counts();
-                        for (bi, bound) in h.bounds().iter().enumerate() {
-                            cumulative += counts[bi];
-                            let mut bp = pairs.clone();
-                            let le = fmt_us_as_secs(*bound);
-                            bp.push(("le", le.as_str()));
-                            out.push_str(&format!(
-                                "{}_bucket{} {cumulative}\n",
-                                meta.name,
-                                labels(&bp)
-                            ));
-                        }
-                        cumulative += counts[counts.len() - 1];
+                SeriesData::Hist(h) => {
+                    debug_assert_eq!(meta.kind, Kind::Histogram);
+                    let mut cumulative = 0u64;
+                    let counts = h.bucket_counts();
+                    for (bi, bound) in h.bounds().iter().enumerate() {
+                        cumulative += counts[bi];
                         let mut bp = pairs.clone();
-                        bp.push(("le", "+Inf"));
+                        let le = fmt_us_as_secs(*bound);
+                        bp.push(("le", le.as_str()));
                         out.push_str(&format!(
                             "{}_bucket{} {cumulative}\n",
                             meta.name,
                             labels(&bp)
                         ));
-                        out.push_str(&format!(
-                            "{}_sum{} {}\n",
-                            meta.name,
-                            labels(&pairs),
-                            fmt_us_as_secs(h.sum_us())
-                        ));
-                        out.push_str(&format!(
-                            "{}_count{} {}\n",
-                            meta.name,
-                            labels(&pairs),
-                            h.count()
-                        ));
                     }
+                    cumulative += counts[counts.len() - 1];
+                    let mut bp = pairs.clone();
+                    bp.push(("le", "+Inf"));
+                    out.push_str(&format!(
+                        "{}_bucket{} {cumulative}\n",
+                        meta.name,
+                        labels(&bp)
+                    ));
+                    out.push_str(&format!(
+                        "{}_sum{} {}\n",
+                        meta.name,
+                        labels(&pairs),
+                        fmt_us_as_secs(h.sum_us())
+                    ));
+                    out.push_str(&format!(
+                        "{}_count{} {}\n",
+                        meta.name,
+                        labels(&pairs),
+                        h.count()
+                    ));
                 }
             }
         }
     }
+    out
 }
 
 /// The HTTP exposition endpoint: the shared [`Listener`] at its default
@@ -231,8 +172,8 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_sorted() {
         let r = sample_registry();
-        let a = render(&r, None);
-        let b = render(&r, None);
+        let a = render(&r);
+        let b = render(&r);
         assert_eq!(a, b);
         // Dynamic labels sorted: db before web.
         let db = a.find("vm=\"db\"").unwrap();
@@ -244,36 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn extra_label_is_prepended() {
-        let r = sample_registry();
-        let page = render(&r, Some(("node", "n0")));
-        assert!(page.contains("vfc_iterations_total{node=\"n0\"} 12"));
-        assert!(page.contains("{node=\"n0\",vm=\"db\"}"));
-    }
-
-    #[test]
-    fn merged_render_emits_headers_once() {
-        let a = sample_registry();
-        let b = sample_registry();
-        let page = render_merged("node", &[("n0", &a), ("n1", &b)]);
-        assert_eq!(
-            page.matches("# TYPE vfc_iterations_total counter").count(),
-            1
-        );
-        assert!(page.contains("vfc_iterations_total{node=\"n0\"} 12"));
-        assert!(page.contains("vfc_iterations_total{node=\"n1\"} 12"));
-        // Mismatched registries are skipped, not mixed in.
-        let other = Registry::new();
-        let page = render_merged("node", &[("n0", &a), ("weird", &other)]);
-        assert!(!page.contains("weird"));
-    }
-
-    #[test]
     fn escaping_covers_help_and_labels() {
         let mut r = Registry::new();
         let c = r.counter_dyn("esc_total", "line\nbreak and back\\slash", "vm");
         r.inc_dyn(c, "we\"ird\\vm\n", 1);
-        let page = render(&r, None);
+        let page = render(&r);
         assert!(page.contains("# HELP esc_total line\\nbreak and back\\\\slash"));
         assert!(page.contains("esc_total{vm=\"we\\\"ird\\\\vm\\n\"} 1"));
     }

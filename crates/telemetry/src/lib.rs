@@ -14,9 +14,8 @@
 //! * [`registry`] — a [`registry::Registry`] of counters, gauges and
 //!   histogram families behind copyable handles, mutated by index (no
 //!   hashing on the hot path);
-//! * [`expose`] — Prometheus text-format [rendering](expose::render),
-//!   the [scrape endpoint](expose::MetricsServer), and a
-//!   [merged multi-node rollup](expose::render_merged);
+//! * [`expose`] — Prometheus text-format [rendering](expose::render)
+//!   and the [scrape endpoint](expose::MetricsServer);
 //! * [`http`] — the one std-only HTTP [listener](http::Listener), which
 //!   the scrape endpoint and the control-plane API both bind;
 //! * [`trace`] — a ring-buffer [trace journal](trace::TraceRing) of the
@@ -34,7 +33,7 @@ pub mod http;
 pub mod registry;
 pub mod trace;
 
-pub use expose::{render, render_merged, MetricsServer};
+pub use expose::{render, MetricsServer};
 pub use hist::{HistSnapshot, Histogram, LATENCY_BUCKETS_US};
 pub use registry::{Kind, MetricId, Registry, SeriesHint};
 pub use trace::{IterationTrace, TraceDump, TraceRing, STAGE_NAMES, TRACE_DUMP_VERSION};

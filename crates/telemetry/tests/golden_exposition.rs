@@ -13,7 +13,7 @@
 //! and review the diff like any other interface change.
 
 use std::path::PathBuf;
-use vfc_telemetry::{render, render_merged, Registry};
+use vfc_telemetry::{render, Registry};
 
 /// Small static bucket layout so the golden file stays readable; the
 /// formatting path is identical to [`vfc_telemetry::LATENCY_BUCKETS_US`].
@@ -104,22 +104,12 @@ fn compare_or_bless(name: &str, got: &str) {
 
 #[test]
 fn single_registry_page_matches_golden_file() {
-    compare_or_bless("exposition.prom", &render(&golden_registry(), None));
-}
-
-#[test]
-fn merged_two_node_page_matches_golden_file() {
-    let n0 = golden_registry();
-    let n1 = golden_registry();
-    compare_or_bless(
-        "exposition_merged.prom",
-        &render_merged("node", &[("n-0", &n0), ("n-1", &n1)]),
-    );
+    compare_or_bless("exposition.prom", &render(&golden_registry()));
 }
 
 #[test]
 fn page_never_leaks_nan_inf_or_exponents() {
-    let page = render(&golden_registry(), None);
+    let page = render(&golden_registry());
     for line in page.lines().filter(|l| !l.starts_with('#')) {
         let value = line.rsplit(' ').next().unwrap();
         assert!(

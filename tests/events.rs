@@ -1,6 +1,7 @@
 //! Pins for the event-driven cluster core: queue ordering properties,
 //! same-seed byte-identical replays, legacy-vs-event-core equivalence,
-//! trace-reader robustness, and the "quiet hosts are free" bound.
+//! trace-reader robustness, the "quiet hosts are free" bound, and
+//! committed golden reports.
 
 use proptest::prelude::*;
 use proptest::Strategy as _;
@@ -326,17 +327,16 @@ fn quiet_hosts_cost_nothing() {
         assert_eq!(t.iterations, PERIODS, "{name} advanced every period");
     }
 
-    // Total events stay within the analytic bound: one arrival per VM,
-    // one period event per *busy* node per period, one close per period
-    // — idle hosts contribute nothing at all.
+    // Total events stay within the analytic bound: one arrival per VM
+    // and one tick per period. Each tick advances the four busy nodes
+    // and closes the period — idle hosts contribute nothing at all.
     let stats = cluster.stats();
     assert_eq!(stats.arrivals, VMS as u64);
     assert_eq!(stats.departures, 0);
-    assert_eq!(stats.landings, 0);
     assert_eq!(stats.fault_ticks, 0);
     assert_eq!(stats.node_periods, 4 * PERIODS);
     assert_eq!(stats.closes, PERIODS);
-    let bound = VMS as u64 + 4 * PERIODS + PERIODS;
+    let bound = VMS as u64 + PERIODS;
     assert!(
         stats.events_processed <= bound,
         "{} events exceeds the analytic bound {bound}",
@@ -388,5 +388,195 @@ fn event_core_survives_faults_and_terminates() {
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&cluster2.report()).unwrap(),
         "fault-injected event runs replay bit-identically"
+    );
+}
+
+/// A migrating VM whose destination filled up while it was in flight,
+/// with no other node to go to, waits stranded and is re-placed once
+/// capacity frees — every period, as under `run_period`, with or without
+/// a fault model.
+#[test]
+fn stranded_vms_retry_without_a_fault_model() {
+    // Two 4-thread nodes; core-count packing ×1.8 admits 7 vCPUs each.
+    let fleet = vec![NodeSpec::custom("s", 1, 2, 2, MHz(2400)); 2];
+    let mgr = ClusterManager::new(fleet, Strategy::migration_default(), 5);
+    let demand = [1.0, 0.3, 0.5, 0.3];
+    let mut cluster = EventDrivenCluster::new(mgr).with_workloads(
+        0,
+        Box::new(move |slot, _t, _rng| Box::new(SteadyDemand::new(demand[slot]))),
+    );
+    let vm = |slot: usize, arrival: u64, departure: Option<u64>, vcpus: u32| TraceVmSpec {
+        trace_id: format!("s{slot}"),
+        arrival,
+        departure,
+        template: VmTemplate::new("std", vcpus, MHz(1200)),
+    };
+    // `hot` (4 vCPUs, saturating) and `calm` fill node 0; after three hot
+    // periods `hot` migrates to node 1 (lands at period 6). `big` takes
+    // node 1 meanwhile and `late` the rest of node 0, so `hot` strands at
+    // period 6 — until `big` leaves before period 11.
+    cluster.schedule_vm(vm(0, 0, None, 4));
+    cluster.schedule_vm(vm(1, 0, None, 3));
+    cluster.schedule_vm(vm(2, 3, Some(10), 5));
+    cluster.schedule_vm(vm(3, 4, None, 3));
+    let hot = |c: &EventDrivenCluster| c.manager().vm_freq(c.vm_id_of(0).unwrap()).unwrap();
+
+    cluster.run_until(8);
+    assert_eq!(cluster.report().migrations, 1);
+    assert_eq!(hot(&cluster), 0.0, "stranded VMs run nowhere");
+    cluster.run_until(10);
+    assert_eq!(hot(&cluster), 0.0, "no node fits before `big` departs");
+    cluster.run_until(12);
+    assert!(hot(&cluster) > 0.0, "re-placed once node 1 emptied");
+}
+
+// ---------------------------------------------------------------------
+// Golden reports: the event core pinned against committed output
+// ---------------------------------------------------------------------
+
+/// Report and period history of one finished run, as JSON values.
+fn pinned(cluster: &EventDrivenCluster) -> serde_json::Value {
+    let value = |json: String| serde_json::from_str(&json).expect("round-trips");
+    serde_json::Value::Object(vec![
+        (
+            "report".into(),
+            value(serde_json::to_string(&cluster.report()).expect("serializable")),
+        ),
+        (
+            "history".into(),
+            value(serde_json::to_string(cluster.manager().history()).expect("serializable")),
+        ),
+    ])
+}
+
+/// Crashes, 10 % migration failures, evacuations and strandings under
+/// Eq. 7 (the `event_core_survives_faults_and_terminates` fleet).
+fn golden_faults() -> EventDrivenCluster {
+    let faults = FaultModel {
+        seed: 3,
+        node_crash_rate: 0.02,
+        controller_crash_rate: 0.02,
+        migration_fail_rate: 0.1,
+        ..FaultModel::none()
+    };
+    let fleet = vec![NodeSpec::custom("f", 1, 2, 2, MHz(2400)); 6];
+    let mgr = ClusterManager::with_faults(fleet, Strategy::FrequencyControl, 11, faults);
+    let mut cluster = EventDrivenCluster::new(mgr);
+    cluster.load_trace(SyntheticTrace::new(60, 30, 5).generate());
+    cluster.run_until(120);
+    cluster
+}
+
+/// Core-count packing with Best-Fit: hot nodes shed VMs, which land
+/// after their downtime. `fail_rate > 0` adds a fault model whose only
+/// fault is the landing handshake failing, so migrations roll back and
+/// some strand. Without it no migration strands on this trace; stranded
+/// retries without a fault model are pinned by
+/// `stranded_vms_retry_without_a_fault_model`.
+fn golden_packing(fail_rate: f64) -> EventDrivenCluster {
+    let faults = FaultModel {
+        seed: 19,
+        migration_fail_rate: fail_rate,
+        ..FaultModel::none()
+    };
+    let fleet = vec![NodeSpec::custom("pk", 1, 2, 2, MHz(2400)); 6];
+    let mgr = ClusterManager::with_faults(fleet, Strategy::migration_default(), 13, faults);
+    let mut cluster = EventDrivenCluster::new(mgr)
+        .with_algorithm(PlacementAlgorithm::BestFit)
+        .with_workloads(
+            13,
+            Box::new(|slot, _t, _rng| Box::new(SteadyDemand::new(0.6 + 0.05 * (slot % 8) as f64))),
+        );
+    cluster.load_trace(SyntheticTrace::new(50, 40, 24).generate());
+    cluster.run_until(100);
+    cluster
+}
+
+/// Cap leases and the deadline ladder, driven the way a reconciler does
+/// between `run_until` steps: a renewal heartbeat every period (cut off
+/// for node 1 by a scripted partition) and a stage delay on node 0 that
+/// walks its ladder down and back up.
+fn golden_leases_and_ladder() -> EventDrivenCluster {
+    let faults = FaultModel {
+        scripted_partitions: vec![(6, 14, 1)],
+        ..FaultModel::none()
+    };
+    let fleet = vec![NodeSpec::custom("ll", 1, 2, 2, MHz(2400)); 4];
+    let mgr = ClusterManager::with_faults(fleet, Strategy::FrequencyControl, 17, faults);
+    let mut cluster = EventDrivenCluster::new(mgr).with_algorithm(PlacementAlgorithm::FirstFit);
+    cluster.manager_mut().enable_cap_leases(2, 3);
+    cluster.manager_mut().enable_deadline_ladder(0.05, 3);
+    cluster.load_trace(SyntheticTrace::new(40, 30, 9).generate());
+    for p in 1..=40 {
+        let delay = if (8..12).contains(&p) { 200_000 } else { 0 };
+        cluster.manager_mut().inject_stage_delay_us(0, delay);
+        cluster.manager_mut().renew_leases();
+        cluster.run_until(p);
+    }
+    cluster
+}
+
+/// A fault model stays on through a stretch with no VM present while
+/// arrivals are still pending: crash draws and repairs keep happening,
+/// and the second wave lands on whatever the stretch left behind.
+fn golden_empty_stretch() -> EventDrivenCluster {
+    let faults = FaultModel {
+        seed: 29,
+        node_crash_rate: 0.08,
+        controller_crash_rate: 0.08,
+        repair_periods: 6,
+        ..FaultModel::none()
+    };
+    let fleet = vec![NodeSpec::custom("es", 1, 2, 2, MHz(2400)); 4];
+    let mgr = ClusterManager::with_faults(fleet, Strategy::FrequencyControl, 23, faults);
+    let mut cluster = EventDrivenCluster::new(mgr);
+    let wave = |at: u64, until: Option<u64>, n: usize| {
+        (0..n).map(move |i| TraceVmSpec {
+            trace_id: format!("w{at}-{i}"),
+            arrival: at,
+            departure: until,
+            template: VmTemplate::new("std", 2, MHz(1200 + 300 * i as u32)),
+        })
+    };
+    for spec in wave(0, Some(4), 4).chain(wave(20, None, 5)) {
+        cluster.schedule_vm(spec);
+    }
+    cluster.run_until(40);
+    cluster
+}
+
+/// Committed output of the event core for five runs that together
+/// exercise every step of a period: faults, landings, rollbacks,
+/// strandings, leases, the ladder and an empty stretch under a fault
+/// model. Regenerate deliberately with
+/// `VFC_BLESS=1 cargo test --test events golden` and review the diff.
+#[test]
+fn event_core_matches_golden_reports() {
+    let runs = [
+        ("faults", golden_faults()),
+        ("packing", golden_packing(0.0)),
+        ("packing_rollbacks", golden_packing(0.3)),
+        ("leases_and_ladder", golden_leases_and_ladder()),
+        ("empty_stretch", golden_empty_stretch()),
+    ];
+    let doc = serde_json::Value::Object(
+        runs.iter()
+            .map(|(name, cluster)| (name.to_string(), pinned(cluster)))
+            .collect(),
+    );
+    let got = serde_json::to_string_pretty(&doc).expect("serializable") + "\n";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/event_core_reports.json");
+    if std::env::var_os("VFC_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    assert!(
+        got == want,
+        "event-core reports drifted from {} — if intentional, re-bless with VFC_BLESS=1",
+        path.display()
     );
 }

@@ -11,13 +11,15 @@
 //!   `trace_eq7` / `trace_pack` size: 5 500 VMs, 120 nodes of 4 cores × 2
 //!   threads.
 //!
-//! Public API only; seed 7 throughout.
+//! Public API only; seed 7 throughout. Exits non-zero when either row of
+//! bytes retained per departed VM exceeds [`MAX_RETAINED_PER_VM`].
 //!
 //! ```bash
 //! cargo run --release -p vfc-bench --example mem_probe
 //! ```
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicI64, Ordering};
 use vfc_cluster::{ClusterManager, EventDrivenCluster, Strategy, SyntheticTrace};
 use vfc_controller::controller::IterationReport;
@@ -72,6 +74,10 @@ const WARM_VMS: u32 = 40;
 const CHURN_VMS: u32 = 2_000;
 /// Replay periods at which the live heap is printed.
 const SAMPLES: [u64; 3] = [50, 150, 300];
+/// The most a departed VM may leave behind, bare or under a controller:
+/// the host's 4 B `VmId` → position index, with room for allocator
+/// rounding.
+const MAX_RETAINED_PER_VM: f64 = 16.0;
 
 fn node_spec() -> NodeSpec {
     NodeSpec::custom("trace", 1, 4, 2, MHz(2400))
@@ -157,15 +163,19 @@ fn replay_heap(seed: u64, strategy: Strategy, algorithm: PlacementAlgorithm) -> 
     heap
 }
 
-fn main() {
+fn main() -> ExitCode {
     let seed = 7;
     println!("seed {seed}; {CHURN_VMS} VMs through 3 live slots after {WARM_VMS} warm-up VMs, one period each");
+    let mut over = Vec::new();
     for (what, with_controller) in [("bare SimHost", false), ("SimHost + Controller", true)] {
         let (per_vm, arena, groups, instances) = retained_per_departed_vm(seed, with_controller);
         println!(
             "{what:<22} {per_vm:8.1} B retained per departed VM; \
              {arena} cgroup slots for {groups} live groups, {instances} instances stored"
         );
+        if per_vm > MAX_RETAINED_PER_VM {
+            over.push(format!("{what}: {per_vm:.1} B"));
+        }
     }
 
     println!("live heap of one replay, MB, at periods {SAMPLES:?}");
@@ -186,4 +196,13 @@ fn main() {
         let cells: Vec<String> = heap.iter().map(|mb| format!("{mb:7.2}")).collect();
         println!("{what:<31} {}", cells.join(" "));
     }
+
+    if over.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "mem_probe: a departed VM may leave at most {MAX_RETAINED_PER_VM} B behind; {}",
+        over.join(", ")
+    );
+    ExitCode::FAILURE
 }

@@ -7,7 +7,7 @@ use crate::distribute::distribute_leftovers_with;
 use crate::estimate::{self, Estimate, EstimateCase, History};
 use crate::monitor::{self, VcpuObservation};
 use crate::persist::{Journal, VcpuState, VmState, JOURNAL_VERSION};
-use crate::telemetry::{ControllerMetrics, Stage, VmSeries};
+use crate::telemetry::{ControllerMetrics, Stage};
 use crate::vfreq::guaranteed_cycles;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -468,11 +468,9 @@ pub struct Controller {
     vm_vfreq: Vec<Option<MHz>>,
     vm_slot_base: Vec<u32>,
     /// Credit wallets (Eq. 4); `None` = no wallet entry, which is what
-    /// `report.credits` and the balance gauge list (see
-    /// [`crate::credits::Wallet`] for when entries appear and go).
+    /// `report.credits` lists (see [`crate::credits::Wallet`] for when
+    /// entries appear and go).
     vm_credits: Vec<Option<u64>>,
-    /// Where each VM's per-VM metric series were last found.
-    vm_series: Vec<VmSeries>,
     /// VM id → VM table index (cold paths only).
     vm_index_of: FastMap<VmId, u32>,
     /// VM table indices ordered by id (wallet report order).
@@ -534,7 +532,6 @@ impl Controller {
             vm_vfreq: Vec::new(),
             vm_slot_base: vec![0],
             vm_credits: Vec::new(),
-            vm_series: Vec::new(),
             vm_index_of: FastMap::default(),
             vm_id_order: Vec::new(),
             observations: Vec::new(),
@@ -830,16 +827,15 @@ impl Controller {
     /// Lay the slot and VM tables out against `inv`, moving what is
     /// remembered about every vCPU and VM that is still listed (found by
     /// id, so state follows an id exactly as far as a map keyed by it
-    /// would) and dropping the rest, a departed VM's balance gauge
-    /// included. Called only when the inventory generation moves;
-    /// allocation here is fine (membership changes are rare events, not
-    /// steady state) but is O(1) events plus one name per arrival.
+    /// would) and dropping the rest, a departed VM's wallet included.
+    /// Called only when the inventory generation moves; allocation here
+    /// is fine (membership changes are rare events, not steady state) but
+    /// is O(1) events plus one name per arrival.
     fn reslot(&mut self, inv: &[VmCgroupInfo]) {
         let (n, nr_slots) = (inv.len(), inv.iter().map(|vm| vm.nr_vcpus as usize).sum());
         let old_base = std::mem::replace(&mut self.vm_slot_base, Vec::with_capacity(n + 1));
         let mut old_names = std::mem::replace(&mut self.vm_names, Vec::with_capacity(n));
         let old_credits = std::mem::replace(&mut self.vm_credits, Vec::with_capacity(n));
-        let old_series = std::mem::replace(&mut self.vm_series, Vec::with_capacity(n));
         let mut old_rows = std::mem::replace(&mut self.rows, Vec::with_capacity(nr_slots));
         self.vm_ids.clear();
         self.vm_guarantee.clear();
@@ -859,8 +855,6 @@ impl Controller {
             ));
             self.vm_vfreq.push(vm.vfreq);
             self.vm_credits.push(old.and_then(|o| old_credits[o]));
-            self.vm_series
-                .push(old.map(|o| old_series[o]).unwrap_or_default());
             self.vm_slot_base.push(self.slots.len() as u32);
             let old_slots = old.map_or(0..0, |o| old_base[o] as usize..old_base[o + 1] as usize);
             for j in 0..vm.nr_vcpus {
@@ -872,11 +866,6 @@ impl Controller {
             }
         }
         self.vm_slot_base.push(self.slots.len() as u32);
-        // Every name still here was not carried over: its VM left (or was
-        // renamed). A new VM under that name records its own balance.
-        for name in old_names.iter().filter(|n| !n.is_empty()) {
-            self.metrics.forget_vm(name);
-        }
         self.vm_index_of.clear();
         self.vm_index_of
             .extend(self.vm_ids.iter().zip(0..).map(|(id, vi)| (*id, vi)));
@@ -1028,7 +1017,6 @@ impl Controller {
         backend: &mut B,
         period: Micros,
         report: &mut IterationReport,
-        vanished_names: &mut Vec<String>,
     ) -> Duration {
         let t = Instant::now();
         // VMs whose cgroups are gone by the time their cap is written
@@ -1112,7 +1100,6 @@ impl Controller {
             let slots = self.vm_slots(vi);
             self.rows[slots].fill_with(VcpuRow::default);
             self.vm_credits[vi] = None;
-            vanished_names.push(self.vm_names[vi].clone());
             report.health.vanished_vms.push(*vm);
         }
         if !write_vanished.is_empty() {
@@ -1219,16 +1206,8 @@ impl Controller {
             .observe_stage(Stage::Estimate, timings.estimate);
         crate::estimate::record_telemetry(&self.estimates, &mut self.metrics);
 
-        // Names of vanished VMs (only the tables laid out before the
-        // reads still know them) — their per-VM gauge series are dropped
-        // in the epilogue. `Vec::new()` does not allocate; the vanish
-        // path is cold.
-        let mut vanished_names: Vec<String> = Vec::new();
         let read_vanished = health.vanished_vms.len();
         if read_vanished > 0 {
-            for vm in &health.vanished_vms {
-                vanished_names.push(self.vm_names[self.vm_index_of[vm] as usize].clone());
-            }
             // A VM vanished under the reads: drop it from the lister and
             // re-slot the tables without it (no ghost capping, pending
             // write or wallet survives), then point this period's
@@ -1315,15 +1294,6 @@ impl Controller {
             }
             timings.enforce = t.elapsed();
             self.metrics.observe_stage(Stage::Enforce, timings.enforce);
-            for vi in 0..n_vms {
-                if self.vm_minted[vi] > 0 {
-                    self.metrics.record_credits_minted(
-                        &self.vm_names[vi],
-                        &mut self.vm_series[vi],
-                        self.vm_minted[vi],
-                    );
-                }
-            }
 
             // ---- stage 4: auction (Eq. 6, Alg. 1) --------------------------
             let t = Instant::now();
@@ -1355,15 +1325,6 @@ impl Controller {
             }
             timings.auction = t.elapsed();
             self.metrics.observe_stage(Stage::Auction, timings.auction);
-            for vi in 0..n_vms {
-                if self.vm_spent[vi] > 0 {
-                    self.metrics.record_credits_spent(
-                        &self.vm_names[vi],
-                        &mut self.vm_series[vi],
-                        self.vm_spent[vi],
-                    );
-                }
-            }
 
             // ---- stage 5: free distribution --------------------------------
             let t = Instant::now();
@@ -1396,7 +1357,7 @@ impl Controller {
             );
 
             // ---- stage 6: apply --------------------------------------------
-            timings.apply = self.stage_apply(backend, period, report, &mut vanished_names);
+            timings.apply = self.stage_apply(backend, period, report);
         } else {
             // Scenario A, a degraded ladder rung, or an expired lease:
             // the market does not run this period.
@@ -1422,7 +1383,7 @@ impl Controller {
                         self.slot_alloc[slot] = if c_i.is_zero() { period } else { c_i };
                         self.slot_has[slot] = true;
                     }
-                    timings.apply = self.stage_apply(backend, period, report, &mut vanished_names);
+                    timings.apply = self.stage_apply(backend, period, report);
                 }
                 Plan::Retry => {
                     // Ladder `ReusePrev`: previous caps stay in force
@@ -1430,7 +1391,7 @@ impl Controller {
                     // failed writes are re-issued.
                     self.slot_has.clear();
                     self.slot_has.resize(self.slots.len(), false);
-                    timings.apply = self.stage_apply(backend, period, report, &mut vanished_names);
+                    timings.apply = self.stage_apply(backend, period, report);
                 }
                 Plan::Uncap => {
                     // Watchdog: a controller too degraded to decide must
@@ -1582,16 +1543,12 @@ impl Controller {
             let vi = vi as usize;
             if let Some(balance) = self.vm_credits[vi] {
                 report.credits.push((self.vm_ids[vi], balance));
-                self.metrics.record_credit_balance(
-                    &self.vm_names[vi],
-                    &mut self.vm_series[vi],
-                    balance,
-                );
             }
         }
-        for name in &vanished_names {
-            self.metrics.forget_vm(name);
-        }
+        self.metrics.record_credits(
+            report.flows.iter().map(|f| f.minted).sum(),
+            report.credits.iter().map(|(_, balance)| balance).sum(),
+        );
 
         Ok(())
     }

@@ -5,13 +5,17 @@
 //! iteration; the estimate and distribute stages each define a
 //! `record_telemetry` hook that maps their outcome onto the registry (so
 //! the metric semantics live next to the stage they measure). The daemon renders the registry
-//! to Prometheus text (`--metrics` / `--metrics-addr`) and the cluster
-//! manager rolls per-node registries into one page. The controller keeps
-//! no trace: the daemon builds each period's trace entry from the
-//! iteration's report with [`iteration_trace`] and keeps the ring itself.
+//! to Prometheus text (`--metrics` / `--metrics-addr`); a simulated
+//! cluster serves no page of its own, each node controller renders its
+//! own. Every family is node-level: the per-VM record is the
+//! [`IterationReport`] (`flows` and `credits`), and the page carries its
+//! node totals. The controller keeps no trace: the daemon builds each
+//! period's trace entry from the iteration's report with
+//! [`iteration_trace`] and keeps the ring itself.
 //!
-//! Steady-state cost per iteration: seven histogram observes and ~15
-//! integer counter updates — see
+//! Steady-state cost per iteration: seven histogram observes and at most
+//! 28 integer counter and gauge updates on a healthy period, whatever the
+//! number of VMs — see
 //! `scenarios::overhead` for the measured share of the control period
 //! (< 5 % in release builds). The full metric reference, with units and
 //! the paper equation each metric measures, is `docs/OBSERVABILITY.md`.
@@ -20,7 +24,7 @@ use crate::controller::IterationReport;
 use std::collections::BTreeMap;
 use std::time::Duration;
 use vfc_telemetry::hist::LATENCY_BUCKETS_US;
-use vfc_telemetry::{HistSnapshot, IterationTrace, MetricId, Registry, SeriesHint};
+use vfc_telemetry::{HistSnapshot, IterationTrace, MetricId, Registry};
 
 /// The six pipeline stages, used to index the per-stage histogram
 /// family. Matches [`vfc_telemetry::STAGE_NAMES`] order.
@@ -67,7 +71,6 @@ pub struct ControllerMetrics {
     estimate_cases: MetricId,
     // Stage 3 — credits.
     credits_minted: MetricId,
-    credits_spent: MetricId,
     credit_balance: MetricId,
     // Stages 4/5 — the market.
     market: MetricId,
@@ -92,17 +95,6 @@ pub struct ControllerMetrics {
     lease_state: MetricId,
     lease_remaining: MetricId,
     lease_expiries: MetricId,
-}
-
-/// Where one VM's series sit in the three per-VM families (credits
-/// minted, credits spent, balance). The controller keeps one per VM-table
-/// row so the per-period updates compare one label instead of scanning
-/// every VM's; see [`SeriesHint`] for why a stale value is harmless.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VmSeries {
-    minted: SeriesHint,
-    spent: SeriesHint,
-    balance: SeriesHint,
 }
 
 /// Direction labels of `vfc_deadline_transitions_total`, in index order.
@@ -160,20 +152,13 @@ impl ControllerMetrics {
             "case",
             &ESTIMATE_CASES,
         );
-        let credits_minted = r.counter_dyn(
+        let credits_minted = r.counter(
             "vfc_credits_minted_usec_total",
-            "Credits earned by under-consuming VMs (Eq. 4)",
-            "vm",
+            "Credits earned by under-consuming VMs on this node (Eq. 4)",
         );
-        let credits_spent = r.counter_dyn(
-            "vfc_credits_spent_usec_total",
-            "Credits spent buying market cycles in the auction (Alg. 1)",
-            "vm",
-        );
-        let credit_balance = r.gauge_dyn(
+        let credit_balance = r.gauge(
             "vfc_credit_balance_usec",
-            "Current wallet balance per VM (Eq. 4)",
-            "vm",
+            "Sum of the node's wallet balances (Eq. 4)",
         );
         let market = r.counter_vec(
             "vfc_market_cycles_usec_total",
@@ -264,7 +249,6 @@ impl ControllerMetrics {
             vanished,
             estimate_cases,
             credits_minted,
-            credits_spent,
             credit_balance,
             market,
             market_initial,
@@ -328,29 +312,13 @@ impl ControllerMetrics {
         self.registry.inc(self.estimate_cases, case_idx, count);
     }
 
-    /// Stage 3: credits a VM earned this period (Eq. 4).
-    pub fn record_credits_minted(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
-        self.registry
-            .inc_dyn_at(self.credits_minted, &mut at.minted, vm_name, usec);
-    }
-
-    /// Stage 4: credits a VM spent buying cycles this period.
-    pub fn record_credits_spent(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
-        self.registry
-            .inc_dyn_at(self.credits_spent, &mut at.spent, vm_name, usec);
-    }
-
-    /// Current wallet balance of a VM (gauge).
-    pub fn record_credit_balance(&mut self, vm_name: &str, at: &mut VmSeries, usec: u64) {
-        self.registry
-            .set_dyn_at(self.credit_balance, &mut at.balance, vm_name, usec);
-    }
-
-    /// Drop a vanished VM's per-VM series so its last balance does not
-    /// linger on the exposition forever. The minted/spent *counters*
-    /// stay — history is history.
-    pub fn forget_vm(&mut self, vm_name: &str) {
-        self.registry.remove_dyn(self.credit_balance, vm_name);
+    /// Stage 3's node totals (Eq. 4): credits minted this period, and
+    /// every wallet's balance after it. What a VM spent is not recorded
+    /// here: credits pay exactly for the cycles sold, so the node's
+    /// spend is `vfc_market_cycles_usec_total{outcome="sold"}`.
+    pub fn record_credits(&mut self, minted: u64, balance: u64) {
+        self.registry.inc(self.credits_minted, 0, minted);
+        self.registry.set(self.credit_balance, 0, balance);
     }
 
     /// Stages 4–5: the market's fate this iteration — initial size
@@ -448,12 +416,6 @@ impl ControllerMetrics {
             .expect("iteration histogram is always registered")
             .snapshot()
     }
-
-    /// Per-VM credits minted since boot (Eq. 4), as (vm name, µs) pairs
-    /// in first-seen order (the page sorts them by name).
-    pub fn credits_minted_by_vm(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.registry.series_values(self.credits_minted)
-    }
 }
 
 /// The trace entry of the `iteration`th period, read off its report:
@@ -524,19 +486,6 @@ mod tests {
         assert!(page.contains("vfc_market_cycles_usec_total{outcome=\"wasted\"} 100"));
         assert!(page.contains("vfc_market_initial_usec 500"));
         assert!(page.contains("vfc_auction_rounds_total 4"));
-    }
-
-    #[test]
-    fn vanished_vm_balance_series_is_dropped() {
-        let mut m = ControllerMetrics::new();
-        let mut at = VmSeries::default();
-        m.record_credit_balance("web", &mut at, 42);
-        m.record_credits_minted("web", &mut at, 9);
-        m.forget_vm("web");
-        let page = m.render_prometheus();
-        assert!(!page.contains("vfc_credit_balance_usec{vm=\"web\"}"));
-        // The historical counter survives.
-        assert!(page.contains("vfc_credits_minted_usec_total{vm=\"web\"} 9"));
     }
 
     // ---- iteration_trace -------------------------------------------------
@@ -632,32 +581,118 @@ mod tests {
         }
     }
 
-    /// Regression: a VM that departs cleanly — gone from one listing to
-    /// the next, never vanishing under a read — kept its last balance on
-    /// the page for good.
+    /// The value of the sample `series` (name and labels) on `page`.
+    fn sample(page: &str, series: &str) -> u64 {
+        page.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{series} missing from\n{page}"))
+            .parse()
+            .unwrap()
+    }
+
+    /// What the reports have added up to since boot.
+    #[derive(Default)]
+    struct Sums {
+        minted: u64,
+        spent: u64,
+        periods_without_market: u32,
+    }
+
+    /// Run `n` periods; after each, the page's credit families must be
+    /// the report's node totals.
+    fn periods_match_the_report(
+        backend: &mut FaultInjectingBackend<SimHost>,
+        ctl: &mut Controller,
+        sums: &mut Sums,
+        n: usize,
+    ) -> IterationReport {
+        let mut report = IterationReport::default();
+        for _ in 0..n {
+            report = period(backend, ctl);
+            sums.minted += report.flows.iter().map(|f| f.minted).sum::<u64>();
+            sums.spent += report.flows.iter().map(|f| f.spent).sum::<u64>();
+            sums.periods_without_market += u32::from(report.flows.is_empty());
+            let page = ctl.telemetry().render_prometheus();
+            let at = ctl.iterations();
+            assert_eq!(
+                sample(&page, "vfc_credits_minted_usec_total"),
+                sums.minted,
+                "period {at}: minted"
+            );
+            assert_eq!(
+                sample(&page, "vfc_market_cycles_usec_total{outcome=\"sold\"}"),
+                sums.spent,
+                "period {at}: sold"
+            );
+            assert_eq!(
+                sample(&page, "vfc_credit_balance_usec"),
+                report.credits.iter().map(|(_, b)| b).sum::<u64>(),
+                "period {at}: balance"
+            );
+        }
+        report
+    }
+
+    /// The page's three credit numbers are sums of the report, the one
+    /// per-VM record, through a life that leaves wallets behind every way
+    /// one can: a clean departure, a VM vanishing under the reads, a
+    /// bounced write and a degraded ladder rung on which the market does
+    /// not run. The balance being this period's `credits` sum is what
+    /// keeps a departed VM's wallet off the page.
     #[test]
-    fn a_departed_vms_balance_leaves_the_page() {
+    fn the_pages_credit_totals_are_the_reports_sums() {
         let mut host = SimHost::new(NodeSpec::custom("t", 1, 4, 2, MHz(2400)), 7);
-        let vms = [0, 1].map(|seed| {
+        let vms = [0, 1, 2].map(|seed| {
             let vm = host.provision(&VmTemplate::small());
             host.attach_workload(vm, Box::new(BurstyWeb::new(seed)));
             vm
         });
-        let mut ctl = Controller::new(ControllerConfig::paper_defaults(), host.topology_info());
-        let mut periods = |host: &mut SimHost, n: usize| -> String {
-            for _ in 0..n {
-                host.advance_period();
-                ctl.iterate(host).unwrap();
-            }
-            ctl.telemetry().render_prometheus()
+        // Stays frugal throughout, so every market period mints.
+        let saver = host.provision(&VmTemplate::small());
+        host.attach_workload(saver, Box::new(SteadyDemand::new(0.05)));
+        let mut backend = FaultInjectingBackend::new(host, FaultPlan::none(), 7);
+        let cfg = ControllerConfig {
+            deadline_budget_frac: 0.5,
+            ..ControllerConfig::paper_defaults()
         };
-        let gauge = |vm: &str| format!("vfc_credit_balance_usec{{vm=\"{vm}\"}}");
-        let page = periods(&mut host, 5);
-        assert!(page.contains(&gauge("small1")), "{page}");
+        let mut ctl = Controller::new(cfg, backend.topology());
+        let mut sums = Sums::default();
+        let mut run =
+            |backend: &mut _, ctl: &mut _, n| periods_match_the_report(backend, ctl, &mut sums, n);
+        let report = run(&mut backend, &mut ctl, 8);
+        assert_eq!(report.credits.len(), 4);
 
-        drop(host.deprovision(vms[1]));
-        let page = periods(&mut host, 5);
-        assert!(!page.contains(&gauge("small1")), "{page}");
-        assert!(page.contains(&gauge("small0")), "{page}");
+        // A clean departure: gone from one listing to the next.
+        drop(backend.inner_mut().deprovision(vms[2]));
+        let report = run(&mut backend, &mut ctl, 3);
+        assert!(report.credits.iter().all(|(vm, _)| *vm != vms[2]));
+
+        // A VM vanishes under the reads while the listing still has it.
+        backend.vanish_vm(vms[1]);
+        let report = run(&mut backend, &mut ctl, 1);
+        assert_eq!(report.health.vanished_vms, [vms[1]]);
+
+        // A write bounces: a bursty survivor's demand moves, so its cap
+        // is rewritten, and that write fails once.
+        backend
+            .inner_mut()
+            .attach_workload(vms[0], Box::new(SteadyDemand::full()));
+        let busy = FaultKind::Io(std::io::ErrorKind::ResourceBusy);
+        backend.script_fault(FaultOp::SetVcpuMax, Some(vms[0]), None, busy, 1);
+        let report = run(&mut backend, &mut ctl, 1);
+        assert_eq!(report.health.write_errors, 1);
+        run(&mut backend, &mut ctl, 2);
+
+        // The loop overruns its budget and walks down the ladder; the
+        // market stops until it climbs back.
+        ctl.inject_stage_delay_us(1_000_000);
+        run(&mut backend, &mut ctl, 3);
+        ctl.inject_stage_delay_us(0);
+        let report = run(&mut backend, &mut ctl, 12);
+        assert_eq!(report.health.ladder_rung, crate::LadderRung::Full);
+        assert!(!report.flows.is_empty());
+
+        assert!(sums.periods_without_market >= 3);
+        assert!(sums.minted > 0 && sums.spent > 0, "the market traded");
     }
 }

@@ -4,6 +4,8 @@
 //!   (counting `#[global_allocator]`, per-thread so parallel tests do
 //!   not pollute the measurement), and the iteration after an arrival
 //!   allocates nothing per VM already hosted;
+//! * a controller's heap follows the VMs listed now, not every VM it ever
+//!   listed;
 //! * an unchanged-demand period issues **zero `cpu.max` writes** — every
 //!   candidate is elided against the in-force value, and the elisions
 //!   are visible on the Prometheus exposition;
@@ -15,7 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 use vfc_cgroupfs::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
@@ -39,42 +41,54 @@ use vfc_vmm::{SimHost, VmTemplate};
 
 // ---- counting allocator ------------------------------------------------
 //
-// Counts allocation *events* (alloc, alloc_zeroed, realloc) per thread.
-// The Rust test harness runs each test on its own thread, so a test
-// reading its thread-local counter sees only its own traffic.
+// Counts allocation *events* (alloc, alloc_zeroed, realloc) and live heap
+// bytes per thread. The Rust test harness runs each test on its own
+// thread, so a test reading its thread-local counters sees only its own
+// traffic (everything here is freed on the thread that allocated it).
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: i64) {
     // `try_with` so allocations during TLS teardown never panic.
     let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+    grow(bytes);
+}
+
+fn grow(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 fn thread_alloc_events() -> u64 {
     ALLOC_EVENTS.with(|c| c.get())
 }
 
+fn thread_live_bytes() -> i64 {
+    LIVE_BYTES.with(|c| c.get())
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -223,10 +237,11 @@ fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
 /// hosted VM.
 ///
 /// Today's figures, events beyond the listing on the `node_sim`
-/// population: 21 at 80 hosted VMs, 21 at 160 (25 and 33 while the
-/// controller filled a trace ring, `131a0e9`; the map-keyed controller,
-/// `509a5e5`: 329 and 637 — names cloned into three tables, the maps
-/// rehashed).
+/// population: 16 at 80 hosted VMs, 16 at 160 (21 and 21 while an
+/// arrival created three per-VM credit series, `a88822a`; 25 and 33
+/// while the controller filled a trace ring, `131a0e9`; the map-keyed
+/// controller, `509a5e5`: 329 and 637 — names cloned into three tables,
+/// the maps rehashed).
 #[test]
 fn an_arrival_allocates_a_constant_beyond_its_listing() {
     let arrival = |hosted: usize| -> u64 {
@@ -263,6 +278,48 @@ fn an_arrival_allocates_a_constant_beyond_its_listing() {
         at_160 <= at_80 + 16,
         "twice the hosted VMs may cross a few more capacity steps, not add \
          an event per VM: {at_80} at 80, {at_160} at 160"
+    );
+}
+
+/// Regression: every VM a controller ever listed left ≈ 190 B behind —
+/// its per-VM credit series on the page — so a node's heap grew with
+/// every VM that came and went. The pattern of `vfc-vmm`'s
+/// `host_memory_follows_live_vms_not_vms_ever_hosted`, with a controller
+/// iterating the host every period.
+#[test]
+fn controller_memory_follows_live_vms_not_vms_ever_listed() {
+    let mut host = quiet_host(4, 2, 7);
+    let mut ctl = Controller::new(full_config(), host.topology_info());
+    let mut report = IterationReport::default();
+    let mut live = VecDeque::new();
+    let mut after_40 = 0;
+    for round in 0..4_000u32 {
+        let vm = host.provision(&VmTemplate::new("t", 1 + round % 3, MHz(600)));
+        // Most VMs idle below their guarantee and mint; every third one
+        // saturates and bids.
+        let demand = if round % 3 == 0 { 1.0 } else { 0.1 };
+        host.attach_workload(vm, Box::new(SteadyDemand::new(demand)));
+        live.push_back(vm);
+        if live.len() > 3 {
+            drop(host.deprovision(live.pop_front().unwrap()));
+        }
+        host.advance_period();
+        ctl.iterate_into(&mut host, &mut report).unwrap();
+        if round == 39 {
+            after_40 = thread_live_bytes();
+        }
+    }
+    assert!(
+        report.flows.iter().any(|f| f.minted > 0),
+        "{:?}",
+        report.flows
+    );
+    // What still grows is the host's: 4 B of `VmId` → position per VM
+    // ever provisioned.
+    let grown = thread_live_bytes() - after_40;
+    assert!(
+        grown <= 32 * 1024,
+        "3 960 more VMs through 3 live slots grew the heap by {grown} B"
     );
 }
 

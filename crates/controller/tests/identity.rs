@@ -1,7 +1,7 @@
 //! What an operator reads off a controller — the Prometheus page, the
-//! per-VM credit counters in first-seen order, the trace ring dump (its
-//! entries built from each report by `iteration_trace`, as `vfcd` builds
-//! them) and the crash journal — pinned byte-for-byte across a scripted life: a
+//! trace ring dump (its entries built from each report by
+//! `iteration_trace`, as `vfcd` builds them) and the crash journal —
+//! pinned byte-for-byte across a scripted life: a
 //! 3-VM host runs, one VM vanishes under the monitoring reads, a new VM
 //! arrives, a `cpu.max` write bounces, and the controller is
 //! replaced by a successor warm-started from its journal.
@@ -9,12 +9,13 @@
 //! None of this is timing: wall-clock fields (stage histograms, the
 //! deadline gauge, trace and journal timestamps) are scrubbed, and the
 //! host runs a noise-free governor. What remains is decided by which
-//! VMs have a wallet entry, when their series were first touched, which
-//! names the trace aggregates and which vCPUs still have an Eq. 3
-//! history — exactly what a change to how the controller *addresses* its
-//! state must not move. The golden file was produced by the map-keyed
-//! controller (commit `509a5e5`) running this same script. Regenerate
-//! deliberately with:
+//! VMs have a wallet entry, which names the trace aggregates and which
+//! vCPUs still have an Eq. 3 history — exactly what a change to how the
+//! controller *addresses* its state must not move. The golden file was
+//! produced by the map-keyed controller (commit `509a5e5`) running this
+//! same script; its credit families were re-blessed once, when the
+//! per-VM series left the page for node totals. Regenerate deliberately
+//! with:
 //!
 //! ```text
 //! VFC_BLESS=1 cargo test -p vfc-controller --test identity
@@ -137,16 +138,6 @@ fn exposition_trace_and_journal_match_the_map_keyed_controller() {
     run(&mut ctl, &mut backend, &mut report, &mut ring, 2);
 
     section(&mut out, "page before the restart", &page(&ctl));
-    let minted: Vec<String> = ctl
-        .telemetry()
-        .credits_minted_by_vm()
-        .map(|(vm, usec)| format!("{vm} {usec}"))
-        .collect();
-    section(
-        &mut out,
-        "credits minted, first-seen order",
-        &minted.join("\n"),
-    );
     section(&mut out, "trace ring", &ring.dump_json("identity"));
     section(&mut out, "journal at the handoff", &journal(&ctl));
 

@@ -32,7 +32,7 @@
 //! `--out` (default `results/`).
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use vfc_controller::ControlMode;
@@ -2044,8 +2044,3 @@ const PRICING_EVAL_HEADERS: &[&str] = &[
     "violated_vm_periods",
     "violation_rate",
 ];
-
-// Avoid unused warning for Path (used in helper signatures only on some
-// platforms).
-#[allow(dead_code)]
-fn _touch(_: &Path) {}

@@ -35,5 +35,5 @@ pub mod trace;
 
 pub use expose::{render, MetricsServer};
 pub use hist::{HistSnapshot, Histogram, LATENCY_BUCKETS_US};
-pub use registry::{Kind, MetricId, Registry, SeriesHint};
+pub use registry::{Kind, MetricId, Registry};
 pub use trace::{IterationTrace, TraceDump, TraceRing, STAGE_NAMES, TRACE_DUMP_VERSION};

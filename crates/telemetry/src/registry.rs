@@ -12,10 +12,10 @@
 //!   index;
 //! * **dynamic** label sets ([`Registry::counter_dyn`],
 //!   [`Registry::gauge_dyn`]) — series appear as their label values are
-//!   first seen (e.g. one series per VM name). Creating a new series
+//!   first seen (e.g. one series per tenant). Creating a new series
 //!   allocates; updating an existing one by label is a linear scan over
-//!   the series list, so callers that update the same series every
-//!   period keep a [`SeriesHint`] and pay one label comparison instead.
+//!   the series list, which is why the controller's per-period families
+//!   are all fixed.
 //!
 //! All values are unsigned integers (µs for cycle quantities, counts for
 //! events); rendering therefore cannot produce `NaN` or exponent
@@ -87,7 +87,7 @@ pub(crate) struct Metric {
     /// Label key for the series dimension (`None` = single unlabelled
     /// series).
     pub(crate) label_key: Option<&'static str>,
-    /// True when series appear at runtime (per-VM families): the
+    /// True when series appear at runtime (per-tenant families): the
     /// exposition sorts those by label; fixed families keep registration
     /// order.
     pub(crate) dynamic: bool,
@@ -98,20 +98,6 @@ pub(crate) struct Metric {
 /// (always 0 for unlabelled metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(pub(crate) usize);
-
-/// Remembered position of one dynamic series within its family (see
-/// [`Registry::inc_dyn_at`]). A hint is only ever a guess: it is checked
-/// against the label on every use and re-resolved by label when it does
-/// not match (a [`Registry::remove_dyn`] shifts positions), so a stale
-/// or default hint costs a scan, never a wrong series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesHint(u32);
-
-impl Default for SeriesHint {
-    fn default() -> Self {
-        SeriesHint(u32::MAX)
-    }
-}
 
 /// The metric registry. Registration order is exposition order, which
 /// keeps the rendered text stable across runs (the golden-file test
@@ -193,7 +179,7 @@ impl Registry {
     }
 
     /// Register a counter family whose label values appear dynamically
-    /// (e.g. one series per VM name). Starts empty.
+    /// (e.g. one series per tenant). Starts empty.
     pub fn counter_dyn(
         &mut self,
         name: &'static str,
@@ -305,55 +291,33 @@ impl Registry {
     /// Increment a dynamic-label counter, creating the series on first
     /// sight of `label`.
     pub fn inc_dyn(&mut self, id: MetricId, label: &str, by: u64) {
-        self.inc_dyn_at(id, &mut SeriesHint::default(), label, by);
+        if let SeriesData::Value(v) = self.dyn_series(id, label) {
+            *v += by;
+        }
     }
 
     /// Set a dynamic-label gauge, creating the series on first sight of
     /// `label`.
     pub fn set_dyn(&mut self, id: MetricId, label: &str, value: u64) {
-        self.set_dyn_at(id, &mut SeriesHint::default(), label, value);
-    }
-
-    /// [`Registry::inc_dyn`] through a remembered position: no label
-    /// scan while `hint` still names the series `label`.
-    pub fn inc_dyn_at(&mut self, id: MetricId, hint: &mut SeriesHint, label: &str, by: u64) {
-        if let SeriesData::Value(v) = self.dyn_series_at(id, hint, label) {
-            *v += by;
-        }
-    }
-
-    /// [`Registry::set_dyn`] through a remembered position.
-    pub fn set_dyn_at(&mut self, id: MetricId, hint: &mut SeriesHint, label: &str, value: u64) {
-        if let SeriesData::Value(v) = self.dyn_series_at(id, hint, label) {
+        if let SeriesData::Value(v) = self.dyn_series(id, label) {
             *v = value;
         }
     }
 
-    /// Drop a dynamic series (e.g. a VM that vanished — its balance gauge
-    /// must not linger at the last value forever).
-    pub fn remove_dyn(&mut self, id: MetricId, label: &str) {
-        self.metrics[id.0].series.retain(|s| s.label != label);
-    }
-
-    fn dyn_series_at(
-        &mut self,
-        id: MetricId,
-        hint: &mut SeriesHint,
-        label: &str,
-    ) -> &mut SeriesData {
+    /// The series labelled `label`, pushed at zero if it is new.
+    fn dyn_series(&mut self, id: MetricId, label: &str) -> &mut SeriesData {
         let series = &mut self.metrics[id.0].series;
-        let at = hint.0 as usize;
-        if series.get(at).is_none_or(|s| s.label != label) {
-            let found = series.iter().position(|s| s.label == label);
-            hint.0 = found.unwrap_or(series.len()) as u32;
-            if found.is_none() {
+        let at = match series.iter().position(|s| s.label == label) {
+            Some(at) => at,
+            None => {
                 series.push(Series {
                     label: label.to_string(),
                     data: SeriesData::Value(0),
                 });
+                series.len() - 1
             }
-        }
-        &mut series[hint.0 as usize].data
+        };
+        &mut series[at].data
     }
 
     /// Record a duration into a histogram series.
@@ -388,17 +352,6 @@ impl Registry {
             .find(|s| s.label == label)
             .and_then(|s| s.data.scalar())
             .unwrap_or(0)
-    }
-
-    /// Iterate over every (label, value) pair of a counter/gauge family
-    /// in series order (histogram series are skipped). For dynamic
-    /// families this is the only way to enumerate labels that appeared
-    /// at runtime, in the order they first appeared.
-    pub fn series_values(&self, id: MetricId) -> impl Iterator<Item = (&str, u64)> {
-        self.metrics[id.0]
-            .series
-            .iter()
-            .filter_map(|s| Some((s.label.as_str(), s.data.scalar()?)))
     }
 
     /// Borrow a histogram series (None for value series / missing idx).
@@ -448,37 +401,19 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_series_appear_update_and_vanish() {
+    fn dynamic_series_appear_and_update() {
         let mut r = Registry::new();
-        let c = r.counter_dyn("vm_total", "per vm", "vm");
+        let c = r.counter_dyn("tenant_total", "per tenant", "tenant");
+        let g = r.gauge_dyn("tenant_vms", "per tenant", "tenant");
         r.inc_dyn(c, "web", 2);
         r.inc_dyn(c, "db", 1);
         r.inc_dyn(c, "web", 3);
+        r.set_dyn(g, "db", 9);
+        r.set_dyn(g, "db", 4);
         assert_eq!(r.value_dyn(c, "web"), 5);
         assert_eq!(r.value_dyn(c, "db"), 1);
         assert_eq!(r.value_dyn(c, "ghost"), 0);
-        r.remove_dyn(c, "web");
-        assert_eq!(r.value_dyn(c, "web"), 0);
-    }
-
-    #[test]
-    fn a_hint_skips_the_scan_and_survives_removal() {
-        let mut r = Registry::new();
-        let c = r.counter_dyn("vm_total", "per vm", "vm");
-        let (mut web, mut db) = (SeriesHint::default(), SeriesHint::default());
-        r.inc_dyn_at(c, &mut web, "web", 2);
-        r.inc_dyn_at(c, &mut db, "db", 1);
-        assert_eq!((web, db), (SeriesHint(0), SeriesHint(1)));
-        // "web" goes: db's hint now names nothing, and is re-resolved.
-        r.remove_dyn(c, "web");
-        r.inc_dyn_at(c, &mut db, "db", 4);
-        assert_eq!(db, SeriesHint(0));
-        assert_eq!(r.value_dyn(c, "db"), 5);
-        // A hint that names another label never updates that series.
-        r.inc_dyn_at(c, &mut db, "web", 7);
-        assert_eq!((r.value_dyn(c, "db"), r.value_dyn(c, "web")), (5, 7));
-        let labels: Vec<_> = r.series_values(c).map(|(l, _)| l).collect();
-        assert_eq!(labels, ["db", "web"], "creation order is first-use order");
+        assert_eq!(r.value_dyn(g, "db"), 4);
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl BurstVmPolicy {
         self.state.get(&vm).map(|s| s.credit_us).unwrap_or(0)
     }
 
-    /// Is the VM currently hard-capped at its baseline?
-    pub fn is_capped(&self, vm: VmId) -> bool {
-        self.state.get(&vm).map(|s| s.capped).unwrap_or(false)
-    }
-
     /// Baseline budget per vCPU per period, µs.
     fn baseline_budget(&self) -> Micros {
         self.cfg.period.scale(self.cfg.baseline)
@@ -191,7 +186,7 @@ mod tests {
         }
         // 100 ms baseline accrual per second, capped at 1 s.
         assert_eq!(p.credit_of(vm), 1_000_000);
-        assert!(!p.is_capped(vm));
+        assert!(!p.state[&vm].capped);
     }
 
     #[test]
@@ -207,7 +202,7 @@ mod tests {
         let mut capped_at = None;
         for t in 0..15 {
             step(&mut h, &mut p);
-            if p.is_capped(vm) {
+            if p.state[&vm].capped {
                 capped_at = Some(t);
                 break;
             }
@@ -238,7 +233,7 @@ mod tests {
         for _ in 0..6 {
             step(&mut h, &mut p);
         }
-        assert!(!p.is_capped(a) && !p.is_capped(b));
+        assert!(!p.state[&a].capped && !p.state[&b].capped);
         let fa = h.vcpu_freq_exact(a, VcpuId::new(0)).as_f64();
         let fb = h.vcpu_freq_exact(b, VcpuId::new(0)).as_f64();
         assert!(

@@ -60,11 +60,6 @@ impl VmdfsPolicy {
             prediction: HashMap::new(),
         }
     }
-
-    /// Current prediction for a vCPU (µs per period), if any.
-    pub fn prediction_of(&self, addr: VcpuAddr) -> Option<f64> {
-        self.prediction.get(&addr).copied()
-    }
 }
 
 impl HostPolicy for VmdfsPolicy {
@@ -141,7 +136,7 @@ mod tests {
             step(&mut h, &mut p);
         }
         let addr = VcpuAddr::new(vm, VcpuId::new(0));
-        let pred = p.prediction_of(addr).unwrap();
+        let pred = p.prediction[&addr];
         assert!(
             (pred - 400_000.0).abs() < 40_000.0,
             "prediction {pred} should track the 400 000 µs load"

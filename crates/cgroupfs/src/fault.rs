@@ -393,14 +393,6 @@ impl<B: HostBackend> FaultInjectingBackend<B> {
         });
     }
 
-    /// Undo a [`vanish_vm`](Self::vanish_vm): the VM is listed and
-    /// reachable again (it never actually left the inner backend).
-    pub fn restore_vm(&self, vm: VmId) {
-        let mut st = self.state.borrow_mut();
-        st.vanishing.remove(&vm);
-        st.vanished.remove(&vm);
-    }
-
     /// Is `vm` currently hidden by the fault layer?
     pub fn is_vanished(&self, vm: VmId) -> bool {
         let st = self.state.borrow();
@@ -841,10 +833,6 @@ mod tests {
         // Other VMs are untouched.
         let other = fresh[0].vm;
         assert!(faulty.vcpu_usage(other, VcpuId::new(0)).is_ok());
-        // Restoring brings it back.
-        faulty.restore_vm(victim);
-        assert!(faulty.vms().iter().any(|v| v.vm == victim));
-        assert!(faulty.vcpu_usage(victim, VcpuId::new(0)).is_ok());
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl CpuMax {
             }
         }
     }
-
-    /// Fraction of one CPU this limit allows (`quota/period`);
-    /// `f64::INFINITY` when unlimited.
-    #[inline]
-    pub fn cpu_fraction(&self) -> f64 {
-        match self.quota {
-            None => f64::INFINITY,
-            Some(q) => q.ratio_of(self.period),
-        }
-    }
 }
 
 /// The `cpu.stat` counters of a cgroup (the subset the controller uses,
@@ -133,16 +123,6 @@ impl CpuStat {
             self.throttled_usec += throttled_for;
         }
     }
-
-    /// Throttle ratio over the group's lifetime (`nr_throttled /
-    /// nr_periods`), 0 when no period has elapsed.
-    pub fn throttle_ratio(&self) -> f64 {
-        if self.nr_periods == 0 {
-            0.0
-        } else {
-            self.nr_throttled as f64 / self.nr_periods as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +134,6 @@ mod tests {
         let m = CpuMax::unlimited();
         assert!(m.is_unlimited());
         assert_eq!(m.budget_for(Micros(100_000)), Micros(u64::MAX));
-        assert!(m.cpu_fraction().is_infinite());
     }
 
     #[test]
@@ -164,7 +143,6 @@ mod tests {
         assert_eq!(m.budget_for(Micros::SEC), Micros(500_000));
         assert_eq!(m.budget_for(Micros(100_000)), Micros(50_000));
         assert_eq!(m.budget_for(Micros::ZERO), Micros::ZERO);
-        assert!((m.cpu_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -194,11 +172,5 @@ mod tests {
         assert_eq!(s.nr_periods, 2);
         assert_eq!(s.nr_throttled, 1);
         assert_eq!(s.throttled_usec, Micros(250));
-        assert!((s.throttle_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throttle_ratio_empty() {
-        assert_eq!(CpuStat::default().throttle_ratio(), 0.0);
     }
 }

@@ -210,18 +210,6 @@ impl CgroupTree {
         Ok(idx)
     }
 
-    /// Create every missing component of `path` (like `mkdir -p`).
-    pub fn mkdir_all(&mut self, path: &str) -> Result<NodeIdx> {
-        let mut cur = ROOT;
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            cur = match self.child_named(cur, comp) {
-                Some(idx) => idx,
-                None => self.mkdir(cur, comp)?,
-            };
-        }
-        Ok(cur)
-    }
-
     /// Remove a leaf group. Errors if the group still has children or
     /// threads (matching kernel `rmdir` semantics). The group's heap data
     /// is dropped and its slot freed for the next `mkdir`, so `idx` must
@@ -466,16 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn mkdir_all_creates_and_reuses() {
-        let mut t = CgroupTree::new();
-        let c = t.mkdir_all("/x/y/z").unwrap();
-        assert_eq!(t.path_of(c), "/x/y/z");
-        let c2 = t.mkdir_all("/x/y/z").unwrap();
-        assert_eq!(c, c2);
-        assert_eq!(t.len(), 4); // root + x + y + z
-    }
-
-    #[test]
     fn rmdir_semantics() {
         let mut t = CgroupTree::new();
         let a = t.mkdir(ROOT, "a").unwrap();
@@ -513,10 +491,8 @@ mod tests {
         };
         let a = t.mkdir(ROOT, "a").unwrap();
         moved(&t, "mkdir", true);
-        let b = t.mkdir_all("/a/b").unwrap();
-        moved(&t, "mkdir_all", true);
-        t.mkdir_all("/a/b").unwrap();
-        moved(&t, "mkdir_all of an existing path", false);
+        let b = t.mkdir(a, "b").unwrap();
+        moved(&t, "mkdir of a child", true);
         t.attach_thread(b, Tid::new(1));
         moved(&t, "attach", true);
         t.attach_thread(b, Tid::new(1));

@@ -18,7 +18,7 @@
 use crate::error::{CgroupError, Result};
 use crate::model::CpuMax;
 use std::fmt;
-use vfc_simcore::{Micros, Tid};
+use vfc_simcore::Micros;
 
 /// Parse `cpu.cfs_quota_us` (+ the period read separately) into a
 /// [`CpuMax`]. Quota `-1` (or any negative) means unlimited.
@@ -80,11 +80,6 @@ pub fn parse_cpuacct_usage(content: &str) -> Result<Micros> {
 /// Render a `cpuacct.usage` file from a µs value.
 pub fn format_cpuacct_usage(usage: Micros) -> String {
     format!("{}\n", usage.as_u64() * 1_000)
-}
-
-/// Parse a v1 `tasks` file (same shape as v2 `cgroup.threads`).
-pub fn parse_tasks(content: &str) -> Result<Vec<Tid>> {
-    crate::parse::parse_threads(content)
 }
 
 /// Throttling statistics from a v1 `cpu.stat` file: `nr_periods`,
@@ -178,14 +173,6 @@ mod tests {
         assert_eq!(parse_v1_cpu_stat("").unwrap(), (0, 0, Micros::ZERO));
         assert!(parse_v1_cpu_stat("nr_periods abc\n").is_err());
         assert!(parse_v1_cpu_stat("lonelytoken\n").is_err());
-    }
-
-    #[test]
-    fn tasks_parses_like_threads() {
-        assert_eq!(
-            parse_tasks("7\n8\n").unwrap(),
-            vec![Tid::new(7), Tid::new(8)]
-        );
     }
 
     #[test]

@@ -1606,18 +1606,8 @@ impl ClusterManager {
             // Snapshot the journal the daemon would have on disk, then
             // fail open exactly like the circuit breaker: uncap all.
             rt.snapshot = (self.faults.restart == RestartPolicy::Warm).then(|| ctl.export_state());
-            Self::uncap_node(&mut rt.host);
+            vfc_controller::daemon::uncap_all(&mut rt.host);
             rt.controller_returns_at = Some(p + self.faults.controller_restart_periods.max(1));
-        }
-    }
-
-    /// Remove every `cpu.max` cap on a node (fail-open posture).
-    fn uncap_node(host: &mut SimHost) {
-        let vms = HostBackend::vms(host);
-        for vm in vms {
-            for j in 0..vm.nr_vcpus {
-                let _ = host.clear_vcpu_max(vm.vm, VcpuId::new(j));
-            }
         }
     }
 

@@ -1,13 +1,8 @@
 //! `vfcd` — the virtual frequency controller daemon.
 //!
-//! ```text
-//! vfcd [--config FILE] [--monitor-only] [--iterations N] [--verbose]
-//!      [--vfreq NAME=MHZ]... [--log-json FILE]
-//!      [--journal FILE] [--journal-interval N]
-//!      [--metrics FILE] [--metrics-addr HOST:PORT]
-//!      [--trace-dump FILE] [--trace-len N]
-//!      [--cgroup-root DIR --proc-root DIR --cpu-root DIR]
-//! ```
+//! `vfcd --help` prints every flag, one row each, with the config key
+//! the flag sets beside it (`vfc_controller::daemon::usage`, rendered
+//! from the table the parser reads).
 //!
 //! Without explicit roots it attaches to the live host
 //! (`/sys/fs/cgroup`, `/proc`, `/sys/devices/system/cpu`; cgroup v1 and
@@ -29,13 +24,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "vfcd — virtual frequency controller daemon\n\n\
-             usage: vfcd [--config FILE] [--monitor-only] [--iterations N]\n\
-                    [--verbose] [--vfreq NAME=MHZ]... [--log-json FILE]\n\
-                    [--journal FILE] [--journal-interval N]\n\
-                    [--metrics FILE] [--metrics-addr HOST:PORT]\n\
-                    [--trace-dump FILE] [--trace-len N]\n\
-                    [--cgroup-root DIR --proc-root DIR --cpu-root DIR]"
+            "vfcd — virtual frequency controller daemon\n\n{}",
+            daemon::usage()
         );
         return ExitCode::SUCCESS;
     }

@@ -1206,8 +1206,7 @@ impl Controller {
             .observe_stage(Stage::Estimate, timings.estimate);
         crate::estimate::record_telemetry(&self.estimates, &mut self.metrics);
 
-        let read_vanished = health.vanished_vms.len();
-        if read_vanished > 0 {
+        if !health.vanished_vms.is_empty() {
             // A VM vanished under the reads: drop it from the lister and
             // re-slot the tables without it (no ghost capping, pending
             // write or wallet survives), then point this period's
@@ -1227,7 +1226,6 @@ impl Controller {
             health.read_errors as u64,
             health.stale_reused as u64,
             health.skipped_vcpus.len() as u64,
-            read_vanished as u64,
         );
 
         // QoS floors on the estimates (both follow from Eq. 5's premise:
@@ -1514,7 +1512,7 @@ impl Controller {
 
         // ---- telemetry epilogue (outside the timed window) ----------------
         self.metrics
-            .observe_iteration(timings.total, report.health.degraded);
+            .observe_iteration(timings.total, &report.health);
         self.metrics.observe_deadline(
             budget_us,
             spent_us,

@@ -7,7 +7,9 @@
 //!
 //! Configuration comes from the command line and/or a minimal
 //! `key = value` config file with a `[vms]` section mapping VM names to
-//! their guaranteed virtual frequencies:
+//! their guaranteed virtual frequencies. A flag that names a key
+//! ([`FLAGS`], printed by `vfcd --help`) sets it through the same code
+//! as the file:
 //!
 //! ```text
 //! period_ms = 1000
@@ -54,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use vfc_cgroupfs::backend::HostBackend;
+use vfc_cgroupfs::backend::{HostBackend, VmCgroupInfo};
 use vfc_cgroupfs::fs::FsBackend;
 use vfc_simcore::durable::replace_file;
 use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId};
@@ -162,11 +164,142 @@ fn validate_daemon(cfg: &DaemonConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// Every flag `vfcd` accepts, in `--help` order: the flag, its value's
+/// placeholder (`""` for a switch) and the config key the value sets.
+/// `--flag VALUE` is exactly `key = VALUE` in the `--config` file. The
+/// flags whose key is `""` exist only on the command line, and
+/// [`parse_args`] handles each of them itself. [`usage`] renders these
+/// rows as `vfcd --help`.
+pub const FLAGS: [(&str, &str, &str); 19] = [
+    ("--config", "FILE", ""),
+    ("--monitor-only", "", ""),
+    ("--iterations", "N", ""),
+    ("--verbose", "", ""),
+    ("--vfreq", "NAME=MHZ", ""),
+    ("--deadline-budget", "FRAC", "deadline_budget_frac"),
+    ("--ladder-recovery", "N", "ladder_recovery_periods"),
+    ("--lease-ttl", "N", "lease_ttl"),
+    ("--lease-grace", "N", "lease_grace"),
+    ("--log-json", "FILE", "log_json"),
+    ("--journal", "FILE", "journal_path"),
+    ("--journal-interval", "N", "journal_interval"),
+    ("--metrics", "FILE", "metrics_path"),
+    ("--metrics-addr", "HOST:PORT", "metrics_addr"),
+    ("--trace-dump", "FILE", "trace_dump"),
+    ("--trace-len", "N", "trace_len"),
+    ("--cgroup-root", "DIR", ""),
+    ("--proc-root", "DIR", ""),
+    ("--cpu-root", "DIR", ""),
+];
+
+/// `vfcd --help`: one row per flag of [`FLAGS`], with the config key
+/// it sets beside it.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "usage: vfcd [FLAG]...\n\n\
+         The --config file loads first; every flag applies over it, wherever\n\
+         --config stands. A flag with a key beside it sets that config key.\n\n",
+    );
+    for (flag, value, key) in FLAGS {
+        out += format!("  {:<28}{key}", format!("{flag} {value}")).trim_end();
+        out.push('\n');
+    }
+    out + "\n--monitor-only is mode = monitor; each --vfreq is one [vms] line.\n\
+           The three roots go together or not at all; without them vfcd\n\
+           attaches to the live host."
+}
+
+/// Set config key `key` from its text `value`: the one place a setting is
+/// parsed and its footguns are caught, for a `key = value` line and for
+/// the flag of [`FLAGS`] that names the key. The error says what is wrong
+/// but not where; the caller names the line or the flag.
+fn set_key(cfg: &mut DaemonConfig, key: &str, value: &str) -> Result<(), String> {
+    fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| format!("bad {key} {value:?}"))
+    }
+    let c = &mut cfg.controller;
+    match key {
+        "period_ms" => c.period = Micros::from_millis(num(key, value)?),
+        "mode" => {
+            c.mode = match value {
+                "full" => ControlMode::Full,
+                "monitor" => ControlMode::MonitorOnly,
+                _ => return Err(format!("bad mode {value:?}")),
+            }
+        }
+        "increase_trigger" => c.increase_trigger = num(key, value)?,
+        "increase_factor" => c.increase_factor = num(key, value)?,
+        "decrease_trigger" => c.decrease_trigger = num(key, value)?,
+        "decrease_factor" => c.decrease_factor = num(key, value)?,
+        "history_len" => c.history_len = num(key, value)?,
+        "window_us" => c.window = Micros(num(key, value)?),
+        "stale_sample_ttl" => c.stale_sample_ttl = num(key, value)?,
+        "deadline_budget_frac" => c.deadline_budget_frac = num(key, value)?,
+        "ladder_recovery_periods" => c.ladder_recovery_periods = num(key, value)?,
+        "lease_ttl" => {
+            // An explicit zero is always a footgun: it reads like "very
+            // short lease" but actually means "no lease at all" — caps
+            // would never fail safe. Disabling is the *default*; an
+            // operator who sets the key wanted leases.
+            c.cap_lease_ttl = num(key, value)?;
+            if c.cap_lease_ttl == 0 {
+                return Err("lease_ttl 0 disables leases entirely; leave it unset \
+                            to run without fail-safe leases"
+                    .into());
+            }
+        }
+        "lease_grace" => c.cap_lease_grace = num(key, value)?,
+        "max_consecutive_errors" => cfg.max_consecutive_errors = num(key, value)?,
+        "discovery_retries" => cfg.discovery_retries = num(key, value)?,
+        "discovery_backoff_ms" => cfg.discovery_backoff = Duration::from_millis(num(key, value)?),
+        "journal_path" => cfg.journal_path = Some(PathBuf::from(value)),
+        "journal_interval" => cfg.journal_interval = num(key, value)?,
+        "log_json" => cfg.log_json = Some(PathBuf::from(value)),
+        "metrics_path" => cfg.metrics_path = Some(PathBuf::from(value)),
+        "metrics_addr" => cfg.metrics_addr = Some(value.to_owned()),
+        "trace_dump" => cfg.trace_dump = Some(PathBuf::from(value)),
+        "trace_len" => cfg.trace_len = num(key, value)?,
+        _ => return Err(format!("unknown key {key:?}")),
+    }
+    Ok(())
+}
+
+/// Declare VM `name`'s guaranteed frequency from its MHz text: one
+/// `[vms]` line or one `--vfreq NAME=MHZ`. `named` holds the VMs this
+/// surface has already declared. A name given twice on one surface is an
+/// error, while a flag overrides the file's entry for its VM.
+fn set_vfreq(
+    cfg: &mut DaemonConfig,
+    named: &mut HashSet<String>,
+    name: &str,
+    mhz: &str,
+) -> Result<(), String> {
+    let mhz = mhz.parse().map_err(|_| format!("bad frequency {mhz:?}"))?;
+    // A silently-overwritten guarantee is an operator error worth
+    // failing loudly on.
+    if !named.insert(name.to_owned()) {
+        return Err(format!("duplicate VM name {name:?}"));
+    }
+    cfg.vfreq.insert(name.to_owned(), MHz(mhz));
+    Ok(())
+}
+
+/// The footguns no single key shows, checked on the finished config.
+fn validated(cfg: DaemonConfig) -> Result<DaemonConfig, String> {
+    cfg.controller
+        .validate()
+        .map_err(|e| format!("invalid controller parameters: {e}"))?;
+    validate_daemon(&cfg)?;
+    Ok(cfg)
+}
+
 /// Parse the config-file format described in the module docs.
 pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
     let mut cfg = DaemonConfig::default();
     let mut in_vms = false;
+    let mut named = HashSet::new();
     for (lineno, raw) in content.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -176,151 +309,29 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
             continue;
         }
         if line.starts_with('[') {
-            return Err(format!("line {}: unknown section {line}", lineno + 1));
+            return Err(at(format!("unknown section {line}")));
         }
         let (key, value) = line
             .split_once('=')
-            .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
+            .ok_or_else(|| at("expected key = value".into()))?;
         let (key, value) = (key.trim(), value.trim());
         if in_vms {
-            let mhz: u32 = value
-                .parse()
-                .map_err(|_| format!("line {}: bad frequency {value:?}", lineno + 1))?;
-            if cfg.vfreq.insert(key.to_owned(), MHz(mhz)).is_some() {
-                // A silently-overwritten guarantee is an operator error
-                // worth failing loudly on.
-                return Err(format!("line {}: duplicate VM name {key:?}", lineno + 1));
-            }
-            continue;
-        }
-        let parse_f64 = |v: &str| -> Result<f64, String> {
-            v.parse()
-                .map_err(|_| format!("line {}: bad number {v:?}", lineno + 1))
-        };
-        match key {
-            "period_ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad period {value:?}", lineno + 1))?;
-                cfg.controller.period = Micros::from_millis(ms);
-            }
-            "mode" => {
-                cfg.controller.mode = match value {
-                    "full" => ControlMode::Full,
-                    "monitor" => ControlMode::MonitorOnly,
-                    other => return Err(format!("line {}: bad mode {other:?}", lineno + 1)),
-                };
-            }
-            "increase_trigger" => cfg.controller.increase_trigger = parse_f64(value)?,
-            "increase_factor" => cfg.controller.increase_factor = parse_f64(value)?,
-            "decrease_trigger" => cfg.controller.decrease_trigger = parse_f64(value)?,
-            "decrease_factor" => cfg.controller.decrease_factor = parse_f64(value)?,
-            "history_len" => {
-                cfg.controller.history_len = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad history_len", lineno + 1))?;
-            }
-            "window_us" => {
-                cfg.controller.window = Micros(
-                    value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad window_us", lineno + 1))?,
-                );
-            }
-            "stale_sample_ttl" => {
-                cfg.controller.stale_sample_ttl = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad stale_sample_ttl", lineno + 1))?;
-            }
-            "deadline_budget_frac" => {
-                cfg.controller.deadline_budget_frac = parse_f64(value)?;
-            }
-            "ladder_recovery_periods" => {
-                cfg.controller.ladder_recovery_periods = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad ladder_recovery_periods", lineno + 1))?;
-            }
-            "lease_ttl" => {
-                let ttl: u64 = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad lease_ttl", lineno + 1))?;
-                // An explicit zero is always a footgun: it reads like "very
-                // short lease" but actually means "no lease at all" — caps
-                // would never fail safe. Disabling is the *default*; an
-                // operator who writes the key wanted leases.
-                if ttl == 0 {
-                    return Err(format!(
-                        "line {}: lease_ttl 0 disables leases entirely; omit the key \
-                         to run without fail-safe leases",
-                        lineno + 1
-                    ));
-                }
-                cfg.controller.cap_lease_ttl = ttl;
-            }
-            "lease_grace" => {
-                cfg.controller.cap_lease_grace = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad lease_grace", lineno + 1))?;
-            }
+            set_vfreq(&mut cfg, &mut named, key, value).map_err(at)?;
+        } else if let "shard_count" | "apply_min_delta_us" = key {
             // Written by deployments that predate the single monitoring
             // loop (`shard_count`) or the removal of write hysteresis
             // (`apply_min_delta_us`); neither key selects anything now.
-            "shard_count" | "apply_min_delta_us" => {
-                eprintln!("vfcd: line {}: {key} is ignored", lineno + 1);
-            }
-            "max_consecutive_errors" => {
-                cfg.max_consecutive_errors = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad max_consecutive_errors", lineno + 1))?;
-            }
-            "discovery_retries" => {
-                cfg.discovery_retries = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad discovery_retries", lineno + 1))?;
-            }
-            "discovery_backoff_ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad discovery_backoff_ms", lineno + 1))?;
-                cfg.discovery_backoff = Duration::from_millis(ms);
-            }
-            "journal_path" => cfg.journal_path = Some(PathBuf::from(value)),
-            "journal_interval" => {
-                cfg.journal_interval = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad journal_interval", lineno + 1))?;
-            }
-            "log_json" => cfg.log_json = Some(PathBuf::from(value)),
-            "metrics_path" => cfg.metrics_path = Some(PathBuf::from(value)),
-            "metrics_addr" => cfg.metrics_addr = Some(value.to_owned()),
-            "trace_dump" => cfg.trace_dump = Some(PathBuf::from(value)),
-            "trace_len" => {
-                cfg.trace_len = value
-                    .parse()
-                    .map_err(|_| format!("line {}: bad trace_len", lineno + 1))?;
-            }
-            other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
+            eprintln!("vfcd: line {}: {key} is ignored", lineno + 1);
+        } else {
+            set_key(&mut cfg, key, value).map_err(at)?;
         }
     }
-    cfg.controller
-        .validate()
-        .map_err(|e| format!("invalid controller parameters: {e}"))?;
-    validate_daemon(&cfg)?;
-    Ok(cfg)
+    validated(cfg)
 }
 
-/// Parse command-line arguments (no external crate; the surface is tiny).
-///
-/// ```text
-/// vfcd [--config FILE] [--monitor-only] [--iterations N] [--verbose]
-///      [--deadline-budget FRAC] [--ladder-recovery N]
-///      [--lease-ttl N] [--lease-grace N]
-///      [--vfreq NAME=MHZ]... [--log-json FILE]
-///      [--journal FILE] [--journal-interval N]
-///      [--metrics FILE] [--metrics-addr HOST:PORT]
-///      [--trace-dump FILE] [--trace-len N]
-///      [--cgroup-root DIR --proc-root DIR --cpu-root DIR]
-/// ```
+/// Parse command-line arguments (no external crate; the surface is
+/// tiny). The flags are the rows of [`FLAGS`]; `vfcd --help` prints
+/// them ([`usage`]).
 ///
 /// The `--config` file is loaded first and every flag applies over it,
 /// wherever on the line the flag stands.
@@ -339,104 +350,54 @@ pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     if configs.next().is_some() {
         return Err("--config given more than once".into());
     }
-    let mut cgroup_root = None;
-    let mut proc_root = None;
-    let mut cpu_root = None;
-    let mut flagged_vms = HashSet::new();
+    let mut roots: [Option<PathBuf>; 3] = Default::default();
+    let mut named = HashSet::new();
     let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-    };
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        let &(_, placeholder, key) = FLAGS
+            .iter()
+            .find(|(name, ..)| *name == flag)
+            .ok_or_else(|| format!("unknown argument {flag:?}"))?;
+        let value = match placeholder {
+            "" => "",
+            _ => {
+                i += 1;
+                args.get(i).ok_or_else(|| format!("{flag} needs a value"))?
+            }
+        };
+        let at = |e: String| format!("{flag}: {e}");
+        match flag {
+            _ if !key.is_empty() => set_key(&mut cfg, key, value).map_err(at)?,
             // Loaded above.
-            "--config" => drop(next(&mut i)?),
-            "--monitor-only" => cfg.controller.mode = ControlMode::MonitorOnly,
-            "--deadline-budget" => {
-                cfg.controller.deadline_budget_frac = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--deadline-budget needs a fraction".to_owned())?;
-            }
-            "--ladder-recovery" => {
-                cfg.controller.ladder_recovery_periods = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--ladder-recovery needs an integer".to_owned())?;
-            }
-            "--lease-ttl" => {
-                let ttl: u64 = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--lease-ttl needs an integer".to_owned())?;
-                if ttl == 0 {
-                    return Err(
-                        "--lease-ttl 0 disables leases entirely; drop the flag to run \
-                         without fail-safe leases"
-                            .into(),
-                    );
-                }
-                cfg.controller.cap_lease_ttl = ttl;
-            }
-            "--lease-grace" => {
-                cfg.controller.cap_lease_grace = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--lease-grace needs an integer".to_owned())?;
-            }
+            "--config" => {}
+            "--monitor-only" => set_key(&mut cfg, "mode", "monitor")?,
             "--verbose" => cfg.verbose = true,
             "--iterations" => {
-                let n: u64 = next(&mut i)?
+                let n = value
                     .parse()
-                    .map_err(|_| "--iterations needs an integer".to_owned())?;
+                    .map_err(|_| at(format!("bad count {value:?}")))?;
                 cfg.iterations = Some(n);
             }
             "--vfreq" => {
-                let spec = next(&mut i)?;
-                let (name, mhz) = spec
+                let (name, mhz) = value
                     .split_once('=')
-                    .ok_or_else(|| format!("--vfreq expects NAME=MHZ, got {spec:?}"))?;
-                let mhz: u32 = mhz
-                    .parse()
-                    .map_err(|_| format!("bad frequency in {spec:?}"))?;
-                // A flag overrides the file's entry; a name given twice on
-                // the line is the same error as twice in the file.
-                if !flagged_vms.insert(name.to_owned()) {
-                    return Err(format!("--vfreq: duplicate VM name {name:?}"));
-                }
-                cfg.vfreq.insert(name.to_owned(), MHz(mhz));
+                    .ok_or_else(|| at(format!("expected NAME=MHZ, got {value:?}")))?;
+                set_vfreq(&mut cfg, &mut named, name, mhz).map_err(at)?;
             }
-            "--log-json" => cfg.log_json = Some(PathBuf::from(next(&mut i)?)),
-            "--journal" => cfg.journal_path = Some(PathBuf::from(next(&mut i)?)),
-            "--journal-interval" => {
-                cfg.journal_interval = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--journal-interval needs an integer".to_owned())?;
-            }
-            "--metrics" => cfg.metrics_path = Some(PathBuf::from(next(&mut i)?)),
-            "--metrics-addr" => cfg.metrics_addr = Some(next(&mut i)?),
-            "--trace-dump" => cfg.trace_dump = Some(PathBuf::from(next(&mut i)?)),
-            "--trace-len" => {
-                cfg.trace_len = next(&mut i)?
-                    .parse()
-                    .map_err(|_| "--trace-len needs an integer".to_owned())?;
-            }
-            "--cgroup-root" => cgroup_root = Some(PathBuf::from(next(&mut i)?)),
-            "--proc-root" => proc_root = Some(PathBuf::from(next(&mut i)?)),
-            "--cpu-root" => cpu_root = Some(PathBuf::from(next(&mut i)?)),
-            other => return Err(format!("unknown argument {other:?}")),
+            "--cgroup-root" => roots[0] = Some(PathBuf::from(value)),
+            "--proc-root" => roots[1] = Some(PathBuf::from(value)),
+            "--cpu-root" => roots[2] = Some(PathBuf::from(value)),
+            _ => unreachable!("{flag} has neither a config key nor a case here"),
         }
         i += 1;
     }
-    cfg.roots = match (cgroup_root, proc_root, cpu_root) {
-        (None, None, None) => None,
-        (Some(c), Some(p), Some(u)) => Some((c, p, u)),
+    cfg.roots = match roots {
+        [None, None, None] => None,
+        [Some(c), Some(p), Some(u)] => Some((c, p, u)),
         _ => return Err("--cgroup-root, --proc-root and --cpu-root must be given together".into()),
     };
-    cfg.controller
-        .validate()
-        .map_err(|e| format!("invalid controller parameters: {e}"))?;
-    validate_daemon(&cfg)?;
-    Ok(cfg)
+    validated(cfg)
 }
 
 /// Discover the filesystem backend, retrying with exponential backoff —
@@ -619,22 +580,25 @@ fn flush_on_exit<B: HostBackend + ?Sized>(
     publish_metrics(cfg, server, controller);
 }
 
+/// Clear every *limited* `cpu.max` cap of `vm`; returns how many were
+/// cleared. An unlimited cap is left alone.
+fn clear_limited_caps<B: HostBackend + ?Sized>(backend: &mut B, vm: &VmCgroupInfo) -> usize {
+    (0..vm.nr_vcpus)
+        .map(VcpuId::new)
+        .filter(|&vcpu| {
+            let limited = matches!(backend.vcpu_max(vm.vm, vcpu), Ok(max) if !max.is_unlimited());
+            limited && backend.clear_vcpu_max(vm.vm, vcpu).is_ok()
+        })
+        .count()
+}
+
 /// Cold-start orphan sweep: clear every *limited* cap in force. Used
 /// when journalling is on but no trustworthy journal exists — whatever
 /// caps are present were left by a dead predecessor and no longer match
 /// any known state.
 fn sweep_orphan_caps<B: HostBackend + ?Sized>(backend: &mut B) -> usize {
-    let mut cleared = 0;
-    for vm in backend.vms() {
-        for j in 0..vm.nr_vcpus {
-            let vcpu = VcpuId::new(j);
-            let limited = matches!(backend.vcpu_max(vm.vm, vcpu), Ok(max) if !max.is_unlimited());
-            if limited && backend.clear_vcpu_max(vm.vm, vcpu).is_ok() {
-                cleared += 1;
-            }
-        }
-    }
-    cleared
+    let vms = backend.vms();
+    vms.iter().map(|vm| clear_limited_caps(backend, vm)).sum()
 }
 
 /// Boot-time reconciliation of journal vs live cgroup state:
@@ -698,14 +662,7 @@ fn reconcile_on_boot<B: HostBackend + ?Sized>(
             // cap it carries belongs to a configuration that no longer
             // exists.
             cold += 1;
-            for j in 0..vm.nr_vcpus {
-                let vcpu = VcpuId::new(j);
-                let limited =
-                    matches!(backend.vcpu_max(vm.vm, vcpu), Ok(max) if !max.is_unlimited());
-                if limited && backend.clear_vcpu_max(vm.vm, vcpu).is_ok() {
-                    orphans += 1;
-                }
-            }
+            orphans += clear_limited_caps(backend, vm);
         }
     }
     eprintln!(
@@ -984,24 +941,183 @@ mod tests {
     }
 
     #[test]
-    fn cli_overload_knobs() {
-        let cfg = parse_args(&args(&[
-            "--deadline-budget",
-            "0.3",
-            "--ladder-recovery",
-            "2",
-            "--lease-ttl",
-            "10",
-            "--lease-grace",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.controller.deadline_budget_frac, 0.3);
-        assert_eq!(cfg.controller.ladder_recovery_periods, 2);
-        assert_eq!(cfg.controller.cap_lease_ttl, 10);
-        assert_eq!(cfg.controller.cap_lease_grace, 4);
-        assert!(parse_args(&args(&["--lease-ttl", "0"])).is_err());
-        assert!(parse_args(&args(&["--deadline-budget", "1.5"])).is_err());
+    fn each_keyed_flag_is_its_config_key() {
+        // The flag → key table, and per row a value both surfaces accept,
+        // what it must set, and values both must reject.
+        type Sets = fn(&DaemonConfig) -> bool;
+        let rows: [(&str, &str, &str, Sets, &[&str]); 11] = [
+            (
+                "--deadline-budget",
+                "deadline_budget_frac",
+                "0.3",
+                |c| c.controller.deadline_budget_frac == 0.3,
+                &["1.5", "x"],
+            ),
+            (
+                "--ladder-recovery",
+                "ladder_recovery_periods",
+                "2",
+                |c| c.controller.ladder_recovery_periods == 2,
+                &["-1"],
+            ),
+            (
+                "--lease-ttl",
+                "lease_ttl",
+                "10",
+                |c| c.controller.cap_lease_ttl == 10,
+                &["0", "x"],
+            ),
+            (
+                "--lease-grace",
+                "lease_grace",
+                "4",
+                |c| c.controller.cap_lease_grace == 4,
+                &["-3"],
+            ),
+            (
+                "--log-json",
+                "log_json",
+                "/tmp/x.jsonl",
+                |c| c.log_json == Some(PathBuf::from("/tmp/x.jsonl")),
+                &[],
+            ),
+            (
+                "--journal",
+                "journal_path",
+                "/tmp/j.json",
+                |c| c.journal_path == Some(PathBuf::from("/tmp/j.json")),
+                &[],
+            ),
+            (
+                "--journal-interval",
+                "journal_interval",
+                "3",
+                |c| c.journal_interval == 3,
+                &["0", "x"],
+            ),
+            (
+                "--metrics",
+                "metrics_path",
+                "/run/vfcd/metrics.prom",
+                |c| c.metrics_path == Some(PathBuf::from("/run/vfcd/metrics.prom")),
+                &[],
+            ),
+            (
+                "--metrics-addr",
+                "metrics_addr",
+                "127.0.0.1:9753",
+                |c| c.metrics_addr.as_deref() == Some("127.0.0.1:9753"),
+                &[],
+            ),
+            (
+                "--trace-dump",
+                "trace_dump",
+                "/var/log/vfcd-traces.json",
+                |c| c.trace_dump == Some(PathBuf::from("/var/log/vfcd-traces.json")),
+                &[],
+            ),
+            (
+                "--trace-len",
+                "trace_len",
+                "64",
+                |c| c.trace_len == 64,
+                &["many"],
+            ),
+        ];
+        let keyed: Vec<_> = FLAGS
+            .iter()
+            .filter(|(.., key)| !key.is_empty())
+            .map(|&(flag, _, key)| (flag, key))
+            .collect();
+        let tested: Vec<_> = rows.iter().map(|row| (row.0, row.1)).collect();
+        assert_eq!(keyed, tested);
+        for (flag, key, good, sets, bad) in rows {
+            let cli = parse_args(&args(&[flag, good])).unwrap();
+            assert!(sets(&cli), "{flag} {good}");
+            let file = parse_config_file(&format!("{key} = {good}")).unwrap();
+            assert_eq!(cli, file, "{flag} {good} vs {key} = {good}");
+            // A value one key rejects names the flag or the line; one the
+            // whole config rejects names the key.
+            for value in bad {
+                let err = parse_args(&args(&[flag, value])).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{flag}: ")) || err.contains(key),
+                    "{flag} {value}: {err}"
+                );
+                let err = parse_config_file(&format!("{key} = {value}")).unwrap_err();
+                assert!(
+                    err.starts_with("line 1: ") || err.contains(key),
+                    "{key} = {value}: {err}"
+                );
+            }
+        }
+        // Every output path must be its own, on either surface.
+        for pair in [
+            [
+                ("--metrics", "metrics_path"),
+                ("--trace-dump", "trace_dump"),
+            ],
+            [("--journal", "journal_path"), ("--log-json", "log_json")],
+        ] {
+            let [(flag_a, key_a), (flag_b, key_b)] = pair;
+            let err = parse_args(&args(&[flag_a, "/tmp/same", flag_b, "/tmp/same"])).unwrap_err();
+            assert!(err.contains("must differ"), "{err}");
+            let err = parse_config_file(&format!("{key_a} = /tmp/same\n{key_b} = /tmp/same\n"))
+                .unwrap_err();
+            assert!(err.contains("must differ"), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_usage_has_a_row_per_flag() {
+        let usage = usage();
+        for (flag, value, key) in FLAGS {
+            let row = [flag, value, key].into_iter().filter(|w| !w.is_empty());
+            assert!(
+                usage
+                    .lines()
+                    .any(|line| line.split_whitespace().eq(row.clone())),
+                "{flag} missing from:\n{usage}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_documented_configurations_parse() {
+        fn fenced<'a>(text: &'a str, fence: &str) -> &'a str {
+            let at = text
+                .find(fence)
+                .unwrap_or_else(|| panic!("no {fence} block"));
+            let body = &text[at + fence.len()..];
+            &body[..body.find("```").expect("unclosed block")]
+        }
+        let module_doc: String = include_str!("daemon.rs")
+            .lines()
+            .map_while(|line| line.strip_prefix("//!"))
+            .map(|line| format!("{}\n", line.strip_prefix(' ').unwrap_or(line)))
+            .collect();
+        let cfg = parse_config_file(fenced(&module_doc, "```text")).unwrap();
+        assert_eq!(cfg.vfreq.len(), 2);
+
+        let readme = include_str!("../../../README.md");
+        let runbook = &readme[readme.find("## `vfcd` operations runbook").unwrap()..];
+        let cfg = parse_config_file(fenced(runbook, "```ini")).unwrap();
+        assert_eq!(cfg.vfreq.len(), 2);
+        let command = fenced(runbook, "```bash");
+        let flags: Vec<String> = command[command.find("release/vfcd").unwrap()..]
+            .split_whitespace()
+            .skip(1)
+            .filter(|word| *word != "\\")
+            .map(str::to_owned)
+            .collect();
+        let cfg = parse_args(&flags).unwrap();
+        assert_eq!(cfg.vfreq.len(), 2);
+        assert!(cfg.journal_path.is_some() && cfg.log_json.is_some());
+        // The runbook's flag → key table is the table's keyed rows.
+        for (flag, value, key) in FLAGS.iter().filter(|(.., key)| !key.is_empty()) {
+            let row = format!("| `{flag} {value}` | `{key}` |");
+            assert!(runbook.contains(&row), "README lacks {row}");
+        }
     }
 
     #[test]
@@ -1016,7 +1132,13 @@ mod tests {
 
     #[test]
     fn cli_parsing() {
-        let cfg = parse_args(&args(&[
+        let dir = std::env::temp_dir().join(format!("vfcd-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("vfcd.conf");
+        std::fs::write(&path, "period_ms = 100\n").unwrap();
+        let line = [
+            "--config",
+            path.to_str().unwrap(),
             "--monitor-only",
             "--iterations",
             "5",
@@ -1025,13 +1147,26 @@ mod tests {
             "--vfreq",
             "db=1200",
             "--verbose",
-        ]))
-        .unwrap();
+            "--cgroup-root",
+            "/a",
+            "--proc-root",
+            "/b",
+            "--cpu-root",
+            "/c",
+        ];
+        // Every command-line-only flag; the keyed ones have their own test.
+        for (flag, ..) in FLAGS.iter().filter(|(.., key)| key.is_empty()) {
+            assert!(line.contains(flag), "{flag} untested");
+        }
+        let cfg = parse_args(&args(&line)).unwrap();
+        assert_eq!(cfg.controller.period, Micros::from_millis(100));
         assert_eq!(cfg.controller.mode, ControlMode::MonitorOnly);
         assert_eq!(cfg.iterations, Some(5));
         assert!(cfg.verbose);
         assert_eq!(cfg.vfreq.len(), 2);
         assert_eq!(cfg.vfreq["db"], MHz(1200));
+        assert!(cfg.roots.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1285,53 +1420,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_and_config_accept_telemetry_keys() {
-        let cfg = parse_args(&args(&[
-            "--metrics",
-            "/run/vfcd/metrics.prom",
-            "--metrics-addr",
-            "127.0.0.1:9753",
-            "--trace-dump",
-            "/var/log/vfcd-traces.json",
-            "--trace-len",
-            "64",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cfg.metrics_path,
-            Some(PathBuf::from("/run/vfcd/metrics.prom"))
-        );
-        assert_eq!(cfg.metrics_addr, Some("127.0.0.1:9753".into()));
-        assert_eq!(
-            cfg.trace_dump,
-            Some(PathBuf::from("/var/log/vfcd-traces.json"))
-        );
-        assert_eq!(cfg.trace_len, 64);
-
-        let cfg = parse_config_file(
-            "metrics_path = /run/m.prom\nmetrics_addr = 0.0.0.0:9753\n\
-             trace_dump = /var/log/t.json\ntrace_len = 32\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.metrics_path, Some(PathBuf::from("/run/m.prom")));
-        assert_eq!(cfg.metrics_addr, Some("0.0.0.0:9753".into()));
-        assert_eq!(cfg.trace_dump, Some(PathBuf::from("/var/log/t.json")));
-        assert_eq!(cfg.trace_len, 32);
-
-        // Output paths must be pairwise distinct.
-        let err =
-            parse_args(&args(&["--metrics", "/tmp/x", "--trace-dump", "/tmp/x"])).unwrap_err();
-        assert!(err.contains("must differ"), "{err}");
-        assert!(parse_args(&args(&["--trace-len", "many"])).is_err());
-    }
-
-    #[test]
-    fn cli_accepts_log_json() {
-        let cfg = parse_args(&args(&["--log-json", "/tmp/x.jsonl"])).unwrap();
-        assert_eq!(cfg.log_json, Some(std::path::PathBuf::from("/tmp/x.jsonl")));
-    }
-
-    #[test]
     fn daemon_errors_on_empty_topology() {
         let dir = std::env::temp_dir().join(format!("vfcd-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1435,30 +1523,6 @@ mod tests {
         assert!(err.contains("must differ"), "{err}");
         assert!(parse_config_file("journal_interval = -2").is_err());
         assert!(parse_config_file("journal_interval = often").is_err());
-    }
-
-    #[test]
-    fn cli_journal_flags_and_footguns() {
-        let cfg = parse_args(&args(&[
-            "--journal",
-            "/tmp/j.json",
-            "--journal-interval",
-            "3",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.journal_path, Some(PathBuf::from("/tmp/j.json")));
-        assert_eq!(cfg.journal_interval, 3);
-
-        assert!(parse_args(&args(&["--journal-interval", "0"])).is_err());
-        assert!(parse_args(&args(&["--journal-interval", "x"])).is_err());
-        let err = parse_args(&args(&[
-            "--journal",
-            "/tmp/same.json",
-            "--log-json",
-            "/tmp/same.json",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("must differ"), "{err}");
     }
 
     #[test]

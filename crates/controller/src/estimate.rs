@@ -56,9 +56,9 @@ pub struct Estimate {
 /// numerator over an *inflated* denominator — the same slope scaled by
 /// `Σ(x − x̄)² / Σ(x − S_n)²` ∈ (0, 1). Sign and zero-crossings are
 /// identical to [`trend`], only the magnitude shrinks, which slightly
-/// hardens the trend-significance threshold. Kept for fidelity studies;
-/// the controller uses [`trend`]. Property-tested equivalent-in-sign in
-/// this module's tests.
+/// hardens the trend-significance threshold. The controller uses
+/// [`trend`]; this is the paper-literal reference that this module's
+/// tests compare [`trend`] against (equal in sign, property-tested).
 pub fn trend_paper_literal(history: &[u64]) -> f64 {
     let n = history.len();
     if n < 2 {
@@ -325,14 +325,6 @@ impl Estimator {
         out
     }
 
-    /// Consumption history of one vCPU (oldest → newest), for reporting.
-    pub fn history_of(&self, addr: VcpuAddr) -> Vec<u64> {
-        self.histories
-            .get(&addr)
-            .map(History::to_vec)
-            .unwrap_or_default()
-    }
-
     /// Every tracked history (oldest → newest), sorted by address.
     pub fn export_histories(&self) -> Vec<(VcpuAddr, Vec<u64>)> {
         let mut out: Vec<_> = self
@@ -583,10 +575,7 @@ mod tests {
             ..obs(1)
         };
         est.estimate(&c, &[other], &FastMap::default());
-        assert!(est
-            .history_of(VcpuAddr::new(VmId::new(0), VcpuId::new(0)))
-            .is_empty());
-        assert_eq!(est.history_of(other.addr), vec![1]);
+        assert_eq!(est.export_histories(), [(other.addr, vec![1])]);
     }
 
     proptest! {

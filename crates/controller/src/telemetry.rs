@@ -20,7 +20,7 @@
 //! (< 5 % in release builds). The full metric reference, with units and
 //! the paper equation each metric measures, is `docs/OBSERVABILITY.md`.
 
-use crate::controller::IterationReport;
+use crate::controller::{HealthReport, IterationReport};
 use std::collections::BTreeMap;
 use std::time::Duration;
 use vfc_telemetry::hist::LATENCY_BUCKETS_US;
@@ -279,13 +279,17 @@ impl ControllerMetrics {
             .observe(self.stage_hist, stage as usize, elapsed);
     }
 
-    /// Record the whole-iteration wall time and bump the iteration count.
-    pub fn observe_iteration(&mut self, elapsed: Duration, degraded: bool) {
+    /// Record the whole-iteration wall time and bump the iteration count;
+    /// from the period's finished `health`, count a degraded iteration and
+    /// the VMs that vanished under its reads or its writes.
+    pub fn observe_iteration(&mut self, elapsed: Duration, health: &HealthReport) {
         self.registry.observe(self.iter_hist, 0, elapsed);
         self.registry.inc(self.iterations, 0, 1);
-        if degraded {
+        if health.degraded {
             self.registry.inc(self.degraded_iterations, 0, 1);
         }
+        self.registry
+            .inc(self.vanished, 0, health.vanished_vms.len() as u64);
     }
 
     /// Stage 1: inventory size and read-side degradations.
@@ -296,14 +300,12 @@ impl ControllerMetrics {
         read_errors: u64,
         stale_reused: u64,
         skipped: u64,
-        vanished: u64,
     ) {
         self.registry.set(self.vms, 0, vms);
         self.registry.set(self.vcpus, 0, vcpus);
         self.registry.inc(self.read_errors, 0, read_errors);
         self.registry.inc(self.stale_reused, 0, stale_reused);
         self.registry.inc(self.skipped, 0, skipped);
-        self.registry.inc(self.vanished, 0, vanished);
     }
 
     /// Stage 2: which estimator case fired (index = increase, decrease,
@@ -456,9 +458,10 @@ mod tests {
     use crate::controller::{Controller, VcpuReport};
     use crate::estimate::EstimateCase;
     use crate::{ControlMode, ControllerConfig};
+    use vfc_cgroupfs::{CgroupError, CpuMax, Result as CgResult, TopologyInfo, VmCgroupInfo};
     use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan, HostBackend};
     use vfc_cpusched::topology::NodeSpec;
-    use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId, VmId};
+    use vfc_simcore::{CpuId, MHz, Micros, Tid, VcpuAddr, VcpuId, VmId};
     use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
     use vfc_vmm::{SimHost, VmTemplate};
 
@@ -631,6 +634,68 @@ mod tests {
             );
         }
         report
+    }
+
+    /// A host whose cgroups for `doomed` are gone by the time stage 6
+    /// writes to them: the listing and the reads still see the VM.
+    struct DoomedWrites {
+        inner: SimHost,
+        doomed: VmId,
+    }
+
+    impl HostBackend for DoomedWrites {
+        fn topology(&self) -> TopologyInfo {
+            self.inner.topology()
+        }
+        fn vms(&self) -> Vec<VmCgroupInfo> {
+            self.inner.vms()
+        }
+        fn vcpu_usage(&self, vm: VmId, vcpu: VcpuId) -> CgResult<Micros> {
+            self.inner.vcpu_usage(vm, vcpu)
+        }
+        fn vcpu_threads(&self, vm: VmId, vcpu: VcpuId) -> CgResult<Vec<Tid>> {
+            self.inner.vcpu_threads(vm, vcpu)
+        }
+        fn thread_last_cpu(&self, tid: Tid) -> CgResult<CpuId> {
+            self.inner.thread_last_cpu(tid)
+        }
+        fn cpu_cur_freq(&self, cpu: CpuId) -> CgResult<MHz> {
+            self.inner.cpu_cur_freq(cpu)
+        }
+        fn set_vcpu_max(&mut self, vm: VmId, vcpu: VcpuId, max: CpuMax) -> CgResult<()> {
+            if vm == self.doomed {
+                return Err(CgroupError::NoSuchGroup(format!("{vm}.scope")));
+            }
+            self.inner.set_vcpu_max(vm, vcpu, max)
+        }
+        fn vcpu_max(&self, vm: VmId, vcpu: VcpuId) -> CgResult<CpuMax> {
+            self.inner.vcpu_max(vm, vcpu)
+        }
+        fn set_vm_weight(&mut self, vm: VmId, weight: u32) -> CgResult<()> {
+            self.inner.set_vm_weight(vm, weight)
+        }
+        fn vm_weight(&self, vm: VmId) -> CgResult<u32> {
+            self.inner.vm_weight(vm)
+        }
+    }
+
+    /// A VM whose cgroups vanish under the cap writes counts on the page
+    /// as it does in the health totals and the `--log-json` line.
+    #[test]
+    fn a_vm_vanishing_under_the_writes_is_counted_on_the_page() {
+        let mut inner = SimHost::new(NodeSpec::custom("t", 1, 4, 1, MHz(2400)), 3);
+        let web = inner.provision(&VmTemplate::new("web", 1, MHz(800)));
+        let db = inner.provision(&VmTemplate::new("db", 2, MHz(600)));
+        inner.attach_workload(web, Box::new(SteadyDemand::full()));
+        inner.attach_workload(db, Box::new(SteadyDemand::full()));
+        inner.advance_period();
+        let mut backend = DoomedWrites { inner, doomed: db };
+        let mut ctl = Controller::new(ControllerConfig::paper_defaults(), backend.topology());
+        let report = ctl.iterate(&mut backend).unwrap();
+        assert_eq!(report.health.vanished_vms, [db]);
+        let page = ctl.telemetry().render_prometheus();
+        assert_eq!(sample(&page, "vfc_vanished_vms_total"), 1);
+        assert_eq!(ctl.health_totals().vanished_vms, 1);
     }
 
     /// The page's three credit numbers are sums of the report, the one

@@ -164,16 +164,16 @@ pub fn water_fill_into(
     }
 }
 
-/// Convenience wrapper: equal weights.
-pub fn water_fill_equal(capacity: u64, caps: &[u64]) -> Vec<u64> {
-    let entities: Vec<Entity> = caps.iter().map(|&c| Entity::new(100, c)).collect();
-    water_fill(capacity, &entities)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`water_fill`] with equal weights.
+    fn water_fill_equal(capacity: u64, caps: &[u64]) -> Vec<u64> {
+        let entities: Vec<Entity> = caps.iter().map(|&c| Entity::new(100, c)).collect();
+        water_fill(capacity, &entities)
+    }
 
     #[test]
     fn empty_and_zero_capacity() {

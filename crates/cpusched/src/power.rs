@@ -50,25 +50,18 @@ pub fn energy_j(spec: &NodeSpec, util: f64, freq: MHz, wall: Micros) -> f64 {
     node_power_w(spec, util, freq) * wall.as_secs_f64()
 }
 
-/// Energy per unit of work (Joules per 10⁹ hardware cycles) when the node
-/// runs `active_threads` threads at frequency `freq`.
-///
-/// Decreasing in `freq` for realistic parameters: finishing the same work
-/// faster wins despite the higher draw, because the idle floor dominates.
-pub fn energy_per_gcycle(spec: &NodeSpec, active_threads: u32, freq: MHz) -> f64 {
-    if freq.as_u32() == 0 || active_threads == 0 {
-        return f64::INFINITY;
-    }
-    let util = (active_threads as f64 / spec.nr_threads() as f64).clamp(0.0, 1.0);
-    let p = node_power_w(spec, util, freq);
-    // Work rate: active_threads × freq MHz = active × freq × 10⁶ cycles/s.
-    let gcycles_per_s = active_threads as f64 * freq.as_f64() / 1_000.0;
-    p / gcycles_per_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Energy per unit of work (Joules per 10⁹ hardware cycles) when the
+    /// node runs `active_threads` (≥ 1) threads at frequency `freq`.
+    fn energy_per_gcycle(spec: &NodeSpec, active_threads: u32, freq: MHz) -> f64 {
+        let util = (active_threads as f64 / spec.nr_threads() as f64).clamp(0.0, 1.0);
+        // Work rate: active_threads × freq MHz = active × freq × 10⁶ cycles/s.
+        let gcycles_per_s = active_threads as f64 * freq.as_f64() / 1_000.0;
+        node_power_w(spec, util, freq) / gcycles_per_s
+    }
 
     #[test]
     fn idle_node_draws_idle_power() {
@@ -121,8 +114,6 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let spec = NodeSpec::chetemi();
-        assert!(energy_per_gcycle(&spec, 0, MHz(2400)).is_infinite());
-        assert!(energy_per_gcycle(&spec, 4, MHz(0)).is_infinite());
         // Utilization outside [0,1] is clamped, not propagated.
         let p = node_power_w(&spec, 7.0, spec.max_mhz);
         assert!((p - spec.max_power_w).abs() < 1e-9);

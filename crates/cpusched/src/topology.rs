@@ -94,12 +94,6 @@ impl NodeSpec {
         self.sockets * self.cores_per_socket * self.threads_per_core
     }
 
-    /// Physical cores (without SMT).
-    #[inline]
-    pub fn nr_cores(&self) -> u32 {
-        self.sockets * self.cores_per_socket
-    }
-
     /// All hardware-thread ids of this node.
     pub fn cpus(&self) -> impl Iterator<Item = CpuId> {
         (0..self.nr_threads()).map(CpuId::new)
@@ -129,7 +123,7 @@ mod tests {
     #[test]
     fn chetemi_matches_table_iv() {
         let n = NodeSpec::chetemi();
-        assert_eq!(n.nr_cores(), 20);
+        assert_eq!(n.sockets * n.cores_per_socket, 20);
         assert_eq!(n.nr_threads(), 40);
         assert_eq!(n.max_mhz, MHz(2400));
         assert_eq!(n.mem_gb, 256);
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn chiclet_matches_table_iv() {
         let n = NodeSpec::chiclet();
-        assert_eq!(n.nr_cores(), 32);
+        assert_eq!(n.sockets * n.cores_per_socket, 32);
         assert_eq!(n.nr_threads(), 64);
         assert_eq!(n.freq_capacity_mhz(), 153_600);
         assert_eq!(n.mem_gb, 128);

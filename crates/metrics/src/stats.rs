@@ -112,23 +112,6 @@ impl Summary {
     }
 }
 
-/// Jain's fairness index: `(Σx)² / (n · Σx²)` ∈ `[1/n, 1]`; 1 means all
-/// shares equal. The standard metric for allocation fairness — used by
-/// the auction-window analyses. Returns 1.0 for empty or all-zero input
-/// (nobody is treated unequally).
-pub fn jain_fairness(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sq_sum: f64 = xs.iter().map(|x| x * x).sum();
-    if sq_sum == 0.0 {
-        1.0
-    } else {
-        sum * sum / (xs.len() as f64 * sq_sum)
-    }
-}
-
 /// Fixed-bin histogram over `[lo, hi)`; values outside clamp to the edge
 /// bins. Used for distribution summaries in reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,22 +149,6 @@ impl Histogram {
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()
-    }
-
-    /// Compact `▁▂▃▅▇`-style spark line of the distribution.
-    pub fn sparkline(&self) -> String {
-        const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.bins.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return GLYPHS[0].to_string().repeat(self.bins.len());
-        }
-        self.bins
-            .iter()
-            .map(|&c| {
-                let idx = (c * (GLYPHS.len() as u64 - 1) + max / 2) / max;
-                GLYPHS[idx as usize]
-            })
-            .collect()
     }
 }
 
@@ -266,18 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn jain_index_behaves() {
-        assert_eq!(jain_fairness(&[]), 1.0);
-        assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
-        assert!((jain_fairness(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        // One user hogs everything among n: index = 1/n.
-        assert!((jain_fairness(&[10.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        // Moderate skew lands in between.
-        let j = jain_fairness(&[1.0, 2.0, 3.0]);
-        assert!(j > 0.25 && j < 1.0);
-    }
-
-    #[test]
     fn histogram_bins_and_clamps() {
         let mut h = Histogram::new(0.0, 10.0, 5);
         for x in [0.5, 1.0, 3.0, 9.9, -4.0, 42.0] {
@@ -287,20 +242,12 @@ mod tests {
         assert_eq!(h.counts()[0], 3); // 0.5, 1.0, −4 (clamped)
         assert_eq!(h.counts()[1], 1); // 3.0
         assert_eq!(h.counts()[4], 2); // 9.9, 42 (clamped)
-        let spark = h.sparkline();
-        assert_eq!(spark.chars().count(), 5);
     }
 
     #[test]
     #[should_panic(expected = "bad histogram shape")]
     fn histogram_rejects_empty_range() {
         let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
-    fn empty_histogram_sparkline() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.sparkline().chars().count(), 3);
     }
 
     #[test]

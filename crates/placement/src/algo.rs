@@ -33,16 +33,6 @@ impl PlacementResult {
         self.nodes.iter().filter(|n| n.is_used()).count()
     }
 
-    /// Highest per-node instance count of a template, with the node's
-    /// family name — the paper reports e.g. "48 small VMs on a chetemi".
-    pub fn max_per_node(&self, template: &str) -> Option<(usize, String)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.count_of(template), n.spec.name.clone()))
-            .max_by_key(|(c, _)| *c)
-            .filter(|(c, _)| *c > 0)
-    }
-
     /// Mean frequency-capacity utilization over the *used* nodes.
     pub fn mean_used_utilization(&self) -> f64 {
         let used: Vec<&NodeBin> = self.nodes.iter().filter(|n| n.is_used()).collect();
@@ -192,10 +182,6 @@ mod tests {
     fn result_helpers() {
         let placer = Placer::new(PlacementAlgorithm::FirstFit, ConstraintMode::Frequency);
         let result = placer.place(&two_node_cluster(), &[small(), small(), large()]);
-        let (count, family) = result.max_per_node("small").unwrap();
-        assert_eq!(count, 2);
-        assert_eq!(family, "chetemi");
-        assert!(result.max_per_node("ghost").is_none());
         assert!(result.mean_used_utilization() > 0.0);
     }
 

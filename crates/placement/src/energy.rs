@@ -5,7 +5,6 @@
 use crate::algo::PlacementResult;
 use serde::{Deserialize, Serialize};
 use vfc_cpusched::power::node_power_w;
-use vfc_simcore::Micros;
 
 /// Energy summary of a placement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,11 +32,6 @@ impl EnergyReport {
         } else {
             self.savings_w() / self.power_all_on_w
         }
-    }
-
-    /// Energy over a time horizon with unused nodes off, Joules.
-    pub fn energy_used_only_j(&self, horizon: Micros) -> f64 {
-        self.power_used_only_w * horizon.as_secs_f64()
     }
 }
 
@@ -102,7 +96,6 @@ mod tests {
         assert_eq!(report.nodes_used, 1);
         assert!(report.savings_w() > 0.0);
         assert!(report.power_used_only_w < report.power_all_on_w);
-        assert!(report.energy_used_only_j(Micros::from_secs(10)) > 0.0);
     }
 
     #[test]

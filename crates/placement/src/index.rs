@@ -89,11 +89,6 @@ impl ResidualIndex {
         self.len == 0
     }
 
-    /// Is `slot` currently a candidate?
-    pub fn is_active(&self, slot: usize) -> bool {
-        self.active.get(slot).copied().unwrap_or(false)
-    }
-
     /// Activate `slot` (or update an active one) with its current
     /// residual capacity.
     pub fn set(&mut self, slot: usize, units: u64, mem: u64) {
@@ -294,7 +289,7 @@ mod tests {
         idx.set(1, 20, 10);
         idx.set(2, 30, 10);
         idx.deactivate(0);
-        assert!(!idx.is_active(0));
+        assert!(!idx.active[0]);
         assert_eq!(idx.first_fit(5, 5, None), Some(1));
         idx.deactivate(1);
         assert_eq!(idx.best_fit(5, 5, None), Some(2));

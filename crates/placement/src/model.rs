@@ -131,16 +131,6 @@ impl NodeBin {
             self.used_freq_mhz as f64 / cap as f64
         }
     }
-
-    /// vCPU-count utilization relative to hardware threads.
-    pub fn vcpu_utilization(&self) -> f64 {
-        let cap = self.spec.nr_threads() as f64;
-        if cap == 0.0 {
-            0.0
-        } else {
-            self.used_vcpus as f64 / cap
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,6 +184,5 @@ mod tests {
         let mut bin = NodeBin::new(NodeSpec::chetemi()); // 40 thr, 96 000 MHz
         bin.place(&PlacementRequest::new("x", 20, MHz(2400), 1));
         assert!((bin.freq_utilization() - 0.5).abs() < 1e-12);
-        assert!((bin.vcpu_utilization() - 0.5).abs() < 1e-12);
     }
 }

@@ -203,15 +203,6 @@ impl ScenarioOutcome {
             .map(|m| m.keys().copied().collect())
             .unwrap_or_default()
     }
-
-    /// Mean wall-clock time of one controller iteration.
-    pub fn mean_iteration_time(&self) -> std::time::Duration {
-        if self.timings.is_empty() {
-            return std::time::Duration::ZERO;
-        }
-        let total: std::time::Duration = self.timings.iter().map(|t| t.total).sum();
-        total / self.timings.len() as u32
-    }
 }
 
 /// Run a scenario to completion.
@@ -377,7 +368,6 @@ mod tests {
         assert_eq!(out.freq_series.get("small").unwrap().len(), 25);
         assert_eq!(out.utilization.len(), 25);
         assert_eq!(out.timings.len(), 25);
-        assert!(out.mean_iteration_time() > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -172,18 +172,18 @@ pub fn run_variant(
     }
 }
 
-/// Replay the scenario's trace under every regime.
-pub fn run_all(scenario: &TraceScenario) -> Vec<TraceOutcome> {
-    let trace = scenario.trace();
-    variants()
-        .into_iter()
-        .map(|v| run_variant(scenario, v, trace.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Replay the scenario's trace under every regime.
+    fn run_all(scenario: &TraceScenario) -> Vec<TraceOutcome> {
+        let trace = scenario.trace();
+        variants()
+            .into_iter()
+            .map(|v| run_variant(scenario, v, trace.clone()))
+            .collect()
+    }
 
     #[test]
     fn quick_scenario_compares_all_regimes() {

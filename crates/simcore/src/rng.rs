@@ -59,13 +59,6 @@ impl SplitMix64 {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
@@ -88,13 +81,6 @@ impl SplitMix64 {
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Derive an independent child generator; useful to give each VM or
-    /// core its own stream without correlating them.
-    #[inline]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -143,11 +129,8 @@ mod tests {
         let mut r = SplitMix64::new(9);
         for _ in 0..1000 {
             assert!(r.next_below(10) < 10);
-            let v = r.range_inclusive(5, 7);
-            assert!((5..=7).contains(&v));
         }
         assert_eq!(r.next_below(0), 0);
-        assert_eq!(r.range_inclusive(4, 4), 4);
     }
 
     #[test]
@@ -159,14 +142,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 100.0).abs() < 1.0, "mean {mean}");
         assert!((var.sqrt() - 15.0).abs() < 1.0, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn fork_produces_uncorrelated_streams() {
-        let mut parent = SplitMix64::new(1);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

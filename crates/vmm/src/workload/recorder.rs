@@ -104,11 +104,6 @@ impl RecordingWorkload {
     pub fn trace(&self) -> &DemandTrace {
         &self.trace
     }
-
-    /// Consume the recorder, keeping the trace.
-    pub fn into_trace(self) -> DemandTrace {
-        self.trace
-    }
 }
 
 impl Workload for RecordingWorkload {
@@ -180,7 +175,7 @@ mod tests {
             let d = rec.demand(Micros(t * 100_000), 2);
             assert_eq!(d, vec![0.4, 0.4]);
         }
-        let trace = rec.into_trace();
+        let trace = rec.trace;
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.vcpus(), 2);
     }
@@ -191,7 +186,7 @@ mod tests {
         for t in 0..50u64 {
             rec.demand(Micros(t * 100_000), 3);
         }
-        let trace = rec.into_trace();
+        let trace = rec.trace;
         let csv = trace.to_csv();
         let back = DemandTrace::from_csv(&csv).unwrap();
         assert_eq!(back, trace);
@@ -212,7 +207,7 @@ mod tests {
         }
         assert_eq!(demands_orig, demands_rec, "same seed, same stream");
 
-        let mut replay = rec.into_trace().replay();
+        let mut replay = rec.trace.replay();
         for (t, expected) in demands_orig.iter().enumerate() {
             let d = replay.demand(Micros(t as u64 * 100_000), 2);
             assert_eq!(&d, expected, "tick {t}");

@@ -1,15 +1,15 @@
 //! Event-driven cluster core.
 //!
-//! [`ClusterManager::run_period`] is a fixed-step driver: every node
-//! advances every period, which is O(nodes) per period even when almost
-//! every host is quiet — hopeless for thousands of nodes and hundreds of
-//! thousands of VM arrivals. [`EventDrivenCluster`] runs the same period
-//! body from a discrete-event queue ([`vfc_simcore::EventQueue`]). The
-//! only independent events are the online stream the cluster answers to
-//! — VM arrivals and departures — plus one tick per period while there is
-//! anything to simulate. A tick advances only the nodes that host VMs, so
-//! **a quiet host costs nothing**: its controller runs zero iterations and
-//! its host never ticks.
+//! [`ClusterManager::run_period`] is the synchronous step: the caller
+//! deploys and undeploys between periods and steps every period, even
+//! when the cluster is empty. [`EventDrivenCluster`] enters the same
+//! period body from a discrete-event queue ([`vfc_simcore::EventQueue`]).
+//! The only independent events are the online stream the cluster answers
+//! to — VM arrivals and departures — plus one tick per period while there
+//! is anything to simulate, so empty stretches cost nothing. Under either
+//! driver a period advances only the nodes that host VMs, so **a quiet
+//! host costs nothing**: its controller runs zero iterations and its host
+//! never ticks.
 //!
 //! # Phase encoding
 //!
@@ -23,10 +23,8 @@
 //! | 1 | [`PH_ARRIVE`] | arrivals are admitted (Eq. 7 / core-count) |
 //! | 2 | [`PH_TICK`] | the period: faults, landings, busy nodes advance in node order, close |
 //!
-//! The tick is the body of the legacy `run_period` (deploys happen
-//! *between* legacy periods, i.e. before the fault phase) over the
-//! nodes that host a VM instead of every node. It closes the period —
-//! SLO/energy accounting, the migration policy — when a VM was present at
+//! The tick is `run_period`'s body (deploys happen *between* periods,
+//! i.e. before the fault phase). It closes the period — SLO/energy accounting, the migration policy — when a VM was present at
 //! the end of the previous period or was admitted in this one. The next
 //! tick is queued while VMs are present, or while a fault model is active
 //! and arrivals are pending; an admission revives the chain.
@@ -38,18 +36,16 @@
 //! seeded, and a tick advances its nodes — and the close merges their
 //! samples — in node order.
 //!
-//! Against the legacy driver, [`ClusterManager::report`] is
-//! **bit-identical** for runs where no VM ever lands on a host that the
-//! event core previously skipped (e.g. all arrivals before period 1,
-//! departures at any time, no faults, no migrations): an idle host's
-//! governor RNG advances under the legacy driver but not here, so a VM
-//! landing on such a host later sees a different (equally valid) noise
-//! stream. The `event_core_matches_legacy_run_period` proptest
-//! (`tests/events.rs`) pins the contract.
-//! Period-sample history differs in one way: the event core records no
-//! samples for periods in which the whole cluster was empty (it jumps
-//! over them), and when a fault model is active it only processes
-//! periods while VMs are present or arrivals are pending.
+//! Against [`ClusterManager::run_period`] fed the same schedule
+//! (departures, then arrivals, before each period), the
+//! [`ClusterManager::report`] is **bit-identical** for any schedule
+//! without a fault model: arrivals and departures at any time, and
+//! migrations onto hosts that sat idle. The `event_core_matches_run_period`
+//! proptest (`tests/events.rs`) pins the contract. With a fault model the
+//! event core stops drawing faults once it is idle with no arrival
+//! pending, where `run_period` keeps drawing. Period-sample history
+//! differs in one way: the event core records no samples for periods in
+//! which the whole cluster was empty (it jumps over them).
 
 use crate::manager::{ClusterError, ClusterManager, ClusterReport, GlobalVmId};
 use crate::trace::TraceVmSpec;

@@ -18,14 +18,14 @@
 //!
 //! The [`manager::ClusterManager`] runs either strategy over a set of
 //! [`vfc_cpusched::topology::NodeSpec`]s, tracking energy, migrations and
-//! per-class SLO violations ([`slo`]). The cluster steps in two ways,
-//! both through the manager's one period body (faults, landings, node
-//! advance, close): the legacy fixed-step [`ClusterManager::run_period`]
-//! over every node, every period, and the discrete-event
-//! [`events::EventDrivenCluster`], which queues VM arrivals, departures
-//! and one tick per period, advances only the nodes that host VMs, and
-//! replays VM lifetimes from a [`trace::TraceReader`] at datacenter
-//! scale.
+//! per-class SLO violations ([`slo`]). A period runs faults, landings,
+//! the advance of the nodes that host a VM, and the close, through the
+//! manager's one period body. Two drivers enter it: the synchronous
+//! [`ClusterManager::run_period`], one period per call, and the
+//! discrete-event [`events::EventDrivenCluster`], which queues VM
+//! arrivals, departures and one tick per period, jumps over empty
+//! stretches, and replays VM lifetimes from a [`trace::TraceReader`] at
+//! datacenter scale.
 
 pub mod events;
 pub mod faults;
@@ -39,7 +39,7 @@ pub use events::{EventDrivenCluster, EventStats, WorkloadFactory};
 /// there is no worker count to set. Kept with an empty body only because
 /// `benchmark/`, which a change to the library may not edit, still calls
 /// it in three places; it goes once a `benchmark`-only change drops those
-/// calls (ROADMAP item 2(a)).
+/// calls.
 pub fn set_parallelism(_threads: usize) {}
 pub use faults::{FaultModel, FaultReport, RestartPolicy};
 pub use manager::{

@@ -204,15 +204,15 @@ struct NodeRuntime {
     /// capacity after a few periods, so the per-period controller run
     /// stays off the allocator (see `Controller::iterate_into`).
     report: IterationReport,
-    /// The period `report` was filled in: a down node or a dead
-    /// controller leaves an older report behind.
+    /// The period `report` was filled in: a node that did not advance,
+    /// or whose controller is dead, leaves an older report behind.
     report_period: u64,
     /// VMs resident on this node, as (VM-record index, local id,
     /// guaranteed vfreq, vCPU count), kept sorted by VM-record index and
     /// maintained *incrementally* at every placement transition (deploy,
-    /// undeploy, migration, crash, resize) — so neither the legacy
-    /// per-period pass nor the event-driven core ever scans the whole
-    /// fleet per node, and an empty node's emptiness is an O(1) check.
+    /// undeploy, migration, crash, resize) — so no period ever scans the
+    /// whole fleet per node, and an empty node's emptiness is an O(1)
+    /// check.
     residents: Vec<(usize, VmId, MHz, u32)>,
     /// SLO samples this node computed in its advance, merged at the
     /// period close. Keeps its capacity across periods.
@@ -396,7 +396,7 @@ pub struct ClusterManager {
     /// fleet.
     offline_vms: Vec<usize>,
     /// Indices of the nodes hosting at least one VM, sorted — the nodes
-    /// the event core advances. Written only by
+    /// a period advances. Written only by
     /// [`ClusterManager::add_resident`] / [`ClusterManager::remove_resident`].
     occupied: Vec<usize>,
     /// Reusable snapshot of [`ClusterManager::offline_vms`] for the
@@ -1036,49 +1036,44 @@ impl ClusterManager {
         self.violating_node_count
     }
 
-    /// Advance the whole cluster by one controller period (1 s).
-    ///
-    /// This is the legacy fixed-step driver: every node advances every
-    /// period, even empty ones. The event-driven core
-    /// ([`crate::events::EventDrivenCluster`]) runs the same period body
-    /// over the nodes that host VMs.
+    /// Advance the cluster by one controller period (1 s) and close it:
+    /// the synchronous step. Like every period, it advances only the
+    /// nodes that host a VM — an empty node is powered off, with no vCPU
+    /// for its controller to cap. The event-driven core
+    /// ([`crate::events::EventDrivenCluster`]) enters the same body, and
+    /// jumps over the periods in which nothing is deployed.
     pub fn run_period(&mut self) {
-        self.period += 1;
-        self.period_body(false, true);
+        self.run_busy_period(self.period + 1, true);
     }
 
-    /// Event-core entry: run period `p` over the nodes that host a VM,
-    /// closing it when `close`. Returns how many nodes advanced.
+    /// Run period `p` over the nodes that host a VM, closing it when
+    /// `close`. Returns how many nodes advanced.
     pub(crate) fn run_busy_period(&mut self, p: u64, close: bool) -> usize {
         self.begin_period_at(p);
-        self.period_body(true, close)
+        self.period_body(close)
     }
 
-    /// The one period body `run_period` and the event core share:
+    /// The one period body:
     ///
     /// 0. fault machinery, when a model is active (repairs and
     ///    controller restarts due this period happen before new crashes;
     ///    crashes happen before landings so nothing lands on a node that
     ///    just died);
     /// 1. land migrations whose downtime elapsed, retry stranded VMs;
-    /// 2. advance nodes in ascending order: every node, or with
-    ///    `busy_only` those that host a VM after step 1;
+    /// 2. advance, in ascending order, the nodes that host a VM after
+    ///    step 1;
     /// 3. close the period over the advanced nodes, when `close`.
     ///
     /// Returns how many nodes advanced. The node list is a reused
     /// scratch buffer, so the steady-state loop stays off the allocator.
-    fn period_body(&mut self, busy_only: bool, close: bool) -> usize {
+    fn period_body(&mut self, close: bool) -> usize {
         if self.faults.enabled() {
             self.fault_phase();
         }
         self.land_migrations();
         let mut active = std::mem::take(&mut self.active_scratch);
         active.clear();
-        if busy_only {
-            active.extend_from_slice(&self.occupied);
-        } else {
-            active.extend(0..self.nodes.len());
-        }
+        active.extend_from_slice(&self.occupied);
         for &i in &active {
             Self::advance_node(&mut self.nodes[i], self.period);
         }
@@ -1116,9 +1111,9 @@ impl ClusterManager {
         }
     }
 
-    /// Event-core entry: move the period counter to `p`. The legacy
-    /// driver increments one period at a time; the event core jumps over
-    /// stretches where nothing is scheduled. Must be monotone.
+    /// Move the period counter to `p`. [`ClusterManager::run_period`]
+    /// steps one period at a time; the event core jumps over stretches
+    /// where nothing is scheduled. Must be monotone.
     pub(crate) fn begin_period_at(&mut self, p: u64) {
         debug_assert!(p >= self.period, "period must be monotone");
         self.period = p;
@@ -1141,18 +1136,21 @@ impl ClusterManager {
 
     /// One node's period: advance the host, run the
     /// controller, then compute each resident's SLO sample while the
-    /// node state is hot. A crashed node stands still; a node whose
-    /// controller died advances uncapped (fail-open).
+    /// node state is hot. A node whose controller died advances uncapped
+    /// (fail-open).
     fn advance_node(node: &mut NodeRuntime, period: u64) {
-        if !node.is_down() {
-            node.host.advance_period();
-            // A dead controller writes no cpu.max: fail-open.
-            if node.controller_returns_at.is_none() {
-                if let Some(ctl) = &mut node.controller {
-                    ctl.iterate_into(&mut node.host, &mut node.report)
-                        .expect("sim backend");
-                    node.report_period = period;
-                }
+        debug_assert!(
+            !node.is_down(),
+            "only occupied nodes advance, and a down node hosts nothing: \
+             a crash evacuates it and placement and landing skip it"
+        );
+        node.host.advance_period();
+        // A dead controller writes no cpu.max: fail-open.
+        if node.controller_returns_at.is_none() {
+            if let Some(ctl) = &mut node.controller {
+                ctl.iterate_into(&mut node.host, &mut node.report)
+                    .expect("sim backend");
+                node.report_period = period;
             }
         }
         let f_max = node.host.spec().max_mhz;
@@ -1214,10 +1212,9 @@ impl ClusterManager {
     /// records the period sample, and runs the migration policy.
     ///
     /// `active` must be sorted ascending: energy accumulates in node
-    /// order, so a legacy full-fleet pass and an event-driven pass over
-    /// the busy subset produce bit-identical float sums (quiet nodes are
-    /// powered off and contribute exactly nothing). The SLO trackers are
-    /// integer counters per class, so merge order cannot affect them.
+    /// order, so the float sum does not depend on the driver. The SLO
+    /// trackers are integer counters per class, so merge order cannot
+    /// affect them.
     fn close_period_for(&mut self, active: &[usize]) {
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active not sorted");
         self.export_usage(active);
@@ -1254,9 +1251,12 @@ impl ClusterManager {
         let mut period_power = 0.0;
         for &n in active {
             let node = &self.nodes[n];
-            if !node.bin.is_used() || node.is_down() {
-                continue; // powered off / crashed
-            }
+            // Every node here hosted a VM at the advance, so it was up
+            // with a used bin, and no VM has moved since.
+            debug_assert!(
+                node.bin.is_used() && !node.is_down(),
+                "node {n} is powered off"
+            );
             let telemetry = node.host.telemetry();
             let window = telemetry.len().saturating_sub(10);
             let recent = &telemetry[window..];
@@ -1278,9 +1278,6 @@ impl ClusterManager {
             in_flight,
         });
 
-        // Migration policy. Quiet nodes cannot be hot (emptying a node
-        // resets its streak in `remove_resident`), so restricting the
-        // sweep to `active` changes no outcome.
         if let Strategy::MigrationBased {
             high_watermark,
             sustain,
@@ -1289,9 +1286,9 @@ impl ClusterManager {
         } = self.strategy
         {
             for &src in active {
-                if self.nodes[src].is_down() {
-                    continue;
-                }
+                // Every node here hosted a VM at the advance, so it was
+                // up, and nothing in the close takes a node down.
+                debug_assert!(!self.nodes[src].is_down(), "node {src} went down mid-close");
                 let util = self.nodes[src].host.utilization();
                 if util > high_watermark {
                     self.nodes[src].hot_streak += 1;
@@ -1328,8 +1325,8 @@ impl ClusterManager {
     /// and SLO flags off the nodes' hot SLO scratch, joined by local VM
     /// id with the credit flows of each node's iteration report, and
     /// offline VMs as zero-delivery violations. A node whose controller
-    /// did not iterate this period (node down, controller dead) holds a
-    /// stale report and contributes no flows.
+    /// is dead did not iterate this period: it holds a stale report and
+    /// contributes no flows.
     fn export_usage(&mut self, active: &[usize]) {
         let Some(pending) = &mut self.usage_export else {
             return;
@@ -1767,11 +1764,13 @@ mod tests {
         for _ in 0..5 {
             c.run_period();
         }
-        // `run_period` advances every node, occupied or not.
+        // Every controller node is named, but only the one Best-Fit
+        // filled advanced: an idle host runs no controller iteration.
         let totals = c.health_totals();
         let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["n-0", "n-1", "n-2"]);
-        assert!(totals.iter().all(|(_, t)| t.iterations == 5));
+        let iterations: Vec<u64> = totals.iter().map(|(_, t)| t.iterations).collect();
+        assert_eq!(iterations, [5, 0, 0]);
 
         // The migration strategy has no controllers: no totals.
         let mut m = small_cluster(Strategy::migration_default());

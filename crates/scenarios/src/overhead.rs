@@ -91,7 +91,7 @@ pub fn measure_with_warmup(target_vcpus: u32, warmup: u32, iterations: u32) -> O
     let spec = if target_vcpus <= 160 {
         NodeSpec::chetemi()
     } else {
-        // Dense-host future (ROADMAP open item 1): vcpus/2 hardware
+        // A denser host than any real node here: vcpus/2 hardware
         // threads, same 2:1 virtual oversubscription as chetemi-B.
         NodeSpec::custom("dense", 1, (target_vcpus / 4).max(1), 2, MHz(2400))
     };

@@ -251,9 +251,9 @@ pub fn run(s: &OverloadScenario, ladder: bool) -> OverloadRun {
             .iter()
             .map(|(_, slo)| slo.violated_periods)
             .sum();
-        // Only nodes hosting VMs run controller periods in the event
-        // core; an empty node's controller is parked and its rung
-        // frozen, so the curve reflects the nodes actually working.
+        // Only nodes hosting VMs run controller periods; an empty
+        // node's controller is parked and its rung frozen, so the curve
+        // reflects the nodes actually working.
         let loads = mgr.node_loads();
         let busy = |n: &usize| loads[*n].used_vcpus > 0;
         let rung = (0..s.nodes)

@@ -1,5 +1,5 @@
 //! Pins for the event-driven cluster core: queue ordering properties,
-//! same-seed byte-identical replays, legacy-vs-event-core equivalence,
+//! same-seed byte-identical replays, `run_period`-vs-event-core equivalence,
 //! trace-reader robustness, the "quiet hosts are free" bound, and
 //! committed golden reports.
 
@@ -103,47 +103,64 @@ fn same_seed_runs_are_byte_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Legacy run_period vs event core equivalence
+// run_period vs event core equivalence
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 struct EqVm {
     vcpus: u32,
     vfreq_mhz: u32,
-    /// 0 = never departs; d ≥ 1 = departs at second d.
-    depart_s: u64,
+    /// Arrives at second `arrive_s`.
+    arrive_s: u64,
+    /// 0 = never departs; d ≥ 1 = departs at second `arrive_s + d`.
+    stay_s: u64,
 }
 
-const EQ_HORIZON: u64 = 12;
+impl EqVm {
+    fn template(&self, slot: usize) -> VmTemplate {
+        VmTemplate::new(&format!("c{}", slot % 3), self.vcpus, MHz(self.vfreq_mhz))
+    }
 
+    fn depart_s(&self) -> Option<u64> {
+        (self.stay_s != 0).then_some(self.arrive_s + self.stay_s)
+    }
+}
+
+const EQ_HORIZON: u64 = 16;
+
+/// Demand 0.5–1.0: enough that the migration strategy's packed nodes
+/// run hot and migrate in about a third of the cases.
 fn eq_workload(slot: usize) -> Box<dyn Workload> {
-    Box::new(SteadyDemand::new(0.25 + 0.08 * (slot % 9) as f64))
+    Box::new(SteadyDemand::new(0.5 + 0.0625 * (slot % 9) as f64))
 }
 
 fn eq_fleet() -> Vec<NodeSpec> {
     vec![NodeSpec::custom("eq", 1, 2, 2, MHz(2400)); 3]
 }
 
-/// The contract (see `events` module docs): equivalence holds when no VM
-/// lands on a host the event core previously skipped — here, all
-/// arrivals precede period 1, departures are free, no faults, and the
-/// frequency strategy never migrates.
-fn legacy_report(plans: &[EqVm], seed: u64) -> String {
-    let mut mgr = ClusterManager::new(eq_fleet(), Strategy::FrequencyControl, seed);
-    let mut ids: Vec<Option<GlobalVmId>> = Vec::new();
-    for (slot, p) in plans.iter().enumerate() {
-        let t = VmTemplate::new(&format!("c{}", slot % 3), p.vcpus, MHz(p.vfreq_mhz));
-        ids.push(
-            mgr.try_deploy_with(&t, eq_workload(slot), PlacementAlgorithm::BestFit)
-                .ok(),
-        );
-    }
+/// The schedule driven by hand in the event core's phase order: before
+/// period `p`, the departures at second `p - 1`, then the arrivals at
+/// second `p - 1`, each in slot order.
+fn run_period_report(plans: &[EqVm], strategy: Strategy, seed: u64) -> String {
+    let mut mgr = ClusterManager::new(eq_fleet(), strategy, seed);
+    let mut ids: Vec<Option<GlobalVmId>> = vec![None; plans.len()];
     for period in 1..=EQ_HORIZON {
         for (slot, p) in plans.iter().enumerate() {
-            if p.depart_s != 0 && p.depart_s + 1 == period {
+            if p.depart_s().is_some_and(|d| d + 1 == period) {
                 if let Some(id) = ids[slot] {
                     mgr.undeploy(id).expect("departs once");
                 }
+            }
+        }
+        for (slot, p) in plans.iter().enumerate() {
+            if p.arrive_s + 1 == period {
+                ids[slot] = mgr
+                    .try_deploy_with(
+                        &p.template(slot),
+                        eq_workload(slot),
+                        PlacementAlgorithm::BestFit,
+                    )
+                    .ok();
             }
         }
         mgr.run_period();
@@ -151,16 +168,16 @@ fn legacy_report(plans: &[EqVm], seed: u64) -> String {
     serde_json::to_string(&mgr.report()).expect("serializable")
 }
 
-fn event_report(plans: &[EqVm], seed: u64) -> String {
-    let mgr = ClusterManager::new(eq_fleet(), Strategy::FrequencyControl, seed);
+fn event_report(plans: &[EqVm], strategy: Strategy, seed: u64) -> String {
+    let mgr = ClusterManager::new(eq_fleet(), strategy, seed);
     let mut cluster = EventDrivenCluster::new(mgr)
         .with_workloads(0, Box::new(|slot, _t, _rng| eq_workload(slot)));
     for (slot, p) in plans.iter().enumerate() {
         cluster.schedule_vm(TraceVmSpec {
             trace_id: format!("eq-{slot}"),
-            arrival: 0,
-            departure: (p.depart_s != 0).then_some(p.depart_s),
-            template: VmTemplate::new(&format!("c{}", slot % 3), p.vcpus, MHz(p.vfreq_mhz)),
+            arrival: p.arrive_s,
+            departure: p.depart_s(),
+            template: p.template(slot),
         });
     }
     cluster.run_until(EQ_HORIZON);
@@ -168,23 +185,32 @@ fn event_report(plans: &[EqVm], seed: u64) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The contract (see `events` module docs): without a fault model,
+    /// the two drivers agree bit for bit on any schedule — VMs arriving
+    /// on hosts that sat idle, and, under the migration strategy, VMs
+    /// migrating onto them.
     #[test]
-    fn event_core_matches_legacy_run_period(
+    fn event_core_matches_run_period(
         plans in proptest::collection::vec(
-            (1u32..=2, 300u32..=1200, 0u64..=10).prop_map(|(vcpus, vfreq_mhz, depart_s)| EqVm {
-                vcpus,
-                vfreq_mhz,
-                depart_s,
-            }),
-            1..10,
+            (1u32..=2, 300u32..=1200, 0u64..=8, 0u64..=7).prop_map(
+                |(vcpus, vfreq_mhz, arrive_s, stay_s)| EqVm {
+                    vcpus,
+                    vfreq_mhz,
+                    arrive_s,
+                    stay_s,
+                },
+            ),
+            1..12,
         ),
         seed in 0u64..1000,
     ) {
-        let legacy = legacy_report(&plans, seed);
-        let event = event_report(&plans, seed);
-        prop_assert_eq!(legacy, event, "reports diverged for {:?}", plans);
+        for strategy in [Strategy::FrequencyControl, Strategy::migration_default()] {
+            let stepped = run_period_report(&plans, strategy, seed);
+            let event = event_report(&plans, strategy, seed);
+            prop_assert_eq!(stepped, event, "reports diverged under {:?} for {:?}", strategy, plans);
+        }
     }
 }
 

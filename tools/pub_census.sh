@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Name-level census of the public functions of crates/*/src (ROADMAP item 2,
-# "Method"): which `pub fn` names does nothing else name, and which are named
-# only by tests, benches and examples? A `pub` item only a test calls is
-# either that test's helper or a deletion.
+# Name-level census of the public functions of crates/*/src, so that public
+# surface nothing uses gets found and deleted: which `pub fn` names does
+# nothing else name, and which are named only by tests, benches and examples?
+# A `pub` item only a test calls is either that test's helper or a deletion.
 #
 # A *use* is the name as a whole word on a line that is not a comment and
 # not an `fn <name>` definition. It is a test use when the line is under

@@ -35,9 +35,9 @@ pub struct NodeIdx(pub usize);
 ///
 /// The knobs a running host turns (`cpu_max`, `weight`) and the counters
 /// it reads (`cpu_stat`) are plain fields. What makes up the *structure*
-/// of the hierarchy — parent/child links, thread membership, the VM-scope
-/// mark — is private and changes only through [`CgroupTree`] methods, so
-/// that every such change moves [`CgroupTree::structure_epoch`].
+/// of the hierarchy — parent/child links and thread membership — is
+/// private and changes only through [`CgroupTree`] methods, so that every
+/// such change moves [`CgroupTree::structure_epoch`].
 #[derive(Debug, Clone)]
 pub struct CgroupNode {
     /// Directory name (single path component).
@@ -52,7 +52,6 @@ pub struct CgroupNode {
     /// `cpu.weight` (CFS shares).
     pub weight: u32,
     threads: Vec<Tid>,
-    vm_scope: bool,
     alive: bool,
 }
 
@@ -68,12 +67,6 @@ impl CgroupNode {
         &self.threads
     }
 
-    /// Is this a VM scope (the `machine-qemu…scope` level) — the grouping
-    /// unit for VM-granular models such as LLC contention?
-    pub fn vm_scope(&self) -> bool {
-        self.vm_scope
-    }
-
     fn new(name: String, parent: Option<NodeIdx>) -> Self {
         CgroupNode {
             name,
@@ -83,7 +76,6 @@ impl CgroupNode {
             cpu_stat: CpuStat::default(),
             weight: DEFAULT_WEIGHT,
             threads: Vec::new(),
-            vm_scope: false,
             alive: true,
         }
     }
@@ -147,11 +139,11 @@ impl CgroupTree {
 
     /// Cookie for everything a consumer may cache about the *structure*
     /// of this tree: which groups exist, their parent/child order, which
-    /// threads sit in which group, which groups are VM scopes. It moves on
-    /// `mkdir`, `rmdir`, thread attach/detach and VM-scope marking, and is
-    /// unique per tree instance (a clone starts on a new one). It does
-    /// **not** move on `cpu.max`, `cpu.weight` or `cpu.stat` writes: those
-    /// are read from the node every time they are needed.
+    /// threads sit in which group. It moves on `mkdir`, `rmdir` and thread
+    /// attach/detach, and is unique per tree instance (a clone starts on a
+    /// new one). It does **not** move on `cpu.max`, `cpu.weight` or
+    /// `cpu.stat` writes: those are read from the node every time they are
+    /// needed.
     pub fn structure_epoch(&self) -> u64 {
         self.epoch
     }
@@ -345,15 +337,6 @@ impl CgroupTree {
         }
     }
 
-    /// Mark a group as a VM scope (see [`CgroupNode::vm_scope`]).
-    pub fn mark_vm_scope(&mut self, idx: NodeIdx) {
-        let node = self.node_mut(idx);
-        if !node.vm_scope {
-            node.vm_scope = true;
-            self.epoch = fresh_epoch();
-        }
-    }
-
     /// Aggregate `usage_usec` of a subtree (the kernel reports hierarchical
     /// usage in each group's `cpu.stat`; the simulator stores leaf usage
     /// and derives parents through this).
@@ -415,7 +398,6 @@ pub mod kvm_layout {
             None => tree.mkdir(ROOT, MACHINE_SLICE)?,
         };
         let scope = tree.mkdir(slice, &scope_name(n, name))?;
-        tree.mark_vm_scope(scope);
         let libvirt = tree.mkdir(scope, "libvirt")?;
         let _emulator = tree.mkdir(libvirt, "emulator")?;
         let mut vcpu_idx = Vec::with_capacity(vcpus as usize);
@@ -497,11 +479,6 @@ mod tests {
         moved(&t, "attach", true);
         t.attach_thread(b, Tid::new(1));
         moved(&t, "attach of a member", false);
-        t.mark_vm_scope(a);
-        moved(&t, "mark_vm_scope", true);
-        t.mark_vm_scope(a);
-        moved(&t, "mark_vm_scope of a marked scope", false);
-        assert!(t.node(a).vm_scope());
 
         // The knobs and counters of a running host are not structure.
         t.node_mut(b).cpu_max = CpuMax::limited(Micros(10_000));
@@ -575,7 +552,6 @@ mod tests {
         let a = t.mkdir(ROOT, "a").unwrap();
         let b = t.mkdir(a, "b").unwrap();
         t.attach_thread(b, Tid::new(9));
-        t.mark_vm_scope(b);
         t.node_mut(b).cpu_max = CpuMax::limited(Micros(10_000));
         t.node_mut(b).weight = 900;
         t.node_mut(b).cpu_stat.account_usage(Micros(77));
@@ -588,7 +564,6 @@ mod tests {
         assert_eq!(node.name, "c");
         assert_eq!(node.parent(), Some(ROOT));
         assert!(node.threads().is_empty());
-        assert!(!node.vm_scope());
         assert!(node.cpu_max.is_unlimited());
         assert_eq!(node.weight, DEFAULT_WEIGHT);
         assert_eq!(node.cpu_stat, CpuStat::default());

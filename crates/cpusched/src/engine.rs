@@ -104,39 +104,6 @@ fn mean_freq(core_freqs: &[MHz]) -> MHz {
     MHz((sum / core_freqs.len() as u64) as u32)
 }
 
-/// Optional last-level-cache contention model.
-///
-/// §V of the paper flags cache access as future work, and uses cache
-/// allocation as its explanation for the small throughput drop of the
-/// large instances in the three-class evaluation (Fig. 14). The model is
-/// deliberately simple: every *distinct top-level cgroup* (≈ VM) with
-/// running threads evicts its co-runners' cache lines, degrading the
-/// effective work of every thread by `penalty_per_corunner` per
-/// additional active group, floored at `floor`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheModel {
-    /// Relative work lost per additional co-running VM (e.g. 0.01 = 1 %).
-    pub penalty_per_corunner: f64,
-    /// Lower bound on the work multiplier (e.g. 0.7).
-    pub floor: f64,
-}
-
-impl CacheModel {
-    /// A mild default: 0.5 % per co-runner, floored at 80 %.
-    pub fn mild() -> Self {
-        CacheModel {
-            penalty_per_corunner: 0.005,
-            floor: 0.8,
-        }
-    }
-
-    /// Work multiplier when `active_groups` VMs run simultaneously.
-    pub fn multiplier(&self, active_groups: usize) -> f64 {
-        let corunners = active_groups.saturating_sub(1) as f64;
-        (1.0 - self.penalty_per_corunner * corunners).max(self.floor)
-    }
-}
-
 /// Everything about a cgroup tree that stays the same from tick to tick,
 /// flattened: groups numbered by *position* (pre-order, so a parent comes
 /// before its subtree and a subtree is a contiguous range), threads
@@ -168,9 +135,6 @@ struct Plan {
     /// changes once per controller period at most, and the budget is a
     /// 128-bit division.
     budget: Vec<(CpuMax, u64)>,
-    /// The VM-level groups the cache model counts: the marked VM scopes,
-    /// or the children of the root in a tree without marks.
-    vm_tops: Vec<u32>,
 }
 
 impl Plan {
@@ -181,16 +145,8 @@ impl Plan {
         self.thread_start.clear();
         self.tids.clear();
         self.budget.clear();
-        self.vm_tops.clear();
         self.push_subtree(tree, ROOT, 0, tick);
         self.thread_start.push(self.tids.len() as u32);
-        if self.vm_tops.is_empty() {
-            let mut c = 1;
-            while c < self.nodes.len() {
-                self.vm_tops.push(c as u32);
-                c = self.subtree_end[c] as usize;
-            }
-        }
 
         // Sticky cores follow their thread into its new slot; threads that
         // left are forgotten. `by_tid` still indexes the old slots here.
@@ -220,9 +176,6 @@ impl Plan {
         self.tids.extend_from_slice(node.threads());
         self.budget
             .push((node.cpu_max, node.cpu_max.budget_for(tick).as_u64()));
-        if node.vm_scope() {
-            self.vm_tops.push(pos as u32);
-        }
         for c in tree.children(idx) {
             self.push_subtree(tree, c, pos as u32, tick);
         }
@@ -232,12 +185,6 @@ impl Plan {
     fn slot_of(&self, tid: Tid) -> Option<usize> {
         let i = self.by_tid.binary_search_by_key(&tid, |e| e.0).ok()?;
         Some(self.by_tid[i].1 as usize)
-    }
-
-    /// Slots of the threads in the subtree of the group at `pos`.
-    fn subtree_slots(&self, pos: u32) -> std::ops::Range<usize> {
-        let end = self.subtree_end[pos as usize] as usize;
-        self.thread_start[pos as usize] as usize..self.thread_start[end] as usize
     }
 }
 
@@ -276,7 +223,6 @@ pub struct Engine {
     placer: Placer,
     /// Frequencies from the last tick (idle cores keep reporting).
     core_freqs: Vec<MHz>,
-    cache_model: Option<CacheModel>,
     plan: Plan,
     plan_rebuilds: u64,
     scratch: Scratch,
@@ -307,18 +253,11 @@ impl Engine {
             spec,
             tick,
             governor,
-            cache_model: None,
             plan: Plan::default(),
             plan_rebuilds: 0,
             scratch: Scratch::default(),
             slices: Vec::new(),
         }
-    }
-
-    /// Enable the LLC contention model.
-    pub fn with_cache_model(mut self, model: CacheModel) -> Self {
-        self.cache_model = Some(model);
-        self
     }
 
     /// The node this engine schedules.
@@ -546,20 +485,6 @@ impl Engine {
         }
 
         // ---- 6. per-thread work ----------------------------------------------
-        // Optional LLC contention: count the distinct VM-level groups that
-        // actually ran this tick.
-        let cache_multiplier = match self.cache_model {
-            None => 1.0,
-            Some(model) => {
-                let ran = |top: &&u32| {
-                    alloc[plan.subtree_slots(**top)]
-                        .iter()
-                        .any(|a| !a.is_zero())
-                };
-                model.multiplier(plan.vm_tops.iter().filter(ran).count())
-            }
-        };
-
         let idle = ThreadSlice {
             ran: Micros::ZERO,
             last_cpu: CpuId::new(0),
@@ -574,7 +499,6 @@ impl Engine {
                 ran += *us;
                 work += Cycles::from_time_at(*us, self.core_freqs[cpu.as_usize()]);
             }
-            let work = Cycles((work.as_u64() as f64 * cache_multiplier) as u64);
             let last_cpu = slices.first().map(|(c, _)| *c).unwrap_or(CpuId::new(0));
             self.slices[e.slot as usize] = ThreadSlice {
                 ran,
@@ -809,63 +733,6 @@ mod tests {
         assert!((a / b - 2.0).abs() < 1e-3, "{a} vs {b}");
     }
 
-    #[test]
-    fn cache_model_multiplier_shape() {
-        let m = CacheModel::mild();
-        assert_eq!(m.multiplier(0), 1.0);
-        assert_eq!(m.multiplier(1), 1.0, "a lone VM pays nothing");
-        assert!((m.multiplier(2) - 0.995).abs() < 1e-12);
-        assert_eq!(m.multiplier(1000), 0.8, "floored");
-    }
-
-    #[test]
-    fn cache_contention_degrades_corunning_work_only() {
-        let spec = NodeSpec::custom("c", 1, 4, 1, MHz(2400));
-        let make = |cache: bool| {
-            let gov = Governor::new(
-                crate::dvfs::GovernorKind::Performance,
-                spec.min_mhz,
-                spec.max_mhz,
-                1,
-            )
-            .with_noise_std(0.0);
-            let e = Engine::with_parts(spec.clone(), TICK, gov, 42);
-            if cache {
-                e.with_cache_model(CacheModel {
-                    penalty_per_corunner: 0.02,
-                    floor: 0.5,
-                })
-            } else {
-                e
-            }
-        };
-
-        // Lone VM: identical work with and without the model.
-        for cache in [false, true] {
-            let mut e = make(cache);
-            let (mut tree, tids) = build_tree(&[2]);
-            let out = e.tick(&mut tree, &full_demand(&tids));
-            assert_eq!(
-                out.threads[&tids[0][0]].work,
-                Cycles(240_000_000),
-                "cache={cache}: lone VM at full speed"
-            );
-        }
-
-        // Three co-running VMs: 2 × 2 % penalty.
-        let mut e = make(true);
-        let (mut tree, tids) = build_tree(&[1, 1, 1]);
-        let out = e.tick(&mut tree, &full_demand(&tids));
-        let w = out.threads[&tids[0][0]].work.as_u64() as f64;
-        let expected = 240_000_000.0 * 0.96;
-        assert!(
-            (w - expected).abs() / expected < 1e-6,
-            "expected {expected}, got {w}"
-        );
-        // CPU time accounting is unaffected — only the work degrades.
-        assert_eq!(out.threads[&tids[0][0]].ran, TICK);
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -1012,9 +879,6 @@ mod tests {
             Detach {
                 group: usize,
             },
-            MarkScope {
-                group: usize,
-            },
             Provision {
                 vcpus: u32,
             },
@@ -1039,7 +903,6 @@ mod tests {
                 (0usize..64).prop_map(|group| Op::Rmdir { group }),
                 (0usize..64).prop_map(|group| Op::Attach { group }),
                 (0usize..64).prop_map(|group| Op::Detach { group }),
-                (0usize..64).prop_map(|group| Op::MarkScope { group }),
                 (1u32..5).prop_map(|vcpus| Op::Provision { vcpus }),
                 (0usize..64).prop_map(|vm| Op::Deprovision { vm }),
                 (0usize..64, 0u32..400).prop_map(|(group, weight)| Op::SetWeight { group, weight }),
@@ -1122,9 +985,6 @@ mod tests {
                     Op::Rmdir { group } => self.rmdir(pick(&self.groups, group)),
                     Op::Attach { group } => self.attach(pick(&self.groups, group)),
                     Op::Detach { group } => self.detach(pick(&self.groups, group)),
-                    Op::MarkScope { group } => {
-                        self.tree.mark_vm_scope(pick(&self.groups, group));
-                    }
                     Op::Provision { vcpus } => {
                         let n = self.next_machine;
                         self.next_machine += 1;
@@ -1183,23 +1043,13 @@ mod tests {
             }
         }
 
-        fn engines(threads: u32, cache: bool, seed: u64) -> (Engine, OracleEngine) {
+        fn engines(threads: u32, seed: u64) -> (Engine, OracleEngine) {
             let spec = NodeSpec::custom("p", 1, threads, 1, MHz(2400));
             let gov = || Governor::new(GovernorKind::Schedutil, spec.min_mhz, spec.max_mhz, seed);
-            let engine = Engine::with_parts(spec.clone(), TICK, gov(), seed);
-            let oracle = OracleEngine::with_parts(spec.clone(), TICK, gov(), seed);
-            if cache {
-                let model = CacheModel {
-                    penalty_per_corunner: 0.03,
-                    floor: 0.5,
-                };
-                (
-                    engine.with_cache_model(model),
-                    oracle.with_cache_model(model),
-                )
-            } else {
-                (engine, oracle)
-            }
+            (
+                Engine::with_parts(spec.clone(), TICK, gov(), seed),
+                OracleEngine::with_parts(spec.clone(), TICK, gov(), seed),
+            )
         }
 
         /// Tick both engines on `demands` and require equal outcomes,
@@ -1247,7 +1097,6 @@ mod tests {
                     32..40,
                 ),
                 threads in 1u32..6,
-                cache in proptest::bool::ANY,
                 seed in 0u64..1_000_000,
             ) {
                 let mut world = World::new();
@@ -1256,7 +1105,7 @@ mod tests {
                     world.apply(op);
                     shadow_world.apply(op);
                 }
-                let (mut engine, mut oracle) = engines(threads, cache, seed);
+                let (mut engine, mut oracle) = engines(threads, seed);
                 let mut rng = SplitMix64::new(seed ^ 0xD3);
                 let mut rebuilds = 0;
                 for ops in &steps {
@@ -1290,67 +1139,31 @@ mod tests {
         /// survived it would schedule the old tree.
         #[test]
         fn no_mutator_leaves_a_stale_plan() {
-            let mutators: [(&str, Op); 7] = [
+            let mutators: [(&str, Op); 6] = [
                 ("mkdir", Op::Mkdir { parent: 2, name: 7 }),
                 ("attach_thread", Op::Attach { group: 1 }),
                 ("detach_threads", Op::Detach { group: 6 }),
-                ("mark_vm_scope", Op::MarkScope { group: 1 }),
                 ("provision", Op::Provision { vcpus: 3 }),
                 ("deprovision (detach + rmdir)", Op::Deprovision { vm: 0 }),
                 // Group 3 is VM 0's emulator group: empty, so this succeeds.
                 ("rmdir", Op::Rmdir { group: 4 }),
             ];
             for (name, op) in mutators {
-                for cache in [false, true] {
-                    let mut world = World::new();
-                    let mut shadow = World::new();
-                    for w in [&mut world, &mut shadow] {
-                        w.apply(&Op::Provision { vcpus: 2 });
-                        w.apply(&Op::Provision { vcpus: 1 });
-                    }
-                    let (mut engine, mut oracle) = engines(2, cache, 9);
-                    let mut rng = SplitMix64::new(3);
-                    for round in 0..3 {
-                        if round == 1 {
-                            let before = world.tree.structure_epoch();
-                            world.apply(&op);
-                            shadow.apply(&op);
-                            assert_ne!(world.tree.structure_epoch(), before, "{name}");
-                        }
-                        let demands = world.demands(&mut rng);
-                        tick_both(
-                            &mut engine,
-                            &mut oracle,
-                            &mut world,
-                            &mut shadow.tree,
-                            &demands,
-                        )
-                        .unwrap_or_else(|e| panic!("{name}, cache={cache}, round {round}: {e:?}"));
-                    }
-                    assert_eq!(engine.plan_rebuilds(), 2, "{name}");
-                }
-            }
-        }
-
-        /// A VM provisioned into the slots a departed one freed gets lower
-        /// indices than an older VM, and must still be scheduled after it.
-        #[test]
-        fn a_provision_into_freed_slots_schedules_like_the_oracle() {
-            for cache in [false, true] {
                 let mut world = World::new();
                 let mut shadow = World::new();
-                let (mut engine, mut oracle) = engines(2, cache, 5);
-                let mut rng = SplitMix64::new(8);
-                let script = [
-                    Op::Provision { vcpus: 2 },
-                    Op::Provision { vcpus: 1 },
-                    Op::Deprovision { vm: 0 },
-                    Op::Provision { vcpus: 2 },
-                    Op::Provision { vcpus: 3 },
-                ];
-                for op in &script {
-                    world.apply(op);
-                    shadow.apply(op);
+                for w in [&mut world, &mut shadow] {
+                    w.apply(&Op::Provision { vcpus: 2 });
+                    w.apply(&Op::Provision { vcpus: 1 });
+                }
+                let (mut engine, mut oracle) = engines(2, 9);
+                let mut rng = SplitMix64::new(3);
+                for round in 0..3 {
+                    if round == 1 {
+                        let before = world.tree.structure_epoch();
+                        world.apply(&op);
+                        shadow.apply(&op);
+                        assert_ne!(world.tree.structure_epoch(), before, "{name}");
+                    }
                     let demands = world.demands(&mut rng);
                     tick_both(
                         &mut engine,
@@ -1359,13 +1172,44 @@ mod tests {
                         &mut shadow.tree,
                         &demands,
                     )
-                    .unwrap_or_else(|e| panic!("cache={cache}, {op:?}: {e:?}"));
+                    .unwrap_or_else(|e| panic!("{name}, round {round}: {e:?}"));
                 }
-                let (old, reused) = (world.vms[0].0, world.vms[1].0);
-                assert!(reused < old, "the third VM took the first one's slots");
-                // Root, slice, and the first, second and fourth VMs' groups.
-                assert_eq!(world.tree.arena_size(), 2 + 5 + 4 + 6);
+                assert_eq!(engine.plan_rebuilds(), 2, "{name}");
             }
+        }
+
+        /// A VM provisioned into the slots a departed one freed gets lower
+        /// indices than an older VM, and must still be scheduled after it.
+        #[test]
+        fn a_provision_into_freed_slots_schedules_like_the_oracle() {
+            let mut world = World::new();
+            let mut shadow = World::new();
+            let (mut engine, mut oracle) = engines(2, 5);
+            let mut rng = SplitMix64::new(8);
+            let script = [
+                Op::Provision { vcpus: 2 },
+                Op::Provision { vcpus: 1 },
+                Op::Deprovision { vm: 0 },
+                Op::Provision { vcpus: 2 },
+                Op::Provision { vcpus: 3 },
+            ];
+            for op in &script {
+                world.apply(op);
+                shadow.apply(op);
+                let demands = world.demands(&mut rng);
+                tick_both(
+                    &mut engine,
+                    &mut oracle,
+                    &mut world,
+                    &mut shadow.tree,
+                    &demands,
+                )
+                .unwrap_or_else(|e| panic!("{op:?}: {e:?}"));
+            }
+            let (old, reused) = (world.vms[0].0, world.vms[1].0);
+            assert!(reused < old, "the third VM took the first one's slots");
+            // Root, slice, and the first, second and fourth VMs' groups.
+            assert_eq!(world.tree.arena_size(), 2 + 5 + 4 + 6);
         }
 
         /// The knobs a controller turns every period are not structure:
@@ -1378,7 +1222,7 @@ mod tests {
                 w.apply(&Op::Provision { vcpus: 2 });
                 w.apply(&Op::Provision { vcpus: 2 });
             }
-            let (mut engine, mut oracle) = engines(2, false, 1);
+            let (mut engine, mut oracle) = engines(2, 1);
             let mut rng = SplitMix64::new(8);
             for round in 0..6 {
                 let knobs = [
@@ -1415,7 +1259,7 @@ mod tests {
         fn a_cloned_tree_never_reuses_the_original_plan() {
             let mut world = World::new();
             world.apply(&Op::Provision { vcpus: 2 });
-            let (mut engine, _) = engines(2, false, 4);
+            let (mut engine, _) = engines(2, 4);
             let mut rng = SplitMix64::new(5);
             let demands = world.demands(&mut rng);
             engine.tick(&mut world.tree, &demands);
@@ -1435,7 +1279,7 @@ mod tests {
             assert_eq!(engine.slot_of(Tid::new(9_000)), None);
 
             // A fresh engine on a clone equals the oracle on another.
-            let (mut fresh, mut oracle) = engines(2, false, 6);
+            let (mut fresh, mut oracle) = engines(2, 6);
             let mut a = World::new();
             a.tree = world.tree.clone();
             a.live_tids = world.live_tids.clone();
@@ -1451,7 +1295,7 @@ mod tests {
         #[test]
         fn sticky_table_tracks_live_threads_under_vm_churn() {
             let mut world = World::new();
-            let (mut engine, _) = engines(4, false, 2);
+            let (mut engine, _) = engines(4, 2);
             let mut rng = SplitMix64::new(1);
             for round in 0..50 {
                 world.apply(&Op::Provision {

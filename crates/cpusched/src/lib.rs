@@ -31,5 +31,5 @@ pub mod power;
 pub mod topology;
 
 pub use dvfs::{Governor, GovernorKind};
-pub use engine::{CacheModel, Engine, SlotTick, ThreadSlice, TickOutcome};
+pub use engine::{Engine, SlotTick, ThreadSlice, TickOutcome};
 pub use topology::NodeSpec;

@@ -9,7 +9,7 @@
 //! positions; the tests in [`crate::fair`] compare the fills directly.
 
 use crate::dvfs::Governor;
-use crate::engine::{CacheModel, ThreadSlice, TickOutcome};
+use crate::engine::{ThreadSlice, TickOutcome};
 use crate::fair::Entity;
 use crate::power::node_power_w;
 use crate::topology::NodeSpec;
@@ -249,7 +249,6 @@ pub(crate) struct OracleEngine {
     governor: Governor,
     placer: OraclePlacer,
     core_freqs: Vec<MHz>,
-    cache_model: Option<CacheModel>,
     scratch: Scratch,
 }
 
@@ -264,14 +263,8 @@ impl OracleEngine {
             spec,
             tick,
             governor,
-            cache_model: None,
             scratch: Scratch::default(),
         }
-    }
-
-    pub(crate) fn with_cache_model(mut self, model: CacheModel) -> Self {
-        self.cache_model = Some(model);
-        self
     }
 
     pub(crate) fn thread_last_cpu(&self, tid: Tid) -> Option<CpuId> {
@@ -420,46 +413,6 @@ impl OracleEngine {
         }
 
         // ---- 6. per-thread work ----------------------------------------------
-        // Optional LLC contention: count the distinct VM-level groups that
-        // actually ran this tick. VM scopes are marked in the tree (the
-        // KVM layout marks its `machine-qemu…scope` groups); plain trees
-        // without marks fall back to the children of the root.
-        let cache_multiplier =
-            match self.cache_model {
-                None => 1.0,
-                Some(model) => {
-                    let subtree_active =
-                        |top: NodeIdx| -> bool {
-                            let mut stack = vec![top];
-                            while let Some(idx) = stack.pop() {
-                                if tree.node(idx).threads().iter().any(|t| {
-                                    thread_alloc.get(t).map(|a| !a.is_zero()).unwrap_or(false)
-                                }) {
-                                    return true;
-                                }
-                                stack.extend(tree.children(idx));
-                            }
-                            false
-                        };
-                    let marked: Vec<NodeIdx> = dfs
-                        .iter()
-                        .copied()
-                        .filter(|&i| tree.node(i).vm_scope())
-                        .collect();
-                    let active_groups = if marked.is_empty() {
-                        tree.children(ROOT)
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    } else {
-                        marked
-                            .into_iter()
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    };
-                    model.multiplier(active_groups)
-                }
-            };
-
         out.threads.clear();
         for e in place.entries.iter() {
             let slices = place.slices_of(e);
@@ -469,7 +422,6 @@ impl OracleEngine {
                 ran += *us;
                 work += Cycles::from_time_at(*us, self.core_freqs[cpu.as_usize()]);
             }
-            let work = Cycles((work.as_u64() as f64 * cache_multiplier) as u64);
             let last_cpu = slices.first().map(|(c, _)| *c).unwrap_or(CpuId::new(0));
             out.threads.insert(
                 e.tid,

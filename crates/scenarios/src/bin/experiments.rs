@@ -3,37 +3,21 @@
 //!
 //! ```text
 //! experiments <command> [--out DIR] [--quick]
-//!
-//! commands:
-//!   table2 table3 table4 table5   workload/node description tables
-//!   fig3 fig4 fig5                estimator behaviour traces
-//!   fig6 fig7 fig8 fig9           average vCPU frequency curves
-//!   fig10 fig11 fig14             compression throughput per iteration
-//!   fig12 fig13                   heterogeneous workload frequency curves
-//!   placement                     §IV.C Best-Fit study
-//!   cfs-sides                     §IV.A.2 CFS sharing side experiments
-//!   overhead                      §IV.A.2 controller loop cost
-//!   variance                      §IV.A.2 core-frequency variance
-//!   baselines                     §II comparison (Burst VM, VMDFS, CFS shares)
-//!   cluster                       cluster-scale strategy comparison
-//!   churn                         control-plane admission + reconcile churn
-//!   trace                         trace-driven event-core scale evaluation
-//!   overload                      deadline ladder + leases + API shedding under overload
-//!   pricing                       billing revenue-vs-SLO frontier sweep
-//!   recovery                      warm vs cold controller restart under faults
-//!   ablation                      design-parameter quality sweeps
-//!   factor-sweep                  §III.C consolidation factor on Eq. 7
-//!   all                           everything above + EXPERIMENTS data
 //! ```
 //!
-//! `--quick` runs the simulations 10× shrunk (the default is full paper
-//! scale, ≈700 simulated seconds each). Output: ASCII charts on stdout;
-//! CSVs, sibling gnuplot scripts and a paper-vs-measured registry under
-//! `--out` (default `results/`).
+//! With no arguments it lists the commands of [`COMMANDS`] with one line
+//! each; `all` runs every one of them in order. `--quick` runs the
+//! simulations 10× shrunk (the default is full paper scale, ≈700
+//! simulated seconds each). Each command writes its CSVs (and a sibling
+//! gnuplot script per series) under `--out` (default `results/`) and
+//! prints what it writes: the rows of each CSV as a table, the chart of
+//! each series. Only `all` writes the paper-vs-measured registry
+//! (`experiments.{md,json}`); a single command prints its tally.
 
-use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 use vfc_controller::ControlMode;
 use vfc_cpusched::topology::NodeSpec;
@@ -50,56 +34,159 @@ use vfc_scenarios::runner::{Scale, ScenarioOutcome};
 use vfc_scenarios::{cfs_sides, overhead, placement_eval};
 use vfc_simcore::Micros;
 
-/// Every registered subcommand, in suite order. `all` runs the whole
-/// list; the bare-invocation usage text is generated from it, so a new
-/// command registers itself here exactly once.
-const ALL_COMMANDS: [&str; 29] = [
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "placement",
-    "cfs-sides",
-    "overhead",
-    "variance",
-    "baselines",
-    "cluster",
-    "recovery",
-    "ablation",
-    "factor-sweep",
-    "churn",
-    "trace",
-    "overload",
-    "pricing",
+use ControlMode::{Full, MonitorOnly};
+use NodeKind::{Chetemi, Chiclet};
+
+/// A subcommand: its name (also its registry id), one line for the
+/// usage text, and its body.
+type Command = (&'static str, &'static str, fn(&mut Ctx));
+
+/// Every subcommand, in suite order. `all` runs the whole table and the
+/// usage text lists it, so a new command is one row here.
+const COMMANDS: &[Command] = &[
+    ("table2", "Table II: chetemi workload", |c| {
+        table_workload(c, Chetemi)
+    }),
+    ("table3", "Table III: chiclet workload", |c| {
+        table_workload(c, Chiclet)
+    }),
+    ("table4", "Table IV: the two node types", table4),
+    ("table5", "Table V: second-evaluation workload", table5),
+    ("fig3", "estimator trace, rising consumption", |c| {
+        estimator_fig(c, EstimatorFig::Increase)
+    }),
+    ("fig4", "estimator trace, falling consumption", |c| {
+        estimator_fig(c, EstimatorFig::Decrease)
+    }),
+    ("fig5", "estimator trace, stable consumption", |c| {
+        estimator_fig(c, EstimatorFig::Stable)
+    }),
+    ("fig6", "mean vCPU frequency, chetemi, no control", |c| {
+        freq_fig(c, Chetemi, MonitorOnly)
+    }),
+    ("fig7", "mean vCPU frequency, chetemi, controller", |c| {
+        freq_fig(c, Chetemi, Full)
+    }),
+    ("fig8", "mean vCPU frequency, chiclet, no control", |c| {
+        freq_fig(c, Chiclet, MonitorOnly)
+    }),
+    ("fig9", "mean vCPU frequency, chiclet, controller", |c| {
+        freq_fig(c, Chiclet, Full)
+    }),
+    ("fig10", "small-instance compression rate, chetemi", |c| {
+        rate_fig(c, Chetemi)
+    }),
+    ("fig11", "small-instance compression rate, chiclet", |c| {
+        rate_fig(c, Chiclet)
+    }),
+    ("fig12", "three-class vCPU frequency, no control", |c| {
+        eval2_fig(c, MonitorOnly)
+    }),
+    ("fig13", "three-class vCPU frequency, controller", |c| {
+        eval2_fig(c, Full)
+    }),
+    ("fig14", "small-instance compression rate, 2nd eval", fig14),
+    ("placement", "§IV.C Best-Fit study", placement),
+    ("cfs-sides", "§IV.A.2 CFS sharing side experiments", cfs),
+    ("overhead", "§IV.A.2 controller loop cost", overhead_cmd),
+    ("variance", "§IV.A.2 core-frequency variance", variance),
+    (
+        "baselines",
+        "§II comparison (Burst VM, VMDFS, CFS shares)",
+        baselines,
+    ),
+    ("cluster", "cluster-scale strategy comparison", cluster_cmd),
+    (
+        "recovery",
+        "warm vs cold controller restart under faults",
+        recovery_cmd,
+    ),
+    ("ablation", "design-parameter quality sweeps", ablation_cmd),
+    (
+        "factor-sweep",
+        "§III.C consolidation factor on Eq. 7",
+        factor_sweep_cmd,
+    ),
+    (
+        "churn",
+        "control-plane admission + reconcile churn",
+        churn_cmd,
+    ),
+    (
+        "trace",
+        "trace-driven event-core scale evaluation",
+        trace_cmd,
+    ),
+    (
+        "overload",
+        "deadline ladder + leases + API shedding",
+        overload_cmd,
+    ),
+    (
+        "pricing",
+        "billing revenue-vs-SLO frontier sweep",
+        pricing_cmd,
+    ),
 ];
+
+/// One of the six long scenario simulations the figures share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Run {
+    Eval1(NodeKind, ControlMode),
+    Eval2(ControlMode),
+}
+
+impl Run {
+    const ALL: [Run; 6] = [
+        Run::Eval1(Chetemi, MonitorOnly),
+        Run::Eval1(Chetemi, Full),
+        Run::Eval1(Chiclet, MonitorOnly),
+        Run::Eval1(Chiclet, Full),
+        Run::Eval2(MonitorOnly),
+        Run::Eval2(Full),
+    ];
+
+    fn run(self, scale: Scale) -> ScenarioOutcome {
+        match self {
+            Run::Eval1(node, mode) => eval1::run(node, mode, scale),
+            Run::Eval2(mode) => eval2::run(mode, scale),
+        }
+    }
+}
 
 struct Ctx {
     out: PathBuf,
     scale: Scale,
     registry: Registry,
+    /// The running command's name: its record id, and the file name of
+    /// what it saves under its own name.
+    id: &'static str,
+    /// Scenario runs simulated so far; each runs at most once.
+    runs: Vec<(Run, ScenarioOutcome)>,
+    /// Set by [`Ctx::fail`]; `main` exits 1 after the command.
+    failed: bool,
 }
 
 impl Ctx {
-    fn save_series(&self, id: &str, series: &GroupedSeries) {
-        let path = self.out.join(format!("{id}.csv"));
-        if let Err(e) = write_csv_file(&path, &grouped_series_csv(series)) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  data: {}", path.display());
-        }
-        // A sibling gnuplot script renders the CSV to PNG in one command.
+    /// The outcome of `run`, simulated the first time it is asked for.
+    fn outcome(&mut self, run: Run) -> &ScenarioOutcome {
+        let i = match self.runs.iter().position(|(r, _)| *r == run) {
+            Some(i) => i,
+            None => {
+                println!("  running {run:?} (this may take a moment)…");
+                self.runs.push((run, run.run(self.scale)));
+                self.runs.len() - 1
+            }
+        };
+        &self.runs[i].1
+    }
+
+    /// Draw `series` under `title`, and write it to `<id>.csv` with a
+    /// sibling gnuplot script that renders the CSV to PNG.
+    fn save_series(&self, title: &str, series: &GroupedSeries) {
+        let id = self.id;
+        println!("{}", chart(series, &format!("{id}: {title}"), 72, 18));
+        self.write(&format!("{id}.csv"), &grouped_series_csv(series));
         let gp = vfc_metrics::gnuplot::series_plot_script(
             series,
             &format!("{id}.csv"),
@@ -107,20 +194,46 @@ impl Ctx {
             "t (s)",
             "value",
         );
-        let gp_path = self.out.join(format!("{id}.gp"));
-        if let Err(e) = std::fs::write(&gp_path, gp) {
-            eprintln!("warning: could not write {}: {e}", gp_path.display());
+        self.write(&format!("{id}.gp"), &gp);
+    }
+
+    /// Print `rows` under `headers` and write them to `<file>.csv`.
+    fn save_rows(&self, file: &str, headers: &[&str], rows: &[Vec<String>]) {
+        let mut table = TextTable::new(headers);
+        for row in rows {
+            table.row(row);
+        }
+        print!("{}", table.render());
+        self.write(&format!("{file}.csv"), &to_csv(headers, rows));
+    }
+
+    fn write(&self, name: &str, content: &str) {
+        let path = self.out.join(name);
+        match write_csv_file(&path, content) {
+            Ok(()) => println!("  data: {}", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }
 
-    fn save_rows(&self, id: &str, headers: &[&str], rows: &[Vec<String>]) {
-        let path = self.out.join(format!("{id}.csv"));
-        if let Err(e) = write_csv_file(&path, &to_csv(headers, rows)) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  data: {}", path.display());
-        }
+    /// Report a failed check: `main` exits 1 once the command returns.
+    fn fail(&mut self, why: impl Display) {
+        eprintln!("FAIL: {why}");
+        self.failed = true;
     }
+}
+
+/// The CI bound in environment variable `var`, if it is set and parses.
+fn bound<T: FromStr>(var: &str) -> Option<T> {
+    std::env::var(var).ok()?.parse().ok()
+}
+
+fn usage() {
+    eprintln!("usage: experiments <command> [--out DIR] [--quick]");
+    eprintln!("commands:");
+    for (name, about, _) in COMMANDS {
+        eprintln!("  {name:<13} {about}");
+    }
+    eprintln!("  {:<13} every command above, then the registry", "all");
 }
 
 fn main() -> ExitCode {
@@ -151,189 +264,70 @@ fn main() -> ExitCode {
         i += 1;
     }
     let Some(command) = command else {
-        eprintln!("usage: experiments <command> [--out DIR] [--quick]");
-        eprintln!("commands:");
-        for chunk in ALL_COMMANDS.chunks(6) {
-            eprintln!("  {}", chunk.join(" "));
-        }
-        eprintln!("  all (everything above + EXPERIMENTS data)");
+        usage();
         return ExitCode::FAILURE;
     };
+    let all = command == "all";
+    let selected: Vec<&Command> = COMMANDS
+        .iter()
+        .filter(|(name, _, _)| all || *name == command)
+        .collect();
+    if selected.is_empty() {
+        eprintln!("unknown command: {command}");
+        usage();
+        return ExitCode::FAILURE;
+    }
 
     let mut ctx = Ctx {
         out,
         scale,
         registry: Registry::new(),
+        id: "",
+        runs: Vec::new(),
+        failed: false,
     };
-
-    let commands: Vec<&str> = if command == "all" {
-        ALL_COMMANDS.to_vec()
-    } else if ALL_COMMANDS.contains(&command.as_str()) {
-        vec![command.as_str()]
-    } else {
-        eprintln!("unknown command: {command}");
-        return ExitCode::FAILURE;
-    };
-
-    // eval1/eval2 runs are shared between figures; cache them.
-    let mut cache: BTreeMap<String, ScenarioOutcome> = BTreeMap::new();
-
-    // When the whole suite runs, the six long scenario simulations are
-    // independent — fill the cache in parallel (scoped threads; each
-    // simulation is single-threaded and deterministic).
-    if command == "all" {
+    // The six scenario runs are independent and each is single-threaded
+    // and deterministic: when the whole suite runs, simulate them in
+    // parallel up front.
+    if all {
         println!("prefilling the six evaluation runs in parallel…");
-        let runs: Vec<(String, Box<dyn FnOnce() -> ScenarioOutcome + Send>)> = vec![
-            (
-                format!(
-                    "eval1-{:?}-{:?}",
-                    NodeKind::Chetemi,
-                    ControlMode::MonitorOnly
-                ),
-                Box::new(move || eval1::run(NodeKind::Chetemi, ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval1-{:?}-{:?}", NodeKind::Chetemi, ControlMode::Full),
-                Box::new(move || eval1::run(NodeKind::Chetemi, ControlMode::Full, scale)),
-            ),
-            (
-                format!(
-                    "eval1-{:?}-{:?}",
-                    NodeKind::Chiclet,
-                    ControlMode::MonitorOnly
-                ),
-                Box::new(move || eval1::run(NodeKind::Chiclet, ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval1-{:?}-{:?}", NodeKind::Chiclet, ControlMode::Full),
-                Box::new(move || eval1::run(NodeKind::Chiclet, ControlMode::Full, scale)),
-            ),
-            (
-                format!("eval2-{:?}", ControlMode::MonitorOnly),
-                Box::new(move || eval2::run(ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval2-{:?}", ControlMode::Full),
-                Box::new(move || eval2::run(ControlMode::Full, scale)),
-            ),
-        ];
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = runs
-                .into_iter()
-                .map(|(key, run)| s.spawn(move || (key, run())))
-                .collect();
-            handles
+        ctx.runs = std::thread::scope(|s| {
+            Run::ALL
+                .map(|run| s.spawn(move || (run, run.run(scale))))
                 .into_iter()
                 .map(|h| h.join().expect("scenario thread"))
-                .collect::<Vec<_>>()
+                .collect()
         });
-        cache.extend(results);
     }
 
-    for cmd in commands {
-        println!("=== {cmd} ===");
-        match cmd {
-            "table2" => table_workload(&mut ctx, "table2", NodeKind::Chetemi),
-            "table3" => table_workload(&mut ctx, "table3", NodeKind::Chiclet),
-            "table4" => table4(&mut ctx),
-            "table5" => table5(&mut ctx),
-            "fig3" => estimator_fig(&mut ctx, "fig3", EstimatorFig::Increase),
-            "fig4" => estimator_fig(&mut ctx, "fig4", EstimatorFig::Decrease),
-            "fig5" => estimator_fig(&mut ctx, "fig5", EstimatorFig::Stable),
-            "fig6" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig6",
-                NodeKind::Chetemi,
-                ControlMode::MonitorOnly,
-            ),
-            "fig7" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig7",
-                NodeKind::Chetemi,
-                ControlMode::Full,
-            ),
-            "fig8" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig8",
-                NodeKind::Chiclet,
-                ControlMode::MonitorOnly,
-            ),
-            "fig9" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig9",
-                NodeKind::Chiclet,
-                ControlMode::Full,
-            ),
-            "fig10" => rate_fig(&mut ctx, &mut cache, "fig10", NodeKind::Chetemi),
-            "fig11" => rate_fig(&mut ctx, &mut cache, "fig11", NodeKind::Chiclet),
-            "fig12" => eval2_fig(&mut ctx, &mut cache, "fig12", ControlMode::MonitorOnly),
-            "fig13" => eval2_fig(&mut ctx, &mut cache, "fig13", ControlMode::Full),
-            "fig14" => fig14(&mut ctx, &mut cache),
-            "placement" => placement(&mut ctx),
-            "cfs-sides" => cfs(&mut ctx),
-            "overhead" => overhead_cmd(&mut ctx),
-            "variance" => variance(&mut ctx, &mut cache),
-            "baselines" => baselines(&mut ctx),
-            "cluster" => cluster_cmd(&mut ctx),
-            "recovery" => recovery_cmd(&mut ctx),
-            "ablation" => ablation_cmd(&mut ctx),
-            "factor-sweep" => factor_sweep_cmd(&mut ctx),
-            "churn" => {
-                if !churn_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "trace" => {
-                if !trace_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "overload" => {
-                if !overload_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "pricing" => {
-                if !pricing_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            _ => unreachable!(),
+    for (name, _, body) in selected {
+        println!("=== {name} ===");
+        ctx.id = name;
+        body(&mut ctx);
+        if ctx.failed {
+            return ExitCode::FAILURE;
         }
         println!();
     }
 
-    if let Err(e) = ctx.registry.write_to(&ctx.out) {
-        eprintln!("warning: could not write registry: {e}");
-    }
     let (ok, partial, bad) = ctx.registry.tally();
-    println!(
-        "records: {ok} reproduced, {partial} partial, {bad} diverged → {}",
-        ctx.out.join("experiments.md").display()
-    );
+    print!("records: {ok} reproduced, {partial} partial, {bad} diverged");
+    if all {
+        if let Err(e) = ctx.registry.write_to(&ctx.out) {
+            eprintln!("warning: could not write registry: {e}");
+        }
+        print!(" → {}", ctx.out.join("experiments.md").display());
+    }
+    println!();
     ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------- tables --
 
-fn table_workload(ctx: &mut Ctx, id: &str, node: NodeKind) {
+fn table_workload(ctx: &mut Ctx, node: NodeKind) {
     let (small, large) = node.counts();
-    let mut t = TextTable::new(&["VM", "vCPUs", "Frequency", "Instances", "Workload"]);
-    t.row_strs(&["small", "2", "500 MHz", &small.to_string(), "compress-7zip"]);
-    t.row_strs(&[
-        "large",
-        "4",
-        "1800 MHz",
-        &large.to_string(),
-        "compress-7zip",
-    ]);
-    print!("{}", t.render());
     ctx.save_rows(
-        id,
+        ctx.id,
         &["vm", "vcpus", "freq_mhz", "instances", "workload"],
         &[
             vec![
@@ -354,7 +348,7 @@ fn table_workload(ctx: &mut Ctx, id: &str, node: NodeKind) {
     );
     ctx.registry.add(
         ExperimentRecord::new(
-            id,
+            ctx.id,
             &format!("Workload on {}", node.spec().name),
             "configuration table (input, not a measurement)",
         )
@@ -377,7 +371,7 @@ fn table4(ctx: &mut Ctx) {
     print!("{}", t.render());
     ctx.registry.add(
         ExperimentRecord::new(
-            "table4",
+            ctx.id,
             "Nodes used for the experimentations",
             "chetemi: 2×10 cores @2400; chiclet: 2×16 cores @2400",
         )
@@ -395,7 +389,7 @@ fn table5(ctx: &mut Ctx) {
     print!("{}", t.render());
     ctx.registry.add(
         ExperimentRecord::new(
-            "table5",
+            ctx.id,
             "Second evaluation workload on chetemi",
             "14 small + 8 medium + 6 large (95 600 of 96 000 MHz)",
         )
@@ -406,18 +400,9 @@ fn table5(ctx: &mut Ctx) {
 
 // ------------------------------------------------------ estimator figures --
 
-fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) {
+fn estimator_fig(ctx: &mut Ctx, fig: EstimatorFig) {
     let series = trace(fig);
-    println!(
-        "{}",
-        chart(
-            &series,
-            &format!("{id}: estimator {fig:?} case (µs/period)"),
-            70,
-            16
-        )
-    );
-    ctx.save_series(id, &series);
+    ctx.save_series(&format!("estimator {fig:?} case (µs/period)"), &series);
     let claim = match fig {
         EstimatorFig::Increase => "capping chases a rising consumption via the increase factor",
         EstimatorFig::Decrease => "capping backs off by the decrease factor",
@@ -435,7 +420,7 @@ fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) {
         Verdict::Diverged
     };
     ctx.registry.add(
-        ExperimentRecord::new(id, &format!("Estimator behaviour ({fig:?})"), claim)
+        ExperimentRecord::new(ctx.id, &format!("Estimator behaviour ({fig:?})"), claim)
             .measured(format!(
                 "final consumption {consumption:.0} µs, capping {capping:.0} µs"
             ))
@@ -447,48 +432,26 @@ fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) {
 
 // ------------------------------------------------------ frequency figures --
 
-fn eval1_outcome(
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    node: NodeKind,
-    mode: ControlMode,
-    scale: Scale,
-) -> &ScenarioOutcome {
-    let key = format!("eval1-{node:?}-{mode:?}");
-    cache.entry(key).or_insert_with(|| {
-        println!("  running eval1 {node:?} {mode:?} (this may take a moment)…");
-        eval1::run(node, mode, scale)
-    })
+fn execution(mode: ControlMode) -> &'static str {
+    if mode == Full {
+        "B"
+    } else {
+        "A"
+    }
 }
 
-fn freq_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    node: NodeKind,
-    mode: ControlMode,
-) {
+fn freq_fig(ctx: &mut Ctx, node: NodeKind, mode: ControlMode) {
     let scale = ctx.scale;
-    let (freqs, series, variance) = {
-        let out = eval1_outcome(cache, node, mode, scale);
-        (
-            eval1::contended_freqs(out, scale),
-            out.freq_series.clone(),
-            out.core_freq_variance,
-        )
-    };
-    println!(
-        "{}",
-        chart(
-            &series,
-            &format!("{id}: mean vCPU frequency (MHz) on {}", node.spec().name),
-            72,
-            18
-        )
+    let out = ctx.outcome(Run::Eval1(node, mode));
+    let freqs = eval1::contended_freqs(out, scale);
+    let (series, variance) = (out.freq_series.clone(), out.core_freq_variance);
+    ctx.save_series(
+        &format!("mean vCPU frequency (MHz) on {}", node.spec().name),
+        &series,
     );
-    ctx.save_series(id, &series);
 
     let (claim, verdict, measured) = match mode {
-        ControlMode::Full => (
+        Full => (
             "small plateau ≈500 MHz, large ≈1800 MHz once both contend",
             if (380.0..780.0).contains(&freqs.small_mhz) && freqs.large_mhz > 1450.0 {
                 Verdict::Reproduced
@@ -500,7 +463,7 @@ fn freq_fig(
                 freqs.small_mhz, freqs.large_mhz
             ),
         ),
-        ControlMode::MonitorOnly => (
+        MonitorOnly => (
             "CFS favours the smalls: small vCPUs faster than large vCPUs",
             if freqs.small_mhz > freqs.large_mhz {
                 Verdict::Reproduced
@@ -515,11 +478,11 @@ fn freq_fig(
     };
     ctx.registry.add(
         ExperimentRecord::new(
-            id,
+            ctx.id,
             &format!(
                 "vCPU frequency, {} execution {}",
                 node.spec().name,
-                if mode == ControlMode::Full { "B" } else { "A" }
+                execution(mode)
             ),
             claim,
         )
@@ -533,78 +496,58 @@ fn freq_fig(
 
 // ----------------------------------------------------- throughput figures --
 
-fn rates_series(out: &ScenarioOutcome, class: &str, label_prefix: &str) -> GroupedSeries {
+/// The small instances' mean compress/decompress rate per iteration under
+/// execution A and B of one evaluation, as `A-compress`, `B-compress`, ….
+fn small_rates(ctx: &mut Ctx, run: impl Fn(ControlMode) -> Run) -> GroupedSeries {
     let mut g = GroupedSeries::new();
-    for phase in ["compress", "decompress"] {
-        for iter in out.iterations_reported(class, phase) {
-            if let Some(rate) = out.mean_rate(class, phase, iter) {
-                g.push(
-                    &format!("{label_prefix}-{phase}"),
-                    Micros(iter as u64), // x-axis is the iteration index
-                    rate,
-                );
+    for mode in [MonitorOnly, Full] {
+        let out = ctx.outcome(run(mode));
+        for phase in ["compress", "decompress"] {
+            for iter in out.iterations_reported("small", phase) {
+                if let Some(rate) = out.mean_rate("small", phase, iter) {
+                    g.push(
+                        &format!("{}-{phase}", execution(mode)),
+                        Micros(iter as u64), // x-axis is the iteration index
+                        rate,
+                    );
+                }
             }
         }
     }
     g
 }
 
-fn rate_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    node: NodeKind,
-) {
-    let scale = ctx.scale;
-    let mut series = GroupedSeries::new();
+fn rate_fig(ctx: &mut Ctx, node: NodeKind) {
+    let series = small_rates(ctx, |mode| Run::Eval1(node, mode));
+    ctx.save_series(
+        &format!(
+            "small-instance compression rate per iteration ({})",
+            node.spec().name
+        ),
+        &series,
+    );
+    // Stability of the *contended* iterations in B. Timeline: the first
+    // ~3 iterations run uncontended ("the first 3 iterations are equal"
+    // per the paper); iterations 4–7 run while the larges contend (the
+    // guarantee plateau); later iterations run after the larges complete
+    // and burst again. The claim under test is that the plateau sits
+    // tight at the guarantee rate.
     let mut stable_ratio = f64::NAN;
-    for (mode, label) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-        let out = eval1_outcome(cache, node, mode, scale);
-        let g = rates_series(out, "small", label);
-        for name in g.names() {
-            if let Some(s) = g.get(name) {
-                for (t, v) in s.points() {
-                    series.push(name, *t, *v);
-                }
-            }
-        }
-        // Stability of the *contended* iterations in B. Timeline: the
-        // first ~3 iterations run uncontended ("the first 3 iterations
-        // are equal" per the paper); iterations 4–7 run while the larges
-        // contend (the guarantee plateau); later iterations run after the
-        // larges complete and burst again. The claim under test is that
-        // the plateau sits tight at the guarantee rate.
-        if mode == ControlMode::Full {
-            if let Some(s) = g.get("B-compress") {
-                let contended: Vec<f64> = s
-                    .points()
-                    .iter()
-                    .filter(|(iter, _)| (4..=7).contains(&iter.as_u64()))
-                    .map(|(_, v)| *v)
-                    .collect();
-                let summary = vfc_metrics::stats::Summary::of(&contended);
-                if summary.mean() > 0.0 {
-                    stable_ratio = summary.std_dev() / summary.mean();
-                }
-            }
+    if let Some(s) = series.get("B-compress") {
+        let contended: Vec<f64> = s
+            .points()
+            .iter()
+            .filter(|(iter, _)| (4..=7).contains(&iter.as_u64()))
+            .map(|(_, v)| *v)
+            .collect();
+        let summary = vfc_metrics::stats::Summary::of(&contended);
+        if summary.mean() > 0.0 {
+            stable_ratio = summary.std_dev() / summary.mean();
         }
     }
-    println!(
-        "{}",
-        chart(
-            &series,
-            &format!(
-                "{id}: small-instance compression rate per iteration ({})",
-                node.spec().name
-            ),
-            72,
-            16
-        )
-    );
-    ctx.save_series(id, &series);
     ctx.registry.add(
         ExperimentRecord::new(
-            id,
+            ctx.id,
             &format!(
                 "Compression efficiency of small instances on {}",
                 node.spec().name
@@ -625,49 +568,19 @@ fn rate_fig(
 
 // -------------------------------------------------------- second evaluation --
 
-fn eval2_outcome(
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    mode: ControlMode,
-    scale: Scale,
-) -> &ScenarioOutcome {
-    let key = format!("eval2-{mode:?}");
-    cache.entry(key).or_insert_with(|| {
-        println!("  running eval2 {mode:?}…");
-        eval2::run(mode, scale)
-    })
-}
-
-fn eval2_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    mode: ControlMode,
-) {
+fn eval2_fig(ctx: &mut Ctx, mode: ControlMode) {
     let scale = ctx.scale;
-    let (series, small, medium, large) = {
-        let out = eval2_outcome(cache, mode, scale);
-        // Contended window: between the large ramp and the medium finish.
-        let from = scale.time(eval2::LARGE_START) + Micros::from_secs(20);
-        let to = from + scale.time(Micros::from_secs(60));
-        (
-            out.freq_series.clone(),
-            out.mean_freq_between("small", from, to),
-            out.mean_freq_between("medium", from, to),
-            out.mean_freq_between("large", from, to),
-        )
-    };
-    println!(
-        "{}",
-        chart(
-            &series,
-            &format!("{id}: mean vCPU frequency (MHz), 3 classes, chetemi"),
-            72,
-            18
-        )
-    );
-    ctx.save_series(id, &series);
+    let out = ctx.outcome(Run::Eval2(mode));
+    // Contended window: between the large ramp and the medium finish.
+    let from = scale.time(eval2::LARGE_START) + Micros::from_secs(20);
+    let to = from + scale.time(Micros::from_secs(60));
+    let small = out.mean_freq_between("small", from, to);
+    let medium = out.mean_freq_between("medium", from, to);
+    let large = out.mean_freq_between("large", from, to);
+    let series = out.freq_series.clone();
+    ctx.save_series("mean vCPU frequency (MHz), 3 classes, chetemi", &series);
     let (claim, verdict) = match mode {
-        ControlMode::Full => (
+        Full => (
             "plateaus at ≈500/1200/1800 MHz; release when mediums finish",
             if small < medium && medium < large {
                 Verdict::Reproduced
@@ -675,7 +588,7 @@ fn eval2_fig(
                 Verdict::Diverged
             },
         ),
-        ControlMode::MonitorOnly => (
+        MonitorOnly => (
             "smalls fastest; medium ≈ large",
             if small > medium && small > large {
                 Verdict::Reproduced
@@ -686,11 +599,8 @@ fn eval2_fig(
     };
     ctx.registry.add(
         ExperimentRecord::new(
-            id,
-            &format!(
-                "Heterogeneous workloads, execution {}",
-                if mode == ControlMode::Full { "B" } else { "A" }
-            ),
+            ctx.id,
+            &format!("Heterogeneous workloads, execution {}", execution(mode)),
             claim,
         )
         .measured(format!(
@@ -703,33 +613,15 @@ fn eval2_fig(
     );
 }
 
-fn fig14(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
-    let scale = ctx.scale;
-    let mut series = GroupedSeries::new();
-    for (mode, label) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-        let out = eval2_outcome(cache, mode, scale);
-        let g = rates_series(out, "small", label);
-        for name in g.names() {
-            if let Some(s) = g.get(name) {
-                for (t, v) in s.points() {
-                    series.push(name, *t, *v);
-                }
-            }
-        }
-    }
-    println!(
-        "{}",
-        chart(
-            &series,
-            "fig14: small-instance compression rate per iteration (2nd eval)",
-            72,
-            16
-        )
+fn fig14(ctx: &mut Ctx) {
+    let series = small_rates(ctx, Run::Eval2);
+    ctx.save_series(
+        "small-instance compression rate per iteration (2nd eval)",
+        &series,
     );
-    ctx.save_series("fig14", &series);
     ctx.registry.add(
         ExperimentRecord::new(
-            "fig14",
+            ctx.id,
             "Compression efficiency of small instances, 2nd eval",
             "same shape as fig10: B stable at the guarantee",
         )
@@ -742,14 +634,6 @@ fn fig14(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
 
 fn placement(ctx: &mut Ctx) {
     let mut rows = Vec::new();
-    let mut table = TextTable::new(&[
-        "order",
-        "constraint",
-        "nodes used",
-        "max large/chiclet",
-        "max small/chetemi",
-        "power (W)",
-    ]);
     let mut freq_nodes = usize::MAX;
     let mut classic_nodes = 0usize;
     for order in [
@@ -759,14 +643,6 @@ fn placement(ctx: &mut Ctx) {
     ] {
         let s = placement_eval::study(order);
         for m in [&s.classic, &s.frequency, &s.factor18] {
-            table.row(&[
-                s.order.clone(),
-                m.label.clone(),
-                m.nodes_used.to_string(),
-                m.max_large_per_chiclet.to_string(),
-                m.max_small_per_chetemi.to_string(),
-                format!("{:.0}", m.energy.power_used_only_w),
-            ]);
             rows.push(vec![
                 s.order.clone(),
                 m.label.clone(),
@@ -779,9 +655,8 @@ fn placement(ctx: &mut Ctx) {
         freq_nodes = freq_nodes.min(s.frequency.nodes_used);
         classic_nodes = classic_nodes.max(s.classic.nodes_used);
     }
-    print!("{}", table.render());
     ctx.save_rows(
-        "placement",
+        ctx.id,
         &[
             "order",
             "constraint",
@@ -798,7 +673,7 @@ fn placement(ctx: &mut Ctx) {
         Verdict::Partial
     };
     ctx.registry.add(
-        ExperimentRecord::new("placement", "§IV.C Best-Fit with frequency capping",
+        ExperimentRecord::new(ctx.id, "§IV.C Best-Fit with frequency capping",
             "15 of 22 nodes with Eq. 7 (vs whole cluster classically); ≤21 large per chiclet vs 28 with factor 1.8")
             .measured(format!("Eq. 7 best: {freq_nodes} nodes; classic worst: {classic_nodes} nodes"))
             .metric("freq_nodes_used", freq_nodes as f64)
@@ -810,15 +685,7 @@ fn placement(ctx: &mut Ctx) {
 fn cfs(ctx: &mut Ctx) {
     let a = cfs_sides::experiment_a();
     let b = cfs_sides::experiment_b();
-    println!(
-        "a) 20×4-vCPU VMs: within-group vCPU spread = {:.4} (paper: all equal)",
-        a.within_group_spread
-    );
     let share = b.group_share.get("single").copied().unwrap_or(0.0);
-    println!(
-        "b) 40×1-vCPU + 10×4-vCPU: single-vCPU VMs hold {:.3} of the node (paper: 4/5)",
-        share
-    );
     ctx.save_rows(
         "cfs_sides",
         &["experiment", "metric", "value"],
@@ -842,7 +709,7 @@ fn cfs(ctx: &mut Ctx) {
     };
     ctx.registry.add(
         ExperimentRecord::new(
-            "cfs-sides",
+            ctx.id,
             "CFS shares per VM, not per vCPU",
             "a) all vCPUs equal; b) 4/5 of resources to the 1-vCPU VMs",
         )
@@ -861,125 +728,64 @@ fn overhead_cmd(ctx: &mut Ctx) {
         "{} vCPUs, {} iterations ({} warmup discarded):",
         r.vcpus, r.iterations, r.warmup
     );
-    // Paper §IV.A.2 means, µs, for the side-by-side column. Only the
-    // monitor stage and the total are reported there; the other four
-    // stages share the remaining ≈1 ms.
-    let paper_us: &[(&str, Option<u64>)] = &[
-        ("monitor", Some(4_000)),
-        ("estimate", None),
-        ("enforce", None),
-        ("auction", None),
-        ("distribute", None),
-        ("apply", None),
-    ];
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "stage", "mean_us", "p50_us", "p95_us", "p99_us", "max_us", "paper_us"
-    );
-    let mut rows = Vec::new();
-    for ((name, snap), (_, paper)) in r.stages.iter().zip(paper_us) {
-        let paper_col = paper.map_or("-".to_string(), |p| p.to_string());
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            name,
-            snap.mean_us(),
-            snap.p50_us,
-            snap.p95_us,
-            snap.p99_us,
-            snap.max_us,
-            paper_col
-        );
-        rows.push(vec![
-            name.to_string(),
-            snap.mean_us().to_string(),
-            snap.p50_us.to_string(),
-            snap.p95_us.to_string(),
-            snap.p99_us.to_string(),
-            snap.max_us.to_string(),
-            paper_col,
-        ]);
-    }
-    for (name, snap, paper) in [
-        ("iteration", &r.iteration, Some(5_000u64)),
-        ("render", &r.render, None),
-    ] {
-        let paper_col = paper.map_or("-".to_string(), |p| p.to_string());
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            name,
-            snap.mean_us(),
-            snap.p50_us,
-            snap.p95_us,
-            snap.p99_us,
-            snap.max_us,
-            paper_col
-        );
-        rows.push(vec![
-            name.to_string(),
-            snap.mean_us().to_string(),
-            snap.p50_us.to_string(),
-            snap.p95_us.to_string(),
-            snap.p99_us.to_string(),
-            snap.max_us.to_string(),
-            paper_col,
-        ]);
-    }
-    println!(
-        "monitoring share of the loop: {:.1} %; exposition render: {:.3} % of a 1 s period",
-        100.0 * r.monitor_share(),
-        100.0 * r.render_share(Duration::from_secs(1)),
-    );
+    // Paper §IV.A.2 means, µs, for the side-by-side column: only the
+    // monitor stage and the whole iteration are reported there; the
+    // other four stages share the remaining ≈1 ms.
+    let paper_us = |name: &str| match name {
+        "monitor" => "4000",
+        "iteration" => "5000",
+        _ => "-",
+    };
+    let rows: Vec<Vec<String>> = r
+        .stages
+        .iter()
+        .map(|(name, snap)| (*name, snap))
+        .chain([("iteration", &r.iteration), ("render", &r.render)])
+        .map(|(name, snap)| {
+            vec![
+                name.to_string(),
+                snap.mean_us().to_string(),
+                snap.p50_us.to_string(),
+                snap.p95_us.to_string(),
+                snap.p99_us.to_string(),
+                snap.max_us.to_string(),
+                paper_us(name).to_string(),
+            ]
+        })
+        .collect();
     ctx.save_rows(
-        "overhead",
+        ctx.id,
         &[
             "stage", "mean_us", "p50_us", "p95_us", "p99_us", "max_us", "paper_us",
         ],
         &rows,
     );
+    println!(
+        "monitoring share of the loop: {:.1} %; exposition render: {:.3} % of a 1 s period",
+        100.0 * r.monitor_share(),
+        100.0 * r.render_share(Duration::from_secs(1)),
+    );
 
     // Scaling sweep: per-stage mean µs at several hosted-vCPU counts, to
     // see how each stage grows with the number of slots.
-    println!();
-    println!(
-        "{:<8} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9}",
-        "vcpus",
-        "monitor",
-        "estimate",
-        "enforce",
-        "auction",
-        "distribute",
-        "apply",
-        "total",
-        "p50_us",
-    );
-    let mut sweep_rows = Vec::new();
-    for target in [20u32, 80, 160, 500, 1000, 2000] {
-        let s = overhead::measure(target, 20);
-        let us = |d: Duration| d.as_micros().to_string();
-        println!(
-            "{:<8} {:>9} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9}",
-            s.vcpus,
-            us(s.mean.monitor),
-            us(s.mean.estimate),
-            us(s.mean.enforce),
-            us(s.mean.auction),
-            us(s.mean.distribute),
-            us(s.mean.apply),
-            us(s.mean.total),
-            s.iteration.p50_us,
-        );
-        sweep_rows.push(vec![
-            s.vcpus.to_string(),
-            us(s.mean.monitor),
-            us(s.mean.estimate),
-            us(s.mean.enforce),
-            us(s.mean.auction),
-            us(s.mean.distribute),
-            us(s.mean.apply),
-            us(s.mean.total),
-            s.iteration.p50_us.to_string(),
-        ]);
-    }
+    let us = |d: Duration| d.as_micros().to_string();
+    let sweep_rows: Vec<Vec<String>> = [20u32, 80, 160, 500, 1000, 2000]
+        .into_iter()
+        .map(|target| {
+            let s = overhead::measure(target, 20);
+            vec![
+                s.vcpus.to_string(),
+                us(s.mean.monitor),
+                us(s.mean.estimate),
+                us(s.mean.enforce),
+                us(s.mean.auction),
+                us(s.mean.distribute),
+                us(s.mean.apply),
+                us(s.mean.total),
+                s.iteration.p50_us.to_string(),
+            ]
+        })
+        .collect();
     ctx.save_rows(
         "overhead_sweep",
         &[
@@ -1001,7 +807,7 @@ fn overhead_cmd(ctx: &mut Ctx) {
         Verdict::Partial
     };
     ctx.registry.add(
-        ExperimentRecord::new("overhead", "Controller loop cost",
+        ExperimentRecord::new(ctx.id, "Controller loop cost",
             "≈5 ms per 1 s iteration on the paper's testbed (kernel-crossing reads); negligible vs the period")
             .measured(format!("{:?} per iteration against the in-memory backend", r.mean.total))
             .metric("total_us", r.mean.total.as_micros() as f64)
@@ -1011,27 +817,26 @@ fn overhead_cmd(ctx: &mut Ctx) {
     );
 }
 
-fn variance(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
-    let scale = ctx.scale;
+fn variance(ctx: &mut Ctx) {
     let mut rows = Vec::new();
     let mut all_small = true;
-    for (node, label) in [
-        (NodeKind::Chetemi, "chetemi"),
-        (NodeKind::Chiclet, "chiclet"),
-    ] {
-        for (mode, ml) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-            let v = eval1_outcome(cache, node, mode, scale).core_freq_variance;
-            println!("{label} execution {ml}: mean core-frequency variance {v:.1} MHz²");
-            rows.push(vec![label.to_string(), ml.to_string(), format!("{v:.2}")]);
+    for node in [Chetemi, Chiclet] {
+        for mode in [MonitorOnly, Full] {
+            let v = ctx.outcome(Run::Eval1(node, mode)).core_freq_variance;
+            rows.push(vec![
+                node.spec().name,
+                execution(mode).to_string(),
+                format!("{v:.2}"),
+            ]);
             if v > 50_000.0 {
                 all_small = false;
             }
         }
     }
-    ctx.save_rows("variance", &["node", "execution", "variance_mhz2"], &rows);
+    ctx.save_rows(ctx.id, &["node", "execution", "variance_mhz2"], &rows);
     ctx.registry.add(
         ExperimentRecord::new(
-            "variance",
+            ctx.id,
             "Core-frequency variance",
             "16/37 MHz (chetemi A/B) and 88/150 MHz (chiclet): cores run at ≈the same speed",
         )
@@ -1047,33 +852,21 @@ fn variance(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
 fn baselines(ctx: &mut Ctx) {
     use vfc_scenarios::baseline_eval::{compare, PolicyKind};
     let cmp = compare();
-    let mut table = TextTable::new(&[
-        "policy",
-        "premium VM (1800 asked)",
-        "cheap VM (500 asked)",
-        "hungry VM, idle node",
-        "frugal VM's burst",
-    ]);
-    let mut rows = Vec::new();
-    for (kind, o) in &cmp.rows {
-        table.row(&[
-            kind.label().to_string(),
-            format!("{:.0} MHz", o.premium_mhz),
-            format!("{:.0} MHz", o.cheap_mhz),
-            format!("{:.0} MHz", o.idle_node_mhz),
-            format!("{:.0} MHz", o.frugal_burst_mhz),
-        ]);
-        rows.push(vec![
-            kind.label().to_string(),
-            format!("{:.1}", o.premium_mhz),
-            format!("{:.1}", o.cheap_mhz),
-            format!("{:.1}", o.idle_node_mhz),
-            format!("{:.1}", o.frugal_burst_mhz),
-        ]);
-    }
-    print!("{}", table.render());
+    let rows: Vec<Vec<String>> = cmp
+        .rows
+        .iter()
+        .map(|(kind, o)| {
+            vec![
+                kind.label().to_string(),
+                format!("{:.1}", o.premium_mhz),
+                format!("{:.1}", o.cheap_mhz),
+                format!("{:.1}", o.idle_node_mhz),
+                format!("{:.1}", o.frugal_burst_mhz),
+            ]
+        })
+        .collect();
     ctx.save_rows(
-        "baselines",
+        ctx.id,
         &[
             "policy",
             "premium_mhz",
@@ -1095,7 +888,7 @@ fn baselines(ctx: &mut Ctx) {
         Verdict::Partial
     };
     ctx.registry.add(
-        ExperimentRecord::new("baselines", "§II baseline comparison (Burst VM, VMDFS)",
+        ExperimentRecord::new(ctx.id, "§II baseline comparison (Burst VM, VMDFS)",
             "Burst VMs: fixed low baseline, binary uncap, waste when credit-less on an idle node; \
              VMDFS: no differentiated frequencies under contention — the controller avoids all three")
             .measured(format!(
@@ -1115,6 +908,7 @@ fn baselines(ctx: &mut Ctx) {
 }
 
 fn cluster_cmd(ctx: &mut Ctx) {
+    use vfc_scenarios::cluster_eval::class_violation_rate as rate;
     use vfc_scenarios::cluster_eval::{compare, ClusterScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         ClusterScenario {
@@ -1129,32 +923,14 @@ fn cluster_cmd(ctx: &mut Ctx) {
         scenario.smalls, scenario.mediums, scenario.larges, scenario.periods
     );
     let cmp = compare(scenario);
-    let mut table = TextTable::new(&[
-        "strategy",
-        "nodes",
-        "migr.",
-        "energy (Wh)",
-        "SLO large",
-        "SLO medium",
-        "SLO small",
-    ]);
-    let mut rows = Vec::new();
-    use vfc_scenarios::cluster_eval::class_violation_rate as rate;
-    for (label, r) in [
+    let rows: Vec<Vec<String>> = [
         ("frequency control", &cmp.frequency),
         ("freq + throttle-aware", &cmp.frequency_ta),
         ("migration ×1.8", &cmp.migration),
-    ] {
-        table.row(&[
-            label.to_string(),
-            format!("{}/{}", r.nodes_active, r.nodes_total),
-            r.migrations.to_string(),
-            format!("{:.1}", r.energy_wh),
-            format!("{:.1} %", 100.0 * rate(r, "large")),
-            format!("{:.1} %", 100.0 * rate(r, "medium")),
-            format!("{:.1} %", 100.0 * rate(r, "small")),
-        ]);
-        rows.push(vec![
+    ]
+    .into_iter()
+    .map(|(label, r)| {
+        vec![
             label.to_string(),
             r.nodes_active.to_string(),
             r.migrations.to_string(),
@@ -1162,11 +938,11 @@ fn cluster_cmd(ctx: &mut Ctx) {
             format!("{:.4}", rate(r, "large")),
             format!("{:.4}", rate(r, "medium")),
             format!("{:.4}", rate(r, "small")),
-        ]);
-    }
-    print!("{}", table.render());
+        ]
+    })
+    .collect();
     ctx.save_rows(
-        "cluster",
+        ctx.id,
         &[
             "strategy",
             "nodes_active",
@@ -1187,7 +963,7 @@ fn cluster_cmd(ctx: &mut Ctx) {
         Verdict::Partial
     };
     ctx.registry.add(
-        ExperimentRecord::new("cluster", "Cluster-scale strategy comparison",
+        ExperimentRecord::new(ctx.id, "Cluster-scale strategy comparison",
             "§II/§IV.C: legacy consolidation leans on migrations, uses more nodes and degrades \
              the premium class; frequency capping keeps promises on-node without migrating")
             .measured(format!(
@@ -1228,40 +1004,23 @@ fn recovery_cmd(ctx: &mut Ctx) {
         scenario.crash_period, scenario.outage_periods, scenario.periods
     );
     let cmp = compare(scenario);
-    let mut table = TextTable::new(&[
-        "restart",
-        "crashes",
-        "uncontrolled VM-periods",
-        "recovery viol. small",
-        "recovery viol. medium",
-        "recovery viol. large",
-        "total",
-    ]);
-    let mut rows = Vec::new();
-    for (label, r) in [("warm (journal)", &cmp.warm), ("cold", &cmp.cold)] {
-        let f = r.faults.expect("fault model was active");
-        table.row(&[
-            label.to_string(),
-            f.controller_crashes.to_string(),
-            f.uncontrolled_vm_periods.to_string(),
-            recovery_slo(r, "small").violated_periods.to_string(),
-            recovery_slo(r, "medium").violated_periods.to_string(),
-            recovery_slo(r, "large").violated_periods.to_string(),
-            total_recovery_violations(r).to_string(),
-        ]);
-        rows.push(vec![
-            label.to_string(),
-            f.controller_crashes.to_string(),
-            f.uncontrolled_vm_periods.to_string(),
-            recovery_slo(r, "small").violated_periods.to_string(),
-            recovery_slo(r, "medium").violated_periods.to_string(),
-            recovery_slo(r, "large").violated_periods.to_string(),
-            total_recovery_violations(r).to_string(),
-        ]);
-    }
-    print!("{}", table.render());
+    let rows: Vec<Vec<String>> = [("warm (journal)", &cmp.warm), ("cold", &cmp.cold)]
+        .into_iter()
+        .map(|(label, r)| {
+            let f = r.faults.expect("fault model was active");
+            vec![
+                label.to_string(),
+                f.controller_crashes.to_string(),
+                f.uncontrolled_vm_periods.to_string(),
+                recovery_slo(r, "small").violated_periods.to_string(),
+                recovery_slo(r, "medium").violated_periods.to_string(),
+                recovery_slo(r, "large").violated_periods.to_string(),
+                total_recovery_violations(r).to_string(),
+            ]
+        })
+        .collect();
     ctx.save_rows(
-        "recovery",
+        ctx.id,
         &[
             "restart",
             "controller_crashes",
@@ -1277,7 +1036,7 @@ fn recovery_cmd(ctx: &mut Ctx) {
     let cold = total_recovery_violations(&cmp.cold);
     ctx.registry.add(
         ExperimentRecord::new(
-            "recovery",
+            ctx.id,
             "Warm vs cold controller restart under injected faults",
             "restoring wallets/history from the journal cuts violated periods in the \
              recovery window (guarantees return within one period either way; the \
@@ -1299,16 +1058,13 @@ fn recovery_cmd(ctx: &mut Ctx) {
 
 fn ablation_cmd(ctx: &mut Ctx) {
     use vfc_scenarios::ablation;
-
-    println!("increase factor (idle → saturating step):");
-    let mut t = TextTable::new(&["factor", "convergence (periods)", "mean waste (µs)"]);
+    // One row per swept value: the parameter, its value, then what the
+    // sweep measures — increase factor: convergence periods and mean
+    // waste µs; decrease factor: reclaim periods and sawtooth cap
+    // spread; history length: non-stable triggers per 100 noisy
+    // periods; auction window (µs): modest/rich cycles won.
     let mut rows = Vec::new();
     for r in ablation::sweep_increase_factor(&[0.25, 0.5, 1.0, 2.0, 4.0]) {
-        t.row(&[
-            format!("{:.2}", r.factor),
-            r.convergence_periods.to_string(),
-            format!("{:.0}", r.mean_waste_us),
-        ]);
         rows.push(vec![
             "increase_factor".into(),
             format!("{:.2}", r.factor),
@@ -1316,16 +1072,7 @@ fn ablation_cmd(ctx: &mut Ctx) {
             format!("{:.1}", r.mean_waste_us),
         ]);
     }
-    print!("{}", t.render());
-
-    println!("\ndecrease factor (load drop, then sawtooth):");
-    let mut t = TextTable::new(&["factor", "reclaim (periods)", "sawtooth cap spread"]);
     for r in ablation::sweep_decrease_factor(&[0.02, 0.05, 0.2, 0.5]) {
-        t.row(&[
-            format!("{:.2}", r.factor),
-            r.reclaim_periods.to_string(),
-            format!("{:.3}", r.sawtooth_cap_spread),
-        ]);
         rows.push(vec![
             "decrease_factor".into(),
             format!("{:.2}", r.factor),
@@ -1333,15 +1080,7 @@ fn ablation_cmd(ctx: &mut Ctx) {
             format!("{:.4}", r.sawtooth_cap_spread),
         ]);
     }
-    print!("{}", t.render());
-
-    println!("\nhistory length (noisy stationary load):");
-    let mut t = TextTable::new(&["n", "non-stable triggers / 100 periods"]);
     for r in ablation::sweep_history_len(&[2, 5, 10, 20]) {
-        t.row(&[
-            r.history_len.to_string(),
-            format!("{:.1}", r.spurious_triggers_per_100),
-        ]);
         rows.push(vec![
             "history_len".into(),
             r.history_len.to_string(),
@@ -1349,15 +1088,7 @@ fn ablation_cmd(ctx: &mut Ctx) {
             String::new(),
         ]);
     }
-    print!("{}", t.render());
-
-    println!("\nauction window (rich vs modest wallets, scarce market):");
-    let mut t = TextTable::new(&["window (µs)", "modest/rich cycles won"]);
     for r in ablation::sweep_window(&[10_000, 50_000, 100_000, 1_000_000]) {
-        t.row(&[
-            r.window_us.to_string(),
-            format!("{:.2}", r.modest_to_rich_ratio),
-        ]);
         rows.push(vec![
             "window".into(),
             r.window_us.to_string(),
@@ -1365,16 +1096,10 @@ fn ablation_cmd(ctx: &mut Ctx) {
             String::new(),
         ]);
     }
-    print!("{}", t.render());
-
-    ctx.save_rows(
-        "ablation",
-        &["parameter", "value", "metric1", "metric2"],
-        &rows,
-    );
+    ctx.save_rows(ctx.id, &["parameter", "value", "metric1", "metric2"], &rows);
     ctx.registry.add(
         ExperimentRecord::new(
-            "ablation",
+            ctx.id,
             "Design-parameter sweeps",
             "§IV.A.1 claims the paper's 0.95/1.0/0.5/0.05 settings balance stable capping \
              against fast convergence; the sweeps quantify both sides of each tradeoff",
@@ -1390,21 +1115,16 @@ fn ablation_cmd(ctx: &mut Ctx) {
 fn factor_sweep_cmd(ctx: &mut Ctx) {
     use vfc_scenarios::factor_sweep::sweep;
     let rows_data = sweep(&[1.0, 1.2, 1.4, 1.6, 1.8, 2.0]);
-    let mut table = TextTable::new(&["factor", "nodes used (of 22)", "worst delivered/guaranteed"]);
-    let mut rows = Vec::new();
-    for r in &rows_data {
-        table.row(&[
-            format!("{:.1}", r.factor),
-            r.nodes_used.to_string(),
-            format!("{:.0} %", 100.0 * r.worst_delivery_ratio),
-        ]);
-        rows.push(vec![
-            format!("{:.2}", r.factor),
-            r.nodes_used.to_string(),
-            format!("{:.4}", r.worst_delivery_ratio),
-        ]);
-    }
-    print!("{}", table.render());
+    let rows: Vec<Vec<String>> = rows_data
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{:.2}", r.factor),
+                r.nodes_used.to_string(),
+                format!("{:.4}", r.worst_delivery_ratio),
+            ]
+        })
+        .collect();
     ctx.save_rows(
         "factor_sweep",
         &["factor", "nodes_used", "worst_delivery_ratio"],
@@ -1420,7 +1140,7 @@ fn factor_sweep_cmd(ctx: &mut Ctx) {
             .unwrap_or(false);
     ctx.registry.add(
         ExperimentRecord::new(
-            "factor-sweep",
+            ctx.id,
             "Consolidation factor on Eq. 7 (§III.C)",
             "adding a factor to the core splitting constraint saves nodes but \
              'could lead in the loss of the guarantee of the vCPU frequency'",
@@ -1450,10 +1170,10 @@ fn factor_sweep_cmd(ctx: &mut Ctx) {
 }
 
 /// Control-plane churn: seeded create/resize/delete stream through
-/// admission + reconcile, invariant checks, admission throughput.
-/// Returns `false` (CI failure) when `VFC_CHURN_MIN_OPS` is set and the
+/// admission + reconcile, invariant checks, admission throughput. Fails
+/// on an invariant violation, or when `VFC_CHURN_MIN_OPS` is set and the
 /// measured admission throughput falls below it.
-fn churn_cmd(ctx: &mut Ctx) -> bool {
+fn churn_cmd(ctx: &mut Ctx) {
     use vfc_scenarios::churn::{run, ChurnScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         ChurnScenario {
@@ -1468,24 +1188,8 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
         scenario.tenants, scenario.ops_per_period, scenario.periods, scenario.nodes
     );
     let o = run(scenario);
-    let mut t = TextTable::new(&["measure", "value"]);
-    t.row_strs(&["admission calls", &o.submitted.to_string()]);
-    t.row_strs(&["  accepted", &o.accepted.to_string()]);
-    t.row_strs(&["  rejected (quota/capacity)", &o.rejected.to_string()]);
-    t.row_strs(&["  rate limited", &o.ratelimited.to_string()]);
-    t.row_strs(&["deploys", &o.deployed.to_string()]);
-    t.row_strs(&["live resizes", &o.resized.to_string()]);
-    t.row_strs(&["undeploys", &o.undeployed.to_string()]);
-    t.row_strs(&["Eq. 7 violations", &o.eq7_violations.to_string()]);
-    t.row_strs(&["quota violations", &o.quota_violations.to_string()]);
-    t.row_strs(&["final VMs", &o.final_vms.to_string()]);
-    t.row_strs(&[
-        "admission throughput",
-        &format!("{:.0} ops/s", o.admission_ops_per_sec),
-    ]);
-    print!("{}", t.render());
     ctx.save_rows(
-        "churn",
+        ctx.id,
         &[
             "submitted",
             "accepted",
@@ -1514,7 +1218,7 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
     let invariants_hold = o.eq7_violations == 0 && o.quota_violations == 0;
     ctx.registry.add(
         ExperimentRecord::new(
-            "churn",
+            ctx.id,
             "Control-plane churn (admission + reconcile)",
             "Placement under the core splitting constraint keeps every node's \
              promise; the control plane must preserve that under tenant churn",
@@ -1523,8 +1227,14 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
         .metric("eq7_violations", o.eq7_violations as f64)
         .measured(format!(
             "{} calls ({} accepted), {} deploys / {} resizes / {} undeploys, \
-             0 Eq. 7 violations expected, got {}",
-            o.submitted, o.accepted, o.deployed, o.resized, o.undeployed, o.eq7_violations
+             {} VMs at the end, 0 Eq. 7 violations expected, got {}",
+            o.submitted,
+            o.accepted,
+            o.deployed,
+            o.resized,
+            o.undeployed,
+            o.final_vms,
+            o.eq7_violations
         ))
         .verdict(if invariants_hold {
             Verdict::Reproduced
@@ -1533,34 +1243,26 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !invariants_hold {
-        eprintln!("FAIL: churn violated an invariant");
-        return false;
+        return ctx.fail("churn violated an invariant");
     }
-    if let Ok(floor) = std::env::var("VFC_CHURN_MIN_OPS") {
-        if let Ok(floor) = floor.parse::<f64>() {
-            if o.admission_ops_per_sec < floor {
-                eprintln!(
-                    "FAIL: admission throughput {:.0} ops/s below the {floor:.0} ops/s floor",
-                    o.admission_ops_per_sec
-                );
-                return false;
-            }
-            println!(
-                "  throughput floor met: {:.0} ≥ {floor:.0} ops/s",
-                o.admission_ops_per_sec
-            );
+    if let Some(floor) = bound::<f64>("VFC_CHURN_MIN_OPS") {
+        let ops = o.admission_ops_per_sec;
+        if ops < floor {
+            return ctx.fail(format!(
+                "admission throughput {ops:.0} ops/s below the {floor:.0} ops/s floor"
+            ));
         }
+        println!("  throughput floor met: {ops:.0} ≥ {floor:.0} ops/s");
     }
-    true
 }
 
 /// Trace-driven event-core evaluation: replay a committed golden trace
 /// as a smoke check, then a synthetic datacenter-scale trace under the
-/// Eq. 7 FF/BF regimes and the vCPU-packing baseline. Returns `false`
-/// (CI failure) when the golden replay misbehaves or `VFC_TRACE_MIN_EPS`
-/// is set and the slowest regime's replay throughput falls below it.
-/// `--quick` runs the shrunk scenario.
-fn trace_cmd(ctx: &mut Ctx) -> bool {
+/// Eq. 7 FF/BF regimes and the vCPU-packing baseline. Fails when the
+/// golden replay misbehaves, or when `VFC_TRACE_MIN_EPS` is set and the
+/// slowest regime's replay throughput falls below it. `--quick` runs the
+/// shrunk scenario.
+fn trace_cmd(ctx: &mut Ctx) {
     use vfc_cluster::{ClusterManager, CsvTraceReader, EventDrivenCluster, Strategy, TraceReader};
     use vfc_scenarios::trace_eval::{run_variant, variants, TraceScenario};
     use vfc_simcore::MHz;
@@ -1568,35 +1270,30 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
     // 1. Golden replay: the committed sample trace must parse and every
     //    VM must be admitted on a small fleet.
     let sample = "traces/sample_small.csv";
-    match CsvTraceReader::from_path(sample).and_then(|mut r| r.read()) {
-        Ok(specs) => {
-            let n = specs.len();
-            let mgr = ClusterManager::new(
-                vec![NodeSpec::custom("smoke", 2, 10, 2, MHz(2400)); 4],
-                Strategy::FrequencyControl,
-                7,
-            );
-            let mut cluster = EventDrivenCluster::new(mgr);
-            cluster.load_trace(specs);
-            cluster.run_until(130);
-            let r = cluster.report();
-            if r.deployed != n || r.rejected != 0 {
-                eprintln!(
-                    "FAIL: golden trace replay admitted {}/{n} VMs ({} rejected)",
-                    r.deployed, r.rejected
-                );
-                return false;
-            }
-            println!(
-                "  golden replay: {n} VMs admitted, {} migrations",
-                r.migrations
-            );
-        }
-        Err(e) => {
-            eprintln!("FAIL: could not replay {sample}: {e}");
-            return false;
-        }
+    let specs = match CsvTraceReader::from_path(sample).and_then(|mut r| r.read()) {
+        Ok(specs) => specs,
+        Err(e) => return ctx.fail(format!("could not replay {sample}: {e}")),
+    };
+    let n = specs.len();
+    let mgr = ClusterManager::new(
+        vec![NodeSpec::custom("smoke", 2, 10, 2, MHz(2400)); 4],
+        Strategy::FrequencyControl,
+        7,
+    );
+    let mut cluster = EventDrivenCluster::new(mgr);
+    cluster.load_trace(specs);
+    cluster.run_until(130);
+    let r = cluster.report();
+    if r.deployed != n || r.rejected != 0 {
+        return ctx.fail(format!(
+            "golden trace replay admitted {}/{n} VMs ({} rejected)",
+            r.deployed, r.rejected
+        ));
     }
+    println!(
+        "  golden replay: {n} VMs admitted, {} migrations",
+        r.migrations
+    );
 
     // 2. Scale comparison.
     let scenario = if ctx.scale.0 < 1.0 {
@@ -1610,52 +1307,29 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
         "  replaying {} VMs ({} events) over {} periods on {} nodes…",
         scenario.vms, vm_events, scenario.horizon_s, scenario.nodes
     );
-
-    let mut t = TextTable::new(&[
-        "regime",
-        "deployed",
-        "rejected",
-        "migrations",
-        "SLO viol.",
-        "energy Wh",
-        "events",
-        "events/s",
-        "wall",
-    ]);
-    let mut rows = Vec::new();
-    let mut min_eps = f64::INFINITY;
-    let mut outcomes = Vec::new();
-    for v in variants() {
-        let o = run_variant(&scenario, v, trace.clone());
-        min_eps = min_eps.min(o.events_per_sec);
-        t.row_strs(&[
-            o.label,
-            &o.report.deployed.to_string(),
-            &o.report.rejected.to_string(),
-            &o.report.migrations.to_string(),
-            &format!("{:.4}", o.report.slo_overall),
-            &format!("{:.0}", o.report.energy_wh),
-            &o.events_processed.to_string(),
-            &format!("{:.0}", o.events_per_sec),
-            &format!("{:.2?}", o.wall),
-        ]);
-        rows.push(vec![
-            o.label.to_owned(),
-            scenario.nodes.to_string(),
-            scenario.vms.to_string(),
-            o.vm_events.to_string(),
-            o.report.deployed.to_string(),
-            o.report.rejected.to_string(),
-            o.report.migrations.to_string(),
-            format!("{:.6}", o.report.slo_overall),
-            format!("{:.1}", o.report.energy_wh),
-            o.events_processed.to_string(),
-            format!("{:.0}", o.events_per_sec),
-            format!("{:.3}", o.wall.as_secs_f64()),
-        ]);
-        outcomes.push(o);
-    }
-    print!("{}", t.render());
+    let outcomes: Vec<_> = variants()
+        .into_iter()
+        .map(|v| run_variant(&scenario, v, trace.clone()))
+        .collect();
+    let rows: Vec<Vec<String>> = outcomes
+        .iter()
+        .map(|o| {
+            vec![
+                o.label.to_owned(),
+                scenario.nodes.to_string(),
+                scenario.vms.to_string(),
+                o.vm_events.to_string(),
+                o.report.deployed.to_string(),
+                o.report.rejected.to_string(),
+                o.report.migrations.to_string(),
+                format!("{:.6}", o.report.slo_overall),
+                format!("{:.1}", o.report.energy_wh),
+                o.events_processed.to_string(),
+                format!("{:.0}", o.events_per_sec),
+                format!("{:.3}", o.wall.as_secs_f64()),
+            ]
+        })
+        .collect();
     ctx.save_rows(
         "trace_eval",
         &[
@@ -1675,11 +1349,15 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
         &rows,
     );
 
+    let min_eps = outcomes
+        .iter()
+        .map(|o| o.events_per_sec)
+        .fold(f64::INFINITY, f64::min);
     let eq7 = &outcomes[1]; // eq7-bf
     let pack = &outcomes[2]; // pack-bf
     ctx.registry.add(
         ExperimentRecord::new(
-            "trace",
+            ctx.id,
             "Trace-driven event-core scale evaluation",
             "§IV.C closing argument: migration-based overcommitment either \
              degrades VM performance or migrates (using more nodes); Eq. 7 \
@@ -1709,29 +1387,25 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
         ),
     );
 
-    if let Ok(floor) = std::env::var("VFC_TRACE_MIN_EPS") {
-        if let Ok(floor) = floor.parse::<f64>() {
-            if min_eps < floor {
-                eprintln!(
-                    "FAIL: replay throughput {min_eps:.0} events/s below the {floor:.0} events/s floor"
-                );
-                return false;
-            }
-            println!("  throughput floor met: {min_eps:.0} ≥ {floor:.0} events/s");
+    if let Some(floor) = bound::<f64>("VFC_TRACE_MIN_EPS") {
+        if min_eps < floor {
+            return ctx.fail(format!(
+                "replay throughput {min_eps:.0} events/s below the {floor:.0} events/s floor"
+            ));
         }
+        println!("  throughput floor met: {min_eps:.0} ≥ {floor:.0} events/s");
     }
-    true
 }
 
 /// Overload resilience: the deadline degradation ladder under loop-time
 /// inflation, fail-safe cap leases under a control-plane partition, and
 /// socket-level shedding of slow-loris / oversized clients — with and
-/// without the ladder over the identical schedule. Returns `false` (CI
-/// failure) when the ladder never engages or never recovers, when the
-/// well-behaved API failure rate reaches 1 %, or when
-/// `VFC_OVERLOAD_MAX_RECOVERY` is set and the full pipeline takes more
-/// than that many periods past the stress window to return.
-fn overload_cmd(ctx: &mut Ctx) -> bool {
+/// without the ladder over the identical schedule. Fails when the ladder
+/// never engages or never recovers, when the well-behaved API failure
+/// rate reaches 1 %, or when `VFC_OVERLOAD_MAX_RECOVERY` is set and the
+/// full pipeline takes more than that many periods past the stress
+/// window to return.
+fn overload_cmd(ctx: &mut Ctx) {
     use vfc_scenarios::overload_eval::{api_stress, compare, ApiStressScenario, OverloadScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         OverloadScenario::quick()
@@ -1749,43 +1423,12 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
     );
     let cmp = match compare(scenario) {
         Ok(cmp) => cmp,
-        Err(e) => {
-            eprintln!("FAIL: scenario rejected: {e}");
-            return false;
-        }
+        Err(e) => return ctx.fail(format!("scenario rejected: {e}")),
     };
     let (w, wo) = (&cmp.with_ladder, &cmp.without_ladder);
     let viol = |r: &vfc_scenarios::overload_eval::OverloadRun| -> u64 {
         r.points.iter().map(|p| p.violations).sum()
     };
-    let mut t = TextTable::new(&["measure", "with ladder", "without"]);
-    t.row_strs(&[
-        "deadline overruns",
-        &w.total_overruns.to_string(),
-        &wo.total_overruns.to_string(),
-    ]);
-    t.row_strs(&[
-        "worst ladder rung",
-        &w.max_rung.to_string(),
-        &wo.max_rung.to_string(),
-    ]);
-    t.row_strs(&[
-        "recovered at period",
-        &w.recovered_at.map_or("never".into(), |p| p.to_string()),
-        "n/a",
-    ]);
-    t.row_strs(&[
-        "SLO-violated VM-periods",
-        &viol(w).to_string(),
-        &viol(wo).to_string(),
-    ]);
-    t.row_strs(&[
-        "partitioned node-periods",
-        &w.faults.partitioned_node_periods.to_string(),
-        &wo.faults.partitioned_node_periods.to_string(),
-    ]);
-    print!("{}", t.render());
-
     let rows: Vec<Vec<String>> = w
         .points
         .iter()
@@ -1818,10 +1461,7 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
 
     let api = match api_stress(ApiStressScenario::default()) {
         Ok(api) => api,
-        Err(e) => {
-            eprintln!("FAIL: api stress could not bind: {e}");
-            return false;
-        }
+        Err(e) => return ctx.fail(format!("api stress could not bind: {e}")),
     };
     println!(
         "  api: {} probes ok / {} failed ({:.2} % failure), {} loris shed (408), {} oversized shed (413)",
@@ -1837,7 +1477,7 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         api.good_failure_rate < 0.01 && api.shed_read_timeout > 0 && api.shed_body_too_large > 0;
     ctx.registry.add(
         ExperimentRecord::new(
-            "overload",
+            ctx.id,
             "Overload resilience (deadline ladder, cap leases, API shedding)",
             "A controller too slow to decide must degrade instead of enforcing \
              stale caps, a partitioned node must fail safe, and the API front \
@@ -1850,12 +1490,15 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         .metric("api_good_failure_rate", api.good_failure_rate)
         .measured(format!(
             "ladder descended to rung {} and recovered at period {:?}; \
-             violations {} (ladder) vs {} (none); api shed {}×408 / {}×413 \
+             violations {} (ladder) vs {} (none); partitioned node-periods \
+             {} (ladder) vs {} (none); api shed {}×408 / {}×413 \
              at {:.2} % well-behaved failures",
             w.max_rung,
             w.recovered_at,
             viol(w),
             viol(wo),
+            w.faults.partitioned_node_periods,
+            wo.faults.partitioned_node_periods,
             api.shed_read_timeout,
             api.shed_body_too_large,
             api.good_failure_rate * 100.0,
@@ -1867,48 +1510,41 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !ladder_worked {
-        eprintln!(
-            "FAIL: ladder never engaged or never recovered (worst rung {}, recovered {:?})",
+        return ctx.fail(format!(
+            "ladder never engaged or never recovered (worst rung {}, recovered {:?})",
             w.max_rung, w.recovered_at
-        );
-        return false;
+        ));
     }
     if !api_ok {
-        eprintln!(
-            "FAIL: api shedding misbehaved ({:.2} % well-behaved failures, {}×408, {}×413)",
+        return ctx.fail(format!(
+            "api shedding misbehaved ({:.2} % well-behaved failures, {}×408, {}×413)",
             api.good_failure_rate * 100.0,
             api.shed_read_timeout,
             api.shed_body_too_large
-        );
-        return false;
+        ));
     }
-    if let Ok(max) = std::env::var("VFC_OVERLOAD_MAX_RECOVERY") {
-        if let Ok(max) = max.parse::<u64>() {
-            let lag = w
-                .recovered_at
-                .map(|p| p.saturating_sub(cmp.scenario.stress.1));
-            match lag {
-                Some(lag) if lag <= max => {
-                    println!("  recovery floor met: {lag} ≤ {max} periods past the stress window");
-                }
-                lag => {
-                    eprintln!("FAIL: ladder recovery lag {lag:?} exceeds the {max}-period ceiling");
-                    return false;
-                }
+    if let Some(max) = bound::<u64>("VFC_OVERLOAD_MAX_RECOVERY") {
+        let lag = w
+            .recovered_at
+            .map(|p| p.saturating_sub(cmp.scenario.stress.1));
+        match lag {
+            Some(lag) if lag <= max => {
+                println!("  recovery floor met: {lag} ≤ {max} periods past the stress window");
             }
+            lag => ctx.fail(format!(
+                "ladder recovery lag {lag:?} exceeds the {max}-period ceiling"
+            )),
         }
     }
-    true
 }
 
 /// Revenue-vs-SLO pricing sweep: every `vfc-billing` price curve ×
 /// every SLA-class mix over the churn fleet on the event-driven core,
 /// with a light crash model supplying the SLO pressure. Emits the
-/// frontier to `pricing_eval.csv`. Returns `false` (CI failure) when a
-/// cell meters nothing, bills zero revenue, or — with
-/// `VFC_PRICING_MIN_PERIODS` set — meters fewer distinct periods than
-/// the floor.
-fn pricing_cmd(ctx: &mut Ctx) -> bool {
+/// frontier to `pricing_eval.csv`. Fails when a cell meters nothing,
+/// bills zero revenue, or — with `VFC_PRICING_MIN_PERIODS` set — meters
+/// fewer distinct periods than the floor.
+fn pricing_cmd(ctx: &mut Ctx) {
     use vfc_scenarios::pricing_eval::{run, PricingScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         PricingScenario {
@@ -1925,15 +1561,6 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
     );
     let outcomes = run(&scenario);
 
-    let mut t = TextTable::new(&[
-        "curve",
-        "mix",
-        "class",
-        "revenue µ¢",
-        "penalty µ¢",
-        "net µ¢",
-        "SLO viol.",
-    ]);
     let mut rows = Vec::new();
     let mut min_periods = u64::MAX;
     let mut total_net = 0i64;
@@ -1942,15 +1569,6 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
     for o in &outcomes {
         min_periods = min_periods.min(o.periods_metered);
         for r in &o.rollups {
-            t.row_strs(&[
-                o.curve,
-                o.mix,
-                r.class,
-                &r.revenue_microcents.to_string(),
-                &r.penalty_microcents.to_string(),
-                &r.net_microcents.to_string(),
-                &format!("{:.4}", r.violation_rate()),
-            ]);
             rows.push(vec![
                 o.curve.to_owned(),
                 o.mix.to_owned(),
@@ -1972,8 +1590,27 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
             total_demanding += r.demanding_vm_periods;
         }
     }
-    print!("{}", t.render());
-    ctx.save_rows("pricing_eval", PRICING_EVAL_HEADERS, &rows);
+    // The column contract documented in EXPERIMENTS.md.
+    ctx.save_rows(
+        "pricing_eval",
+        &[
+            "curve",
+            "mix",
+            "class",
+            "tenants",
+            "periods",
+            "guaranteed_mhz_s",
+            "delivered_mhz_s",
+            "auction_usec",
+            "revenue_microcents",
+            "penalty_microcents",
+            "net_microcents",
+            "demanding_vm_periods",
+            "violated_vm_periods",
+            "violation_rate",
+        ],
+        &rows,
+    );
 
     let metered = min_periods != u64::MAX && min_periods > 0;
     let billed = outcomes
@@ -1986,7 +1623,7 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
     };
     ctx.registry.add(
         ExperimentRecord::new(
-            "pricing",
+            ctx.id,
             "Performance-based pricing (revenue vs SLO frontier)",
             "Charging for the virtual frequency actually provisioned turns the \
              credit/market economy into revenue; penalties must track violated \
@@ -2008,39 +1645,34 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !metered || !billed {
-        eprintln!("FAIL: a pricing cell metered no periods or billed no revenue");
-        return false;
+        return ctx.fail("a pricing cell metered no periods or billed no revenue");
     }
-    if let Ok(floor) = std::env::var("VFC_PRICING_MIN_PERIODS") {
-        if let Ok(floor) = floor.parse::<u64>() {
-            if min_periods < floor {
-                eprintln!(
-                    "FAIL: a cell metered only {min_periods} distinct periods, \
-                     below the {floor}-period floor"
-                );
-                return false;
-            }
-            println!("  metering floor met: {min_periods} ≥ {floor} periods");
+    if let Some(floor) = bound::<u64>("VFC_PRICING_MIN_PERIODS") {
+        if min_periods < floor {
+            return ctx.fail(format!(
+                "a cell metered only {min_periods} distinct periods, \
+                 below the {floor}-period floor"
+            ));
         }
+        println!("  metering floor met: {min_periods} ≥ {floor} periods");
     }
-    true
 }
 
-/// Header row of `pricing_eval.csv`; the CI smoke job asserts the
-/// committed artifact's header matches the regenerated one.
-const PRICING_EVAL_HEADERS: &[&str] = &[
-    "curve",
-    "mix",
-    "class",
-    "tenants",
-    "periods",
-    "guaranteed_mhz_s",
-    "delivered_mhz_s",
-    "auction_usec",
-    "revenue_microcents",
-    "penalty_microcents",
-    "net_microcents",
-    "demanding_vm_periods",
-    "violated_vm_periods",
-    "violation_rate",
-];
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    /// `experiments all` writes the committed registry: one section per
+    /// command, in suite order.
+    #[test]
+    fn the_committed_registry_has_a_record_per_command() {
+        let md = include_str!("../../../../results/experiments.md");
+        let ids: Vec<&str> = md
+            .lines()
+            .filter_map(|l| l.strip_prefix("## "))
+            .map(|l| l.split(" — ").next().unwrap_or(l))
+            .collect();
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        assert_eq!(ids, names);
+    }
+}

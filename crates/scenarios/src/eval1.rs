@@ -104,7 +104,6 @@ pub fn spec(node: NodeKind, mode: ControlMode, scale: Scale) -> ScenarioSpec {
         scale,
         seed: 0xE7A1,
         governor_noise_mhz: 6.0,
-        cache_model: None,
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_controller::{ControlMode, Controller, ControllerConfig, StageTimings};
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::{CacheModel, Engine};
+use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_metrics::series::{GroupedSeries, TimeSeries};
 use vfc_metrics::stats::Summary;
@@ -135,9 +135,6 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Governor reading-noise std-dev (MHz); 0 for exact tests.
     pub governor_noise_mhz: f64,
-    /// Optional LLC-contention model (§V future work; the paper's own
-    /// explanation for Fig. 14's small throughput dip).
-    pub cache_model: Option<CacheModel>,
 }
 
 impl ScenarioSpec {
@@ -214,10 +211,7 @@ pub fn run(spec: &ScenarioSpec) -> ScenarioOutcome {
         spec.seed ^ 0xD1F5,
     )
     .with_noise_std(spec.governor_noise_mhz);
-    let mut engine = Engine::with_parts(spec.node.clone(), Micros(100_000), governor, spec.seed);
-    if let Some(model) = spec.cache_model {
-        engine = engine.with_cache_model(model);
-    }
+    let engine = Engine::with_parts(spec.node.clone(), Micros(100_000), governor, spec.seed);
     let mut host = SimHost::new(spec.node.clone(), spec.seed).with_engine(engine);
 
     // Provision all groups; remember each VM's class.
@@ -354,7 +348,6 @@ mod tests {
             scale: Scale::paper(),
             seed: 7,
             governor_noise_mhz: 0.0,
-            cache_model: None,
         }
     }
 

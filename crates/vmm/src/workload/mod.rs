@@ -24,13 +24,11 @@ mod bursty;
 mod compress7zip;
 mod mapreduce;
 mod openssl;
-mod recorder;
 
 pub use bursty::BurstyWeb;
 pub use compress7zip::Compress7zip;
 pub use mapreduce::MapReduce;
 pub use openssl::OpensslBench;
-pub use recorder::{DemandTrace, RecordingWorkload, ReplayWorkload};
 
 use vfc_simcore::{Cycles, Micros};
 

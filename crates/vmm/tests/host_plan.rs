@@ -1,8 +1,8 @@
 //! `SimHost` on the engine's flat plan:
 //!
-//! * a warm `advance_period` performs **zero heap allocations**, with and
-//!   without the cache model (counting `#[global_allocator]`, per thread —
-//!   the allocator of `crates/controller/tests/hotpath.rs`);
+//! * a warm `advance_period` performs **zero heap allocations** (counting
+//!   `#[global_allocator]`, per thread — the allocator of
+//!   `crates/controller/tests/hotpath.rs`);
 //! * the plan is rebuilt **once per provision/deprovision**, at the next
 //!   tick, and never for `cpu.max`/`cpu.weight` writes;
 //! * after every mutator the slot-indexed path (demands in, windows out)
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::model::CpuMax;
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::{CacheModel, Engine};
+use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros, VcpuId, VmId};
 use vfc_vmm::workload::{BurstyWeb, IdleWorkload, SteadyDemand};
@@ -85,12 +85,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A contended node: 24 VMs × 2 vCPUs on 8 threads, bursty / steady /
 /// saturating / idle guests, default (noisy schedutil) governor.
-fn busy_host(cache: bool) -> (SimHost, Vec<VmId>) {
-    let spec = NodeSpec::custom("t", 1, 8, 1, MHz(2400));
-    let mut host = SimHost::new(spec.clone(), 11);
-    if cache {
-        host = host.with_engine(Engine::new(spec, 11).with_cache_model(CacheModel::mild()));
-    }
+fn busy_host() -> (SimHost, Vec<VmId>) {
+    let mut host = SimHost::new(NodeSpec::custom("t", 1, 8, 1, MHz(2400)), 11);
     let mut vms = Vec::new();
     for i in 0..24u64 {
         let vm = host.provision(&VmTemplate::new("t", 2, MHz(600)));
@@ -107,40 +103,38 @@ fn busy_host(cache: bool) -> (SimHost, Vec<VmId>) {
 
 #[test]
 fn warm_advance_period_allocates_nothing() {
-    for cache in [false, true] {
-        let (mut host, vms) = busy_host(cache);
-        // Warm-up: the plan, every scratch vector and the telemetry ring
-        // (2 × 64 ticks) reach their working size.
-        for _ in 0..20 {
-            host.advance_period();
-        }
-        let rebuilds = host.engine().plan_rebuilds();
-        let before = thread_alloc_events();
-        for period in 0..10u64 {
-            // What a controller does every period is not a structure
-            // change: no rebuild, no allocation.
-            for (k, vm) in vms.iter().enumerate() {
-                let quota = Micros(5_000 + 1_000 * ((k as u64 + period) % 40));
-                host.set_vcpu_max(*vm, VcpuId::new(0), CpuMax::limited(quota))
-                    .unwrap();
-                host.set_vm_weight(*vm, 50 + 10 * ((k as u32 + period as u32) % 20))
-                    .unwrap();
-            }
-            host.advance_period();
-        }
-        assert_eq!(
-            thread_alloc_events() - before,
-            0,
-            "cache={cache}: warm advance_period allocated"
-        );
-        assert_eq!(host.engine().plan_rebuilds(), rebuilds, "cache={cache}");
-        assert!(host.utilization() > 0.9, "the node is contended");
+    let (mut host, vms) = busy_host();
+    // Warm-up: the plan, every scratch vector and the telemetry ring
+    // (2 × 64 ticks) reach their working size.
+    for _ in 0..20 {
+        host.advance_period();
     }
+    let rebuilds = host.engine().plan_rebuilds();
+    let before = thread_alloc_events();
+    for period in 0..10u64 {
+        // What a controller does every period is not a structure
+        // change: no rebuild, no allocation.
+        for (k, vm) in vms.iter().enumerate() {
+            let quota = Micros(5_000 + 1_000 * ((k as u64 + period) % 40));
+            host.set_vcpu_max(*vm, VcpuId::new(0), CpuMax::limited(quota))
+                .unwrap();
+            host.set_vm_weight(*vm, 50 + 10 * ((k as u32 + period as u32) % 20))
+                .unwrap();
+        }
+        host.advance_period();
+    }
+    assert_eq!(
+        thread_alloc_events() - before,
+        0,
+        "warm advance_period allocated"
+    );
+    assert_eq!(host.engine().plan_rebuilds(), rebuilds);
+    assert!(host.utilization() > 0.9, "the node is contended");
 }
 
 #[test]
 fn one_plan_rebuild_per_provision_and_deprovision() {
-    let (mut host, vms) = busy_host(false);
+    let (mut host, vms) = busy_host();
     assert_eq!(host.engine().plan_rebuilds(), 0, "built at the first tick");
     host.advance_period();
     assert_eq!(host.engine().plan_rebuilds(), 1, "24 provisions, one tick");

@@ -35,6 +35,9 @@ pub struct Buyer {
     rank: u64,
 }
 
+/// The rank of a buyer whose purse is empty: `!0`.
+const BROKE: u64 = u64::MAX;
+
 impl Buyer {
     /// A buyer whose credits are found by address (`addr.vm`).
     pub fn new(addr: VcpuAddr, want: Micros) -> Self {
@@ -117,8 +120,17 @@ pub fn run_auction(
 /// touching a HashMap, so the hot path can add into dense per-slot
 /// buffers. Allocation-free, and no purse is consulted while sorting:
 /// each round reads every buyer's balance once, then orders the caller's
-/// buffer by (balance descending, address ascending) — a total order,
-/// so the unstable sort is deterministic.
+/// buffer by (balance descending, address ascending) — a total order for
+/// buyers with distinct addresses, so the unstable sort is deterministic.
+///
+/// Purses only fall during an auction, so a buyer whose purse reads 0
+/// when a round begins can never pay again. It is *parked*: it stays in
+/// `buyers`, behind the buyers who can still pay and in address order
+/// with the other parked buyers (where the balance order puts it), but
+/// later rounds neither re-rank nor visit it. It is visited once, in the
+/// round it is parked, so its zero-pay spend creates its purse entry.
+/// The outcome, the purses and the `buyers` left behind are those of
+/// ranking and visiting every buyer in every round (DESIGN.md §5.4).
 pub fn run_auction_with<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
     market: &mut Micros,
     buyers: &mut Vec<Buyer>,
@@ -128,16 +140,22 @@ pub fn run_auction_with<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
 ) -> AuctionOutcome {
     let mut sold = Micros::ZERO;
     let mut rounds = 0u32;
+    // `buyers[..live]` are ranked each round; `buyers[live..]` are parked,
+    // each round's newly parked in address order, ahead of the earlier.
+    let mut live = buyers.len();
 
     while !market.is_zero() && !buyers.is_empty() {
+        let round = &mut buyers[..live];
         // Richest VMs first; stable id tiebreak keeps runs deterministic.
-        for buyer in buyers.iter_mut() {
+        for buyer in round.iter_mut() {
             buyer.rank = !purses.balance(buyer);
         }
-        buyers.sort_unstable_by_key(|b| (b.rank, b.addr));
+        round.sort_unstable_by_key(|b| (b.rank, b.addr));
+        // The broke sort last: `round[payers..]` is parked this round.
+        let payers = round.partition_point(|b| b.rank != BROKE);
 
         let mut any_sold = false;
-        for buyer in buyers.iter_mut() {
+        for buyer in round.iter_mut() {
             if market.is_zero() {
                 break;
             }
@@ -156,7 +174,17 @@ pub fn run_auction_with<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
             any_sold = true;
         }
 
-        buyers.retain(|b| !b.want.is_zero());
+        // Drop the satisfied. The parked tail survived an earlier retain,
+        // so it stays whole, and the newly parked now lead it.
+        let mut seen = 0;
+        let mut kept_payers = 0;
+        buyers.retain(|b| {
+            let keep = !b.want.is_zero();
+            kept_payers += usize::from(keep && seen < payers);
+            seen += 1;
+            keep
+        });
+        live = kept_payers;
         rounds += 1;
 
         if !any_sold {
@@ -164,6 +192,8 @@ pub fn run_auction_with<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
             break;
         }
     }
+    // Where the balance order puts the broke: by address, last.
+    buyers[live..].sort_unstable_by_key(|b| b.addr);
 
     AuctionOutcome { sold, rounds }
 }
@@ -330,7 +360,154 @@ mod tests {
         assert_eq!(run_once(), run_once());
     }
 
+    /// The round loop before broke buyers were parked: every round ranks,
+    /// sorts and visits every buyer. The oracle [`run_auction_with`] must
+    /// equal bit for bit.
+    fn reference_auction<P: Purses + ?Sized, F: FnMut(&Buyer, Micros)>(
+        market: &mut Micros,
+        buyers: &mut Vec<Buyer>,
+        purses: &mut P,
+        window: Micros,
+        mut grant: F,
+    ) -> AuctionOutcome {
+        let mut sold = Micros::ZERO;
+        let mut rounds = 0u32;
+
+        while !market.is_zero() && !buyers.is_empty() {
+            for buyer in buyers.iter_mut() {
+                buyer.rank = !purses.balance(buyer);
+            }
+            buyers.sort_unstable_by_key(|b| (b.rank, b.addr));
+
+            let mut any_sold = false;
+            for buyer in buyers.iter_mut() {
+                if market.is_zero() {
+                    break;
+                }
+                let bid = window.min(buyer.want).min(*market);
+                if bid.is_zero() {
+                    continue;
+                }
+                let paid = Micros(purses.spend(buyer, bid.as_u64()));
+                if paid.is_zero() {
+                    continue;
+                }
+                *market -= paid;
+                buyer.want -= paid;
+                sold += paid;
+                grant(buyer, paid);
+                any_sold = true;
+            }
+
+            buyers.retain(|b| !b.want.is_zero());
+            rounds += 1;
+
+            if !any_sold {
+                break;
+            }
+        }
+
+        AuctionOutcome { sold, rounds }
+    }
+
+    /// One side of the equivalence: everything an auction run leaves.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        outcome: AuctionOutcome,
+        market: Micros,
+        grants: Vec<(VcpuAddr, Micros)>,
+        purses: Vec<Option<u64>>,
+        buyers: Vec<Buyer>,
+    }
+
+    type Auction = fn(
+        &mut Micros,
+        &mut Vec<Buyer>,
+        &mut [Option<u64>],
+        Micros,
+        &mut dyn FnMut(&Buyer, Micros),
+    ) -> AuctionOutcome;
+
+    fn run_with(
+        auction: Auction,
+        market: u64,
+        buyers: &[Buyer],
+        purses: &[Option<u64>],
+        window: u64,
+    ) -> Run {
+        let mut market = Micros(market);
+        let mut buyers = buyers.to_vec();
+        let mut purses = purses.to_vec();
+        let mut grants = Vec::new();
+        let outcome = auction(
+            &mut market,
+            &mut buyers,
+            &mut purses,
+            Micros(window),
+            &mut |b, paid| grants.push((b.addr, paid)),
+        );
+        Run {
+            outcome,
+            market,
+            grants,
+            purses,
+            buyers,
+        }
+    }
+
+    /// Dense purses for `n` VMs: absent, zero or positive, each about a
+    /// third of the time.
+    fn purses_of(codes: &[(u8, u64)]) -> Vec<Option<u64>> {
+        codes
+            .iter()
+            .map(|&(kind, amount)| match kind {
+                0 => None,
+                1 => Some(0),
+                _ => Some(amount),
+            })
+            .collect()
+    }
+
     proptest! {
+        /// Parking broke buyers changes nothing the auction leaves: the
+        /// outcome, the market, every grant in order, every purse entry
+        /// (present or not, and its value) and the `buyers` left behind,
+        /// content and order, all equal the round loop that re-ranks and
+        /// visits everyone.
+        #[test]
+        fn prop_parking_equals_the_full_round_loop(
+            market in 0u64..3_000_000,
+            // (vCPUs of the VM, want of each vCPU); a zero want included.
+            vms in proptest::collection::vec(
+                (1u32..5, proptest::collection::vec(0u64..400_000, 4)),
+                0..10,
+            ),
+            purse_codes in proptest::collection::vec((0u8..3, 0u64..300_000), 10),
+            window in 0u64..500_000,
+            order_seed in 0u64..u64::MAX,
+        ) {
+            let purses = purses_of(&purse_codes);
+            let mut buyers: Vec<Buyer> = Vec::new();
+            for (vm, (vcpus, wants)) in vms.iter().enumerate() {
+                for j in 0..*vcpus {
+                    let mut b = Buyer::new(addr(vm as u32, j), Micros(wants[j as usize]));
+                    b.vm_idx = vm as u32;
+                    buyers.push(b);
+                }
+            }
+            // Any caller order: the first round sorts it away.
+            let mut s = order_seed;
+            for i in (1..buyers.len()).rev() {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                buyers.swap(i, (s >> 33) as usize % (i + 1));
+            }
+            let parked = run_with(|m, b, p, w, g| run_auction_with(m, b, p, w, g),
+                                  market, &buyers, &purses, window);
+            let full = run_with(|m, b, p, w, g| reference_auction(m, b, p, w, g),
+                                market, &buyers, &purses, window);
+            prop_assert_eq!(parked, full);
+        }
+
         #[test]
         fn prop_auction_invariants(
             market0 in 0u64..2_000_000,

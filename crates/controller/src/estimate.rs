@@ -96,9 +96,38 @@ pub fn trend(history: &[u64]) -> f64 {
     trend_from_sums(history.len(), sum_y, sum_xy)
 }
 
+/// Windows up to this length have `n·Σx²` (≈ n⁴/3) within `i64`.
+const NARROW_N: usize = 1 << 15;
+
 /// Shared tail of [`trend`] and [`TrendAccumulator::trend`]: the exact
 /// integer least-squares slope from the two data sums.
+///
+/// Where `n·Σxy` and `Σx·Σy` both fit an `i64` — every realistic window
+/// — numerator and denominator are computed in 64 bits. They are the
+/// same integers the 128-bit [`trend_from_wide_sums`] computes, and
+/// `i64 as f64` rounds an integer exactly as `i128 as f64` does, so the
+/// slope is bit-identical (property-tested below).
 fn trend_from_sums(n: usize, sum_y: u128, sum_xy: u128) -> f64 {
+    if (2..=NARROW_N).contains(&n) {
+        let n = n as i64;
+        let sum_x = n * (n - 1) / 2;
+        let products = (
+            i64::try_from(sum_xy).ok().and_then(|s| n.checked_mul(s)),
+            i64::try_from(sum_y).ok().and_then(|s| sum_x.checked_mul(s)),
+        );
+        if let (Some(n_sum_xy), Some(sum_x_sum_y)) = products {
+            let sum_x2 = n * (n - 1) * (2 * n - 1) / 6;
+            let num = n_sum_xy - sum_x_sum_y;
+            let den = n * sum_x2 - sum_x * sum_x;
+            return num as f64 / den as f64;
+        }
+    }
+    trend_from_wide_sums(n, sum_y, sum_xy)
+}
+
+/// [`trend_from_sums`] in 128-bit arithmetic, for sums too large for the
+/// 64-bit path (and for histories shorter than 2, which have no trend).
+fn trend_from_wide_sums(n: usize, sum_y: u128, sum_xy: u128) -> f64 {
     if n < 2 {
         return 0.0;
     }
@@ -621,6 +650,37 @@ mod tests {
                 prop_assert_eq!(batch.to_bits(), incremental.to_bits(),
                     "batch {} != incremental {}", batch, incremental);
             }
+        }
+
+        /// The 64-bit Eq. 3 path equals the 128-bit one to the bit,
+        /// including sums whose products sit at the `i64::MAX` edge, sums
+        /// that straddle it themselves, and windows around `NARROW_N`.
+        #[test]
+        fn prop_narrow_trend_equals_wide(
+            n_pick in 0usize..70,
+            long in proptest::bool::ANY,
+            y in (0u8..4, 0u64..u64::MAX, 0u64..5),
+            xy in (0u8..4, 0u64..u64::MAX, 0u64..5),
+        ) {
+            let n = if long { NARROW_N - 3 + n_pick % 7 } else { n_pick };
+            let sum_x = (n as u128 * n.saturating_sub(1) as u128 / 2).max(1);
+            // A sum of the given kind whose product with `factor` is
+            // checked against `i64::MAX`.
+            let sum = |(kind, raw, off): (u8, u64, u64), factor: u128| -> u128 {
+                let edge = |base: u128| (base + off as u128).saturating_sub(2);
+                match kind {
+                    0 => (raw >> (raw & 63)) as u128,
+                    1 => edge(i64::MAX as u128 / factor),
+                    2 => edge(i64::MAX as u128),
+                    _ => raw as u128 * (off as u128 + 1),
+                }
+            };
+            let sum_y = sum(y, sum_x);
+            let sum_xy = sum(xy, n.max(1) as u128);
+            let narrow = trend_from_sums(n, sum_y, sum_xy);
+            let wide = trend_from_wide_sums(n, sum_y, sum_xy);
+            prop_assert_eq!(narrow.to_bits(), wide.to_bits(),
+                "n {} Σy {} Σxy {}: {} != {}", n, sum_y, sum_xy, narrow, wide);
         }
 
         #[test]

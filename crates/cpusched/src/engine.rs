@@ -282,7 +282,13 @@ impl Engine {
     /// was carried into it. Threads that left the tree are forgotten at
     /// the next plan rebuild.
     pub fn thread_last_cpu(&self, tid: Tid) -> Option<CpuId> {
-        self.placer.last_cpu(self.plan.slot_of(tid)?)
+        self.slot_last_cpu(self.plan.slot_of(tid)?)
+    }
+
+    /// [`Engine::thread_last_cpu`] for the thread in `slot` of the
+    /// current plan ([`Engine::slot_of`]), without the search by id.
+    pub fn slot_last_cpu(&self, slot: usize) -> Option<CpuId> {
+        self.placer.last_cpu(slot)
     }
 
     /// Bring the flattened plan up to date with `tree`; `true` if it had

@@ -38,7 +38,11 @@ impl<T: Copy> RingBuffer<T> {
             self.buf.push(value);
         } else {
             self.buf[self.head] = value;
-            self.head = (self.head + 1) % self.cap;
+            // Compare and wrap: no division on the per-vCPU path.
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
     }
 
@@ -74,8 +78,8 @@ impl<T: Copy> RingBuffer<T> {
         } else if self.buf.len() < self.cap {
             self.buf.last().copied()
         } else {
-            let idx = (self.head + self.cap - 1) % self.cap;
-            Some(self.buf[idx])
+            let idx = if self.head == 0 { self.cap } else { self.head };
+            Some(self.buf[idx - 1])
         }
     }
 
@@ -116,6 +120,7 @@ impl<T: Copy> RingBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
@@ -169,6 +174,38 @@ mod tests {
         assert_eq!(rb.latest(), None);
         rb.push(9);
         assert_eq!(rb.to_vec(), vec![9]);
+    }
+
+    proptest! {
+        /// `push`, `oldest`, `latest`, `len`, `is_full` and `to_vec` agree
+        /// with a `Vec` that drops its front beyond capacity, at capacities
+        /// 1, 2 and 5, through many wraps and a `clear`.
+        #[test]
+        fn prop_agrees_with_a_vec_model(
+            cap_pick in 0usize..3,
+            values in proptest::collection::vec(0u32..1000, 0..40),
+            clear_at in 0usize..48,
+        ) {
+            let cap = [1, 2, 5][cap_pick];
+            let mut rb = RingBuffer::new(cap);
+            let mut model: Vec<u32> = Vec::new();
+            for (i, &v) in values.iter().enumerate() {
+                if i == clear_at {
+                    rb.clear();
+                    model.clear();
+                }
+                rb.push(v);
+                model.push(v);
+                if model.len() > cap {
+                    model.remove(0);
+                }
+                prop_assert_eq!(rb.to_vec(), model.clone());
+                prop_assert_eq!(rb.oldest(), model.first().copied());
+                prop_assert_eq!(rb.latest(), model.last().copied());
+                prop_assert_eq!(rb.len(), model.len());
+                prop_assert_eq!(rb.is_full(), model.len() == cap);
+            }
+        }
     }
 
     #[test]

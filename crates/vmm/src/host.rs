@@ -518,9 +518,18 @@ impl SimHost {
     }
 
     fn vcpu_group(&self, vm: VmId, vcpu: VcpuId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
+        self.live_vcpu(vm, vcpu).map(|(_, g)| g)
+    }
+
+    /// A live vCPU's instance and leaf group.
+    fn live_vcpu(
+        &self,
+        vm: VmId,
+        vcpu: VcpuId,
+    ) -> Result<(&VmInstance, vfc_cgroupfs::tree::NodeIdx)> {
         self.live(vm)
-            .and_then(|i| i.vcpu_groups.get(vcpu.as_usize()).copied())
-            .ok_or(CgroupError::NoSuchVcpu {
+            .and_then(|i| Some((i, *i.vcpu_groups.get(vcpu.as_usize())?)))
+            .ok_or_else(|| CgroupError::NoSuchVcpu {
                 vm: vm.as_u32(),
                 vcpu: vcpu.as_u32(),
             })
@@ -530,7 +539,7 @@ impl SimHost {
     fn scope_of(&self, vm: VmId) -> Result<vfc_cgroupfs::tree::NodeIdx> {
         self.live(vm)
             .map(|i| i.scope)
-            .ok_or(CgroupError::NoSuchVcpu {
+            .ok_or_else(|| CgroupError::NoSuchVcpu {
                 vm: vm.as_u32(),
                 vcpu: 0,
             })
@@ -591,12 +600,17 @@ impl HostBackend for SimHost {
         vm: VmId,
         vcpu: VcpuId,
     ) -> Result<vfc_cgroupfs::backend::VcpuRawSample> {
-        let g = self.vcpu_group(vm, vcpu)?;
+        let (inst, g) = self.live_vcpu(vm, vcpu)?;
         let node = self.tree.node(g);
-        let last_cpu = node
-            .threads()
-            .first()
-            .and_then(|tid| self.engine.thread_last_cpu(*tid))
+        // The vCPU's thread is found by its engine slot. `tick` renumbers
+        // the slots exactly when the engine rebuilds its plan, so between
+        // ticks the slot is what a search by thread id finds. A VM with
+        // no slot yet (provisioned since the last tick) has fresh tids
+        // that no plan holds: CPU 0.
+        let last_cpu = inst
+            .slots
+            .get(vcpu.as_usize())
+            .and_then(|&s| self.engine.slot_last_cpu(s as usize))
             .unwrap_or(CpuId::new(0));
         Ok(vfc_cgroupfs::backend::VcpuRawSample {
             usage: node.cpu_stat.usage_usec,

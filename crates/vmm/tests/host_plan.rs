@@ -8,6 +8,9 @@
 //! * after every mutator the slot-indexed path (demands in, windows out)
 //!   and the cgroup-indexed path (`cpu.stat`) still describe the same
 //!   vCPUs;
+//! * the last CPU `read_vcpu_raw` finds by engine slot is the one the
+//!   engine's search by thread id finds, after provisions, deprovisions
+//!   and between a provision and the next tick;
 //! * the placer remembers the live threads only, and the host's heap
 //!   follows the VMs it hosts now, not every VM it ever hosted.
 
@@ -20,7 +23,7 @@ use vfc_cgroupfs::model::CpuMax;
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros, VcpuId, VmId};
+use vfc_simcore::{CpuId, MHz, Micros, VcpuId, VmId};
 use vfc_vmm::workload::{BurstyWeb, IdleWorkload, SteadyDemand};
 use vfc_vmm::{SimHost, VmTemplate};
 
@@ -257,6 +260,64 @@ fn every_mutator_keeps_slots_and_cgroups_in_step() {
     provision(&mut host, &mut fracs, 4);
     period_is_consistent(&mut host, &fracs, "provision after churn");
     assert_eq!(host.engine().plan_rebuilds(), 5);
+}
+
+/// Every live vCPU's last CPU as `read_vcpu_raw` reports it (by engine
+/// slot) equals the engine's search by thread id, and so does its core
+/// frequency. Returns how many distinct CPUs were reported.
+fn last_cpus_agree(host: &SimHost, what: &str) -> usize {
+    let mut seen = std::collections::BTreeSet::new();
+    for inst in host.instances() {
+        for (j, tid) in inst.tids.iter().enumerate() {
+            let raw = host.read_vcpu_raw(inst.id, VcpuId::new(j as u32)).unwrap();
+            let by_tid = host.engine().thread_last_cpu(*tid).unwrap_or(CpuId::new(0));
+            assert_eq!(raw.last_cpu, by_tid, "{what}: {} vcpu{j}", inst.id);
+            assert_eq!(raw.core_freq, host.engine().core_freq(by_tid), "{what}");
+            seen.insert(by_tid);
+        }
+    }
+    seen.len()
+}
+
+#[test]
+fn last_cpu_by_slot_is_last_cpu_by_thread() {
+    let (mut host, vms) = busy_host();
+    for _ in 0..3 {
+        host.advance_period();
+    }
+    assert!(
+        last_cpus_agree(&host, "after provisions") > 1,
+        "placement spreads"
+    );
+
+    // Between a provision and the next tick the new VM has no slots yet:
+    // its thread is in no plan, so it answers CPU 0.
+    let extra = host.provision(&VmTemplate::new("t", 3, MHz(600)));
+    host.attach_workload(extra, Box::new(SteadyDemand::full()));
+    last_cpus_agree(&host, "provisioned, not ticked");
+    for j in 0..3 {
+        let raw = host.read_vcpu_raw(extra, VcpuId::new(j)).unwrap();
+        assert_eq!(raw.last_cpu, CpuId::new(0));
+    }
+    host.tick();
+    last_cpus_agree(&host, "after the tick");
+
+    // A deprovision moves every later VM's slots at the next rebuild;
+    // until then both answers still come from the old plan.
+    drop(host.deprovision(vms[0]));
+    last_cpus_agree(&host, "deprovisioned, not ticked");
+    host.tick();
+    last_cpus_agree(&host, "after the rebuild");
+
+    // Churn: one VM in, one out, every period.
+    for (round, vm) in vms[1..12].iter().enumerate() {
+        let new = host.provision(&VmTemplate::new("t", 1 + round as u32 % 3, MHz(600)));
+        host.attach_workload(new, Box::new(BurstyWeb::new(round as u64)));
+        last_cpus_agree(&host, "churn provision");
+        host.schedule_deprovision(*vm);
+        host.advance_period();
+        assert!(last_cpus_agree(&host, "churn period") > 1);
+    }
 }
 
 /// Regression: `Tid`s are never reused, so over a replay a host's sticky

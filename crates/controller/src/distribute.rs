@@ -80,27 +80,6 @@ pub fn distribute_leftovers_with<K: Copy, F: FnMut(K, Micros)>(
     Micros(distributed)
 }
 
-/// Fold the market's fate this iteration into the telemetry: the Eq. 6
-/// market size, cycles sold over how many auction window rounds, cycles
-/// given away by free distribution, and cycles left stranded (recorded
-/// as `outcome="wasted"` and mirrored by the `vfc_market_left_usec`
-/// gauge). Stage 5 closes the market, so it owns this accounting.
-pub fn record_telemetry(
-    market_initial: Micros,
-    auction: &crate::auction::AuctionOutcome,
-    distributed: Micros,
-    market_left: Micros,
-    metrics: &mut crate::telemetry::ControllerMetrics,
-) {
-    metrics.record_market(
-        market_initial.as_u64(),
-        auction.sold.as_u64(),
-        auction.rounds as u64,
-        distributed.as_u64(),
-        market_left.as_u64(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -378,26 +378,6 @@ impl Estimator {
     }
 }
 
-/// Fold a batch of estimates into the telemetry case counters
-/// (`vfc_estimate_cases_total`): one increment per vCPU-period, labelled
-/// by which branch of the Eq. 3 trichotomy fired.
-pub fn record_telemetry(estimates: &[Estimate], metrics: &mut crate::telemetry::ControllerMetrics) {
-    let mut counts = [0u64; 3];
-    for e in estimates {
-        let idx = match e.case {
-            EstimateCase::Increase => 0,
-            EstimateCase::Decrease => 1,
-            EstimateCase::Stable => 2,
-        };
-        counts[idx] += 1;
-    }
-    for (idx, n) in counts.iter().enumerate() {
-        if *n > 0 {
-            metrics.record_estimate_case(idx, *n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ pub mod vfreq;
 pub use config::{ControlMode, ControllerConfig};
 pub use controller::{
     Controller, CreditFlow, HealthReport, HealthTotals, IterationReport, LadderRung, LeaseState,
-    StageTimings, VcpuReport,
+    Plan, StageTimings, VcpuReport,
 };
 pub use monitor::MonitorOutcome;
 pub use persist::{Journal, LoadOutcome, JOURNAL_VERSION};

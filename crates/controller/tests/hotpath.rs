@@ -26,7 +26,9 @@ use vfc_cgroupfs::{
 };
 use vfc_controller::apply::allocation_to_cpu_max;
 use vfc_controller::auction::{run_auction, Buyer};
-use vfc_controller::controller::{Controller, CreditFlow, HealthReport, IterationReport};
+use vfc_controller::controller::{
+    Controller, CreditFlow, HealthReport, IterationReport, LadderRung,
+};
 use vfc_controller::credits::{base_allocations, Wallet};
 use vfc_controller::distribute::distribute_leftovers;
 use vfc_controller::estimate::{EstimateCase, Estimator};
@@ -401,6 +403,9 @@ struct SeedPipeline {
     c_max: Micros,
     max_mhz: MHz,
     health: HealthReport,
+    /// Stage 6's `cpu.max` writes issued, writes elided, and the volume
+    /// the successful ones carried.
+    writes: [u64; 3],
     flows: Vec<CreditFlow>,
 }
 
@@ -416,6 +421,7 @@ impl SeedPipeline {
             c_max: topo.c_max(cfg.period),
             max_mhz: topo.max_mhz,
             health: HealthReport::default(),
+            writes: [0; 3],
             flows: Vec::new(),
             cfg,
         }
@@ -533,6 +539,7 @@ impl SeedPipeline {
         let mut failed: Vec<(VcpuAddr, Micros)> = Vec::new();
         let mut write_vanished: Vec<VmId> = Vec::new();
         let mut retries = 0;
+        self.writes = [0; 3];
         for addr in addrs {
             if write_vanished.contains(&addr.vm) {
                 continue;
@@ -545,11 +552,14 @@ impl SeedPipeline {
             retries += u32::from(is_retry);
             let max = allocation_to_cpu_max(alloc, period);
             if self.in_force.get(&addr) == Some(&max) {
+                self.writes[1] += 1;
                 self.prev_alloc.insert(addr, alloc);
                 continue;
             }
+            self.writes[0] += 1;
             match host.set_vcpu_max(addr.vm, addr.vcpu, max) {
                 Ok(()) => {
+                    self.writes[2] += alloc.as_u64();
                     self.in_force.insert(addr, max);
                     if !is_retry {
                         self.prev_alloc.insert(addr, alloc);
@@ -591,6 +601,11 @@ impl SeedPipeline {
                 || !vanished_vms.is_empty(),
             skipped_vcpus: out.skipped,
             vanished_vms,
+            // No deadline budget and no lease: the ladder never leaves
+            // `Full` and the lease never runs down.
+            ladder_next: LadderRung::Full,
+            lease_remaining: self.cfg.cap_lease_ttl,
+            lease_expired: false,
             ..HealthReport::default()
         };
     }
@@ -649,8 +664,9 @@ impl HostBackend for Scripted {
 }
 
 /// What a loop holds that the other sides must hold too: the wallet
-/// entries, the period's credit flows, the health report (rendered),
-/// and every tracked vCPU's Eq. 3 history and `c_{t-1}`.
+/// entries, the period's credit flows, the health report and stage 6's
+/// write counts (rendered), and every tracked vCPU's Eq. 3 history and
+/// `c_{t-1}`.
 type Held = (
     Vec<(VmId, u64)>,
     Vec<CreditFlow>,
@@ -681,16 +697,21 @@ impl Loop {
 
     /// See [`Held`]; `names` resolves the journal's VM names.
     fn state(&self, names: &[(VmId, &'static str)]) -> Held {
-        let health = |h: &HealthReport| {
+        let health = |h: &HealthReport, [issued, elided, volume]: [u64; 3]| {
             format!(
-                "{} {} {} {} {:?} {:?} {}",
+                "{} {} {} {} {:?} {:?} {} {:?} {:?} {:?} {} {} writes {issued} {elided} {volume}",
                 h.read_errors,
                 h.write_errors,
                 h.write_retries,
                 h.stale_reused,
                 h.skipped_vcpus,
                 h.vanished_vms,
-                h.degraded
+                h.degraded,
+                h.ladder_rung,
+                h.ladder_next,
+                h.lease_state,
+                h.lease_remaining,
+                h.lease_expired,
             )
         };
         match self {
@@ -710,7 +731,14 @@ impl Loop {
                 (
                     report.credits.clone(),
                     report.flows.clone(),
-                    health(&report.health),
+                    health(
+                        &report.health,
+                        [
+                            report.cap_writes.into(),
+                            report.cap_writes_elided.into(),
+                            report.cap_write_volume.as_u64(),
+                        ],
+                    ),
                     tracked,
                 )
             }
@@ -724,7 +752,7 @@ impl Loop {
                 (
                     oracle.wallet.snapshot(),
                     oracle.flows.clone(),
-                    health(&oracle.health),
+                    health(&oracle.health, oracle.writes),
                     tracked,
                 )
             }

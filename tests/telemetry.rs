@@ -5,7 +5,7 @@
 //! The load-bearing invariant is accounting: the six per-stage latency
 //! histograms are carved out of the same wall clock as the iteration
 //! histogram, so across any run the stage totals can never add up to
-//! more than the iteration total (the in-loop telemetry bookkeeping is
+//! more than the iteration total (the bookkeeping between stages is
 //! charged to the iteration, never to a stage). If that ever breaks, the
 //! overhead breakdown in EXPERIMENTS.md — and any dashboard built on
 //! `vfc_stage_duration_seconds` — is lying.

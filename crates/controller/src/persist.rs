@@ -26,8 +26,9 @@
 //!   restarts, the cgroup scope names are.
 
 use std::path::Path;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 use vfc_simcore::Micros;
+use vfc_telemetry::trace::unix_now_ms;
 
 /// Schema version written by [`Controller::export_state`]; bump on any
 /// incompatible change.
@@ -95,14 +96,6 @@ pub enum LoadOutcome {
     /// wrong version, wrong period, or stale. Cold start; the reason is
     /// for the operator's log.
     Rejected(String),
-}
-
-/// Milliseconds since the Unix epoch (0 if the clock is before 1970).
-pub fn unix_now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 impl Journal {

@@ -26,12 +26,13 @@ use common::TickingHost;
 use proptest::prelude::*;
 use vfc::controller::daemon::{run_with_shutdown, DaemonConfig, ShutdownHandle};
 use vfc::controller::persist::{
-    unix_now_ms, Journal, LoadOutcome, VcpuState, VmState, DEFAULT_MAX_AGE, JOURNAL_VERSION,
+    Journal, LoadOutcome, VcpuState, VmState, DEFAULT_MAX_AGE, JOURNAL_VERSION,
 };
 use vfc::controller::{ControlMode, ControllerConfig};
 use vfc::cpusched::dvfs::{Governor, GovernorKind};
 use vfc::cpusched::engine::Engine;
 use vfc::prelude::*;
+use vfc::telemetry::trace::unix_now_ms;
 use vfc::vmm::workload::TraceWorkload;
 
 /// Control period of the daemon under test. Small, because the daemon

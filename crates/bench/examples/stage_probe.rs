@@ -33,15 +33,7 @@ fn node_sim_row() {
         ctl.iterate_into(&mut host, &mut report).unwrap();
         let outer = t.elapsed();
         let s = &report.timings;
-        let stages = [
-            s.monitor,
-            s.estimate,
-            s.enforce,
-            s.auction,
-            s.distribute,
-            s.apply,
-        ];
-        for (col, d) in cols.iter_mut().zip(stages) {
+        for (col, d) in cols.iter_mut().zip(s.stages()) {
             col.push(us(d));
         }
         cols[6].push(us(s.total));

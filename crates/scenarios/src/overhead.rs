@@ -131,14 +131,7 @@ pub fn measure_with_warmup(target_vcpus: u32, warmup: u32, iterations: u32) -> O
             .iterate_into(&mut host, &mut report)
             .expect("sim backend");
         let t = &report.timings;
-        for (hist, stage) in stage_hists.iter_mut().zip([
-            t.monitor,
-            t.estimate,
-            t.enforce,
-            t.auction,
-            t.distribute,
-            t.apply,
-        ]) {
+        for (hist, stage) in stage_hists.iter_mut().zip(t.stages()) {
             hist.observe(stage);
         }
         iter_hist.observe(t.total);

@@ -23,6 +23,7 @@ use vfc_cgroupfs::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
 use vfc_cgroupfs::error::{CgroupError, Result};
 use vfc_cgroupfs::model::CpuMax;
 use vfc_cgroupfs::tree::{kvm_layout, CgroupTree};
+use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{CpuId, Cycles, MHz, Micros, Tid, VcpuId, VmId};
@@ -121,7 +122,13 @@ pub struct SimHost {
 }
 
 impl SimHost {
-    /// Host with the default 100 ms tick, 1 s window, schedutil governor.
+    /// Host with the default 100 ms tick, 1 s window, schedutil governor
+    /// (cores follow load, readings carry the governor's default noise):
+    /// the host of the §IV scenarios and the cluster.
+    ///
+    /// Use [`SimHost::fixed_freq`] when every core must sit at `F^MAX`
+    /// with exact readings, and [`SimHost::with_engine`] only for an
+    /// engine neither gives (another governor, noise level or tick).
     pub fn new(spec: NodeSpec, seed: u64) -> Self {
         let engine = Engine::new(spec.clone(), seed);
         SimHost {
@@ -144,6 +151,18 @@ impl SimHost {
             frac_buf: Vec::new(),
             delivered: Vec::new(),
         }
+    }
+
+    /// Host whose cores all run at `F^MAX` with exact frequency readings
+    /// (performance governor, zero reading noise) on the default 100 ms
+    /// tick — the core the paper states every guarantee against (Eq. 1–2),
+    /// so a shortfall on it is the controller's, not DVFS jitter. `seed`
+    /// seeds the engine; with no noise the governor never draws.
+    pub fn fixed_freq(spec: NodeSpec, seed: u64) -> Self {
+        let governor = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, seed)
+            .with_noise_std(0.0);
+        let engine = Engine::with_parts(spec.clone(), Micros(100_000), governor, seed);
+        SimHost::new(spec, seed).with_engine(engine)
     }
 
     /// Replace the scheduling engine (governor, tick length, …). Must be
@@ -649,8 +668,7 @@ impl HostBackend for SimHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{Compress7zip, IdleWorkload, OpensslBench, SteadyDemand};
-    use vfc_cpusched::dvfs::{Governor, GovernorKind};
+    use crate::workload::{BurstyWeb, Compress7zip, IdleWorkload, OpensslBench, SteadyDemand};
 
     fn quiet_host(threads: u32, mhz: u32) -> SimHost {
         let spec = NodeSpec::custom("t", 1, threads, 1, MHz(mhz));
@@ -931,6 +949,60 @@ mod tests {
         let a = h.provision(&VmTemplate::new("x", 1, MHz(500)));
         h.deprovision(a);
         h.deprovision(a);
+    }
+
+    #[test]
+    fn fixed_freq_host_ignores_the_governor_seed() {
+        // The constructor's premise: at zero noise the governor never
+        // draws, so a hand-built host whose governor has another seed runs
+        // the same life, period by period.
+        let spec = NodeSpec::custom("pin", 1, 2, 2, MHz(2400));
+        let seed = 17;
+        let governor = Governor::new(
+            GovernorKind::Performance,
+            spec.min_mhz,
+            spec.max_mhz,
+            seed ^ 0xA5A5,
+        )
+        .with_noise_std(0.0);
+        let engine = Engine::with_parts(spec.clone(), Micros(100_000), governor, seed);
+        let mut hosts = [
+            SimHost::fixed_freq(spec.clone(), seed),
+            SimHost::new(spec.clone(), seed).with_engine(engine),
+        ];
+        let mut vms = Vec::new();
+        for h in &mut hosts {
+            let web = h.provision(&VmTemplate::small());
+            h.attach_workload(web, Box::new(BurstyWeb::new(seed)));
+            let capped = h.provision(&VmTemplate::medium());
+            h.attach_workload(capped, Box::new(SteadyDemand::full()));
+            h.set_vcpu_max(capped, VcpuId::new(0), CpuMax::limited(Micros(40_000)))
+                .unwrap();
+            let hog = h.provision(&VmTemplate::large());
+            h.attach_workload(hog, Box::new(SteadyDemand::new(0.7)));
+            vms = vec![web, capped, hog];
+        }
+        for _ in 0..20 {
+            for h in &mut hosts {
+                h.advance_period();
+            }
+            let [a, b] = &hosts;
+            for &vm in &vms {
+                for j in 0..a.instance(vm).nr_vcpus() {
+                    let vcpu = VcpuId::new(j);
+                    assert_eq!(
+                        a.vcpu_usage(vm, vcpu).unwrap(),
+                        b.vcpu_usage(vm, vcpu).unwrap()
+                    );
+                    assert_eq!(a.vcpu_freq_exact(vm, vcpu), b.vcpu_freq_exact(vm, vcpu));
+                }
+            }
+            for cpu in 0..spec.nr_threads() {
+                let cpu = CpuId::new(cpu);
+                assert_eq!(a.engine().core_freq(cpu), spec.max_mhz);
+                assert_eq!(a.engine().core_freq(cpu), b.engine().core_freq(cpu));
+            }
+        }
     }
 
     #[test]

@@ -143,14 +143,6 @@ impl HostPolicy for BurstVmPolicy {
         self.prev_usage.retain(|addr, _| live.contains(&addr.vm));
         Ok(())
     }
-
-    fn period(&self) -> Micros {
-        self.cfg.period
-    }
-
-    fn name(&self) -> &'static str {
-        "burst-vm"
-    }
 }
 
 #[cfg(test)]

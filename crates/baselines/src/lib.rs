@@ -18,8 +18,8 @@
 //!   delivers ratios but neither caps, credits, nor predictability.
 //!
 //! The [`policy::HostPolicy`] trait unifies them with the paper's
-//! controller (via [`policy::VfcPolicy`]) for the comparison scenarios in
-//! `vfc-scenarios::baseline_eval`.
+//! controller (which implements it directly) for the comparison scenarios
+//! in `vfc-scenarios::baseline_eval`.
 
 pub mod burstvm;
 pub mod policy;
@@ -27,6 +27,6 @@ pub mod shares;
 pub mod vmdfs;
 
 pub use burstvm::{BurstVmConfig, BurstVmPolicy};
-pub use policy::{HostPolicy, VfcPolicy};
+pub use policy::HostPolicy;
 pub use shares::{CfsSharesPolicy, SharesConfig};
 pub use vmdfs::{VmdfsConfig, VmdfsPolicy};

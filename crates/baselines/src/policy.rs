@@ -2,61 +2,26 @@
 
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::error::Result;
-use vfc_controller::{Controller, ControllerConfig};
-use vfc_simcore::Micros;
+use vfc_controller::Controller;
 
 /// One host policy: something that runs once per period and (possibly)
 /// rewrites vCPU caps.
 pub trait HostPolicy {
     /// Execute one period's worth of decisions.
     fn iterate(&mut self, backend: &mut dyn HostBackend) -> Result<()>;
-
-    /// Decision period of the policy.
-    fn period(&self) -> Micros;
-
-    /// Short label for reports.
-    fn name(&self) -> &'static str;
 }
 
-/// The paper's controller, adapted to the trait.
-pub struct VfcPolicy {
-    controller: Controller,
-    period: Micros,
-}
-
-impl VfcPolicy {
-    /// Wrap a fresh paper controller for the given node topology.
-    pub fn new(cfg: ControllerConfig, topo: vfc_cgroupfs::backend::TopologyInfo) -> Self {
-        let period = cfg.period;
-        VfcPolicy {
-            controller: Controller::new(cfg, topo),
-            period,
-        }
-    }
-
-    /// Access the wrapped controller (reports, credits, …).
-    pub fn controller(&self) -> &Controller {
-        &self.controller
-    }
-}
-
-impl HostPolicy for VfcPolicy {
+/// The paper's controller is a policy as it stands.
+impl HostPolicy for Controller {
     fn iterate(&mut self, backend: &mut dyn HostBackend) -> Result<()> {
-        self.controller.iterate(backend).map(|_| ())
-    }
-
-    fn period(&self) -> Micros {
-        self.period
-    }
-
-    fn name(&self) -> &'static str {
-        "vfc"
+        Controller::iterate(self, backend).map(|_| ())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vfc_controller::ControllerConfig;
     use vfc_simcore::MHz;
     use vfc_vmm::workload::SteadyDemand;
     use vfc_vmm::{SimHost, VmTemplate};
@@ -69,13 +34,13 @@ mod tests {
         );
         let vm = host.provision(&VmTemplate::new("a", 1, MHz(500)));
         host.attach_workload(vm, Box::new(SteadyDemand::full()));
-        let mut policy = VfcPolicy::new(ControllerConfig::paper_defaults(), host.topology_info());
-        assert_eq!(policy.name(), "vfc");
-        assert_eq!(policy.period(), Micros::SEC);
+        let mut controller =
+            Controller::new(ControllerConfig::paper_defaults(), host.topology_info());
+        let policy: &mut dyn HostPolicy = &mut controller;
         for _ in 0..3 {
             host.advance_period();
             policy.iterate(&mut host).unwrap();
         }
-        assert_eq!(policy.controller().iterations(), 3);
+        assert_eq!(controller.iterations(), 3);
     }
 }

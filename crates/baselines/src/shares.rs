@@ -24,13 +24,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::error::Result;
-use vfc_simcore::{Micros, VmId};
+use vfc_simcore::VmId;
 
 /// Shares-policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SharesConfig {
-    /// Decision period (only VM arrivals/departures trigger work).
-    pub period: Micros,
     /// `cpu.weight` units per MHz of purchased capacity (`k^vCPU × F_v`).
     /// The kernel range is 1–10000, so with the paper's templates
     /// (1 000–7 200 MHz per VM) the default keeps everything in range.
@@ -40,7 +38,6 @@ pub struct SharesConfig {
 impl Default for SharesConfig {
     fn default() -> Self {
         SharesConfig {
-            period: Micros::SEC,
             weight_per_mhz: 1.0,
         }
     }
@@ -85,32 +82,18 @@ impl HostPolicy for CfsSharesPolicy {
         self.applied.retain(|vm, _| live.contains(vm));
         Ok(())
     }
-
-    fn period(&self) -> Micros {
-        self.cfg.period
-    }
-
-    fn name(&self) -> &'static str {
-        "cfs-shares"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vfc_cpusched::dvfs::{Governor, GovernorKind};
-    use vfc_cpusched::engine::Engine;
     use vfc_cpusched::topology::NodeSpec;
     use vfc_simcore::{MHz, VcpuId};
     use vfc_vmm::workload::{IdleWorkload, SteadyDemand, TraceWorkload};
     use vfc_vmm::{SimHost, VmTemplate};
 
     fn quiet_host(threads: u32) -> SimHost {
-        let spec = NodeSpec::custom("s", 1, threads, 1, MHz(2400));
-        let gov = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1)
-            .with_noise_std(0.0);
-        let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 21);
-        SimHost::new(spec, 21).with_engine(engine)
+        SimHost::fixed_freq(NodeSpec::custom("s", 1, threads, 1, MHz(2400)), 21)
     }
 
     fn step(host: &mut SimHost, p: &mut CfsSharesPolicy) {

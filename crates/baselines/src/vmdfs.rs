@@ -103,14 +103,6 @@ impl HostPolicy for VmdfsPolicy {
         self.prediction.retain(|a, _| live.contains(&a.vm));
         Ok(())
     }
-
-    fn period(&self) -> Micros {
-        self.cfg.period
-    }
-
-    fn name(&self) -> &'static str {
-        "vmdfs"
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Where a trace replay's heap goes, counted by a global allocator that
-//! tracks live bytes:
+//! Where a trace replay's heap goes, counted by `vfc_simcore::alloc_count`
+//! (live bytes on this thread, which is the only one the probe runs):
 //!
 //! * the bytes a departed VM leaves behind, on a bare `SimHost` and on a
 //!   `SimHost` driven by the paper's controller — VMs churn through three
@@ -17,55 +17,20 @@
 //! ```bash
 //! cargo run --release -p vfc-bench --example mem_probe
 //! ```
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicI64, Ordering};
 use vfc_cluster::{ClusterManager, EventDrivenCluster, Strategy, SyntheticTrace};
 use vfc_controller::controller::IterationReport;
 use vfc_controller::{Controller, ControllerConfig};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
+use vfc_simcore::alloc_count::{thread_live_bytes, CountingAlloc};
 use vfc_simcore::{MHz, Micros, SplitMix64};
 use vfc_vmm::workload::{BurstyWeb, SteadyDemand, Workload};
 use vfc_vmm::{SimHost, VmTemplate};
 
-struct Counting;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-fn grow(bytes: i64) {
-    LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn live_bytes() -> i64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// VMs provisioned before the heap is sampled, so that every buffer that
 /// grows with the number of live VMs has reached its working size.
@@ -116,7 +81,7 @@ fn retained_per_departed_vm(seed: u64, with_controller: bool) -> (f64, usize, us
     let mut before = 0;
     for round in 0..WARM_VMS + CHURN_VMS {
         if round == WARM_VMS {
-            before = live_bytes();
+            before = thread_live_bytes();
         }
         let template = &templates[round as usize % templates.len()];
         let vm = host.provision(template);
@@ -131,7 +96,7 @@ fn retained_per_departed_vm(seed: u64, with_controller: bool) -> (f64, usize, us
                 .expect("in-memory host");
         }
     }
-    let per_vm = (live_bytes() - before) as f64 / f64::from(CHURN_VMS);
+    let per_vm = (thread_live_bytes() - before) as f64 / f64::from(CHURN_VMS);
     let tree = host.tree();
     (
         per_vm,
@@ -143,7 +108,7 @@ fn retained_per_departed_vm(seed: u64, with_controller: bool) -> (f64, usize, us
 
 /// Live heap of one replay, in MB, at each of [`SAMPLES`].
 fn replay_heap(seed: u64, strategy: Strategy, algorithm: PlacementAlgorithm) -> Vec<f64> {
-    let before = live_bytes();
+    let before = thread_live_bytes();
     let trace = SyntheticTrace::new(5_500, 300, seed).generate();
     let manager = ClusterManager::new(vec![node_spec(); 120], strategy, seed);
     let mut cluster = EventDrivenCluster::new(manager)
@@ -157,7 +122,7 @@ fn replay_heap(seed: u64, strategy: Strategy, algorithm: PlacementAlgorithm) -> 
     for period in 1..=SAMPLES[SAMPLES.len() - 1] {
         cluster.run_until(period);
         if SAMPLES.contains(&period) {
-            heap.push((live_bytes() - before) as f64 / 1e6);
+            heap.push((thread_live_bytes() - before) as f64 / 1e6);
         }
     }
     heap

@@ -1555,8 +1555,6 @@ impl Controller {
 mod tests {
     use super::*;
     use vfc_cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan};
-    use vfc_cpusched::dvfs::{Governor, GovernorKind};
-    use vfc_cpusched::engine::Engine;
     use vfc_cpusched::topology::NodeSpec;
     use vfc_simcore::VcpuId;
     use vfc_vmm::workload::{BurstyWeb, IdleWorkload, SteadyDemand};
@@ -1564,11 +1562,7 @@ mod tests {
 
     /// Host with deterministic performance governor (no freq noise).
     fn host(threads: u32) -> SimHost {
-        let spec = NodeSpec::custom("t", 1, threads, 1, MHz(2400));
-        let gov = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1)
-            .with_noise_std(0.0);
-        let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 42);
-        SimHost::new(spec, 42).with_engine(engine)
+        SimHost::fixed_freq(NodeSpec::custom("t", 1, threads, 1, MHz(2400)), 42)
     }
 
     fn step(host: &mut SimHost, ctl: &mut Controller) -> IterationReport {

@@ -15,8 +15,6 @@
 //!   randomized life with VM churn, resizes, recycled names and an
 //!   injected fault storm.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
@@ -34,67 +32,13 @@ use vfc_controller::distribute::distribute_leftovers;
 use vfc_controller::estimate::{EstimateCase, Estimator};
 use vfc_controller::monitor::Monitor;
 use vfc_controller::{guaranteed_cycles, ControlMode, ControllerConfig};
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
+use vfc_simcore::alloc_count::{thread_alloc_events, thread_live_bytes, CountingAlloc};
 use vfc_simcore::{CpuId, FastMap, MHz, Micros, SplitMix64, Tid, VcpuAddr, VcpuId, VmId};
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::{SimHost, VmTemplate};
 
-// ---- counting allocator ------------------------------------------------
-//
-// Counts allocation *events* (alloc, alloc_zeroed, realloc) and live heap
-// bytes per thread. The Rust test harness runs each test on its own
-// thread, so a test reading its thread-local counters sees only its own
-// traffic (everything here is freed on the thread that allocated it).
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-fn bump(bytes: i64) {
-    // `try_with` so allocations during TLS teardown never panic.
-    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
-    grow(bytes);
-}
-
-fn grow(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
-}
-
-fn thread_alloc_events() -> u64 {
-    ALLOC_EVENTS.with(|c| c.get())
-}
-
-fn thread_live_bytes() -> i64 {
-    LIVE_BYTES.with(|c| c.get())
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+// Per-thread counts: the test harness runs each test on its own thread.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -102,11 +46,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Deterministic host: performance governor, zero frequency noise.
 fn quiet_host(cores: u32, threads_per_core: u32, seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("hot", 1, cores, threads_per_core, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(
+        NodeSpec::custom("hot", 1, cores, threads_per_core, MHz(2400)),
+        seed,
+    )
 }
 
 fn full_config() -> ControllerConfig {

@@ -38,10 +38,8 @@ use vfc_controller::telemetry::iteration_trace;
 use vfc_controller::{
     ControlMode, Controller, ControllerConfig, IterationReport, LadderRung, LeaseState,
 };
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros, VcpuId};
+use vfc_simcore::{MHz, VcpuId};
 use vfc_telemetry::TraceRing;
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::{SimHost, VmTemplate};
@@ -97,11 +95,7 @@ fn section(out: &mut String, title: &str, body: &str) {
 
 /// A 4-thread host on a noise-free governor.
 fn quiet_host() -> SimHost {
-    let spec = NodeSpec::custom("identity", 1, 4, 2, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 5);
-    SimHost::new(spec, 5).with_engine(engine)
+    SimHost::fixed_freq(NodeSpec::custom("identity", 1, 4, 2, MHz(2400)), 5)
 }
 
 /// The second life: every pipeline a degraded period can run. The budget

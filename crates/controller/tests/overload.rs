@@ -19,20 +19,17 @@ use proptest::prelude::*;
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_controller::controller::{Controller, IterationReport};
 use vfc_controller::{ControlMode, ControllerConfig, LadderRung, LeaseState};
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros, VcpuId};
+use vfc_simcore::{MHz, VcpuId};
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::{SimHost, VmTemplate};
 
 /// Deterministic host: performance governor, zero frequency noise.
 fn quiet_host(cores: u32, threads_per_core: u32, seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("ovl", 1, cores, threads_per_core, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(
+        NodeSpec::custom("ovl", 1, cores, threads_per_core, MHz(2400)),
+        seed,
+    )
 }
 
 /// Full-pipeline config with the deadline ladder armed.

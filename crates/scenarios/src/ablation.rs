@@ -16,19 +16,13 @@
 use serde::{Deserialize, Serialize};
 use vfc_controller::estimate::EstimateCase;
 use vfc_controller::{Controller, ControllerConfig};
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros, SplitMix64, VcpuAddr, VcpuId, VmId};
 use vfc_vmm::workload::TraceWorkload;
 use vfc_vmm::{SimHost, VmTemplate};
 
 fn quiet_host(threads: u32, seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("abl", 1, threads, 1, MHz(2400));
-    let gov = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, seed)
-        .with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(NodeSpec::custom("abl", 1, threads, 1, MHz(2400)), seed)
 }
 
 /// Expand a per-second demand staircase into per-tick values.

@@ -14,14 +14,12 @@
 
 use serde::{Deserialize, Serialize};
 use vfc_baselines::{
-    BurstVmConfig, BurstVmPolicy, CfsSharesPolicy, HostPolicy, SharesConfig, VfcPolicy,
-    VmdfsConfig, VmdfsPolicy,
+    BurstVmConfig, BurstVmPolicy, CfsSharesPolicy, HostPolicy, SharesConfig, VmdfsConfig,
+    VmdfsPolicy,
 };
-use vfc_controller::ControllerConfig;
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
+use vfc_controller::{Controller, ControllerConfig};
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros, VcpuId};
+use vfc_simcore::{MHz, VcpuId};
 use vfc_vmm::workload::{SteadyDemand, TraceWorkload};
 use vfc_vmm::{SimHost, VmTemplate};
 
@@ -59,7 +57,7 @@ impl PolicyKind {
 
     fn instantiate(&self, host: &SimHost) -> Box<dyn HostPolicy> {
         match self {
-            PolicyKind::Vfc => Box::new(VfcPolicy::new(
+            PolicyKind::Vfc => Box::new(Controller::new(
                 ControllerConfig::paper_defaults(),
                 host.topology_info(),
             )),
@@ -75,11 +73,7 @@ impl PolicyKind {
 }
 
 fn quiet_host(threads: u32, seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("cmp", 1, threads, 1, MHz(2400));
-    let gov = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, seed)
-        .with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(NodeSpec::custom("cmp", 1, threads, 1, MHz(2400)), seed)
 }
 
 /// Per-policy outcome of the three experiments.

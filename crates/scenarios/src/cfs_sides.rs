@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 use vfc_cgroupfs::backend::HostBackend;
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::{MHz, Micros, VcpuId, VmId};
 use vfc_vmm::workload::SteadyDemand;
@@ -30,11 +28,7 @@ pub struct CfsShareResult {
 }
 
 fn saturated_host(groups: &[(&str, u32, u32)]) -> (SimHost, Vec<(String, Vec<VmId>, u32)>) {
-    let spec = NodeSpec::chetemi();
-    let governor =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 5).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), governor, 11);
-    let mut host = SimHost::new(spec, 11).with_engine(engine);
+    let mut host = SimHost::fixed_freq(NodeSpec::chetemi(), 11);
     let mut out = Vec::new();
     for (name, instances, vcpus) in groups {
         let mut ids = Vec::new();

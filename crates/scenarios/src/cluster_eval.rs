@@ -60,7 +60,10 @@ impl ClusterScenario {
     }
 }
 
-fn workload_for(class: &str, rng: &mut SplitMix64) -> Box<dyn Workload> {
+/// The guest profile of each VM class, shared by the cluster, trace and
+/// overload evaluations: small = bursty web (60 s period, 8 s bursts),
+/// medium = steady 80 %, anything else = saturating.
+pub(crate) fn class_workload(class: &str, rng: &mut SplitMix64) -> Box<dyn Workload> {
     match class {
         "small" => Box::new(BurstyWeb::with_shape(
             rng.next_u64(),
@@ -85,7 +88,7 @@ pub fn run_strategy_manager(
     let mut rng = SplitMix64::new(scenario.seed ^ 0xFEED);
     let mut deploy = |template: &VmTemplate, count: u32, manager: &mut ClusterManager| {
         for _ in 0..count {
-            let w = workload_for(&template.name, &mut rng);
+            let w = class_workload(&template.name, &mut rng);
             let _ = manager.deploy(template, w); // rejections counted inside
         }
     };

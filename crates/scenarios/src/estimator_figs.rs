@@ -6,11 +6,9 @@
 //! decrease, Fig. 5 a stable plateau without oscillation.
 
 use vfc_controller::{ControlMode, Controller, ControllerConfig};
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_metrics::series::GroupedSeries;
-use vfc_simcore::{MHz, Micros, VcpuAddr, VcpuId};
+use vfc_simcore::{MHz, VcpuAddr, VcpuId};
 use vfc_vmm::workload::TraceWorkload;
 use vfc_vmm::{SimHost, VmTemplate};
 
@@ -56,11 +54,7 @@ impl EstimatorFig {
 
 /// Trace of consumption vs capping, one point per controller iteration.
 pub fn trace(fig: EstimatorFig) -> GroupedSeries {
-    let spec = NodeSpec::custom("estimator", 1, 2, 1, MHz(2400));
-    let governor =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), governor, 3);
-    let mut host = SimHost::new(spec, 3).with_engine(engine);
+    let mut host = SimHost::fixed_freq(NodeSpec::custom("estimator", 1, 2, 1, MHz(2400)), 3);
 
     let vm = host.provision(&VmTemplate::new("probe", 1, MHz(1200)));
     let per_second = fig.demand_per_second();

@@ -103,7 +103,6 @@ pub fn spec(node: NodeKind, mode: ControlMode, scale: Scale) -> ScenarioSpec {
         mode,
         scale,
         seed: 0xE7A1,
-        governor_noise_mhz: 6.0,
     }
 }
 

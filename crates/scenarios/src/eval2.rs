@@ -77,7 +77,6 @@ pub fn spec(mode: ControlMode, scale: Scale) -> ScenarioSpec {
         mode,
         scale,
         seed: 0xBEE2,
-        governor_noise_mhz: 6.0,
     }
 }
 

@@ -10,13 +10,11 @@
 
 use serde::{Deserialize, Serialize};
 use vfc_controller::{ControlMode, Controller, ControllerConfig};
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::{PlacementAlgorithm, Placer};
 use vfc_placement::cluster::{paper_workload, ArrivalOrder, Cluster};
 use vfc_placement::constraint::ConstraintMode;
-use vfc_simcore::{MHz, Micros, VcpuId};
+use vfc_simcore::{MHz, VcpuId};
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::{SimHost, VmTemplate};
 
@@ -36,10 +34,7 @@ pub struct FactorRow {
 /// controller 15 periods, and return the worst delivery ratio.
 fn delivery_at_factor(factor: f64) -> f64 {
     let spec = NodeSpec::chetemi();
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 3).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 31);
-    let mut host = SimHost::new(spec.clone(), 31).with_engine(engine);
+    let mut host = SimHost::fixed_freq(spec.clone(), 31);
 
     // 2-vCPU 1200 MHz VMs = 2400 MHz each; capacity 96 000 MHz.
     let budget = (spec.freq_capacity_mhz() as f64 * factor) as u64;

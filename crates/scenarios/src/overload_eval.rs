@@ -22,13 +22,14 @@
 //! acceptance bar is typed shedding (408/413) for the attackers and a
 //! <1 % failure rate for the well-behaved clients.
 
+use crate::cluster_eval::class_workload;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vfc_cluster::{
     ClusterManager, ClusterReport, EventDrivenCluster, FaultModel, FaultReport, Strategy,
-    TraceVmSpec, WorkloadFactory,
+    TraceVmSpec,
 };
 use vfc_controller::LadderRung;
 use vfc_controlplane::{
@@ -36,9 +37,8 @@ use vfc_controlplane::{
     ShedReason, TenantQuota,
 };
 use vfc_cpusched::topology::NodeSpec;
-use vfc_simcore::{MHz, Micros};
+use vfc_simcore::MHz;
 use vfc_telemetry::http::Limits;
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
 use vfc_vmm::VmTemplate;
 
 /// Shape of one overload run (cluster side).
@@ -185,21 +185,6 @@ pub struct OverloadRun {
     pub recovered_at: Option<u64>,
 }
 
-/// Per-class demand profiles, same assignment as the trace evaluation.
-fn workload_factory() -> WorkloadFactory {
-    Box::new(|_slot, template, rng| match template.name.as_str() {
-        "small" => Box::new(BurstyWeb::with_shape(
-            rng.next_u64(),
-            0.05,
-            1.0,
-            Micros::from_secs(60),
-            Micros::from_secs(8),
-        )),
-        "medium" => Box::new(SteadyDemand::new(0.8)),
-        _ => Box::new(SteadyDemand::full()),
-    })
-}
-
 /// Run the scenario once, with or without the deadline ladder. The
 /// harness plays the reconciler's part between periods: a lease-renewal
 /// heartbeat every period (which the partition window blocks for the
@@ -212,7 +197,10 @@ pub fn run(s: &OverloadScenario, ladder: bool) -> OverloadRun {
         s.seed,
         s.fault_model(),
     );
-    let mut cluster = EventDrivenCluster::new(mgr).with_workloads(s.seed, workload_factory());
+    let mut cluster = EventDrivenCluster::new(mgr).with_workloads(
+        s.seed,
+        Box::new(|_slot, template, rng| class_workload(&template.name, rng)),
+    );
     cluster
         .manager_mut()
         .enable_cap_leases(s.lease_ttl, s.lease_grace);

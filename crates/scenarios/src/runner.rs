@@ -133,8 +133,6 @@ pub struct ScenarioSpec {
     pub scale: Scale,
     /// Deterministic seed.
     pub seed: u64,
-    /// Governor reading-noise std-dev (MHz); 0 for exact tests.
-    pub governor_noise_mhz: f64,
 }
 
 impl ScenarioSpec {
@@ -202,18 +200,22 @@ impl ScenarioOutcome {
     }
 }
 
-/// Run a scenario to completion.
+/// Run a scenario to completion on its host: `spec.node` under the
+/// schedutil governor at its default reading noise, 100 ms tick.
 pub fn run(spec: &ScenarioSpec) -> ScenarioOutcome {
     let governor = Governor::new(
         GovernorKind::Schedutil,
         spec.node.min_mhz,
         spec.node.max_mhz,
         spec.seed ^ 0xD1F5,
-    )
-    .with_noise_std(spec.governor_noise_mhz);
+    );
     let engine = Engine::with_parts(spec.node.clone(), Micros(100_000), governor, spec.seed);
-    let mut host = SimHost::new(spec.node.clone(), spec.seed).with_engine(engine);
+    let host = SimHost::new(spec.node.clone(), spec.seed).with_engine(engine);
+    run_on(spec, host)
+}
 
+/// Run a scenario to completion on a fresh host built for `spec.node`.
+fn run_on(spec: &ScenarioSpec, mut host: SimHost) -> ScenarioOutcome {
     // Provision all groups; remember each VM's class.
     let mut class_of: HashMap<VmId, String> = HashMap::new();
     let mut classes: Vec<String> = Vec::new();
@@ -347,7 +349,6 @@ mod tests {
             mode,
             scale: Scale::paper(),
             seed: 7,
-            governor_noise_mhz: 0.0,
         }
     }
 
@@ -365,7 +366,11 @@ mod tests {
 
     #[test]
     fn controlled_scenario_differentiates_classes() {
-        let out = run(&tiny_spec(ControlMode::Full));
+        // Everyone bursts to a full thread here, so the classes' mean
+        // frequencies differ only by reading noise: compare them on exact
+        // readings.
+        let spec = tiny_spec(ControlMode::Full);
+        let out = run_on(&spec, SimHost::fixed_freq(spec.node.clone(), spec.seed));
         let small = out.mean_freq_between("small", Micros::from_secs(15), Micros::from_secs(25));
         let large = out.mean_freq_between("large", Micros::from_secs(15), Micros::from_secs(25));
         // 2 small @500 + 1 large @1800 on 4 threads: everyone saturates

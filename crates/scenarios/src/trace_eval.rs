@@ -17,15 +17,14 @@
 //! `results/trace_eval.csv`, and holds the CI floor `VFC_TRACE_MIN_EPS`
 //! against the slowest regime.
 
+use crate::cluster_eval::class_workload;
 use std::time::{Duration, Instant};
 use vfc_cluster::{
     ClusterManager, ClusterReport, EventDrivenCluster, Strategy, SyntheticTrace, TraceVmSpec,
-    WorkloadFactory,
 };
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
-use vfc_simcore::{MHz, Micros};
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand};
+use vfc_simcore::MHz;
 
 /// Shape of one trace-scale run.
 #[derive(Debug, Clone, Copy)]
@@ -125,22 +124,6 @@ pub struct TraceOutcome {
     pub report: ClusterReport,
 }
 
-/// Per-class demand profiles, same assignment as the cluster comparison
-/// scenario: small = bursty web, medium = steady 80 %, large = saturating.
-fn workload_factory() -> WorkloadFactory {
-    Box::new(|_slot, template, rng| match template.name.as_str() {
-        "small" => Box::new(BurstyWeb::with_shape(
-            rng.next_u64(),
-            0.05,
-            1.0,
-            Micros::from_secs(60),
-            Micros::from_secs(8),
-        )),
-        "medium" => Box::new(SteadyDemand::new(0.8)),
-        _ => Box::new(SteadyDemand::full()),
-    })
-}
-
 /// Replay `trace` under one regime and measure it.
 pub fn run_variant(
     scenario: &TraceScenario,
@@ -151,7 +134,10 @@ pub fn run_variant(
     let mgr = ClusterManager::new(scenario.fleet(), variant.strategy, scenario.seed);
     let mut cluster = EventDrivenCluster::new(mgr)
         .with_algorithm(variant.algorithm)
-        .with_workloads(scenario.seed, workload_factory());
+        .with_workloads(
+            scenario.seed,
+            Box::new(|_slot, template, rng| class_workload(&template.name, rng)),
+        );
     cluster.load_trace(trace);
     let started = Instant::now();
     cluster.run_until(scenario.horizon_s);

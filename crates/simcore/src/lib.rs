@@ -17,6 +17,8 @@
 //!   simulation;
 //! * [`durable`] — the one durable append log (spec log, usage ledger)
 //!   and the atomic whole-file write every persisted file goes through.
+//! * [`alloc_count`] — the counting global allocator the zero-allocation
+//!   tests and the heap probe install.
 //!
 //! # Unit conventions
 //!
@@ -26,6 +28,7 @@
 //! running at `f` MHz performs exactly `f` hardware cycles
 //! (`10⁶ Hz × 10⁻⁶ s = 1`).
 
+pub mod alloc_count;
 pub mod durable;
 pub mod events;
 pub mod fasthash;

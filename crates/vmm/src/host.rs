@@ -671,11 +671,7 @@ mod tests {
     use crate::workload::{BurstyWeb, Compress7zip, IdleWorkload, OpensslBench, SteadyDemand};
 
     fn quiet_host(threads: u32, mhz: u32) -> SimHost {
-        let spec = NodeSpec::custom("t", 1, threads, 1, MHz(mhz));
-        let gov = Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1)
-            .with_noise_std(0.0);
-        let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 42);
-        SimHost::new(spec, 42).with_engine(engine)
+        SimHost::fixed_freq(NodeSpec::custom("t", 1, threads, 1, MHz(mhz)), 42)
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `SimHost` on the engine's flat plan:
 //!
 //! * a warm `advance_period` performs **zero heap allocations** (counting
-//!   `#[global_allocator]`, per thread — the allocator of
-//!   `crates/controller/tests/hotpath.rs`);
+//!   `#[global_allocator]`, per thread — `vfc_simcore::alloc_count`);
 //! * the plan is rebuilt **once per provision/deprovision**, at the next
 //!   tick, and never for `cpu.max`/`cpu.weight` writes;
 //! * after every mutator the slot-indexed path (demands in, windows out)
@@ -14,73 +13,17 @@
 //! * the placer remembers the live threads only, and the host's heap
 //!   follows the VMs it hosts now, not every VM it ever hosted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use vfc_cgroupfs::backend::HostBackend;
 use vfc_cgroupfs::model::CpuMax;
-use vfc_cpusched::dvfs::{Governor, GovernorKind};
-use vfc_cpusched::engine::Engine;
 use vfc_cpusched::topology::NodeSpec;
+use vfc_simcore::alloc_count::{thread_alloc_events, thread_live_bytes, CountingAlloc};
 use vfc_simcore::{CpuId, MHz, Micros, VcpuId, VmId};
 use vfc_vmm::workload::{BurstyWeb, IdleWorkload, SteadyDemand};
 use vfc_vmm::{SimHost, VmTemplate};
 
-// ---- counting allocator ------------------------------------------------
-//
-// Counts allocation *events* (alloc, alloc_zeroed, realloc) and live heap
-// bytes per thread. The Rust test harness runs each test on its own
-// thread, so a test reading its thread-local counters sees only its own
-// traffic (everything here is freed on the thread that allocated it).
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-fn bump(bytes: i64) {
-    // `try_with` so allocations during TLS teardown never panic.
-    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
-    grow(bytes);
-}
-
-fn grow(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
-}
-
-fn thread_alloc_events() -> u64 {
-    ALLOC_EVENTS.with(|c| c.get())
-}
-
-fn thread_live_bytes() -> i64 {
-    LIVE_BYTES.with(|c| c.get())
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+// Per-thread counts: the test harness runs each test on its own thread.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -168,11 +111,7 @@ fn one_plan_rebuild_per_provision_and_deprovision() {
 /// exactly, so the per-vCPU windows (filled through engine slots) can be
 /// checked against `cpu.stat` (filled through cgroup nodes).
 fn quiet_host(threads: u32) -> SimHost {
-    let spec = NodeSpec::custom("t", 1, threads, 1, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 42);
-    SimHost::new(spec, 42).with_engine(engine)
+    SimHost::fixed_freq(NodeSpec::custom("t", 1, threads, 1, MHz(2400)), 42)
 }
 
 /// Provision a VM whose demand fraction is unique to it.

@@ -28,11 +28,7 @@ use vfc::simcore::Micros;
 /// cores to f_max, so any allocation shortfall is the controller's fault,
 /// not DVFS jitter.
 fn quiet_host(seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("chaos", 1, 4, 2, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(NodeSpec::custom("chaos", 1, 4, 2, MHz(2400)), seed)
 }
 
 proptest! {

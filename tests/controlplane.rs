@@ -24,8 +24,6 @@ use proptest::prelude::*;
 use vfc::cluster::{ClusterManager, FaultModel, Strategy as ClusterStrategy};
 use vfc::controller::ControlMode;
 use vfc::controlplane::{ControlPlane, RateLimit, Reconciler, SpecId, TenantQuota};
-use vfc::cpusched::dvfs::{Governor, GovernorKind};
-use vfc::cpusched::engine::Engine;
 use vfc::prelude::*;
 use vfc::simcore::Micros;
 
@@ -233,11 +231,7 @@ fn live_resize_moves_enforced_frequency_on_a_ticking_host() {
     // Two hardware threads (4800 MHz), exactly filled: a (2×1200) and
     // b (2×1200), all vCPUs saturating — each is pinned at its
     // guarantee, so the enforced frequency is observable directly.
-    let spec = NodeSpec::custom("live", 1, 1, 2, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 5);
-    let mut host = SimHost::new(spec, 5).with_engine(engine);
+    let mut host = SimHost::fixed_freq(NodeSpec::custom("live", 1, 1, 2, MHz(2400)), 5);
     let a = host.provision(&VmTemplate::new("a", 2, MHz(1200)));
     let b = host.provision(&VmTemplate::new("b", 2, MHz(1200)));
     host.attach_workload(a, Box::new(SteadyDemand::full()));

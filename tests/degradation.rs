@@ -8,17 +8,14 @@ use vfc::cgroupfs::model::CpuMax;
 use vfc::cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan};
 use vfc::controller::daemon::{self, DaemonConfig};
 use vfc::controller::ControlMode;
-use vfc::cpusched::dvfs::{Governor, GovernorKind};
-use vfc::cpusched::engine::Engine;
 use vfc::prelude::*;
 use vfc::simcore::Micros;
 
 fn quiet_host(threads_per_core: u32, cores: u32, seed: u64) -> SimHost {
-    let spec = NodeSpec::custom("degr", 1, cores, threads_per_core, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, seed);
-    SimHost::new(spec, seed).with_engine(engine)
+    SimHost::fixed_freq(
+        NodeSpec::custom("degr", 1, cores, threads_per_core, MHz(2400)),
+        seed,
+    )
 }
 
 fn full_controller(host: &SimHost) -> Controller {

@@ -7,13 +7,10 @@ use vfc::vmm::workload::TraceWorkload;
 
 /// Deterministic host: performance governor, no frequency noise.
 fn quiet_host(sockets: u32, cores: u32, threads_per_core: u32) -> SimHost {
-    use vfc::cpusched::dvfs::{Governor, GovernorKind};
-    use vfc::cpusched::engine::Engine;
-    let spec = NodeSpec::custom("it", sockets, cores, threads_per_core, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 99);
-    SimHost::new(spec, 99).with_engine(engine)
+    SimHost::fixed_freq(
+        NodeSpec::custom("it", sockets, cores, threads_per_core, MHz(2400)),
+        99,
+    )
 }
 
 fn controller_for(host: &SimHost) -> Controller {

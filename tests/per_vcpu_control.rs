@@ -5,8 +5,6 @@
 //! idle mappers' guaranteed cycles return to the market for neighbours.
 
 use vfc::controller::ControlMode;
-use vfc::cpusched::dvfs::{Governor, GovernorKind};
-use vfc::cpusched::engine::Engine;
 use vfc::prelude::*;
 use vfc::simcore::{Cycles, Micros, VcpuAddr};
 use vfc::vmm::workload::MapReduce;
@@ -16,11 +14,7 @@ fn reduce_phase_frees_mapper_cycles_for_neighbours() {
     // 2 threads; the MR VM (4 vCPUs @ 600 MHz = 2400 guaranteed) plus a
     // saturating neighbour (1 vCPU @ 1200). Total guarantees 3600 of
     // 4800 MHz.
-    let spec = NodeSpec::custom("mr", 1, 2, 1, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 17);
-    let mut host = SimHost::new(spec, 17).with_engine(engine);
+    let mut host = SimHost::fixed_freq(NodeSpec::custom("mr", 1, 2, 1, MHz(2400)), 17);
 
     let mr = host.provision(&VmTemplate::new("mr", 4, MHz(600)));
     let neighbour = host.provision(&VmTemplate::new("nb", 1, MHz(1200)));

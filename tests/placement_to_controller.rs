@@ -5,11 +5,8 @@
 //! controller, instead of migration mechanism").
 
 use vfc::controller::ControlMode;
-use vfc::cpusched::dvfs::{Governor, GovernorKind};
-use vfc::cpusched::engine::Engine;
 use vfc::placement::cluster::{paper_workload, ArrivalOrder, Cluster};
 use vfc::prelude::*;
-use vfc::simcore::Micros;
 
 #[test]
 fn frequency_placed_node_is_controllable() {
@@ -37,11 +34,7 @@ fn frequency_placed_node_is_controllable() {
     );
 
     // Realize the bin.
-    let spec = bin.spec.clone();
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 3).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 3);
-    let mut host = SimHost::new(spec, 3).with_engine(engine);
+    let mut host = SimHost::fixed_freq(bin.spec.clone(), 3);
     let mut placed = Vec::new();
     for req in &bin.placed {
         let vm = host.provision(&VmTemplate::new(&req.template, req.vcpus, req.vfreq));
@@ -80,11 +73,10 @@ fn frequency_factor_overcommit_loses_the_guarantee() {
     // missing cycles — guarantees degrade proportionally (the
     // over-subscription guard shares the shortfall instead of starving
     // anyone completely).
-    let spec = vfc::cpusched::topology::NodeSpec::custom("oc", 1, 2, 1, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 9).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 9);
-    let mut host = SimHost::new(spec, 9).with_engine(engine);
+    let mut host = SimHost::fixed_freq(
+        vfc::cpusched::topology::NodeSpec::custom("oc", 1, 2, 1, MHz(2400)),
+        9,
+    );
 
     // Capacity 4800 MHz; FrequencyFactor{1.2} admits up to 5760:
     // three 2-vCPU 900 MHz VMs = 5400 MHz of guarantees.
@@ -123,11 +115,7 @@ fn core_count_overcommit_node_cannot_keep_promises_without_control() {
     // WITHOUT the controller — some class must miss the frequency its
     // vCPU count implies, which is exactly why the paper replaces the
     // factor with Eq. 7 + control.
-    let spec = vfc::cpusched::topology::NodeSpec::chiclet();
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 5).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 5);
-    let mut host = SimHost::new(spec, 5).with_engine(engine);
+    let mut host = SimHost::fixed_freq(vfc::cpusched::topology::NodeSpec::chiclet(), 5);
 
     // 28 large VMs (the paper's ×1.8 packing): 112 vCPUs on 64 threads.
     let mut vms = Vec::new();

@@ -4,8 +4,6 @@
 
 use proptest::prelude::*;
 use vfc::controller::ControlMode;
-use vfc::cpusched::dvfs::{Governor, GovernorKind};
-use vfc::cpusched::engine::Engine;
 use vfc::prelude::*;
 use vfc::simcore::Micros;
 
@@ -43,11 +41,7 @@ fn feasible_population() -> impl Strategy<Value = Vec<VmPlan>> {
 }
 
 fn run_population(plans: &[VmPlan], periods: u32) -> (SimHost, Controller, Vec<VmId>) {
-    let spec = NodeSpec::custom("prop", 1, 4, 2, MHz(2400));
-    let gov =
-        Governor::new(GovernorKind::Performance, spec.min_mhz, spec.max_mhz, 1).with_noise_std(0.0);
-    let engine = Engine::with_parts(spec.clone(), Micros(100_000), gov, 77);
-    let mut host = SimHost::new(spec, 77).with_engine(engine);
+    let mut host = SimHost::fixed_freq(NodeSpec::custom("prop", 1, 4, 2, MHz(2400)), 77);
     let mut ids = Vec::new();
     for (i, p) in plans.iter().enumerate() {
         let vm = host.provision(&VmTemplate::new(

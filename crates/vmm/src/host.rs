@@ -124,7 +124,7 @@ pub struct SimHost {
 impl SimHost {
     /// Host with the default 100 ms tick, 1 s window, schedutil governor
     /// (cores follow load, readings carry the governor's default noise):
-    /// the host of the §IV scenarios and the cluster.
+    /// the cluster's nodes.
     ///
     /// Use [`SimHost::fixed_freq`] when every core must sit at `F^MAX`
     /// with exact readings, and [`SimHost::with_engine`] only for an

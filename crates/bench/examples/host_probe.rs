@@ -19,7 +19,7 @@ use vfc_controller::{Controller, ControllerConfig};
 use vfc_cpusched::dvfs::{Governor, GovernorKind};
 use vfc_cpusched::engine::Engine;
 use vfc_cpusched::place::{PlacementBuf, Placer};
-use vfc_simcore::{Micros, VcpuId};
+use vfc_simcore::{Micros, Tid, VcpuId};
 use vfc_vmm::SimHost;
 
 /// Periods per timed batch. Each round times all four batches back to
@@ -72,6 +72,8 @@ fn main() {
     let allocs: Vec<Micros> = out.threads.iter().map(|s| s.ran).collect();
     let busy: Vec<f64> = out.core_busy.iter().map(|b| b.ratio_of(tick)).collect();
     let tids = out.tids.to_vec();
+    let mut by_tid: Vec<(Tid, u32)> = tids.iter().zip(0..).map(|(t, s)| (*t, s)).collect();
+    by_tid.sort_unstable();
     let mut placer = Placer::new(spec.nr_threads(), 42);
     let mut buf = PlacementBuf::default();
     let mut governor = Governor::new(GovernorKind::Schedutil, spec.min_mhz, spec.max_mhz, 42);
@@ -87,7 +89,7 @@ fn main() {
                 batch_us(|| {
                     black_box(engine.tick_slots(&mut tree, &demands).utilization);
                 }),
-                batch_us(|| placer.place_into(&tids, &allocs, tick, &mut buf)),
+                batch_us(|| placer.place_into(&tids, &allocs, &by_tid, tick, &mut buf)),
                 batch_us(|| {
                     for util in &busy {
                         black_box(governor.core_freq(*util));

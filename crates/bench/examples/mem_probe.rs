@@ -25,8 +25,8 @@ use vfc_controller::{Controller, ControllerConfig};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
 use vfc_simcore::alloc_count::{thread_live_bytes, CountingAlloc};
-use vfc_simcore::{MHz, Micros, SplitMix64};
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand, Workload};
+use vfc_simcore::{MHz, SplitMix64};
+use vfc_vmm::workload::class_workload;
 use vfc_vmm::{SimHost, VmTemplate};
 
 #[global_allocator]
@@ -46,22 +46,6 @@ const MAX_RETAINED_PER_VM: f64 = 16.0;
 
 fn node_spec() -> NodeSpec {
     NodeSpec::custom("trace", 1, 4, 2, MHz(2400))
-}
-
-/// The trace scenarios' demand per template: small = bursty web, medium =
-/// steady 80 %, large = saturating.
-fn class_workload(template: &str, rng: &mut SplitMix64) -> Box<dyn Workload> {
-    match template {
-        "small" => Box::new(BurstyWeb::with_shape(
-            rng.next_u64(),
-            0.05,
-            1.0,
-            Micros::from_secs(60),
-            Micros::from_secs(8),
-        )),
-        "medium" => Box::new(SteadyDemand::new(0.8)),
-        _ => Box::new(SteadyDemand::full()),
-    }
 }
 
 /// Heap growth per VM that came and went, in bytes, and the host's census

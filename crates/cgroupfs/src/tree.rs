@@ -34,10 +34,13 @@ pub struct NodeIdx(pub usize);
 /// One cgroup directory.
 ///
 /// The knobs a running host turns (`cpu_max`, `weight`) and the counters
-/// it reads (`cpu_stat`) are plain fields. What makes up the *structure*
-/// of the hierarchy — parent/child links and thread membership — is
-/// private and changes only through [`CgroupTree`] methods, so that every
-/// such change moves [`CgroupTree::structure_epoch`].
+/// it reads (`cpu_stat`) are plain fields, written through
+/// [`CgroupTree::node_mut`], which moves [`CgroupTree::values_epoch`]
+/// (or, for the counters alone, [`CgroupTree::stat_mut`], which does not).
+/// What makes up the *structure* of the hierarchy — parent/child links
+/// and thread membership — is private and changes only through
+/// [`CgroupTree`] methods, so that every such change moves
+/// [`CgroupTree::structure_epoch`].
 #[derive(Debug, Clone)]
 pub struct CgroupNode {
     /// Directory name (single path component).
@@ -92,14 +95,16 @@ pub struct CgroupTree {
     live: usize,
     /// See [`CgroupTree::structure_epoch`].
     epoch: u64,
+    /// See [`CgroupTree::values_epoch`].
+    values: u64,
 }
 
 /// Root node index (always present).
 pub const ROOT: NodeIdx = NodeIdx(0);
 
-/// Source of structure epochs. One counter for the whole process, so no
-/// two structures — of one tree over time, or of two trees — ever share
-/// an epoch. Only ever compared for equality.
+/// Source of structure and values epochs. One counter for the whole
+/// process, so no two structures — of one tree over time, or of two trees
+/// — ever share an epoch. Only ever compared for equality.
 fn fresh_epoch() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -112,16 +117,17 @@ impl Default for CgroupTree {
 }
 
 impl Clone for CgroupTree {
-    /// The clone is a tree of its own: it gets a fresh structure epoch, so
-    /// a plan cached for the original is never mistaken for the clone's
-    /// once the two diverge. It copies the free list too, so the same
-    /// `mkdir`s issue the same indices in both.
+    /// The clone is a tree of its own: it gets fresh structure and values
+    /// epochs, so a plan cached for the original is never mistaken for the
+    /// clone's once the two diverge. It copies the free list too, so the
+    /// same `mkdir`s issue the same indices in both.
     fn clone(&self) -> Self {
         CgroupTree {
             nodes: self.nodes.clone(),
             free: self.free.clone(),
             live: self.live,
             epoch: fresh_epoch(),
+            values: fresh_epoch(),
         }
     }
 }
@@ -134,6 +140,7 @@ impl CgroupTree {
             free: Vec::new(),
             live: 1,
             epoch: fresh_epoch(),
+            values: fresh_epoch(),
         }
     }
 
@@ -142,10 +149,20 @@ impl CgroupTree {
     /// threads sit in which group. It moves on `mkdir`, `rmdir` and thread
     /// attach/detach, and is unique per tree instance (a clone starts on a
     /// new one). It does **not** move on `cpu.max`, `cpu.weight` or
-    /// `cpu.stat` writes: those are read from the node every time they are
-    /// needed.
+    /// `cpu.stat` writes: see [`CgroupTree::values_epoch`].
     pub fn structure_epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Cookie for what a consumer may cache about the groups' *values*
+    /// (`cpu.max`, `cpu.weight`) while the structure stands: it moves on
+    /// every [`CgroupTree::node_mut`], whatever the caller changes, and not
+    /// on [`CgroupTree::node`] or [`CgroupTree::stat_mut`]. Drawn from the
+    /// structure epochs' counter, so unique per tree instance too (a clone
+    /// starts on a new one). A consumer that caches values compares both
+    /// epochs: a new group gets its values without a `node_mut`.
+    pub fn values_epoch(&self) -> u64 {
+        self.values
     }
 
     /// Immutable node access. `idx` must name a live group.
@@ -155,8 +172,22 @@ impl CgroupTree {
         n
     }
 
-    /// Mutable node access. `idx` must name a live group.
+    /// Mutable node access; moves [`CgroupTree::values_epoch`]. `idx` must
+    /// name a live group.
     pub fn node_mut(&mut self, idx: NodeIdx) -> &mut CgroupNode {
+        self.values = fresh_epoch();
+        self.live_mut(idx)
+    }
+
+    /// Mutable access to a group's `cpu.stat` counters alone: the engine's
+    /// per-tick accounting, which moves neither epoch. `idx` must name a
+    /// live group.
+    pub fn stat_mut(&mut self, idx: NodeIdx) -> &mut CpuStat {
+        &mut self.live_mut(idx).cpu_stat
+    }
+
+    /// The live group at `idx`, moving neither epoch.
+    fn live_mut(&mut self, idx: NodeIdx) -> &mut CgroupNode {
         let n = &mut self.nodes[idx.0];
         debug_assert!(n.alive, "access to removed cgroup node");
         n
@@ -320,7 +351,7 @@ impl CgroupTree {
 
     /// Attach a thread to a (leaf) group.
     pub fn attach_thread(&mut self, idx: NodeIdx, tid: Tid) {
-        let node = self.node_mut(idx);
+        let node = self.live_mut(idx);
         if !node.threads.contains(&tid) {
             node.threads.push(tid);
             self.epoch = fresh_epoch();
@@ -330,7 +361,7 @@ impl CgroupTree {
     /// Remove every thread from a group (its tasks exited), after which
     /// the group can be `rmdir`ed.
     pub fn detach_threads(&mut self, idx: NodeIdx) {
-        let node = self.node_mut(idx);
+        let node = self.live_mut(idx);
         if !node.threads.is_empty() {
             node.threads.clear();
             self.epoch = fresh_epoch();
@@ -494,6 +525,37 @@ mod tests {
         moved(&t, "detach of an empty group", false);
         t.rmdir(b).unwrap();
         moved(&t, "rmdir", true);
+    }
+
+    #[test]
+    fn values_epoch_moves_on_node_mut_only() {
+        let mut t = CgroupTree::new();
+        let a = t.mkdir(ROOT, "a").unwrap();
+        let mut last = t.values_epoch();
+        let mut moved = |t: &CgroupTree, what: &str, expect: bool| {
+            let now = t.values_epoch();
+            assert_eq!(now != last, expect, "{what}");
+            last = now;
+        };
+        t.node_mut(a).cpu_max = CpuMax::limited(Micros(10_000));
+        moved(&t, "cpu.max", true);
+        t.node_mut(a).weight = 300;
+        moved(&t, "cpu.weight", true);
+        let _ = t.node_mut(a).weight;
+        moved(&t, "a node_mut that writes nothing", true);
+        let _ = t.node(a).cpu_max;
+        moved(&t, "node", false);
+        t.stat_mut(a).account_usage(Micros(5));
+        assert_eq!(t.node(a).cpu_stat.usage_usec, Micros(5));
+        moved(&t, "stat_mut", false);
+        let structure = t.structure_epoch();
+        t.node_mut(a).weight = 400;
+        assert_eq!(t.structure_epoch(), structure, "values are not structure");
+        moved(&t, "cpu.weight again", true);
+
+        let c = t.clone();
+        assert_ne!(c.values_epoch(), t.values_epoch(), "a clone starts fresh");
+        assert_eq!(c.node(a).weight, 400);
     }
 
     #[test]

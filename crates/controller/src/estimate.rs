@@ -18,7 +18,7 @@
 
 use crate::config::ControllerConfig;
 use crate::monitor::VcpuObservation;
-use vfc_simcore::{FastMap, Micros, RingBuffer, VcpuAddr};
+use vfc_simcore::{round_u64, FastMap, Micros, RingBuffer, VcpuAddr};
 
 /// Which estimator case fired (for reporting and the Fig. 3–5 traces).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -284,7 +284,7 @@ pub(crate) fn estimate_vcpu(
         (EstimateCase::Stable, u / cfg.increase_trigger)
     };
 
-    let mut estimate_u64 = (raw.round() as u64).clamp(MIN_CAP.as_u64(), period.as_u64());
+    let mut estimate_u64 = round_u64(raw).clamp(MIN_CAP.as_u64(), period.as_u64());
     if case == EstimateCase::Stable {
         // Guard against float rounding putting the consumption
         // back over the increase trigger of the new capping.

@@ -79,7 +79,7 @@ pub(crate) fn difference(
         used,
         throttled,
         last_cpu: raw.last_cpu,
-        freq_est: MHz((used.ratio_of(period) * raw.core_freq.as_f64()).round() as u32),
+        freq_est: MHz::rounded(used.ratio_of(period) * raw.core_freq.as_f64()),
     }
 }
 

@@ -83,7 +83,7 @@ impl Governor {
         // Hardware can slightly exceed the sustained all-core max
         // (turbo residency), but never the min P-state floor.
         let clamped = noisy.clamp(self.min.as_f64(), self.max.as_f64() * 1.02);
-        MHz(clamped.round() as u32)
+        MHz::rounded(clamped)
     }
 
     /// The next raw draw of the noise stream — consumes it. Lets the

@@ -26,8 +26,9 @@
 //! [`CgroupTree::structure_epoch`] moves. The steps run over vectors
 //! indexed by group position and thread slot ([`Engine::tick_slots`]);
 //! [`Engine::tick`] and [`Engine::tick_into`] are the map-keyed front of
-//! the same code. `cpu.max` and `cpu.weight` are read from the tree every
-//! tick.
+//! the same code. `cpu.max` and `cpu.weight` are gathered into the plan
+//! again only when [`CgroupTree::values_epoch`] moves too — once per
+//! controller write, not once per tick.
 
 use crate::dvfs::Governor;
 use crate::fair::{water_fill_into, Entity, FillScratch};
@@ -120,21 +121,32 @@ struct Plan {
     parent: Vec<u32>,
     /// One past the last position of each group's subtree. The children
     /// of `p` are `p + 1`, `subtree_end[p + 1]`, … while below
-    /// `subtree_end[p]`.
+    /// `subtree_end[p]`: how `children` is built.
     subtree_end: Vec<u32>,
+    /// Children of each group, in order: group `p`'s are
+    /// `children[child_start[p]..child_start[p + 1]]` (one trailing entry).
+    child_start: Vec<u32>,
+    children: Vec<u32>,
     /// First slot of each group's own threads; one trailing entry, so
     /// group `p` owns `thread_start[p]..thread_start[p + 1]` and its
     /// subtree `thread_start[p]..thread_start[subtree_end[p]]`.
     thread_start: Vec<u32>,
     /// Thread in each slot.
     tids: Vec<Tid>,
+    /// Position of each slot's group.
+    pos_of_slot: Vec<u32>,
     /// `(thread, slot)`, sorted by thread.
     by_tid: Vec<(Tid, u32)>,
-    /// Each group's `cpu.max` as last seen and its budget for one tick.
-    /// `cpu.max` is not structure — it is compared every tick — but it
-    /// changes once per controller period at most, and the budget is a
-    /// 128-bit division.
-    budget: Vec<(CpuMax, u64)>,
+    /// Values epoch of the tree `weight`, `cpu_max` and `quota` were
+    /// gathered from.
+    values: u64,
+    /// `cpu.weight` per position.
+    weight: Vec<u32>,
+    /// `cpu.max` per position.
+    cpu_max: Vec<CpuMax>,
+    /// Budget for one tick per position. A gather recomputes only the
+    /// budgets whose `cpu.max` changed: one is a 128-bit division.
+    quota: Vec<u64>,
 }
 
 impl Plan {
@@ -144,9 +156,23 @@ impl Plan {
         self.subtree_end.clear();
         self.thread_start.clear();
         self.tids.clear();
-        self.budget.clear();
-        self.push_subtree(tree, ROOT, 0, tick);
+        self.pos_of_slot.clear();
+        self.push_subtree(tree, ROOT, 0);
         self.thread_start.push(self.tids.len() as u32);
+        self.child_start.clear();
+        self.children.clear();
+        for p in 0..self.nodes.len() {
+            self.child_start.push(self.children.len() as u32);
+            let mut c = p + 1;
+            while c < self.subtree_end[p] as usize {
+                self.children.push(c as u32);
+                c = self.subtree_end[c] as usize;
+            }
+        }
+        self.child_start.push(self.children.len() as u32);
+        self.cpu_max.clear();
+        self.quota.clear();
+        self.gather_values(tree, tick);
 
         // Sticky cores follow their thread into its new slot; threads that
         // left are forgotten. `by_tid` still indexes the old slots here.
@@ -166,20 +192,43 @@ impl Plan {
 
     /// Recursion depth is the hierarchy depth (root → slice → scope →
     /// libvirt → vCPU group, a small constant).
-    fn push_subtree(&mut self, tree: &CgroupTree, idx: NodeIdx, parent: u32, tick: Micros) {
+    fn push_subtree(&mut self, tree: &CgroupTree, idx: NodeIdx, parent: u32) {
         let pos = self.nodes.len();
-        let node = tree.node(idx);
         self.nodes.push(idx);
         self.parent.push(parent);
         self.subtree_end.push(0);
         self.thread_start.push(self.tids.len() as u32);
-        self.tids.extend_from_slice(node.threads());
-        self.budget
-            .push((node.cpu_max, node.cpu_max.budget_for(tick).as_u64()));
+        let threads = tree.node(idx).threads();
+        self.tids.extend_from_slice(threads);
+        self.pos_of_slot
+            .extend(std::iter::repeat_n(pos as u32, threads.len()));
         for c in tree.children(idx) {
-            self.push_subtree(tree, c, pos as u32, tick);
+            self.push_subtree(tree, c, pos as u32);
         }
         self.subtree_end[pos] = self.nodes.len() as u32;
+    }
+
+    /// Read every group's `cpu.weight` and `cpu.max` again.
+    fn gather_values(&mut self, tree: &CgroupTree, tick: Micros) {
+        let unlimited = CpuMax::unlimited();
+        self.weight.clear();
+        self.cpu_max.resize(self.nodes.len(), unlimited);
+        self.quota
+            .resize(self.nodes.len(), unlimited.budget_for(tick).as_u64());
+        for ((idx, cpu_max), quota) in self
+            .nodes
+            .iter()
+            .zip(&mut self.cpu_max)
+            .zip(&mut self.quota)
+        {
+            let node = tree.node(*idx);
+            self.weight.push(node.weight);
+            if *cpu_max != node.cpu_max {
+                *cpu_max = node.cpu_max;
+                *quota = node.cpu_max.budget_for(tick).as_u64();
+            }
+        }
+        self.values = tree.values_epoch();
     }
 
     fn slot_of(&self, tid: Tid) -> Option<usize> {
@@ -192,8 +241,6 @@ impl Plan {
 /// tick allocates nothing.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// `cpu.weight` per position, read once per tick.
-    weight: Vec<u32>,
     /// What each group asks for, per position: its threads' demands plus
     /// its children's caps, before its own quota.
     raw: Vec<u64>,
@@ -298,6 +345,9 @@ impl Engine {
     /// vector of [`Engine::tick_slots`].
     pub fn sync(&mut self, tree: &CgroupTree) -> bool {
         if self.plan.epoch == tree.structure_epoch() {
+            if self.plan.values != tree.values_epoch() {
+                self.plan.gather_values(tree, self.tick);
+            }
             return false;
         }
         self.plan.rebuild(tree, self.tick, &mut self.placer);
@@ -381,7 +431,7 @@ impl Engine {
     pub fn tick_slots(&mut self, tree: &mut CgroupTree, demands: &[Micros]) -> SlotTick<'_> {
         self.sync(tree);
         let tick = self.tick;
-        let plan = &mut self.plan;
+        let plan = &self.plan;
         let n_pos = plan.nodes.len();
         assert_eq!(
             demands.len(),
@@ -389,7 +439,6 @@ impl Engine {
             "one demand per slot of the current plan"
         );
         let Scratch {
-            weight,
             raw,
             caps,
             group_alloc,
@@ -403,28 +452,24 @@ impl Engine {
         } = &mut self.scratch;
 
         // ---- 1. demand-side caps, bottom-up -------------------------------
-        // Reverse pre-order: every group is final before it is added to
-        // its parent.
+        // Threads' demands into their groups, then reverse pre-order:
+        // every group is final before it is added to its parent.
         want.clear();
-        want.extend(demands.iter().map(|d| (*d).min(tick).as_u64()));
-        weight.resize(n_pos, 0);
-        caps.resize(n_pos, 0);
         raw.clear();
         raw.resize(n_pos, 0);
-        for p in (0..n_pos).rev() {
-            let node = tree.node(plan.nodes[p]);
-            weight[p] = node.weight;
-            let budget = &mut plan.budget[p];
-            if budget.0 != node.cpu_max {
-                *budget = (node.cpu_max, node.cpu_max.budget_for(tick).as_u64());
-            }
-            let threads = plan.thread_start[p] as usize..plan.thread_start[p + 1] as usize;
-            raw[p] += want[threads].iter().sum::<u64>();
-            caps[p] = raw[p].min(budget.1);
-            if p != 0 {
-                raw[plan.parent[p] as usize] += caps[p];
-            }
+        for (d, p) in demands.iter().zip(&plan.pos_of_slot) {
+            let w = (*d).min(tick).as_u64();
+            want.push(w);
+            raw[*p as usize] += w;
         }
+        let weight = &plan.weight;
+        caps.resize(n_pos, 0);
+        for p in (1..n_pos).rev() {
+            let cap = raw[p].min(plan.quota[p]);
+            caps[p] = cap;
+            raw[plan.parent[p] as usize] += cap;
+        }
+        caps[0] = raw[0].min(plan.quota[0]);
 
         // ---- 2. allocation, top-down; 3. usage + throttling accounting ----
         let capacity = (self.spec.nr_threads() as u64) * tick.as_u64();
@@ -433,43 +478,39 @@ impl Engine {
         alloc.resize(want.len(), Micros::ZERO);
         for p in 0..n_pos {
             let budget = group_alloc[p];
-            let first_child = p + 1;
-            let end = plan.subtree_end[p] as usize;
+            let kids =
+                &plan.children[plan.child_start[p] as usize..plan.child_start[p + 1] as usize];
             let threads = plan.thread_start[p] as usize..plan.thread_start[p + 1] as usize;
-            let only_child = first_child < end && plan.subtree_end[first_child] as usize == end;
-            if threads.is_empty() && only_child {
+            if threads.is_empty() && kids.len() == 1 {
                 // A lone entity gets min(budget, cap) whatever its weight.
-                group_alloc[first_child] = budget.min(caps[first_child]);
-            } else if threads.len() == 1 && first_child == end {
+                let c = kids[0] as usize;
+                group_alloc[c] = budget.min(caps[c]);
+            } else if threads.len() == 1 && kids.is_empty() {
                 alloc[threads.start] = Micros(budget.min(want[threads.start]));
-            } else if !threads.is_empty() || first_child < end {
+            } else if !threads.is_empty() || !kids.is_empty() {
                 // Entities: child groups first, then direct threads.
                 entities.clear();
-                let mut c = first_child;
-                while c < end {
-                    entities.push(Entity::new(weight[c], caps[c]));
-                    c = plan.subtree_end[c] as usize;
-                }
-                let n_children = entities.len();
+                entities.extend(
+                    kids.iter()
+                        .map(|c| Entity::new(weight[*c as usize], caps[*c as usize])),
+                );
                 entities.extend(
                     want[threads.clone()]
                         .iter()
                         .map(|d| Entity::new(weight[p], *d)),
                 );
                 water_fill_into(budget, entities, shares, fill);
-                let mut c = first_child;
-                for share in &shares[..n_children] {
-                    group_alloc[c] = *share;
-                    c = plan.subtree_end[c] as usize;
+                for (c, share) in kids.iter().zip(shares.iter()) {
+                    group_alloc[*c as usize] = *share;
                 }
-                for (a, share) in alloc[threads.clone()].iter_mut().zip(&shares[n_children..]) {
+                for (a, share) in alloc[threads.clone()].iter_mut().zip(&shares[kids.len()..]) {
                     *a = Micros(*share);
                 }
             }
 
-            let (cpu_max, quota) = plan.budget[p];
+            let (cpu_max, quota) = (plan.cpu_max[p], plan.quota[p]);
             if !threads.is_empty() || !cpu_max.is_unlimited() {
-                let stat = &mut tree.node_mut(plan.nodes[p]).cpu_stat;
+                let stat = tree.stat_mut(plan.nodes[p]);
                 if !threads.is_empty() {
                     stat.account_usage(alloc[threads].iter().copied().sum());
                 }
@@ -481,7 +522,8 @@ impl Engine {
 
         // ---- 4. placement ---------------------------------------------------
         // Every known thread is placed, so idle ones keep a location.
-        self.placer.place_into(&plan.tids, alloc, tick, place);
+        self.placer
+            .place_into(&plan.tids, alloc, &plan.by_tid, tick, place);
         let core_busy = &place.core_busy;
 
         // ---- 5. DVFS ---------------------------------------------------------
@@ -723,6 +765,34 @@ mod tests {
         }
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         assert_eq!(tree.node(leaf).cpu_stat.usage_usec, Micros(500_000));
+    }
+
+    /// `cpu.max` and `cpu.weight` written between two ticks, with no
+    /// structure change, decide the very next tick.
+    #[test]
+    fn knob_writes_reach_the_next_tick() {
+        let mut e = engine(1);
+        let (mut tree, tids) = build_tree(&[1, 1]);
+        let (vm0, vm1) = (tree.resolve("/vm0").unwrap(), tree.resolve("/vm1").unwrap());
+        let leaf1 = tree.resolve("/vm1/vcpu0").unwrap();
+        let demands = [TICK, TICK];
+        let ran = |e: &mut Engine, tree: &mut CgroupTree| {
+            let out = e.tick_slots(tree, &demands);
+            [0, 1]
+                .map(|vm| out.threads[out.tids.iter().position(|t| *t == tids[vm][0]).unwrap()].ran)
+        };
+        assert_eq!(ran(&mut e, &mut tree), [Micros(50_000); 2]);
+
+        tree.node_mut(leaf1).cpu_max = CpuMax::limited(Micros(10_000));
+        assert_eq!(ran(&mut e, &mut tree), [Micros(90_000), Micros(10_000)]);
+
+        tree.node_mut(leaf1).cpu_max = CpuMax::unlimited();
+        tree.node_mut(vm0).weight = 300;
+        assert_eq!(ran(&mut e, &mut tree), [Micros(75_000), Micros(25_000)]);
+
+        tree.node_mut(vm1).weight = 300;
+        assert_eq!(ran(&mut e, &mut tree), [Micros(50_000); 2]);
+        assert_eq!(e.plan_rebuilds(), 1, "values are not structure");
     }
 
     #[test]

@@ -101,23 +101,23 @@ pub(crate) fn water_fill(capacity: u64, entities: &[Entity]) -> Vec<u64> {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct PlacedThread {
-    tid: Tid,
+pub(crate) struct PlacedThread {
+    pub(crate) tid: Tid,
     start: u32,
     len: u32,
 }
 
 #[derive(Debug, Default)]
-struct PlacementBuf {
-    entries: Vec<PlacedThread>,
-    core_busy: Vec<Micros>,
+pub(crate) struct PlacementBuf {
+    pub(crate) entries: Vec<PlacedThread>,
+    pub(crate) core_busy: Vec<Micros>,
     slices: Vec<(CpuId, Micros)>,
     order: Vec<(Tid, Micros)>,
     remaining: Vec<Micros>,
 }
 
 impl PlacementBuf {
-    fn slices_of(&self, e: &PlacedThread) -> &[(CpuId, Micros)] {
+    pub(crate) fn slices_of(&self, e: &PlacedThread) -> &[(CpuId, Micros)] {
         &self.slices[e.start as usize..(e.start + e.len) as usize]
     }
 }
@@ -126,13 +126,18 @@ impl PlacementBuf {
 #[derive(Debug)]
 pub(crate) struct OraclePlacer {
     nr_cpus: u32,
-    sticky: FastMap<Tid, CpuId>,
+    pub(crate) sticky: FastMap<Tid, CpuId>,
     base_migration: f64,
     rng: SplitMix64,
 }
 
 impl OraclePlacer {
-    fn new(nr_cpus: u32, seed: u64) -> Self {
+    /// Next raw draw of the placement stream.
+    pub(crate) fn probe_rng(&mut self) -> u64 {
+        self.rng.next_u64()
+    }
+
+    pub(crate) fn new(nr_cpus: u32, seed: u64) -> Self {
         OraclePlacer {
             nr_cpus,
             sticky: FastMap::default(),
@@ -141,7 +146,12 @@ impl OraclePlacer {
         }
     }
 
-    fn place_into(&mut self, allocs: &[(Tid, Micros)], tick: Micros, buf: &mut PlacementBuf) {
+    pub(crate) fn place_into(
+        &mut self,
+        allocs: &[(Tid, Micros)],
+        tick: Micros,
+        buf: &mut PlacementBuf,
+    ) {
         let n = self.nr_cpus as usize;
         buf.entries.clear();
         buf.slices.clear();
@@ -273,7 +283,7 @@ impl OracleEngine {
 
     /// Next raw draw of the placement and governor streams.
     pub(crate) fn probe_rngs(&mut self) -> (u64, u64) {
-        (self.placer.rng.next_u64(), self.governor.probe_rng())
+        (self.placer.probe_rng(), self.governor.probe_rng())
     }
 
     pub(crate) fn tick_into(

@@ -34,16 +34,26 @@ pub struct PlacementBuf {
     /// Busy time per core.
     pub core_busy: Vec<Micros>,
     slices: Vec<(CpuId, Micros)>,
-    remaining: Vec<Micros>,
-    /// Packing order: one sort key per thread, see [`packing_key`].
-    order: Vec<u128>,
+    /// Time left per core this tick. 32-bit and signed, so that the spill
+    /// scan ([`emptiest`]) compiles to vector compares on baseline x86_64.
+    remaining: Vec<i32>,
+    /// Packing order: one sort key per thread, see [`Placer::place_into`].
+    order: Vec<u64>,
 }
 
-/// Sort key of the packing order — largest allocation first, thread id
-/// ascending among equals — with the slot in the low bits, so that
-/// sorting plain integers yields the slots in order.
-fn packing_key(slot: usize, tid: Tid, alloc: Micros) -> u128 {
-    ((u64::MAX - alloc.as_u64()) as u128) << 64 | (tid.as_u32() as u128) << 32 | slot as u128
+/// The core with the most time left, lowest index among equals, and that
+/// time. Two passes without a data-dependent branch — the largest value,
+/// then the smallest index holding it — where one pass that tracks both
+/// would branch on every core.
+fn emptiest(remaining: &[i32]) -> (usize, i32) {
+    let room = remaining.iter().copied().fold(0, i32::max);
+    // Written as a loop over `enumerate`: the `zip(0..)` form of the same
+    // fold is not vectorised.
+    let mut idx = i32::MAX;
+    for (i, r) in remaining.iter().enumerate() {
+        idx = idx.min(if *r == room { i as i32 } else { i32::MAX });
+    }
+    (idx as usize, room)
 }
 
 impl PlacementBuf {
@@ -98,39 +108,51 @@ impl Placer {
 
     /// Place one tick's allocations onto cores.
     ///
-    /// `allocs[s]` is the CPU time granted to thread `tids[s]` this tick;
-    /// `tick` is the tick length (per-core capacity). Threads are packed
-    /// largest-first; a thread whose preferred core lacks room spills the
-    /// remainder onto the emptiest cores, like CFS load balancing does.
+    /// `allocs[s]` is the CPU time granted to thread `tids[s]` this tick,
+    /// at most `tick`, the tick length (per-core capacity); `by_tid` is
+    /// every `(tids[s], s)`, sorted. Threads are packed largest-first; a
+    /// thread whose preferred core lacks room spills the remainder onto
+    /// the emptiest cores, like CFS load balancing does.
+    ///
+    /// # Panics
+    /// Panics if `tick` exceeds `i32::MAX` µs (35 minutes) or an
+    /// allocation exceeds `tick`.
     pub fn place_into(
         &mut self,
         tids: &[Tid],
         allocs: &[Micros],
+        by_tid: &[(Tid, u32)],
         tick: Micros,
         buf: &mut PlacementBuf,
     ) {
         assert_eq!(tids.len(), allocs.len(), "one allocation per thread");
+        assert_eq!(tids.len(), by_tid.len(), "one rank per thread");
+        let tick_us = i32::try_from(tick.as_u64()).expect("a tick of at most i32::MAX µs");
         let n = self.nr_cpus as usize;
         buf.entries.clear();
         buf.slices.clear();
         buf.remaining.clear();
-        buf.remaining.resize(n, tick);
+        buf.remaining.resize(n, tick_us);
 
         self.sticky.resize(tids.len(), None);
         assert!(tids.len() <= u32::MAX as usize, "slots are 32-bit");
 
         // Largest first for tight packing; tid tiebreak for determinism.
+        // The key is the time an allocation leaves idle, then the rank in
+        // `by_tid`: sorting plain integers yields (alloc desc, tid asc).
         buf.order.clear();
-        buf.order.extend(
-            tids.iter()
-                .zip(allocs)
-                .enumerate()
-                .map(|(slot, (tid, alloc))| packing_key(slot, *tid, *alloc)),
-        );
+        buf.order
+            .extend(by_tid.iter().zip(0u64..).map(|((_, slot), rank)| {
+                let idle = tick
+                    .as_u64()
+                    .checked_sub(allocs[*slot as usize].as_u64())
+                    .expect("an allocation of at most one tick");
+                idle << 32 | rank
+            }));
         buf.order.sort_unstable();
 
         for oi in 0..buf.order.len() {
-            let slot = buf.order[oi] as u32;
+            let slot = by_tid[buf.order[oi] as u32 as usize].1;
             let (tid, want) = (tids[slot as usize], allocs[slot as usize]);
             let start = buf.slices.len() as u32;
             if want.is_zero() {
@@ -159,27 +181,23 @@ impl Placer {
                 _ => None,
             };
 
-            let mut left = want;
+            // At most `tick`, so it fits.
+            let mut left = want.as_u64() as i32;
 
             // Try the sticky core first.
             if let Some(c) = preferred {
                 let got = left.min(buf.remaining[c.as_usize()]);
-                if !got.is_zero() {
+                if got != 0 {
                     buf.remaining[c.as_usize()] -= got;
-                    buf.slices.push((c, got));
+                    buf.slices.push((c, Micros(got as u64)));
                     left -= got;
                 }
             }
 
             // Spill to the emptiest cores (lowest index among equals).
-            while !left.is_zero() {
-                let (mut idx, mut room) = (0, Micros::ZERO);
-                for (i, r) in buf.remaining.iter().enumerate() {
-                    if *r > room {
-                        (idx, room) = (i, *r);
-                    }
-                }
-                if room.is_zero() {
+            while left != 0 {
+                let (idx, room) = emptiest(&buf.remaining);
+                if room == 0 {
                     // Node over-committed beyond capacity: drop remainder.
                     // (The fair scheduler never allocates more than
                     // nr_cpus × tick, so this is unreachable from the
@@ -188,7 +206,8 @@ impl Placer {
                 }
                 let got = left.min(room);
                 buf.remaining[idx] -= got;
-                buf.slices.push((CpuId::new(idx as u32), got));
+                buf.slices
+                    .push((CpuId::new(idx as u32), Micros(got as u64)));
                 left -= got;
             }
 
@@ -203,7 +222,7 @@ impl Placer {
 
         buf.core_busy.clear();
         buf.core_busy
-            .extend(buf.remaining.iter().map(|r| tick - *r));
+            .extend(buf.remaining.iter().map(|r| Micros((tick_us - r) as u64)));
     }
 
     /// Last primary core of the thread in `slot` (procfs emulation
@@ -255,7 +274,7 @@ mod tests {
     ) -> (HashMap<Tid, ThreadPlacement>, Vec<Micros>) {
         let (tids, want): (Vec<Tid>, Vec<Micros>) = allocs.iter().copied().unzip();
         let mut buf = PlacementBuf::default();
-        p.place_into(&tids, &want, TICK, &mut buf);
+        p.place_into(&tids, &want, &by_tid(&tids), TICK, &mut buf);
         let out = buf
             .entries
             .iter()
@@ -265,6 +284,13 @@ mod tests {
             })
             .collect();
         (out, buf.core_busy)
+    }
+
+    /// `(tid, slot)` of every slot, sorted: what the engine's plan keeps.
+    fn by_tid(tids: &[Tid]) -> Vec<(Tid, u32)> {
+        let mut by_tid: Vec<(Tid, u32)> = tids.iter().zip(0..).map(|(t, s)| (*t, s)).collect();
+        by_tid.sort_unstable();
+        by_tid
     }
 
     fn total_busy(busy: &[Micros]) -> Micros {
@@ -410,6 +436,101 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The placer against the former one kept in [`crate::oracle`], on
+    /// inputs the engine properties seldom build: runs of equal
+    /// allocations, idle threads, a node booked to the last µs, thread ids
+    /// out of slot order, core counts around the vector widths, and a tick
+    /// at the `i32::MAX` µs bound.
+    mod oracle_equivalence {
+        use super::*;
+        use crate::oracle::{self, OraclePlacer};
+        use proptest::prelude::*;
+
+        const CORES: [u32; 6] = [1, 3, 40, 64, 65, 128];
+        const TICKS: [u64; 3] = [100_000, 7, i32::MAX as u64];
+
+        /// One tick's allocations for `n` threads: at most `tick` each,
+        /// at most `nr_cpus × tick` in all, and exactly that under mode 3
+        /// when the threads can fill the node.
+        fn allocs(rng: &mut SplitMix64, n: usize, nr_cpus: u32, tick: u64, mode: u64) -> Vec<u64> {
+            let levels = [0, 1, tick / 3, tick / 2, tick - 1, tick];
+            let mut a: Vec<u64> = (0..n)
+                .map(|_| match mode {
+                    0 => levels[rng.next_below(levels.len() as u64) as usize],
+                    1 if rng.chance(0.7) => 0,
+                    _ => rng.next_below(tick + 1),
+                })
+                .collect();
+            let capacity = nr_cpus as u64 * tick;
+            let mut budget = capacity;
+            for x in a.iter_mut() {
+                *x = (*x).min(budget);
+                budget -= *x;
+            }
+            if mode == 3 {
+                for x in a.iter_mut() {
+                    let top_up = (tick - *x).min(budget);
+                    *x += top_up;
+                    budget -= top_up;
+                }
+            }
+            a
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prop_placer_equals_the_oracle_placer(
+                core_sel in 0usize..6,
+                tick_sel in 0usize..3,
+                n in 0usize..200,
+                mode in 0u64..4,
+                seed in 0u64..1_000_000,
+            ) {
+                let (nr_cpus, tick) = (CORES[core_sel], TICKS[tick_sel]);
+                let mut rng = SplitMix64::new(seed);
+                // Distinct thread ids, shuffled against the slots.
+                let mut tids: Vec<Tid> = (0..n as u32).map(|i| Tid::new(100 + 3 * i)).collect();
+                rng.shuffle(&mut tids);
+                let by_tid = by_tid(&tids);
+
+                let mut placer = Placer::new(nr_cpus, seed);
+                let mut reference = OraclePlacer::new(nr_cpus, seed);
+                let (mut got, mut want) = (PlacementBuf::default(), oracle::PlacementBuf::default());
+                for _ in 0..3 {
+                    let a: Vec<Micros> =
+                        allocs(&mut rng, n, nr_cpus, tick, mode).into_iter().map(Micros).collect();
+                    if mode == 3 && n as u64 >= nr_cpus as u64 {
+                        let total: Micros = a.iter().copied().sum();
+                        prop_assert_eq!(total.as_u64(), nr_cpus as u64 * tick);
+                    }
+                    let pairs: Vec<(Tid, Micros)> = tids.iter().copied().zip(a.iter().copied()).collect();
+                    placer.place_into(&tids, &a, &by_tid, Micros(tick), &mut got);
+                    reference.place_into(&pairs, Micros(tick), &mut want);
+
+                    prop_assert_eq!(got.entries.len(), want.entries.len());
+                    for (g, w) in got.entries.iter().zip(&want.entries) {
+                        prop_assert_eq!(tids[g.slot as usize], w.tid);
+                        prop_assert_eq!(got.slices_of(g), want.slices_of(w));
+                    }
+                    prop_assert_eq!(&got.core_busy, &want.core_busy);
+                    for (slot, tid) in tids.iter().enumerate() {
+                        prop_assert_eq!(placer.last_cpu(slot), reference.sticky.get(tid).copied());
+                    }
+                }
+                prop_assert_eq!(placer.probe_rng(), reference.probe_rng());
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "i32::MAX")]
+        fn a_tick_past_the_bound_is_refused() {
+            let mut buf = PlacementBuf::default();
+            Placer::new(2, 1).place_into(&[], &[], &[], Micros(i32::MAX as u64 + 1), &mut buf);
         }
     }
 

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 use vfc_cluster::{ClusterManager, ClusterReport, Strategy};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::cluster::Cluster;
-use vfc_simcore::{Micros, SplitMix64};
-use vfc_vmm::workload::{BurstyWeb, SteadyDemand, Workload};
+use vfc_simcore::SplitMix64;
+use vfc_vmm::workload::class_workload;
 use vfc_vmm::VmTemplate;
 
 /// Workload mix parameters (defaults follow §IV.C's VM counts, with
@@ -57,23 +57,6 @@ impl ClusterScenario {
             periods: 40,
             seed: 0xC1u64,
         }
-    }
-}
-
-/// The guest profile of each VM class, shared by the cluster, trace and
-/// overload evaluations: small = bursty web (60 s period, 8 s bursts),
-/// medium = steady 80 %, anything else = saturating.
-pub(crate) fn class_workload(class: &str, rng: &mut SplitMix64) -> Box<dyn Workload> {
-    match class {
-        "small" => Box::new(BurstyWeb::with_shape(
-            rng.next_u64(),
-            0.05,
-            1.0,
-            Micros::from_secs(60),
-            Micros::from_secs(8),
-        )),
-        "medium" => Box::new(SteadyDemand::new(0.8)),
-        _ => Box::new(SteadyDemand::full()),
     }
 }
 

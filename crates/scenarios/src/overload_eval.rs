@@ -22,7 +22,6 @@
 //! acceptance bar is typed shedding (408/413) for the attackers and a
 //! <1 % failure rate for the well-behaved clients.
 
-use crate::cluster_eval::class_workload;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -39,6 +38,7 @@ use vfc_controlplane::{
 use vfc_cpusched::topology::NodeSpec;
 use vfc_simcore::MHz;
 use vfc_telemetry::http::Limits;
+use vfc_vmm::workload::class_workload;
 use vfc_vmm::VmTemplate;
 
 /// Shape of one overload run (cluster side).

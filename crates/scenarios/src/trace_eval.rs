@@ -17,7 +17,6 @@
 //! `results/trace_eval.csv`, and holds the CI floor `VFC_TRACE_MIN_EPS`
 //! against the slowest regime.
 
-use crate::cluster_eval::class_workload;
 use std::time::{Duration, Instant};
 use vfc_cluster::{
     ClusterManager, ClusterReport, EventDrivenCluster, Strategy, SyntheticTrace, TraceVmSpec,
@@ -25,6 +24,7 @@ use vfc_cluster::{
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
 use vfc_simcore::MHz;
+use vfc_vmm::workload::class_workload;
 
 /// Shape of one trace-scale run.
 #[derive(Debug, Clone, Copy)]

@@ -42,4 +42,4 @@ pub use fasthash::{FastHash, FastMap, FastSet};
 pub use ids::{CpuId, Tid, VcpuAddr, VcpuId, VmId};
 pub use ring::RingBuffer;
 pub use rng::SplitMix64;
-pub use time::{Cycles, MHz, Micros, USEC_PER_SEC};
+pub use time::{round_u64, Cycles, MHz, Micros, USEC_PER_SEC};

@@ -12,6 +12,24 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of micro-seconds per second.
 pub const USEC_PER_SEC: u64 = 1_000_000;
 
+/// `x.round() as u64` — half away from zero, negatives and NaN to 0,
+/// saturating at `u64::MAX` — without the libm call `f64::round` compiles
+/// to on baseline x86_64.
+///
+/// In `[0, 2⁵²)` `x − trunc(x)` is exact, so comparing it with one half
+/// is the rounding, and the signed conversions are one instruction each.
+/// From 2⁵² up every `f64` is an integer, so the saturating cast is
+/// already the answer, as it is for negatives and NaN.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    if (0.0..4_503_599_627_370_496.0).contains(&x) {
+        let t = x as i64;
+        (t + (x - t as f64 >= 0.5) as i64) as u64
+    } else {
+        x as u64
+    }
+}
+
 /// CPU time in micro-seconds — the paper's *cycles* (§III.A).
 ///
 /// `cpu.stat::usage_usec`, `cpu.max` quotas and every allocation
@@ -84,7 +102,7 @@ impl Micros {
     #[inline]
     pub fn scale(self, ratio: f64) -> Micros {
         debug_assert!(ratio.is_finite() && ratio >= 0.0, "bad ratio {ratio}");
-        Micros((self.0 as f64 * ratio).round() as u64)
+        Micros(round_u64(self.0 as f64 * ratio))
     }
 
     /// `self / other` as an `f64` fraction; 0 when `other` is zero.
@@ -189,6 +207,12 @@ impl MHz {
         self.0 as u64 * 1_000
     }
 
+    /// `mhz` rounded to the nearest MHz, as `MHz(mhz.round() as u32)`.
+    #[inline]
+    pub fn rounded(mhz: f64) -> MHz {
+        MHz(u32::try_from(round_u64(mhz)).unwrap_or(u32::MAX))
+    }
+
     /// Build from a kHz reading (the `scaling_cur_freq` ABI), rounding to
     /// nearest MHz.
     #[inline]
@@ -284,7 +308,7 @@ impl Cycles {
         if wall.0 == 0 {
             MHz::ZERO
         } else {
-            MHz((self.0 as f64 / wall.0 as f64).round() as u32)
+            MHz::rounded(self.0 as f64 / wall.0 as f64)
         }
     }
 }
@@ -355,6 +379,73 @@ mod tests {
         assert_eq!(Micros(1000).scale(0.3334), Micros(333));
         assert_eq!(Micros(1000).scale(0.3336), Micros(334));
         assert_eq!(Micros(0).scale(123.0), Micros(0));
+    }
+
+    /// `round_u64` against `f64::round` on every edge the cast and the
+    /// comparison have, then on a million random bit patterns.
+    #[test]
+    fn round_u64_equals_libm_round_everywhere() {
+        let check = |x: f64| {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        };
+        let mut edges = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            0.499_999_999_999_999_94,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+            u64::MAX as f64,
+        ];
+        for e in [52, 53, 63, 64] {
+            let p = 2f64.powi(e);
+            for k in -3..=3 {
+                let k = k as f64;
+                edges.extend([p + k, p + k + 0.5, p + k - 0.5, -(p + k + 0.5)]);
+            }
+            let mut below = p;
+            for _ in 0..4 {
+                below = f64::from_bits(below.to_bits() - 1);
+                edges.push(below);
+            }
+            edges.push(f64::from_bits(p.to_bits() + 1));
+        }
+        for x in edges {
+            check(x);
+        }
+        let mut rng = crate::SplitMix64::new(0x5EED);
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(rng.next_u64()));
+        }
+        // Random values where rounding has work to do: [0, 2⁵³).
+        for _ in 0..100_000 {
+            check(rng.next_u64() as f64 / 2048.0 / 1024.0);
+        }
+    }
+
+    #[test]
+    fn mhz_rounded_saturates_like_a_cast() {
+        for x in [
+            f64::NAN,
+            -1.0,
+            0.49,
+            2399.5,
+            4_294_967_295.4,
+            4_294_967_296.0,
+            1e300,
+        ] {
+            assert_eq!(MHz::rounded(x), MHz(x.round() as u32), "{x}");
+        }
     }
 
     #[test]

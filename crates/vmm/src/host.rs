@@ -508,7 +508,7 @@ impl SimHost {
         let tid = inst.tids[vcpu.as_usize()];
         let core = self.engine.thread_last_cpu(tid).unwrap_or(CpuId::new(0));
         let f = self.engine.core_freq(core);
-        MHz((acc.ran.ratio_of(window) * f.as_f64()).round() as u32)
+        MHz::rounded(acc.ran.ratio_of(window) * f.as_f64())
     }
 
     /// Drain workload events collected so far.

@@ -30,7 +30,25 @@ pub use compress7zip::Compress7zip;
 pub use mapreduce::MapReduce;
 pub use openssl::OpensslBench;
 
-use vfc_simcore::{Cycles, Micros};
+use vfc_simcore::{Cycles, Micros, SplitMix64};
+
+/// The guest profile of each VM class of the cluster, trace and overload
+/// evaluations: `small` = bursty web (60 s period, 8 s bursts, one draw
+/// from `rng` for its phase), `medium` = steady 80 %, anything else =
+/// saturating.
+pub fn class_workload(class: &str, rng: &mut SplitMix64) -> Box<dyn Workload> {
+    match class {
+        "small" => Box::new(BurstyWeb::with_shape(
+            rng.next_u64(),
+            0.05,
+            1.0,
+            Micros::from_secs(60),
+            Micros::from_secs(8),
+        )),
+        "medium" => Box::new(SteadyDemand::new(0.8)),
+        _ => Box::new(SteadyDemand::full()),
+    }
+}
 
 /// Benchmark phase that completed (for throughput reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

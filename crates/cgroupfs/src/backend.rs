@@ -141,6 +141,15 @@ pub trait HostBackend {
     /// memoising per-core `scaling_cur_freq` reads so `k` vCPUs packed
     /// on one core cost one sysfs read instead of `k` — reset their
     /// per-pass state here. The default does nothing.
+    ///
+    /// The contract of a pass: its reads see every removal or
+    /// replacement of an interface file (or of a VM's groups) made
+    /// before `begin_read_pass` returned. One made later, during the
+    /// pass, may go unseen until the next pass — the way a
+    /// `scaling_cur_freq` memoised at the pass's first read pins that
+    /// core's frequency for the rest of it. [`crate::fs::FsBackend`]
+    /// uses this to skip re-checking kept descriptors its change feed
+    /// reports unchanged.
     fn begin_read_pass(&self) {}
 
     /// Batched per-vCPU monitoring read: everything stage 1 needs for

@@ -23,13 +23,13 @@
 //!
 //! Every interface file the control loop touches is opened **once**, when
 //! its scope is discovered, and kept: a monitoring read is one
-//! `pread(fd, buf, 0)` into a stack buffer plus one `fstat`, a cap write
-//! is one `fstat` plus one `pwrite(fd, text, 0)`, and [`HostBackend::vms`]
-//! re-scans only the scopes that changed.
+//! `pread(fd, buf, 0)` into a stack buffer, a cap write is one `fstat`
+//! plus one `pwrite(fd, text, 0)`, and [`HostBackend::vms`] re-scans only
+//! the scopes that changed.
 //! What can go stale is checked, not assumed:
 //!
-//! * a descriptor outlives `unlink` on a regular filesystem, so every
-//!   access through a kept handle looks at `st_nlink`; zero — or
+//! * a descriptor outlives `unlink` on a regular filesystem, so an access
+//!   through a kept handle looks at `st_nlink`; zero — or
 //!   `ENODEV`/`ESRCH`, kernfs's and procfs's answer for a removed cgroup
 //!   or an exited thread — marks the handle *gone* and the access is
 //!   redone **by path** in the same call, which reports what a fresh
@@ -40,11 +40,45 @@
 //!   duration of the call, exactly as the backend did before it kept
 //!   anything.
 //!
+//! # The change feed decides when to check
+//!
+//! Each backend holds one non-blocking inotify instance (`feed`). Every
+//! directory is watched before it is listed or a handle is opened in it:
+//! `machine.slice`; each scope's own directory, its `libvirt/` and each
+//! `vcpuN/` under one dirty flag per scope; each `/proc/<tid>/` and
+//! `cpuN/cpufreq/` holding a kept handle. Creating, deleting or moving
+//! an entry, or the directory itself, raises an event; rewriting a file
+//! in place does not. The queue is drained — one `read` that answers
+//! `EAGAIN` when nothing happened — at the start of every listing and in
+//! [`HostBackend::begin_read_pass`], and an event marks its watch's flag
+//! dirty (a lost-event overflow, every flag). While a flag stays quiet:
+//!
+//! * the slice's last listing is reused without `read_dir`;
+//! * a cached scope is unchanged without the by-path `stat` of its
+//!   groups' parent;
+//! * within a read pass, [`HostBackend::read_vcpu_raw`] reads through a
+//!   kept handle without the `st_nlink` check: the pass sees what was
+//!   removed before it began (see `begin_read_pass`).
+//!
+//! A dirty scope is rescanned by path and a dirty `/proc` or `cpufreq`
+//! handle is closed by the next listing and re-opened, each with fresh
+//! watches; a dirty slice is listed by path, its path watched anew first
+//! (the directory there may be another one). The fine-grained methods
+//! (`vcpu_usage`, `vcpu_threads`, `thread_last_cpu`, `cpu_cur_freq`,
+//! `vcpu_max`, `set_vcpu_max`) check every access whatever the feed says;
+//! the cap write's `fstat` also tells it whether to truncate. Where the
+//! kernel gives no instance (`max_user_instances`) or refuses a watch
+//! (`ENOSPC`), or off Linux, that directory — or the whole backend — runs
+//! the checks above on every access and the listing stats every cached
+//! scope: chosen from what the kernel answered, with no option.
+//!
 //! The descriptor budget is the process's soft `RLIMIT_NOFILE` minus
 //! [`FD_RESERVE`], read once from `/proc/self/limits` and shared by every
 //! backend in the process. A node wants `3 × vCPUs` (`cpu.stat`,
 //! `cgroup.threads`, `cpu.max`; 5 on v1) `+ vCPUs` (`/proc/<tid>/stat`)
-//! `+ CPUs` (`scaling_cur_freq`) descriptors.
+//! `+ CPUs` (`scaling_cur_freq`) `+ 1` (the change feed) descriptors. The
+//! feed claims its slot when the backend is built; with none left, there
+//! is no feed.
 
 use crate::backend::{HostBackend, TopologyInfo, VmCgroupInfo};
 use crate::error::{io_vanished, CgroupError, Result};
@@ -52,16 +86,19 @@ use crate::model::CpuMax;
 use crate::parse;
 use crate::tree::kvm_layout;
 use crate::v1;
+use feed::{Feed, Watched};
 use std::collections::HashMap;
-use std::ffi::OsString;
+use std::ffi::{OsStr, OsString};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use vfc_simcore::{CpuId, MHz, Micros, Tid, VcpuId, VmId};
+
+mod feed;
 
 /// Descriptors left to the rest of the process — sockets, the journal,
 /// the JSON log, and the transient opens of handles that are not kept
@@ -201,8 +238,14 @@ impl Handle {
     /// descriptor when it is live, else (or when that finds the file
     /// gone) through a descriptor opened for this call.
     fn read<T>(&self, parse: impl Fn(&str) -> Result<T>) -> Result<T> {
+        self.read_with(true, parse)
+    }
+
+    /// [`Handle::read`], skipping the kept descriptor's link check when
+    /// `check_link` is false: its directory's watch has been quiet.
+    fn read_with<T>(&self, check_link: bool, parse: impl Fn(&str) -> Result<T>) -> Result<T> {
         if let Some(file) = self.live() {
-            match read_whole(file, true, &parse) {
+            match read_whole(file, check_link, &parse) {
                 Ok(parsed) => return parsed,
                 Err(e) if io_vanished(&e) => self.gone.store(true, Ordering::Relaxed),
                 Err(e) => return Err(self.io_err(e)),
@@ -324,27 +367,54 @@ impl fmt::Write for CapText {
     }
 }
 
+/// A kept handle that belongs to no scope, and the watch on its
+/// directory (`/proc/<tid>`, `cpu<N>/cpufreq`) added before it was opened.
+#[derive(Debug)]
+struct Loose {
+    handle: Handle,
+    dir: Option<Watched>,
+}
+
+impl Loose {
+    /// Kept, and (when watched) no event named its directory: a dirty one
+    /// is closed by the next listing and re-opened, watched anew, by the
+    /// read after it.
+    fn worth_keeping(&self) -> bool {
+        !self.handle.is_gone() && self.dir.as_ref().is_none_or(Watched::quiet)
+    }
+}
+
 /// Kept handles of files that belong to no scope, by number:
 /// `/proc/<tid>/stat` by tid, `cpu<N>/cpufreq/scaling_cur_freq` by CPU.
 #[derive(Debug, Default)]
-struct HandleMap(RwLock<HashMap<u32, Handle>>);
+struct HandleMap(RwLock<HashMap<u32, Loose>>);
 
 impl HandleMap {
     /// Read through the handle kept for `key`, opening (and keeping, if
-    /// possible) `path()` on first use.
+    /// possible) `path()` on first use, its directory watched on `feed`
+    /// first. With `in_pass`, a handle whose directory's watch is quiet
+    /// skips its link check (see [`HostBackend::begin_read_pass`]).
     fn read<T>(
         &self,
         key: u32,
         path: impl FnOnce() -> PathBuf,
+        feed: Option<&Arc<Feed>>,
+        in_pass: bool,
         parse: impl Fn(&str) -> Result<T>,
     ) -> Result<T> {
-        if let Some(handle) = self.0.read().expect(POISONED).get(&key) {
-            return handle.read(parse);
+        if let Some(kept) = self.0.read().expect(POISONED).get(&key) {
+            let quiet = in_pass && kept.dir.as_ref().is_some_and(Watched::quiet);
+            return kept.handle.read_with(!quiet, parse);
         }
-        let handle = Handle::open(path(), false);
+        let path = path();
+        let dir = feed::watch_all(feed, path.parent());
+        let handle = Handle::open(path, false);
         let parsed = handle.read(parse);
         if handle.live().is_some() {
-            self.0.write().expect(POISONED).insert(key, handle);
+            self.0
+                .write()
+                .expect(POISONED)
+                .insert(key, Loose { handle, dir });
         }
         parsed
     }
@@ -353,10 +423,20 @@ impl HandleMap {
         self.0.write().expect(POISONED).remove(&key);
     }
 
-    /// Close the handles found gone; the next read re-opens by path.
+    /// Close the handles found gone or whose directory changed; the next
+    /// read re-opens by path.
     fn sweep(&self) {
-        if self.0.read().expect(POISONED).values().any(Handle::is_gone) {
-            self.0.write().expect(POISONED).retain(|_, h| !h.is_gone());
+        let keep_all = self
+            .0
+            .read()
+            .expect(POISONED)
+            .values()
+            .all(Loose::worth_keeping);
+        if !keep_all {
+            self.0
+                .write()
+                .expect(POISONED)
+                .retain(|_, h| h.worth_keeping());
         }
     }
 
@@ -392,15 +472,33 @@ struct DiscoveredVm {
     parent_links: u64,
     /// Per-vCPU handles, indexed by vCPU id.
     vcpus: Vec<VcpuPlan>,
+    /// The scope directory, its `libvirt/` and every group, watched
+    /// before they were listed and their files opened; `None` without a
+    /// feed or when any watch was refused.
+    watch: Option<Watched>,
 }
 
 impl DiscoveredVm {
-    /// May this scope be served from the cache for another period? The
-    /// groups' parent must be the same directory level and still count
-    /// the same sub-directories (a filesystem that does not count them —
-    /// `st_nlink` 1 on btrfs and overlayfs — never qualifies), and no
-    /// handle may have found its file gone.
+    /// No event has named the scope's directories since they were
+    /// scanned: every kept handle is still the file at its path.
+    fn quiet(&self) -> bool {
+        self.watch.as_ref().is_some_and(Watched::quiet)
+    }
+
+    /// May this scope be served from the cache for another period? No
+    /// handle may have found its file gone, and a watched scope must be
+    /// quiet — a dirty one is rescanned, as a fresh backend would. An
+    /// unwatched scope is checked by path: the groups' parent must be the
+    /// same directory level and still count the same sub-directories (a
+    /// filesystem that does not count them — `st_nlink` 1 on btrfs and
+    /// overlayfs — never qualifies).
     fn unchanged(&self) -> bool {
+        if self.vcpus.iter().any(VcpuPlan::any_gone) {
+            return false;
+        }
+        if let Some(watch) = &self.watch {
+            return watch.quiet();
+        }
         let parent = if self.flat {
             // One group moving into a new libvirt/ keeps the count.
             if self.libvirt.is_dir() {
@@ -410,9 +508,7 @@ impl DiscoveredVm {
         } else {
             &self.libvirt
         };
-        self.parent_links >= 2
-            && fs::metadata(parent).is_ok_and(|m| m.nlink() == self.parent_links)
-            && !self.vcpus.iter().any(VcpuPlan::any_gone)
+        self.parent_links >= 2 && fs::metadata(parent).is_ok_and(|m| m.nlink() == self.parent_links)
     }
 }
 
@@ -484,6 +580,50 @@ pub enum CgroupVersion {
     V1,
 }
 
+/// `machine.slice` as last listed, and the watch that keeps that listing
+/// current.
+#[derive(Debug, Default)]
+struct SliceListing {
+    /// Scope entries, sorted by `(machine number, directory name)`.
+    scopes: Vec<(u32, OsString)>,
+    /// Added on the slice's path before it was listed; while quiet,
+    /// `scopes` is what a new listing would return.
+    watch: Option<Watched>,
+}
+
+impl SliceListing {
+    /// List `slice` by path, watched first on `feed`. A missing slice
+    /// lists no scope (and gets no watch: it is looked for again).
+    fn relist(&mut self, slice: &Path, feed: Option<&Arc<Feed>>) -> io::Result<()> {
+        // The directory at the path may be another one than the one
+        // watched: the old watch goes, and the path is watched anew.
+        self.watch = None;
+        self.watch = feed::watch_all(feed, [slice]);
+        self.scopes.clear();
+        let listed = self.read(slice);
+        if listed.is_err() {
+            self.watch = None;
+        }
+        self.scopes.sort_unstable();
+        listed
+    }
+
+    fn read(&mut self, slice: &Path) -> io::Result<()> {
+        let entries = match fs::read_dir(slice) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        for entry in entries {
+            let dir_name = entry?.file_name();
+            if let Some((number, _)) = kvm_layout::scope_parts(&dir_name.to_string_lossy()) {
+                self.scopes.push((number, dir_name));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// [`HostBackend`] over a real (or fixture) filesystem tree.
 pub struct FsBackend {
     /// `<cgroup root>/machine.slice`.
@@ -492,6 +632,11 @@ pub struct FsBackend {
     cpu_root: PathBuf,
     version: CgroupVersion,
     vfreq: HashMap<String, MHz>,
+    /// The change feed, when the kernel gave one.
+    feed: Option<Arc<Feed>>,
+    /// The last listing of `machine.slice`. Lock order: `listing`, then
+    /// `cache`, then `procs`.
+    listing: Mutex<SliceListing>,
     /// Discovery cache, in `(number, dir_name)` order, revalidated by
     /// [`HostBackend::vms`]. Behind a lock (not a `RefCell`) so the
     /// backend is `Sync`: threads may read disjoint vCPUs concurrently
@@ -499,7 +644,6 @@ pub struct FsBackend {
     /// descriptor needs no cursor.
     cache: RwLock<Vec<DiscoveredVm>>,
     /// `/proc/<tid>/stat` handles of the threads the vCPU plans name.
-    /// Lock order: `cache` before `procs`.
     procs: HandleMap,
     /// `scaling_cur_freq` handles by CPU.
     freqs: HandleMap,
@@ -527,6 +671,8 @@ impl FsBackend {
             proc_root: proc_root.into(),
             cpu_root: cpu_root.into(),
             vfreq: HashMap::new(),
+            feed: Feed::open(),
+            listing: Mutex::new(SliceListing::default()),
             cache: RwLock::new(Vec::new()),
             procs: HandleMap::default(),
             freqs: HandleMap::default(),
@@ -601,8 +747,9 @@ impl FsBackend {
     }
 
     /// Bring the discovery cache up to date with `machine.slice`: list
-    /// the slice once, keep — plan, handles and all — every cached scope
-    /// whose directory name is still there and which is
+    /// the slice once — or, while its watch is quiet, reuse the last
+    /// listing — keep (plan, handles and all) every cached scope whose
+    /// directory name is still there and which is
     /// [`DiscoveredVm::unchanged`], and scan only the scopes that are
     /// new or fail that test. Scopes stay sorted by `(machine number,
     /// directory name)` so `VmId`s are stable while the VM set is.
@@ -611,40 +758,32 @@ impl FsBackend {
     /// error leaves the cache — the last good listing — as it is and is
     /// returned; a scope whose scan fails is left out for the period.
     fn relist(&self) -> Result<()> {
-        let slice_err = |e| CgroupError::io(self.slice.display().to_string(), e);
-        let mut listed: Vec<(u32, OsString)> = Vec::new();
-        match fs::read_dir(&self.slice) {
-            Ok(entries) => {
-                for entry in entries {
-                    let dir_name = entry.map_err(slice_err)?.file_name();
-                    if let Some((number, _)) = kvm_layout::scope_parts(&dir_name.to_string_lossy())
-                    {
-                        listed.push((number, dir_name));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(slice_err(e)),
+        let mut listing = self.listing.lock().expect(POISONED);
+        if let Some(feed) = &self.feed {
+            feed.drain();
         }
-        listed.sort_unstable();
+        if !listing.watch.as_ref().is_some_and(Watched::quiet) {
+            listing
+                .relist(&self.slice, self.feed.as_ref())
+                .map_err(|e| CgroupError::io(self.slice.display().to_string(), e))?;
+        }
 
         let mut cache = self.cache.write().expect(POISONED);
         let mut cached = std::mem::take(&mut *cache).into_iter().peekable();
-        cache.reserve(listed.len());
-        for (number, dir_name) in listed {
+        cache.reserve(listing.scopes.len());
+        for (number, dir_name) in &listing.scopes {
+            let key = (*number, dir_name);
             // Cached scopes that sort before this entry are off the disk.
-            while let Some(departed) =
-                cached.next_if(|c| (c.number, &c.dir_name) < (number, &dir_name))
-            {
+            while let Some(departed) = cached.next_if(|c| (c.number, &c.dir_name) < key) {
                 self.retire(departed);
             }
-            match cached.next_if(|c| c.number == number && c.dir_name == dir_name) {
+            match cached.next_if(|c| (c.number, &c.dir_name) == key) {
                 Some(vm) if vm.unchanged() => cache.push(vm),
                 stale => {
                     if let Some(vm) = stale {
                         self.retire(vm);
                     }
-                    match self.scan_scope(number, dir_name) {
+                    match self.scan_scope(*number, dir_name) {
                         Ok(vm) => cache.push(vm),
                         // Torn down between the listing and the scan.
                         Err(e) if e.is_vanished() => {}
@@ -660,14 +799,19 @@ impl FsBackend {
         Ok(())
     }
 
-    /// Scan one scope directory by path and open its vCPUs' handles.
-    fn scan_scope(&self, number: u32, dir_name: OsString) -> Result<DiscoveredVm> {
-        let scope_dir = self.slice.join(&dir_name);
+    /// Scan one scope directory by path and open its vCPUs' handles,
+    /// each directory watched before it is looked into.
+    fn scan_scope(&self, number: u32, dir_name: &OsStr) -> Result<DiscoveredVm> {
+        let scope_dir = self.slice.join(dir_name);
+        let mut watch = feed::watch_all(self.feed.as_ref(), [scope_dir.as_path()]);
         // vCPU groups live under scope/libvirt/ (modern libvirt) or
         // directly under scope/.
         let libvirt = scope_dir.join("libvirt");
         let flat = !libvirt.is_dir();
         let vcpu_parent = if flat { &scope_dir } else { &libvirt };
+        if !flat {
+            self.watch_too(&mut watch, &libvirt);
+        }
         let parent_err = |e| CgroupError::io(vcpu_parent.display().to_string(), e);
         // Link count before the listing: a group added in between then
         // shows as a mismatch next period, not as a stale plan.
@@ -683,6 +827,9 @@ impl FsBackend {
             }
         }
         vcpus.sort_by_key(|(j, _)| *j);
+        for (_, dir) in &vcpus {
+            self.watch_too(&mut watch, dir);
+        }
         let name = kvm_layout::scope_parts(&dir_name.to_string_lossy())
             .expect("relist only scans names scope_parts accepts")
             .1
@@ -695,11 +842,22 @@ impl FsBackend {
                 .iter()
                 .map(|(_, dir)| VcpuPlan::new(dir, self.version))
                 .collect(),
-            dir_name,
+            dir_name: dir_name.to_owned(),
             scope_dir,
             libvirt,
             flat,
+            watch,
         })
+    }
+
+    /// Add `dir` to a scope's watch; a refused watch leaves the scope
+    /// unwatched.
+    fn watch_too(&self, watch: &mut Option<Watched>, dir: &Path) {
+        if let (Some(feed), Some(set)) = (&self.feed, watch.as_mut()) {
+            if !set.add(feed, dir) {
+                *watch = None;
+            }
+        }
     }
 
     /// Drop a scope the listing no longer serves from the cache, closing
@@ -734,25 +892,27 @@ impl FsBackend {
         })
     }
 
-    /// Run `f` against a vCPU's handles, refreshing the discovery cache
-    /// once on miss. The closure executes holding the cache's read lock,
-    /// so it must not re-enter cache-mutating paths — the file reads and
-    /// writes it performs never do.
+    /// Run `f` against a vCPU's handles and whether its scope is
+    /// [`DiscoveredVm::quiet`], refreshing the discovery cache once on
+    /// miss. The closure executes holding the cache's read lock, so it
+    /// must not re-enter cache-mutating paths — the file reads and writes
+    /// it performs never do.
     fn with_vcpu_plan<T>(
         &self,
         vm: VmId,
         vcpu: VcpuId,
-        f: impl FnOnce(&VcpuPlan) -> Result<T>,
+        f: impl FnOnce(&VcpuPlan, bool) -> Result<T>,
     ) -> Result<T> {
-        fn find(cache: &[DiscoveredVm], vm: VmId, vcpu: VcpuId) -> Option<&VcpuPlan> {
-            cache.get(vm.as_usize())?.vcpus.get(vcpu.as_usize())
+        fn find(cache: &[DiscoveredVm], vm: VmId, vcpu: VcpuId) -> Option<(&VcpuPlan, bool)> {
+            let scope = cache.get(vm.as_usize())?;
+            Some((scope.vcpus.get(vcpu.as_usize())?, scope.quiet()))
         }
-        if let Some(plan) = find(&self.cache.read().expect(POISONED), vm, vcpu) {
-            return f(plan);
+        if let Some((plan, quiet)) = find(&self.cache.read().expect(POISONED), vm, vcpu) {
+            return f(plan, quiet);
         }
         self.relist()?;
         match find(&self.cache.read().expect(POISONED), vm, vcpu) {
-            Some(plan) => f(plan),
+            Some((plan, quiet)) => f(plan, quiet),
             None => Err(CgroupError::NoSuchVcpu {
                 vm: vm.as_u32(),
                 vcpu: vcpu.as_u32(),
@@ -762,23 +922,23 @@ impl FsBackend {
 
     /// Usage and throttled counters of one vCPU: one `cpu.stat` read on
     /// v2, `cpuacct.usage` then the v1 `cpu.stat` on v1.
-    fn read_counters(&self, plan: &VcpuPlan) -> Result<(Micros, Micros)> {
+    fn read_counters(plan: &VcpuPlan, check_link: bool) -> Result<(Micros, Micros)> {
         match &plan.throttled {
             None => {
-                let stat = plan.usage.read(parse::parse_cpu_stat)?;
+                let stat = plan.usage.read_with(check_link, parse::parse_cpu_stat)?;
                 Ok((stat.usage_usec, stat.throttled_usec))
             }
             Some(throttled) => {
-                let usage = plan.usage.read(v1::parse_cpuacct_usage)?;
-                Ok((usage, Self::read_v1_throttled(throttled)?))
+                let usage = plan.usage.read_with(check_link, v1::parse_cpuacct_usage)?;
+                Ok((usage, Self::read_v1_throttled(throttled, check_link)?))
             }
         }
     }
 
     /// v1 reports `throttled_time` in ns inside its own cpu.stat;
     /// tolerate its absence (bandwidth control may be compiled out).
-    fn read_v1_throttled(throttled: &Handle) -> Result<Micros> {
-        match throttled.read(v1::parse_v1_cpu_stat) {
+    fn read_v1_throttled(throttled: &Handle, check_link: bool) -> Result<Micros> {
+        match throttled.read_with(check_link, v1::parse_v1_cpu_stat) {
             Ok((_, _, throttled)) => Ok(throttled),
             Err(CgroupError::Io { .. }) => Ok(Micros::ZERO),
             Err(e) => Err(e),
@@ -796,10 +956,46 @@ impl FsBackend {
         }
     }
 
-    fn read_first_thread(&self, plan: &VcpuPlan) -> Result<Option<Tid>> {
-        let first = plan.threads.read(parse::parse_first_thread)?;
+    fn read_first_thread(&self, plan: &VcpuPlan, check_link: bool) -> Result<Option<Tid>> {
+        let first = plan
+            .threads
+            .read_with(check_link, parse::parse_first_thread)?;
         self.follow_thread(plan, first);
         Ok(first)
+    }
+
+    /// `thread_last_cpu`; `in_pass` as in [`HandleMap::read`].
+    fn last_cpu(&self, tid: Tid, in_pass: bool) -> Result<CpuId> {
+        self.procs.read(
+            tid.as_u32(),
+            || self.proc_root.join(tid.as_u32().to_string()).join("stat"),
+            self.feed.as_ref(),
+            in_pass,
+            parse::parse_stat_last_cpu,
+        )
+    }
+
+    /// `cpu_cur_freq`; `in_pass` as in [`HandleMap::read`].
+    fn cur_freq(&self, cpu: CpuId, in_pass: bool) -> Result<MHz> {
+        self.freqs.read(
+            cpu.as_u32(),
+            || {
+                self.cpu_root
+                    .join(format!("cpu{}", cpu.as_u32()))
+                    .join("cpufreq/scaling_cur_freq")
+            },
+            self.feed.as_ref(),
+            in_pass,
+            parse::parse_scaling_cur_freq,
+        )
+    }
+
+    /// This backend without a change feed: every access checked, every
+    /// listing by path, as where the kernel gives no inotify instance.
+    #[cfg(test)]
+    fn without_feed(mut self) -> Self {
+        self.feed = None;
+        self
     }
 }
 
@@ -845,22 +1041,22 @@ impl HostBackend for FsBackend {
     }
 
     fn vcpu_usage(&self, vm: VmId, vcpu: VcpuId) -> Result<Micros> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match self.version {
+        self.with_vcpu_plan(vm, vcpu, |plan, _| match self.version {
             CgroupVersion::V2 => Ok(plan.usage.read(parse::parse_cpu_stat)?.usage_usec),
             CgroupVersion::V1 => plan.usage.read(v1::parse_cpuacct_usage),
         })
     }
 
     fn vcpu_throttled(&self, vm: VmId, vcpu: VcpuId) -> Result<Micros> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.throttled {
+        self.with_vcpu_plan(vm, vcpu, |plan, _| match &plan.throttled {
             None => Ok(plan.usage.read(parse::parse_cpu_stat)?.throttled_usec),
-            Some(throttled) => Self::read_v1_throttled(throttled),
+            Some(throttled) => Self::read_v1_throttled(throttled, true),
         })
     }
 
     fn vcpu_threads(&self, vm: VmId, vcpu: VcpuId) -> Result<Vec<Tid>> {
         // `tasks` (v1) has the shape of `cgroup.threads`.
-        self.with_vcpu_plan(vm, vcpu, |plan| {
+        self.with_vcpu_plan(vm, vcpu, |plan, _| {
             let tids = plan.threads.read(parse::parse_threads)?;
             self.follow_thread(plan, tids.first().copied());
             Ok(tids)
@@ -868,46 +1064,41 @@ impl HostBackend for FsBackend {
     }
 
     fn vcpu_first_thread(&self, vm: VmId, vcpu: VcpuId) -> Result<Option<Tid>> {
-        self.with_vcpu_plan(vm, vcpu, |plan| self.read_first_thread(plan))
+        self.with_vcpu_plan(vm, vcpu, |plan, _| self.read_first_thread(plan, true))
     }
 
     fn thread_last_cpu(&self, tid: Tid) -> Result<CpuId> {
-        self.procs.read(
-            tid.as_u32(),
-            || self.proc_root.join(tid.as_u32().to_string()).join("stat"),
-            parse::parse_stat_last_cpu,
-        )
+        self.last_cpu(tid, false)
     }
 
     fn cpu_cur_freq(&self, cpu: CpuId) -> Result<MHz> {
-        self.freqs.read(
-            cpu.as_u32(),
-            || {
-                self.cpu_root
-                    .join(format!("cpu{}", cpu.as_u32()))
-                    .join("cpufreq/scaling_cur_freq")
-            },
-            parse::parse_scaling_cur_freq,
-        )
+        self.cur_freq(cpu, false)
     }
 
+    /// Drains the change feed: what it reported from here on decides,
+    /// for this pass, which kept handles [`HostBackend::read_vcpu_raw`]
+    /// reads without their link check.
     fn begin_read_pass(&self) {
+        if let Some(feed) = &self.feed {
+            feed.drain();
+        }
         self.freq_memo.write().expect(POISONED).clear();
     }
 
     /// Fused monitoring read: on v2 one `cpu.stat` parse yields both
     /// `usage_usec` and `throttled_usec` (the default trait path parses
     /// the same file twice), and `scaling_cur_freq` is memoised per CPU
-    /// for the duration of the read pass. Error order matches the
-    /// default exactly: usage source first, then throttled, threads,
-    /// `/proc` stat, frequency.
+    /// for the duration of the read pass. A kept handle whose directory
+    /// the feed has reported quiet since it was opened is read without
+    /// its link check. Error order matches the default exactly: usage
+    /// source first, then throttled, threads, `/proc` stat, frequency.
     fn read_vcpu_raw(&self, vm: VmId, vcpu: VcpuId) -> Result<crate::backend::VcpuRawSample> {
-        let (usage, throttled, tid) = self.with_vcpu_plan(vm, vcpu, |plan| {
-            let (usage, throttled) = self.read_counters(plan)?;
-            Ok((usage, throttled, self.read_first_thread(plan)?))
+        let (usage, throttled, tid) = self.with_vcpu_plan(vm, vcpu, |plan, quiet| {
+            let (usage, throttled) = Self::read_counters(plan, !quiet)?;
+            Ok((usage, throttled, self.read_first_thread(plan, !quiet)?))
         })?;
         let last_cpu = match tid {
-            Some(tid) => self.thread_last_cpu(tid)?,
+            Some(tid) => self.last_cpu(tid, true)?,
             None => CpuId::new(0),
         };
         let memoised = {
@@ -917,7 +1108,7 @@ impl HostBackend for FsBackend {
         let core_freq = match memoised {
             Some(f) => f,
             None => {
-                let f = self.cpu_cur_freq(last_cpu)?;
+                let f = self.cur_freq(last_cpu, true)?;
                 self.freq_memo
                     .write()
                     .expect(POISONED)
@@ -934,7 +1125,7 @@ impl HostBackend for FsBackend {
     }
 
     fn set_vcpu_max(&mut self, vm: VmId, vcpu: VcpuId, max: CpuMax) -> Result<()> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.period {
+        self.with_vcpu_plan(vm, vcpu, |plan, _| match &plan.period {
             None => plan
                 .max
                 .write(CapText::format(|t| parse::write_cpu_max(t, &max)).as_str()),
@@ -949,7 +1140,7 @@ impl HostBackend for FsBackend {
     }
 
     fn vcpu_max(&self, vm: VmId, vcpu: VcpuId) -> Result<CpuMax> {
-        self.with_vcpu_plan(vm, vcpu, |plan| match &plan.period {
+        self.with_vcpu_plan(vm, vcpu, |plan, _| match &plan.period {
             None => plan.max.read(parse::parse_cpu_max),
             Some(period) => plan
                 .max
@@ -1061,24 +1252,37 @@ mod tests {
         assert_eq!(backend.cpu_cur_freq(CpuId::new(1)).unwrap(), MHz(1800));
     }
 
+    /// The fixture's backend with its change feed, or (`feed` false)
+    /// without one, as where the kernel gives no inotify instance.
+    fn backend(fx: &FixtureTree, feed: bool) -> FsBackend {
+        let backend = fx.backend();
+        assert_eq!(backend.feed.is_some(), cfg!(target_os = "linux"));
+        if feed {
+            backend
+        } else {
+            backend.without_feed()
+        }
+    }
+
     #[test]
     fn usage_updates_are_visible() {
-        let fx = FixtureTree::builder()
-            .cpus(1, MHz(2400))
-            .vm("a", 1, &[11])
-            .build();
-        let backend = fx.backend();
-        let vm = backend.vms()[0].vm;
-        fx.add_vcpu_usage("a", 0, Micros(123_456));
-        assert_eq!(
-            backend.vcpu_usage(vm, VcpuId::new(0)).unwrap(),
-            Micros(123_456)
-        );
-        fx.add_vcpu_usage("a", 0, Micros(1_000));
-        assert_eq!(
-            backend.vcpu_usage(vm, VcpuId::new(0)).unwrap(),
-            Micros(124_456)
-        );
+        for feed in [true, false] {
+            let fx = FixtureTree::builder()
+                .cpus(1, MHz(2400))
+                .vm("a", 1, &[11])
+                .build();
+            let backend = backend(&fx, feed);
+            let vm = backend.vms()[0].vm;
+            fx.add_vcpu_usage("a", 0, Micros(123_456));
+            assert_eq!(
+                backend.vcpu_usage(vm, VcpuId::new(0)).unwrap(),
+                Micros(123_456)
+            );
+            fx.add_vcpu_usage("a", 0, Micros(1_000));
+            backend.begin_read_pass();
+            let raw = backend.read_vcpu_raw(vm, VcpuId::new(0)).unwrap();
+            assert_eq!(raw.usage, Micros(124_456), "feed={feed}");
+        }
     }
 
     #[test]
@@ -1241,10 +1445,10 @@ mod tests {
 
     #[test]
     fn in_place_cap_write_leaves_no_tail_of_a_longer_foreign_value() {
-        for v1 in [false, true] {
+        for (v1, feed) in [(false, true), (true, true), (false, false), (true, false)] {
             let b = FixtureTree::builder().cpus(1, MHz(2400)).vm("w", 1, &[9]);
             let fx = if v1 { b.v1().build() } else { b.build() };
-            let mut backend = fx.backend();
+            let mut backend = backend(&fx, feed);
             let vm = backend.vms()[0].vm;
             let dir = vcpu_dir(&fx, 1, "w", 0);
             let (file, foreign, ours) = if v1 {
@@ -1268,81 +1472,153 @@ mod tests {
 
     #[test]
     fn failed_listing_keeps_the_last_good_one_and_a_failed_scan_drops_one_scope() {
-        let fx = FixtureTree::builder()
-            .cpus(1, MHz(2400))
-            .vm("a", 1, &[1])
-            .vm("b", 1, &[2])
-            .build();
-        let backend = fx.backend();
-        let both = backend.vms();
-        assert_eq!(both.len(), 2);
-        assert_eq!(backend.listing_errors(), 0);
+        for feed in [true, false] {
+            let fx = FixtureTree::builder()
+                .cpus(1, MHz(2400))
+                .vm("a", 1, &[1])
+                .vm("b", 1, &[2])
+                .build();
+            let backend = backend(&fx, feed);
+            let both = backend.vms();
+            assert_eq!(both.len(), 2);
+            assert_eq!(backend.listing_errors(), 0);
 
-        // machine.slice is a plain file for a moment: ENOTDIR, not "no VMs".
-        let slice = fx.cgroup_root().join(kvm_layout::MACHINE_SLICE);
-        let aside = fx.root().join("slice.aside");
-        std::fs::rename(&slice, &aside).unwrap();
-        std::fs::write(&slice, "").unwrap();
-        assert_eq!(backend.vms(), both);
-        assert_eq!(backend.listing_errors(), 1);
-        std::fs::remove_file(&slice).unwrap();
-        // Gone altogether is the one listing error that means "no VMs".
-        assert!(backend.vms().is_empty());
-        assert_eq!(backend.listing_errors(), 1);
-        std::fs::rename(&aside, &slice).unwrap();
-        assert_eq!(backend.vms(), both);
+            // machine.slice is a plain file for a moment: ENOTDIR, not "no VMs".
+            let slice = fx.cgroup_root().join(kvm_layout::MACHINE_SLICE);
+            let aside = fx.root().join("slice.aside");
+            std::fs::rename(&slice, &aside).unwrap();
+            std::fs::write(&slice, "").unwrap();
+            assert_eq!(backend.vms(), both);
+            assert_eq!(backend.listing_errors(), 1);
+            std::fs::remove_file(&slice).unwrap();
+            // Gone altogether is the one listing error that means "no VMs".
+            assert!(backend.vms().is_empty());
+            assert_eq!(backend.listing_errors(), 1);
+            std::fs::rename(&aside, &slice).unwrap();
+            assert_eq!(backend.vms(), both);
 
-        // One scope unreadable (a file where its directory was): only it
-        // is dropped, and counted.
-        let scope_b = slice.join(kvm_layout::scope_name(2, "b"));
-        std::fs::remove_dir_all(&scope_b).unwrap();
-        std::fs::write(&scope_b, "").unwrap();
-        let listed = backend.vms();
-        assert_eq!(listed.len(), 1);
-        assert_eq!(listed[0].name, "a");
-        assert_eq!(backend.listing_errors(), 2);
+            // One scope unreadable (a file where its directory was): only it
+            // is dropped, and counted — every period it stays so.
+            let scope_b = slice.join(kvm_layout::scope_name(2, "b"));
+            std::fs::remove_dir_all(&scope_b).unwrap();
+            std::fs::write(&scope_b, "").unwrap();
+            for errors in [2, 3] {
+                let listed = backend.vms();
+                assert_eq!(listed.len(), 1);
+                assert_eq!(listed[0].name, "a");
+                assert_eq!(backend.listing_errors(), errors, "feed={feed}");
+            }
+        }
     }
 
     #[test]
     fn handles_follow_the_thread_and_close_with_their_scope() {
-        let fx = FixtureTree::builder()
-            .cpus(2, MHz(2400))
-            .vm("a", 2, &[11, 12])
-            .vm("b", 1, &[21])
-            .build();
-        let backend = fx.backend();
-        let vms = backend.vms();
-        // Discovery opens cpu.stat, cgroup.threads and cpu.max per vCPU.
-        assert_eq!(backend.handles_kept(), 3 * 3);
-        backend.begin_read_pass();
-        for info in &vms {
-            for j in 0..info.nr_vcpus {
-                backend.read_vcpu_raw(info.vm, VcpuId::new(j)).unwrap();
+        for feed in [true, false] {
+            let fx = FixtureTree::builder()
+                .cpus(2, MHz(2400))
+                .vm("a", 2, &[11, 12])
+                .vm("b", 1, &[21])
+                .build();
+            let backend = backend(&fx, feed);
+            let vms = backend.vms();
+            // Discovery opens cpu.stat, cgroup.threads and cpu.max per vCPU.
+            assert_eq!(backend.handles_kept(), 3 * 3);
+            backend.begin_read_pass();
+            for info in &vms {
+                for j in 0..info.nr_vcpus {
+                    backend.read_vcpu_raw(info.vm, VcpuId::new(j)).unwrap();
+                }
+            }
+            // … the first read adds /proc/<tid>/stat per vCPU and
+            // scaling_cur_freq per CPU a thread ran on (cpu0, cpu1).
+            assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
+
+            // vCPU a/0 now runs as another thread: one stat handle swapped.
+            let threads = vcpu_dir(&fx, 1, "a", 0).join("cgroup.threads");
+            std::fs::write(threads, "99\n").unwrap();
+            fx.set_thread_cpu(Tid::new(99), CpuId::new(1));
+            let raw = backend.read_vcpu_raw(vms[0].vm, VcpuId::new(0)).unwrap();
+            assert_eq!(raw.last_cpu, CpuId::new(1));
+            assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
+            assert!(!backend.procs.0.read().unwrap().contains_key(&11));
+
+            // VM a is torn down: the listing that drops it closes its
+            // handles, stat handles included.
+            std::fs::remove_dir_all(
+                fx.cgroup_root()
+                    .join(kvm_layout::MACHINE_SLICE)
+                    .join(kvm_layout::scope_name(1, "a")),
+            )
+            .unwrap();
+            assert_eq!(backend.vms().len(), 1);
+            assert_eq!(backend.handles_kept(), 3 + 1 + 2, "feed={feed}");
+        }
+    }
+
+    #[test]
+    fn a_group_swapped_under_the_same_count_is_rescanned() {
+        for feed in [true, false] {
+            let fx = FixtureTree::builder()
+                .cpus(2, MHz(2400))
+                .vm("a", 2, &[11, 12])
+                .build();
+            let backend = backend(&fx, feed);
+            let vm = backend.vms()[0].vm;
+            // vcpu0 leaves and vcpu2 arrives: libvirt/ counts the same
+            // sub-directories, so only the feed can tell.
+            std::fs::remove_dir_all(vcpu_dir(&fx, 1, "a", 0)).unwrap();
+            fx.make_vcpu_group(&vcpu_dir(&fx, 1, "a", 2), Tid::new(13), CpuId::new(1));
+            assert_eq!(backend.vms()[0].nr_vcpus, 2);
+            backend.begin_read_pass();
+            let first = backend.read_vcpu_raw(vm, VcpuId::new(0));
+            if feed {
+                // Rescanned: index 0 is vcpu1 now, as a fresh backend says.
+                assert_eq!(first.unwrap().last_cpu, CpuId::new(1));
+            } else {
+                // The plan still names vcpu0: vanished for this period, and
+                // the listing after it rescans the scope.
+                assert!(first.unwrap_err().is_vanished());
+                backend.vms();
+                let raw = backend.read_vcpu_raw(vm, VcpuId::new(0)).unwrap();
+                assert_eq!(raw.last_cpu, CpuId::new(1));
             }
         }
-        // … the first read adds /proc/<tid>/stat per vCPU and
-        // scaling_cur_freq per CPU a thread ran on (cpu0, cpu1).
-        assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
+    }
 
-        // vCPU a/0 now runs as another thread: one stat handle swapped.
-        let threads = vcpu_dir(&fx, 1, "a", 0).join("cgroup.threads");
-        std::fs::write(threads, "99\n").unwrap();
-        fx.set_thread_cpu(Tid::new(99), CpuId::new(1));
-        let raw = backend.read_vcpu_raw(vms[0].vm, VcpuId::new(0)).unwrap();
-        assert_eq!(raw.last_cpu, CpuId::new(1));
-        assert_eq!(backend.handles_kept(), 3 * 3 + 3 + 2);
-        assert!(!backend.procs.0.read().unwrap().contains_key(&11));
+    #[test]
+    fn a_pass_sees_what_was_removed_before_it_began() {
+        for feed in [true, false] {
+            let fx = FixtureTree::builder()
+                .cpus(1, MHz(2400))
+                .vm("a", 1, &[11])
+                .build();
+            let backend = backend(&fx, feed);
+            let vm = backend.vms()[0].vm;
+            let stat = vcpu_dir(&fx, 1, "a", 0).join("cpu.stat");
+            backend.begin_read_pass();
+            backend.read_vcpu_raw(vm, VcpuId::new(0)).unwrap();
 
-        // VM a is torn down: the listing that drops it closes its
-        // handles, stat handles included.
-        std::fs::remove_dir_all(
-            fx.cgroup_root()
-                .join(kvm_layout::MACHINE_SLICE)
-                .join(kvm_layout::scope_name(1, "a")),
-        )
-        .unwrap();
-        assert_eq!(backend.vms().len(), 1);
-        assert_eq!(backend.handles_kept(), 3 + 1 + 2);
+            // Removed during the pass: the fine-grained read checks its
+            // link and sees it at once; the pass's own read may not, but
+            // without a feed it checks too.
+            std::fs::remove_file(&stat).unwrap();
+            assert!(backend
+                .vcpu_usage(vm, VcpuId::new(0))
+                .unwrap_err()
+                .is_vanished());
+            std::fs::write(&stat, parse::format_cpu_stat(&Default::default())).unwrap();
+            backend.vms();
+            backend.begin_read_pass();
+            backend.read_vcpu_raw(vm, VcpuId::new(0)).unwrap();
+            std::fs::remove_file(&stat).unwrap();
+            let in_pass = backend.read_vcpu_raw(vm, VcpuId::new(0));
+            assert_eq!(in_pass.is_ok(), feed, "feed={feed}");
+
+            // Removed before the pass began: vanished, feed or not.
+            backend.begin_read_pass();
+            let next = backend.read_vcpu_raw(vm, VcpuId::new(0));
+            assert!(next.unwrap_err().is_vanished(), "feed={feed}");
+        }
     }
 
     #[test]

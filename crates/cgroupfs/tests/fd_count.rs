@@ -35,9 +35,10 @@ fn a_scope_s_handles_are_closed_by_the_listing_that_drops_it() {
         .build();
     let backend = fx.backend();
     assert_eq!(read_everything(&backend), 1);
-    // cpu.stat, cgroup.threads, cpu.max, /proc/11/stat, cpu0's frequency.
+    // cpu.stat, cgroup.threads, cpu.max, /proc/11/stat, cpu0's frequency,
+    // and the backend's change feed (one inotify instance).
     let before = open_descriptors();
-    assert_eq!(before, without_backend + 5);
+    assert_eq!(before, without_backend + 5 + 1);
 
     // A VM arrives: two vCPUs whose threads run on cpu0 as well.
     let scope = fx

@@ -6,12 +6,8 @@
 //! random "host" mutates the tree between periods, and every answer —
 //! the listing, the fused and the fine-grained reads, the cap write and
 //! the bytes it leaves on disk — must be the oracle's, value or error
-//! class. The one licence: in the period a VM's group directories were
-//! changed under an unchanged sub-directory count, the cached plan names
-//! a group that is gone and the VM may read as vanished — that period
-//! only; the next listing rescans the scope.
+//! class, in every period, with no exception.
 
-use std::collections::HashSet;
 use std::fmt::Debug;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,8 +33,6 @@ struct Host {
     version: CgroupVersion,
     next_number: u32,
     next_tid: u32,
-    /// VMs whose group directories changed since [`Host::settle`].
-    reshaped: HashSet<String>,
 }
 
 impl Host {
@@ -57,7 +51,6 @@ impl Host {
             version,
             next_number: 10,
             next_tid: 1_000,
-            reshaped: HashSet::new(),
         }
     }
 
@@ -96,21 +89,6 @@ impl Host {
         Self::subdirs(&Self::vcpu_parent(scope), |n| {
             kvm_layout::parse_vcpu_dir(n).is_some()
         })
-    }
-
-    /// Note that the membership of the scope `path` lies in changed.
-    fn reshape(&mut self, path: &Path) {
-        let name = path
-            .ancestors()
-            .filter_map(|p| p.file_name()?.to_str())
-            .find_map(|dir| kvm_layout::scope_parts(dir).map(|(_, name)| name.to_owned()))
-            .expect("a path inside a scope");
-        self.reshaped.insert(name);
-    }
-
-    /// The period's mutations are done: which VMs were reshaped in it.
-    fn settle(&mut self) -> HashSet<String> {
-        std::mem::take(&mut self.reshaped)
     }
 
     fn pick<T: Clone>(items: &[T], at: u32) -> Option<T> {
@@ -186,14 +164,12 @@ impl Host {
                     let dir = Self::vcpu_parent(&scope).join(kvm_layout::vcpu_dir(next));
                     if !dir.exists() {
                         self.make_vcpu(&dir, u64::from(b));
-                        self.reshape(&scope);
                     }
                 }
             }
             3 => {
                 if let Some(dir) = self.pick_vcpu(a, b) {
                     fs::remove_dir_all(&dir).unwrap();
-                    self.reshape(&dir);
                 }
             }
             // A scope, or one vCPU group, swapped under the same name.
@@ -210,14 +186,12 @@ impl Host {
                     if had_emulator {
                         fs::create_dir_all(emulator).unwrap();
                     }
-                    self.reshape(&scope);
                 }
             }
             5 => {
                 if let Some(dir) = self.pick_vcpu(a, b) {
                     fs::remove_dir_all(&dir).unwrap();
                     self.make_vcpu(&dir, u64::from(b) + 11);
-                    self.reshape(&dir);
                 }
             }
             // One interface file unlinked, and (b odd) put back.
@@ -266,7 +240,6 @@ impl Host {
                         let to = scope.join("libvirt").join(dir.file_name().unwrap());
                         fs::rename(dir, to).unwrap();
                     }
-                    self.reshape(&scope);
                 }
             }
             // Counters move (possibly to a shorter text).
@@ -303,6 +276,62 @@ impl Host {
                             CgroupVersion::V1 => "18446744073709551\n",
                         },
                     );
+                }
+            }
+            // One interface file replaced by rename: the new text written
+            // beside it, then moved over it, as an atomic writer would —
+            // or (a ≥ 500) written outside the tree, so the move is the
+            // only event its directory sees.
+            12 => {
+                let Some(dir) = self.pick_vcpu(a, b / 8) else {
+                    return;
+                };
+                let tid = fs::read_to_string(dir.join(threads_file))
+                    .ok()
+                    .and_then(|t| parse::parse_first_thread(&t).ok().flatten());
+                let (file, text) = match (b / 2) % 5 {
+                    0 => (
+                        dir.join(usage_file),
+                        self.usage_text(u64::from(a) * 991, u64::from(b)),
+                    ),
+                    1 => {
+                        let tid = Tid::new(self.next_tid);
+                        self.next_tid += 1;
+                        self.fx.set_thread_cpu(tid, CpuId::new(a % CPUS));
+                        (dir.join(threads_file), parse::format_threads(&[tid]))
+                    }
+                    2 => (
+                        dir.join(cap_file),
+                        match self.version {
+                            CgroupVersion::V2 => format!("{} 100000\n", 1_000 + a),
+                            CgroupVersion::V1 => format!("{}\n", 1_000 + a),
+                        },
+                    ),
+                    3 => match tid {
+                        Some(tid) => (
+                            self.fx
+                                .proc_root()
+                                .join(tid.as_u32().to_string())
+                                .join("stat"),
+                            parse::format_stat_line(tid, "CPU 0/KVM", CpuId::new(b % CPUS)),
+                        ),
+                        None => return,
+                    },
+                    _ => (
+                        self.fx
+                            .cpu_root()
+                            .join(format!("cpu{}/cpufreq/scaling_cur_freq", a % CPUS)),
+                        parse::format_scaling_cur_freq(MHz(800 + b % 1600)),
+                    ),
+                };
+                if file.exists() {
+                    let mut tmp = file.clone().into_os_string();
+                    tmp.push(".tmp");
+                    if a >= 500 {
+                        tmp = self.fx.root().join("replacement.tmp").into_os_string();
+                    }
+                    fs::write(&tmp, text).unwrap();
+                    fs::rename(&tmp, &file).unwrap();
                 }
             }
             // DVFS, and the thread migrates.
@@ -378,10 +407,6 @@ fn same<T: Debug>(
     Ok(())
 }
 
-fn is_vanished<T>(r: &Result<T>) -> bool {
-    r.as_ref().is_err_and(CgroupError::is_vanished)
-}
-
 fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(), String> {
     let mut host = Host::new(version);
     let mut live = host.fx.backend();
@@ -390,7 +415,6 @@ fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(
         for op in ops {
             host.apply(op);
         }
-        let reshaped = host.settle();
         let mut oracle = host.fx.backend();
         prop_assert_eq!(live.version(), version);
 
@@ -410,23 +434,6 @@ fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(
             let raw: Vec<_> = vcpus()
                 .map(|vcpu| (live.read_vcpu_raw(vm, vcpu), oracle.read_vcpu_raw(vm, vcpu)))
                 .collect();
-            if raw
-                .iter()
-                .any(|(got, want)| is_vanished(got) && !is_vanished(want))
-            {
-                // The licence: group directories were swapped under an
-                // unchanged count, so the cached plan names a group that
-                // is gone. The monitor drops the whole VM for the period
-                // on that answer, so the VM's other answers are not held
-                // to the oracle's either. Only in the period of the swap:
-                // the listing that follows must have healed it.
-                prop_assert!(
-                    reshaped.contains(&info.name),
-                    "period {t}: {} vanished, its groups untouched this period",
-                    info.name
-                );
-                continue;
-            }
             for (vcpu, (got, want)) in vcpus().zip(raw) {
                 let j = vcpu.as_u32();
                 let at = format!("period {t}: {}/vcpu{j}", info.name);
@@ -501,7 +508,7 @@ fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(
 
 fn periods() -> impl Strategy<Value = Vec<Vec<Op>>> {
     proptest::collection::vec(
-        proptest::collection::vec((0u8..12, 0u32..1_000, 0u32..1_000), 0..4),
+        proptest::collection::vec((0u8..13, 0u32..1_000, 0u32..1_000), 0..4),
         4..12,
     )
 }

@@ -108,13 +108,13 @@ fn warm_steady_state_iteration_allocates_nothing() {
 /// and everything between allocate nothing — and the listing's share
 /// does not depend on how many vCPUs the VMs have.
 ///
-/// Today's figure: 129 events per listing for 40 VMs — `read_dir`'s
-/// handle and root path (2), each directory entry's name twice (`std`'s
-/// own copy and the `OsString` handed out: 80), the growing `Vec` of
-/// scope names (5), the rebuilt scope cache (1), and the returned
-/// `Vec<VmCgroupInfo>` (1) with its 40 VM names. The count is asserted
-/// as vCPU-independent, not as 129: `std`'s `read_dir` is free to
-/// change its share.
+/// Today's figure: 42 events per listing for 40 VMs — the rebuilt scope
+/// cache (1) and the returned `Vec<VmCgroupInfo>` (1) with its 40 VM
+/// names; `machine.slice` is not re-read while the backend's change feed
+/// reports it quiet. (129 while every listing ran `read_dir`: its handle
+/// and root path, each entry's name twice, the growing `Vec` of scope
+/// names.) The count is asserted as vCPU-independent, not as 42: a
+/// listing that does run `read_dir` allocates `std`'s share too.
 #[test]
 fn warm_iteration_over_the_fs_backend_allocates_only_the_listing() {
     use vfc_cgroupfs::fixture::FixtureTree;

@@ -1,9 +1,10 @@
 //! Fault injection for the cluster simulation.
 //!
 //! The paper evaluates the controller on healthy nodes; real clusters
-//! lose nodes and controller daemons. This module defines *what* can
-//! fail — the [`manager::ClusterManager`](crate::manager::ClusterManager)
-//! decides *how* the cluster reacts:
+//! lose nodes and controller daemons. This module decides *what* fails
+//! and *when*: the model, its RNG, the counters and each node's fault
+//! state. The [`manager::ClusterManager`](crate::manager::ClusterManager)
+//! applies the outcome: it evacuates, uncaps, restores and re-places.
 //!
 //! * **node crash** — every VM on the node is evacuated through the same
 //!   Eq. 7 placement used for admission (paying an evacuation downtime);
@@ -28,12 +29,13 @@
 //!   forever.
 //!
 //! All draws come from one seeded [`SplitMix64`] stream consumed in a
-//! fixed order, so runs are reproducible and warm-vs-cold comparisons can
-//! share the exact same fault schedule.
-//!
-//! [`SplitMix64`]: vfc_simcore::SplitMix64
+//! fixed order — each period node crashes, then controller crashes, then
+//! failing landings, each in ascending order — so runs are reproducible
+//! and warm-vs-cold comparisons share the exact same fault schedule.
 
 use serde::{Deserialize, Serialize};
+use vfc_controller::Journal;
+use vfc_simcore::SplitMix64;
 
 /// How a replacement controller comes up after a controller crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,9 +154,102 @@ pub struct FaultReport {
     pub partitioned_node_periods: u64,
 }
 
+/// One node's place in its fault life. A crash replaces the whole
+/// state, so the timers of the state it ends go with it. Only an `Up`
+/// node holds a controller.
+pub(crate) enum NodeState {
+    /// Running. VM-periods count toward recovery accounting until
+    /// `recovery_until` (exclusive): the tail after a controller restart.
+    Up { recovery_until: u64 },
+    /// The controller crashed: the node runs uncapped (fail-open) until
+    /// `returns_at`, when a replacement starts from `snapshot` (warm) or
+    /// from scratch (`None`, cold).
+    ControllerDown {
+        returns_at: u64,
+        snapshot: Option<Journal>,
+    },
+    /// The node crashed: it hosts nothing and is out of placement until
+    /// it rejoins, empty and under a cold controller, at `repairs_at`.
+    Down { repairs_at: u64 },
+}
+
+impl NodeState {
+    pub(crate) fn is_down(&self) -> bool {
+        matches!(self, NodeState::Down { .. })
+    }
+}
+
+/// What crashes: the whole node, or only its controller.
+pub(crate) enum Crash {
+    Node,
+    Controller,
+}
+
+/// The fault machinery of one run: the model, the RNG every fault draw
+/// comes from, and what the faults did so far.
+pub(crate) struct Faults {
+    pub(crate) model: FaultModel,
+    rng: SplitMix64,
+    pub(crate) report: FaultReport,
+}
+
+impl Faults {
+    /// The machinery for a fleet of `nodes`, its RNG seeded from the
+    /// model alone. Panics when a scripted fault names a node the fleet
+    /// does not have: the scenario would run without that fault.
+    pub(crate) fn new(model: FaultModel, nodes: usize) -> Faults {
+        let crashes = model.scripted_node_crashes.iter();
+        let crashes = crashes.chain(&model.scripted_controller_crashes);
+        let windows = model.scripted_partitions.iter().map(|w| w.2);
+        for n in crashes.map(|c| c.1).chain(windows) {
+            assert!(n < nodes, "scripted fault on node {n} of {nodes}");
+        }
+        Faults {
+            rng: SplitMix64::new(model.seed ^ 0x5EED_F417),
+            model,
+            report: FaultReport::default(),
+        }
+    }
+
+    /// The nodes `kind` hits at `period`, ascending. `can_crash` says,
+    /// node by node, which may crash: each of those draws once (when the
+    /// rate is non-zero), scripted or not, and crashes on a hit or when
+    /// the script names it for `period`.
+    pub(crate) fn crashes(
+        &mut self,
+        kind: Crash,
+        period: u64,
+        can_crash: impl Iterator<Item = bool>,
+    ) -> Vec<usize> {
+        let m = &self.model;
+        let (scripted, rate) = match kind {
+            Crash::Node => (&m.scripted_node_crashes, m.node_crash_rate),
+            Crash::Controller => (&m.scripted_controller_crashes, m.controller_crash_rate),
+        };
+        let mut hit = Vec::new();
+        for (i, _) in can_crash.enumerate().filter(|&(_, can)| can) {
+            let drawn = rate > 0.0 && self.rng.chance(rate);
+            if drawn || scripted.contains(&(period, i)) {
+                hit.push(i);
+            }
+        }
+        hit
+    }
+
+    /// Does a landing migration fail its handshake? Draws only when the
+    /// rate is non-zero.
+    pub(crate) fn migration_fails(&mut self) -> bool {
+        let rate = self.model.migration_fail_rate;
+        let failed = rate > 0.0 && self.rng.chance(rate);
+        self.report.migrations_failed += failed as u64;
+        failed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vfc_simcore::MHz;
 
     #[test]
     fn none_is_disabled_and_default() {
@@ -187,6 +282,36 @@ mod tests {
         assert!(m.is_partitioned(1, 9));
         assert!(!m.is_partitioned(1, 10));
         assert!(!m.is_partitioned(0, 7), "only the named node is cut off");
+    }
+
+    /// A two-node fleet under `model`.
+    fn two_nodes(model: FaultModel) -> crate::ClusterManager {
+        let fleet = vec![vfc_cpusched::topology::NodeSpec::custom("n", 1, 2, 2, MHz(2400)); 2];
+        crate::ClusterManager::with_faults(fleet, crate::Strategy::FrequencyControl, 1, model)
+    }
+
+    #[test]
+    #[should_panic(expected = "scripted fault on node 2 of 2")]
+    fn a_node_crash_off_the_fleet_is_refused() {
+        let mut m = FaultModel::none();
+        m.scripted_node_crashes.push((3, 2));
+        two_nodes(m);
+    }
+
+    #[test]
+    #[should_panic(expected = "scripted fault on node 5 of 2")]
+    fn a_controller_crash_off_the_fleet_is_refused() {
+        let mut m = FaultModel::none();
+        m.scripted_controller_crashes.extend([(3, 1), (4, 5)]);
+        two_nodes(m);
+    }
+
+    #[test]
+    #[should_panic(expected = "scripted fault on node 2 of 2")]
+    fn a_partition_off_the_fleet_is_refused() {
+        let mut m = FaultModel::none();
+        m.scripted_partitions.push((3, 9, 2));
+        two_nodes(m);
     }
 
     #[test]

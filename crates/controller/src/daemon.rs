@@ -679,22 +679,13 @@ fn reconcile_on_boot<B: HostBackend + ?Sized>(
 /// between iterations exactly as §III.B.6 describes.
 pub fn run(cfg: DaemonConfig) -> Result<u64, String> {
     let mut backend = discover_backend(&cfg)?;
-    run_with_backend(cfg, &mut backend)
+    run_with_shutdown(cfg, &mut backend, &ShutdownHandle::new())
 }
 
-/// Run the control loop against an already-built backend. Split from
-/// [`run`] so tests (and embedders) can drive simulated or
-/// fault-injecting backends through the exact production loop, circuit
-/// breaker included. Equivalent to [`run_with_shutdown`] with a handle
-/// nobody ever pulls.
-pub fn run_with_backend<B: HostBackend + ?Sized>(
-    cfg: DaemonConfig,
-    backend: &mut B,
-) -> Result<u64, String> {
-    run_with_shutdown(cfg, backend, &ShutdownHandle::new())
-}
-
-/// [`run_with_backend`] plus a cooperative [`ShutdownHandle`]. The full
+/// Run the control loop against an already-built backend until `shutdown`
+/// is pulled or the iteration limit is reached. Split from [`run`] so
+/// tests (and embedders) can drive simulated or fault-injecting backends
+/// through the exact production loop, circuit breaker included. The full
 /// daemon lifecycle: boot-time journal reconciliation, the control loop
 /// with per-period journal flushes, and three exits —
 ///
@@ -1635,7 +1626,7 @@ mod tests {
             ..DaemonConfig::default()
         };
         let mut be = fx.backend();
-        let err = run_with_backend(cfg, &mut be).unwrap_err();
+        let err = run_with_shutdown(cfg, &mut be, &ShutdownHandle::new()).unwrap_err();
         assert!(err.contains("journal_interval"), "{err}");
     }
 

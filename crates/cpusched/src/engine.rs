@@ -1,6 +1,6 @@
 //! The per-tick host scheduling engine.
 //!
-//! One [`Engine::tick`] models what Linux does over a 100 ms bandwidth
+//! One [`Engine`] tick models what Linux does over a 100 ms bandwidth
 //! period (the default `cpu.max` period):
 //!
 //! 1. **Hierarchical fair share** — node capacity (`nr_cpus × tick` µs of
@@ -25,8 +25,7 @@
 //! flattened plan that is rebuilt only when
 //! [`CgroupTree::structure_epoch`] moves. The steps run over vectors
 //! indexed by group position and thread slot ([`Engine::tick_slots`]);
-//! [`Engine::tick`] and [`Engine::tick_into`] are the map-keyed front of
-//! the same code. `cpu.max` and `cpu.weight` are gathered into the plan
+//! [`Engine::tick_into`] is the map-keyed front of the same code. `cpu.max` and `cpu.weight` are gathered into the plan
 //! again only when [`CgroupTree::values_epoch`] moves too — once per
 //! controller write, not once per tick.
 
@@ -377,20 +376,13 @@ impl Engine {
         self.placer.tracked_threads()
     }
 
-    /// Advance the host by one tick.
+    /// Advance the host by one tick into a caller-owned [`TickOutcome`].
     ///
     /// `demands` maps each thread to the CPU time it *wants* this tick
     /// (clamped to `tick`); absent threads are idle. Usage and throttling
-    /// are accounted into `tree`.
-    pub fn tick(&mut self, tree: &mut CgroupTree, demands: &FastMap<Tid, Micros>) -> TickOutcome {
-        let mut out = TickOutcome::default();
-        self.tick_into(tree, demands, &mut out);
-        out
-    }
-
-    /// [`Engine::tick`] into a caller-owned [`TickOutcome`]: the map-keyed
-    /// front of [`Engine::tick_slots`] — one lookup per thread to gather
-    /// the slot demands, one insert per thread to key the outcome.
+    /// are accounted into `tree`. The map-keyed front of
+    /// [`Engine::tick_slots`]: one lookup per thread to gather the slot
+    /// demands, one insert per thread to key the outcome.
     pub fn tick_into(
         &mut self,
         tree: &mut CgroupTree,
@@ -622,6 +614,13 @@ mod tests {
         (tree, tids)
     }
 
+    /// One tick through the map-keyed front, into a fresh outcome.
+    fn tick(e: &mut Engine, tree: &mut CgroupTree, demands: &FastMap<Tid, Micros>) -> TickOutcome {
+        let mut out = TickOutcome::default();
+        e.tick_into(tree, demands, &mut out);
+        out
+    }
+
     fn full_demand(tids: &[Vec<Tid>]) -> FastMap<Tid, Micros> {
         tids.iter().flatten().map(|t| (*t, TICK)).collect()
     }
@@ -631,7 +630,7 @@ mod tests {
         let mut e = engine(4);
         let (mut tree, tids) = build_tree(&[1]);
         let demands: FastMap<_, _> = [(tids[0][0], Micros(40_000))].into_iter().collect();
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.threads[&tids[0][0]].ran, Micros(40_000));
         // Performance governor at 2400: work = 40_000 µs × 2400 MHz.
         assert_eq!(out.threads[&tids[0][0]].work, Cycles(96_000_000));
@@ -645,7 +644,7 @@ mod tests {
         let mut e = engine(3); // 3 threads of capacity for 6 vCPUs
         let (mut tree, tids) = build_tree(&[2, 4]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let vm0: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         let vm1: Micros = tids[1].iter().map(|t| out.threads[t].ran).sum();
         // Equal shares per VM: 150k each out of 300k capacity.
@@ -674,7 +673,7 @@ mod tests {
         vms.extend_from_slice(&[4; 10]);
         let (mut tree, tids) = build_tree(&vms);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let singles: Micros = tids[..40]
             .iter()
             .flatten()
@@ -696,7 +695,7 @@ mod tests {
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         tree.node_mut(leaf).cpu_max = CpuMax::limited(Micros(25_000));
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.threads[&tids[0][0]].ran, Micros(25_000));
         // Throttle accounting happened.
         let stat = tree.node(leaf).cpu_stat;
@@ -712,7 +711,7 @@ mod tests {
         let scope = tree.resolve("/vm0").unwrap();
         tree.node_mut(scope).cpu_max = CpuMax::limited(Micros(50_000));
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let total: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros(50_000));
         // Fairly split between the two vCPUs.
@@ -724,7 +723,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
-        e.tick(&mut tree, &demands);
+        tick(&mut e, &mut tree, &demands);
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         assert_eq!(tree.node(leaf).cpu_stat.nr_periods, 0);
         assert_eq!(tree.node(leaf).cpu_stat.usage_usec, TICK);
@@ -736,7 +735,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[3, 2, 1]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let total: Micros = tids.iter().flatten().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros(200_000));
         assert!((out.utilization - 1.0).abs() < 1e-9);
@@ -747,7 +746,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[2]);
         let demands: FastMap<Tid, Micros> = tids[0].iter().map(|t| (*t, Micros::ZERO)).collect();
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.utilization, 0.0);
         let total: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros::ZERO);
@@ -761,7 +760,7 @@ mod tests {
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
         for _ in 0..5 {
-            e.tick(&mut tree, &demands);
+            tick(&mut e, &mut tree, &demands);
         }
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         assert_eq!(tree.node(leaf).cpu_stat.usage_usec, Micros(500_000));
@@ -802,7 +801,7 @@ mod tests {
         let vm0 = tree.resolve("/vm0").unwrap();
         tree.node_mut(vm0).weight = 200; // double weight
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let a = out.threads[&tids[0][0]].ran.as_u64() as f64;
         let b = out.threads[&tids[1][0]].ran.as_u64() as f64;
         // 2:1 within integer-µs dust.
@@ -872,7 +871,7 @@ mod tests {
                     groups.push((scope, *quota, tids, ds.clone()));
                 }
 
-                let out = engine.tick(&mut tree, &demands);
+                let out = tick(&mut engine, &mut tree, &demands);
                 let capacity = threads as u64 * TICK.as_u64();
 
                 // (1) Node capacity respected.
@@ -1338,20 +1337,20 @@ mod tests {
             let (mut engine, _) = engines(2, 4);
             let mut rng = SplitMix64::new(5);
             let demands = world.demands(&mut rng);
-            engine.tick(&mut world.tree, &demands);
+            tick(&mut engine, &mut world.tree, &demands);
 
             // Same engine, the clone: a different tree, so a rebuild even
             // though the structure is equal …
             let mut clone = world.tree.clone();
-            engine.tick(&mut clone, &demands);
+            tick(&mut engine, &mut clone, &demands);
             assert_eq!(engine.plan_rebuilds(), 2);
             // … and one step of divergence on each side cannot alias.
             let leaf = clone.mkdir(ROOT, "only-in-clone").unwrap();
             clone.attach_thread(leaf, Tid::new(9_000));
             world.apply(&Op::Provision { vcpus: 1 });
-            engine.tick(&mut clone, &demands);
+            tick(&mut engine, &mut clone, &demands);
             assert_eq!(engine.slots().last(), Some(&Tid::new(9_000)));
-            engine.tick(&mut world.tree, &demands);
+            tick(&mut engine, &mut world.tree, &demands);
             assert_eq!(engine.slot_of(Tid::new(9_000)), None);
 
             // A fresh engine on a clone equals the oracle on another.
@@ -1381,7 +1380,7 @@ mod tests {
                     world.apply(&Op::Deprovision { vm: 0 });
                 }
                 let demands = world.demands(&mut rng);
-                engine.tick(&mut world.tree, &demands);
+                tick(&mut engine, &mut world.tree, &demands);
                 assert_eq!(engine.tracked_threads(), world.live_tids.len());
             }
             assert!(world.dead_tids.len() > 80);
@@ -1394,7 +1393,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.mean_core_freq(), MHz(2400));
         let tid = tids[0][0];
         assert_eq!(e.thread_last_cpu(tid), Some(out.threads[&tid].last_cpu));

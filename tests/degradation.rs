@@ -6,7 +6,7 @@
 use std::io::ErrorKind;
 use vfc::cgroupfs::model::CpuMax;
 use vfc::cgroupfs::{FaultInjectingBackend, FaultKind, FaultOp, FaultPlan};
-use vfc::controller::daemon::{self, DaemonConfig};
+use vfc::controller::daemon::{self, DaemonConfig, ShutdownHandle};
 use vfc::controller::ControlMode;
 use vfc::prelude::*;
 use vfc::simcore::Micros;
@@ -233,7 +233,7 @@ fn circuit_breaker_uncaps_everything_and_exits() {
     cfg.controller.period = Micros(1000); // keep the test's sleeps tiny
     cfg.iterations = Some(50);
     cfg.max_consecutive_errors = 3;
-    let err = daemon::run_with_backend(cfg, &mut faulty).unwrap_err();
+    let err = daemon::run_with_shutdown(cfg, &mut faulty, &ShutdownHandle::new()).unwrap_err();
     assert!(err.contains("circuit breaker"), "{err}");
 
     for j in 0..2 {
@@ -263,5 +263,9 @@ fn disabled_circuit_breaker_soldiers_on() {
     cfg.controller.period = Micros(1000);
     cfg.iterations = Some(5);
     cfg.max_consecutive_errors = 0; // breaker off
-    assert_eq!(daemon::run_with_backend(cfg, &mut faulty), Ok(5));
+    let shutdown = ShutdownHandle::new();
+    assert_eq!(
+        daemon::run_with_shutdown(cfg, &mut faulty, &shutdown),
+        Ok(5)
+    );
 }

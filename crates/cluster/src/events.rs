@@ -23,11 +23,14 @@
 //! | 1 | [`PH_ARRIVE`] | arrivals are admitted (Eq. 7 / core-count) |
 //! | 2 | [`PH_TICK`] | the period: faults, landings, busy nodes advance in node order, close |
 //!
-//! The tick is `run_period`'s body (deploys happen *between* periods,
-//! i.e. before the fault phase). It closes the period — SLO/energy accounting, the migration policy — when a VM was present at
-//! the end of the previous period or was admitted in this one. The next
-//! tick is queued while VMs are present, or while a fault model is active
-//! and arrivals are pending; an admission revives the chain.
+//! The tick is `run_period`'s body. Arrivals and departures happen
+//! *between* periods, as deploys do under `run_period`: before the first
+//! event of period `p` the manager's counter is brought to `p - 1`, and
+//! [`ClusterManager`] runs the faults of every period it passes. The tick
+//! closes the period — SLO/energy accounting, the migration policy — when
+//! a VM was present at the end of the previous period or was admitted in
+//! this one. The next tick is queued while VMs are present; an admission
+//! revives the chain.
 //!
 //! # Determinism contract
 //!
@@ -38,14 +41,15 @@
 //!
 //! Against [`ClusterManager::run_period`] fed the same schedule
 //! (departures, then arrivals, before each period), the
-//! [`ClusterManager::report`] is **bit-identical** for any schedule
-//! without a fault model: arrivals and departures at any time, and
-//! migrations onto hosts that sat idle. The `event_core_matches_run_period`
-//! proptest (`tests/events.rs`) pins the contract. With a fault model the
-//! event core stops drawing faults once it is idle with no arrival
-//! pending, where `run_period` keeps drawing. Period-sample history
-//! differs in one way: the event core records no samples for periods in
-//! which the whole cluster was empty (it jumps over them).
+//! [`ClusterManager::report`] is **bit-identical** for any schedule and
+//! any fault model, crashes, repairs and restarts inside a jumped stretch
+//! included: the core jumps only while no VM is present (in flight and
+//! stranded count), so a jumped period's body is its fault phase alone,
+//! which the manager runs as the counter catches up. The
+//! `event_core_matches_run_period` proptest (`tests/events.rs`) pins the
+//! contract. The one remaining difference is the period-sample history:
+//! the event core records no samples for periods in which the whole
+//! cluster was empty (it jumps over them).
 
 use crate::manager::{ClusterError, ClusterManager, ClusterReport, GlobalVmId};
 use crate::trace::TraceVmSpec;
@@ -100,8 +104,6 @@ pub struct EventStats {
     pub departures: u64,
     /// Node advances: each tick counts the nodes it advanced.
     pub node_periods: u64,
-    /// Ticks that ran the fault phase.
-    pub fault_ticks: u64,
     /// Ticks that closed their period.
     pub closes: u64,
 }
@@ -129,8 +131,6 @@ pub struct EventDrivenCluster {
     close_due: bool,
     /// VMs currently deployed (placed, in flight, or stranded).
     vms_present: usize,
-    /// Scheduled arrivals not yet processed.
-    arrivals_pending: usize,
     algorithm: PlacementAlgorithm,
     workloads: WorkloadFactory,
     wrng: SplitMix64,
@@ -150,7 +150,6 @@ impl EventDrivenCluster {
             tick_queued: false,
             close_due: false,
             vms_present: 0,
-            arrivals_pending: 0,
             algorithm: PlacementAlgorithm::BestFit,
             workloads: Box::new(|_, _, _| Box::new(SteadyDemand::full())),
             wrng: SplitMix64::new(0xE7E9_7D41),
@@ -227,7 +226,6 @@ impl EventDrivenCluster {
             encode_time(arrive_p, PH_ARRIVE),
             ClusterEvent::Arrival { slot },
         );
-        self.arrivals_pending += 1;
         if let Some(d) = spec.departure {
             debug_assert!(d > spec.arrival, "trace validation enforces this");
             self.queue.schedule(
@@ -250,12 +248,16 @@ impl EventDrivenCluster {
     /// Process every event up to and including period `horizon`, then
     /// move the period counter there (trailing quiet periods are jumped
     /// over, not simulated). Events beyond the horizon stay queued for a
-    /// later call.
+    /// later call. Events of period `p` happen between periods `p - 1`
+    /// and `p`, so the counter is first brought to `p - 1`.
     pub fn run_until(&mut self, horizon: u64) {
         let limit = encode_time(horizon, PHASES_PER_PERIOD - 1);
         while self.queue.peek_time().is_some_and(|t| t <= limit) {
             let ev = self.queue.pop().expect("an event was peeked");
             let (p, phase) = decode_time(ev.time);
+            if self.mgr.period() + 1 < p {
+                self.mgr.begin_period_at(p - 1);
+            }
             self.stats.events_processed += 1;
             if let Some(journal) = &mut self.journal {
                 journal.push(format!("p{p}.{phase} seq{} {:?}", ev.seq, ev.event));
@@ -279,7 +281,6 @@ impl EventDrivenCluster {
 
     fn on_arrival(&mut self, p: u64, slot: usize) {
         self.stats.arrivals += 1;
-        self.arrivals_pending -= 1;
         let template = self.specs[slot].template.clone();
         let workload = (self.workloads)(slot, &template, &mut self.wrng);
         match self
@@ -314,12 +315,10 @@ impl EventDrivenCluster {
 
     fn on_tick(&mut self, p: u64) {
         self.tick_queued = false;
-        let faults = self.mgr.faults_enabled();
-        self.stats.fault_ticks += u64::from(faults);
         self.stats.closes += u64::from(self.close_due);
         self.stats.node_periods += self.mgr.run_busy_period(p, self.close_due) as u64;
         self.close_due = self.vms_present > 0;
-        if self.vms_present > 0 || (faults && self.arrivals_pending > 0) {
+        if self.vms_present > 0 {
             self.queue_tick(p + 1);
         }
     }

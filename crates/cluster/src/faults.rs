@@ -211,29 +211,18 @@ impl Faults {
         }
     }
 
-    /// The nodes `kind` hits at `period`, ascending. `can_crash` says,
-    /// node by node, which may crash: each of those draws once (when the
-    /// rate is non-zero), scripted or not, and crashes on a hit or when
-    /// the script names it for `period`.
-    pub(crate) fn crashes(
-        &mut self,
-        kind: Crash,
-        period: u64,
-        can_crash: impl Iterator<Item = bool>,
-    ) -> Vec<usize> {
+    /// Does `kind` hit `node`, one that may crash, at `period`? It draws
+    /// once (when the rate is non-zero), scripted or not, and hits on a
+    /// draw or when the script names the node for `period`. The caller
+    /// asks node by node, in ascending order.
+    pub(crate) fn hits(&mut self, kind: Crash, period: u64, node: usize) -> bool {
         let m = &self.model;
         let (scripted, rate) = match kind {
             Crash::Node => (&m.scripted_node_crashes, m.node_crash_rate),
             Crash::Controller => (&m.scripted_controller_crashes, m.controller_crash_rate),
         };
-        let mut hit = Vec::new();
-        for (i, _) in can_crash.enumerate().filter(|&(_, can)| can) {
-            let drawn = rate > 0.0 && self.rng.chance(rate);
-            if drawn || scripted.contains(&(period, i)) {
-                hit.push(i);
-            }
-        }
-        hit
+        let drawn = rate > 0.0 && self.rng.chance(rate);
+        drawn || scripted.contains(&(period, node))
     }
 
     /// Does a landing migration fail its handshake? Draws only when the

@@ -1082,7 +1082,8 @@ impl ClusterManager {
     /// nodes that host a VM — an empty node is powered off, with no vCPU
     /// for its controller to cap. The event-driven core
     /// ([`crate::events::EventDrivenCluster`]) enters the same body, and
-    /// jumps over the periods in which nothing is deployed.
+    /// jumps over the periods in which nothing is deployed; the faults
+    /// of every period run as the counter moves, under either driver.
     pub fn run_period(&mut self) {
         self.run_busy_period(self.period + 1, true);
     }
@@ -1094,12 +1095,10 @@ impl ClusterManager {
         self.period_body(close)
     }
 
-    /// The one period body:
+    /// The one period body, run after [`ClusterManager::begin_period_at`]
+    /// moved the counter to the period and ran its faults, so nothing
+    /// lands on a node that just died:
     ///
-    /// 0. faults, when a model is active: [`crate::faults`] draws what
-    ///    fails and [`ClusterManager::fault_phase`] applies it. Repairs
-    ///    and restarts come before new crashes, crashes before landings,
-    ///    so nothing lands on a node that just died;
     /// 1. land migrations whose downtime elapsed, retry stranded VMs;
     /// 2. advance, in ascending order, the nodes that host a VM after
     ///    step 1;
@@ -1108,9 +1107,6 @@ impl ClusterManager {
     /// Returns how many nodes advanced. The node list is a reused
     /// scratch buffer, so the steady-state loop stays off the allocator.
     fn period_body(&mut self, close: bool) -> usize {
-        if self.faults.model.enabled() {
-            self.fault_phase();
-        }
         self.land_migrations();
         let mut active = std::mem::take(&mut self.active_scratch);
         active.clear();
@@ -1127,8 +1123,9 @@ impl ClusterManager {
         advanced
     }
 
-    /// Step 0 of a period: due repairs and controller restarts, then the
-    /// node and controller crashes [`Faults::crashes`] draws, then the
+    /// The faults of the period the counter just entered: due repairs and
+    /// controller restarts, then the node and controller crashes
+    /// [`Faults::hits`] draws, each kind in ascending node order, then the
     /// count of partitioned node-periods (a partition only acts by making
     /// [`ClusterManager::renew_leases`] skip the node).
     fn fault_phase(&mut self) {
@@ -1163,13 +1160,16 @@ impl ClusterManager {
                 _ => {}
             }
         }
-        let can_crash = self.nodes.iter().map(|n| !n.state.is_down());
-        for node in self.faults.crashes(Crash::Node, p, can_crash) {
-            self.crash_node(node);
+        for node in 0..self.nodes.len() {
+            if !self.nodes[node].state.is_down() && self.faults.hits(Crash::Node, p, node) {
+                self.crash_node(node);
+            }
         }
-        let can_crash = self.nodes.iter().map(|n| n.controller.is_some());
-        for node in self.faults.crashes(Crash::Controller, p, can_crash) {
+        for node in 0..self.nodes.len() {
             let rt = &mut self.nodes[node];
+            if rt.controller.is_none() || !self.faults.hits(Crash::Controller, p, node) {
+                continue;
+            }
             let ctl = rt.controller.take().expect("a live controller");
             self.faults.report.controller_crashes += 1;
             // Keep the journal the daemon would have on disk, then fail
@@ -1205,22 +1205,25 @@ impl ClusterManager {
         }
     }
 
-    /// Move the period counter to `p`. [`ClusterManager::run_period`]
-    /// steps one period at a time; the event core jumps over stretches
-    /// where nothing is scheduled. Must be monotone.
+    /// Move the period counter to `p`, the one place it moves. Without a
+    /// fault model it is set; with one, it steps through each period up
+    /// to `p` and runs its fault phase, which is all a period with no VM
+    /// present does, so the event core's jumps stay exact. Monotone.
     pub(crate) fn begin_period_at(&mut self, p: u64) {
         debug_assert!(p >= self.period, "period must be monotone");
-        self.period = p;
+        if !self.faults.model.enabled() {
+            self.period = p;
+            return;
+        }
+        while self.period < p {
+            self.period += 1;
+            self.fault_phase();
+        }
     }
 
     /// Current period counter (the last period started).
     pub(crate) fn period(&self) -> u64 {
         self.period
-    }
-
-    /// Is a fault model active?
-    pub(crate) fn faults_enabled(&self) -> bool {
-        self.faults.model.enabled()
     }
 
     /// Number of nodes in the cluster.

@@ -1,4 +1,5 @@
-//! Deterministic cost counts of the cluster replays, pinned at equality.
+//! Deterministic cost counts of the cluster replays and of control-plane
+//! writes, pinned at equality.
 //!
 //! Wall-clock pairs on a small box cannot resolve a 15–50 % move on a
 //! row of about a millisecond; these counts can. Each row replays a
@@ -13,8 +14,10 @@
 //! * the [`FaultReport`] counters (all zero without a fault model).
 //!
 //! The rows are `traces/sample_small.csv` under Eq. 7 admission and under
-//! core-count packing, both without a fault model, and the fleet and
-//! trace of the `faults` event-core golden. They are compared with
+//! core-count packing, both without a fault model, the fleet and trace of
+//! the `faults` event-core golden, and a fixed-seed sequence of creates,
+//! resizes and deletes admitted by a [`ControlPlane`] over the `api_*`
+//! benchmark fleet. They are compared with
 //! `tests/golden/cost_counts.json` at equality; a change that moves a
 //! count shows the diff. Regenerate deliberately, in release, with
 //! `VFC_BLESS=1 cargo test --release --test cost_counts`.
@@ -32,10 +35,12 @@ use vfc::cluster::{
     ClusterManager, CsvTraceReader, EventDrivenCluster, FaultModel, FaultReport, Strategy,
     SyntheticTrace, TraceReader, TraceVmSpec,
 };
+use vfc::controlplane::{ControlPlane, RateLimit, SpecId, TenantQuota};
 use vfc::cpusched::topology::NodeSpec;
 use vfc::simcore::alloc_count::{thread_alloc_events, thread_live_bytes, CountingAlloc};
-use vfc::simcore::MHz;
+use vfc::simcore::{MHz, SplitMix64};
 use vfc::vmm::workload::class_workload;
+use vfc::vmm::VmTemplate;
 
 /// [`CountingAlloc`] plus, per thread, the bytes requested and the
 /// highest live-byte count seen.
@@ -124,26 +129,35 @@ fn golden_faults_replay() -> EventDrivenCluster {
     cluster
 }
 
-/// Run one row on this thread and record its counts.
-fn measure(run: Replay) -> Value {
+/// Allocation events, bytes requested and peak live bytes of one call
+/// on this thread, beside what it returned.
+fn counted<T>(run: impl FnOnce() -> T) -> (T, [u64; 3]) {
     let events0 = thread_alloc_events();
     let bytes0 = BYTES.with(Cell::get);
     let live0 = thread_live_bytes();
     PEAK.with(|c| c.set(live0));
-    let cluster = run();
+    let out = run();
     let alloc_events = thread_alloc_events() - events0;
     let alloc_bytes = BYTES.with(Cell::get) - bytes0;
     let peak_live_bytes = PEAK.with(Cell::get) - live0;
+    (out, [alloc_events, alloc_bytes, peak_live_bytes as u64])
+}
 
+fn uint(n: u64) -> Value {
+    Value::UInt(n)
+}
+
+/// Run one row on this thread and record its counts.
+fn measure(run: Replay) -> Value {
+    let (cluster, [alloc_events, alloc_bytes, peak_live_bytes]) = counted(run);
     let stats = cluster.stats();
     let report = cluster.report();
     let faults: FaultReport = cluster.manager().fault_report();
     let faults = serde_json::to_string(&faults).expect("serializable");
-    let uint = |n: u64| Value::UInt(n);
     Value::Object(vec![
         ("alloc_events".into(), uint(alloc_events)),
         ("alloc_bytes".into(), uint(alloc_bytes)),
-        ("peak_live_bytes".into(), uint(peak_live_bytes as u64)),
+        ("peak_live_bytes".into(), uint(peak_live_bytes)),
         ("events_processed".into(), uint(stats.events_processed)),
         ("node_periods".into(), uint(stats.node_periods)),
         ("closes".into(), uint(stats.closes)),
@@ -153,6 +167,108 @@ fn measure(run: Replay) -> Value {
             serde_json::from_str(&faults).expect("round-trips"),
         ),
     ])
+}
+
+/// Writes in the control-plane row; the first and the last
+/// [`WINDOW`] of them are also counted on their own.
+const WRITES: usize = 1_000;
+const WINDOW: usize = 100;
+
+/// The `api_*` benchmarks' control plane without HTTP, the reconciler or
+/// a spec-log file: 64 nodes of 4 cores × 2 threads at 2.4 GHz under
+/// Eq. 7, four tenants each holding at most a quarter of the fleet's
+/// budget, and a rate limit that never binds. A fixed-seed sequence of
+/// creates, resizes and deletes is admitted against node loads built
+/// once; creates lead until about 350 specs are live, then the three
+/// kinds balance around that. Returns the row, and the allocation
+/// events of the first and of the last [`WINDOW`] writes.
+fn controlplane_writes() -> (Value, u64, u64) {
+    const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
+    const VCPUS: [u32; 3] = [1, 2, 4];
+    const VFREQS: [u32; 4] = [600, 1_200, 1_800, 2_400];
+    let node = NodeSpec::custom("cp", 1, 4, 2, MHz(2_400));
+    let budget = 64 * node.freq_capacity_mhz();
+    let loads = ClusterManager::new(vec![node; 64], Strategy::FrequencyControl, 7).node_loads();
+    let mut plane = ControlPlane::new();
+    plane.set_rate_limit(RateLimit {
+        burst: u64::MAX / 2,
+        per_tick: 0,
+    });
+    for tenant in TENANTS {
+        plane.add_tenant(
+            tenant,
+            TenantQuota {
+                max_vms: 400,
+                max_vcpus: 1_200,
+                max_mhz: budget / TENANTS.len() as u64,
+            },
+        );
+    }
+    let mut rng = SplitMix64::new(53);
+    let mut live: Vec<SpecId> = Vec::new();
+    let (mut accepted, mut refused) = (0u64, 0u64);
+    // Allocation events and bytes of the first and of the last window.
+    let mut window = [[0u64; 2]; 2];
+    let (_, [alloc_events, alloc_bytes, peak_live_bytes]) = counted(|| {
+        for i in 0..WRITES {
+            let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+            let roll = rng.next_below(100);
+            let create_share = if live.len() < 350 { 75 } else { 34 };
+            let (events0, bytes0) = (thread_alloc_events(), BYTES.with(Cell::get));
+            let ok = if live.is_empty() || roll < create_share {
+                let tenant = TENANTS[pick(&mut rng, TENANTS.len())];
+                let vcpus = VCPUS[pick(&mut rng, VCPUS.len())];
+                let vfreq = VFREQS[pick(&mut rng, VFREQS.len())];
+                let template = VmTemplate::new(&format!("vm{i}"), vcpus, MHz(vfreq)).with_mem_gb(1);
+                match plane.create_vm(tenant, template, &loads) {
+                    Ok(id) => {
+                        live.push(id);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            } else if roll < create_share + (100 - create_share) / 2 {
+                let id = live[pick(&mut rng, live.len())];
+                let vfreq = VFREQS[pick(&mut rng, VFREQS.len())];
+                plane.resize_vm(id, MHz(vfreq), &loads).is_ok()
+            } else {
+                let id = live.swap_remove(pick(&mut rng, live.len()));
+                plane.delete_vm(id).is_ok()
+            };
+            let cost = [
+                thread_alloc_events() - events0,
+                BYTES.with(Cell::get) - bytes0,
+            ];
+            let slot = if i < WINDOW {
+                Some(0)
+            } else {
+                (i >= WRITES - WINDOW).then_some(1)
+            };
+            if let Some(w) = slot {
+                window[w][0] += cost[0];
+                window[w][1] += cost[1];
+            }
+            if ok {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+        }
+    });
+    let row = Value::Object(vec![
+        ("alloc_events".into(), uint(alloc_events)),
+        ("alloc_bytes".into(), uint(alloc_bytes)),
+        ("peak_live_bytes".into(), uint(peak_live_bytes)),
+        ("first_writes_alloc_events".into(), uint(window[0][0])),
+        ("first_writes_alloc_bytes".into(), uint(window[0][1])),
+        ("last_writes_alloc_events".into(), uint(window[1][0])),
+        ("last_writes_alloc_bytes".into(), uint(window[1][1])),
+        ("accepted".into(), uint(accepted)),
+        ("refused".into(), uint(refused)),
+        ("seq".into(), uint(plane.store().seq())),
+        ("live_specs".into(), uint(plane.store().len() as u64)),
+    ]);
+    (row, window[0][0], window[1][0])
 }
 
 #[test]
@@ -165,11 +281,18 @@ fn cluster_replays_cost_what_the_golden_says() {
         ),
         ("golden_faults", golden_faults_replay),
     ];
-    let doc = Value::Object(
-        rows.iter()
-            .map(|&(name, run)| (name.to_string(), measure(run)))
-            .collect(),
+    let mut doc: Vec<(String, Value)> = rows
+        .iter()
+        .map(|&(name, run)| (name.to_string(), measure(run)))
+        .collect();
+    let (writes, first, last) = controlplane_writes();
+    doc.push(("controlplane_writes".into(), writes));
+    // Admission may not cost more per write as live specs accumulate.
+    assert!(
+        last <= first,
+        "the last {WINDOW} writes allocated {last} times, the first {WINDOW} {first}"
     );
+    let doc = Value::Object(doc);
     let got = serde_json::to_string_pretty(&doc).expect("serializable") + "\n";
     if cfg!(debug_assertions) {
         // Straight to the stderr handle, past the harness's capture, so

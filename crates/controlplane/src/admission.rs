@@ -19,6 +19,15 @@
 //!    the state (including any migrations fragmentation makes necessary)
 //!    is the [reconciler](crate::reconcile)'s job.
 //!
+//! Quota and capacity read what the [`SpecStore`] folds as it applies
+//! events — each tenant's usage and a histogram of live demands — so a
+//! write scans no spec. The pack places sizes, not VMs: each distinct
+//! demand's count goes down the up nodes as one run, `min(count, free /
+//! size)` copies per node, which for equal items is exactly the per-item
+//! first-fit-decreasing pack. A write costs O(distinct demands × up
+//! nodes) and, once the scratch buffers are warm, allocates nothing that
+//! grows with live specs or nodes.
+//!
 //! Rejections are **typed errors** ([`AdmissionError`]), never panics;
 //! each maps to a stable HTTP status for the API layer.
 
@@ -148,6 +157,10 @@ pub struct ControlPlane {
     log: Option<AppendLog>,
     /// Admission / reconcile metric families.
     pub metrics: ControlPlaneMetrics,
+    /// Capacity-check scratch: `(demand MHz, count)` in descending
+    /// demand order, and the up nodes' remaining budgets.
+    sizes: Vec<(u64, u64)>,
+    free: Vec<u64>,
 }
 
 impl Default for ControlPlane {
@@ -168,6 +181,8 @@ impl ControlPlane {
             rate: RateLimit::default(),
             log: None,
             metrics: ControlPlaneMetrics::new(),
+            sizes: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -221,11 +236,7 @@ impl ControlPlane {
 
     /// A tenant's current footprint, summed over its live specs.
     pub fn usage(&self, tenant: &str) -> TenantUsage {
-        let mut usage = TenantUsage::default();
-        for spec in self.store.specs().filter(|s| s.tenant == tenant) {
-            usage.add(spec.template.vcpus, spec.template.freq_demand_mhz());
-        }
-        usage
+        self.store.usage(tenant)
     }
 
     /// A tenant's quota, if registered.
@@ -242,24 +253,30 @@ impl ControlPlane {
         template: VmTemplate,
         loads: &[NodeLoad],
     ) -> Result<SpecId, AdmissionError> {
+        self.admit_create(tenant, template, up_budgets(loads))
+    }
+
+    /// [`create_vm`](ControlPlane::create_vm) against the Eq. 7 budgets
+    /// (`k_n·F_n^MAX`, MHz) of the nodes that are up.
+    pub(crate) fn admit_create(
+        &mut self,
+        tenant: &str,
+        template: VmTemplate,
+        budgets: impl IntoIterator<Item = u64>,
+    ) -> Result<SpecId, AdmissionError> {
         self.admit_common(tenant)?;
         if let Err(msg) = template.validate() {
             self.metrics.rejected(tenant, false);
             return Err(AdmissionError::InvalidTemplate(msg));
         }
+        let demand = template.freq_demand_mhz();
         let mut usage = self.usage(tenant);
-        usage.add(template.vcpus, template.freq_demand_mhz());
+        usage.add(template.vcpus, demand);
         if let Err(e) = self.check_quota(tenant, usage) {
             self.metrics.rejected(tenant, false);
             return Err(e);
         }
-        let demands: Vec<u64> = self
-            .store
-            .specs()
-            .map(|s| s.template.freq_demand_mhz())
-            .chain(std::iter::once(template.freq_demand_mhz()))
-            .collect();
-        if let Err(e) = check_capacity(&demands, loads) {
+        if let Err(e) = self.check_capacity(Some(demand), None, budgets) {
             self.metrics.rejected(tenant, false);
             return Err(e);
         }
@@ -278,41 +295,38 @@ impl ControlPlane {
         new_vfreq: MHz,
         loads: &[NodeLoad],
     ) -> Result<u64, AdmissionError> {
-        let spec = self
-            .store
-            .get(id)
-            .cloned()
-            .ok_or(AdmissionError::UnknownSpec(id))?;
-        let tenant = spec.tenant.clone();
-        self.admit_common(&tenant)?;
+        self.admit_resize(id, new_vfreq, up_budgets(loads))
+    }
+
+    /// [`resize_vm`](ControlPlane::resize_vm) against the Eq. 7 budgets
+    /// (`k_n·F_n^MAX`, MHz) of the nodes that are up.
+    pub(crate) fn admit_resize(
+        &mut self,
+        id: SpecId,
+        new_vfreq: MHz,
+        budgets: impl IntoIterator<Item = u64>,
+    ) -> Result<u64, AdmissionError> {
+        let spec = self.store.get(id).ok_or(AdmissionError::UnknownSpec(id))?;
+        let (tenant, generation) = (spec.tenant.clone(), spec.generation + 1);
+        let old = spec.template.freq_demand_mhz();
         let mut resized = spec.template.clone();
+        self.admit_common(&tenant)?;
         resized.vfreq = new_vfreq;
         if let Err(msg) = resized.validate() {
             self.metrics.rejected(&tenant, false);
             return Err(AdmissionError::InvalidTemplate(msg));
         }
+        let new = resized.freq_demand_mhz();
         let mut usage = self.usage(&tenant);
-        usage.mhz = usage.mhz - spec.template.freq_demand_mhz() + resized.freq_demand_mhz();
+        usage.mhz = usage.mhz - old + new;
         if let Err(e) = self.check_quota(&tenant, usage) {
             self.metrics.rejected(&tenant, false);
             return Err(e);
         }
-        let demands: Vec<u64> = self
-            .store
-            .specs()
-            .map(|s| {
-                if s.id == id {
-                    resized.freq_demand_mhz()
-                } else {
-                    s.template.freq_demand_mhz()
-                }
-            })
-            .collect();
-        if let Err(e) = check_capacity(&demands, loads) {
+        if let Err(e) = self.check_capacity(Some(new), Some(old), budgets) {
             self.metrics.rejected(&tenant, false);
             return Err(e);
         }
-        let generation = spec.generation + 1;
         self.commit(
             &tenant,
             SpecEvent::Resized {
@@ -344,10 +358,8 @@ impl ControlPlane {
         for bucket in self.buckets.values_mut() {
             bucket.tick();
         }
-        let tenants: Vec<String> = self.quotas.keys().cloned().collect();
-        for tenant in tenants {
-            let usage = self.usage(&tenant);
-            self.metrics.set_usage(&tenant, usage);
+        for tenant in self.quotas.keys() {
+            self.metrics.set_usage(tenant, self.store.usage(tenant));
         }
         self.metrics
             .set_store(self.store.len() as u64, self.store.seq());
@@ -390,6 +402,20 @@ impl ControlPlane {
         Ok(())
     }
 
+    /// Does the desired state, with one live demand of `add` MHz more and
+    /// one of `remove` MHz fewer, pack into `budgets`?
+    fn check_capacity(
+        &mut self,
+        add: Option<u64>,
+        remove: Option<u64>,
+        budgets: impl IntoIterator<Item = u64>,
+    ) -> Result<(), AdmissionError> {
+        self.free.clear();
+        self.free.extend(budgets);
+        fill_sizes(&mut self.sizes, self.store.demands(), add, remove);
+        pack(&self.sizes, &mut self.free)
+    }
+
     /// Take an admitted mutation, disk first: append its event to the
     /// spec-log file, and only once that is durable apply and count it.
     /// On I/O failure nothing has happened — memory, counters and the
@@ -408,28 +434,58 @@ impl ControlPlane {
     }
 }
 
-/// First-fit-decreasing feasibility check of `demands` (each `k_v·F_v`,
-/// MHz) against the Eq. 7 budgets (`k_n·F_n^MAX`, MHz) of the nodes that
-/// are up.
-fn check_capacity(demands: &[u64], loads: &[NodeLoad]) -> Result<(), AdmissionError> {
-    let mut free: Vec<u64> = loads
-        .iter()
-        .filter(|n| n.up)
-        .map(|n| n.capacity_mhz)
-        .collect();
-    let mut sorted: Vec<u64> = demands.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let demand_mhz: u64 = sorted.iter().sum();
+/// The Eq. 7 budgets (`k_n·F_n^MAX`, MHz) of the nodes that are up.
+fn up_budgets(loads: &[NodeLoad]) -> impl Iterator<Item = u64> + '_ {
+    loads.iter().filter(|n| n.up).map(|n| n.capacity_mhz)
+}
+
+/// Refill `sizes` with the histogram `demands` (`k·F_v` MHz → count),
+/// one demand of `add` MHz more and one of `remove` fewer, in descending
+/// demand order.
+fn fill_sizes(
+    sizes: &mut Vec<(u64, u64)>,
+    demands: &BTreeMap<u64, u64>,
+    mut add: Option<u64>,
+    remove: Option<u64>,
+) {
+    sizes.clear();
+    for (&size, &count) in demands.iter().rev() {
+        if let Some(a) = add.take_if(|a| *a > size) {
+            sizes.push((a, 1));
+        }
+        let added = add.take_if(|a| *a == size).is_some();
+        sizes.push((
+            size,
+            count + u64::from(added) - u64::from(remove == Some(size)),
+        ));
+    }
+    sizes.extend(add.map(|a| (a, 1)));
+}
+
+/// First-fit-decreasing feasibility check of a demand histogram —
+/// (`k_v·F_v` MHz, count), in descending demand order — against the
+/// remaining budgets `free` of the up nodes, which it uses up. Each
+/// size's count goes down the nodes as one run: a node takes as many
+/// copies as fit, and the nodes an earlier copy skipped cannot take a
+/// later one, so this is the per-VM pack, decision and totals alike.
+fn pack(sizes: &[(u64, u64)], free: &mut [u64]) -> Result<(), AdmissionError> {
+    let demand_mhz: u64 = sizes.iter().map(|&(size, count)| size * count).sum();
     let capacity_mhz: u64 = free.iter().sum();
-    for demand in sorted {
-        match free.iter_mut().find(|f| **f >= demand) {
-            Some(slot) => *slot -= demand,
-            None => {
-                return Err(AdmissionError::InsufficientCapacity {
-                    demand_mhz,
-                    capacity_mhz,
-                })
+    for &(size, mut count) in sizes {
+        for slot in free.iter_mut() {
+            if count == 0 {
+                break;
             }
+            // A zero size fits anywhere (and nowhere when no node is up).
+            let fits = slot.checked_div(size).map_or(count, |n| count.min(n));
+            *slot -= fits * size;
+            count -= fits;
+        }
+        if count > 0 {
+            return Err(AdmissionError::InsufficientCapacity {
+                demand_mhz,
+                capacity_mhz,
+            });
         }
     }
     Ok(())
@@ -438,6 +494,93 @@ fn check_capacity(demands: &[u64], loads: &[NodeLoad]) -> Result<(), AdmissionEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-VM pack: sort every demand, largest first, and put each on
+    /// the first up node it fits: the reference [`pack`] must agree with.
+    fn check_capacity(demands: &[u64], loads: &[NodeLoad]) -> Result<(), AdmissionError> {
+        let mut free: Vec<u64> = up_budgets(loads).collect();
+        let mut sorted: Vec<u64> = demands.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let demand_mhz: u64 = sorted.iter().sum();
+        let capacity_mhz: u64 = free.iter().sum();
+        for demand in sorted {
+            match free.iter_mut().find(|f| **f >= demand) {
+                Some(slot) => *slot -= demand,
+                None => {
+                    return Err(AdmissionError::InsufficientCapacity {
+                        demand_mhz,
+                        capacity_mhz,
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The 12 `k·F_v` of 1, 2 or 4 vCPUs at 600–2400 MHz, then odd
+    /// sizes: tiny, prime, and one above every budget drawn.
+    const SIZES: [u64; 16] = [
+        600, 1_200, 1_800, 2_400, 1_200, 2_400, 3_600, 4_800, 2_400, 4_800, 7_200, 9_600, 1, 997,
+        13_331, 60_000,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn histogram_pack_equals_sorted_pack(
+            picks in proptest::collection::vec(0usize..40, 0..400),
+            nodes in proptest::collection::vec((0u64..40_000, 0u8..8), 0..70),
+            none_up in 0u8..8,
+            fill_pct in 60u64..=115,
+            add in proptest::option::of(0usize..16),
+            remove in proptest::option::of(0usize..400),
+        ) {
+            // Half the nodes are the benchmark's 8 threads × 2.4 GHz.
+            let budgets: Vec<u64> = nodes
+                .iter()
+                .map(|&(raw, flag)| if flag % 2 == 0 { 19_200 } else { raw })
+                .collect();
+            let mut loads = loads(&budgets);
+            for (load, &(_, flag)) in loads.iter_mut().zip(&nodes) {
+                load.up = none_up != 0 && flag > 1;
+            }
+            // Mostly the 12 sizes, so each comes many times; the demands
+            // stop near `fill_pct` % of the budget up, where the order of
+            // placement decides. No node up: all of them.
+            let capacity: u64 = up_budgets(&loads).sum();
+            let mut total = 0;
+            let mut demands: Vec<u64> = picks
+                .iter()
+                .map(|&p| if p < 36 { SIZES[p % 12] } else { SIZES[12 + p % 4] })
+                .take_while(|d| {
+                    total += d;
+                    capacity == 0 || total <= capacity * fill_pct / 100
+                })
+                .collect();
+            let mut histogram = BTreeMap::new();
+            for &d in &demands {
+                *histogram.entry(d).or_insert(0u64) += 1;
+            }
+            let add = add.map(|i| SIZES[i]);
+            let remove = remove
+                .filter(|_| !demands.is_empty())
+                .map(|i| demands.swap_remove(i % demands.len()));
+            demands.extend(add);
+
+            let want = check_capacity(&demands, &loads);
+            let mut sizes = Vec::new();
+            fill_sizes(&mut sizes, &histogram, add, remove);
+            prop_assert!(
+                sizes.windows(2).all(|w| w[0].0 > w[1].0),
+                "sizes out of order: {sizes:?}"
+            );
+            let mut free: Vec<u64> = up_budgets(&loads).collect();
+            let got = pack(&sizes, &mut free);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn loads(capacities_mhz: &[u64]) -> Vec<NodeLoad> {
         capacities_mhz

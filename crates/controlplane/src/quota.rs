@@ -58,6 +58,13 @@ impl TenantUsage {
         self.vcpus += vcpus as u64;
         self.mhz += demand_mhz;
     }
+
+    /// Take one template's footprint away again.
+    pub(crate) fn remove(&mut self, vcpus: u32, demand_mhz: u64) {
+        self.vms -= 1;
+        self.vcpus -= vcpus as u64;
+        self.mhz -= demand_mhz;
+    }
 }
 
 /// Deterministic token bucket: starts full, spends one token per

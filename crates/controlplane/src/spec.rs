@@ -16,8 +16,12 @@
 //!   reconciler re-converges the cluster against it;
 //! * resizes bump the spec's **generation**; the reconciler compares the
 //!   generation it last applied against the spec's current one to decide
-//!   whether a live virtual-frequency resize is still pending.
+//!   whether a live virtual-frequency resize is still pending;
+//! * the same fold keeps what admission reads on every write: the live
+//!   Eq. 7 demands as a histogram (`k·F_v` MHz → count) and each
+//!   tenant's [`TenantUsage`], so a write never re-scans the specs.
 
+use crate::quota::TenantUsage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -103,6 +107,10 @@ pub struct SpecStore {
     owner: BTreeMap<SpecId, String>,
     /// Per-tenant event counts over the whole log.
     audit: BTreeMap<String, SpecAudit>,
+    /// Live specs by Eq. 7 demand: `k·F_v` MHz → count (no zero counts).
+    demands: BTreeMap<u64, u64>,
+    /// Each tenant's footprint over its live specs.
+    usage: BTreeMap<String, TenantUsage>,
 }
 
 impl SpecStore {
@@ -149,6 +157,17 @@ impl SpecStore {
         self.audit.get(tenant).copied().unwrap_or_default()
     }
 
+    /// `tenant`'s footprint over its live specs, kept by the fold.
+    pub fn usage(&self, tenant: &str) -> TenantUsage {
+        self.usage.get(tenant).copied().unwrap_or_default()
+    }
+
+    /// The live specs' Eq. 7 demands, `k·F_v` MHz → count, kept by the
+    /// fold.
+    pub(crate) fn demands(&self) -> &BTreeMap<u64, u64> {
+        &self.demands
+    }
+
     /// The spec [`create`](SpecStore::create) would admit — the next id,
     /// generation 1 — without admitting it.
     pub(crate) fn stage(&self, tenant: &str, template: VmTemplate) -> VmSpec {
@@ -189,15 +208,19 @@ impl SpecStore {
         Some(spec)
     }
 
-    /// Fold one event into the map and the audit counts (shared by live
-    /// mutation and replay).
+    /// Fold one event into the map, the audit counts, the demand
+    /// histogram and the tenant's usage (shared by live mutation and
+    /// replay).
     pub(crate) fn apply(&mut self, event: SpecEvent) {
         match &event {
             SpecEvent::Created { spec } => {
                 self.next_id = self.next_id.max(spec.id.0 + 1);
-                self.specs.insert(spec.id, spec.clone());
+                let (vcpus, demand) = (spec.template.vcpus, spec.template.freq_demand_mhz());
+                *self.demands.entry(demand).or_default() += 1;
+                tenant_entry(&mut self.usage, &spec.tenant).add(vcpus, demand);
+                tenant_entry(&mut self.audit, &spec.tenant).creates += 1;
                 self.owner.insert(spec.id, spec.tenant.clone());
-                self.audit.entry(spec.tenant.clone()).or_default().creates += 1;
+                self.specs.insert(spec.id, spec.clone());
             }
             SpecEvent::Resized {
                 id,
@@ -205,15 +228,25 @@ impl SpecStore {
                 generation,
             } => {
                 if let Some(spec) = self.specs.get_mut(id) {
+                    let old = spec.template.freq_demand_mhz();
                     spec.template.vfreq = *vfreq;
                     spec.generation = *generation;
+                    let new = spec.template.freq_demand_mhz();
+                    forget_demand(&mut self.demands, old);
+                    *self.demands.entry(new).or_default() += 1;
+                    let usage = tenant_entry(&mut self.usage, &spec.tenant);
+                    usage.mhz = usage.mhz - old + new;
                 }
                 if let Some(audit) = self.audit_of(id) {
                     audit.resizes += 1;
                 }
             }
             SpecEvent::Deleted { id } => {
-                self.specs.remove(id);
+                if let Some(spec) = self.specs.remove(id) {
+                    let demand = spec.template.freq_demand_mhz();
+                    forget_demand(&mut self.demands, demand);
+                    tenant_entry(&mut self.usage, &spec.tenant).remove(spec.template.vcpus, demand);
+                }
                 if let Some(audit) = self.audit_of(id) {
                     audit.deletes += 1;
                 }
@@ -269,9 +302,87 @@ impl SpecStore {
     }
 }
 
+/// `tenant`'s entry, created on first use (no key is cloned otherwise).
+fn tenant_entry<'a, T: Default>(map: &'a mut BTreeMap<String, T>, tenant: &str) -> &'a mut T {
+    if !map.contains_key(tenant) {
+        map.insert(tenant.to_owned(), T::default());
+    }
+    map.get_mut(tenant).expect("inserted above")
+}
+
+/// One live spec of `demand` MHz fewer.
+fn forget_demand(demands: &mut BTreeMap<u64, u64>, demand: u64) {
+    if let Some(count) = demands.get_mut(&demand) {
+        *count -= 1;
+        if *count == 0 {
+            demands.remove(&demand);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
+
+    /// The fold's histogram and every tenant's usage equal a recount over
+    /// the live specs.
+    fn check_fold(store: &SpecStore) -> std::result::Result<(), String> {
+        let mut demands = BTreeMap::new();
+        let mut usage = [TenantUsage::default(); 4];
+        for spec in store.specs() {
+            let demand = spec.template.freq_demand_mhz();
+            *demands.entry(demand).or_insert(0u64) += 1;
+            let t = TENANTS.iter().position(|t| *t == spec.tenant).unwrap();
+            usage[t].add(spec.template.vcpus, demand);
+        }
+        prop_assert_eq!(store.demands(), &demands);
+        for (tenant, usage) in TENANTS.iter().zip(usage) {
+            prop_assert_eq!(store.usage(tenant), usage, "tenant {}", tenant);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn store_fold_equals_recount(
+            ops in proptest::collection::vec((0u8..3, 0usize..4, 0usize..64, 0u32..3), 0..120),
+        ) {
+            let mut store = SpecStore::new();
+            // Every id ever created: a resize or delete of a dead one is
+            // refused and appends nothing.
+            let mut ids: Vec<SpecId> = Vec::new();
+            for (op, tenant, pick, size) in ops {
+                let target = ids.get(pick % ids.len().max(1)).copied();
+                let vfreq = MHz(600 * (size + 1));
+                match (op, target) {
+                    (1, Some(id)) => {
+                        store.resize(id, vfreq);
+                    }
+                    (2, Some(id)) => {
+                        store.delete(id);
+                    }
+                    _ => {
+                        let template = VmTemplate::new("vm", 1 << size, vfreq);
+                        ids.push(store.create(TENANTS[tenant], template));
+                    }
+                }
+                check_fold(&store)?;
+            }
+            let dir = std::env::temp_dir().join(format!("vfc-cp-fold-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("specs.log");
+            store.save(&path).unwrap();
+            let back = SpecStore::load(&path).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            check_fold(&back)?;
+            prop_assert_eq!(back.demands(), store.demands());
+        }
+    }
 
     #[test]
     fn create_resize_delete_fold() {

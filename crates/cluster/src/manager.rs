@@ -1069,6 +1069,16 @@ impl ClusterManager {
             .collect()
     }
 
+    /// The Eq. 7 budget (`k_n·F_n^MAX`, MHz) of every node that is up, in
+    /// cluster order: the capacities admission packs desired demands
+    /// into, without building [`node_loads`](ClusterManager::node_loads).
+    pub fn up_budgets(&self) -> impl Iterator<Item = u64> + '_ {
+        self.nodes
+            .iter()
+            .filter(|n| !n.state.is_down())
+            .map(|n| n.bin.spec.freq_capacity_mhz())
+    }
+
     /// Number of nodes currently violating Eq. 7 (`Σ k_i·F_i` above
     /// `k_n·F_n^MAX`). Always 0 under the frequency strategies — the
     /// churn proptest pins this. O(1): maintained as deltas on
@@ -1876,6 +1886,27 @@ mod tests {
             c.resize_vfreq(id, MHz(0)),
             Err(ClusterError::InvalidTemplate(_))
         ));
+    }
+
+    #[test]
+    fn up_budgets_skip_a_crashed_node() {
+        let faults = FaultModel {
+            scripted_node_crashes: vec![(1, 1)],
+            repair_periods: 5,
+            ..FaultModel::none()
+        };
+        let fleet = vec![NodeSpec::custom("n", 1, 2, 2, MHz(2400)); 3];
+        let mut c = ClusterManager::with_faults(fleet, Strategy::FrequencyControl, 1, faults);
+        assert_eq!(c.up_budgets().collect::<Vec<_>>(), [9600; 3]);
+        c.run_period();
+        let up: Vec<u64> = c
+            .node_loads()
+            .iter()
+            .filter(|n| n.up)
+            .map(|n| n.capacity_mhz)
+            .collect();
+        assert_eq!(up, [9600; 2], "node 1 is down");
+        assert_eq!(c.up_budgets().collect::<Vec<_>>(), up);
     }
 
     #[test]

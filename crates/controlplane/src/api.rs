@@ -328,8 +328,8 @@ fn route(
             };
             let template = VmTemplate::new(&req.name, req.vcpus, MHz(req.vfreq_mhz))
                 .with_mem_gb(req.mem_gb.unwrap_or(4));
-            let loads = rt.cluster.node_loads();
-            match rt.plane.create_vm(&req.tenant, template, &loads) {
+            let budgets = rt.cluster.up_budgets();
+            match rt.plane.admit_create(&req.tenant, template, budgets) {
                 Ok(id) => ok_json(
                     201,
                     &IdResp {
@@ -357,8 +357,11 @@ fn route(
                 Ok(r) => r,
                 Err(e) => return error(400, &format!("bad body: {e}")),
             };
-            let loads = rt.cluster.node_loads();
-            match rt.plane.resize_vm(SpecId(id), MHz(req.vfreq_mhz), &loads) {
+            let budgets = rt.cluster.up_budgets();
+            match rt
+                .plane
+                .admit_resize(SpecId(id), MHz(req.vfreq_mhz), budgets)
+            {
                 Ok(generation) => ok_json(200, &IdResp { id, generation }),
                 Err(e) => admission_err(&e),
             }

@@ -181,8 +181,8 @@ const WINDOW: usize = 100;
 /// creates, resizes and deletes is admitted against node loads built
 /// once; creates lead until about 350 specs are live, then the three
 /// kinds balance around that. Returns the row, and the allocation
-/// events of the first and of the last [`WINDOW`] writes.
-fn controlplane_writes() -> (Value, u64, u64) {
+/// events and bytes of the first and of the last [`WINDOW`] writes.
+fn controlplane_writes() -> (Value, [u64; 2], [u64; 2]) {
     const TENANTS: [&str; 4] = ["acme", "globex", "initech", "umbrella"];
     const VCPUS: [u32; 3] = [1, 2, 4];
     const VFREQS: [u32; 4] = [600, 1_200, 1_800, 2_400];
@@ -268,7 +268,7 @@ fn controlplane_writes() -> (Value, u64, u64) {
         ("seq".into(), uint(plane.store().seq())),
         ("live_specs".into(), uint(plane.store().len() as u64)),
     ]);
-    (row, window[0][0], window[1][0])
+    (row, window[0], window[1])
 }
 
 #[test]
@@ -287,11 +287,14 @@ fn cluster_replays_cost_what_the_golden_says() {
         .collect();
     let (writes, first, last) = controlplane_writes();
     doc.push(("controlplane_writes".into(), writes));
-    // Admission may not cost more per write as live specs accumulate.
-    assert!(
-        last <= first,
-        "the last {WINDOW} writes allocated {last} times, the first {WINDOW} {first}"
-    );
+    // Admission may not cost more per write as live specs accumulate:
+    // neither more allocations nor more bytes.
+    for (what, first, last) in [("times", first[0], last[0]), ("bytes", first[1], last[1])] {
+        assert!(
+            last <= first,
+            "the last {WINDOW} writes allocated {last} {what}, the first {WINDOW} {first}"
+        );
+    }
     let doc = Value::Object(doc);
     let got = serde_json::to_string_pretty(&doc).expect("serializable") + "\n";
     if cfg!(debug_assertions) {

@@ -86,7 +86,9 @@ pub trait HostBackend {
     /// skip the allocating [`HostBackend::vms`] re-listing on unchanged
     /// periods. `None` (the default) means "unknown — always re-list",
     /// which is the only safe answer for a real cgroup mount where VMs
-    /// appear and vanish behind the controller's back.
+    /// appear and vanish behind the controller's back, unless something
+    /// watches it: the filesystem backend answers while its change feed
+    /// reports the mount quiet.
     fn vms_epoch(&self) -> Option<u64> {
         None
     }

@@ -60,9 +60,15 @@
 //!   kept handle without the `st_nlink` check: the pass sees what was
 //!   removed before it began (see `begin_read_pass`).
 //!
+//! While the slice and every cached scope are quiet and the last listing
+//! had no error, [`HostBackend::vms_epoch`] answers the epoch of the
+//! cached listing, so the controller skips [`HostBackend::vms`] and its
+//! `Vec` of names. The epoch moves on every listing that changed the
+//! cache and on every [`FsBackend::set_vfreq`].
+//!
 //! A dirty scope is rescanned by path and a dirty `/proc` or `cpufreq`
-//! handle is closed by the next listing and re-opened, each with fresh
-//! watches; a dirty slice is listed by path, its path watched anew first
+//! handle is closed by the next listing or epoch check and re-opened,
+//! each with fresh watches; a dirty slice is listed by path, its path watched anew first
 //! (the directory there may be another one). The fine-grained methods
 //! (`vcpu_usage`, `vcpu_threads`, `thread_last_cpu`, `cpu_cur_freq`,
 //! `vcpu_max`, `set_vcpu_max`) check every access whatever the feed says;
@@ -654,6 +660,12 @@ pub struct FsBackend {
     /// Listings and scope scans that failed for another reason than the
     /// directory being gone. Relaxed: a statistic.
     listing_errors: AtomicU64,
+    /// Moves whenever what [`HostBackend::vms`] returns may have: a
+    /// listing that changed the cache, a vfreq update. Relaxed: read and
+    /// written under `listing`, or through `&mut self`.
+    epoch: AtomicU64,
+    /// The last listing, and every scope scan in it, succeeded.
+    listing_clean: AtomicBool,
 }
 
 impl FsBackend {
@@ -678,6 +690,8 @@ impl FsBackend {
             freqs: HandleMap::default(),
             freq_memo: RwLock::new(HashMap::new()),
             listing_errors: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            listing_clean: AtomicBool::new(false),
         }
     }
 
@@ -726,12 +740,14 @@ impl FsBackend {
     /// Provide the guaranteed virtual frequency for VMs by name.
     pub fn with_vfreq_table(mut self, table: HashMap<String, MHz>) -> Self {
         self.vfreq = table;
+        *self.epoch.get_mut() += 1;
         self
     }
 
     /// Set/replace a single VM's guaranteed frequency.
     pub fn set_vfreq(&mut self, vm_name: impl Into<String>, freq: MHz) {
         self.vfreq.insert(vm_name.into(), freq);
+        *self.epoch.get_mut() += 1;
     }
 
     /// Interface-file descriptors this backend currently keeps open.
@@ -762,12 +778,14 @@ impl FsBackend {
         if let Some(feed) = &self.feed {
             feed.drain();
         }
+        self.listing_clean.store(false, Ordering::Relaxed);
         if !listing.watch.as_ref().is_some_and(Watched::quiet) {
             listing
                 .relist(&self.slice, self.feed.as_ref())
                 .map_err(|e| CgroupError::io(self.slice.display().to_string(), e))?;
         }
-
+        // Any scope scanned or retired; every scan succeeded.
+        let (mut changed, mut clean) = (false, true);
         let mut cache = self.cache.write().expect(POISONED);
         let mut cached = std::mem::take(&mut *cache).into_iter().peekable();
         cache.reserve(listing.scopes.len());
@@ -776,23 +794,35 @@ impl FsBackend {
             // Cached scopes that sort before this entry are off the disk.
             while let Some(departed) = cached.next_if(|c| (c.number, &c.dir_name) < key) {
                 self.retire(departed);
+                changed = true;
             }
             match cached.next_if(|c| (c.number, &c.dir_name) == key) {
                 Some(vm) if vm.unchanged() => cache.push(vm),
                 stale => {
+                    changed = true;
                     if let Some(vm) = stale {
                         self.retire(vm);
                     }
                     match self.scan_scope(*number, dir_name) {
                         Ok(vm) => cache.push(vm),
                         // Torn down between the listing and the scan.
-                        Err(e) if e.is_vanished() => {}
-                        Err(_) => self.count_listing_error(),
+                        Err(e) if e.is_vanished() => clean = false,
+                        Err(_) => {
+                            clean = false;
+                            self.count_listing_error();
+                        }
                     }
                 }
             }
         }
-        cached.for_each(|departed| self.retire(departed));
+        for departed in cached {
+            self.retire(departed);
+            changed = true;
+        }
+        if changed {
+            self.epoch.fetch_add(1, Ordering::Relaxed);
+        }
+        self.listing_clean.store(clean, Ordering::Relaxed);
         drop(cache);
         self.procs.sweep();
         self.freqs.sweep();
@@ -1034,6 +1064,26 @@ impl HostBackend for FsBackend {
                 vfreq: self.vfreq.get(&v.name).copied(),
             })
             .collect()
+    }
+
+    /// The cached listing's epoch, when the change feed vouches for it:
+    /// after a drain, the slice's watch is quiet, the last listing had no
+    /// error and every cached scope is unchanged. A dirty `/proc` or
+    /// `cpufreq` handle is closed here, as a listing would.
+    fn vms_epoch(&self) -> Option<u64> {
+        self.feed.as_ref()?.drain();
+        self.procs.sweep();
+        self.freqs.sweep();
+        let listing = self.listing.lock().expect(POISONED);
+        let vouched = listing.watch.as_ref().is_some_and(Watched::quiet)
+            && self.listing_clean.load(Ordering::Relaxed)
+            && self
+                .cache
+                .read()
+                .expect(POISONED)
+                .iter()
+                .all(DiscoveredVm::unchanged);
+        vouched.then(|| self.epoch.load(Ordering::Relaxed))
     }
 
     fn listing_errors(&self) -> u64 {

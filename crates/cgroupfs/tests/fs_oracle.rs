@@ -6,7 +6,10 @@
 //! random "host" mutates the tree between periods, and every answer —
 //! the listing, the fused and the fine-grained reads, the cap write and
 //! the bytes it leaves on disk — must be the oracle's, value or error
-//! class, in every period, with no exception.
+//! class, in every period, with no exception. And after every mutation,
+//! an epoch the long-lived backend answers equal to the one it answered
+//! after its last listing means that listing is still the oracle's: the
+//! controller skips `vms()` on that promise.
 
 use std::fmt::Debug;
 use std::fs;
@@ -18,7 +21,7 @@ use vfc_cgroupfs::fixture::FixtureTree;
 use vfc_cgroupfs::fs::{CgroupVersion, FsBackend};
 use vfc_cgroupfs::model::{CpuMax, CpuStat};
 use vfc_cgroupfs::tree::kvm_layout;
-use vfc_cgroupfs::{parse, v1, CgroupError, HostBackend, Result};
+use vfc_cgroupfs::{parse, v1, CgroupError, HostBackend, Result, VmCgroupInfo};
 use vfc_simcore::{CpuId, MHz, Micros, Tid, VcpuId};
 
 const CPUS: u32 = 4;
@@ -410,10 +413,22 @@ fn same<T: Debug>(
 fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(), String> {
     let mut host = Host::new(version);
     let mut live = host.fx.backend();
+    // The epoch the live backend answered after its last listing.
+    let mut vouched: Option<(u64, Vec<VmCgroupInfo>)> = None;
 
     for (t, ops) in periods.into_iter().enumerate() {
         for op in ops {
             host.apply(op);
+            if let Some((epoch, listed)) = &vouched {
+                if live.vms_epoch() == Some(*epoch) {
+                    let now = host.fx.backend().vms();
+                    prop_assert!(
+                        &now == listed,
+                        "period {t}: after {op:?} epoch {epoch} still vouches for \
+                         {listed:?}, the oracle lists {now:?}"
+                    );
+                }
+            }
         }
         let mut oracle = host.fx.backend();
         prop_assert_eq!(live.version(), version);
@@ -424,6 +439,14 @@ fn check(version: CgroupVersion, periods: Vec<Vec<Op>>) -> std::result::Result<(
             listed == vms,
             "period {t}: listing {listed:?}, the oracle's {vms:?}"
         );
+        let epoch = live.vms_epoch();
+        if let (Some(epoch), Some((before, then))) = (epoch, &vouched) {
+            prop_assert!(
+                epoch != *before || &listed == then,
+                "period {t}: epoch {epoch} again, but the listing moved from {then:?} to {listed:?}"
+            );
+        }
+        vouched = epoch.map(|epoch| (epoch, listed));
         live.begin_read_pass();
         oracle.begin_read_pass();
 

@@ -469,7 +469,10 @@ fn fill_sizes(
 /// copies as fit, and the nodes an earlier copy skipped cannot take a
 /// later one, so this is the per-VM pack, decision and totals alike.
 fn pack(sizes: &[(u64, u64)], free: &mut [u64]) -> Result<(), AdmissionError> {
-    let demand_mhz: u64 = sizes.iter().map(|&(size, count)| size * count).sum();
+    // Saturating: a request's `k·F_v` comes from outside the program.
+    let demand_mhz = sizes.iter().fold(0u64, |total, &(size, count)| {
+        total.saturating_add(size.saturating_mul(count))
+    });
     let capacity_mhz: u64 = free.iter().sum();
     for &(size, mut count) in sizes {
         for slot in free.iter_mut() {

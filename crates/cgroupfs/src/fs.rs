@@ -68,15 +68,16 @@
 //!
 //! A dirty scope is rescanned by path and a dirty `/proc` or `cpufreq`
 //! handle is closed by the next listing or epoch check and re-opened,
-//! each with fresh watches; a dirty slice is listed by path, its path watched anew first
-//! (the directory there may be another one). The fine-grained methods
-//! (`vcpu_usage`, `vcpu_threads`, `thread_last_cpu`, `cpu_cur_freq`,
-//! `vcpu_max`, `set_vcpu_max`) check every access whatever the feed says;
-//! the cap write's `fstat` also tells it whether to truncate. Where the
-//! kernel gives no instance (`max_user_instances`) or refuses a watch
-//! (`ENOSPC`), or off Linux, that directory — or the whole backend — runs
-//! the checks above on every access and the listing stats every cached
-//! scope: chosen from what the kernel answered, with no option.
+//! each with fresh watches; a dirty slice is listed by path, its path
+//! watched anew first (the directory there may be another one). The
+//! fine-grained methods (`vcpu_usage`, `vcpu_threads`, `thread_last_cpu`,
+//! `cpu_cur_freq`, `vcpu_max`, `set_vcpu_max`) check every access
+//! whatever the feed says; the cap write's `fstat` also tells it whether
+//! to truncate. Where the kernel gives no instance (`max_user_instances`)
+//! or refuses a watch (`ENOSPC`), or off Linux, that directory — or the
+//! whole backend — runs the checks above on every access and the listing
+//! stats every cached scope: chosen from what the kernel answered, with
+//! no option.
 //!
 //! The descriptor budget is the process's soft `RLIMIT_NOFILE` minus
 //! [`FD_RESERVE`], read once from `/proc/self/limits` and shared by every
